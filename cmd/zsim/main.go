@@ -33,15 +33,13 @@ func main() {
 		hostThr    = flag.Int("host-threads", 0, "host worker threads (0 = all CPUs)")
 		blocks     = flag.Int("blocks", 0, "override the workload's per-thread basic-block budget")
 		nocCont    = flag.Bool("noc", false, "enable weave-phase NoC contention (implies the weave phase; routed topologies only)")
-		domains    = flag.Int("domains", 0, "weave domain count (0 = config default)")
-		weaveMode  = flag.String("weave-mode", "", "weave execution mode: parallel (deterministic bounded-skew domains, the default) or serial (single-heap escape hatch)")
 		linkBytes  = flag.Int("noc-link-bytes", 0, "NoC link width in bytes (0 = config default)")
 		statsDump  = flag.Bool("stats", false, "dump the full statistics tree after the run")
 		list       = flag.Bool("list", false, "list the registered workloads and exit")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited); an overrun exits non-zero with partial results")
 		progress   = flag.Bool("progress", false, "print a live progress heartbeat on stderr while the run executes")
 		progEvery  = flag.Duration("progress-interval", 2*time.Second, "heartbeat period for -progress")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the run's phases and weave domains (load in Perfetto)")
+		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON file of the run's bound and weave phases (load in Perfetto)")
 		traceCap   = flag.Int("trace-events", 0, "trace-event capacity for -trace-out (0 = default bound; excess events are dropped and counted)")
 	)
 	flag.Parse()
@@ -69,12 +67,6 @@ func main() {
 	}
 	if *timeout > 0 {
 		cfg.MaxWallTime = *timeout
-	}
-	if *domains > 0 {
-		cfg.WeaveDomains = *domains
-	}
-	if *weaveMode != "" {
-		cfg.WeaveModeKind = zsim.WeaveMode(*weaveMode)
 	}
 	sim, err := zsim.New(cfg)
 	if err != nil {

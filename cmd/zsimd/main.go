@@ -54,17 +54,18 @@ func loadPrewarmConfigs(path string) ([]*zsim.Config, error) {
 		return nil, fmt.Errorf("prewarm: %w", err)
 	}
 	trimmed := bytes.TrimLeft(data, " \t\r\n")
+	dec := json.NewDecoder(bytes.NewReader(trimmed))
+	dec.DisallowUnknownFields()
 	var cfgs []*zsim.Config
 	if len(trimmed) > 0 && trimmed[0] == '[' {
-		if err := json.Unmarshal(data, &cfgs); err != nil {
-			return nil, fmt.Errorf("prewarm %s: %w", path, err)
-		}
+		err = dec.Decode(&cfgs)
 	} else {
-		var cfg zsim.Config
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			return nil, fmt.Errorf("prewarm %s: %w", path, err)
-		}
-		cfgs = []*zsim.Config{&cfg}
+		cfg := new(zsim.Config)
+		err = dec.Decode(cfg)
+		cfgs = []*zsim.Config{cfg}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("prewarm %s: %w", path, err)
 	}
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("prewarm %s: no configs", path)

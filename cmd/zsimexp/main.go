@@ -17,7 +17,6 @@ import (
 	"os"
 	"time"
 
-	"zsim/internal/config"
 	"zsim/internal/harness"
 )
 
@@ -36,8 +35,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		hostThr  = fs.Int("host-threads", 0, "host worker threads (0 = all CPUs)")
 		quiet    = fs.Bool("quiet", false, "suppress progress logging")
 		timeout  = fs.Duration("timeout", 0, "per-run wall-clock budget (0 = unlimited); an overrun fails the experiment instead of hanging it")
-		domains  = fs.Int("domains", 0, "override the weave domain count for every run (0 = per-experiment default)")
-		weave    = fs.String("weave-mode", "", "weave execution mode for every run: parallel (deterministic bounded-skew domains, the default) or serial (single-heap escape hatch)")
 		progress = fs.Bool("progress", false, "print a live per-run heartbeat on stderr (phase, intervals, cycles, sim-MIPS)")
 		progIvl  = fs.Duration("progress-interval", 2*time.Second, "heartbeat period for -progress")
 		daemon   = fs.String("daemon", "", "zsimd base URL (e.g. http://127.0.0.1:8347); required by the sweep experiment, which runs through the daemon instead of in-process")
@@ -61,27 +58,13 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	opts := harness.Options{Scale: *scale, MaxCores: *maxCores, HostThreads: *hostThr, Timeout: *timeout,
-		WeaveDomains: *domains, WeaveMode: config.WeaveMode(*weave)}
-	if *weave != "" && *weave != string(config.WeaveParallelDet) && *weave != string(config.WeaveSerial) {
-		fmt.Fprintf(stderr, "zsimexp: unknown -weave-mode %q (want parallel or serial)\n", *weave)
-		return 2
-	}
+	opts := harness.Options{Scale: *scale, MaxCores: *maxCores, HostThreads: *hostThr, Timeout: *timeout}
 	if *progress {
 		opts.Progress = stderr
 		opts.ProgressPeriod = *progIvl
 	}
 	if !*quiet {
 		opts.Log = stderr
-		mode := *weave
-		if mode == "" {
-			mode = string(config.WeaveParallelDet)
-		}
-		dom := "per-experiment default"
-		if *domains > 0 {
-			dom = fmt.Sprintf("%d", *domains)
-		}
-		fmt.Fprintf(stderr, "weave: mode=%s domains=%s\n", mode, dom)
 	}
 
 	if err := run(fs.Arg(0), opts, stdout); err != nil {

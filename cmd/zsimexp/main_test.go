@@ -59,7 +59,10 @@ func TestUsageErrors(t *testing.T) {
 	if code := cliMain([]string{"no-such-experiment"}, &stdout, &stderr); code != 1 {
 		t.Errorf("unknown experiment: exit %d, want 1", code)
 	}
-	if code := cliMain([]string{"-weave-mode", "bogus", "fig6stream"}, &stdout, &stderr); code != 2 {
-		t.Errorf("bad weave mode: exit %d, want 2", code)
+	// The retired weave flags are unknown flags now.
+	for _, flag := range []string{"-weave-mode", "-domains"} {
+		if code := cliMain([]string{flag, "1", "fig6stream"}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2", flag, code)
+		}
 	}
 }

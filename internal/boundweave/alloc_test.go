@@ -33,7 +33,6 @@ func newContentionSim(t *testing.T) *Simulator {
 	cfg := config.SmallTest()
 	cfg.NumCores = 4
 	cfg.Contention = true
-	cfg.WeaveDomains = 2
 	sys, err := BuildSystem(cfg)
 	if err != nil {
 		t.Fatalf("BuildSystem: %v", err)
@@ -61,7 +60,7 @@ func fillRecorders(sim *Simulator, bufs [][]cache.Hop) {
 
 func TestRunWeaveSteadyStateAllocs(t *testing.T) {
 	sim := newContentionSim(t)
-	defer sim.engine.Close()
+	defer sim.Close()
 	bufs := make([][]cache.Hop, len(sim.recorders))
 	iteration := func() {
 		fillRecorders(sim, bufs)
@@ -134,7 +133,6 @@ func TestRunWeaveSteadyStateAllocsNOC(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.NumCores = 4
 	cfg.Contention = true
-	cfg.WeaveDomains = 2
 	cfg.Network = config.NetMesh // 2x2 mesh
 	cfg.NOCContention = true
 	cfg.NOCLinkBytes = 4
@@ -147,7 +145,7 @@ func TestRunWeaveSteadyStateAllocsNOC(t *testing.T) {
 	p.BlocksPerThread = 10
 	sched.AddWorkload(trace.New("alloc-noc", p, cfg.NumCores))
 	sim := NewSimulator(sys, sched, telemetryOpts(Options{HostThreads: 1, Seed: 1}))
-	defer sim.engine.Close()
+	defer sim.Close()
 
 	bankComp := sim.Sys.BankComp[0]
 	memComp := sim.Sys.MemComp[0]

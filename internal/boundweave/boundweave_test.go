@@ -37,13 +37,6 @@ func TestBuildSystemWestmere(t *testing.T) {
 	if len(sys.SharedComp) != 7 {
 		t.Fatalf("expected 7 shared components, got %d", len(sys.SharedComp))
 	}
-	// Every core, bank and controller has a domain below NumDomains.
-	for _, comp := range append(append(append([]int{}, sys.CoreComp...), sys.BankComp...), sys.MemComp...) {
-		d, ok := sys.CompDomain[comp]
-		if !ok || d < 0 || d >= sys.NumDomains {
-			t.Fatalf("component %d has no valid domain", comp)
-		}
-	}
 	if sys.Cores[0].Name() != "ooo" {
 		t.Fatalf("Westmere preset uses OOO cores")
 	}
@@ -141,7 +134,6 @@ func TestContentionSlowsMemoryBoundWorkload(t *testing.T) {
 		cfg.NumCores = 8
 		cfg.CoreModel = config.CoreIPC1
 		cfg.Contention = contention
-		cfg.WeaveDomains = 4
 		p := trace.MustLookup("stream")
 		p.BlocksPerThread = 300
 		p.WorkingSet = 8 << 20
@@ -420,7 +412,6 @@ func TestWeaveEventsGeneratedUnderContention(t *testing.T) {
 	cfg := config.SmallTest()
 	cfg.NumCores = 4
 	cfg.Contention = true
-	cfg.WeaveDomains = 2
 	p := trace.MustLookup("mcf")
 	p.BlocksPerThread = 300
 	w := trace.New("mcf", p, 4)

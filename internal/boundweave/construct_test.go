@@ -2,8 +2,8 @@ package boundweave
 
 // Construction-cost regression tests: building a chip must stay a handful of
 // large (arena-chunk) allocations per component, not a storm of small ones.
-// BenchmarkConstruct1024 at the repo root tracks absolute cost; these bounds
-// catch silent regressions in go test.
+// bench/ (setup_s) tracks absolute cost; these bounds catch silent
+// regressions in go test.
 
 import (
 	"testing"
@@ -81,7 +81,7 @@ func TestNewSimulatorAllocsBounded(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		NewSimulator(sys, sched, Options{HostThreads: 2, Seed: 1}).Close()
 	})
-	// Budget: simulator + pool + engine/domains + contention models + a few
+	// Budget: simulator + pool + engine + contention models + a few
 	// amortized arena chunks — independent of the core count.
 	if allocs > 128 {
 		t.Fatalf("NewSimulator allocates %.0f times; budget is 128 (O(1), not O(cores))", allocs)

@@ -121,8 +121,8 @@ func (r *Recorder) Reset() {
 // BankModel is the weave-phase contention model for a pipelined L3 bank: a
 // single address port accepts one access per cycle, and a limited number of
 // MSHRs bounds outstanding misses (each miss holds an MSHR for roughly the
-// memory round trip). It is driven from exactly one weave domain, so it needs
-// no locking.
+// memory round trip). Only the single-threaded weave engine drives it, so it
+// needs no locking.
 type BankModel struct {
 	// Latency is the bank's zero-load access latency.
 	Latency uint32

@@ -59,17 +59,16 @@ type Options struct {
 	// at every interval boundary, plus phase-transition gauges. Observation
 	// only: results are bit-identical with or without a probe.
 	Probe *telemetry.Probe
-	// Trace, when non-nil, receives bounded Chrome-trace slices: one
-	// bound/weave slice per interval on the phases track and per-domain
-	// execution/stall slices from the weave workers.
+	// Trace, when non-nil, receives bounded Chrome-trace slices: one bound
+	// and one weave slice per interval on the phases track.
 	Trace *telemetry.TraceSink
 }
 
 // Simulator drives the bound-weave loop over a built System and a scheduler
-// full of workload threads. Both phases execute on one persistent worker
-// pool: bound workers draw core assignments from a shared atomic counter,
-// and the weave engine drives its event domains with the same parked
-// goroutines, so steady-state intervals spawn no goroutines at all.
+// full of workload threads. The bound phase runs on a persistent worker pool
+// whose workers draw core assignments from a shared atomic counter; the weave
+// phase runs on the driver goroutine. Steady-state intervals spawn no
+// goroutines at all.
 type Simulator struct {
 	Sys   *System
 	Sched *virt.Scheduler
@@ -82,11 +81,14 @@ type Simulator struct {
 	recorders []*Recorder
 	slabs     []*event.Slab
 	models    *weaveModels
-	// pool is the unified persistent worker pool shared by the bound phase
-	// and the weave engine; it is sized max(hostThreads, weave domains).
-	pool *engine.Pool
-	// engine is the persistent weave engine: built once here on the shared
-	// pool, reused every interval, closed when Run finishes.
+	// pool is the bound phase's persistent worker pool, sized hostThreads.
+	// poolRuns0/poolWakes0 are its lifetime counters at the start of the
+	// current run: a reused simulator keeps its pool, and telemetry reports
+	// one run's share.
+	pool                  *engine.Pool
+	poolRuns0, poolWakes0 uint64
+	// engine is the persistent weave engine (nil without contention),
+	// reused every interval.
 	engine *event.Engine
 	// last is the per-core scratch used by runWeave to track each core's
 	// latest response event.
@@ -189,15 +191,7 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 		s.lastTid[i] = -1
 	}
 
-	// One persistent pool serves both phases: the bound phase wakes up to
-	// hostThreads workers, and the (default) parallel weave needs one worker
-	// per domain — domains park mid-interval waiting on horizons, so they
-	// cannot share workers. Only the serial escape hatch runs weave inline.
-	poolSize := host
-	if s.contention && cfg.WeaveModeKind != config.WeaveSerial && sys.NumDomains > poolSize {
-		poolSize = sys.NumDomains
-	}
-	s.pool = engine.NewPool(poolSize)
+	s.pool = engine.NewPool(host)
 
 	if s.contention {
 		maxComp := -1
@@ -252,28 +246,16 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 			slab := event.NewSlabIn(a, 512)
 			// Disjoint per-core sequence bases give every interval event a
 			// globally unique, bound-phase-deterministic sequence number for
-			// the weave heaps' (cycle, component, sequence) tie-break.
+			// the weave heap's (cycle, sequence) tie-break.
 			slab.SetSeqBase(uint64(coreID) << 32)
 			s.slabs = append(s.slabs, slab)
 		}
-		// The weave engine is persistent and shares the bound phase's worker
-		// pool: its domains, queues and workers are built once and reused by
-		// every interval.
-		s.engine = event.NewEngineOnPool(sys.NumDomains, s.pool)
-		if cfg.WeaveModeKind == config.WeaveSerial {
-			s.engine.SetMode(event.ModeSerial)
-		}
-		for comp, dom := range sys.CompDomain {
-			s.engine.AssignComponent(comp, dom)
-		}
+		s.engine = new(event.Engine)
 		s.last = arena.Take[lastResp](a, len(sys.Cores))
 	}
 	s.instrsTotal.Store(s.totalInstrs())
 	s.probe = opts.Probe
 	s.traceSink = opts.Trace
-	if s.engine != nil {
-		s.engine.SetTrace(opts.Trace)
-	}
 	if opts.Profiler != nil {
 		for _, c := range sys.Cores {
 			c.SetObserver(opts.Profiler)
@@ -306,34 +288,27 @@ func (s *Simulator) totalInstrs() uint64 {
 	return n
 }
 
-// Close releases the simulator's persistent resources (the weave engine and
-// the shared worker pool). It is idempotent; Run closes the simulator itself
-// when it returns, so Close only needs to be called for simulators that are
-// built but never run (e.g. construction benchmarks).
-func (s *Simulator) Close() {
-	if s.engine != nil {
-		s.engine.Close()
-	}
-	s.pool.Close()
-}
+// Close releases the simulator's worker pool. It is idempotent; Run closes
+// the simulator itself when it returns, so Close only needs to be called for
+// simulators that are built but never run (e.g. construction benchmarks).
+func (s *Simulator) Close() { s.pool.Close() }
 
 // Reset rewinds a reusable simulator — and the System underneath it — to the
 // state a freshly built pair would have, so the same instance can serve
 // another run without reconstruction. Everything expensive stays warm: the
-// construction arena's chunks, the worker pool, the weave engine with its
-// domains and queues, the per-core recorders, event slabs and contention
-// models. Only their mutable state rewinds, so a Reset simulator produces
-// bit-identical results to a fresh build for the same options and workloads.
+// construction arena's chunks, the worker pool, the weave engine's heap, the
+// per-core recorders, event slabs and contention models. Only their mutable
+// state rewinds, so a Reset simulator produces bit-identical results to a
+// fresh build for the same options and workloads.
 //
 // opts may vary the run-variable knobs (seed, limits, cancellation token,
-// profiler); shape-defining state (interval length, contention models,
-// domain count, pool size) comes from the System and is retained. The
-// scheduler is not touched — the caller clears and repopulates it with
-// workloads before the next Run.
+// profiler); shape-defining state (interval length, contention models, pool
+// size) comes from the System and is retained. The scheduler is not touched —
+// the caller clears and repopulates it with workloads before the next Run.
 //
-// Reset requires a quiescent simulator whose last Run did not panic: an
-// aborted engine may hold parked workers in an undefined state and must be
-// Closed instead (Reset returns an error and leaves the simulator untouched).
+// Reset requires a quiescent simulator whose last Run did not panic: a fault
+// can stop a model mid-update, so a panicked simulator must be Closed instead
+// (Reset returns an error and leaves the simulator untouched).
 func (s *Simulator) Reset(opts Options) error {
 	if s.Reason == runctl.ReasonPanicked {
 		return errors.New("boundweave: cannot Reset a simulator after a panicked run; Close it and build a fresh one")
@@ -363,7 +338,6 @@ func (s *Simulator) Reset(opts Options) error {
 				m.Reset()
 			}
 		}
-		s.engine.Reset()
 		for i := range s.last {
 			s.last[i] = lastResp{}
 		}
@@ -403,9 +377,6 @@ func (s *Simulator) Reset(opts Options) error {
 	s.phase = ""
 	s.probe = opts.Probe
 	s.traceSink = opts.Trace
-	if s.engine != nil {
-		s.engine.SetTrace(opts.Trace)
-	}
 	s.lastWorkers = 0
 
 	s.Intervals = 0
@@ -436,9 +407,10 @@ func (s *Simulator) Run() uint64 {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			// Fault containment: a panic in a pool worker arrives here as a
-			// *runctl.PanicError re-raised by the pool/engine; anything else
-			// (a fault on the driver goroutine itself) is captured now.
+			// Fault containment: a panic in a bound-phase pool worker arrives
+			// here as a *runctl.PanicError re-raised by the pool; anything
+			// else (a fault on the driver goroutine itself, including every
+			// weave-phase fault) is captured now.
 			s.PanicErr = runctl.NewPanicError(r, -1)
 			s.Reason = runctl.ReasonPanicked
 			s.FailPhase = s.phase
@@ -450,6 +422,7 @@ func (s *Simulator) Run() uint64 {
 	if w := runctl.Watch(s.ctl, s.opts.MaxWallTime); w != nil {
 		defer w.Stop()
 	}
+	s.poolRuns0, s.poolWakes0 = s.pool.Stats()
 	s.probe.BeginRun(s.opts.MaxCycles)
 	defer func() {
 		// Final publication (runs first on the defer stack, so it also fires
@@ -600,10 +573,8 @@ func (s *Simulator) publishTelemetry() {
 		LiveThreads:     sc.Live,
 		RunnableThreads: sc.Runnable,
 	}
-	smp.PoolRuns, smp.PoolWakes = s.pool.Stats()
-	if s.engine != nil {
-		smp.HorizonParks, smp.DomainWakes, smp.CrossHandoffs, smp.StallNanos = s.engine.Telemetry()
-	}
+	runs, wakes := s.pool.Stats()
+	smp.PoolRuns, smp.PoolWakes = runs-s.poolRuns0, wakes-s.poolWakes0
 	s.probe.Publish(smp)
 }
 
@@ -683,10 +654,9 @@ loop:
 }
 
 // runWeave builds the interval's event graph from the per-core recorders,
-// executes it on the persistent engine across parallel domains, and feeds
-// the contention delays back into the core clocks. Once the slabs, queues
-// and hop freelists have warmed up, a steady-state weave interval performs
-// no heap allocation.
+// executes it on the persistent engine, and feeds the contention delays back
+// into the core clocks. Once the slabs, the heap and the hop freelists have
+// warmed up, a steady-state weave interval performs no heap allocation.
 func (s *Simulator) runWeave() {
 	engine := s.engine
 

@@ -8,8 +8,7 @@
 // latencies, bounded in skew by the interval barrier, while recording the
 // hierarchy hops of every access that misses beyond the private cache levels.
 // In the weave phase, those hops become events that are replayed in full
-// order per component across parallel domains, applying detailed contention
-// models (pipelined L3 banks with limited MSHRs, DDR3 memory controllers).
+// (cycle, sequence) order, applying detailed contention models (pipelined L3 banks with limited MSHRs, DDR3 memory controllers).
 // The extra latency observed for each core's accesses is then fed back into
 // the core's clocks before the next interval.
 package boundweave
@@ -28,7 +27,7 @@ import (
 )
 
 // System is the fully built simulated chip: cores, hierarchy, network and
-// memory, plus the component-ID and domain maps the weave phase needs.
+// memory, plus the component-ID maps the weave phase needs.
 type System struct {
 	Cfg  *config.System
 	Root *stats.Registry
@@ -59,9 +58,6 @@ type System struct {
 	// it: a traversal only matters when the bank or controller behind it is
 	// already weave-retimed.
 	SharedComp map[int]bool
-	// CompDomain maps every weave-relevant component to its domain.
-	CompDomain map[int]int
-	NumDomains int
 }
 
 // BuildSystem constructs the simulated chip described by the configuration.
@@ -78,7 +74,6 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		Cfg:        cfg,
 		Root:       root,
 		SharedComp: make(map[int]bool),
-		CompDomain: make(map[int]int),
 	}
 
 	nextComp := 0
@@ -252,33 +247,6 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		})
 	}
 
-	// Domain assignment. Cores keep contiguous vertical slices (Figure 3):
-	// a core's chain events mostly stay within its own slice. The hot shared
-	// components — cache banks, memory controllers, NoC routers — are dealt
-	// round-robin instead, so the handful of contended components in a
-	// hotspot workload lands on *different* domains and the parallel weave
-	// has independent work to run concurrently (a contiguous split of, say,
-	// 4 banks over 4 domains is identical to round-robin, but contiguous
-	// placement of 64 routers would pin each mesh quadrant — and thus a
-	// hotspot's whole neighborhood — on one domain). Results are unaffected
-	// by the partition: the weave order at every component is a pure
-	// function of the bound phase (TestDeterministicAcrossDomainCount).
-	sys.NumDomains = cfg.WeaveDomains
-	if sys.NumDomains < 1 {
-		sys.NumDomains = 1
-	}
-	for cID, comp := range sys.CoreComp {
-		sys.CompDomain[comp] = cID * sys.NumDomains / cfg.NumCores
-	}
-	for b, comp := range sys.BankComp {
-		sys.CompDomain[comp] = b % sys.NumDomains
-	}
-	for m, comp := range sys.MemComp {
-		sys.CompDomain[comp] = m % sys.NumDomains
-	}
-	for n, comp := range sys.RouterComp {
-		sys.CompDomain[comp] = n % sys.NumDomains
-	}
 	return sys, nil
 }
 

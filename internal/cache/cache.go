@@ -127,7 +127,7 @@ type Hop struct {
 type Request struct {
 	LineAddr uint64
 	Write    bool
-	CoreID   int    // issuing core, used for profiling and domain assignment
+	CoreID   int    // issuing core, used for profiling and network routing
 	Cycle    uint64 // cycle the request arrives at the level being accessed
 	// Hops accumulates the levels this request touched; nil disables tracing
 	// (set by the bound phase only for accesses it wants weave events for).

@@ -235,10 +235,6 @@ func makePoint(base *config.System, spec PointSpec, index int, coords []Coord) (
 	cfg := *base // value copy: config.System holds no reference types
 	if spec.Cores > 0 {
 		cfg.NumCores = spec.Cores
-		// Swept core counts re-derive the weave partitioning the same way
-		// Validate would for an unset config, instead of inheriting the base
-		// count (which may exceed the smaller chip).
-		cfg.WeaveDomains = 0
 	}
 	if spec.Topology != "" {
 		switch kind := config.NetworkKind(spec.Topology); kind {

@@ -7,7 +7,6 @@
 package config
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -44,21 +43,15 @@ const (
 	WeaveMemNone        WeaveMemModel = "none"         // no DRAM contention
 )
 
-// WeaveMode selects the weave-phase execution discipline.
+// WeaveMode is the type of the retired weaveMode field. The weave phase has
+// one executor; see System.WeaveModeKind.
 type WeaveMode string
 
-// Supported weave modes.
+// The weaveMode values older configs carry. Validate accepts them (and "")
+// and rejects anything else; neither changes what runs.
 const (
-	// WeaveParallelDet (the default) runs the weave domains concurrently:
-	// every event is pre-created in its domain's queue at its bound-phase
-	// lower bound and per-domain committed horizons bound the skew between
-	// domains, so results are bit-identical to WeaveSerial for a fixed seed,
-	// regardless of GOMAXPROCS, host threads or the domain count.
 	WeaveParallelDet WeaveMode = "parallel"
-	// WeaveSerial is the serial-fallback escape hatch: the weave phase runs
-	// inline on one host core in the global (cycle, component, sequence)
-	// reference order. Same results, no host parallelism.
-	WeaveSerial WeaveMode = "serial"
+	WeaveSerial      WeaveMode = "serial"
 )
 
 // NetworkKind selects the NoC topology.
@@ -168,13 +161,13 @@ type System struct {
 	IntervalCycles uint64 `json:"intervalCycles"`
 	// Contention enables the weave phase; without it only the bound phase
 	// runs (the paper's -NC configurations).
-	Contention   bool          `json:"contention"`
-	WeaveMem     WeaveMemModel `json:"weaveMem"`
-	WeaveDomains int           `json:"weaveDomains"`
-	// WeaveModeKind selects the weave execution discipline. The default
-	// ("" = "parallel") runs the domains concurrently on the host with
-	// results bit-identical to the serial reference order; "serial" is the
-	// escape hatch that keeps the whole weave phase inline on one host core.
+	Contention bool          `json:"contention"`
+	WeaveMem   WeaveMemModel `json:"weaveMem"`
+	// WeaveDomains and WeaveModeKind configured the retired parallel weave
+	// executor. They stay in the schema so existing configs load, and
+	// weaveMode is still validated, but neither does anything and ShapeKey
+	// ignores both.
+	WeaveDomains  int       `json:"weaveDomains"`
 	WeaveModeKind WeaveMode `json:"weaveMode,omitempty"`
 	// HostThreads caps the number of host worker threads used by the bound
 	// phase barrier (0 = number of host CPUs).
@@ -261,13 +254,9 @@ func (s *System) Validate() error {
 	if s.WeaveMem == "" {
 		s.WeaveMem = WeaveMemDDR3
 	}
-	if s.WeaveDomains <= 0 {
-		s.WeaveDomains = minInt(s.NumCores, 16)
-	}
-	if s.WeaveModeKind == "" {
-		s.WeaveModeKind = WeaveParallelDet
-	}
-	if s.WeaveModeKind != WeaveParallelDet && s.WeaveModeKind != WeaveSerial {
+	switch s.WeaveModeKind {
+	case "", WeaveParallelDet, WeaveSerial:
+	default:
 		return fmt.Errorf("config: unknown weave mode %q (want %q or %q)",
 			s.WeaveModeKind, WeaveParallelDet, WeaveSerial)
 	}
@@ -280,40 +269,11 @@ func (s *System) Validate() error {
 	return nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// UnmarshalJSON decodes a System, rejecting unknown fields itself (a custom
-// unmarshaler never inherits the outer decoder's DisallowUnknownFields). The
-// retired weaveParallel flag — removed from the struct; the deterministic
-// parallel weave made it meaningless — is still accepted with a warning for
-// one release so pre-existing JSON configs keep loading.
-func (s *System) UnmarshalJSON(data []byte) error {
-	type bare System // method-free alias: plain field decoding, no recursion
-	shadow := struct {
-		*bare
-		WeaveParallel *bool `json:"weaveParallel"`
-	}{bare: (*bare)(s)}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&shadow); err != nil {
-		return err
-	}
-	if shadow.WeaveParallel != nil {
-		fmt.Fprintln(os.Stderr, "config: warning: weaveParallel is deprecated and ignored (the parallel weave is deterministic and on by default; use weaveMode \"serial\" for the inline fallback) — it will be rejected in a future release")
-	}
-	return nil
-}
-
 // ShapeKey hashes every construction-shape field of the configuration: the
 // fields that determine what BuildSystem and NewSimulator allocate and wire
-// (core counts and models, hierarchy geometry, network, controllers, weave
-// mode and domains, host threads). Run-variable fields — the name and the
-// run limits, which Options carry per run — are excluded, so two configs
+// (core counts and models, hierarchy geometry, network, controllers, host
+// threads). Run-variable fields — the name and the run limits, which Options
+// carry per run — and the inert weave fields are excluded, so two configs
 // with equal shape keys can share one warm simulator via Reset. Validate
 // both configs first: validation fills defaults, and an unvalidated config
 // hashes differently from its validated self.
@@ -322,6 +282,8 @@ func (s *System) ShapeKey() uint64 {
 	shape.Name = ""
 	shape.MaxWallTime = 0
 	shape.MaxCycles = 0
+	shape.WeaveDomains = 0
+	shape.WeaveModeKind = ""
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", shape)
 	return h.Sum64()
@@ -390,7 +352,6 @@ func WestmereValidation() *System {
 		IntervalCycles:   1000,
 		Contention:       true,
 		WeaveMem:         WeaveMemDDR3,
-		WeaveDomains:     6,
 	}
 	if err := s.Validate(); err != nil {
 		panic("config: invalid Westmere preset: " + err.Error())
@@ -426,7 +387,6 @@ func TiledChip(tiles int, model CoreModel) *System {
 		IntervalCycles:   1000,
 		Contention:       true,
 		WeaveMem:         WeaveMemDDR3,
-		WeaveDomains:     minInt(tiles, 16),
 	}
 	if err := s.Validate(); err != nil {
 		panic("config: invalid tiled preset: " + err.Error())
@@ -463,7 +423,6 @@ func SmallTest() *System {
 		IntervalCycles:   1000,
 		Contention:       false,
 		WeaveMem:         WeaveMemDDR3,
-		WeaveDomains:     2,
 	}
 	if err := s.Validate(); err != nil {
 		panic("config: invalid small preset: " + err.Error())

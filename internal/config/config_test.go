@@ -21,7 +21,7 @@ func TestWestmerePreset(t *testing.T) {
 	if s.L1D.Latency != 4 || s.L1I.Latency != 3 || s.L2.Latency != 7 {
 		t.Fatalf("Westmere cache latencies wrong")
 	}
-	if s.IntervalCycles != 1000 || s.WeaveDomains != 6 {
+	if s.IntervalCycles != 1000 {
 		t.Fatalf("Westmere bound-weave settings wrong")
 	}
 	if s.Network != NetRing {
@@ -100,7 +100,7 @@ func TestValidateDefaults(t *testing.T) {
 	if s.CoreModel != CoreOOO || s.MemModel != MemSimple || s.Network != NetFlat {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
-	if s.IntervalCycles != 1000 || s.WeaveDomains != 2 || s.MemControllers != 1 {
+	if s.IntervalCycles != 1000 || s.MemControllers != 1 {
 		t.Fatalf("bound-weave defaults wrong: %+v", s)
 	}
 	if s.L1I.Ways != 1 || s.L3.Banks != 1 {
@@ -206,13 +206,14 @@ func TestRunLimitsRoundTripAndDefaults(t *testing.T) {
 }
 
 func TestWeaveModeRoundTripAndDefaults(t *testing.T) {
-	// Default: unset normalizes to the parallel-deterministic mode.
+	// The retired weave knobs have no default: unset stays unset.
 	s := SmallTest()
-	if s.WeaveModeKind != WeaveParallelDet {
-		t.Fatalf("default weave mode should be %q, got %q", WeaveParallelDet, s.WeaveModeKind)
+	if s.WeaveModeKind != "" || s.WeaveDomains != 0 {
+		t.Fatalf("weave knobs should stay unset, got mode %q domains %d", s.WeaveModeKind, s.WeaveDomains)
 	}
-	// The serial escape hatch survives a JSON round trip.
+	// Old configs still load with either value, and it survives a round trip.
 	s.WeaveModeKind = WeaveSerial
+	s.WeaveDomains = 4
 	var buf bytes.Buffer
 	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -221,23 +222,22 @@ func TestWeaveModeRoundTripAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if got.WeaveModeKind != WeaveSerial {
-		t.Fatalf("weave mode lost in round trip: %q", got.WeaveModeKind)
+	if got.WeaveModeKind != WeaveSerial || got.WeaveDomains != 4 {
+		t.Fatalf("weave knobs lost in round trip: %q %d", got.WeaveModeKind, got.WeaveDomains)
 	}
-	// Unknown modes are rejected.
+	// They do nothing, so they are not construction shape.
+	if got.ShapeKey() != SmallTest().ShapeKey() {
+		t.Fatalf("weave knobs must not move the shape key")
+	}
+	// Unknown modes are still rejected.
 	bad := SmallTest()
 	bad.WeaveModeKind = "fast-and-loose"
 	if err := bad.Validate(); err == nil {
 		t.Fatalf("unknown weave mode should be rejected")
 	}
-	// The deprecated weaveParallel flag still loads (ignored) so existing
-	// configs keep working under DisallowUnknownFields.
-	legacy, err := Load(strings.NewReader(`{"numCores":2,"weaveParallel":true,
-		"l1i":{"sizeKB":16},"l1d":{"sizeKB":16},"l2":{"sizeKB":64},"l3":{"sizeKB":256}}`))
-	if err != nil {
-		t.Fatalf("legacy weaveParallel config should load: %v", err)
-	}
-	if legacy.WeaveModeKind != WeaveParallelDet {
-		t.Fatalf("legacy flag must not change the mode: %q", legacy.WeaveModeKind)
+	// The weaveParallel flag retired before them is an unknown field now.
+	if _, err := Load(strings.NewReader(`{"numCores":2,"weaveParallel":true,
+		"l1i":{"sizeKB":16},"l1d":{"sizeKB":16},"l2":{"sizeKB":64},"l3":{"sizeKB":256}}`)); err == nil {
+		t.Fatalf("legacy weaveParallel config should be rejected")
 	}
 }

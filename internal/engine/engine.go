@@ -1,14 +1,12 @@
-// Package engine provides the persistent execution engine that underpins
-// both phases of the bound-weave loop (Section 3.2 of the paper): a fixed set
-// of worker goroutines, spawned at most once per simulation, that park on
-// per-worker channels between phases and are handed work by the orchestrating
-// goroutine.
+// Package engine provides the persistent worker pool that runs the bound
+// phase of the bound-weave loop (Section 3.2 of the paper): a fixed set of
+// worker goroutines, spawned at most once per simulation, that park on
+// per-worker channels between rounds and are handed work by the
+// orchestrating goroutine.
 //
-// The bound phase uses the pool to drive per-core simulation (workers draw
-// core assignments from a shared atomic counter), and the weave phase uses
-// the same workers to drive its event domains. Steady-state intervals
-// therefore spawn zero goroutines and churn no WaitGroups: the only
-// per-phase cost is one channel send per woken worker and one Wait on the
+// Workers draw core assignments from a shared atomic counter. Steady-state
+// intervals therefore spawn zero goroutines and churn no WaitGroups: the only
+// per-round cost is one channel send per woken worker and one Wait on the
 // pool's reusable WaitGroup.
 package engine
 
@@ -70,9 +68,6 @@ func NewPool(n int) *Pool {
 	return p
 }
 
-// Size returns the number of workers in the pool.
-func (p *Pool) Size() int { return p.size }
-
 // Stats returns the pool's lifetime telemetry counters: total Run calls and
 // total worker wakeups delivered (parallel-path channel sends). Safe to call
 // concurrently with Run.
@@ -84,16 +79,11 @@ func (p *Pool) Stats() (runs, wakes uint64) {
 // invocations have finished. n is clamped to the pool size. When effective
 // host parallelism is one (n == 1 or GOMAXPROCS == 1) or the pool is closed,
 // the invocations run serially on the caller; tasks must therefore not
-// depend on running concurrently with each other. Callers that need true
-// concurrency (e.g. tasks that block on each other) must check those
-// conditions themselves and fall back to a serial algorithm.
+// depend on running concurrently with each other.
 //
 // A panic inside fn does not kill the pool: the first recovered panic is
 // re-raised on the caller as a *runctl.PanicError carrying the panicking
 // worker's stack, after all other workers have finished their invocations.
-// Tasks whose sibling invocations park waiting on each other (rather than
-// returning) must contain panics themselves — Run can only re-raise once
-// every invocation has returned.
 func (p *Pool) Run(n int, fn func(worker int)) {
 	if n > p.size {
 		n = p.size

@@ -1,86 +1,49 @@
-// Package event implements the weave-phase parallel event-driven simulation
-// framework described in Section 3.2.2 of the paper.
+// Package event implements the weave-phase event-driven simulation framework
+// described in Section 3.2.2 of the paper.
 //
 // The bound phase records, per core, a trace of the microarchitectural events
 // each memory access generates beyond the private cache levels (L3 bank
-// accesses, memory controller reads, writebacks). The weave phase replays
-// those events in full order to model contention. Every event carries a lower
-// bound on its execution cycle (established by the zero-load bound phase),
-// its parents (events that must finish first) and its children.
+// accesses, NoC router traversals, memory controller reads, writebacks). The
+// weave phase replays those events in full order to model contention. Every
+// event carries a lower bound on its execution cycle (established by the
+// zero-load bound phase), its parents (events that must finish first) and its
+// children.
 //
-// Components (cache banks, memory controllers, cores) are statically
-// partitioned into domains. Each domain owns a priority queue of events and
-// is driven by its own worker goroutine.
+// # One executor
 //
-// # Deterministic parallel weave
+// An Engine runs every interval on the caller from a single binary min-heap
+// ordered by (dispatch cycle, sequence number). When Run starts, every event
+// of the interval — not just the chain roots — is already in the heap, keyed
+// at its bound-phase lower bound (MinCycle). Contention can only delay an
+// event, so keys only ever rise, and the head is popped only once its key is
+// final:
 //
-// The engine's default mode (ModeParallel) runs the domains concurrently and
-// still produces results bit-identical to the serial reference order. Three
-// mechanisms make that possible:
+//   - a head with no pending parents whose ready cycle (latest parent finish
+//     plus Delay, at least MinCycle) is at or below its key executes at its
+//     key;
+//   - a head with no pending parents and a later ready cycle is re-keyed to
+//     that ready cycle;
+//   - a head with unfinished parents is re-keyed to the largest of its ready
+//     cycle and each unfinished parent's key plus Delay. A parent is always
+//     created before its child (parent.Seq() < child.Seq()), so an unfinished
+//     parent keyed at the head's cycle would sort before the head: every
+//     unfinished parent is keyed strictly above it and the raise always makes
+//     progress.
 //
-//   - Crossing-event pre-creation: when an interval starts, every event of
-//     the interval — not just the roots — is already sitting in its domain's
-//     priority queue, keyed at its bound-phase lower bound (MinCycle). A
-//     domain-crossing dependency therefore never inserts into a foreign
-//     queue mid-run; the receiving domain already holds a lower-bounded
-//     placeholder, exactly the scheme of the paper's Figure 4. Because
-//     contention can only delay events, keys are only ever raised, so each
-//     domain pops its events in their final (cycle, sequence) order.
-//
-//   - Per-domain committed horizons: each domain publishes, in an atomic
-//     clock, the key of the event at the head of its queue — a lower bound
-//     on every cycle at which the domain can still dispatch or hand off
-//     work. A domain whose head event still has unfinished parents may
-//     execute it at cycle C only once every parent's domain has advanced
-//     past C; until then the head's key is re-raised to the tightest bound
-//     its parents admit (their current queue keys, read atomically), which
-//     is the bounded-skew rule applied per event rather than per domain.
-//
-//   - Bounded-skew parking: when a head's bound cannot be raised (a sending
-//     domain's committed horizon has not yet passed the head's key), the
-//     domain's worker parks on its wake channel. Horizon advances, head
-//     re-keys and parent completions all deliver wakeups, so a lagging
-//     domain stalls exactly the receivers that depend on it and nothing
-//     else.
-//
-// Execution order at every component is therefore the pure (final dispatch
-// cycle, sequence) function of the bound phase — independent of GOMAXPROCS,
-// host threads and domain count — and because contention models are strictly
-// per-component, simulated results are bit-identical to the serial reference
-// order. (An arrival-order tie-break — executing whichever same-cycle event
-// became ready first, as a plain push-when-ready heap does — is inherently
-// serial: it depends on the global pop sequence. The (cycle, sequence) total
-// order is what makes a parallel realisation possible at all.)
-//
-// ModeSerial is the escape hatch: it executes every interval inline on the
-// caller, realising the same (cycle, sequence) order with no worker
-// goroutines.
-//
-// ModeParallel requires parents to be created before their children (a
-// parent's sequence number must be smaller than its child's), which the
-// bound phase guarantees by construction: chains are recorded in program
-// order on per-core slabs.
-//
-// The engine is persistent and rides on the shared worker pool of package
-// internal/engine: the pool's workers are spawned once per simulation and
-// parked between phases, so the steady-state interval loop performs no
-// goroutine spawning and no heap allocation.
+// Each component therefore executes its events in (final dispatch cycle,
+// sequence) order, a pure function of the bound phase. Sequence numbers come
+// from the per-core slabs, so a tie never depends on which event became ready
+// first. The paper runs the weave phase as parallel domains; DESIGN.md "Weave
+// executor" records why this reproduction runs one heap instead.
 package event
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
+	"slices"
 
 	"zsim/internal/arena"
-	"zsim/internal/engine"
-	"zsim/internal/runctl"
-	"zsim/internal/telemetry"
 )
 
-// maxCycle is the horizon value published by a domain that has drained its
-// queue: it can never send work again.
+// maxCycle saturates a key raise that would overflow.
 const maxCycle = ^uint64(0)
 
 // Executor is the contention-model callback attached to an event: it receives
@@ -95,8 +58,7 @@ type Executor func(ev *Event, dispatchCycle uint64) (finishCycle uint64)
 // read, a writeback, or a core-side marker. Events are created during the
 // bound phase (through a Slab) with their dependencies fully specified.
 type Event struct {
-	// Comp is the global component ID the event operates on; it determines
-	// the event's domain.
+	// Comp is the global component ID the event operates on.
 	Comp int
 	// MinCycle is the lower bound on the event's execution cycle, established
 	// by the zero-load bound phase.
@@ -122,23 +84,20 @@ type Event struct {
 
 	// Mutable simulation state.
 	pendingParents int32
-	readyCycle     uint64 // max over parents of (finish + Delay), and MinCycle
+	readyCycle     uint64 // max over finished parents of (finish + Delay), and MinCycle
 	finishCycle    uint64
-	done           atomic.Bool
+	done           bool
 	enqueued       bool
 
-	// curKey is the cycle the event is currently keyed at in its domain's
-	// queue (parallel mode only). It is monotone non-decreasing and always a
-	// lower bound on the event's final dispatch cycle, so other domains read
-	// it (atomically) to bound their own blocked heads; once the event is
-	// popped for execution it freezes at the final key.
-	curKey atomic.Uint64
+	// curKey is the cycle the event is keyed at in the heap. It never falls
+	// and is always a lower bound on the event's final dispatch cycle, so a
+	// blocked child bounds its own key with it.
+	curKey uint64
 
 	// seq is the event's deterministic creation sequence number (assigned by
 	// its Slab from the slab's base + allocation index). It breaks
-	// dispatch-cycle ties in the domain heaps, so same-cycle events at a
-	// component execute in a reproducible order instead of heap-arrival
-	// order.
+	// dispatch-cycle ties in the heap, so same-cycle events at a component
+	// execute in a reproducible order instead of heap-arrival order.
 	seq uint64
 }
 
@@ -146,9 +105,9 @@ type Event struct {
 func (e *Event) Seq() uint64 { return e.seq }
 
 // AddChild declares that child depends on e (child cannot dispatch before e
-// finishes plus child.Delay). In ModeParallel the parent must have been
-// allocated before the child (e.seq < child.seq); per-core slabs recording
-// chains in program order satisfy this by construction.
+// finishes plus child.Delay). The parent must have been allocated before the
+// child (e.seq < child.seq); per-core slabs recording chains in program order
+// satisfy this by construction.
 func (e *Event) AddChild(child *Event) {
 	e.children = append(e.children, child)
 	child.parents = append(child.parents, e)
@@ -160,7 +119,7 @@ func (e *Event) AddChild(child *Event) {
 func (e *Event) Parentless() bool { return e.pendingParents == 0 }
 
 // Finished reports whether the event has executed.
-func (e *Event) Finished() bool { return e.done.Load() }
+func (e *Event) Finished() bool { return e.done }
 
 // FinishCycle returns the cycle at which the event finished (valid only after
 // Finished() is true).
@@ -245,798 +204,217 @@ func (s *Slab) At(i int) *Event {
 	return &s.chunks[i/s.chunkSize][i%s.chunkSize]
 }
 
-// queueItem orders events by (dispatch cycle, sequence). The seq field is
-// copied out of the event at push time so heap comparisons stay
-// pointer-chase-free. Component is deliberately NOT part of the key: every
-// parent→child edge runs from a lower to a higher sequence number, which
-// makes a blocked head's unfinished same-domain parents strictly
-// later-keyed — the invariant that guarantees a blocked head can always be
-// re-keyed strictly upward. (Per-component order is unaffected: events of
-// one component are seq-ordered either way.)
+// queueItem is one heap entry. The key is copied out of the event so heap
+// comparisons stay pointer-chase-free.
 type queueItem struct {
 	ev    *Event
 	cycle uint64
 	seq   uint64
 }
 
-// itemForDet builds the deterministic (cycle, sequence) heap item for an
-// event keyed at the given cycle.
-func itemForDet(ev *Event, cycle uint64) queueItem {
-	return queueItem{ev: ev, cycle: cycle, seq: ev.seq}
-}
-
-// itemLess is the deterministic (cycle, sequence) heap order.
-func itemLess(a, b *queueItem) bool {
+// less is the (cycle, sequence) heap order. Component is deliberately not
+// part of the key: every parent→child edge runs from a lower to a higher
+// sequence number, which is what guarantees a blocked head can always be
+// re-keyed strictly upward.
+func (a *queueItem) less(b *queueItem) bool {
 	if a.cycle != b.cycle {
 		return a.cycle < b.cycle
 	}
 	return a.seq < b.seq
 }
 
-// eventPQ is a typed binary min-heap over queueItems. It replaces
-// container/heap so pushes and pops move concrete queueItems instead of
-// boxing them through interface{}.
+// eventPQ is a typed binary min-heap over queueItems (no container/heap
+// interface boxing).
 type eventPQ []queueItem
 
-func (q *eventPQ) push(it queueItem) {
-	*q = append(*q, it)
-	s := *q
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !itemLess(&s[i], &s[p]) {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
+// init establishes the heap property over the whole slice in O(n).
+func (q eventPQ) init() {
+	for i := len(q)/2 - 1; i >= 0; i-- {
+		q.down(i)
 	}
 }
 
-func (q *eventPQ) pop() (queueItem, bool) {
-	s := *q
-	n := len(s)
-	if n == 0 {
-		return queueItem{}, false
+// down sifts element i toward the leaves until the heap property holds.
+func (q eventPQ) down(i int) {
+	n := len(q)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		m := l
+		if r := l + 1; r < n && q[r].less(&q[l]) {
+			m = r
+		}
+		if !q[m].less(&q[i]) {
+			return
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
 	}
+}
+
+// pop removes and returns the head. The heap must not be empty.
+func (q *eventPQ) pop() queueItem {
+	s := *q
 	top := s[0]
-	n--
+	n := len(s) - 1
 	s[0] = s[n]
 	*q = s[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && itemLess(&s[r], &s[l]) {
-			m = r
-		}
-		if !itemLess(&s[m], &s[i]) {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top, true
+	q.down(0)
+	return top
 }
 
-// fixHead raises the head's cycle key to newCycle (>= its current key) and
-// restores the heap property by sifting it down. Used by the parallel path,
-// where keys start at lower bounds and are only ever raised.
-func (q *eventPQ) fixHead(newCycle uint64) {
-	s := *q
-	s[0].cycle = newCycle
-	n := len(s)
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && itemLess(&s[r], &s[l]) {
-			m = r
-		}
-		if !itemLess(&s[m], &s[i]) {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
+// raiseHead re-keys the head to cycle (>= its current key) and restores the
+// heap property.
+func (q eventPQ) raiseHead(cycle uint64) {
+	q[0].cycle = cycle
+	q[0].ev.curKey = cycle
+	q.down(0)
 }
 
-// Domain is one weave-phase domain: a set of components and a priority queue
-// of their events. Domains are driven concurrently by the Engine's persistent
-// workers.
-type Domain struct {
-	id int
-
-	mu sync.Mutex
-	pq eventPQ
-
-	// horizon is the domain's committed-horizon clock: a lower bound on
-	// every cycle at which the domain can still dispatch an event or raise a
-	// child's ready cycle. It is published by the domain's own worker (the
-	// single writer) from the head key of its queue before each step, and
-	// jumps to maxCycle when the queue drains. Other domains read it to
-	// bound their blocked heads (bounded skew).
-	horizon atomic.Uint64
-
-	// parked is set while the domain's worker is blocked on wakeCh; producers
-	// (parent completions, horizon advances, head re-keys) check it to
-	// deliver a wakeup.
-	parked atomic.Bool
-	// wakeCh carries wakeups to a parked worker (capacity 1: a buffered token
-	// can never be lost, and spurious tokens just cause a re-check).
-	wakeCh chan struct{}
-
-	// Executed counts events executed in this domain (stats / load balance).
-	// It is a pure function of the bound phase (the domain's event set).
-	Executed uint64
-	// CrossRetries counts inter-domain handoffs (synchronization overhead
-	// indicator). With multiple cross-domain parents finishing concurrently
-	// its attribution to a domain is host-timing-dependent; the total is not.
-	CrossRetries uint64
-	// HorizonParks counts how often the domain's worker parked waiting for a
-	// sending domain's horizon (host-timing-dependent; stats only, never part
-	// of simulated results).
-	HorizonParks uint64
-	// Wakes counts wakeup tokens delivered to this domain's worker (atomic:
-	// producers in other domains deliver them; host-timing-dependent, stats
-	// only).
-	Wakes atomic.Uint64
-	// StallNanos accumulates host wall time the domain's worker spent parked
-	// waiting on horizons. Single writer (the domain's own worker); read at
-	// interval boundaries, between Runs. Stats only.
-	StallNanos int64
-}
-
-// ID returns the domain's index.
-func (d *Domain) ID() int { return d.id }
-
-// wake delivers a non-blocking wakeup token to the domain's worker.
-func (d *Domain) wake() {
-	select {
-	case d.wakeCh <- struct{}{}:
-		d.Wakes.Add(1)
-	default:
-	}
-}
-
-// Mode selects the weave execution discipline.
-type Mode int
-
-const (
-	// ModeParallel (the default) runs domains concurrently on the worker
-	// pool with pre-created lower-bounded events and committed horizons;
-	// results are bit-identical to ModeSerial for a fixed seed, regardless
-	// of GOMAXPROCS, host threads or domain count. See the package comment.
-	ModeParallel Mode = iota
-	// ModeSerial executes every interval inline on the caller, in the same
-	// deterministic (cycle, sequence) order the parallel workers realise.
-	// It is the escape hatch (no worker goroutines touched) and the
-	// reference the parallel path is tested against.
-	ModeSerial
-)
-
-func (m Mode) String() string {
-	if m == ModeSerial {
-		return "serial"
-	}
-	return "parallel"
-}
-
-// Engine coordinates the weave phase: it owns the domains, maps components to
-// domains, accepts the root events of each interval, and runs all domains in
-// parallel until every event has executed. Engines are persistent: one engine
-// serves every interval of a simulation, reusing the worker pool, queues and
-// scratch buffers.
+// Engine executes the weave phase of each interval. The zero Engine is ready
+// to use; one engine serves every interval of a simulation, keeping the
+// capacity of its heap and root list, so a steady-state interval allocates
+// nothing.
 type Engine struct {
-	domains []*Domain
-	// compDomain is a dense component-to-domain table (-1 = unassigned, fall
-	// back to comp mod nDomains). Component IDs are small sequential integers
-	// assigned by the system builder, so a slice beats a map on the hot path.
-	compDomain []int32
-	// remaining counts events enqueued but not yet finished across all
-	// domains.
-	remaining atomic.Int64
-	maxFinish atomic.Uint64
-
-	// parkedCount counts domains currently parked, so horizon advances can
-	// skip the wake sweep entirely on the (common) no-waiter path.
-	parkedCount atomic.Int32
-
-	// roots collects the events enqueued since the last Run, so Run can
-	// register their descendants without scanning (and copying) the domain
-	// queues.
+	pq eventPQ
+	// roots collects the events enqueued since the last Run.
 	roots []*Event
-	// stack is the reusable scratch stack for iterative descendant
-	// registration.
-	stack []*Event
-
-	// pool is the persistent worker pool that drives the domains; when the
-	// engine shares a pool with the bound phase (the unified execution
-	// engine), ownsPool is false and Close leaves the pool to its owner.
-	pool       *engine.Pool
-	ownsPool   bool
-	domainTask func(int)
-	closed     atomic.Bool
-
-	// aborted flags a fault in one of the parallel domain workers. Domain
-	// workers cannot rely on the pool's generic panic re-raise: sibling
-	// domains park waiting for horizons that a dying domain would never
-	// advance, leaving them parked forever and the pool's WaitGroup waiting.
-	// The panicking worker instead records the capture in domPanic, raises
-	// aborted, wakes every parked domain, and returns normally; the others
-	// observe aborted on their loop and park paths and bail out, and Run
-	// re-raises the capture on the orchestrating goroutine.
-	aborted  atomic.Bool
-	domPanic atomic.Pointer[runctl.PanicError]
-
-	// trace, when set, receives per-domain execution and stall slices
-	// (Chrome-trace export). Written between Runs, read by domain workers.
-	trace *telemetry.TraceSink
-
-	mode Mode
 }
 
-// NewEngine creates an engine with n domains on a private worker pool. The
-// pool's workers are spawned lazily on the first parallel Run, so an engine
-// that is built but never run costs nothing.
-func NewEngine(nDomains int) *Engine {
-	return NewEngineOnPool(nDomains, nil)
-}
+// Enqueue submits a root event (one with no parents). Its descendants join
+// the interval through their parents when Run starts; only roots need
+// explicit enqueueing.
+func (e *Engine) Enqueue(ev *Event) { e.roots = append(e.roots, ev) }
 
-// NewEngineOnPool creates an engine with n domains driven by the given
-// persistent worker pool; the bound-weave simulator passes the same pool it
-// uses for the bound phase, so one set of parked workers serves both phases.
-// The pool must have at least n workers for the parallel path to be used
-// (fewer workers force the inline path). A nil pool gives the engine a
-// private pool that Close shuts down.
-func NewEngineOnPool(nDomains int, pool *engine.Pool) *Engine {
-	if nDomains < 1 {
-		nDomains = 1
-	}
-	e := &Engine{}
-	if pool == nil {
-		pool = engine.NewPool(nDomains)
-		e.ownsPool = true
-	}
-	e.pool = pool
-	for i := 0; i < nDomains; i++ {
-		e.domains = append(e.domains, &Domain{
-			id:     i,
-			wakeCh: make(chan struct{}, 1),
-		})
-	}
-	e.domainTask = e.runDomainByIndex
-	return e
-}
-
-// SetMode selects the execution discipline (ModeParallel is the default).
-// It must not be called while events are enqueued or the engine is mid-Run:
-// the mode governs how Enqueue keys the domain queues.
-func (e *Engine) SetMode(m Mode) { e.mode = m }
-
-// GetMode returns the engine's execution discipline.
-func (e *Engine) GetMode() Mode { return e.mode }
-
-// SetTrace attaches (or, with nil, detaches) a trace sink that receives one
-// "weave" slice per domain per parallel Run plus a "stall" slice for every
-// horizon park. Must be called between Runs.
-func (e *Engine) SetTrace(t *telemetry.TraceSink) { e.trace = t }
-
-// Telemetry sums the per-domain skew diagnostics: horizon parks, delivered
-// wakeups, inter-domain handoffs and parked wall time. Call between Runs (the
-// counters are written by domain workers while a Run is in flight).
-func (e *Engine) Telemetry() (parks, wakes, handoffs uint64, stallNanos int64) {
-	for _, d := range e.domains {
-		parks += d.HorizonParks
-		wakes += d.Wakes.Load()
-		handoffs += d.CrossRetries
-		stallNanos += d.StallNanos
-	}
-	return
-}
-
-// NumDomains returns the number of domains.
-func (e *Engine) NumDomains() int { return len(e.domains) }
-
-// Domain returns domain i.
-func (e *Engine) Domain(i int) *Domain { return e.domains[i] }
-
-// AssignComponent maps a component ID to a domain. Components not assigned
-// explicitly default to domain (comp mod nDomains).
-func (e *Engine) AssignComponent(comp, domain int) {
-	if comp < 0 {
-		return
-	}
-	for comp >= len(e.compDomain) {
-		e.compDomain = append(e.compDomain, -1)
-	}
-	e.compDomain[comp] = int32(domain % len(e.domains))
-}
-
-// DomainOf returns the domain index owning the component.
-func (e *Engine) DomainOf(comp int) int {
-	if comp >= 0 && comp < len(e.compDomain) {
-		if d := e.compDomain[comp]; d >= 0 {
-			return int(d)
-		}
-	}
-	d := comp % len(e.domains)
-	if d < 0 {
-		d += len(e.domains)
-	}
-	return d
-}
-
-// Enqueue submits a root event (one with no parents) for execution in its
-// component's domain. Events with parents are pre-created in their domains'
-// queues when Run starts (parallel mode) or enqueued when their last parent
-// finishes (serial mode); only roots need explicit enqueueing.
-func (e *Engine) Enqueue(ev *Event) {
-	ev.readyCycle = ev.MinCycle
-	ev.enqueued = true
-	e.remaining.Add(1)
-	d := e.domains[e.DomainOf(ev.Comp)]
-	ev.curKey.Store(ev.MinCycle)
-	d.mu.Lock()
-	d.pq.push(itemForDet(ev, ev.MinCycle))
-	d.mu.Unlock()
-	e.roots = append(e.roots, ev)
-}
-
-// registerDescendants walks the dependency graph from the roots enqueued
-// since the last Run, adds every not-yet-enqueued descendant to the
-// remaining counter (so Run knows when the graph is fully executed), and
-// pre-creates each descendant in its domain's queue at its lower bound — the
-// crossing-event pre-creation that lets domains run concurrently without
-// mid-run insertions into foreign queues. The walk is iterative over a
-// reusable stack: no recursion, no per-Run allocation (queue capacity is
-// retained across intervals).
-func (e *Engine) registerDescendants() {
-	stack := append(e.stack[:0], e.roots...)
-	for len(stack) > 0 {
-		ev := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ch := range ev.children {
-			if !ch.enqueued {
-				ch.enqueued = true
-				e.remaining.Add(1)
-				if ch.readyCycle < ch.MinCycle {
-					ch.readyCycle = ch.MinCycle
-				}
-				ch.curKey.Store(ch.MinCycle)
-				// No lock: workers have not started yet.
-				e.domains[e.DomainOf(ch.Comp)].pq.push(itemForDet(ch, ch.MinCycle))
-				stack = append(stack, ch)
+// Run executes all enqueued events and their descendants to completion and
+// returns the largest finish cycle (the interval's actual end; 0 when nothing
+// was enqueued).
+func (e *Engine) Run() uint64 {
+	e.load()
+	var maxFinish uint64
+	for len(e.pq) > 0 {
+		head := &e.pq[0]
+		ev := head.ev
+		switch {
+		case ev.pendingParents > 0:
+			e.pq.raiseHead(blockedBound(ev, head.cycle))
+		case ev.readyCycle > head.cycle:
+			e.pq.raiseHead(ev.readyCycle)
+		default:
+			if f := execute(e.pq.pop()); f > maxFinish {
+				maxFinish = f
 			}
 		}
 	}
-	e.stack = stack[:0]
+	return maxFinish
+}
+
+// load places every event of the interval in the heap at its lower bound: it
+// appends the roots enqueued since the last Run, then walks the appended
+// slice itself breadth-first, appending each child the first time a parent
+// reaches it, and finally heapifies. The heap keeps its capacity across
+// intervals, so a warm engine loads an interval without allocating.
+func (e *Engine) load() {
+	q := e.pq[:0]
+	for _, ev := range e.roots {
+		q = q.add(ev)
+	}
+	for i := 0; i < len(q); i++ {
+		for _, ch := range q[i].ev.children {
+			if !ch.enqueued {
+				q = q.add(ch)
+			}
+		}
+	}
+	q.init()
+	e.pq = q
 	e.roots = e.roots[:0]
 }
 
-// Reset zeroes the per-domain statistics for warm-simulator reuse. The
-// engine must be quiescent (between Runs) and must not have aborted: an
-// aborted engine's queues may still hold unexecuted events and must be
-// Closed, not reused. Component-to-domain assignments, queue capacities and
-// the worker pool all persist — they are pure functions of the system shape.
-func (e *Engine) Reset() {
-	for _, d := range e.domains {
-		d.Executed = 0
-		d.CrossRetries = 0
-		d.HorizonParks = 0
-		d.Wakes.Store(0)
-		d.StallNanos = 0
+// add marks ev enqueued and appends it keyed at its lower bound. A full
+// slice doubles: the heap of a large interval would otherwise grow by
+// append's 1.25x steps, allocating several times its final size.
+func (q eventPQ) add(ev *Event) eventPQ {
+	ev.enqueued = true
+	if ev.readyCycle < ev.MinCycle {
+		ev.readyCycle = ev.MinCycle
 	}
+	ev.curKey = ev.MinCycle
+	if len(q) == cap(q) {
+		q = slices.Grow(q, len(q)+1)
+	}
+	return append(q, queueItem{ev: ev, cycle: ev.MinCycle, seq: ev.seq})
 }
 
-// Close marks the engine closed (subsequent Runs use the inline path) and
-// shuts down its worker pool if the engine owns one. Close is idempotent and
-// safe to call on an engine that never ran; it must not be called on a
-// shared pool's engine while that pool is mid-Run.
-func (e *Engine) Close() {
-	e.closed.Store(true)
-	if e.ownsPool {
-		e.pool.Close()
-	}
-}
-
-// isClosed reports whether Close has been called (or the shared pool has
-// been shut down).
-func (e *Engine) isClosed() bool {
-	return e.closed.Load() || e.pool.Closed()
-}
-
-// runDomainByIndex adapts runDomain to the pool's worker-index task shape.
-// It is bound once at construction so Run never allocates a closure. It also
-// owns the domain-abort protocol: a panic in this domain is captured here,
-// every parked sibling is woken so it can observe the abort, and the worker
-// returns normally (see the aborted field).
-func (e *Engine) runDomainByIndex(i int) {
-	dom := e.domains[i]
-	defer func() {
-		if r := recover(); r != nil {
-			e.domPanic.CompareAndSwap(nil, runctl.NewPanicError(r, i))
-			e.aborted.Store(true)
-			for _, od := range e.domains {
-				if od != dom && od.parked.Load() {
-					od.wake()
-				}
-			}
-		}
-	}()
-	if e.trace != nil {
-		t0 := time.Now()
-		before := dom.Executed
-		e.runDomain(dom)
-		e.trace.Add(telemetry.TrackDomain(dom.id), "weave", t0, time.Since(t0), dom.Executed-before)
-		return
-	}
-	e.runDomain(dom)
-}
-
-// Run executes all enqueued events (and their descendants) to completion.
-// It returns the largest finish cycle observed (the interval's actual end).
-func (e *Engine) Run() uint64 {
-	// Register all descendants so the termination condition is exact and
-	// pre-create them in their domain queues at their lower bounds.
-	e.registerDescendants()
-	e.maxFinish.Store(0)
-	if e.remaining.Load() == 0 {
-		return 0
-	}
-
-	if e.mode == ModeSerial || len(e.domains) == 1 || runtime.GOMAXPROCS(0) == 1 ||
-		e.isClosed() || e.pool.Size() < len(e.domains) {
-		// Serial mode, or effective host parallelism is one (or the workers
-		// are gone, or the pool is too small to give every domain its own
-		// worker — domains park mid-run, so they cannot share workers): drain
-		// the pre-created queues on the caller, globally earliest-first. Same
-		// discipline, same results, no goroutines.
-		e.runInlinePreloaded()
-		return e.maxFinish.Load()
-	}
-	for _, d := range e.domains {
-		d.horizon.Store(0)
-		// Drain any stale wakeup left over from the previous interval's
-		// termination (or abort) broadcast.
-		select {
-		case <-d.wakeCh:
-		default:
-		}
-	}
-	e.parkedCount.Store(0)
-	e.pool.Run(len(e.domains), e.domainTask)
-	if pe := e.domPanic.Swap(nil); pe != nil {
-		// A domain worker panicked: its unexecuted events are abandoned
-		// (the run is being torn down), so re-raise on the orchestrator
-		// after clearing the abort flag. The engine must be Closed, not
-		// reused, after an aborted run.
-		e.aborted.Store(false)
-		panic(pe)
-	}
-	return e.maxFinish.Load()
-}
-
-// runInlinePreloaded is the single-threaded executor: ModeSerial always uses
-// it, and ModeParallel falls back to it when effective host parallelism is
-// one. It drains the pre-created domain queues on the caller, taking the
-// globally smallest (cycle, sequence) head each step and applying the same
-// key-raising discipline as the concurrent workers. Because keys are lower
-// bounds raised toward their final values, this executes every component's
-// events in exactly the order the concurrent path does — and never parks:
-// a blocked global minimum always has a strictly later-keyed unfinished
-// parent, so its key strictly rises.
-func (e *Engine) runInlinePreloaded() {
-	var localMax uint64
-	for {
-		var best *Domain
-		for _, d := range e.domains {
-			if len(d.pq) > 0 && (best == nil || itemLess(&d.pq[0], &best.pq[0])) {
-				best = d
-			}
-		}
-		if best == nil {
-			break
-		}
-		head := &best.pq[0]
-		ev := head.ev
-		if ev.pendingParents == 0 {
-			if ev.readyCycle > head.cycle {
-				// The key was a lower bound; the final ready cycle is known
-				// now that every parent has finished. Raise and re-place.
-				best.pq.fixHead(ev.readyCycle)
-				ev.curKey.Store(ev.readyCycle)
-				continue
-			}
-			it := *head
-			best.pq.pop()
-			if f := e.execute(best, it); f > localMax {
-				localMax = f
-			}
-			continue
-		}
-		// Blocked global minimum: every unfinished parent is keyed strictly
-		// above it (a parent keyed at the same cycle would sort before its
-		// child and be the global minimum itself), so the bound strictly
-		// raises the key — guaranteed progress without parking.
-		lb := e.blockedBoundInline(ev, head.cycle)
-		best.pq.fixHead(lb)
-		ev.curKey.Store(lb)
-	}
-	e.mergeMaxFinish(localMax)
-}
-
-// blockedBoundInline returns the tightest known lower bound on the final key
-// of a blocked head in the single-threaded preloaded path, where every
-// parent's current key can be read directly.
-func (e *Engine) blockedBoundInline(ev *Event, headCycle uint64) uint64 {
+// blockedBound returns the tightest known lower bound on the final key of a
+// head that still has unfinished parents: its ready cycle so far, and each
+// unfinished parent's key plus Delay.
+func blockedBound(ev *Event, headCycle uint64) uint64 {
 	lb := ev.readyCycle
-	if lb < ev.MinCycle {
-		lb = ev.MinCycle
-	}
 	for _, p := range ev.parents {
-		if p.done.Load() {
+		if p.done {
 			continue
 		}
-		c := p.curKey.Load() + ev.Delay
-		if c < p.curKey.Load() {
-			c = maxCycle // overflow guard
+		c := p.curKey + ev.Delay
+		if c < p.curKey {
+			c = maxCycle
 		}
 		if c > lb {
 			lb = c
 		}
 	}
 	if lb <= headCycle {
-		panic("event: dependency graph violates creation order (a parent was allocated after its child); ModeParallel requires parent.Seq() < child.Seq()")
+		panic("event: dependency graph violates creation order (a parent was allocated after its child); every parent needs parent.Seq() < child.Seq()")
 	}
 	return lb
 }
 
-// blockedBound returns a lower bound on the final key of dom's blocked head,
-// using only information that is safe to read concurrently: the head's own
-// ready cycle (guarded by dom.mu, which the caller holds), each unfinished
-// parent's current queue key (atomic, monotone, always a lower bound on its
-// dispatch) and — for cross-domain parents — the sending domain's committed
-// horizon. A bound above the head's current key means the head can be
-// re-keyed and the domain keeps running; a bound at the key means a sending
-// domain has not yet advanced past it and the caller must wait (bounded
-// skew).
-func (e *Engine) blockedBound(dom *Domain, ev *Event, headCycle uint64) uint64 {
-	lb := ev.readyCycle
-	if lb < ev.MinCycle {
-		lb = ev.MinCycle
-	}
-	for _, p := range ev.parents {
-		if p.done.Load() {
-			// The parent finished; its contribution lands in ev.readyCycle
-			// via childReady (if it has not yet, the pending update will
-			// deliver a wakeup — the bound stays conservative either way).
-			continue
-		}
-		b := p.curKey.Load()
-		pd := e.DomainOf(p.Comp)
-		if pd != dom.id {
-			// The sending domain's horizon can be ahead of a stale curKey
-			// read, but never ahead of an *unexecuted* parent's key: re-check
-			// done after loading the horizon so the bound stays valid.
-			h := e.domains[pd].horizon.Load()
-			if p.done.Load() {
-				continue
-			}
-			if h > b {
-				b = h
-			}
-			if p.MinCycle > b {
-				b = p.MinCycle
-			}
-		} else if b <= headCycle {
-			// A same-domain unfinished parent sits in the same queue, so its
-			// key is at least the head's; equality means the parent sorts
-			// after its child — a graph built out of creation order.
-			panic("event: dependency graph violates creation order (a parent was allocated after its child); ModeParallel requires parent.Seq() < child.Seq()")
-		}
-		c := b + ev.Delay
-		if c < b {
-			c = maxCycle // overflow guard
-		}
-		if c > lb {
-			lb = c
-		}
-	}
-	return lb
-}
-
-// rekeyHead raises dom's head key to lb (caller holds dom.mu) and wakes any
-// parked domain holding one of the head's children: their blocked heads may
-// bound against this event's key, and the sending domain's horizon alone
-// does not advertise the raise.
-func (e *Engine) rekeyHead(dom *Domain, ev *Event, lb uint64) {
-	dom.pq.fixHead(lb)
-	ev.curKey.Store(lb)
-	if e.parkedCount.Load() > 0 {
-		for _, ch := range ev.children {
-			if chd := e.domains[e.DomainOf(ch.Comp)]; chd != dom && chd.parked.Load() {
-				chd.wake()
-			}
-		}
-	}
-}
-
-// advanceHorizon publishes c as dom's committed horizon (single writer: the
-// domain's own worker) and wakes parked domains, whose blocked heads may
-// bound against it. The no-waiter fast path is one atomic load.
-func (e *Engine) advanceHorizon(dom *Domain, c uint64) {
-	if dom.horizon.Load() >= c {
-		return
-	}
-	dom.horizon.Store(c)
-	if e.parkedCount.Load() > 0 {
-		for _, od := range e.domains {
-			if od != dom && od.parked.Load() {
-				od.wake()
-			}
-		}
-	}
-}
-
-// runDomain drains one domain's pre-created queue, keeping the domain's
-// committed horizon published and executing events as their keys become
-// final. A head whose bound cannot rise parks on the wake channel until a
-// sending domain advances (bounded skew).
-func (e *Engine) runDomain(dom *Domain) {
-	var localMax uint64
-	idleSpins := 0
-	for {
-		if e.aborted.Load() {
-			break
-		}
-		dom.mu.Lock()
-		if len(dom.pq) == 0 {
-			dom.mu.Unlock()
-			break
-		}
-		head := &dom.pq[0]
-		ev := head.ev
-		headCycle := head.cycle
-		// Publish the committed horizon before acting on the head: nothing
-		// in this domain — including the event about to execute — can
-		// dispatch or finish below the head's key.
-		e.advanceHorizon(dom, headCycle)
-		if ev.pendingParents == 0 {
-			if ev.readyCycle > headCycle {
-				e.rekeyHead(dom, ev, ev.readyCycle)
-				dom.mu.Unlock()
-				idleSpins = 0
-				continue
-			}
-			it := *head
-			dom.pq.pop()
-			dom.mu.Unlock()
-			if f := e.execute(dom, it); f > localMax {
-				localMax = f
-			}
-			idleSpins = 0
-			continue
-		}
-		lb := e.blockedBound(dom, ev, headCycle)
-		if lb > headCycle {
-			e.rekeyHead(dom, ev, lb)
-			dom.mu.Unlock()
-			idleSpins = 0
-			continue
-		}
-		dom.mu.Unlock()
-		// The head is pinned at its key behind a sending domain that has not
-		// committed past it. Spin briefly — horizons advance at event
-		// granularity — then park.
-		idleSpins++
-		if idleSpins <= 8 {
-			runtime.Gosched()
-			continue
-		}
-		// Bounded parking: publish that we are parked, re-check the bound
-		// under the lock (every producer — parent completion, horizon
-		// advance, head re-key, abort — updates state before checking
-		// parked, so a wakeup cannot be lost), then block.
-		dom.parked.Store(true)
-		e.parkedCount.Add(1)
-		canProgress := true
-		dom.mu.Lock()
-		if len(dom.pq) > 0 {
-			h := &dom.pq[0]
-			canProgress = h.ev.pendingParents == 0 ||
-				e.blockedBound(dom, h.ev, h.cycle) > h.cycle
-		}
-		dom.mu.Unlock()
-		if !canProgress && !e.aborted.Load() {
-			dom.HorizonParks++
-			t0 := time.Now()
-			<-dom.wakeCh
-			stall := time.Since(t0)
-			dom.StallNanos += int64(stall)
-			e.trace.Add(telemetry.TrackDomain(dom.id), "stall", t0, stall, dom.HorizonParks)
-		}
-		dom.parked.Store(false)
-		e.parkedCount.Add(-1)
-		idleSpins = 0
-	}
-	// Drained (or aborting): this domain can never send work again.
-	e.advanceHorizon(dom, maxCycle)
-	e.mergeMaxFinish(localMax)
-}
-
-// execute dispatches one event, releases its children and returns its finish
-// cycle.
-func (e *Engine) execute(dom *Domain, item queueItem) uint64 {
-	ev := item.ev
-	dispatch := item.cycle
-	if dispatch < ev.readyCycle {
-		dispatch = ev.readyCycle
-	}
-
-	finish := dispatch
+// execute dispatches a popped event at its final key, releases its children
+// and returns its finish cycle.
+func execute(it queueItem) uint64 {
+	ev := it.ev
+	finish := it.cycle
 	if ev.Exec != nil {
-		if f := ev.Exec(ev, dispatch); f > finish {
+		if f := ev.Exec(ev, it.cycle); f > finish {
 			finish = f
 		}
 	}
 	ev.finishCycle = finish
-	ev.done.Store(true)
-	dom.Executed++
-
-	// Release children before the final decrement so the termination
-	// broadcast can only fire once every event is queued or done.
+	ev.done = true
 	for _, ch := range ev.children {
-		e.childReady(dom, ch, finish)
-	}
-	if e.remaining.Add(-1) == 0 {
-		for _, od := range e.domains {
-			if od != dom && od.parked.Load() {
-				od.wake()
-			}
+		if r := finish + ch.Delay; r > ch.readyCycle {
+			ch.readyCycle = r
 		}
+		ch.pendingParents--
 	}
 	return finish
 }
 
-func (e *Engine) mergeMaxFinish(v uint64) {
-	for {
-		cur := e.maxFinish.Load()
-		if v <= cur || e.maxFinish.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
+// The rest of this file is what bench/ (frozen until a later benchmark PR)
+// still compiles against from the retired parallel executor. Nothing outside
+// bench/ uses it: every Mode runs the one executor, and the engine has no
+// domains or goroutines to configure or release.
 
-// childReady records that one parent of ch finished at parentFinish. The
-// child is already sitting in its domain's queue (pre-created at bound
-// time); only its ready cycle and pending count are updated — under the
-// child domain's lock, because two parents in different domains may finish
-// concurrently — and the owning domain is woken if it parked on the bound.
-func (e *Engine) childReady(parentDom *Domain, ch *Event, parentFinish uint64) {
-	ready := parentFinish + ch.Delay
-	chDom := e.domains[e.DomainOf(ch.Comp)]
-	chDom.mu.Lock()
-	if ch.readyCycle < ready {
-		ch.readyCycle = ready
-	}
-	if ch.readyCycle < ch.MinCycle {
-		ch.readyCycle = ch.MinCycle
-	}
-	ch.pendingParents--
-	last := ch.pendingParents == 0
-	chDom.mu.Unlock()
-	if chDom != parentDom {
-		if last {
-			parentDom.CrossRetries++ // count inter-domain handoffs
-		}
-		if chDom.parked.Load() {
-			chDom.wake()
-		}
-	}
-}
+// Mode named a weave executor choice.
+type Mode int
+
+// The retired executor choices.
+const (
+	ModeParallel Mode = iota
+	ModeSerial
+)
+
+// NewEngine returns a new Engine; the argument (once a domain count) is
+// ignored.
+func NewEngine(int) *Engine { return new(Engine) }
+
+// SetMode does nothing.
+func (e *Engine) SetMode(Mode) {}
+
+// AssignComponent does nothing.
+func (e *Engine) AssignComponent(comp, domain int) {}
+
+// Close does nothing.
+func (e *Engine) Close() {}

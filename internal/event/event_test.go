@@ -1,14 +1,8 @@
 package event
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
-
-	"zsim/internal/runctl"
 )
 
 func TestSlabAllocAndReset(t *testing.T) {
@@ -77,35 +71,28 @@ func TestEventPQOrdering(t *testing.T) {
 	cycles := []uint64{9, 3, 7, 1, 8, 2, 6, 0, 5, 4}
 	evs := make([]Event, len(cycles))
 	for i, c := range cycles {
-		q.push(queueItem{ev: &evs[i], cycle: c})
+		q = append(q, queueItem{ev: &evs[i], cycle: c})
+	}
+	q.init()
+	// Raising the head re-sorts it behind every smaller key.
+	q.raiseHead(5)
+	if evs[7].curKey != 5 {
+		t.Fatalf("raiseHead should record the new key on the event, got %d", evs[7].curKey)
 	}
 	var got []uint64
-	for {
-		it, ok := q.pop()
-		if !ok {
-			break
+	for len(q) > 0 {
+		got = append(got, q.pop().cycle)
+	}
+	want := []uint64{1, 2, 3, 4, 5, 5, 6, 7, 8, 9}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pops out of order: %v, want %v", got, want)
 		}
-		got = append(got, it.cycle)
-	}
-	if len(got) != len(cycles) {
-		t.Fatalf("expected %d pops, got %d", len(cycles), len(got))
-	}
-	for i, c := range got {
-		if uint64(i) != c {
-			t.Fatalf("pops out of order: %v", got)
-		}
-	}
-	if _, ok := q.pop(); ok {
-		t.Fatalf("empty queue should report !ok")
 	}
 }
 
 func TestSingleEventExecution(t *testing.T) {
-	eng := NewEngine(2)
-	defer eng.Close()
-	if eng.NumDomains() != 2 {
-		t.Fatalf("domains: %d", eng.NumDomains())
-	}
+	var eng Engine
 	s := NewSlab(16)
 	ev := s.Alloc()
 	ev.Comp = 0
@@ -126,8 +113,7 @@ func TestSingleEventExecution(t *testing.T) {
 }
 
 func TestParentChildDelayPropagation(t *testing.T) {
-	eng := NewEngine(1)
-	defer eng.Close()
+	var eng Engine
 	s := NewSlab(16)
 	parent := s.Alloc()
 	parent.Comp = 0
@@ -156,15 +142,14 @@ func TestParentChildDelayPropagation(t *testing.T) {
 }
 
 func TestMultipleParentsWaitForAll(t *testing.T) {
-	eng := NewEngine(2)
-	defer eng.Close()
+	var eng Engine
 	s := NewSlab(16)
 	p1 := s.Alloc()
 	p1.Comp = 0
 	p1.MinCycle = 0
 	p1.Exec = func(_ *Event, c uint64) uint64 { return c + 10 }
 	p2 := s.Alloc()
-	p2.Comp = 1 // different domain
+	p2.Comp = 1 // different component
 	p2.MinCycle = 0
 	p2.Exec = func(_ *Event, c uint64) uint64 { return c + 90 }
 
@@ -187,13 +172,9 @@ func TestMultipleParentsWaitForAll(t *testing.T) {
 }
 
 func TestCrossDomainChain(t *testing.T) {
-	// A chain alternating between domains: core -> L3 bank -> memory ->
-	// core, like Figure 4's request-response traffic.
-	eng := NewEngine(4)
-	defer eng.Close()
-	eng.AssignComponent(100, 0) // core
-	eng.AssignComponent(200, 1) // L3 bank
-	eng.AssignComponent(300, 3) // memory controller
+	// A chain crossing components: core (100) -> L3 bank (200) -> memory
+	// controller (300) -> core, like Figure 4's request-response traffic.
+	var eng Engine
 	s := NewSlab(16)
 
 	mk := func(comp int, min uint64, lat uint64) *Event {
@@ -236,8 +217,7 @@ func TestCrossDomainChain(t *testing.T) {
 func TestLowerBoundRespected(t *testing.T) {
 	// A child whose MinCycle exceeds parentFinish+Delay dispatches at its
 	// MinCycle (bound phase already guarantees it cannot be earlier).
-	eng := NewEngine(1)
-	defer eng.Close()
+	var eng Engine
 	s := NewSlab(4)
 	p := s.Alloc()
 	p.Comp = 0
@@ -255,16 +235,12 @@ func TestLowerBoundRespected(t *testing.T) {
 	}
 }
 
-// TestDeterministicTieBreak checks the deterministic (cycle, sequence)
-// reference order: same-cycle events execute in slab allocation order,
-// regardless of the order they were enqueued in and regardless of which
-// domain their component maps to. Component is deliberately not part of the
-// tie-break — a pure (cycle, sequence) total order is what both the serial
-// and the parallel executors realise (see the package comment).
+// TestDeterministicTieBreak checks the deterministic (cycle, sequence) order:
+// same-cycle events execute in slab allocation order, regardless of the order
+// they were enqueued in and of their components. Component is deliberately
+// not part of the tie-break (see the package comment).
 func TestDeterministicTieBreak(t *testing.T) {
-	eng := NewEngine(2)
-	eng.SetMode(ModeSerial)
-	defer eng.Close()
+	var eng Engine
 	s := NewSlab(16)
 	s.SetSeqBase(100)
 	var order []uint64
@@ -273,7 +249,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 		return c
 	}
 	// Allocation order: seq 100..103. Enqueue deliberately scrambled, with
-	// equal MinCycles and components spread over both domains.
+	// equal MinCycles and components spread out.
 	evs := make([]*Event, 4)
 	comps := []int{3, 0, 1, 0} // seq 100→comp 3, 101→comp 0, 102→comp 1, 103→comp 0
 	for i := range evs {
@@ -299,10 +275,9 @@ func TestDeterministicTieBreak(t *testing.T) {
 }
 
 func TestEngineOrderWithinDomain(t *testing.T) {
-	// Events in one domain must execute in dispatch-cycle order (full order
-	// within a domain is what gives the weave phase its accuracy).
-	eng := NewEngine(1)
-	defer eng.Close()
+	// Events at one component must execute in dispatch-cycle order (full
+	// order is what gives the weave phase its accuracy).
+	var eng Engine
 	s := NewSlab(64)
 	var order []uint64
 	for i := 10; i > 0; i-- {
@@ -328,25 +303,32 @@ func TestEngineOrderWithinDomain(t *testing.T) {
 }
 
 func TestManyEventsAcrossDomainsParallel(t *testing.T) {
-	// A larger stress test: per-core chains touching shared components,
-	// executed across 4 domains on the default parallel worker path. Every
-	// event must execute exactly once.
-	eng := NewEngine(4)
-	defer eng.Close()
+	// A larger stress test: per-core chains (disjoint sequence ranges, as the
+	// per-core slabs give them) touching 8 shared components with
+	// core-dependent latencies. Every event must execute exactly once, and
+	// each component must see its events in (final dispatch cycle, sequence)
+	// order — the ordering contract that makes results a pure function of the
+	// bound phase.
+	var eng Engine
 	s := NewSlab(1024)
-	var executed atomic.Int64
 	const cores = 16
 	const perCore = 50
+	const comps = 8
+	type rec struct{ cycle, seq uint64 }
+	orders := make([][]rec, comps)
+	record := func(ev *Event, c uint64) uint64 {
+		orders[ev.Comp] = append(orders[ev.Comp], rec{c, ev.Seq()})
+		return c + ev.Arg
+	}
 	for c := 0; c < cores; c++ {
+		s.SetSeqBase(uint64(c) << 32)
 		var prev *Event
 		for i := 0; i < perCore; i++ {
 			ev := s.Alloc()
-			ev.Comp = (c + i) % 8 // spread over 8 components -> 4 domains
+			ev.Comp = (c + i) % comps
 			ev.MinCycle = uint64(i * 10)
-			ev.Exec = func(_ *Event, cy uint64) uint64 {
-				executed.Add(1)
-				return cy + 3
-			}
+			ev.Arg = uint64(c%3) + 1
+			ev.Exec = record
 			if prev == nil {
 				eng.Enqueue(ev)
 			} else {
@@ -356,26 +338,75 @@ func TestManyEventsAcrossDomainsParallel(t *testing.T) {
 		}
 	}
 	eng.Run()
-	if executed.Load() != cores*perCore {
-		t.Fatalf("expected %d executions, got %d", cores*perCore, executed.Load())
-	}
-	// Work should be spread across domains.
-	total := uint64(0)
-	for i := 0; i < eng.NumDomains(); i++ {
-		total += eng.Domain(i).Executed
+	total := 0
+	for comp, seen := range orders {
+		total += len(seen)
+		for i := 1; i < len(seen); i++ {
+			a, b := seen[i-1], seen[i]
+			if a.cycle > b.cycle || (a.cycle == b.cycle && a.seq > b.seq) {
+				t.Fatalf("comp %d executed out of (cycle, seq) order: (%d,%d) before (%d,%d)",
+					comp, a.cycle, a.seq, b.cycle, b.seq)
+			}
+		}
 	}
 	if total != cores*perCore {
-		t.Fatalf("domain execution counts should sum to the total: %d", total)
+		t.Fatalf("expected %d executions, got %d", cores*perCore, total)
+	}
+}
+
+func TestParallelPerComponentOrder(t *testing.T) {
+	// Per-core chains at 5-cycle spacing over disjoint sequence ranges: each
+	// component must still see its events in (cycle, seq) order on the one
+	// executor that replaced the parallel one.
+	var eng Engine
+	s := NewSlab(256)
+	const comps = 8
+	type rec struct{ cycle, seq uint64 }
+	orders := make([][]rec, comps)
+	record := func(ev *Event, c uint64) uint64 {
+		orders[ev.Comp] = append(orders[ev.Comp], rec{c, ev.Seq()})
+		return c + ev.Arg
+	}
+	for core := 0; core < 8; core++ {
+		s.SetSeqBase(uint64(core) << 32)
+		var prevEv *Event
+		for i := 0; i < 20; i++ {
+			ev := s.Alloc()
+			ev.Comp = (core + i) % comps
+			ev.MinCycle = uint64(i * 5)
+			ev.Arg = uint64(core%3) + 1
+			ev.Exec = record
+			if prevEv == nil {
+				eng.Enqueue(ev)
+			} else {
+				prevEv.AddChild(ev)
+			}
+			prevEv = ev
+		}
+	}
+	eng.Run()
+	total := 0
+	for comp, seen := range orders {
+		total += len(seen)
+		for i := 1; i < len(seen); i++ {
+			a, b := seen[i-1], seen[i]
+			if a.cycle > b.cycle || (a.cycle == b.cycle && a.seq > b.seq) {
+				t.Fatalf("comp %d executed out of (cycle, seq) order: (%d,%d) before (%d,%d)",
+					comp, a.cycle, a.seq, b.cycle, b.seq)
+			}
+		}
+	}
+	if total != 8*20 {
+		t.Fatalf("expected %d executions, got %d", 8*20, total)
 	}
 }
 
 func TestEnginePersistentAcrossIntervals(t *testing.T) {
 	// One engine must serve many intervals back to back, exactly like the
 	// bound-weave loop uses it: build graph, Run, reset slab, repeat.
-	eng := NewEngine(3)
-	defer eng.Close()
+	var eng Engine
 	s := NewSlab(64)
-	var executed atomic.Int64
+	executed := 0
 	for interval := 0; interval < 50; interval++ {
 		s.Reset()
 		var prev *Event
@@ -384,7 +415,7 @@ func TestEnginePersistentAcrossIntervals(t *testing.T) {
 			ev.Comp = i % 5
 			ev.MinCycle = uint64(interval*1000 + i*10)
 			ev.Exec = func(_ *Event, c uint64) uint64 {
-				executed.Add(1)
+				executed++
 				return c + 2
 			}
 			if prev == nil {
@@ -399,47 +430,13 @@ func TestEnginePersistentAcrossIntervals(t *testing.T) {
 			t.Fatalf("interval %d: end cycle %d below interval base", interval, end)
 		}
 	}
-	if executed.Load() != 50*12 {
-		t.Fatalf("every interval's events must run: got %d", executed.Load())
-	}
-}
-
-// TestRunAfterClose guards against a deadlock: once Close has torn down the
-// workers, Run must fall back to the inline path instead of signalling
-// goroutines that no longer exist (the worker path is only taken at
-// GOMAXPROCS>1, so this hang would be invisible on single-CPU hosts).
-func TestRunAfterClose(t *testing.T) {
-	eng := NewEngine(4)
-	s := NewSlab(16)
-	ev := s.Alloc()
-	ev.Comp = 0
-	ev.MinCycle = 7
-	eng.Enqueue(ev)
-	if end := eng.Run(); end != 7 {
-		t.Fatalf("first run: %d", end)
-	}
-	eng.Close()
-	eng.Close() // idempotent
-	s.Reset()
-	ev = s.Alloc()
-	ev.Comp = 1
-	ev.MinCycle = 11
-	eng.Enqueue(ev)
-	done := make(chan uint64, 1)
-	go func() { done <- eng.Run() }()
-	select {
-	case end := <-done:
-		if end != 11 || !ev.Finished() {
-			t.Fatalf("run after close should still execute events, got %d", end)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatalf("Run after Close deadlocked")
+	if executed != 50*12 {
+		t.Fatalf("every interval's events must run: got %d", executed)
 	}
 }
 
 func TestRunWithNoEvents(t *testing.T) {
-	eng := NewEngine(2)
-	defer eng.Close()
+	var eng Engine
 	if end := eng.Run(); end != 0 {
 		t.Fatalf("empty run should return 0, got %d", end)
 	}
@@ -449,8 +446,7 @@ func TestRunWithNoEvents(t *testing.T) {
 // weave hot path: once the slab and the engine's internal buffers have warmed
 // up, building and running an interval's event graph must not allocate.
 func TestEngineRunSteadyStateAllocs(t *testing.T) {
-	eng := NewEngine(2)
-	defer eng.Close()
+	var eng Engine
 	s := NewSlab(256)
 	buildAndRun := func() {
 		s.Reset()
@@ -486,35 +482,8 @@ func TestEngineRunSteadyStateAllocs(t *testing.T) {
 
 func sharedExec(ev *Event, c uint64) uint64 { return c + ev.Arg }
 
-func TestDomainOfDefaultMapping(t *testing.T) {
-	eng := NewEngine(4)
-	defer eng.Close()
-	if eng.DomainOf(7) != 3 || eng.DomainOf(8) != 0 {
-		t.Fatalf("default component-to-domain mapping should be modulo")
-	}
-	eng.AssignComponent(7, 1)
-	if eng.DomainOf(7) != 1 {
-		t.Fatalf("explicit assignment should win")
-	}
-	// Sparse assignment leaves the gap components on the default mapping.
-	eng.AssignComponent(3, 2)
-	if eng.DomainOf(3) != 2 || eng.DomainOf(5) != 1 || eng.DomainOf(6) != 2 {
-		t.Fatalf("unassigned components should keep the modulo mapping")
-	}
-	if eng.DomainOf(-3) < 0 || eng.DomainOf(-3) >= 4 {
-		t.Fatalf("negative component IDs must still map to a valid domain")
-	}
-	// Engine with zero requested domains clamps to one.
-	one := NewEngine(0)
-	defer one.Close()
-	if one.NumDomains() != 1 {
-		t.Fatalf("engine should have at least one domain")
-	}
-}
-
 func TestNilExecFinishesInstantly(t *testing.T) {
-	eng := NewEngine(1)
-	defer eng.Close()
+	var eng Engine
 	s := NewSlab(4)
 	ev := s.Alloc()
 	ev.Comp = 0
@@ -530,25 +499,21 @@ func TestNilExecFinishesInstantly(t *testing.T) {
 // event executes exactly once, finish cycles are monotone along each chain,
 // and no event finishes before its lower bound.
 func TestEventChainProperties(t *testing.T) {
-	f := func(latsRaw []uint8, domainsRaw uint8) bool {
+	f := func(latsRaw []uint8, compsRaw uint8) bool {
 		if len(latsRaw) == 0 {
 			return true
 		}
 		if len(latsRaw) > 64 {
 			latsRaw = latsRaw[:64]
 		}
-		nd := int(domainsRaw%6) + 1
-		eng := NewEngine(nd)
-		if latsRaw[0]&1 == 0 { // exercise both modes
-			eng.SetMode(ModeSerial)
-		}
-		defer eng.Close()
+		comps := int(compsRaw%12) + 1
+		var eng Engine
 		s := NewSlab(128)
 		var chain []*Event
 		var prev *Event
 		for i, l := range latsRaw {
 			ev := s.Alloc()
-			ev.Comp = i % (nd * 2)
+			ev.Comp = i % comps
 			ev.MinCycle = uint64(i)
 			ev.Arg = uint64(l % 50)
 			ev.Exec = sharedExec
@@ -581,192 +546,21 @@ func TestEventChainProperties(t *testing.T) {
 	}
 }
 
-// TestParallelDomainPanicContained pins down the domain-abort protocol: when
-// a domain worker's executor panics in the parallel weave path, sibling
-// domains parked on a horizon that will now never advance must be woken and
-// released (not left parked forever, which would also hang the pool's
-// WaitGroup), and the capture must be re-raised on the orchestrating
-// goroutine.
-func TestParallelDomainPanicContained(t *testing.T) {
-	if runtime.GOMAXPROCS(0) == 1 {
-		t.Skip("parallel domain workers need GOMAXPROCS > 1")
-	}
-	eng := NewEngine(2)
-	defer eng.Close()
+// TestCreationOrderViolationPanics: a child allocated before its parent
+// could sort ahead of it at an equal key and never be raised past it, so the
+// engine refuses such a graph instead of spinning.
+func TestCreationOrderViolationPanics(t *testing.T) {
+	var eng Engine
 	s := NewSlab(16)
-
-	// The parent lives in domain 0 and panics; its child lives in domain 1,
-	// whose worker therefore parks waiting for a handoff that never comes.
+	child := s.Alloc() // seq 0
 	parent := s.Alloc()
-	parent.Comp = 0
-	parent.MinCycle = 10
-	parent.Exec = func(_ *Event, c uint64) uint64 { panic("weave fault") }
-	child := s.Alloc()
-	child.Comp = 1
+	child.MinCycle, parent.MinCycle = 10, 10
 	parent.AddChild(child)
 	eng.Enqueue(parent)
-
-	done := make(chan interface{}, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		eng.Run()
-		done <- nil
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("Run should panic on a parent allocated after its child")
+		}
 	}()
-	select {
-	case r := <-done:
-		pe, ok := r.(*runctl.PanicError)
-		if !ok {
-			t.Fatalf("Run should re-raise a *runctl.PanicError, got %T (%v)", r, r)
-		}
-		if pe.Value != "weave fault" {
-			t.Fatalf("capture lost the panic value: %v", pe.Value)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("panicking domain worker left the engine hung")
-	}
-}
-
-// buildContendedGraph builds a reproducible multi-chain graph whose executors
-// model per-component contention (each component is a serially reusable port:
-// an access occupies it for Arg cycles, so finish cycles depend on the exact
-// per-component execution order). It returns the chains so callers can
-// compare finish cycles across engines.
-func buildContendedGraph(eng *Engine, s *Slab, busy []uint64) [][]*Event {
-	const cores = 8
-	const perCore = 24
-	chains := make([][]*Event, cores)
-	rng := uint64(0x9e3779b97f4a7c15)
-	for c := 0; c < cores; c++ {
-		s.SetSeqBase(uint64(c) << 32)
-		var prev *Event
-		for i := 0; i < perCore; i++ {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			ev := s.Alloc()
-			ev.Comp = int(rng>>33) % 8
-			ev.MinCycle = uint64(c*3 + i*11)
-			ev.Arg = uint64(ev.Comp)
-			ev.Ctx = busy
-			ev.Exec = portExec
-			if prev == nil {
-				eng.Enqueue(ev)
-			} else {
-				prev.AddChild(ev)
-			}
-			chains[c] = append(chains[c], ev)
-			prev = ev
-		}
-	}
-	return chains
-}
-
-// portExec models a pipelined single-port component: the access waits for the
-// port to free, then occupies it for 4 cycles. Stateful per component, so
-// results depend on per-component execution order.
-func portExec(ev *Event, c uint64) uint64 {
-	busy := ev.Ctx.([]uint64)
-	start := c
-	if busy[ev.Arg] > start {
-		start = busy[ev.Arg]
-	}
-	fin := start + 4
-	busy[ev.Arg] = fin
-	return fin
-}
-
-// TestParallelMatchesSerialReference is the engine-level bit-identity gate:
-// the default parallel mode (pre-created events, committed horizons) must
-// produce exactly the serial reference's finish cycle for every event of a
-// contended multi-chain graph, across domain counts and with real concurrent
-// workers.
-func TestParallelMatchesSerialReference(t *testing.T) {
-	ref := func() [][]*Event {
-		eng := NewEngine(1)
-		eng.SetMode(ModeSerial)
-		defer eng.Close()
-		s := NewSlab(256)
-		busy := make([]uint64, 8)
-		chains := buildContendedGraph(eng, s, busy)
-		eng.Run()
-		return chains
-	}()
-
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	for _, nd := range []int{1, 2, 4} {
-		eng := NewEngine(nd)
-		s := NewSlab(256)
-		busy := make([]uint64, 8)
-		chains := buildContendedGraph(eng, s, busy)
-		eng.Run()
-		for c := range chains {
-			for i, ev := range chains[c] {
-				want := ref[c][i]
-				if !ev.Finished() {
-					t.Fatalf("domains=%d: chain %d event %d did not finish", nd, c, i)
-				}
-				if ev.FinishCycle() != want.FinishCycle() {
-					t.Fatalf("domains=%d: chain %d event %d finish=%d, serial reference=%d",
-						nd, c, i, ev.FinishCycle(), want.FinishCycle())
-				}
-			}
-		}
-		eng.Close()
-	}
-}
-
-// TestParallelPerComponentOrder pins the parallel mode's ordering contract:
-// each component sees its events in (final dispatch cycle, sequence) order —
-// the pure function of the bound phase that makes parallel results
-// bit-identical to the serial reference.
-func TestParallelPerComponentOrder(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	eng := NewEngine(4)
-	defer eng.Close()
-	s := NewSlab(256)
-	const comps = 8
-	type rec struct {
-		cycle uint64
-		seq   uint64
-	}
-	var mu [comps]sync.Mutex
-	orders := make([][]rec, comps)
-	record := func(ev *Event, c uint64) uint64 {
-		mu[ev.Comp].Lock()
-		orders[ev.Comp] = append(orders[ev.Comp], rec{c, ev.Seq()})
-		mu[ev.Comp].Unlock()
-		return c + ev.Arg
-	}
-	for core := 0; core < 8; core++ {
-		s.SetSeqBase(uint64(core) << 32)
-		var prevEv *Event
-		for i := 0; i < 20; i++ {
-			ev := s.Alloc()
-			ev.Comp = (core + i) % comps
-			ev.MinCycle = uint64(i * 5)
-			ev.Arg = uint64(core%3) + 1
-			ev.Exec = record
-			if prevEv == nil {
-				eng.Enqueue(ev)
-			} else {
-				prevEv.AddChild(ev)
-			}
-			prevEv = ev
-		}
-	}
 	eng.Run()
-	total := 0
-	for comp, seen := range orders {
-		total += len(seen)
-		for i := 1; i < len(seen); i++ {
-			a, b := seen[i-1], seen[i]
-			if a.cycle > b.cycle || (a.cycle == b.cycle && a.seq > b.seq) {
-				t.Fatalf("comp %d executed out of (cycle, seq) order: (%d,%d) before (%d,%d)",
-					comp, a.cycle, a.seq, b.cycle, b.seq)
-			}
-		}
-	}
-	if total != 8*20 {
-		t.Fatalf("expected %d executions, got %d", 8*20, total)
-	}
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -853,50 +852,6 @@ func MeshHotspot(opts Options) (*MeshHotspotResult, error) {
 	return res, nil
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic parallel weave: scaling benchmark runs
-// ---------------------------------------------------------------------------
-
-// WeaveScalingResult holds one cell of the weave-scaling benchmark: the
-// NoC-on mesh-hotspot workload run under the deterministic parallel weave
-// at a given host parallelism.
-type WeaveScalingResult struct {
-	Cores      int
-	Domains    int
-	GoMaxProcs int
-	SimMIPS    float64
-	WallNanos  int64
-}
-
-// WeaveScaling runs the NoC-on mesh-hotspot workload once with the
-// deterministic parallel weave at the given GOMAXPROCS (bound workers are
-// pinned to the same count) and weave domain count. The parallel weave is
-// bit-identical to the serial reference order by construction — the
-// determinism tests gate that — so cells differ only in wall-clock and
-// simulated MIPS, and comparing them measures weave-phase scaling.
-func WeaveScaling(opts Options, gomaxprocs, domains int) (*WeaveScalingResult, error) {
-	old := runtime.GOMAXPROCS(gomaxprocs)
-	defer runtime.GOMAXPROCS(old)
-	cores := opts.bigChipCores(64)
-	tiles := maxInt(cores/16, 1)
-	cores = tiles * 16
-	cfg := meshHotspotConfig(tiles, true)
-	cfg.WeaveDomains = domains
-	cfg.HostThreads = gomaxprocs
-	opts.HostThreads = gomaxprocs
-	zres, err := runZSim(cfg, "weave-scaling", meshHotspotParams(opts), cores, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &WeaveScalingResult{
-		Cores:      cores,
-		Domains:    domains,
-		GoMaxProcs: gomaxprocs,
-		SimMIPS:    zres.Metrics.SimMIPS,
-		WallNanos:  zres.HostNanos,
-	}, nil
-}
-
 // normalizeFirst divides each entry by the series' first entry.
 func normalizeFirst(v []float64) []float64 {
 	out := make([]float64, len(v))
@@ -996,7 +951,6 @@ func OversubscribedClientServer(opts Options) (*OversubResult, error) {
 	cfg.NumCores = 8
 	cfg.CoreModel = config.CoreIPC1
 	cfg.Contention = true
-	cfg.WeaveDomains = 4
 
 	server := trace.DefaultParams()
 	server.AddrSpace = 1

@@ -43,13 +43,6 @@ type Options struct {
 	// exceeds it is stopped by the watchdog and reported as an error rather
 	// than hanging the whole experiment suite.
 	Timeout time.Duration
-	// WeaveDomains, when > 0, overrides every experiment configuration's
-	// weave domain count (the -domains flag of cmd/zsimexp).
-	WeaveDomains int
-	// WeaveMode, when non-empty, overrides the weave execution mode:
-	// config.WeaveParallelDet (the default) or config.WeaveSerial (the
-	// -weave-mode flag of cmd/zsimexp).
-	WeaveMode config.WeaveMode
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 	// Progress, when non-nil, receives a live heartbeat line for every
@@ -136,12 +129,6 @@ type RunResult struct {
 // thread count through the bound-weave simulator, and returns metrics plus
 // host time.
 func runZSim(cfg *config.System, workload string, params trace.Params, threads int, opts Options) (*RunResult, error) {
-	if opts.WeaveDomains > 0 {
-		cfg.WeaveDomains = opts.WeaveDomains
-	}
-	if opts.WeaveMode != "" {
-		cfg.WeaveModeKind = opts.WeaveMode
-	}
 	sys, err := boundweave.BuildSystem(cfg)
 	if err != nil {
 		return nil, err

@@ -52,7 +52,7 @@ func DefaultDDR3Timing() DDR3Timing {
 // phase: it models per-bank occupancy (activate + column access + precharge
 // under a closed-page policy), contention on the shared data bus, FCFS
 // command ordering, and fast powerdown exit latency. It is not safe for
-// concurrent use; each controller belongs to exactly one weave domain.
+// concurrent use; only the single-threaded weave engine drives it.
 type DDR3 struct {
 	name string
 	t    DDR3Timing

@@ -17,10 +17,10 @@
 // changes nothing until ports actually back up; the response path inherits
 // the request path's accumulated queueing through the event chain.
 //
-// Routers are ordinary weave components: each belongs to exactly one domain
-// and its state is only touched by that domain's (deterministically ordered)
-// event stream, so no locking is needed and results remain reproducible
-// across GOMAXPROCS, host threads and domain counts.
+// Routers are ordinary weave components: their state is only touched by the
+// weave engine's single, deterministically ordered event stream, so no
+// locking is needed and results remain reproducible across GOMAXPROCS and
+// host threads.
 package noc
 
 import (
@@ -57,8 +57,8 @@ type portState struct {
 	inflight []uint64
 }
 
-// Router is the weave-phase contention model for one node's router. It is
-// driven from exactly one weave domain, so it needs no locking.
+// Router is the weave-phase contention model for one node's router. Only the
+// single-threaded weave engine drives it, so it needs no locking.
 type Router struct {
 	node       int
 	perHop     uint64 // zero-load network per-hop latency (link + pipeline)

@@ -84,14 +84,12 @@ func waitCampaign(t *testing.T, ts *httptest.Server, id string, timeout time.Dur
 
 // facadeMetrics runs one campaign point's configuration directly through the
 // zsim facade, mirroring exactly what the campaign layer does to the base
-// config (core override re-derives the weave partitioning; the point label
-// lives in Name, which is metrics-neutral).
+// config (the point label lives in Name, which is metrics-neutral).
 func facadeMetrics(t *testing.T, cores int, seed uint64, blocks int) *zsim.Metrics {
 	t.Helper()
 	cfg := zsim.SmallConfig()
 	if cores > 0 {
 		cfg.NumCores = cores
-		cfg.WeaveDomains = 0
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)

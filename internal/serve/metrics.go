@@ -108,12 +108,14 @@ func (m *metrics) detachProbe(p *telemetry.Probe, final telemetry.Snapshot) {
 	m.mu.Unlock()
 }
 
-// jobDone records a job's terminal state and latency and drops the in-flight
-// gauge.
-func (m *metrics) jobDone(state, shape string, dur time.Duration, wasReused bool) {
+// jobDone records a job's terminal state and latency and, for a job a worker
+// started (jobStarted), drops the in-flight gauge.
+func (m *metrics) jobDone(state, shape string, dur time.Duration, wasReused, started bool) {
 	key := latencyKey{outcome: state, shape: shape}
 	m.mu.Lock()
-	m.inflight--
+	if started {
+		m.inflight--
+	}
 	m.jobsTotal[state]++
 	if wasReused {
 		m.reused++
@@ -313,10 +315,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	engCounter("zsim_engine_cycles_total", "Simulated cycles advanced across all jobs.", agg.Cycles)
 	engCounter("zsim_engine_instructions_total", "Simulated instructions across all jobs.", agg.Instrs)
 	engCounter("zsim_engine_weave_events_total", "Weave events dispatched across all jobs.", agg.WeaveEvents)
-	engCounter("zsim_engine_horizon_parks_total", "Weave domain-worker parks on committed horizons.", agg.HorizonParks)
-	engCounter("zsim_engine_domain_wakes_total", "Wakeups delivered to parked weave domains.", agg.DomainWakes)
-	engCounter("zsim_engine_cross_handoffs_total", "Inter-domain event handoffs in the weave phase.", agg.CrossHandoffs)
-	engCounter("zsim_engine_pool_runs_total", "Worker-pool phase launches.", agg.PoolRuns)
+	engCounter("zsim_engine_pool_runs_total", "Bound-phase worker-pool launches.", agg.PoolRuns)
 	engCounter("zsim_engine_pool_wakes_total", "Worker wakeups delivered by pool launches.", agg.PoolWakes)
 	engSeconds := func(name, help string, nanos int64) {
 		pw.Family(name, "counter", help)
@@ -324,7 +323,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	engSeconds("zsim_engine_bound_seconds_total", "Host wall time spent in the bound phase.", agg.BoundNanos)
 	engSeconds("zsim_engine_weave_seconds_total", "Host wall time spent in the weave phase.", agg.WeaveNanos)
-	engSeconds("zsim_engine_stall_seconds_total", "Host wall time weave domains spent parked on horizons.", agg.StallNanos)
 
 	if err := pw.Err(); err != nil {
 		// The response is already streaming; nothing to do but drop it.

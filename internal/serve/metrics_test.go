@@ -200,6 +200,35 @@ func TestMetricsMonotonic(t *testing.T) {
 	}
 }
 
+// TestMetricsPoolRunsPerJob: a warm simulator keeps its worker pool, whose own
+// counters run over the pool's whole life, yet each folded job must add only
+// its own launches. Two identical warm jobs therefore add equal increments;
+// counting from the pool's birth made every job re-count all earlier ones.
+// One host thread keeps the job's bound rounds, and so its launch count,
+// independent of host timing.
+func TestMetricsPoolRunsPerJob(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 1, PoolSize: 4})
+	run := func() map[string]float64 {
+		req := quickJob()
+		req.HostThreads = 1
+		st := submit(t, ts, req)
+		if st = waitState(t, ts, st.ID, terminal); st.State != serve.StateSucceeded {
+			t.Fatalf("job ended %q (%s)", st.State, st.Error)
+		}
+		return scrapeMetrics(t, ts)
+	}
+	cold := run() // builds the simulator the next two jobs reuse
+	warm1, warm2 := run(), run()
+	if got := warm2["zsimd_pool_hits_total"]; got != 2 {
+		t.Fatalf("zsimd_pool_hits_total = %v, want 2", got)
+	}
+	const name = "zsim_engine_pool_runs_total"
+	d1, d2 := warm1[name]-cold[name], warm2[name]-warm1[name]
+	if cold[name] <= 0 || d1 != cold[name] || d2 != cold[name] {
+		t.Errorf("%s: identical jobs added %v (cold), %v and %v (warm)", name, cold[name], d1, d2)
+	}
+}
+
 // TestJobProgressWhileRunning: a running job's status carries a live progress
 // block fed by the telemetry probe; it disappears once the job is terminal.
 func TestJobProgressWhileRunning(t *testing.T) {

@@ -452,8 +452,11 @@ func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 
+	// Every finished job is counted in the metrics before its terminal state
+	// is published, so a client that saw it finish also sees it in /metrics.
 	j.mu.Lock()
 	if j.cancelled {
+		s.metrics.jobDone(StateCancelled, shapeLabel(0), 0, false, false)
 		j.state = StateCancelled
 		j.finished = time.Now().UTC()
 		result := &JobResult{Error: "cancelled before start", Failure: &Failure{Reason: runctl.ReasonCancelled.String()}}
@@ -475,6 +478,8 @@ func (s *Server) runJob(j *job) {
 	res, reused, shape, err := s.execute(ctx, j)
 	result, state := classify(res, err)
 	result.Reused = reused
+	dur := time.Since(started)
+	s.metrics.jobDone(state, shapeLabel(shape), dur, reused, true)
 
 	j.mu.Lock()
 	j.state = state
@@ -482,8 +487,6 @@ func (s *Server) runJob(j *job) {
 	j.cancel = nil
 	j.result = result
 	j.mu.Unlock()
-	dur := time.Since(started)
-	s.metrics.jobDone(state, shapeLabel(shape), dur, reused)
 	detail := result.Error
 	if reused {
 		detail = "reused=true"

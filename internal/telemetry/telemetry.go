@@ -1,7 +1,7 @@
 // Package telemetry is the simulator's observability layer: a zero-allocation
 // per-simulator probe whose counters are published at interval boundaries, a
 // hand-rolled Prometheus text-exposition writer (no dependencies), a bounded
-// Chrome-trace-event sink for weave skew/stall diagnosis, and a heartbeat
+// Chrome-trace-event sink of bound/weave phase slices, and a heartbeat
 // printer for CLI progress lines.
 //
 // The cardinal rule of the package is that observation never perturbs the
@@ -57,17 +57,9 @@ type Sample struct {
 	BoundNanos int64
 	WeaveNanos int64
 
-	// Parallel-weave skew diagnostics: domain worker parks waiting for a
-	// sending domain's horizon, wakeups delivered to parked workers, total
-	// host time spent parked, and inter-domain event handoffs.
-	HorizonParks  uint64
-	DomainWakes   uint64
-	StallNanos    int64
-	CrossHandoffs uint64
-
-	// Worker-pool churn: phase launches on the shared pool and the total
-	// worker wakeups they delivered, plus the worker count of the most recent
-	// bound round (occupancy gauge).
+	// Worker-pool churn over the run: bound-phase launches on the pool and
+	// the worker wakeups they delivered, plus the worker count of the most
+	// recent bound round (occupancy gauge).
 	PoolRuns    uint64
 	PoolWakes   uint64
 	PoolWorkers int
@@ -100,11 +92,6 @@ type Probe struct {
 
 	boundNanos atomic.Int64
 	weaveNanos atomic.Int64
-
-	horizonParks  atomic.Uint64
-	domainWakes   atomic.Uint64
-	stallNanos    atomic.Int64
-	crossHandoffs atomic.Uint64
 
 	poolRuns    atomic.Uint64
 	poolWakes   atomic.Uint64
@@ -143,10 +130,6 @@ func (p *Probe) Reset() {
 	p.weaveEvents.Store(0)
 	p.boundNanos.Store(0)
 	p.weaveNanos.Store(0)
-	p.horizonParks.Store(0)
-	p.domainWakes.Store(0)
-	p.stallNanos.Store(0)
-	p.crossHandoffs.Store(0)
 	p.poolRuns.Store(0)
 	p.poolWakes.Store(0)
 	p.poolWorkers.Store(0)
@@ -177,10 +160,6 @@ func (p *Probe) Publish(s Sample) {
 	p.weaveEvents.Store(s.WeaveEvents)
 	p.boundNanos.Store(s.BoundNanos)
 	p.weaveNanos.Store(s.WeaveNanos)
-	p.horizonParks.Store(s.HorizonParks)
-	p.domainWakes.Store(s.DomainWakes)
-	p.stallNanos.Store(s.StallNanos)
-	p.crossHandoffs.Store(s.CrossHandoffs)
 	p.poolRuns.Store(s.PoolRuns)
 	p.poolWakes.Store(s.PoolWakes)
 	p.poolWorkers.Store(int64(s.PoolWorkers))
@@ -204,17 +183,20 @@ type Snapshot struct {
 	BoundNanos int64 `json:"boundNanos"`
 	WeaveNanos int64 `json:"weaveNanos"`
 
-	HorizonParks  uint64 `json:"horizonParks,omitempty"`
-	DomainWakes   uint64 `json:"domainWakes,omitempty"`
-	StallNanos    int64  `json:"stallNanos,omitempty"`
-	CrossHandoffs uint64 `json:"crossHandoffs,omitempty"`
-
 	PoolRuns    uint64 `json:"poolRuns,omitempty"`
 	PoolWakes   uint64 `json:"poolWakes,omitempty"`
 	PoolWorkers int    `json:"poolWorkers,omitempty"`
 
 	LiveThreads     int `json:"liveThreads"`
 	RunnableThreads int `json:"runnableThreads"`
+
+	// Always zero. bench/ (frozen until a later benchmark PR) still reads
+	// these diagnostics of the retired parallel weave executor; nothing else
+	// does.
+	HorizonParks  uint64 `json:"-"`
+	DomainWakes   uint64 `json:"-"`
+	StallNanos    int64  `json:"-"`
+	CrossHandoffs uint64 `json:"-"`
 }
 
 // Snapshot copies the probe's current state. Nil-safe (a nil probe reads as
@@ -234,10 +216,6 @@ func (p *Probe) Snapshot() Snapshot {
 		WeaveEvents:     p.weaveEvents.Load(),
 		BoundNanos:      p.boundNanos.Load(),
 		WeaveNanos:      p.weaveNanos.Load(),
-		HorizonParks:    p.horizonParks.Load(),
-		DomainWakes:     p.domainWakes.Load(),
-		StallNanos:      p.stallNanos.Load(),
-		CrossHandoffs:   p.crossHandoffs.Load(),
 		PoolRuns:        p.poolRuns.Load(),
 		PoolWakes:       p.poolWakes.Load(),
 		PoolWorkers:     int(p.poolWorkers.Load()),
@@ -269,8 +247,7 @@ func (s Snapshot) PctMaxCycles() float64 {
 // daemon's lifetime.
 type Totals struct {
 	Intervals, BoundRounds, Cycles, Instrs, WeaveEvents uint64
-	BoundNanos, WeaveNanos, StallNanos                  int64
-	HorizonParks, DomainWakes, CrossHandoffs            uint64
+	BoundNanos, WeaveNanos                              int64
 	PoolRuns, PoolWakes                                 uint64
 }
 
@@ -283,10 +260,6 @@ func (t *Totals) Add(s Snapshot) {
 	t.WeaveEvents += s.WeaveEvents
 	t.BoundNanos += s.BoundNanos
 	t.WeaveNanos += s.WeaveNanos
-	t.StallNanos += s.StallNanos
-	t.HorizonParks += s.HorizonParks
-	t.DomainWakes += s.DomainWakes
-	t.CrossHandoffs += s.CrossHandoffs
 	t.PoolRuns += s.PoolRuns
 	t.PoolWakes += s.PoolWakes
 }

@@ -14,7 +14,6 @@ func TestProbePublishSnapshotRoundTrip(t *testing.T) {
 	s := Sample{
 		Intervals: 7, BoundRounds: 9, Cycles: 71680, Instrs: 123456, WeaveEvents: 42,
 		BoundNanos: 1111, WeaveNanos: 2222,
-		HorizonParks: 3, DomainWakes: 4, StallNanos: 5555, CrossHandoffs: 6,
 		PoolRuns: 14, PoolWakes: 28, PoolWorkers: 4,
 		LiveThreads: 8, RunnableThreads: 6,
 	}
@@ -28,11 +27,8 @@ func TestProbePublishSnapshotRoundTrip(t *testing.T) {
 		snap.Cycles != s.Cycles || snap.Instrs != s.Instrs || snap.WeaveEvents != s.WeaveEvents {
 		t.Errorf("progress counters did not round-trip: %+v", snap)
 	}
-	if snap.BoundNanos != s.BoundNanos || snap.WeaveNanos != s.WeaveNanos || snap.StallNanos != s.StallNanos {
+	if snap.BoundNanos != s.BoundNanos || snap.WeaveNanos != s.WeaveNanos {
 		t.Errorf("nanos did not round-trip: %+v", snap)
-	}
-	if snap.HorizonParks != s.HorizonParks || snap.DomainWakes != s.DomainWakes || snap.CrossHandoffs != s.CrossHandoffs {
-		t.Errorf("weave diagnostics did not round-trip: %+v", snap)
 	}
 	if snap.PoolRuns != s.PoolRuns || snap.PoolWakes != s.PoolWakes || snap.PoolWorkers != s.PoolWorkers {
 		t.Errorf("pool counters did not round-trip: %+v", snap)
@@ -198,7 +194,7 @@ func TestTraceSinkCapAndExport(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		sink.Add(TrackPhases, "bound", base.Add(time.Duration(i)*time.Millisecond), time.Millisecond, uint64(i))
 	}
-	sink.Add(TrackDomain(2), "weave", base, time.Microsecond, 9) // dropped too
+	sink.Add(TrackPhases, "weave", base, time.Microsecond, 9) // dropped too
 	if sink.Len() != 4 {
 		t.Errorf("Len = %d, want 4", sink.Len())
 	}

@@ -9,17 +9,13 @@ import (
 
 // TraceSink collects bounded Chrome trace-event slices from a run for loading
 // into Perfetto (chrome://tracing JSON array format). The simulation side
-// calls Add from whatever goroutine executes the slice — bound/weave phase
-// slices from the driver, per-domain execution and stall slices from weave
-// workers — and the sink assigns each slot with a single atomic increment, so
-// recording is lock-free and allocation-free after construction. Once the
-// fixed capacity is exhausted further events are counted as dropped rather
-// than grown: a runaway run can never turn the trace into a memory leak.
+// calls Add from whatever goroutine executes the slice, and the sink assigns
+// each slot with a single atomic increment, so recording is lock-free and
+// allocation-free after construction. Once the fixed capacity is exhausted
+// further events are counted as dropped rather than grown: a runaway run can
+// never turn the trace into a memory leak.
 //
-// Tracks (tid values in the export):
-//
-//	0        the driver's phase track (bound/weave slices per interval)
-//	1+d      weave domain d's track (event execution and horizon-stall slices)
+// Tracks are tid values in the export; the simulator records on TrackPhases.
 type TraceSink struct {
 	events  []traceEvent
 	next    atomic.Int64
@@ -31,15 +27,12 @@ type traceEvent struct {
 	name     string
 	startUS  int64 // microseconds since Unix epoch (Chrome "ts" clock)
 	durUS    int64
-	interval uint64 // slice argument: interval number or event count
+	interval uint64 // slice argument: the interval number
 }
 
-// Track identifiers for Add. TrackPhases is the driver's bound/weave track;
-// TrackDomain(d) is weave domain d's track.
+// TrackPhases is the driver's track: one bound and one weave slice per
+// interval.
 const TrackPhases int32 = 0
-
-// TrackDomain returns the track id for weave domain d.
-func TrackDomain(d int) int32 { return int32(1 + d) }
 
 // MaxTraceEvents is the default (and maximum) sink capacity.
 const MaxTraceEvents = 1 << 16
@@ -54,9 +47,9 @@ func NewTraceSink(capacity int) *TraceSink {
 }
 
 // Add records one complete slice on a track. name must be a static string
-// (it is stored, not copied). arg lands in the event's args block — the
-// interval number for phase slices, the executed-event count for domain
-// slices. Nil-safe; drops (and counts) events past capacity.
+// (it is stored, not copied). arg lands in the event's args block (the
+// interval number for phase slices). Nil-safe; drops (and counts) events past
+// capacity.
 func (t *TraceSink) Add(track int32, name string, start time.Time, dur time.Duration, arg uint64) {
 	if t == nil {
 		return
@@ -135,7 +128,7 @@ func (t *TraceSink) WriteJSON(w io.Writer) error {
 	for tr := int32(0); tr <= maxTrack; tr++ {
 		name := "phases"
 		if tr > 0 {
-			name = fmt.Sprintf("domain %d", tr-1)
+			name = fmt.Sprintf("track %d", tr)
 		}
 		if err := emit(`{"ph":"M","pid":1,"tid":%d,"name":"thread_name","args":{"name":%q}}`, tr, name); err != nil {
 			return err

@@ -2,7 +2,7 @@ package zsim
 
 // Warm-simulator reuse tests: a reusable Simulator that is Reset between
 // runs must be indistinguishable — bit-identical simulated results — from a
-// freshly constructed one, across weave modes, NoC contention on/off, host
+// freshly constructed one, with NoC contention on and off, across host
 // parallelism levels, and after aborted (cancelled / cycle-limited) runs.
 // Panicked runs are the exception: Reset must refuse them.
 
@@ -17,16 +17,15 @@ import (
 	"zsim/internal/config"
 )
 
-// reuseCfg returns a small contention-enabled configuration for the given
-// weave mode and NoC setting. Each call returns a fresh copy (Validate and
+// reuseCfg returns a small contention-enabled configuration with or without
+// NoC contention. Each call returns a fresh copy (Validate and
 // the facade mutate configs in place). Like the boundweave determinism
 // tests, the L3 gets generous associativity so the disjoint per-process
 // footprints never force an eviction whose victim choice could depend on
 // bound-phase arrival order.
-func reuseCfg(mode WeaveMode, noc bool) *Config {
+func reuseCfg(noc bool) *Config {
 	cfg := SmallConfig()
 	cfg.Contention = true
-	cfg.WeaveModeKind = mode
 	cfg.L3.SizeKB = 4096
 	cfg.L3.Ways = 32
 	if noc {
@@ -42,8 +41,9 @@ func reuseCfg(mode WeaveMode, noc bool) *Config {
 // envelope (DESIGN.md "Determinism model"): 8 single-thread processes in
 // disjoint address-space slices, two pinned per core, with locks and
 // blocking syscalls so the mid-interval scheduler is exercised without
-// thread migration. blocks scales run length; ctx == nil means Background.
-func reuseRun(t *testing.T, sim *Simulator, ctx context.Context, blocks int) (*Result, error) {
+// thread migration. blocks scales run length, host sets the bound phase's
+// host threads; ctx == nil means Background.
+func reuseRun(t *testing.T, sim *Simulator, ctx context.Context, blocks, host int) (*Result, error) {
 	t.Helper()
 	for i := 0; i < 8; i++ {
 		p := DefaultWorkloadParams()
@@ -60,7 +60,7 @@ func reuseRun(t *testing.T, sim *Simulator, ctx context.Context, blocks int) (*R
 		p.BlockedSyscallCycles = 2500
 		sim.AddPinnedWorkload(fmt.Sprintf("proc-%d", i), p, 1, []int{i % 4})
 	}
-	sim.SetHostThreads(4)
+	sim.SetHostThreads(host)
 	sim.SetSeed(99)
 	if ctx == nil {
 		ctx = context.Background()
@@ -94,20 +94,20 @@ func requireIdentical(t *testing.T, stage string, want, got *Result) {
 }
 
 // TestReuseBitIdentityMatrix is the fresh-vs-reused identity matrix:
-// GOMAXPROCS {1,4} x weave mode {serial,parallel} x NoC {off,on}, with the
-// reused simulator exercised after a clean run, after a cycle-limit abort,
-// and after a cancellation — every subsequent clean run must match the fresh
-// baseline exactly.
+// GOMAXPROCS {1,4} x bound phase {serial (1 host thread), parallel (4)} x
+// NoC {off,on}, with the reused simulator exercised after a clean run, after
+// a cycle-limit abort, and after a cancellation — every subsequent clean run
+// must match the fresh baseline exactly.
 func TestReuseBitIdentityMatrix(t *testing.T) {
 	modes := []struct {
 		name string
-		mode WeaveMode
 		noc  bool
+		host int
 	}{
-		{"serial", WeaveSerial, false},
-		{"parallel", WeaveParallel, false},
-		{"serial-noc", WeaveSerial, true},
-		{"parallel-noc", WeaveParallel, true},
+		{"serial", false, 1},
+		{"parallel", false, 4},
+		{"serial-noc", true, 1},
+		{"parallel-noc", true, 4},
 	}
 	for _, gmp := range []int{1, 4} {
 		for _, m := range modes {
@@ -115,23 +115,23 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
 
 				// Fresh baseline: ordinary single-use simulator.
-				fresh, err := New(reuseCfg(m.mode, m.noc))
+				fresh, err := New(reuseCfg(m.noc))
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := reuseRun(t, fresh, nil, 300)
+				want, err := reuseRun(t, fresh, nil, 300, m.host)
 				if err != nil {
 					t.Fatalf("fresh run: %v", err)
 				}
 
 				// Reusable simulator, run 1: must match fresh.
-				sim, err := New(reuseCfg(m.mode, m.noc))
+				sim, err := New(reuseCfg(m.noc))
 				if err != nil {
 					t.Fatal(err)
 				}
 				sim.SetReusable(true)
 				defer sim.Close()
-				got, err := reuseRun(t, sim, nil, 300)
+				got, err := reuseRun(t, sim, nil, 300, m.host)
 				if err != nil {
 					t.Fatalf("reusable run 1: %v", err)
 				}
@@ -141,19 +141,19 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 				if err := sim.Reset(nil); err != nil {
 					t.Fatalf("Reset after clean run: %v", err)
 				}
-				got, err = reuseRun(t, sim, nil, 300)
+				got, err = reuseRun(t, sim, nil, 300, m.host)
 				if err != nil {
 					t.Fatalf("reusable run 2: %v", err)
 				}
 				requireIdentical(t, "after clean run", want, got)
 
 				// Reset into a cycle-limited abort, then Reset back to clean.
-				limited := reuseCfg(m.mode, m.noc)
+				limited := reuseCfg(m.noc)
 				limited.MaxCycles = 3000
 				if err := sim.Reset(limited); err != nil {
 					t.Fatalf("Reset to limited cfg: %v", err)
 				}
-				if _, err = reuseRun(t, sim, nil, 300); err == nil {
+				if _, err = reuseRun(t, sim, nil, 300, m.host); err == nil {
 					t.Fatalf("cycle-limited run should report a RunError")
 				} else {
 					var re *RunError
@@ -161,10 +161,10 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 						t.Fatalf("cycle-limited run: %v", err)
 					}
 				}
-				if err := sim.Reset(reuseCfg(m.mode, m.noc)); err != nil {
+				if err := sim.Reset(reuseCfg(m.noc)); err != nil {
 					t.Fatalf("Reset after cycle-limit abort: %v", err)
 				}
-				got, err = reuseRun(t, sim, nil, 300)
+				got, err = reuseRun(t, sim, nil, 300, m.host)
 				if err != nil {
 					t.Fatalf("run after abort: %v", err)
 				}
@@ -178,7 +178,7 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 				}
 				// A long workload guarantees the (asynchronously delivered)
 				// cancellation lands mid-run rather than after completion.
-				if _, err = reuseRun(t, sim, cancelled, 100000); err == nil {
+				if _, err = reuseRun(t, sim, cancelled, 100000, m.host); err == nil {
 					t.Fatalf("cancelled run should report a RunError")
 				} else {
 					var re *RunError
@@ -189,7 +189,7 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 				if err := sim.Reset(nil); err != nil {
 					t.Fatalf("Reset after cancellation: %v", err)
 				}
-				got, err = reuseRun(t, sim, nil, 300)
+				got, err = reuseRun(t, sim, nil, 300, m.host)
 				if err != nil {
 					t.Fatalf("run after cancellation: %v", err)
 				}
@@ -215,23 +215,23 @@ func (p *panicObserver) ObserveAccess(lineAddr uint64, write bool, coreID int, c
 // panicked simulator, and (c) a replacement fresh simulator to still produce
 // the baseline results — the discard-and-rebuild path the serve pool uses.
 func TestReuseRefusedAfterPanic(t *testing.T) {
-	fresh, err := New(reuseCfg(WeaveParallel, false))
+	fresh, err := New(reuseCfg(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := reuseRun(t, fresh, nil, 300)
+	want, err := reuseRun(t, fresh, nil, 300, 4)
 	if err != nil {
 		t.Fatalf("fresh run: %v", err)
 	}
 
-	sim, err := New(reuseCfg(WeaveParallel, false))
+	sim, err := New(reuseCfg(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.SetReusable(true)
 	defer sim.Close()
 	sim.sys.Cores[0].SetObserver(&panicObserver{fuse: 100})
-	_, err = reuseRun(t, sim, nil, 300)
+	_, err = reuseRun(t, sim, nil, 300, 4)
 	var re *RunError
 	if !errors.As(err, &re) || re.Reason != Panicked {
 		t.Fatalf("injected fault not typed as panic: %v", err)
@@ -240,11 +240,11 @@ func TestReuseRefusedAfterPanic(t *testing.T) {
 		t.Fatalf("Reset must refuse a panicked simulator")
 	}
 
-	replacement, err := New(reuseCfg(WeaveParallel, false))
+	replacement, err := New(reuseCfg(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := reuseRun(t, replacement, nil, 300)
+	got, err := reuseRun(t, replacement, nil, 300, 4)
 	if err != nil {
 		t.Fatalf("replacement run: %v", err)
 	}
@@ -255,7 +255,7 @@ func TestReuseRefusedAfterPanic(t *testing.T) {
 // simulators refuse Reset, and a shape-changing configuration is rejected
 // while a run-variable-only change is accepted.
 func TestReuseShapeKeyGuards(t *testing.T) {
-	plain, err := New(reuseCfg(WeaveParallel, false))
+	plain, err := New(reuseCfg(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,23 +263,23 @@ func TestReuseShapeKeyGuards(t *testing.T) {
 		t.Fatalf("Reset on a non-reusable simulator must fail")
 	}
 
-	sim, err := New(reuseCfg(WeaveParallel, false))
+	sim, err := New(reuseCfg(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.SetReusable(true)
 	defer sim.Close()
-	if _, err := reuseRun(t, sim, nil, 300); err != nil {
+	if _, err := reuseRun(t, sim, nil, 300, 4); err != nil {
 		t.Fatal(err)
 	}
 
-	other := reuseCfg(WeaveParallel, false)
+	other := reuseCfg(false)
 	other.NumCores = 8
 	if err := sim.Reset(other); err == nil {
 		t.Fatalf("shape-changing Reset must fail")
 	}
 
-	same := reuseCfg(WeaveParallel, false)
+	same := reuseCfg(false)
 	same.Name = "renamed"
 	same.MaxCycles = 1 << 40
 	if err := sim.Reset(same); err != nil {
@@ -288,7 +288,7 @@ func TestReuseShapeKeyGuards(t *testing.T) {
 
 	// The shape key itself: insensitive to run-variable fields, sensitive to
 	// construction shape.
-	a, b := reuseCfg(WeaveParallel, false), reuseCfg(WeaveParallel, false)
+	a, b := reuseCfg(false), reuseCfg(false)
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +296,9 @@ func TestReuseShapeKeyGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Name, b.MaxCycles, b.MaxWallTime = "x", 123, 456
+	b.WeaveDomains, b.WeaveModeKind = 7, "serial" // retired, inert knobs
 	if a.ShapeKey() != b.ShapeKey() {
-		t.Fatalf("shape key must ignore run-variable fields")
+		t.Fatalf("shape key must ignore run-variable fields and the inert weave knobs")
 	}
 	b.L3.Banks = 4
 	if a.ShapeKey() == b.ShapeKey() {
@@ -310,13 +311,13 @@ func TestReuseShapeKeyGuards(t *testing.T) {
 // arena chunks — the construction and per-run arenas serve every subsequent
 // run from retained memory.
 func TestReuseArenaFootprintFlat(t *testing.T) {
-	sim, err := New(reuseCfg(WeaveParallel, true))
+	sim, err := New(reuseCfg(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.SetReusable(true)
 	defer sim.Close()
-	first, err := reuseRun(t, sim, nil, 300)
+	first, err := reuseRun(t, sim, nil, 300, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +328,7 @@ func TestReuseArenaFootprintFlat(t *testing.T) {
 		if err := sim.Reset(nil); err != nil {
 			t.Fatal(err)
 		}
-		res, err := reuseRun(t, sim, nil, 300)
+		res, err := reuseRun(t, sim, nil, 300, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@
 //   - the bound-weave two-phase parallelization algorithm, which simulates
 //     cores in parallel over small intervals with zero-load latencies (bound
 //     phase) and then replays the recorded accesses through detailed
-//     contention models across parallel event-driven domains (weave phase);
+//     event-driven contention models (weave phase);
 //   - lightweight user-level virtualization: a thread scheduler with
 //     affinities and oversubscription, simulated-time synchronization (locks,
 //     barriers, blocking system calls), and timing/system virtualization.
@@ -54,17 +54,6 @@ type Config = config.System
 // CoreModel selects the core timing model in a Config ("ooo" or "ipc1").
 type CoreModel = config.CoreModel
 
-// WeaveMode selects the weave-phase execution mode in a Config:
-// WeaveParallel (deterministic bounded-skew domain parallelism, the default)
-// or WeaveSerial (the single-heap serial escape hatch).
-type WeaveMode = config.WeaveMode
-
-// The weave execution modes.
-const (
-	WeaveParallel = config.WeaveParallelDet
-	WeaveSerial   = config.WeaveSerial
-)
-
 // WorkloadParams are the behavioural parameters of a synthetic workload.
 type WorkloadParams = trace.Params
 
@@ -72,17 +61,17 @@ type WorkloadParams = trace.Params
 type Metrics = stats.Metrics
 
 // Probe is the live-telemetry publication point of a running simulation:
-// phase, intervals, simulated cycles, per-phase wall time, weave skew
-// diagnostics. Every Simulator owns one (see Simulator.Probe); readers take
+// phase, intervals, simulated cycles, per-phase wall time, worker-pool
+// churn. Every Simulator owns one (see Simulator.Probe); readers take
 // Snapshots at any time without perturbing the run.
 type Probe = telemetry.Probe
 
 // ProgressSnapshot is a point-in-time copy of a Probe's published counters.
 type ProgressSnapshot = telemetry.Snapshot
 
-// TraceSink collects bounded Chrome trace-event slices from a run (phases
-// track + one track per weave domain), exportable as Perfetto-loadable JSON
-// via WriteJSON. Attach one with Simulator.SetTrace.
+// TraceSink collects bounded Chrome trace-event slices from a run (one bound
+// and one weave slice per interval), exportable as Perfetto-loadable JSON via
+// WriteJSON. Attach one with Simulator.SetTrace.
 type TraceSink = telemetry.TraceSink
 
 // NewTraceSink builds a trace sink holding at most capacity events (<= 0
@@ -445,12 +434,6 @@ type Result struct {
 	// WeaveEvents is the number of weave-phase events simulated (0 when the
 	// configuration disables contention).
 	WeaveEvents uint64
-	// WeaveMode is the effective weave execution mode ("parallel" —
-	// deterministic bounded-skew domains — or the "serial" escape hatch).
-	WeaveMode string
-	// WeaveDomains is the effective weave domain count after validation
-	// clamped it to the system size.
-	WeaveDomains int
 	// Sched reports the scheduling activity of the virtualization layer.
 	Sched SchedStats
 	// NOC reports the NoC contention subsystem's activity (zero when
@@ -474,11 +457,10 @@ func (r *Result) Summary() string {
 	return fmt.Sprintf(
 		"simulated %d instructions on %d cores in %d cycles (IPC %.2f) — "+
 			"L1D %.2f MPKI, L2 %.2f MPKI, L3 %.2f MPKI — "+
-			"host time %v, %.1f MIPS, %d intervals, %d weave events (%s weave, %d domains)",
+			"host time %v, %.1f MIPS, %d intervals, %d weave events",
 		m.Instrs, m.Cores, m.Cycles, m.IPC,
 		m.L1DMPKI, m.L2MPKI, m.L3MPKI,
-		r.HostTime.Round(time.Millisecond), m.SimMIPS, r.Intervals, r.WeaveEvents,
-		r.WeaveMode, r.WeaveDomains)
+		r.HostTime.Round(time.Millisecond), m.SimMIPS, r.Intervals, r.WeaveEvents)
 }
 
 // buildSim constructs the bound-weave simulator state (recorders, event
@@ -559,8 +541,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	if !s.reusable {
-		// The simulator owns a persistent worker pool and weave engine; Close
-		// is idempotent, and deferring it here guarantees release on every
+		// The simulator owns a persistent worker pool; Close is idempotent, and deferring it here guarantees release on every
 		// exit path — including cancellation and panic recovery — not just
 		// the happy path inside sim.Run. A reusable simulator instead keeps
 		// these warm for the next Reset, and its owner Closes it.
@@ -584,8 +565,8 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	}
 	s.lastReason = reason
 	if reason == Panicked {
-		// An aborted engine cannot be rewound; release the warm state now so
-		// a reusable simulator fails closed instead of leaking its pool.
+		// A panicked simulator cannot be rewound; release the warm state now
+		// so a reusable simulator fails closed instead of leaking its pool.
 		s.Close()
 	}
 	if reason == runctl.ReasonNone {
@@ -656,10 +637,8 @@ func (s *Simulator) collectResult(sim *boundweave.Simulator, elapsed time.Durati
 			BarrierWaits:     s.sched.BarrierWaits.Load(),
 			SyscallBlocks:    s.sched.SyscallBlocks.Load(),
 		},
-		NOC:          nocStats,
-		Stalled:      sim.Stalled,
-		WeaveMode:    string(s.cfg.WeaveModeKind),
-		WeaveDomains: s.sys.NumDomains,
+		NOC:     nocStats,
+		Stalled: sim.Stalled,
 	}
 }
 
