@@ -1,13 +1,14 @@
 // Command zsimexp regenerates the tables and figures of the paper's
 // evaluation section. Each experiment prints the same rows or series the
-// paper reports; EXPERIMENTS.md records a full run.
+// paper reports.
 //
 // Usage:
 //
 //	zsimexp [-scale 1.0] [-max-cores 1024] [-host-threads N] <experiment>
 //
 // Experiments: table2, table3, fig2, fig5, fig6perf, fig6speedup, fig6stream,
-// table4, fig7, fig8, fig9, intervals, all.
+// table4, fig7, fig8, fig9, intervals, meshhotspot, all; sweep (with -daemon)
+// runs a campaign through zsimd.
 package main
 
 import (
@@ -30,7 +31,7 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("zsimexp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		scale    = fs.Float64("scale", 0.25, "instruction-budget scale factor (1.0 = full EXPERIMENTS.md sizes)")
+		scale    = fs.Float64("scale", 0.25, "instruction-budget scale factor (1.0 = full paper-scale budgets, ~2M instructions per workload)")
 		maxCores = fs.Int("max-cores", 1024, "cap on the simulated core count for the large-chip experiments")
 		hostThr  = fs.Int("host-threads", 0, "host worker threads (0 = all CPUs)")
 		quiet    = fs.Bool("quiet", false, "suppress progress logging")

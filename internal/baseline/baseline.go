@@ -1,32 +1,20 @@
-// Package baseline implements the comparison points the paper's evaluation
-// needs but that are not part of zsim itself:
-//
-//   - Golden: a sequential, fully ordered, contention-accurate simulator used
-//     as the validation target (the stand-in for the real Westmere machine of
-//     Section 4.1 — see DESIGN.md for the substitution argument). It executes
-//     one basic block at a time, always advancing the thread with the
-//     smallest simulated cycle, so memory accesses are interleaved in global
-//     simulated-time order and contention is applied inline.
-//   - Lax: a Graphite-style parallel simulator with unbounded skew: every
-//     core runs in its own goroutine with no interval barrier, and contention
-//     is approximated with the analytical M/D/1 model. Used for the accuracy
-//     comparison of Figure 6 (right).
-//   - Lockstep: a pessimistic-PDES-style simulator that synchronizes all
-//     cores on a barrier every few cycles. Used for the speed comparisons
-//     (conventional parallel simulation is orders of magnitude slower).
-//   - EmulationCore: a core wrapper that re-decodes every dynamic basic block
-//     instead of using the translation cache, quantifying the speedup of
-//     doing timing-model work at instrumentation time (Section 3.1).
+// Package baseline implements the golden reference the paper's validation
+// needs but that is not part of zsim itself: a sequential, fully ordered,
+// contention-accurate simulator that stands in for the real Westmere machine
+// of Section 4.1, so accuracy is reported as error against it. It executes
+// one basic block at a time, always advancing the thread with the smallest
+// simulated cycle, so memory accesses are interleaved in global
+// simulated-time order and contention is applied inline. Synchronization
+// goes through the same scheduler path as the bound-weave driver: each
+// synchronization block is recorded on its thread and applied by
+// virt.Scheduler.ResolveRound.
 package baseline
 
 import (
 	"container/heap"
-	"sync"
 
 	"zsim/internal/boundweave"
 	"zsim/internal/config"
-	"zsim/internal/core"
-	"zsim/internal/isa"
 	"zsim/internal/stats"
 	"zsim/internal/trace"
 	"zsim/internal/virt"
@@ -96,6 +84,8 @@ func runSequential(sys *boundweave.System, sched *virt.Scheduler, maxInstrs uint
 	for i := 0; i < sched.NumThreads(); i++ {
 		heap.Push(&pq, seqItem{threadID: i, cycle: 0})
 	}
+	var ran [1]virt.Assignment
+	var scratch []virt.Assignment
 	var totalInstrs uint64
 	for pq.Len() > 0 {
 		if maxInstrs > 0 && totalInstrs >= maxInstrs {
@@ -118,10 +108,8 @@ func runSequential(sys *boundweave.System, sched *virt.Scheduler, maxInstrs uint
 				heap.Push(&pq, seqItem{threadID: it.threadID, cycle: th.WakeCycle})
 				continue
 			}
-			th.State = virt.StateRunnable
-			if th.Cycle < th.WakeCycle {
-				th.Cycle = th.WakeCycle
-			}
+			// The syscall is due: an empty round at this cycle wakes it.
+			scratch = sched.ResolveRound(nil, it.cycle, it.cycle+1, nil, scratch)
 		}
 		coreID := it.threadID % cfg.NumCores
 		c := sys.Cores[coreID]
@@ -131,52 +119,48 @@ func runSequential(sys *boundweave.System, sched *virt.Scheduler, maxInstrs uint
 		}
 		before := c.Instrs()
 		blk := th.Stream.NextBlock()
-		requeueCycle := uint64(0)
-		done := false
-		switch blk.Sync {
-		case trace.SyncDone:
-			sched.OnDone(th, c.Cycle())
-			done = true
-		case trace.SyncBarrier:
+		if blk.Sync != trace.SyncDone {
 			c.SimulateBlock(blk)
-			sched.OnBarrier(th, blk.SyncID, c.Cycle())
-			// Barrier release is detected when the thread becomes runnable
-			// again; requeue at its (possibly advanced) cycle.
-			requeueCycle = th.Cycle
-		case trace.SyncBlocked:
-			c.SimulateBlock(blk)
-			sched.OnBlockedSyscall(th, c.Cycle(), blk.SyncArg)
-			requeueCycle = th.WakeCycle
-		case trace.SyncLockAcquire:
-			c.SimulateBlock(blk)
-			if !sched.OnLockAcquire(th, blk.SyncID, c.Cycle()) {
-				requeueCycle = c.Cycle() // re-examined when the lock is released
-			} else {
-				requeueCycle = c.Cycle()
-			}
-		case trace.SyncLockRelease:
-			c.SimulateBlock(blk)
-			sched.OnLockRelease(th, blk.SyncID, c.Cycle())
-			requeueCycle = c.Cycle()
-		default:
-			c.SimulateBlock(blk)
-			requeueCycle = c.Cycle()
+		}
+		if op, arg := syncOp(blk); op != virt.OpNone {
+			th.Record(op, blk.SyncID, c.Cycle(), arg)
+			ran[0] = virt.Assignment{Core: coreID, Thread: th}
+			scratch = sched.ResolveRound(ran[:], c.Cycle(), c.Cycle()+1, nil, scratch)
 		}
 		totalInstrs += c.Instrs() - before
-		if !done {
-			// Threads blocked on locks or barriers are requeued at a slightly
-			// later cycle so the simulation makes progress while they wait;
-			// they only execute again once the scheduler marks them runnable
-			// or running.
-			if th.State == virt.StateBlockedLock || th.State == virt.StateBlockedBarrier {
-				requeueCycle = maxU64(requeueCycle, c.Cycle()) + 100
-			}
-			if th.State == virt.StateBlockedSyscall {
-				requeueCycle = th.WakeCycle
-			}
-			heap.Push(&pq, seqItem{threadID: it.threadID, cycle: maxU64(requeueCycle, it.cycle+1)})
+		// Threads blocked on locks or barriers are requeued at a slightly
+		// later cycle so the simulation makes progress while they wait; they
+		// only execute again once the scheduler makes them runnable. A
+		// released barrier may have advanced the thread past its core.
+		requeueCycle := maxU64(c.Cycle(), th.Cycle)
+		switch th.State {
+		case virt.StateDone:
+			continue
+		case virt.StateBlockedLock, virt.StateBlockedBarrier:
+			requeueCycle += 100
+		case virt.StateBlockedSyscall:
+			requeueCycle = th.WakeCycle
 		}
+		heap.Push(&pq, seqItem{threadID: it.threadID, cycle: maxU64(requeueCycle, it.cycle+1)})
 	}
+}
+
+// syncOp maps a block's synchronization marker to the scheduler operation it
+// records and that operation's argument.
+func syncOp(blk *trace.DynBlock) (virt.OpKind, uint64) {
+	switch blk.Sync {
+	case trace.SyncDone:
+		return virt.OpDone, 0
+	case trace.SyncBarrier:
+		return virt.OpBarrier, 0
+	case trace.SyncBlocked:
+		return virt.OpSyscall, blk.SyncArg
+	case trace.SyncLockAcquire:
+		return virt.OpLockAcquire, 0
+	case trace.SyncLockRelease:
+		return virt.OpLockRelease, 0
+	}
+	return virt.OpNone, 0
 }
 
 func maxU64(a, b uint64) uint64 {
@@ -184,115 +168,4 @@ func maxU64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// RunLax executes the workload Graphite-style: every core runs freely in its
-// own goroutine with no skew bound, and memory contention uses the M/D/1
-// queuing model (set cfg.MemModel = MemMD1 to enable it). Synchronization
-// still goes through the scheduler, protected by a lock. Returns the system
-// metrics.
-func RunLax(cfg *config.System, w *trace.Workload, maxInstrsPerThread uint64) (*stats.Metrics, error) {
-	laxCfg := *cfg
-	laxCfg.Contention = false
-	sys, err := boundweave.BuildSystem(&laxCfg)
-	if err != nil {
-		return nil, err
-	}
-	sched := virt.NewScheduler(laxCfg.NumCores)
-	sched.AddWorkload(w)
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	n := sched.NumThreads()
-	if n > laxCfg.NumCores {
-		n = laxCfg.NumCores
-	}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			th := sched.Thread(tid)
-			c := sys.Cores[tid%laxCfg.NumCores]
-			var instrs uint64
-			for {
-				if maxInstrsPerThread > 0 && instrs >= maxInstrsPerThread {
-					return
-				}
-				blk := th.Stream.NextBlock()
-				before := c.Instrs()
-				switch blk.Sync {
-				case trace.SyncDone:
-					mu.Lock()
-					sched.OnDone(th, c.Cycle())
-					mu.Unlock()
-					return
-				case trace.SyncBarrier:
-					// Lax simulation has no global time to wait on; barriers
-					// become local no-ops (a known source of inaccuracy for
-					// this class of simulators).
-					c.SimulateBlock(blk)
-				case trace.SyncLockAcquire, trace.SyncLockRelease, trace.SyncBlocked:
-					c.SimulateBlock(blk)
-				default:
-					c.SimulateBlock(blk)
-				}
-				instrs += c.Instrs() - before
-			}
-		}(i)
-	}
-	wg.Wait()
-	m := sys.Metrics()
-	m.Workload = w.Name
-	m.Model = "lax-" + string(laxCfg.MemModel)
-	m.Finalize()
-	return m, nil
-}
-
-// RunLockstep executes the workload with pessimistic-PDES-style lockstep
-// synchronization: all cores synchronize on a barrier every quantum cycles.
-// It is functionally similar to the bound phase with a tiny interval and no
-// weave phase, and exists to quantify the cost of frequent synchronization.
-func RunLockstep(cfg *config.System, w *trace.Workload, quantum uint64, maxInstrs uint64) (*stats.Metrics, error) {
-	lockstepCfg := *cfg
-	lockstepCfg.Contention = false
-	if quantum == 0 {
-		quantum = 10
-	}
-	lockstepCfg.IntervalCycles = quantum
-	sys, err := boundweave.BuildSystem(&lockstepCfg)
-	if err != nil {
-		return nil, err
-	}
-	sched := virt.NewScheduler(lockstepCfg.NumCores)
-	sched.AddWorkload(w)
-	sim := boundweave.NewSimulator(sys, sched, boundweave.Options{MaxInstrs: maxInstrs})
-	sim.Run()
-	m := sys.Metrics()
-	m.Workload = w.Name
-	m.Model = "lockstep-pdes"
-	m.Finalize()
-	return m, nil
-}
-
-// EmulationCore wraps a core model and re-decodes every dynamic basic block
-// before simulating it, the way an emulation-based simulator decodes every
-// dynamic instruction. Comparing it against the same core model using the
-// decoder cache isolates the benefit of doing decode work at translation
-// time.
-type EmulationCore struct {
-	Inner core.Core
-	// Redecodes counts how many dynamic blocks were re-decoded.
-	Redecodes uint64
-}
-
-// SimulateStaticBlock re-decodes the static block and simulates the result.
-func (e *EmulationCore) SimulateStaticBlock(b *isa.BasicBlock, addrs []uint64, taken bool) {
-	d := isa.Decode(b) // paid for every dynamic execution
-	e.Redecodes++
-	e.Inner.SimulateBlock(&trace.DynBlock{
-		Decoded:  d,
-		Addrs:    addrs,
-		Taken:    taken,
-		BranchPC: b.Addr + b.Bytes(),
-	})
 }

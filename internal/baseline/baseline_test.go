@@ -3,11 +3,10 @@ package baseline
 import (
 	"testing"
 
+	"zsim/internal/boundweave"
 	"zsim/internal/config"
-	"zsim/internal/core"
-	"zsim/internal/isa"
-	"zsim/internal/stats"
 	"zsim/internal/trace"
+	"zsim/internal/virt"
 )
 
 func testCfg() *config.System {
@@ -40,24 +39,80 @@ func TestRunGoldenSingleThread(t *testing.T) {
 	}
 }
 
+// TestRunGoldenMultithreadedWithSync pins the golden model's schedule on
+// synchronization-heavy workloads to literal signatures: a change in how
+// locks, barriers or blocking syscalls are resolved moves them.
 func TestRunGoldenMultithreadedWithSync(t *testing.T) {
+	syncHeavy := trace.DefaultParams()
+	syncHeavy.BlocksPerThread = 400
+	syncHeavy.LockEvery = 30
+	syncHeavy.LockHoldBlocks = 2
+	syncHeavy.BarrierEvery = 100
+	syncHeavy.SerialFraction = 0.1
+
+	// Six threads on four cores: locks, blocking syscalls and barriers.
+	mixed := trace.DefaultParams()
+	mixed.BlocksPerThread = 500
+	mixed.LockEvery = 20
+	mixed.NumLocks = 2
+	mixed.LockHoldBlocks = 3
+	mixed.BlockedSyscallEvery = 40
+	mixed.BlockedSyscallCycles = 3000
+	mixed.BarrierEvery = 120
+
+	cases := []struct {
+		name           string
+		p              trace.Params
+		threads        int
+		cycles, instrs uint64
+	}{
+		{"sync-heavy", syncHeavy, 4, 33803, 8629},
+		{"lock-syscall-barrier", mixed, 6, 84770, 16517},
+		{"syscalls", syscallParams(), 3, 40536, 4802},
+	}
+	for _, tc := range cases {
+		res, err := RunGolden(testCfg(), trace.New(tc.name, tc.p, tc.threads), 0)
+		if err != nil {
+			t.Fatalf("%s: RunGolden: %v", tc.name, err)
+		}
+		m := res.Metrics
+		if m.Cycles != tc.cycles || m.Instrs != tc.instrs {
+			t.Errorf("%s: cycles=%d instrs=%d, want cycles=%d instrs=%d",
+				tc.name, m.Cycles, m.Instrs, tc.cycles, tc.instrs)
+		}
+		if m.Cores != 4 {
+			t.Errorf("%s: expected 4 cores in metrics, got %d", tc.name, m.Cores)
+		}
+	}
+}
+
+func syscallParams() trace.Params {
 	p := trace.DefaultParams()
-	p.BlocksPerThread = 400
-	p.LockEvery = 30
-	p.LockHoldBlocks = 2
-	p.BarrierEvery = 100
-	p.SerialFraction = 0.1
-	w := trace.New("sync-heavy", p, 4)
-	res, err := RunGolden(testCfg(), w, 0)
+	p.BlocksPerThread = 300
+	p.BlockedSyscallEvery = 40
+	p.BlockedSyscallCycles = 3000
+	return p
+}
+
+// TestGoldenSchedulerCountsSettle checks that the golden run leaves the
+// scheduler's thread gauges at zero: every state change, including waking
+// from a blocking syscall, goes through the scheduler.
+func TestGoldenSchedulerCountsSettle(t *testing.T) {
+	cfg := *testCfg()
+	cfg.MemModel = config.MemMD1
+	sys, err := boundweave.BuildSystem(&cfg)
 	if err != nil {
-		t.Fatalf("RunGolden: %v", err)
+		t.Fatal(err)
 	}
-	if res.Metrics.Instrs == 0 {
-		t.Fatalf("multithreaded golden run should finish")
+	sched := virt.NewScheduler(cfg.NumCores)
+	sched.AddWorkload(trace.New("syscalls", syscallParams(), 3))
+	runSequential(sys, sched, 0)
+	if sched.NumRunnable() != 0 || sched.LiveThreads() != 0 {
+		t.Fatalf("after the run: live=%d runnable=%d, want 0 and 0",
+			sched.LiveThreads(), sched.NumRunnable())
 	}
-	// All four cores should have executed something.
-	if res.Metrics.Cores != 4 {
-		t.Fatalf("expected 4 cores in metrics")
+	if sched.Counts().SyscallBlocks == 0 {
+		t.Fatalf("the workload should block in syscalls")
 	}
 }
 
@@ -93,71 +148,9 @@ func TestGoldenParallelSpeedupShape(t *testing.T) {
 	}
 }
 
-func TestRunLax(t *testing.T) {
-	cfg := testCfg()
-	cfg.MemModel = config.MemMD1
-	m, err := RunLax(cfg, testWorkload(4, 400), 0)
-	if err != nil {
-		t.Fatalf("RunLax: %v", err)
-	}
-	if m.Instrs == 0 {
-		t.Fatalf("lax run should execute work")
-	}
-	if m.Model != "lax-md1" {
-		t.Fatalf("model label: %s", m.Model)
-	}
-	// Bounded run.
-	m2, err := RunLax(cfg, testWorkload(4, 1000000), 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Instrs == 0 {
-		t.Fatalf("bounded lax run should do some work")
-	}
-}
-
-func TestRunLockstep(t *testing.T) {
-	m, err := RunLockstep(testCfg(), testWorkload(4, 300), 10, 0)
-	if err != nil {
-		t.Fatalf("RunLockstep: %v", err)
-	}
-	if m.Instrs == 0 || m.Model != "lockstep-pdes" {
-		t.Fatalf("lockstep run broken: %+v", m)
-	}
-	// Default quantum.
-	if _, err := RunLockstep(testCfg(), testWorkload(2, 100), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBaselineRejectsBadConfig(t *testing.T) {
 	bad := &config.System{}
 	if _, err := RunGolden(bad, testWorkload(1, 10), 0); err == nil {
 		t.Fatalf("golden should reject invalid configs")
-	}
-	if _, err := RunLax(bad, testWorkload(1, 10), 0); err == nil {
-		t.Fatalf("lax should reject invalid configs")
-	}
-	if _, err := RunLockstep(bad, testWorkload(1, 10), 1, 0); err == nil {
-		t.Fatalf("lockstep should reject invalid configs")
-	}
-}
-
-func TestEmulationCoreRedecodes(t *testing.T) {
-	reg := stats.NewRegistry("emu")
-	inner := core.NewIPC1(0, core.MemPorts{}, reg)
-	emu := &EmulationCore{Inner: inner}
-	b := &isa.BasicBlock{ID: 1, Addr: 0x400000, Instrs: []isa.Instruction{
-		{Op: isa.OpAdd, Dst: isa.RAX, Src1: isa.RAX, Src2: isa.RBX, Bytes: 3},
-		{Op: isa.OpJcc, Bytes: 2},
-	}}
-	for i := 0; i < 10; i++ {
-		emu.SimulateStaticBlock(b, nil, true)
-	}
-	if emu.Redecodes != 10 {
-		t.Fatalf("emulation core should re-decode every dynamic block, got %d", emu.Redecodes)
-	}
-	if inner.Instrs() != 20 {
-		t.Fatalf("inner core should have simulated the blocks")
 	}
 }

@@ -371,8 +371,8 @@ func TestOversubscription(t *testing.T) {
 	if sched.LiveThreads() != 0 {
 		t.Fatalf("all oversubscribed threads should finish, %d left", sched.LiveThreads())
 	}
-	if sched.ContextSwitches.Load() < 12 {
-		t.Fatalf("round-robin scheduling should context switch, got %d", sched.ContextSwitches.Load())
+	if sched.Counts().ContextSwitches < 12 {
+		t.Fatalf("round-robin scheduling should context switch, got %d", sched.Counts().ContextSwitches)
 	}
 	if sys.Metrics().Instrs == 0 {
 		t.Fatalf("work should have been executed")
@@ -398,7 +398,7 @@ func TestBlockedSyscallsDoNotDeadlock(t *testing.T) {
 	if sched.LiveThreads() != 0 {
 		t.Fatalf("syscall-heavy workload should finish")
 	}
-	if sched.SyscallBlocks.Load() == 0 {
+	if sched.Counts().SyscallBlocks == 0 {
 		t.Fatalf("blocking syscalls should have been taken")
 	}
 	// Blocked time is reflected in simulated time: the run must span more
@@ -456,7 +456,7 @@ func TestMidIntervalReschedulingKeepsCoresBusy(t *testing.T) {
 	if sched.LiveThreads() != 0 {
 		t.Fatalf("all threads should finish, %d left", sched.LiveThreads())
 	}
-	if sched.MidIntervalJoins.Load() == 0 {
+	if sched.Counts().MidIntervalJoins == 0 {
 		t.Fatalf("blocking threads should trigger mid-interval joins")
 	}
 	if sim.BoundRounds <= sim.Intervals {
@@ -510,18 +510,29 @@ func TestStalledWorkloadTerminates(t *testing.T) {
 	}
 	sched := virt.NewScheduler(cfg.NumCores)
 	sched.AddWorkload(smallWorkload("deadlock", 2, 100))
-	t0, t1 := sched.Thread(0), sched.Thread(1)
-	sched.ScheduleInterval(0)
-	if !sched.OnLockAcquire(t0, 1, 0) {
-		t.Fatal("free lock should be granted")
-	}
-	sched.OnBarrier(t0, 1, 0)          // t0 waits for t1, holding lock 1
-	if sched.OnLockAcquire(t1, 1, 0) { // t1 blocks on t0's lock
-		t.Fatal("held lock should block")
-	}
+	preseedDeadlock(t, sched)
 	sim := NewSimulator(sys, sched, Options{Seed: 1})
 	sim.Run()
 	if !sim.Stalled {
 		t.Fatalf("deadlocked workload should be reported as stalled")
+	}
+}
+
+// preseedDeadlock drives the scheduler's first round by hand, the way the
+// driver does (Record, then one ResolveRound): thread 0 takes lock 1 and
+// waits at a barrier for thread 1, which blocks on lock 1. Ops resolve in
+// (cycle, thread, program) order, so thread 0's acquire wins.
+func preseedDeadlock(t *testing.T, sched *virt.Scheduler) {
+	t.Helper()
+	t0, t1 := sched.Thread(0), sched.Thread(1)
+	asg := sched.ScheduleInterval(0)
+	t0.Record(virt.OpLockAcquire, 1, 0, 0)
+	t0.Record(virt.OpBarrier, 1, 0, 0)
+	t1.Record(virt.OpLockAcquire, 1, 0, 0)
+	if next := sched.ResolveRound(asg, 0, 1, nil, nil); len(next) != 0 {
+		t.Fatalf("no thread should be left to run, got %+v", next)
+	}
+	if t0.State != virt.StateBlockedBarrier || t1.State != virt.StateBlockedLock {
+		t.Fatalf("states %v/%v, want blocked-barrier/blocked-lock", t0.State, t1.State)
 	}
 }

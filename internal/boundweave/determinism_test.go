@@ -1,6 +1,6 @@
 package boundweave
 
-// Determinism tests for the sharded mid-interval scheduler: because every
+// Determinism tests for the mid-interval scheduler: because every
 // scheduling decision (lock arbitration, barrier release, syscall join/leave,
 // mid-interval core refill) is resolved in simulated-time order at round
 // boundaries, a fixed seed must produce identical results no matter how the
@@ -99,13 +99,14 @@ func deterministicRunNOC(t *testing.T, gomaxprocs, hostThreads int, contention b
 		fmt.Fprintf(&sb, "core(cyc=%d instr=%d) ", c.Cycle(), c.Instrs())
 	}
 	m := sys.Metrics()
+	sc := sched.Counts()
 	fmt.Fprintf(&sb,
 		"| cycles=%d instrs=%d l1d=%d l2=%d l3=%d memrd=%d | intervals=%d rounds=%d weave=%d feedback=%d"+
 			" | cs=%d joins=%d lockblk=%d sysblk=%d barrier=%d",
 		m.Cycles, m.Instrs, m.L1DMisses, m.L2Misses, m.L3Misses, m.MemReads,
 		sim.Intervals, sim.BoundRounds, sim.WeaveEvents, sim.TotalFeedback,
-		sched.ContextSwitches.Load(), sched.MidIntervalJoins.Load(),
-		sched.LockBlocks.Load(), sched.SyscallBlocks.Load(), sched.BarrierWaits.Load())
+		sc.ContextSwitches, sc.MidIntervalJoins,
+		sc.LockBlocks, sc.SyscallBlocks, sc.BarrierWaits)
 	if sys.Fabric != nil {
 		fs := sys.Fabric.TotalStats()
 		fmt.Fprintf(&sb, " | noc(trav=%d conflicts=%d stalls=%d delay=%d)",

@@ -131,15 +131,7 @@ func TestRunDeadlockedReason(t *testing.T) {
 	}
 	sched := virt.NewScheduler(cfg.NumCores)
 	sched.AddWorkload(smallWorkload("deadlock-reason", 2, 100))
-	t0, t1 := sched.Thread(0), sched.Thread(1)
-	sched.ScheduleInterval(0)
-	if !sched.OnLockAcquire(t0, 1, 0) {
-		t.Fatal("free lock should be granted")
-	}
-	sched.OnBarrier(t0, 1, 0)
-	if sched.OnLockAcquire(t1, 1, 0) {
-		t.Fatal("held lock should block")
-	}
+	preseedDeadlock(t, sched)
 	sim := NewSimulator(sys, sched, Options{Seed: 1})
 	sim.Run()
 	if !sim.Stalled || sim.Reason != runctl.ReasonDeadlocked {

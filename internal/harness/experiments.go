@@ -994,6 +994,7 @@ func OversubscribedClientServer(opts Options) (*OversubResult, error) {
 	m.Workload = "client-server"
 	m.HostNanos = elapsed.Nanoseconds()
 	m.Finalize()
+	sc := sched.Counts()
 	return &OversubResult{
 		Metrics:          m,
 		HostTime:         elapsed,
@@ -1001,10 +1002,10 @@ func OversubscribedClientServer(opts Options) (*OversubResult, error) {
 		Cores:            cfg.NumCores,
 		Intervals:        sim.Intervals,
 		BoundRounds:      sim.BoundRounds,
-		MidIntervalJoins: sched.MidIntervalJoins.Load(),
-		ContextSwitches:  sched.ContextSwitches.Load(),
-		LockBlocks:       sched.LockBlocks.Load(),
-		SyscallBlocks:    sched.SyscallBlocks.Load(),
+		MidIntervalJoins: sc.MidIntervalJoins,
+		ContextSwitches:  sc.ContextSwitches,
+		LockBlocks:       sc.LockBlocks,
+		SyscallBlocks:    sc.SyscallBlocks,
 	}, nil
 }
 

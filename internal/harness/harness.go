@@ -1,13 +1,13 @@
 // Package harness builds and runs the experiments of the paper's evaluation
 // section (Section 4): every figure and table has a function here that
 // produces its rows or series, and a formatter that prints them in the same
-// layout the paper uses. The cmd/zsimexp binary and the repository's
-// benchmark suite are thin wrappers over this package.
+// layout the paper uses. The cmd/zsimexp binary is a thin wrapper over this
+// package; the benchmark (bench/) does not use it.
 //
 // Experiments accept an Options value whose Scale field shrinks instruction
 // budgets and core counts so the full suite can also run in seconds for tests
-// and continuous integration; the default Scale of 1.0 corresponds to the
-// sizes used for the numbers reported in EXPERIMENTS.md.
+// and continuous integration; the default Scale of 1.0 is the paper-scale
+// budget, ~2M instructions per workload.
 package harness
 
 import (
@@ -30,8 +30,8 @@ import (
 
 // Options control experiment sizing.
 type Options struct {
-	// Scale multiplies every workload's instruction budget (1.0 = the sizes
-	// used for EXPERIMENTS.md, ~2M instructions per workload; tests use
+	// Scale multiplies every workload's instruction budget (1.0 = the
+	// paper-scale budget, ~2M instructions per workload; tests use
 	// 0.02-0.05).
 	Scale float64
 	// HostThreads caps bound-phase parallelism (0 = all host CPUs).

@@ -15,9 +15,7 @@
 //
 // The key property the paper relies on — decoding work is paid once per
 // static block instead of once per dynamic instruction — is preserved: the
-// Decoder memoizes DecodedBBLs by block ID, and the baseline "emulation"
-// simulator in package baseline deliberately re-decodes every dynamic
-// instruction to reproduce the speed gap.
+// Decoder memoizes DecodedBBLs by block ID.
 package isa
 
 import "fmt"

@@ -1,8 +1,7 @@
-// Package virt implements the lightweight user-level virtualization layer
-// that is the paper's third contribution (Section 3.3): the machinery that
-// lets complex workloads — multiprocess applications, programs with more
-// threads than cores, client-server programs that block in the kernel, and
-// timing-sensitive code — run on a user-level simulator.
+// Package virt implements the scheduling half of the paper's user-level
+// virtualization layer (Section 3.3): the machinery that lets multiprocess
+// applications, programs with more threads than cores, and client-server
+// programs that block in the kernel run on a user-level simulator.
 //
 // It provides:
 //
@@ -16,35 +15,29 @@
 //     leave the interval barrier and rejoin when the call completes, so the
 //     rest of the simulation keeps advancing (the paper's join/leave
 //     mechanism);
-//   - timing virtualization (a virtual rdtsc/time source tied to simulated
-//     cycles) and system-view virtualization (a virtualized CPUID/procfs
-//     description of the simulated machine);
-//   - per-process fast-forwarding and magic-op handling.
+//   - per-thread fast-forwarding of warm-up blocks.
 //
-// # Scheduler sharding and mid-interval rescheduling
+// # One entry path, one owner
 //
-// The scheduler is sharded: lock state lives in hash-sharded tables behind
-// per-shard mutexes, barrier state behind its own mutex, the run queue
-// behind a small queue mutex, per-core run slots are plain slots touched
-// only by the (serialized) scheduling entry points, and the runnable/live
-// thread counts are atomics. The bound-weave driver never takes any of
-// these locks on its per-block hot path: bound workers record
-// synchronization operations thread-locally (Thread.Record) and the driver
-// resolves them in deterministic simulated-time order — sorted by (cycle,
-// thread ID, program order) — at mid-interval round boundaries
-// (ResolveRound). A thread that blocks on a lock or syscall therefore frees
-// its core *within* the interval, and ResolveRound immediately pulls the
-// next runnable thread onto the freed core (the paper's join/leave applied
-// inside the interval, not just at its edges). Because every scheduling
-// decision depends only on simulated state, schedules are reproducible for
-// a fixed seed regardless of GOMAXPROCS or host thread count.
+// A Scheduler belongs to one goroutine and takes no locks. A synchronization
+// operation reaches it one way: whoever executes the thread records it
+// thread-locally (Thread.Record), and the owner applies every recorded
+// operation in ResolveRound, sorted by (cycle, thread ID, program order).
+// The bound-weave driver calls ResolveRound after each round of bound
+// execution — its pool workers touch only their own threads' pending lists,
+// and the driver enters the scheduler only between rounds — and the
+// sequential golden model calls it after each synchronization block. A
+// thread that blocks on a lock or syscall therefore frees its core *within*
+// the interval, and ResolveRound immediately pulls the next runnable thread
+// onto the freed core (the paper's join/leave applied inside the interval,
+// not just at its edges). Because every scheduling decision depends only on
+// simulated state, schedules are reproducible for a fixed seed regardless of
+// GOMAXPROCS or host thread count.
 package virt
 
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"zsim/internal/trace"
 )
@@ -137,26 +130,25 @@ type Thread struct {
 	// not placed). It makes descheduling O(1) instead of a slot scan.
 	Core int
 
-	// queued marks run-queue membership (guarded by the scheduler's queue
-	// mutex), replacing the per-call dedup map of the old design.
+	// queued marks run-queue membership, so enqueue is O(1).
 	queued bool
 
-	// pending holds the synchronization operations recorded by the bound
-	// worker driving this thread during the current round. It is written
-	// lock-free by the single worker that owns the thread and drained by
-	// ResolveRound at the round boundary.
+	// pending holds the synchronization operations recorded by whoever
+	// executes this thread during the current round. It is written only by
+	// that executor and drained by ResolveRound at the round boundary.
 	pending []PendingOp
 }
 
-// Record appends a synchronization operation observed by the bound worker
-// driving this thread. It touches only thread-local state: no scheduler lock
-// is taken on the bound phase's hot path.
+// Record appends a synchronization operation observed by the executor of
+// this thread. It touches only thread-local state, so bound workers may call
+// it concurrently for different threads; the scheduler applies it in the
+// next ResolveRound that lists the thread.
 func (t *Thread) Record(kind OpKind, id int, cycle, arg uint64) {
 	t.pending = append(t.pending, PendingOp{Kind: kind, ID: id, Cycle: cycle, Arg: arg})
 }
 
-// Process is a simulated OS process: a group of threads sharing a virtual
-// system view. Multiprocess workloads (e.g. client-server) create several.
+// Process is a simulated OS process: a group of threads that share workload
+// barriers. Multiprocess workloads (e.g. client-server) create several.
 type Process struct {
 	ID      int
 	Name    string
@@ -171,89 +163,57 @@ type Process struct {
 // interval boundaries (ScheduleInterval) and inside intervals
 // (ResolveRound).
 //
-// Concurrency: the assignment entry points (ScheduleInterval, ResolveRound,
-// EndInterval) must be driver-serialized; the OnXxx handlers take the
-// fine-grained shard locks and may be called while other shards are in use,
-// but a given thread must only be operated on by one caller at a time.
+// A Scheduler has a single owner: its methods must not run concurrently with
+// each other. Only Thread.Record may run alongside them, one caller per
+// thread, for threads the owner is not operating on.
 type Scheduler struct {
 	numCores int
 	procs    []*Process
 	threads  []*Thread
 
-	// runQueue holds runnable thread IDs in round-robin order, guarded by
-	// runqMu; Thread.queued gives O(1) membership.
-	runqMu   sync.Mutex
+	// runQueue holds runnable thread IDs in round-robin order;
+	// Thread.queued gives O(1) membership.
 	runQueue []int
 
 	// running[i] is the per-core run slot: the thread ID running on core i,
 	// or -1.
 	running []int
 
-	// lockShards hash-partition the futex table so concurrent lock
-	// operations on different locks never contend on one mutex.
-	lockShards [numLockShards]lockShard
+	// locks is the futex table, keyed by lock ID; barriers holds each
+	// process's open workload barrier, keyed by process ID.
+	locks    map[int]*lockState
+	barriers map[int]*barrierState
 
-	barMu    sync.Mutex
-	barriers map[barrierKey]*barrierState
-
-	// runnable and live are atomic so the driver's idle/fast-forward checks
-	// never take a lock or rescan the thread table.
-	runnable atomic.Int64
-	live     atomic.Int64
+	// counts holds the statistics counters and the live/runnable gauges, so
+	// the driver's idle/fast-forward checks never rescan the thread table.
+	counts SchedCounts
 	// procLive[p] counts process p's live (not Done) threads, maintained by
-	// setState with atomic adds (same ownership discipline as the global live
-	// counter). checkBarriers reads it instead of scanning the whole thread
+	// setState. checkBarriers reads it instead of scanning the whole thread
 	// table on every barrier arrival and thread exit, which barrier-heavy
 	// thousand-thread runs do thousands of times per interval.
-	procLive []int64
+	procLive []int
 
 	// wakeQ is a min-heap of (wake cycle, thread ID) over syscall-blocked
 	// threads, so waking and peeking are O(log blocked) instead of an
 	// O(threads) table scan per round (blocking-heavy 1,024-core runs do
 	// thousands of such scans per interval). Entries are validated against
-	// the thread's current state at pop time. It is only touched by the
-	// driver-serialized entry points and the (driver-ordered) OnXxx handlers.
+	// the thread's current state at pop time.
 	wakeQ []wakeEntry
 	// ffPending lists threads created in the fast-forward state; the first
 	// wake() drains it (threads never enter fast-forward later).
 	ffPending []int
 
-	// Reusable driver-serialized scratch.
+	// Reusable scratch.
 	ops       []pendingRef
 	freeCores []freeCore
 	wakeScr   []int
-	// barScr is checkBarriers' reusable key scratch, guarded by barMu.
-	barScr []int
-
-	// Statistics (atomic: different shard holders update them concurrently).
-	ContextSwitches  atomic.Uint64
-	MidIntervalJoins atomic.Uint64
-	LockBlocks       atomic.Uint64
-	BarrierWaits     atomic.Uint64
-	SyscallBlocks    atomic.Uint64
-}
-
-// numLockShards is the number of lock-table shards (a power of two).
-const numLockShards = 16
-
-type lockShard struct {
-	mu sync.Mutex
-	m  map[int]*lockState
+	barScr    []int
 }
 
 type lockState struct {
 	held    bool
 	holder  int
 	waiters []int // thread IDs in (deterministic) arrival order
-	// releaseCycle is the simulated cycle of the most recent release, used to
-	// time the hand-off to the next waiter.
-	releaseCycle uint64
-}
-
-// barrierKey identifies a barrier: workload barriers are per-process.
-type barrierKey struct {
-	proc int
-	id   int
 }
 
 type barrierState struct {
@@ -390,10 +350,8 @@ func NewScheduler(numCores int) *Scheduler {
 	s := &Scheduler{
 		numCores: numCores,
 		running:  make([]int, numCores),
-		barriers: make(map[barrierKey]*barrierState),
-	}
-	for i := range s.lockShards {
-		s.lockShards[i].m = make(map[int]*lockState)
+		locks:    make(map[int]*lockState),
+		barriers: make(map[int]*barrierState),
 	}
 	for i := range s.running {
 		s.running[i] = -1
@@ -406,9 +364,8 @@ func (s *Scheduler) NumCores() int { return s.numCores }
 
 // Reset restores the scheduler to its just-constructed (empty) state for
 // warm-simulator reuse: all processes, threads, synchronization state and
-// statistics are dropped while every slice, map and shard keeps its
-// capacity, so re-adding the same workloads allocates (almost) nothing. The
-// scheduler must be quiescent (no concurrent entry points).
+// statistics are dropped while every slice and map keeps its capacity, so
+// re-adding the same workloads allocates (almost) nothing.
 func (s *Scheduler) Reset() {
 	s.procs = s.procs[:0]
 	s.threads = s.threads[:0]
@@ -416,12 +373,9 @@ func (s *Scheduler) Reset() {
 	for i := range s.running {
 		s.running[i] = -1
 	}
-	for i := range s.lockShards {
-		clear(s.lockShards[i].m)
-	}
+	clear(s.locks)
 	clear(s.barriers)
-	s.runnable.Store(0)
-	s.live.Store(0)
+	s.counts = SchedCounts{}
 	s.procLive = s.procLive[:0]
 	s.wakeQ = s.wakeQ[:0]
 	s.ffPending = s.ffPending[:0]
@@ -429,11 +383,6 @@ func (s *Scheduler) Reset() {
 	s.freeCores = s.freeCores[:0]
 	s.wakeScr = s.wakeScr[:0]
 	s.barScr = s.barScr[:0]
-	s.ContextSwitches.Store(0)
-	s.MidIntervalJoins.Store(0)
-	s.LockBlocks.Store(0)
-	s.BarrierWaits.Store(0)
-	s.SyscallBlocks.Store(0)
 }
 
 // AddProcess registers a process and its threads. Threads inherit the
@@ -451,7 +400,7 @@ func (s *Scheduler) AddProcess(p *Process) {
 		t.Proc = p.ID
 		t.Core = -1
 		s.threads = append(s.threads, t)
-		s.live.Add(1)
+		s.counts.Live++
 		if p.ID >= 0 {
 			s.procLive[p.ID]++
 		}
@@ -460,7 +409,7 @@ func (s *Scheduler) AddProcess(p *Process) {
 			s.ffPending = append(s.ffPending, t.ID)
 		} else {
 			t.State = StateRunnable
-			s.runnable.Add(1)
+			s.counts.Runnable++
 		}
 		s.enqueue(t.ID)
 	}
@@ -483,15 +432,15 @@ func (s *Scheduler) Thread(id int) *Thread { return s.threads[id] }
 // NumThreads returns the total number of software threads.
 func (s *Scheduler) NumThreads() int { return len(s.threads) }
 
-// LiveThreads returns the number of threads that are not Done (an atomic
-// snapshot; no thread-table scan).
-func (s *Scheduler) LiveThreads() int { return int(s.live.Load()) }
+// LiveThreads returns the number of threads that are not Done (a counter;
+// no thread-table scan).
+func (s *Scheduler) LiveThreads() int { return s.counts.Live }
 
-// NumRunnable returns the number of runnable threads (atomic snapshot).
-func (s *Scheduler) NumRunnable() int { return int(s.runnable.Load()) }
+// NumRunnable returns the number of runnable threads.
+func (s *Scheduler) NumRunnable() int { return s.counts.Runnable }
 
-// SchedCounts is an atomic snapshot of the scheduler's statistics counters
-// and thread-population gauges, for telemetry publication.
+// SchedCounts is a snapshot of the scheduler's statistics counters and
+// thread-population gauges.
 type SchedCounts struct {
 	Live             int
 	Runnable         int
@@ -502,36 +451,25 @@ type SchedCounts struct {
 	SyscallBlocks    uint64
 }
 
-// Counts snapshots the scheduler's counters. Safe to call concurrently with
-// scheduling; each field is individually atomic.
-func (s *Scheduler) Counts() SchedCounts {
-	return SchedCounts{
-		Live:             int(s.live.Load()),
-		Runnable:         int(s.runnable.Load()),
-		ContextSwitches:  s.ContextSwitches.Load(),
-		MidIntervalJoins: s.MidIntervalJoins.Load(),
-		LockBlocks:       s.LockBlocks.Load(),
-		BarrierWaits:     s.BarrierWaits.Load(),
-		SyscallBlocks:    s.SyscallBlocks.Load(),
-	}
-}
+// Counts snapshots the scheduler's counters.
+func (s *Scheduler) Counts() SchedCounts { return s.counts }
 
 // setState transitions a thread's state, maintaining the runnable and live
-// counters. Callers must own the thread (one scheduling context at a time).
+// counters.
 func (s *Scheduler) setState(t *Thread, st ThreadState) {
 	if t.State == st {
 		return
 	}
 	if t.State == StateRunnable {
-		s.runnable.Add(-1)
+		s.counts.Runnable--
 	}
 	if st == StateRunnable {
-		s.runnable.Add(1)
+		s.counts.Runnable++
 	}
 	if st == StateDone {
-		s.live.Add(-1)
+		s.counts.Live--
 		if t.Proc >= 0 && t.Proc < len(s.procLive) {
-			atomic.AddInt64(&s.procLive[t.Proc], -1)
+			s.procLive[t.Proc]--
 		}
 	}
 	t.State = st
@@ -539,13 +477,10 @@ func (s *Scheduler) setState(t *Thread, st ThreadState) {
 
 // enqueue appends a thread to the run queue if it is not already a member.
 func (s *Scheduler) enqueue(tid int) {
-	t := s.threads[tid]
-	s.runqMu.Lock()
-	if !t.queued {
+	if t := s.threads[tid]; !t.queued {
 		t.queued = true
 		s.runQueue = append(s.runQueue, tid)
 	}
-	s.runqMu.Unlock()
 }
 
 // allowedOn reports whether thread t may run on the given core.
@@ -603,7 +538,6 @@ func (s *Scheduler) ScheduleIntervalInto(now uint64, out []Assignment) []Assignm
 	// lowest-numbered allowed core first). The queue is compacted in place:
 	// placed and no-longer-runnable entries drop out, the rest keep order.
 	if nFree > 0 {
-		s.runqMu.Lock()
 		q := s.runQueue
 		w := 0
 		for _, tid := range q {
@@ -630,7 +564,6 @@ func (s *Scheduler) ScheduleIntervalInto(now uint64, out []Assignment) []Assignm
 			nFree--
 		}
 		s.runQueue = q[:w]
-		s.runqMu.Unlock()
 	}
 
 	// Emit the interval's assignments in core order.
@@ -643,19 +576,21 @@ func (s *Scheduler) ScheduleIntervalInto(now uint64, out []Assignment) []Assignm
 	return out
 }
 
-// place puts a runnable thread onto a free core slot. Callers hold runqMu.
+// place puts a runnable thread onto a free core slot; the caller removes it
+// from the run queue.
 func (s *Scheduler) place(t *Thread, core int) {
 	s.running[core] = t.ID
 	t.Core = core
 	t.queued = false
 	s.setState(t, StateRunning)
-	s.ContextSwitches.Add(1)
+	s.counts.ContextSwitches++
 }
 
-// ResolveRound is the mid-interval scheduler: called by the bound-weave
-// driver after every round of bound execution, it (1) resolves the
-// synchronization operations the round's workers recorded, in deterministic
-// (cycle, thread, program-order) order; (2) wakes syscall-blocked threads
+// ResolveRound is the mid-interval scheduler and the only way a recorded
+// synchronization operation takes effect. Called after every round of
+// execution with the round's assignments, it (1) resolves the operations the
+// ran threads recorded, in deterministic (cycle, thread, program-order)
+// order; (2) wakes syscall-blocked threads
 // whose wake time falls inside the interval so they rejoin without waiting
 // for the next barrier; and (3) computes the next round's assignments:
 // threads that paused for lock arbitration and were granted resume on their
@@ -676,17 +611,17 @@ func (s *Scheduler) ResolveRound(ran []Assignment, now, intervalEnd uint64, core
 		t, op := r.t, r.op
 		switch op.Kind {
 		case OpDone:
-			s.OnDone(t, op.Cycle)
+			s.onDone(t, op.Cycle)
 		case OpBarrier:
-			s.OnBarrier(t, op.ID, op.Cycle)
+			s.onBarrier(t, op.Cycle)
 		case OpSyscall:
-			s.OnBlockedSyscall(t, op.Cycle, op.Arg)
+			s.onBlockedSyscall(t, op.Cycle, op.Arg)
 		case OpLockAcquire:
 			// Granted acquires leave the thread Running on its core, so it
 			// resumes below; contended ones block it and free the core.
-			s.OnLockAcquire(t, op.ID, op.Cycle)
+			s.onLockAcquire(t, op.ID, op.Cycle)
 		case OpLockRelease:
-			s.OnLockRelease(t, op.ID, op.Cycle)
+			s.onLockRelease(t, op.ID, op.Cycle)
 		}
 	}
 	for _, a := range ran {
@@ -741,7 +676,6 @@ func (s *Scheduler) ResolveRound(ran []Assignment, now, intervalEnd uint64, core
 		}
 	}
 	if len(s.freeCores) > 0 {
-		s.runqMu.Lock()
 		q := s.runQueue
 		w := 0
 		for _, tid := range q {
@@ -768,7 +702,7 @@ func (s *Scheduler) ResolveRound(ran []Assignment, now, intervalEnd uint64, core
 					continue
 				}
 				s.place(t, fc.core)
-				s.MidIntervalJoins.Add(1)
+				s.counts.MidIntervalJoins++
 				out = append(out, Assignment{Core: fc.core, Thread: t})
 				s.freeCores = append(s.freeCores[:i], s.freeCores[i+1:]...)
 				placed = true
@@ -780,7 +714,6 @@ func (s *Scheduler) ResolveRound(ran []Assignment, now, intervalEnd uint64, core
 			}
 		}
 		s.runQueue = q[:w]
-		s.runqMu.Unlock()
 	}
 	return out
 }
@@ -790,7 +723,7 @@ func (s *Scheduler) ResolveRound(ran []Assignment, now, intervalEnd uint64, core
 // descheduled (back of the run queue) so waiting threads get cores next
 // interval.
 func (s *Scheduler) EndInterval(now uint64) {
-	if s.live.Load() <= int64(s.numCores) {
+	if s.counts.Live <= s.numCores {
 		return
 	}
 	for c := 0; c < s.numCores; c++ {
@@ -802,7 +735,7 @@ func (s *Scheduler) EndInterval(now uint64) {
 			// t.Cycle is where the thread's last block actually ended — it
 			// may overshoot the interval end, and that overshoot must be
 			// kept or the cycles would be simulated again next placement.
-			s.Deschedule(t, t.Cycle)
+			s.deschedule(t, t.Cycle)
 		}
 	}
 }
@@ -864,10 +797,10 @@ func (s *Scheduler) wake(now uint64) {
 	s.ffPending = s.ffPending[:0]
 }
 
-// Deschedule removes a thread from its core (it keeps its runnable state and
+// deschedule removes a thread from its core (it keeps its runnable state and
 // goes to the back of the run queue) — used for time multiplexing when there
 // are more threads than cores.
-func (s *Scheduler) Deschedule(t *Thread, now uint64) {
+func (s *Scheduler) deschedule(t *Thread, now uint64) {
 	t.Cycle = now
 	if t.State == StateRunning {
 		s.setState(t, StateRunnable)
@@ -884,13 +817,8 @@ func (s *Scheduler) clearCore(t *Thread) {
 	t.Core = -1
 }
 
-// shard returns the lock shard owning lockID.
-func (s *Scheduler) shard(lockID int) *lockShard {
-	return &s.lockShards[uint(lockID)%numLockShards]
-}
-
-// OnDone marks a thread as finished.
-func (s *Scheduler) OnDone(t *Thread, now uint64) {
+// onDone marks a thread as finished.
+func (s *Scheduler) onDone(t *Thread, now uint64) {
 	t.Cycle = now
 	s.setState(t, StateDone)
 	s.clearCore(t)
@@ -899,85 +827,62 @@ func (s *Scheduler) OnDone(t *Thread, now uint64) {
 	// before finishing). Held locks are collected and released in ascending
 	// ID order — map iteration order must not leak into the schedule.
 	var held []int
-	for i := range s.lockShards {
-		sh := &s.lockShards[i]
-		sh.mu.Lock()
-		for id, l := range sh.m {
-			if l.held && l.holder == t.ID {
-				held = append(held, id)
-			}
+	for id, l := range s.locks {
+		if l.held && l.holder == t.ID {
+			held = append(held, id)
 		}
-		sh.mu.Unlock()
 	}
 	slices.Sort(held)
 	for _, id := range held {
-		s.releaseLock(id, now)
+		s.releaseLock(s.locks[id], now)
 	}
 	// Barriers it participated in must not wait for it.
-	s.checkBarriers(now)
+	s.checkBarriers()
 }
 
-// OnLockAcquire attempts to acquire the lock for the thread at the given
-// cycle. It returns true if the lock was acquired; otherwise the thread is
-// blocked (futex-style) and will be made runnable when the lock is released.
-func (s *Scheduler) OnLockAcquire(t *Thread, lockID int, now uint64) bool {
-	sh := s.shard(lockID)
-	sh.mu.Lock()
-	l := sh.m[lockID]
+// onLockAcquire acquires the lock for the thread at the given cycle if it is
+// free; otherwise the thread is blocked (futex-style) and will be made
+// runnable when the lock is handed to it.
+func (s *Scheduler) onLockAcquire(t *Thread, lockID int, now uint64) {
+	l := s.locks[lockID]
 	if l == nil {
 		l = &lockState{}
-		sh.m[lockID] = l
+		s.locks[lockID] = l
 	}
 	if !l.held {
 		l.held = true
 		l.holder = t.ID
-		sh.mu.Unlock()
-		return true
+		return
 	}
 	l.waiters = append(l.waiters, t.ID)
-	sh.mu.Unlock()
-	s.LockBlocks.Add(1)
+	s.counts.LockBlocks++
 	s.setState(t, StateBlockedLock)
 	t.WaitLock = lockID
 	t.Cycle = now
 	s.clearCore(t)
-	return false
 }
 
-// OnLockRelease releases the lock at the given cycle, waking the oldest
-// waiter (which inherits the release cycle if it is later than its own).
-func (s *Scheduler) OnLockRelease(t *Thread, lockID int, now uint64) {
-	sh := s.shard(lockID)
-	sh.mu.Lock()
-	l := sh.m[lockID]
-	if l == nil || !l.held || l.holder != t.ID {
-		sh.mu.Unlock()
-		return // tolerate spurious releases
+// onLockRelease releases the lock at the given cycle, handing it to the
+// oldest waiter (which inherits the release cycle if it is later than its
+// own). Releasing a lock the thread does not hold is ignored.
+func (s *Scheduler) onLockRelease(t *Thread, lockID int, now uint64) {
+	if l := s.locks[lockID]; l != nil && l.held && l.holder == t.ID {
+		s.releaseLock(l, now)
 	}
-	sh.mu.Unlock()
-	s.releaseLock(lockID, now)
 }
 
-func (s *Scheduler) releaseLock(lockID int, now uint64) {
-	sh := s.shard(lockID)
-	sh.mu.Lock()
-	l := sh.m[lockID]
+func (s *Scheduler) releaseLock(l *lockState, now uint64) {
 	l.held = false
-	l.releaseCycle = now
-	next := -1
-	if len(l.waiters) > 0 {
-		next = l.waiters[0]
-		// Compact in place so the slice keeps its capacity (popping via
-		// waiters[1:] would leak capacity and re-allocate forever).
-		copy(l.waiters, l.waiters[1:])
-		l.waiters = l.waiters[:len(l.waiters)-1]
-		l.held = true
-		l.holder = next
-	}
-	sh.mu.Unlock()
-	if next < 0 {
+	if len(l.waiters) == 0 {
 		return
 	}
+	next := l.waiters[0]
+	// Compact in place so the slice keeps its capacity (popping via
+	// waiters[1:] would leak capacity and re-allocate forever).
+	copy(l.waiters, l.waiters[1:])
+	l.waiters = l.waiters[:len(l.waiters)-1]
+	l.held = true
+	l.holder = next
 	nt := s.threads[next]
 	s.setState(nt, StateRunnable)
 	if nt.Cycle < now {
@@ -986,37 +891,25 @@ func (s *Scheduler) releaseLock(lockID int, now uint64) {
 	s.enqueue(next)
 }
 
-// HoldsLock reports whether the thread currently holds the lock (test helper).
-func (s *Scheduler) HoldsLock(t *Thread, lockID int) bool {
-	sh := s.shard(lockID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	l := sh.m[lockID]
-	return l != nil && l.held && l.holder == t.ID
-}
-
-// OnBarrier records the thread's arrival at a workload barrier. When every
-// live thread of the same process has arrived, all are released with their
-// cycles advanced to the latest arrival.
-func (s *Scheduler) OnBarrier(t *Thread, barrierID int, now uint64) {
-	key := barrierKey{proc: t.Proc, id: 0} // arrival-matched: any barrier id pairs up
-	_ = barrierID
-	s.barMu.Lock()
-	b := s.barriers[key]
+// onBarrier records the thread's arrival at a workload barrier. Barriers are
+// arrival-matched per process: any barrier ID pairs up. When every live
+// thread of the process has arrived, all are released with their cycles
+// advanced to the latest arrival.
+func (s *Scheduler) onBarrier(t *Thread, now uint64) {
+	b := s.barriers[t.Proc]
 	if b == nil {
 		b = &barrierState{}
-		s.barriers[key] = b
+		s.barriers[t.Proc] = b
 	}
 	b.arrived = append(b.arrived, t.ID)
 	if now > b.maxCycle {
 		b.maxCycle = now
 	}
-	s.barMu.Unlock()
 	s.setState(t, StateBlockedBarrier)
 	t.Cycle = now
-	s.BarrierWaits.Add(1)
+	s.counts.BarrierWaits++
 	s.clearCore(t)
-	s.checkBarriers(now)
+	s.checkBarriers()
 }
 
 // checkBarriers releases any barrier at which every live thread of the
@@ -1024,25 +917,20 @@ func (s *Scheduler) OnBarrier(t *Thread, barrierID int, now uint64) {
 // the release order (and thus the run queue) is deterministic. The live
 // count comes from the per-process counter setState maintains, so a release
 // check is O(arrived) instead of an O(threads) table scan.
-func (s *Scheduler) checkBarriers(now uint64) {
-	s.barMu.Lock()
-	keys := s.barScr[:0]
-	for key := range s.barriers {
-		keys = append(keys, key.proc)
+func (s *Scheduler) checkBarriers() {
+	procs := s.barScr[:0]
+	for proc := range s.barriers {
+		procs = append(procs, proc)
 	}
-	slices.Sort(keys)
-	for _, proc := range keys {
-		key := barrierKey{proc: proc, id: 0}
-		b := s.barriers[key]
-		if b == nil {
-			continue
-		}
+	slices.Sort(procs)
+	for _, proc := range procs {
+		b := s.barriers[proc]
 		live := 0
 		if proc >= 0 && proc < len(s.procLive) {
-			live = int(atomic.LoadInt64(&s.procLive[proc]))
+			live = s.procLive[proc]
 		} else {
-			// Out-of-range (e.g. negative caller-assigned) process IDs keep
-			// the pre-counter behavior: count the process's live threads.
+			// Out-of-range (e.g. negative caller-assigned) process IDs have no
+			// counter: count the process's live threads.
 			for _, t := range s.threads {
 				if t.Proc == proc && t.State != StateDone {
 					live++
@@ -1063,20 +951,19 @@ func (s *Scheduler) checkBarriers(now uint64) {
 			}
 			s.enqueue(tid)
 		}
-		delete(s.barriers, key)
+		delete(s.barriers, proc)
 	}
-	s.barScr = keys[:0]
-	s.barMu.Unlock()
+	s.barScr = procs[:0]
 }
 
-// OnBlockedSyscall marks the thread as blocked in the kernel for the given
+// onBlockedSyscall marks the thread as blocked in the kernel for the given
 // number of cycles; it leaves the interval barrier and rejoins when the
 // syscall completes.
-func (s *Scheduler) OnBlockedSyscall(t *Thread, now, durationCycles uint64) {
+func (s *Scheduler) onBlockedSyscall(t *Thread, now, durationCycles uint64) {
 	s.setState(t, StateBlockedSyscall)
 	t.Cycle = now
 	t.WakeCycle = now + durationCycles
 	s.pushWake(t.ID, t.WakeCycle)
-	s.SyscallBlocks.Add(1)
+	s.counts.SyscallBlocks++
 	s.clearCore(t)
 }

@@ -13,6 +13,12 @@ func testWorkload(threads int, blocks int) *trace.Workload {
 	return trace.New("virt-test", p, threads)
 }
 
+// holdsLock reports whether the thread currently holds the lock.
+func holdsLock(s *Scheduler, t *Thread, lockID int) bool {
+	l := s.locks[lockID]
+	return l != nil && l.held && l.holder == t.ID
+}
+
 func TestThreadStateString(t *testing.T) {
 	states := []ThreadState{StateRunnable, StateRunning, StateBlockedLock, StateBlockedBarrier,
 		StateBlockedSyscall, StateFastForward, StateDone}
@@ -74,14 +80,14 @@ func TestSchedulerOversubscription(t *testing.T) {
 			ran[a.Thread.ID]++
 			// Simulate the thread being descheduled at the end of the interval
 			// (time multiplexing).
-			s.Deschedule(a.Thread, now+1000)
+			s.deschedule(a.Thread, now+1000)
 		}
 		now += 1000
 	}
 	if len(ran) != 8 {
 		t.Fatalf("all 8 threads should have run, got %d: %v", len(ran), ran)
 	}
-	if s.ContextSwitches.Load() == 0 {
+	if s.Counts().ContextSwitches == 0 {
 		t.Fatalf("context switches should be counted")
 	}
 }
@@ -119,34 +125,30 @@ func TestLockBlockingAndHandoff(t *testing.T) {
 	t0, t1 := s.Thread(0), s.Thread(1)
 	s.ScheduleInterval(0)
 
-	if !s.OnLockAcquire(t0, 7, 100) {
+	s.onLockAcquire(t0, 7, 100)
+	if !holdsLock(s, t0, 7) || t0.State != StateRunning {
 		t.Fatalf("uncontended lock should be acquired")
 	}
-	if !s.HoldsLock(t0, 7) {
-		t.Fatalf("holder not recorded")
-	}
-	if s.OnLockAcquire(t1, 7, 150) {
-		t.Fatalf("contended lock should block")
-	}
-	if t1.State != StateBlockedLock {
+	s.onLockAcquire(t1, 7, 150)
+	if holdsLock(s, t1, 7) || t1.State != StateBlockedLock {
 		t.Fatalf("blocked thread state wrong: %v", t1.State)
 	}
-	if s.LockBlocks.Load() != 1 {
+	if s.Counts().LockBlocks != 1 {
 		t.Fatalf("lock block should be counted")
 	}
 
 	// Release at cycle 500: t1 acquires and becomes runnable with its clock
 	// advanced to the release point.
-	s.OnLockRelease(t0, 7, 500)
-	if !s.HoldsLock(t1, 7) {
+	s.onLockRelease(t0, 7, 500)
+	if !holdsLock(s, t1, 7) {
 		t.Fatalf("waiter should inherit the lock")
 	}
 	if t1.State != StateRunnable || t1.Cycle != 500 {
 		t.Fatalf("woken waiter should be runnable at the release cycle, got %v at %d", t1.State, t1.Cycle)
 	}
 	// Releasing a lock you don't hold is ignored.
-	s.OnLockRelease(t0, 7, 600)
-	if !s.HoldsLock(t1, 7) {
+	s.onLockRelease(t0, 7, 600)
+	if !holdsLock(s, t1, 7) {
 		t.Fatalf("spurious release must not steal the lock")
 	}
 	// The woken thread gets scheduled again.
@@ -169,12 +171,12 @@ func TestBarrierReleasesWhenAllArrive(t *testing.T) {
 	s.ScheduleInterval(0)
 	t0, t1, t2 := s.Thread(0), s.Thread(1), s.Thread(2)
 
-	s.OnBarrier(t0, 1, 100)
-	s.OnBarrier(t1, 1, 300)
+	s.onBarrier(t0, 100)
+	s.onBarrier(t1, 300)
 	if t0.State != StateBlockedBarrier || t1.State != StateBlockedBarrier {
 		t.Fatalf("threads should wait at the barrier")
 	}
-	s.OnBarrier(t2, 1, 200)
+	s.onBarrier(t2, 200)
 	// All three arrived: all runnable, clocks advanced to the slowest (300).
 	for _, th := range []*Thread{t0, t1, t2} {
 		if th.State != StateRunnable {
@@ -184,7 +186,7 @@ func TestBarrierReleasesWhenAllArrive(t *testing.T) {
 			t.Fatalf("released thread should sync to the latest arrival, got %d", th.Cycle)
 		}
 	}
-	if s.BarrierWaits.Load() != 3 {
+	if s.Counts().BarrierWaits != 3 {
 		t.Fatalf("barrier waits should be counted")
 	}
 }
@@ -196,11 +198,11 @@ func TestBarrierIgnoresFinishedThreads(t *testing.T) {
 	s.ScheduleInterval(0)
 	t0, t1 := s.Thread(0), s.Thread(1)
 	// Thread 1 finishes; a barrier must then only require thread 0.
-	s.OnDone(t1, 50)
+	s.onDone(t1, 50)
 	if s.LiveThreads() != 1 {
 		t.Fatalf("live threads: %d", s.LiveThreads())
 	}
-	s.OnBarrier(t0, 3, 100)
+	s.onBarrier(t0, 100)
 	if t0.State != StateRunnable {
 		t.Fatalf("sole live thread should pass the barrier immediately, got %v", t0.State)
 	}
@@ -212,10 +214,10 @@ func TestDoneReleasesHeldLocks(t *testing.T) {
 	s.AddWorkload(w)
 	s.ScheduleInterval(0)
 	t0, t1 := s.Thread(0), s.Thread(1)
-	s.OnLockAcquire(t0, 1, 10)
-	s.OnLockAcquire(t1, 1, 20) // blocks
-	s.OnDone(t0, 100)
-	if t1.State != StateRunnable || !s.HoldsLock(t1, 1) {
+	s.onLockAcquire(t0, 1, 10)
+	s.onLockAcquire(t1, 1, 20) // blocks
+	s.onDone(t0, 100)
+	if t1.State != StateRunnable || !holdsLock(s, t1, 1) {
 		t.Fatalf("finishing holder should hand the lock to the waiter")
 	}
 }
@@ -226,7 +228,7 @@ func TestBlockedSyscallJoinLeave(t *testing.T) {
 	s.AddWorkload(w)
 	s.ScheduleInterval(0)
 	t0 := s.Thread(0)
-	s.OnBlockedSyscall(t0, 1000, 5000)
+	s.onBlockedSyscall(t0, 1000, 5000)
 	if t0.State != StateBlockedSyscall {
 		t.Fatalf("thread should be blocked in the kernel")
 	}
@@ -251,7 +253,7 @@ func TestBlockedSyscallJoinLeave(t *testing.T) {
 	if t0.Cycle < 6000 {
 		t.Fatalf("woken thread's clock should reflect the blocked time, got %d", t0.Cycle)
 	}
-	if s.SyscallBlocks.Load() != 1 {
+	if s.Counts().SyscallBlocks != 1 {
 		t.Fatalf("syscall blocks should be counted")
 	}
 }
@@ -299,73 +301,10 @@ func TestMultiprocessScheduling(t *testing.T) {
 	}
 	// Barriers are per-process: process 0's barrier does not wait for
 	// process 1's threads.
-	s.OnBarrier(s.Thread(0), 1, 10)
-	s.OnBarrier(s.Thread(1), 1, 20)
+	s.onBarrier(s.Thread(0), 10)
+	s.onBarrier(s.Thread(1), 20)
 	if s.Thread(0).State != StateRunnable {
 		t.Fatalf("process-0 barrier should release without process 1")
-	}
-}
-
-func TestTimeVirtualizer(t *testing.T) {
-	tv := NewTimeVirtualizer(2.0)
-	if tv.Rdtsc(12345) != 12345 {
-		t.Fatalf("rdtsc should return the simulated cycle")
-	}
-	n1 := tv.Nanos(0)
-	n2 := tv.Nanos(2_000_000_000) // 1 simulated second at 2 GHz
-	if n2-n1 != 1_000_000_000 {
-		t.Fatalf("1s of simulated cycles should advance virtual time by 1s, got %d", n2-n1)
-	}
-	if tv.SleepCycles(1000) != 2000 {
-		t.Fatalf("sleep conversion wrong: %d", tv.SleepCycles(1000))
-	}
-	if tv.RdtscReads != 1 || tv.TimeReads != 2 {
-		t.Fatalf("virtualization counters wrong")
-	}
-	// Degenerate frequency clamps.
-	if NewTimeVirtualizer(0).FreqGHz != 2.0 {
-		t.Fatalf("zero frequency should default")
-	}
-}
-
-func TestSystemView(t *testing.T) {
-	sv := NewSystemView(1024, 32, 256, 8192)
-	_, _, _, _ = sv.CPUID(0)
-	eax, _, _, _ := sv.CPUID(1)
-	if eax != 1024 {
-		t.Fatalf("CPUID leaf 1 should report the simulated core count, got %d", eax)
-	}
-	a, b, c, _ := sv.CPUID(4)
-	if a != 32 || b != 256 || c != 8192 {
-		t.Fatalf("CPUID leaf 4 should report simulated cache sizes")
-	}
-	if x, _, _, _ := sv.CPUID(99); x != 0 {
-		t.Fatalf("unknown leaves return zero")
-	}
-	if sv.GetCPU(5) != 5 || sv.GetCPU(-1) != 0 || sv.GetCPU(4000) != 0 {
-		t.Fatalf("GetCPU virtualization wrong")
-	}
-	info := sv.ProcCPUInfo()
-	if !strings.Contains(info, "processor\t: 1023") || !strings.Contains(info, "GenuineZsim") {
-		t.Fatalf("cpuinfo should describe the simulated machine")
-	}
-	if sv.CPUIDReads == 0 || sv.ProcReads == 0 {
-		t.Fatalf("virtualization counters should advance")
-	}
-}
-
-func TestMagicOps(t *testing.T) {
-	if DecodeMagic(0x5a5a0001) != MagicROIBegin || DecodeMagic(0x5a5a0002) != MagicROIEnd ||
-		DecodeMagic(0x5a5a0003) != MagicHeartbeat || DecodeMagic(42) != MagicNone {
-		t.Fatalf("magic op decoding wrong")
-	}
-	for _, m := range []MagicOp{MagicNone, MagicROIBegin, MagicROIEnd, MagicHeartbeat} {
-		if m.String() == "" {
-			t.Fatalf("magic op %d has no name", m)
-		}
-	}
-	if MagicOp(77).String() != "magic(77)" {
-		t.Fatalf("unknown magic fallback broken")
 	}
 }
 
@@ -384,7 +323,7 @@ func TestResolveRoundGrantsFreeLockAndResumes(t *testing.T) {
 	t0.Cycle = 150
 	t0.Record(OpLockAcquire, 5, 150, 0)
 	next := s.ResolveRound(asg, 0, 1000, nil, nil)
-	if !s.HoldsLock(t0, 5) {
+	if !holdsLock(s, t0, 5) {
 		t.Fatalf("uncontended acquire should be granted at the round boundary")
 	}
 	found := false
@@ -417,7 +356,7 @@ func TestResolveRoundArbitratesBySimulatedCycle(t *testing.T) {
 	tB.Cycle = 100
 	tB.Record(OpLockAcquire, 9, 100, 0)
 	s.ResolveRound(asg, 0, 1000, nil, nil)
-	if !s.HoldsLock(tB, 9) {
+	if !holdsLock(s, tB, 9) {
 		t.Fatalf("the earlier acquire (cycle 100) should win the lock")
 	}
 	if tA.State != StateBlockedLock {
@@ -438,7 +377,7 @@ func TestResolveRoundMidIntervalLockHandoff(t *testing.T) {
 	t1.Cycle = 20
 	t1.Record(OpLockAcquire, 1, 20, 0)
 	round1 := s.ResolveRound(asg, 0, 1000, nil, nil)
-	if !s.HoldsLock(t0, 1) || t1.State != StateBlockedLock {
+	if !holdsLock(s, t0, 1) || t1.State != StateBlockedLock {
 		t.Fatalf("t0 should hold the lock, t1 should block")
 	}
 	if len(round1) != 1 || round1[0].Thread.ID != t0.ID {
@@ -449,7 +388,7 @@ func TestResolveRoundMidIntervalLockHandoff(t *testing.T) {
 	t0.Record(OpLockRelease, 1, 500, 0)
 	t0.Cycle = 1000
 	round2 := s.ResolveRound(round1, 0, 1000, nil, nil)
-	if !s.HoldsLock(t1, 1) {
+	if !holdsLock(s, t1, 1) {
 		t.Fatalf("waiter should inherit the lock at the release")
 	}
 	if t1.Cycle != 500 {
@@ -458,7 +397,7 @@ func TestResolveRoundMidIntervalLockHandoff(t *testing.T) {
 	if len(round2) != 1 || round2[0].Thread.ID != t1.ID {
 		t.Fatalf("woken waiter should rejoin within the interval, got %+v", round2)
 	}
-	if s.MidIntervalJoins.Load() == 0 {
+	if s.Counts().MidIntervalJoins == 0 {
 		t.Fatalf("mid-interval join should be counted")
 	}
 }
@@ -497,8 +436,8 @@ func TestResolveRoundSyscallLeaveAndJoin(t *testing.T) {
 	if t0.Cycle != 400 {
 		t.Fatalf("rejoining thread's clock should reflect the wake cycle, got %d", t0.Cycle)
 	}
-	if s.SyscallBlocks.Load() != 2 {
-		t.Fatalf("both syscalls should be counted, got %d", s.SyscallBlocks.Load())
+	if s.Counts().SyscallBlocks != 2 {
+		t.Fatalf("both syscalls should be counted, got %d", s.Counts().SyscallBlocks)
 	}
 }
 
@@ -578,14 +517,14 @@ func TestRunnableAndLiveCounts(t *testing.T) {
 	if s.NumRunnable() != 1 {
 		t.Fatalf("two placed threads leave one runnable, got %d", s.NumRunnable())
 	}
-	s.OnDone(asg[0].Thread, 100)
+	s.onDone(asg[0].Thread, 100)
 	if s.LiveThreads() != 2 {
 		t.Fatalf("done thread should leave the live count, got %d", s.LiveThreads())
 	}
 	if _, ok := s.NextSyscallWake(); ok {
 		t.Fatalf("no syscall-blocked threads yet")
 	}
-	s.OnBlockedSyscall(asg[1].Thread, 200, 500)
+	s.onBlockedSyscall(asg[1].Thread, 200, 500)
 	if wake, ok := s.NextSyscallWake(); !ok || wake != 700 {
 		t.Fatalf("next wake should be 700, got %d/%v", wake, ok)
 	}
@@ -612,16 +551,16 @@ func TestBarrierSparseProcessIDs(t *testing.T) {
 
 	// Process 9's first thread finishes; its barrier then needs only one
 	// arrival, while process 3 still needs both of its threads.
-	s.OnDone(pb.Threads[0], 10)
-	s.OnBarrier(pa.Threads[0], 0, 100)
+	s.onDone(pb.Threads[0], 10)
+	s.onBarrier(pa.Threads[0], 100)
 	if pa.Threads[0].State != StateBlockedBarrier {
 		t.Fatalf("process 3 barrier must wait for its second thread")
 	}
-	s.OnBarrier(pb.Threads[1], 0, 200)
+	s.onBarrier(pb.Threads[1], 200)
 	if pb.Threads[1].State != StateRunnable {
 		t.Fatalf("process 9's sole live thread should pass its barrier")
 	}
-	s.OnBarrier(pa.Threads[1], 0, 300)
+	s.onBarrier(pa.Threads[1], 300)
 	if pa.Threads[0].State != StateRunnable || pa.Threads[0].Cycle != 300 {
 		t.Fatalf("process 3 barrier should release both threads at cycle 300")
 	}

@@ -622,6 +622,7 @@ func (s *Simulator) collectResult(sim *boundweave.Simulator, elapsed time.Durati
 	}
 	sysChunks, sysBytes := s.sys.Root.Arena().Stats()
 	runChunks, runBytes := s.runArena.Stats()
+	sc := s.sched.Counts()
 	return &Result{
 		Metrics:     m,
 		Intervals:   sim.Intervals,
@@ -631,11 +632,11 @@ func (s *Simulator) collectResult(sim *boundweave.Simulator, elapsed time.Durati
 		ArenaChunks: sysChunks + runChunks,
 		ArenaBytes:  sysBytes + runBytes,
 		Sched: SchedStats{
-			ContextSwitches:  s.sched.ContextSwitches.Load(),
-			MidIntervalJoins: s.sched.MidIntervalJoins.Load(),
-			LockBlocks:       s.sched.LockBlocks.Load(),
-			BarrierWaits:     s.sched.BarrierWaits.Load(),
-			SyscallBlocks:    s.sched.SyscallBlocks.Load(),
+			ContextSwitches:  sc.ContextSwitches,
+			MidIntervalJoins: sc.MidIntervalJoins,
+			LockBlocks:       sc.LockBlocks,
+			BarrierWaits:     sc.BarrierWaits,
+			SyscallBlocks:    sc.SyscallBlocks,
 		},
 		NOC:     nocStats,
 		Stalled: sim.Stalled,

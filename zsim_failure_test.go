@@ -9,6 +9,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"zsim/internal/virt"
 )
 
 // endlessFacadeSim builds a facade simulator whose workload never finishes on
@@ -127,16 +129,17 @@ func TestRunDeadlockReturnsTypedError(t *testing.T) {
 	params := DefaultWorkloadParams()
 	params.BlocksPerThread = 100
 	sim.AddWorkload("deadlock", params, 2)
-	// Pre-seed a genuine deadlock in the scheduler: thread 0 waits at a
-	// barrier holding the lock thread 1 needs.
+	// Pre-seed a genuine deadlock in the scheduler the way the driver feeds
+	// it (Record, then one ResolveRound): thread 0 takes lock 1 and waits at
+	// a barrier, holding the lock thread 1 then blocks on.
 	t0, t1 := sim.sched.Thread(0), sim.sched.Thread(1)
-	sim.sched.ScheduleInterval(0)
-	if !sim.sched.OnLockAcquire(t0, 1, 0) {
-		t.Fatal("free lock should be granted")
-	}
-	sim.sched.OnBarrier(t0, 1, 0)
-	if sim.sched.OnLockAcquire(t1, 1, 0) {
-		t.Fatal("held lock should block")
+	asg := sim.sched.ScheduleInterval(0)
+	t0.Record(virt.OpLockAcquire, 1, 0, 0)
+	t0.Record(virt.OpBarrier, 1, 0, 0)
+	t1.Record(virt.OpLockAcquire, 1, 0, 0)
+	sim.sched.ResolveRound(asg, 0, 1, nil, nil)
+	if t0.State != virt.StateBlockedBarrier || t1.State != virt.StateBlockedLock {
+		t.Fatalf("states %v/%v, want blocked-barrier/blocked-lock", t0.State, t1.State)
 	}
 	res, err := sim.Run()
 	expectRunError(t, res, err, Deadlocked)
