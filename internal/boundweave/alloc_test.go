@@ -7,6 +7,7 @@ package boundweave
 // freelists have warmed up.
 
 import (
+	"runtime"
 	"testing"
 
 	"zsim/internal/cache"
@@ -173,6 +174,44 @@ func TestRunWeaveSteadyStateAllocsNOC(t *testing.T) {
 	}
 	if sys.Fabric.TotalStats().Traversals == 0 {
 		t.Fatalf("NoC alloc test did not schedule any router traversals")
+	}
+}
+
+// TestWeaveAllocThousandCores bounds the bytes a short contended run of the
+// 1,024-core chip allocates. A core uses only ~13 events per interval, so the
+// events must come from one simulator-wide slab. With one slab per core, each
+// carving a 512-event chunk (~80 KB) on first use, this run allocated
+// 104.7 MB; with the shared slab it allocates 21.0 MB. The budget is half the
+// per-core-slab figure.
+func TestWeaveAllocThousandCores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the 1,024-core chip")
+	}
+	cfg := config.TiledChip(64, config.CoreIPC1)
+	cfg.Contention = true
+	sys, err := BuildSystem(cfg)
+	if err != nil {
+		t.Fatalf("BuildSystem: %v", err)
+	}
+	p := trace.MustLookup("ocean")
+	p.BlocksPerThread = 20
+	p.ScaleWork = false
+	p.SerialFraction = 0
+	sched := virt.NewScheduler(cfg.NumCores)
+	sched.AddWorkload(trace.NewIn(sys.Root.Arena(), "ocean", p, cfg.NumCores))
+	sim := NewSimulator(sys, sched, Options{HostThreads: 1, Seed: 1})
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	sim.Run()
+	runtime.ReadMemStats(&ms)
+	mb := float64(ms.TotalAlloc-before) / (1 << 20)
+	t.Logf("Run allocated %.1f MB over %d weave events", mb, sim.WeaveEvents)
+	if sim.WeaveEvents == 0 {
+		t.Fatal("the run wove no events")
+	}
+	if mb > 104.7/2 {
+		t.Fatalf("Run allocated %.1f MB; budget is %.1f MB", mb, 104.7/2)
 	}
 }
 

@@ -426,8 +426,11 @@ func TestWeaveEventsGeneratedUnderContention(t *testing.T) {
 	if sim.WeaveEvents == 0 {
 		t.Fatalf("memory-bound workload should generate weave events")
 	}
-	if sim.BoundNanos == 0 || sim.WeaveNanos == 0 {
+	if sim.BoundNanos == 0 || sim.WeaveNanos == 0 || sim.ChainNanos == 0 {
 		t.Fatalf("phase timing should be measured")
+	}
+	if sim.ChainNanos > sim.WeaveNanos {
+		t.Fatalf("chain build (%d ns) is part of the weave phase (%d ns)", sim.ChainNanos, sim.WeaveNanos)
 	}
 }
 

@@ -66,8 +66,8 @@ func TestWorkloadDecodeAllocsBounded(t *testing.T) {
 }
 
 // TestNewSimulatorAllocsBounded isolates NewSimulator itself (recorders,
-// event slabs, weave engine, pool, scratch): on an already-built system it
-// must stay O(1) — everything bulk comes from the system's arena.
+// event slab, weave engine, pool, scratch): on an already-built system it
+// must stay O(1) — every per-core table is one exactly sized allocation.
 func TestNewSimulatorAllocsBounded(t *testing.T) {
 	cfg := config.TiledChip(4, config.CoreIPC1)
 	sys, err := BuildSystem(cfg)

@@ -1,7 +1,6 @@
 package boundweave
 
 import (
-	"zsim/internal/arena"
 	"zsim/internal/cache"
 	"zsim/internal/event"
 	"zsim/internal/memctrl"
@@ -42,43 +41,27 @@ type Recorder struct {
 // NewRecorder creates a recorder for one core. shared is the set of component
 // IDs whose events are weave-simulated.
 func NewRecorder(coreID int, shared map[int]bool) *Recorder {
-	return NewRecorderIn(nil, coreID, shared)
-}
-
-// NewRecorderIn is NewRecorder with the recorder and its dense shared-
-// component table carved from the given construction arena (nil falls back
-// to the heap).
-func NewRecorderIn(a *arena.Arena, coreID int, shared map[int]bool) *Recorder {
-	return newRecorderDense(a, coreID, denseShared(a, shared))
+	return &Recorder{coreID: coreID, shared: denseShared(shared)}
 }
 
 // denseShared densifies a shared-component set into a component-ID-indexed
 // table. It is the single densification rule for recorders; the simulator
-// builds one table and shares it across every core's recorder.
-func denseShared(a *arena.Arena, shared map[int]bool) []bool {
+// builds one table and shares it (read-only) across every core's recorder, so
+// a 1,024-core chip keeps one copy.
+func denseShared(shared map[int]bool) []bool {
 	maxComp := -1
 	for comp := range shared {
 		if comp > maxComp {
 			maxComp = comp
 		}
 	}
-	arr := arena.Take[bool](a, maxComp+1)
+	arr := make([]bool, maxComp+1)
 	for comp, v := range shared {
 		if comp >= 0 {
 			arr[comp] = v
 		}
 	}
 	return arr
-}
-
-// newRecorderDense creates a recorder over an already-densified shared table.
-// The simulator builds the table once and hands the same slice to every
-// core's recorder (it is read-only), so a 1,024-core chip keeps one copy.
-func newRecorderDense(a *arena.Arena, coreID int, shared []bool) *Recorder {
-	r := arena.One[Recorder](a)
-	r.coreID = coreID
-	r.shared = shared
-	return r
 }
 
 // RecordAccess implements core.AccessRecorder. It keeps traces that touch a
@@ -246,13 +229,16 @@ func routerExec(ev *event.Event, dispatch uint64) uint64 {
 // subsequent misses, cascading the contention delay through the access
 // stream exactly as the stalled bound-phase core would have experienced it.
 // Stores do not gate later accesses (the core does not stall on them).
-func buildChain(slab *event.Slab, rec *accessRecord, coreComp int, models *weaveModels, prevResp *event.Event) *event.Event {
+// Without prevResp the root has no parent and is enqueued on eng at once.
+func buildChain(slab *event.Slab, eng *event.Engine, rec *accessRecord, coreComp int, models *weaveModels, prevResp *event.Event) *event.Event {
 	// Root: the core issues the request at its bound-phase cycle.
 	root := slab.Alloc()
 	root.Comp = coreComp
 	root.MinCycle = rec.issueCycle
 	if prevResp != nil {
 		prevResp.AddChild(root)
+	} else {
+		eng.Enqueue(root)
 	}
 
 	prev := root

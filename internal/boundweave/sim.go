@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"zsim/internal/arena"
 	"zsim/internal/config"
 	"zsim/internal/engine"
 	"zsim/internal/event"
@@ -49,7 +48,7 @@ type Options struct {
 	// simulated time advances but whose threads never finish.
 	MaxCycles uint64
 	// Reusable keeps the simulator's persistent resources (worker pool,
-	// weave engine, slabs, recorders) alive after Run returns so the
+	// weave engine, event slab, recorders) alive after Run returns so the
 	// instance can be rewound with Reset and run again. The owner must call
 	// Close when done with the simulator. When false (the default), Run
 	// closes the simulator itself on return.
@@ -79,8 +78,10 @@ type Simulator struct {
 	contention  bool
 
 	recorders []*Recorder
-	slabs     []*event.Slab
-	models    *weaveModels
+	// slab holds every weave event of the current interval (nil without
+	// contention); runWeave builds the cores' chains from it in core order.
+	slab   *event.Slab
+	models *weaveModels
 	// pool is the bound phase's persistent worker pool, sized hostThreads.
 	// poolRuns0/poolWakes0 are its lifetime counters at the start of the
 	// current run: a reused simulator keeps its pool, and telemetry reports
@@ -137,6 +138,10 @@ type Simulator struct {
 	TotalFeedback uint64
 	BoundNanos    int64
 	WeaveNanos    int64
+	// ChainNanos is the part of WeaveNanos spent building the intervals'
+	// event chains, including pushing each chain root onto the engine's
+	// heap; the rest is the engine run and the delay feedback.
+	ChainNanos int64
 	// Stalled reports that the run ended because no thread was runnable and
 	// no blocked thread could ever be woken by the passage of simulated time
 	// (a deadlocked workload); previously this spun forever.
@@ -183,10 +188,13 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 	if s.ctl == nil {
 		s.ctl = new(runctl.Token)
 	}
-	a := sys.Root.Arena()
+	// The per-core bookkeeping is sized exactly with plain allocations: the
+	// construction arena's minimum chunk per element type would leave
+	// kilobytes of slack per type on a small chip.
+	n := len(sys.Cores)
 	s.boundTask = s.boundWorker
-	s.coreCycles = arena.Take[uint64](a, len(sys.Cores))
-	s.lastTid = arena.Take[int32](a, len(sys.Cores))
+	s.coreCycles = make([]uint64, n)
+	s.lastTid = make([]int32, n)
 	for i := range s.lastTid {
 		s.lastTid[i] = -1
 	}
@@ -206,8 +214,8 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 			}
 		}
 		s.models = &weaveModels{
-			banks: arena.Take[*BankModel](a, maxComp+1),
-			mems:  arena.Take[memctrl.ContentionModel](a, maxComp+1),
+			banks: make([]*BankModel, maxComp+1),
+			mems:  make([]memctrl.ContentionModel, maxComp+1),
 		}
 		if sys.Fabric != nil {
 			// NoC contention: the fabric's routers live in the System (their
@@ -232,26 +240,20 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 			}
 			s.models.mems[comp] = m
 		}
-		// One dense shared-component table serves every recorder; recorders,
-		// slabs and the bookkeeping slices all come from the construction
-		// arena, so this loop performs O(1) chunk allocations for the whole
-		// chip. Event-slab chunks are allocated lazily on first use.
-		sharedArr := denseShared(a, sys.SharedComp)
-		s.recorders = arena.TakeCap[*Recorder](a, 0, len(sys.Cores))
-		s.slabs = arena.TakeCap[*event.Slab](a, 0, len(sys.Cores))
+		// One dense shared-component table serves every recorder, and all
+		// recorders share one allocation. The event slab's chunks are carved
+		// from the construction arena lazily, on first use.
+		shared := denseShared(sys.SharedComp)
+		recs := make([]Recorder, n)
+		s.recorders = make([]*Recorder, n)
 		for coreID, c := range sys.Cores {
-			rec := newRecorderDense(a, coreID, sharedArr)
-			s.recorders = append(s.recorders, rec)
-			c.SetRecorder(rec)
-			slab := event.NewSlabIn(a, 512)
-			// Disjoint per-core sequence bases give every interval event a
-			// globally unique, bound-phase-deterministic sequence number for
-			// the weave heap's (cycle, sequence) tie-break.
-			slab.SetSeqBase(uint64(coreID) << 32)
-			s.slabs = append(s.slabs, slab)
+			recs[coreID] = Recorder{coreID: coreID, shared: shared}
+			s.recorders[coreID] = &recs[coreID]
+			c.SetRecorder(&recs[coreID])
 		}
+		s.slab = event.NewSlabIn(sys.Root.Arena(), 512)
 		s.engine = new(event.Engine)
-		s.last = arena.Take[lastResp](a, len(sys.Cores))
+		s.last = make([]lastResp, n)
 	}
 	s.instrsTotal.Store(s.totalInstrs())
 	s.probe = opts.Probe
@@ -297,7 +299,7 @@ func (s *Simulator) Close() { s.pool.Close() }
 // state a freshly built pair would have, so the same instance can serve
 // another run without reconstruction. Everything expensive stays warm: the
 // construction arena's chunks, the worker pool, the weave engine's heap, the
-// per-core recorders, event slabs and contention models. Only their mutable
+// per-core recorders, the event slab and contention models. Only their mutable
 // state rewinds, so a Reset simulator produces bit-identical results to a
 // fresh build for the same options and workloads.
 //
@@ -324,9 +326,8 @@ func (s *Simulator) Reset(opts Options) error {
 			rec.Dropped = 0
 			c.SetRecorder(rec)
 		}
-		for _, slab := range s.slabs {
-			slab.Reset()
-		}
+		s.slab.Reset()
+		s.engine.Reset()
 		for _, b := range s.models.banks {
 			if b != nil {
 				b.Reset()
@@ -385,6 +386,7 @@ func (s *Simulator) Reset(opts Options) error {
 	s.TotalFeedback = 0
 	s.BoundNanos = 0
 	s.WeaveNanos = 0
+	s.ChainNanos = 0
 	s.Stalled = false
 	s.Reason = runctl.ReasonNone
 	s.PanicErr = nil
@@ -569,6 +571,7 @@ func (s *Simulator) publishTelemetry() {
 		WeaveEvents:     s.WeaveEvents,
 		BoundNanos:      s.BoundNanos,
 		WeaveNanos:      s.WeaveNanos,
+		ChainNanos:      s.ChainNanos,
 		PoolWorkers:     s.lastWorkers,
 		LiveThreads:     sc.Live,
 		RunnableThreads: sc.Runnable,
@@ -655,25 +658,25 @@ loop:
 
 // runWeave builds the interval's event graph from the per-core recorders,
 // executes it on the persistent engine, and feeds the contention delays back
-// into the core clocks. Once the slabs, the heap and the hop freelists have
+// into the core clocks. Once the slab, the heap and the hop freelists have
 // warmed up, a steady-state weave interval performs no heap allocation.
 func (s *Simulator) runWeave() {
-	engine := s.engine
-
-	// Build chains per core and remember each core's latest response event.
+	chainStart := time.Now()
+	// Build chains core by core from the one slab, so sequence numbers order
+	// events by (core, program order), and remember each core's latest
+	// response event.
 	last := s.last
 	for i := range last {
 		last[i] = lastResp{}
 	}
+	s.slab.Reset()
 	totalEvents := uint64(0)
 	for coreID, rec := range s.recorders {
-		slab := s.slabs[coreID]
-		slab.Reset()
 		coreComp := s.Sys.CoreComp[coreID]
 		var prevLoadResp *event.Event
 		for i := range rec.recs {
 			r := &rec.recs[i]
-			resp := buildChain(slab, r, coreComp, s.models, prevLoadResp)
+			resp := buildChain(s.slab, s.engine, r, coreComp, s.models, prevLoadResp)
 			if !r.write {
 				prevLoadResp = resp
 			}
@@ -683,20 +686,10 @@ func (s *Simulator) runWeave() {
 			}
 		}
 	}
-	// Enqueue the chain roots: every parentless event in the slabs is the
-	// core-side start of one access chain.
-	for coreID := range s.recorders {
-		slab := s.slabs[coreID]
-		for i := 0; i < slab.InUse(); i++ {
-			ev := slab.At(i)
-			if ev.Parentless() {
-				engine.Enqueue(ev)
-			}
-		}
-	}
 	s.WeaveEvents += totalEvents
+	s.ChainNanos += time.Since(chainStart).Nanoseconds()
 
-	engine.Run()
+	s.engine.Run()
 
 	// Feedback: each core's clock advances by the contention delay of its
 	// last access (actual finish minus zero-load bound).

@@ -54,11 +54,10 @@ func TestSlabRecyclesChildCapacity(t *testing.T) {
 		t.Fatalf("recycled event must not keep stale children")
 	}
 	// Appending a child to the recycled event must not allocate: the children
-	// and parents slices keep their capacity across Reset.
+	// slice keeps its capacity across Reset.
 	c2 := s.Alloc()
 	allocs := testing.AllocsPerRun(1, func() {
 		p2.children = p2.children[:0]
-		c2.parents = c2.parents[:0]
 		p2.AddChild(c2)
 	})
 	if allocs != 0 {
@@ -68,22 +67,33 @@ func TestSlabRecyclesChildCapacity(t *testing.T) {
 
 func TestEventPQOrdering(t *testing.T) {
 	var q eventPQ
-	cycles := []uint64{9, 3, 7, 1, 8, 2, 6, 0, 5, 4}
+	cycles := []uint64{9, 3, 7, 1, 8, 2, 6, 0, 5, 4, 5}
 	evs := make([]Event, len(cycles))
 	for i, c := range cycles {
-		q = append(q, queueItem{ev: &evs[i], cycle: c})
+		evs[i].MinCycle = c
+		evs[i].seq = uint64(i)
+		q.push(&evs[i])
 	}
-	q.init()
-	// Raising the head re-sorts it behind every smaller key.
-	q.raiseHead(5)
-	if evs[7].curKey != 5 {
-		t.Fatalf("raiseHead should record the new key on the event, got %d", evs[7].curKey)
+	// A ready cycle above the lower bound is the key.
+	var late Event
+	late.MinCycle, late.readyCycle, late.seq = 1, 6, 20
+	q.push(&late)
+	// Pops interleaved with pushes keep the (cycle, seq) order.
+	type key struct{ cycle, seq uint64 }
+	var got []key
+	for i := 0; len(q) > 0; i++ {
+		it := q.pop()
+		got = append(got, key{it.cycle, it.seq})
+		if i == 2 {
+			var mid Event
+			mid.MinCycle, mid.seq = 5, 7 // ties with seq 8 and 10 at cycle 5
+			q.push(&mid)
+		}
 	}
-	var got []uint64
-	for len(q) > 0 {
-		got = append(got, q.pop().cycle)
+	want := []key{{0, 7}, {1, 3}, {2, 5}, {3, 1}, {4, 9}, {5, 7}, {5, 8}, {5, 10}, {6, 6}, {6, 20}, {7, 2}, {8, 4}, {9, 0}}
+	if len(got) != len(want) {
+		t.Fatalf("popped %d items, want %d: %v", len(got), len(want), got)
 	}
-	want := []uint64{1, 2, 3, 4, 5, 5, 6, 7, 8, 9}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("pops out of order: %v, want %v", got, want)
@@ -242,16 +252,15 @@ func TestLowerBoundRespected(t *testing.T) {
 func TestDeterministicTieBreak(t *testing.T) {
 	var eng Engine
 	s := NewSlab(16)
-	s.SetSeqBase(100)
 	var order []uint64
 	record := func(e *Event, c uint64) uint64 {
 		order = append(order, e.Seq())
 		return c
 	}
-	// Allocation order: seq 100..103. Enqueue deliberately scrambled, with
-	// equal MinCycles and components spread out.
+	// Allocation order: seq 0..3. Enqueue deliberately scrambled, with equal
+	// MinCycles and components spread out.
 	evs := make([]*Event, 4)
-	comps := []int{3, 0, 1, 0} // seq 100→comp 3, 101→comp 0, 102→comp 1, 103→comp 0
+	comps := []int{3, 0, 1, 0} // seq 0→comp 3, 1→comp 0, 2→comp 1, 3→comp 0
 	for i := range evs {
 		ev := s.Alloc()
 		ev.Comp = comps[i]
@@ -263,7 +272,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 		eng.Enqueue(evs[i])
 	}
 	eng.Run()
-	want := []uint64{100, 101, 102, 103} // pure allocation order at the tied cycle
+	want := []uint64{0, 1, 2, 3} // pure allocation order at the tied cycle
 	if len(order) != len(want) {
 		t.Fatalf("executed %d events, want %d", len(order), len(want))
 	}
@@ -303,8 +312,8 @@ func TestEngineOrderWithinDomain(t *testing.T) {
 }
 
 func TestManyEventsAcrossDomainsParallel(t *testing.T) {
-	// A larger stress test: per-core chains (disjoint sequence ranges, as the
-	// per-core slabs give them) touching 8 shared components with
+	// A larger stress test: per-core chains (built core by core from one
+	// slab, as the simulator builds them) touching 8 shared components with
 	// core-dependent latencies. Every event must execute exactly once, and
 	// each component must see its events in (final dispatch cycle, sequence)
 	// order — the ordering contract that makes results a pure function of the
@@ -321,7 +330,6 @@ func TestManyEventsAcrossDomainsParallel(t *testing.T) {
 		return c + ev.Arg
 	}
 	for c := 0; c < cores; c++ {
-		s.SetSeqBase(uint64(c) << 32)
 		var prev *Event
 		for i := 0; i < perCore; i++ {
 			ev := s.Alloc()
@@ -355,7 +363,7 @@ func TestManyEventsAcrossDomainsParallel(t *testing.T) {
 }
 
 func TestParallelPerComponentOrder(t *testing.T) {
-	// Per-core chains at 5-cycle spacing over disjoint sequence ranges: each
+	// Per-core chains at 5-cycle spacing, built core by core from one slab: each
 	// component must still see its events in (cycle, seq) order on the one
 	// executor that replaced the parallel one.
 	var eng Engine
@@ -368,7 +376,6 @@ func TestParallelPerComponentOrder(t *testing.T) {
 		return c + ev.Arg
 	}
 	for core := 0; core < 8; core++ {
-		s.SetSeqBase(uint64(core) << 32)
 		var prevEv *Event
 		for i := 0; i < 20; i++ {
 			ev := s.Alloc()
@@ -546,9 +553,9 @@ func TestEventChainProperties(t *testing.T) {
 	}
 }
 
-// TestCreationOrderViolationPanics: a child allocated before its parent
-// could sort ahead of it at an equal key and never be raised past it, so the
-// engine refuses such a graph instead of spinning.
+// TestCreationOrderViolationPanics: a child allocated before its parent would
+// sort ahead of same-cycle events its parent had to precede, breaking the
+// (dispatch cycle, sequence) order, so the engine refuses such a graph.
 func TestCreationOrderViolationPanics(t *testing.T) {
 	var eng Engine
 	s := NewSlab(16)

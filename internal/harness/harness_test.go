@@ -184,6 +184,11 @@ func TestFigure6StreamSmall(t *testing.T) {
 func TestTable4Small(t *testing.T) {
 	opts := tiny()
 	opts.MaxCores = 32
+	// MIPS is wall-clock, so the OOO-C vs IPC1-NC check below needs runs long
+	// enough that a parallel test binary taking the CPU for a moment cannot
+	// slow one model's reading several-fold: 800 blocks per thread (tens of
+	// milliseconds per model) instead of tiny()'s 50 (about one millisecond).
+	opts.Scale = 10
 	res, err := tableForCores(opts, 32, []string{"blackscholes", "stream"})
 	if err != nil {
 		t.Fatalf("tableForCores: %v", err)

@@ -323,6 +323,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	engSeconds("zsim_engine_bound_seconds_total", "Host wall time spent in the bound phase.", agg.BoundNanos)
 	engSeconds("zsim_engine_weave_seconds_total", "Host wall time spent in the weave phase.", agg.WeaveNanos)
+	engSeconds("zsim_engine_chain_seconds_total", "Part of the weave time spent building event chains, root heap pushes included.", agg.ChainNanos)
 
 	if err := pw.Err(); err != nil {
 		// The response is already streaming; nothing to do but drop it.

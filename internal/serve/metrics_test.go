@@ -177,6 +177,7 @@ func TestMetricsMonotonic(t *testing.T) {
 		"zsim_engine_instructions_total",
 		"zsim_engine_weave_events_total",
 		"zsim_engine_bound_seconds_total",
+		"zsim_engine_chain_seconds_total",
 		"zsim_engine_pool_runs_total",
 		`zsimd_jobs_total{outcome="succeeded"}`,
 	}

@@ -53,9 +53,12 @@ type Sample struct {
 	Instrs      uint64
 	WeaveEvents uint64
 
-	// Per-phase wall time spent in the bound and weave phases (host ns).
+	// Per-phase wall time spent in the bound and weave phases (host ns), and
+	// the part of the weave time spent building event chains (root pushes
+	// included).
 	BoundNanos int64
 	WeaveNanos int64
+	ChainNanos int64
 
 	// Worker-pool churn over the run: bound-phase launches on the pool and
 	// the worker wakeups they delivered, plus the worker count of the most
@@ -92,6 +95,7 @@ type Probe struct {
 
 	boundNanos atomic.Int64
 	weaveNanos atomic.Int64
+	chainNanos atomic.Int64
 
 	poolRuns    atomic.Uint64
 	poolWakes   atomic.Uint64
@@ -130,6 +134,7 @@ func (p *Probe) Reset() {
 	p.weaveEvents.Store(0)
 	p.boundNanos.Store(0)
 	p.weaveNanos.Store(0)
+	p.chainNanos.Store(0)
 	p.poolRuns.Store(0)
 	p.poolWakes.Store(0)
 	p.poolWorkers.Store(0)
@@ -160,6 +165,7 @@ func (p *Probe) Publish(s Sample) {
 	p.weaveEvents.Store(s.WeaveEvents)
 	p.boundNanos.Store(s.BoundNanos)
 	p.weaveNanos.Store(s.WeaveNanos)
+	p.chainNanos.Store(s.ChainNanos)
 	p.poolRuns.Store(s.PoolRuns)
 	p.poolWakes.Store(s.PoolWakes)
 	p.poolWorkers.Store(int64(s.PoolWorkers))
@@ -182,6 +188,7 @@ type Snapshot struct {
 
 	BoundNanos int64 `json:"boundNanos"`
 	WeaveNanos int64 `json:"weaveNanos"`
+	ChainNanos int64 `json:"chainNanos"`
 
 	PoolRuns    uint64 `json:"poolRuns,omitempty"`
 	PoolWakes   uint64 `json:"poolWakes,omitempty"`
@@ -216,6 +223,7 @@ func (p *Probe) Snapshot() Snapshot {
 		WeaveEvents:     p.weaveEvents.Load(),
 		BoundNanos:      p.boundNanos.Load(),
 		WeaveNanos:      p.weaveNanos.Load(),
+		ChainNanos:      p.chainNanos.Load(),
 		PoolRuns:        p.poolRuns.Load(),
 		PoolWakes:       p.poolWakes.Load(),
 		PoolWorkers:     int(p.poolWorkers.Load()),
@@ -247,7 +255,7 @@ func (s Snapshot) PctMaxCycles() float64 {
 // daemon's lifetime.
 type Totals struct {
 	Intervals, BoundRounds, Cycles, Instrs, WeaveEvents uint64
-	BoundNanos, WeaveNanos                              int64
+	BoundNanos, WeaveNanos, ChainNanos                  int64
 	PoolRuns, PoolWakes                                 uint64
 }
 
@@ -260,6 +268,7 @@ func (t *Totals) Add(s Snapshot) {
 	t.WeaveEvents += s.WeaveEvents
 	t.BoundNanos += s.BoundNanos
 	t.WeaveNanos += s.WeaveNanos
+	t.ChainNanos += s.ChainNanos
 	t.PoolRuns += s.PoolRuns
 	t.PoolWakes += s.PoolWakes
 }

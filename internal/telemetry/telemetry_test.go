@@ -13,7 +13,7 @@ func TestProbePublishSnapshotRoundTrip(t *testing.T) {
 	p := new(Probe)
 	s := Sample{
 		Intervals: 7, BoundRounds: 9, Cycles: 71680, Instrs: 123456, WeaveEvents: 42,
-		BoundNanos: 1111, WeaveNanos: 2222,
+		BoundNanos: 1111, WeaveNanos: 2222, ChainNanos: 333,
 		PoolRuns: 14, PoolWakes: 28, PoolWorkers: 4,
 		LiveThreads: 8, RunnableThreads: 6,
 	}
@@ -27,7 +27,7 @@ func TestProbePublishSnapshotRoundTrip(t *testing.T) {
 		snap.Cycles != s.Cycles || snap.Instrs != s.Instrs || snap.WeaveEvents != s.WeaveEvents {
 		t.Errorf("progress counters did not round-trip: %+v", snap)
 	}
-	if snap.BoundNanos != s.BoundNanos || snap.WeaveNanos != s.WeaveNanos {
+	if snap.BoundNanos != s.BoundNanos || snap.WeaveNanos != s.WeaveNanos || snap.ChainNanos != s.ChainNanos {
 		t.Errorf("nanos did not round-trip: %+v", snap)
 	}
 	if snap.PoolRuns != s.PoolRuns || snap.PoolWakes != s.PoolWakes || snap.PoolWorkers != s.PoolWorkers {
