@@ -5,7 +5,7 @@
 // turns each type's stream of small allocations into a handful of large
 // chunk allocations. One Arena is created per simulated system (it hangs off
 // the root stats.Registry) and feeds cache sets, stripe state, predictor
-// tables, statistics counters and weave-event slabs.
+// tables, statistics counters and decoded workload code.
 //
 // Objects taken from an arena are never returned individually, but a whole
 // arena can be rewound: Reset retains every allocated chunk and rewinds the

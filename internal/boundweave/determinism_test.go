@@ -93,7 +93,14 @@ func deterministicRunNOC(t *testing.T, gomaxprocs, hostThreads int, contention b
 
 	sim := NewSimulator(sys, sched, Options{HostThreads: hostThreads, Seed: 99})
 	sim.Run()
+	return runSignature(sys, sched, sim)
+}
 
+// runSignature is everything about a finished run that must be reproducible:
+// per-core clocks and instructions, cache and memory counters, the run's
+// interval, round and weave statistics, the scheduler's counts and, with a
+// NoC, the router counters.
+func runSignature(sys *System, sched *virt.Scheduler, sim *Simulator) string {
 	var sb strings.Builder
 	for _, c := range sys.Cores {
 		fmt.Fprintf(&sb, "core(cyc=%d instr=%d) ", c.Cycle(), c.Instrs())
@@ -220,13 +227,126 @@ func TestGoldenWeaveOrder(t *testing.T) {
 
 // TestDeterministicAcrossHostThreads pins GOMAXPROCS and varies the bound
 // worker count instead: the host parallelism knob must not change results
-// either.
+// either, with or without the weave.
 func TestDeterministicAcrossHostThreads(t *testing.T) {
-	base := deterministicRun(t, 8, 1, false, 1)
-	for _, host := range []int{2, 4, 16} {
-		if got := deterministicRun(t, 8, host, false, 1); got != base {
-			t.Fatalf("results differ between HostThreads=1 and %d:\n  1: %s\n  %d: %s",
-				host, base, host, got)
+	for _, contention := range []bool{false, true} {
+		t.Run(fmt.Sprintf("contention=%v", contention), func(t *testing.T) {
+			base := deterministicRun(t, 8, 1, contention, 1)
+			for _, host := range []int{2, 4, 16} {
+				if got := deterministicRun(t, 8, host, contention, 1); got != base {
+					t.Fatalf("results differ between HostThreads=1 and %d:\n  1: %s\n  %d: %s",
+						host, base, host, got)
+				}
+			}
+		})
+	}
+}
+
+// oooPinnedRun is westmere-ooo's shape on a small chip: six OOO cores, each
+// running one pinned process (namd, namd, gcc, gcc, mcf, mcf) in its own
+// address-space slice, on an L3 that never evicts. The processes have
+// different lengths, so once the first ones finish the home queues are
+// uneven at any worker count (a full round at 4 workers already splits
+// 2-1-2-1), and workers with the shorter queues finish first and steal.
+func oooPinnedRun(t *testing.T, gomaxprocs, hostThreads int) string {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gomaxprocs))
+	cfg := config.SmallTest()
+	cfg.NumCores = 6
+	cfg.CoreModel = config.CoreOOO
+	cfg.Contention = false
+	cfg.L3.SizeKB = 4096
+	cfg.L3.Ways = 32
+	sys, err := BuildSystem(cfg)
+	if err != nil {
+		t.Fatalf("BuildSystem: %v", err)
+	}
+	sched := virt.NewScheduler(cfg.NumCores)
+	for i, name := range []string{"namd", "namd", "gcc", "gcc", "mcf", "mcf"} {
+		p := trace.MustLookup(name)
+		p.Seed = uint64(7 + i)
+		p.AddrSpace = uint64(i + 1)
+		p.WorkingSet = 64 << 10
+		p.BlocksPerThread = 1500 + 250*i // uneven lengths: later rounds hold fewer cores
+		p.ScaleWork = false
+		w := trace.New(fmt.Sprintf("%s-%d", name, i), p, 1)
+		proc := &virt.Process{ID: i, Name: w.Name, Affinity: []int{i}}
+		proc.Threads = append(proc.Threads, &virt.Thread{Stream: w.NewThread(0)})
+		sched.AddProcess(proc)
+	}
+	sim := NewSimulator(sys, sched, Options{HostThreads: hostThreads, Seed: 5})
+	sim.Run()
+	return runSignature(sys, sched, sim)
+}
+
+// TestDeterministicOOOAcrossHostThreads runs oooPinnedRun at 1, 2, 3 and 6
+// host threads under GOMAXPROCS 2 and 4: which worker ran a core, and
+// whether it got there by stealing, must not show in the results.
+func TestDeterministicOOOAcrossHostThreads(t *testing.T) {
+	base := oooPinnedRun(t, 2, 1)
+	for _, gm := range []int{2, 4} {
+		for _, host := range []int{1, 2, 3, 6} {
+			if got := oooPinnedRun(t, gm, host); got != base {
+				t.Fatalf("results differ at GOMAXPROCS=%d HostThreads=%d:\n  want: %s\n  got:  %s",
+					gm, host, base, got)
+			}
+		}
+	}
+}
+
+// TestHomeQueuesPartitionAndSteal checks bound-round dispatch directly: each
+// home queue holds exactly the cores c with c*w/numCores equal to its index,
+// in the round's shuffled order, and a single worker run alone drains its
+// own queue and then steals every other queue's cores.
+func TestHomeQueuesPartitionAndSteal(t *testing.T) {
+	cfg := config.SmallTest()
+	cfg.NumCores = 6
+	cfg.CoreModel = config.CoreIPC1
+	sys, err := BuildSystem(cfg)
+	if err != nil {
+		t.Fatalf("BuildSystem: %v", err)
+	}
+	sched := virt.NewScheduler(cfg.NumCores)
+	p := trace.DefaultParams()
+	p.AddrSpace = 1
+	sched.AddWorkload(trace.New("steal", p, cfg.NumCores))
+	sim := NewSimulator(sys, sched, Options{HostThreads: 4, Seed: 3})
+	defer sim.Close()
+
+	cur := sched.ScheduleIntervalInto(0, nil)
+	if len(cur) != cfg.NumCores {
+		t.Fatalf("want a full round of %d cores, got %d", cfg.NumCores, len(cur))
+	}
+	cur[0], cur[3], cur[5] = cur[5], cur[0], cur[3] // not in core order
+	const w = 4
+	sim.intervalEnd = sim.intervalLen
+	sim.fillHomes(cur, w)
+	for q := range sim.homes[:w] {
+		h := &sim.homes[q]
+		var want []int
+		for _, a := range cur {
+			if a.Core*w/cfg.NumCores == q {
+				want = append(want, a.Core)
+			}
+		}
+		var got []int
+		for _, a := range sim.homeAsg[h.lo:h.hi] {
+			got = append(got, a.Core)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("home queue %d holds cores %v, want %v", q, got, want)
+		}
+	}
+
+	sim.boundWorker(2)
+	for q := range sim.homes[:w] {
+		if h := &sim.homes[q]; h.lo+int(h.next.Load()) < h.hi {
+			t.Errorf("home queue %d not drained by a lone worker", q)
+		}
+	}
+	for i, c := range sys.Cores {
+		if c.Instrs() == 0 {
+			t.Errorf("core %d never ran: worker 2 did not steal it", i)
 		}
 	}
 }

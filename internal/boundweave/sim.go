@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"zsim/internal/config"
 	"zsim/internal/engine"
@@ -65,9 +66,10 @@ type Options struct {
 
 // Simulator drives the bound-weave loop over a built System and a scheduler
 // full of workload threads. The bound phase runs on a persistent worker pool
-// whose workers draw core assignments from a shared atomic counter; the weave
-// phase runs on the driver goroutine. Steady-state intervals spawn no
-// goroutines at all.
+// whose first worker is the driver goroutine itself: each round's cores are
+// split into per-worker home queues, and a worker that drains its own queue
+// steals from the others. The weave phase runs on the driver goroutine.
+// Steady-state intervals spawn no goroutines at all.
 type Simulator struct {
 	Sys   *System
 	Sched *virt.Scheduler
@@ -98,17 +100,24 @@ type Simulator struct {
 	globalCycle uint64
 	rngState    uint64
 
-	// Bound-round execution state: curAsg is the round's assignment list and
-	// nextAsg the shared draw counter; boundTask is the pre-bound worker
-	// body (no per-interval closures). asgA/asgB are the reusable
-	// double-buffered assignment slices and coreCycles the per-round core
-	// clock snapshot handed to the scheduler.
-	curAsg      []virt.Assignment
-	nextAsg     atomic.Int64
-	intervalEnd uint64
-	boundTask   func(int)
-	asgA, asgB  []virt.Assignment
-	coreCycles  []uint64
+	// Bound-round execution state. workers is the bound worker count,
+	// min(hostThreads, pool size, GOMAXPROCS), set when Run starts; a round
+	// uses roundWorkers = min(workers, its assignment count). homes[w] is
+	// worker w's home queue for the round: a range of homeAsg (one slot per
+	// core, allocated once) holding the round's cores c with
+	// c*roundWorkers/numCores == w, in shuffled order, and the queue's draw
+	// counter. boundTask is the pre-bound worker body (no per-interval
+	// closures). asgA/asgB are the reusable double-buffered assignment
+	// slices and coreCycles the per-round core clock snapshot handed to the
+	// scheduler.
+	workers      int
+	roundWorkers int
+	homes        []homeQueue
+	homeAsg      []virt.Assignment
+	intervalEnd  uint64
+	boundTask    func(int)
+	asgA, asgB   []virt.Assignment
+	coreCycles   []uint64
 	// lastTid tracks the last software thread each core ran, to charge
 	// context-switch micro-state invalidation on thread changes.
 	lastTid []int32
@@ -125,11 +134,10 @@ type Simulator struct {
 	phase string
 
 	// probe and traceSink are the run's telemetry taps (both optional, both
-	// nil-safe at every call site). lastWorkers is the worker count of the
-	// most recent bound round (the pool-occupancy gauge).
-	probe       *telemetry.Probe
-	traceSink   *telemetry.TraceSink
-	lastWorkers int
+	// nil-safe at every call site). roundWorkers doubles as their
+	// pool-occupancy gauge.
+	probe     *telemetry.Probe
+	traceSink *telemetry.TraceSink
 
 	// Run statistics.
 	Intervals     uint64
@@ -155,6 +163,15 @@ type Simulator struct {
 	Reason    runctl.Reason
 	PanicErr  *runctl.PanicError
 	FailPhase string
+}
+
+// homeQueue is one worker's share of a bound round: homeAsg[lo:hi], drawn
+// from by incrementing next. It is padded to a cache line so that draws on
+// different queues do not contend.
+type homeQueue struct {
+	next   atomic.Int64
+	lo, hi int
+	_      [40]byte
 }
 
 // lastResp remembers a core's latest weave response event and its zero-load
@@ -200,6 +217,9 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 	}
 
 	s.pool = engine.NewPool(host)
+	s.homes = make([]homeQueue, host)
+	s.homeAsg = make([]virt.Assignment, n)
+	s.workers = min(host, s.pool.Parallelism())
 
 	if s.contention {
 		maxComp := -1
@@ -241,8 +261,10 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 			s.models.mems[comp] = m
 		}
 		// One dense shared-component table serves every recorder, and all
-		// recorders share one allocation. The event slab's chunks are carved
-		// from the construction arena lazily, on first use.
+		// recorders share one allocation. The event slab allocates its chunks
+		// lazily, on first use, 64 KB at a time: its footprint tracks the
+		// busiest interval to within one small step, so a run whose peak
+		// moves a little from one rep to the next allocates nearly the same.
 		shared := denseShared(sys.SharedComp)
 		recs := make([]Recorder, n)
 		s.recorders = make([]*Recorder, n)
@@ -251,7 +273,7 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 			s.recorders[coreID] = &recs[coreID]
 			c.SetRecorder(&recs[coreID])
 		}
-		s.slab = event.NewSlabIn(sys.Root.Arena(), 512)
+		s.slab = event.NewSlab(64 << 10 / int(unsafe.Sizeof(event.Event{})))
 		s.engine = new(event.Engine)
 		s.last = make([]lastResp, n)
 	}
@@ -357,7 +379,7 @@ func (s *Simulator) Reset(opts Options) error {
 		host = runtime.NumCPU()
 	}
 	s.opts = opts
-	s.hostThreads = host // Pool.Run clamps to the pool's built size
+	s.hostThreads = host // Run clamps the bound workers to the pool's built size
 	s.rngState = opts.Seed*6364136223846793005 + 1442695040888963407
 	s.ctl = opts.Ctl
 	if s.ctl == nil {
@@ -365,8 +387,7 @@ func (s *Simulator) Reset(opts Options) error {
 	}
 
 	s.globalCycle = 0
-	s.curAsg = nil
-	s.nextAsg.Store(0)
+	s.roundWorkers = 0
 	s.intervalEnd = 0
 	s.asgA = s.asgA[:0]
 	s.asgB = s.asgB[:0]
@@ -378,7 +399,6 @@ func (s *Simulator) Reset(opts Options) error {
 	s.phase = ""
 	s.probe = opts.Probe
 	s.traceSink = opts.Trace
-	s.lastWorkers = 0
 
 	s.Intervals = 0
 	s.BoundRounds = 0
@@ -425,6 +445,9 @@ func (s *Simulator) Run() uint64 {
 		defer w.Stop()
 	}
 	s.poolRuns0, s.poolWakes0 = s.pool.Stats()
+	// GOMAXPROCS is read here, once per run: rounds would pay for the
+	// runtime's scheduler lock.
+	s.workers = min(s.hostThreads, s.pool.Parallelism())
 	s.probe.BeginRun(s.opts.MaxCycles)
 	defer func() {
 		// Final publication (runs first on the defer stack, so it also fires
@@ -498,13 +521,13 @@ func (s *Simulator) runInterval() bool {
 		asg[i], asg[j] = asg[j], asg[i]
 	}
 
-	// Bound phase: each round, up to hostThreads pool workers draw
-	// assignments from a shared counter; at most hostThreads simulated cores
-	// run concurrently, and when one finishes its slice the next waiting
-	// core is taken up — the barrier's "moderate parallelism" role. Between
-	// rounds the scheduler arbitrates the recorded synchronization
-	// operations in deterministic simulated-time order and immediately
-	// refills cores freed by blocking threads (mid-interval join/leave).
+	// Bound phase: each round, up to s.workers pool workers drain their
+	// home queues and then steal; at most that many simulated cores run
+	// concurrently, and when one finishes its slice the next waiting core is
+	// taken up — the barrier's "moderate parallelism" role. Between rounds
+	// the scheduler arbitrates the recorded synchronization operations in
+	// deterministic simulated-time order and immediately refills cores freed
+	// by blocking threads (mid-interval join/leave).
 	boundStart := time.Now()
 	s.phase = "bound"
 	s.probe.SetPhase(telemetry.PhaseBound)
@@ -512,14 +535,8 @@ func (s *Simulator) runInterval() bool {
 	cur, spare := asg, s.asgB
 	for len(cur) > 0 && !s.ctl.Cancelled() {
 		s.BoundRounds++
-		s.curAsg = cur
-		s.nextAsg.Store(0)
-		workers := s.hostThreads
-		if workers > len(cur) {
-			workers = len(cur)
-		}
-		s.lastWorkers = workers
-		s.pool.Run(workers, s.boundTask)
+		s.fillHomes(cur, min(s.workers, len(cur)))
+		s.pool.Run(s.roundWorkers, s.boundTask)
 		for i, c := range s.Sys.Cores {
 			s.coreCycles[i] = c.Cycle()
 		}
@@ -527,7 +544,6 @@ func (s *Simulator) runInterval() bool {
 		cur, spare = next, cur
 	}
 	s.asgA, s.asgB = cur, spare
-	s.curAsg = nil
 	s.Sched.EndInterval(intervalEnd)
 	boundDur := time.Since(boundStart)
 	s.BoundNanos += boundDur.Nanoseconds()
@@ -572,7 +588,7 @@ func (s *Simulator) publishTelemetry() {
 		BoundNanos:      s.BoundNanos,
 		WeaveNanos:      s.WeaveNanos,
 		ChainNanos:      s.ChainNanos,
-		PoolWorkers:     s.lastWorkers,
+		PoolWorkers:     s.roundWorkers,
 		LiveThreads:     sc.Live,
 		RunnableThreads: sc.Runnable,
 	}
@@ -581,15 +597,47 @@ func (s *Simulator) publishTelemetry() {
 	s.probe.Publish(smp)
 }
 
-// boundWorker is the persistent bound-phase worker body: it draws core
-// assignments from the shared counter until the round's list is drained.
-func (s *Simulator) boundWorker(_ int) {
-	for {
-		idx := int(s.nextAsg.Add(1)) - 1
-		if idx >= len(s.curAsg) {
-			return
+// fillHomes splits a round's assignments into the home queues of its w
+// workers: core c goes to queue c*w/numCores, so a core keeps its host worker
+// from round to round, and each queue keeps the shuffled order. With one
+// worker the single queue is the shuffled list itself.
+func (s *Simulator) fillHomes(cur []virt.Assignment, w int) {
+	n := len(s.Sys.Cores)
+	homes := s.homes[:w]
+	for i := range homes {
+		homes[i].hi = 0
+	}
+	for _, a := range cur {
+		homes[a.Core*w/n].hi++
+	}
+	lo := 0
+	for i := range homes {
+		h := &homes[i]
+		h.lo, h.hi, lo = lo, lo, lo+h.hi
+		h.next.Store(0)
+	}
+	for _, a := range cur {
+		h := &homes[a.Core*w/n]
+		s.homeAsg[h.hi] = a
+		h.hi++
+	}
+	s.roundWorkers = w
+}
+
+// boundWorker is the persistent bound-phase worker body: worker w drains its
+// home queue, then steals from the others in (w+k) % workers order, until
+// the round is drained. Results do not depend on which worker ran a core.
+func (s *Simulator) boundWorker(w int) {
+	homes := s.homes[:s.roundWorkers]
+	for k := range homes {
+		h := &homes[(w+k)%len(homes)]
+		for {
+			i := h.lo + int(h.next.Add(1)) - 1
+			if i >= h.hi {
+				break
+			}
+			s.runCoreRound(s.homeAsg[i])
 		}
-		s.runCoreRound(s.curAsg[idx])
 	}
 }
 

@@ -1,56 +1,86 @@
 // Package engine provides the persistent worker pool that runs the bound
-// phase of the bound-weave loop (Section 3.2 of the paper): a fixed set of
-// worker goroutines, spawned at most once per simulation, that park on
-// per-worker channels between rounds and are handed work by the
-// orchestrating goroutine.
+// phase of the bound-weave loop (Section 3.2 of the paper). A pool of n runs
+// invocation 0 of every Run on the calling goroutine and the others on n-1
+// persistent worker goroutines, spawned at most once per pool.
 //
-// Workers draw core assignments from a shared atomic counter. Steady-state
-// intervals therefore spawn zero goroutines and churn no WaitGroups: the only
-// per-round cost is one channel send per woken worker and one Wait on the
-// pool's reusable WaitGroup.
+// A Run publishes the round as one atomic word holding (generation, n) and
+// waits for the other invocations on a pending count, yielding with
+// runtime.Gosched. A worker that finishes an invocation spins on the round
+// word for up to spinWindow (only when GOMAXPROCS > 1) before it parks, so a
+// round that follows within the window starts on it with no wakeup at all;
+// only a parked worker is woken, with one token on its channel. Steady-state
+// Runs allocate nothing, and an idle pool burns no CPU once the window has
+// passed.
 package engine
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"zsim/internal/runctl"
 )
 
-// Pool is a fixed-size set of persistent, parked worker goroutines. A Pool is
-// driven by a single orchestrating goroutine: Run hands every woken worker
-// the same task function and blocks until all invocations return. Run must
-// not be called concurrently with itself or with Close.
+// spinWindow is how long a worker that found no new round keeps polling the
+// round word before it parks.
+const spinWindow = 100 * time.Microsecond
+
+// Pool is a fixed-size set of persistent worker goroutines. A Pool is driven
+// by a single orchestrating goroutine: Run hands every participating index
+// the same task function and returns once all invocations have returned. Run
+// must not be called concurrently with itself, Parallelism or Close.
 type Pool struct {
+	// round is the published round, generation<<32 | n. Workers poll it; it
+	// sits on its own cache line, away from the counters workers write.
+	_     [64]byte
+	round atomic.Uint64
+	_     [56]byte
+	// pending counts the worker invocations (indices 1..n-1) of the
+	// in-flight Run that have not returned yet.
+	pending atomic.Int32
+	_       [60]byte
+
 	size int
-
-	// fn is the task of the in-flight Run. Workers read it after receiving a
-	// start token, so the channel send establishes the happens-before edge.
+	gen  uint32 // generation of the last published round (caller only)
+	// fn is the task of the in-flight Run. Workers read it after loading the
+	// round word (or receiving a token), which orders it after the write.
 	fn func(worker int)
-	wg sync.WaitGroup
+	// procs is GOMAXPROCS as of the last Parallelism call. Workers spin only
+	// when it is above 1, and at 1 every Run takes the serial path.
+	procs atomic.Int32
+	// slots[w] is worker w's park state; slot 0 belongs to the caller and
+	// is unused.
+	slots []workerSlot
 
-	// start carries per-worker wakeups; the channels are unbuffered so a
-	// completed Run leaves no stale tokens behind.
-	start []chan struct{}
-
-	// panicked holds the first panic recovered in a worker during the
-	// in-flight Run. Workers never die from a task panic: the fault is
-	// captured (with the panicking goroutine's stack), the worker parks
-	// again, and Run re-raises the capture on the orchestrating goroutine
-	// once every worker has finished — so a panicking task can neither kill
-	// the process outright nor leak a waiting WaitGroup.
+	// panicked holds the first panic recovered during the in-flight Run.
+	// Workers never die from a task panic: the fault is captured (with the
+	// panicking goroutine's stack), and Run re-raises the capture on the
+	// orchestrating goroutine once every invocation has finished.
 	panicked atomic.Pointer[runctl.PanicError]
 
 	quit      chan struct{}
-	spawned   bool
 	closeOnce sync.Once
+	spawned   bool
 
-	// Telemetry: total Run invocations and total worker wakeups delivered
-	// (channel sends on the parallel path; serial fallbacks wake no one).
-	// Atomic so telemetry snapshots can read them while a Run is in flight.
+	// Telemetry: total Run invocations, and total wakeups of parked workers
+	// (a worker that picks a round up while spinning costs none; serial Runs
+	// wake no one). Atomic so telemetry snapshots can read them while a Run
+	// is in flight.
 	runs  atomic.Uint64
 	wakes atomic.Uint64
+}
+
+// workerSlot is one worker's park handshake, padded to a cache line.
+type workerSlot struct {
+	// parked is 0 while the worker is awake. Before it blocks on wake, the
+	// worker stores 1<<32 | the generation it last saw. The caller sends a
+	// token only after clearing that mark by CAS, so each token is received
+	// once; the generation in the mark keeps a late CAS from waking a worker
+	// that already ran the round and parked again.
+	parked atomic.Uint64
+	wake   chan struct{}
+	_      [48]byte
 }
 
 // NewPool creates a pool of n workers (n < 1 is clamped to 1). The worker
@@ -60,30 +90,41 @@ func NewPool(n int) *Pool {
 	if n < 1 {
 		n = 1
 	}
-	p := &Pool{size: n, quit: make(chan struct{})}
-	p.start = make([]chan struct{}, n)
-	for i := range p.start {
-		p.start[i] = make(chan struct{})
+	p := &Pool{size: n, quit: make(chan struct{}), slots: make([]workerSlot, n)}
+	for i := range p.slots {
+		p.slots[i].wake = make(chan struct{}, 1)
 	}
+	p.Parallelism()
 	return p
 }
 
+// Parallelism re-reads GOMAXPROCS and returns how many invocations a Run can
+// execute at once: min(size, GOMAXPROCS). Run never reads GOMAXPROCS itself
+// (the runtime takes its scheduler lock to answer) but uses the value from
+// the last Parallelism call, so call this once per batch of Runs; NewPool
+// makes the first call.
+func (p *Pool) Parallelism() int {
+	procs := runtime.GOMAXPROCS(0)
+	p.procs.Store(int32(procs))
+	return min(p.size, procs)
+}
+
 // Stats returns the pool's lifetime telemetry counters: total Run calls and
-// total worker wakeups delivered (parallel-path channel sends). Safe to call
-// concurrently with Run.
+// total wakeups of parked workers. Safe to call concurrently with Run.
 func (p *Pool) Stats() (runs, wakes uint64) {
 	return p.runs.Load(), p.wakes.Load()
 }
 
 // Run invokes fn(w) for every worker index w in [0, n) and returns once all
-// invocations have finished. n is clamped to the pool size. When effective
-// host parallelism is one (n == 1 or GOMAXPROCS == 1) or the pool is closed,
-// the invocations run serially on the caller; tasks must therefore not
-// depend on running concurrently with each other.
+// invocations have finished. n is clamped to the pool size. Invocation 0
+// runs on the caller. When effective host parallelism is one (n == 1 or
+// GOMAXPROCS == 1) or the pool is closed, every invocation runs serially on
+// the caller; tasks must therefore not depend on running concurrently with
+// each other.
 //
 // A panic inside fn does not kill the pool: the first recovered panic is
 // re-raised on the caller as a *runctl.PanicError carrying the panicking
-// worker's stack, after all other workers have finished their invocations.
+// invocation's stack, after all other invocations have finished.
 func (p *Pool) Run(n int, fn func(worker int)) {
 	if n > p.size {
 		n = p.size
@@ -92,7 +133,7 @@ func (p *Pool) Run(n int, fn func(worker int)) {
 		return
 	}
 	p.runs.Add(1)
-	if n == 1 || p.Closed() || runtime.GOMAXPROCS(0) == 1 {
+	if n == 1 || p.Closed() || p.procs.Load() == 1 {
 		// Same containment contract as the parallel path: every invocation
 		// runs, and the first capture is re-raised once all have finished.
 		var first *runctl.PanicError
@@ -108,12 +149,26 @@ func (p *Pool) Run(n int, fn func(worker int)) {
 	}
 	p.ensureWorkers()
 	p.fn = fn
-	p.wg.Add(n)
-	p.wakes.Add(uint64(n))
-	for w := 0; w < n; w++ {
-		p.start[w] <- struct{}{}
+	p.pending.Store(int32(n - 1))
+	p.gen++
+	p.round.Store(uint64(p.gen)<<32 | uint64(n))
+	for w := 1; w < n; w++ {
+		s := &p.slots[w]
+		if v := s.parked.Load(); v != 0 && uint32(v) != p.gen && s.parked.CompareAndSwap(v, 0) {
+			p.wakes.Add(1)
+			s.wake <- struct{}{}
+		}
 	}
-	p.wg.Wait()
+	if pe := p.invoke(0, fn); pe != nil {
+		p.panicked.CompareAndSwap(nil, pe)
+	}
+	// Wait for the stragglers, yielding now and then in case one of them is
+	// runnable but has no P.
+	for i := 1; p.pending.Load() != 0; i++ {
+		if i%64 == 0 {
+			runtime.Gosched()
+		}
+	}
 	p.fn = nil
 	if pe := p.panicked.Swap(nil); pe != nil {
 		panic(pe)
@@ -143,36 +198,89 @@ func (p *Pool) Closed() bool {
 	}
 }
 
-// Close shuts down the pool's worker goroutines. Close is idempotent and must
-// not overlap a Run; a closed pool still accepts Run calls and executes them
-// serially on the caller.
+// Close shuts down the pool's worker goroutines, spinning or parked. Close is
+// idempotent and must not overlap a Run; a closed pool still accepts Run
+// calls and executes them serially on the caller.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() { close(p.quit) })
 }
 
-// ensureWorkers spawns the persistent workers on first parallel use.
+// ensureWorkers spawns the persistent workers 1..size-1 on first parallel
+// use.
 func (p *Pool) ensureWorkers() {
 	if p.spawned {
 		return
 	}
 	p.spawned = true
-	for i := 0; i < p.size; i++ {
+	for i := 1; i < p.size; i++ {
 		go p.worker(i)
 	}
 }
 
-// worker is the persistent goroutine body: park on the start channel, run the
-// current task (containing any panic), repeat.
+// worker is the persistent goroutine body: wait for a round that includes
+// this worker, run its invocation (containing any panic), repeat.
 func (p *Pool) worker(id int) {
-	for {
-		select {
-		case <-p.start[id]:
-		case <-p.quit:
-			return
-		}
+	var seen uint32
+	for p.await(id, &seen) {
 		if pe := p.invoke(id, p.fn); pe != nil {
 			p.panicked.CompareAndSwap(nil, pe)
 		}
-		p.wg.Done()
+		p.pending.Add(-1)
+	}
+}
+
+// await returns true once a round that includes worker id has been
+// published, and false once the pool is closed. seen is the generation of
+// the last round the worker observed; rounds that do not include it are
+// skipped. The worker first spins for up to spinWindow, then parks.
+func (p *Pool) await(id int, seen *uint32) bool {
+	if p.procs.Load() > 1 {
+		start := time.Now()
+		for i := 1; ; i++ {
+			r := p.round.Load()
+			if g := uint32(r >> 32); g != *seen {
+				*seen = g
+				if id < int(uint32(r)) {
+					return true
+				}
+			}
+			if i%128 == 0 {
+				if p.Closed() {
+					return false
+				}
+				if time.Since(start) >= spinWindow {
+					break
+				}
+				// Let a runnable goroutine have this P: with more
+				// invocations than Ps, a round may be waiting on it.
+				runtime.Gosched()
+			}
+		}
+	}
+	s := &p.slots[id]
+	for {
+		// Mark parked, then re-check: a Run that published after the last
+		// look either sees the mark and un-parks this worker by CAS (and
+		// sends the one token), or is seen here first.
+		mark := 1<<32 | uint64(*seen)
+		s.parked.Store(mark)
+		r := p.round.Load()
+		if g := uint32(r >> 32); g != *seen && s.parked.CompareAndSwap(mark, 0) {
+			*seen = g
+			if id < int(uint32(r)) {
+				return true
+			}
+			continue
+		}
+		// Parked, or un-parked by the caller with a token on the way.
+		select {
+		case <-s.wake:
+			// A caller un-parks only a worker its round includes, and
+			// publishes no later round before this one finishes.
+			*seen = uint32(p.round.Load() >> 32)
+			return true
+		case <-p.quit:
+			return false
+		}
 	}
 }

@@ -1,12 +1,26 @@
 package engine
 
 import (
+	"math/rand/v2"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"zsim/internal/runctl"
 )
+
+// parallelProcs raises GOMAXPROCS to at least 2 for the rest of the test, so
+// a pool built after it takes the parallel path (spinning, parking, tokens)
+// even on a one-CPU host.
+func parallelProcs(t *testing.T) {
+	t.Helper()
+	if old := runtime.GOMAXPROCS(0); old < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
+}
 
 func TestPoolRunsAllTasks(t *testing.T) {
 	p := NewPool(4)
@@ -153,5 +167,118 @@ func TestPoolWorkerPanicContained(t *testing.T) {
 	pe = recovered(1, func(w int) { panic("serial fault") })
 	if pe == nil || pe.Value != "serial fault" || pe.Worker != 0 {
 		t.Fatalf("serial Run should wrap panics identically, got %+v", pe)
+	}
+}
+
+// TestPoolProtocolStress drives 10,000 Runs with n drawn from 1..size,
+// alternating back-to-back rounds (workers still spinning) with gaps longer
+// than the spin window (workers parked, or parking as the round arrives).
+// After every Run each index below n must have run exactly once and no index
+// at or above n at all: a worker that lags a round must neither run a later
+// round twice nor read a stale n.
+func TestPoolProtocolStress(t *testing.T) {
+	parallelProcs(t)
+	const size, runs = 4, 10000
+	p := NewPool(size)
+	defer p.Close()
+	var counts [size]atomic.Int32
+	task := func(w int) { counts[w].Add(1) }
+	rng := rand.New(rand.NewPCG(1, 2))
+	spun := 0 // parallel Runs that woke no parked worker
+	for r := 0; r < runs; r++ {
+		n := 1 + rng.IntN(size)
+		_, wakes0 := p.Stats()
+		p.Run(n, task)
+		if _, wakes := p.Stats(); n > 1 && wakes == wakes0 {
+			spun++
+		}
+		for w := range counts {
+			want := int32(0)
+			if w < n {
+				want = 1
+			}
+			if got := counts[w].Swap(0); got != want {
+				t.Fatalf("run %d (n=%d): index %d ran %d times, want %d", r, n, w, got, want)
+			}
+		}
+		if r%2 == 1 {
+			// Busy-wait rather than sleep: timer sleeps round up to a
+			// millisecond on some hosts. Gaps of one to three windows find
+			// workers parked, and some still parking.
+			gap := spinWindow + time.Duration(rng.Int64N(int64(2*spinWindow)))
+			for t0 := time.Now(); time.Since(t0) < gap; {
+				runtime.Gosched()
+			}
+		}
+	}
+	if _, wakes := p.Stats(); wakes == 0 || spun == 0 {
+		t.Fatalf("both paths must be used: %d wakes of parked workers, %d Runs served by spinning workers", wakes, spun)
+	}
+}
+
+// TestPoolCloseStopsWorkers checks that Close ends every worker goroutine,
+// whether it is still spinning after a round or already parked.
+func TestPoolCloseStopsWorkers(t *testing.T) {
+	parallelProcs(t)
+	for _, c := range []struct {
+		name string
+		gap  time.Duration
+	}{{"spinning", 0}, {"parked", 2 * spinWindow}} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			p := NewPool(4)
+			p.Run(4, func(int) {})
+			time.Sleep(c.gap)
+			p.Close()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, want %d", runtime.NumGoroutine(), base)
+				}
+				runtime.Gosched()
+			}
+		})
+	}
+}
+
+// TestPoolCallerPanicContained covers invocation 0, which runs on the
+// caller: its panic is captured like a worker's, Run re-raises it only after
+// the other invocations have finished, and the pool stays usable.
+func TestPoolCallerPanicContained(t *testing.T) {
+	parallelProcs(t)
+	p := NewPool(4)
+	defer p.Close()
+	var finished atomic.Int64
+	pe := func() (pe *runctl.PanicError) {
+		defer func() {
+			if r := recover(); r != nil {
+				var ok bool
+				if pe, ok = r.(*runctl.PanicError); !ok {
+					t.Fatalf("re-raised value should be *runctl.PanicError, got %T", r)
+				}
+			}
+		}()
+		p.Run(4, func(w int) {
+			if w == 0 {
+				panic("caller fault")
+			}
+			time.Sleep(time.Millisecond)
+			finished.Add(1)
+		})
+		return nil
+	}()
+	if pe == nil || pe.Value != "caller fault" || pe.Worker != 0 {
+		t.Fatalf("invocation 0's panic should be re-raised as worker 0's, got %+v", pe)
+	}
+	if !strings.Contains(string(pe.Stack), "TestPoolCallerPanicContained") {
+		t.Fatalf("capture should carry the caller's stack, got:\n%s", pe.Stack)
+	}
+	if finished.Load() != 3 {
+		t.Fatalf("Run re-raised before the other invocations finished: %d of 3 done", finished.Load())
+	}
+	finished.Store(0)
+	p.Run(4, func(int) { finished.Add(1) })
+	if finished.Load() != 4 {
+		t.Fatalf("pool should stay usable after a caller panic, got %d invocations", finished.Load())
 	}
 }

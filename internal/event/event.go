@@ -39,8 +39,6 @@
 // reproduction runs one heap instead.
 package event
 
-import "zsim/internal/arena"
-
 // Executor is the contention-model callback attached to an event: it receives
 // the event itself (whose Ctx/Arg/Flag fields carry the model context) and
 // the cycle at which the event is dispatched, and returns the cycle at which
@@ -116,27 +114,22 @@ func (e *Event) NumChildren() int { return len(e.children) }
 // path (Section 3.2.1, "Tracing"). Events live in fixed-size chunks so
 // previously returned pointers remain valid as the slab grows. Chunks are
 // allocated lazily, on the first Alloc that needs them, so a simulator that
-// never weaves never pays for event storage; when the slab is created with a
-// construction arena (NewSlabIn), chunks are carved from it.
+// never weaves never pays for event storage. Every chunk has the same size,
+// so a slab's footprint follows its busiest interval to within one chunk.
 type Slab struct {
 	chunks    [][]Event
 	chunkSize int
 	cur       int // index of the chunk being filled
 	next      int // next free slot within the current chunk
 	inUse     int
-	arena     *arena.Arena
 }
 
-// NewSlab creates a slab whose chunks hold n events each.
-func NewSlab(n int) *Slab { return NewSlabIn(nil, n) }
-
-// NewSlabIn creates a slab whose (lazily allocated) chunks of n events each
-// are carved from the given construction arena (nil falls back to the heap).
-func NewSlabIn(a *arena.Arena, n int) *Slab {
+// NewSlab creates a slab whose (lazily allocated) chunks hold n events each.
+func NewSlab(n int) *Slab {
 	if n < 16 {
 		n = 16
 	}
-	return &Slab{chunkSize: n, arena: a}
+	return &Slab{chunkSize: n}
 }
 
 // Alloc returns a cleared event from the slab, growing it by whole chunks as
@@ -145,12 +138,12 @@ func NewSlabIn(a *arena.Arena, n int) *Slab {
 // up.
 func (s *Slab) Alloc() *Event {
 	if len(s.chunks) == 0 {
-		s.chunks = append(s.chunks, arena.Take[Event](s.arena, s.chunkSize))
+		s.chunks = append(s.chunks, make([]Event, s.chunkSize))
 	} else if s.next == s.chunkSize {
 		s.cur++
 		s.next = 0
 		if s.cur == len(s.chunks) {
-			s.chunks = append(s.chunks, arena.Take[Event](s.arena, s.chunkSize))
+			s.chunks = append(s.chunks, make([]Event, s.chunkSize))
 		}
 	}
 	e := &s.chunks[s.cur][s.next]

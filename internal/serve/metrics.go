@@ -316,7 +316,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	engCounter("zsim_engine_instructions_total", "Simulated instructions across all jobs.", agg.Instrs)
 	engCounter("zsim_engine_weave_events_total", "Weave events dispatched across all jobs.", agg.WeaveEvents)
 	engCounter("zsim_engine_pool_runs_total", "Bound-phase worker-pool launches.", agg.PoolRuns)
-	engCounter("zsim_engine_pool_wakes_total", "Worker wakeups delivered by pool launches.", agg.PoolWakes)
+	engCounter("zsim_engine_pool_wakes_total", "Wakeups of parked bound-phase pool workers.", agg.PoolWakes)
 	engSeconds := func(name, help string, nanos int64) {
 		pw.Family(name, "counter", help)
 		pw.Sample(name, nil, float64(nanos)/1e9)

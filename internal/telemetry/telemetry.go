@@ -61,7 +61,8 @@ type Sample struct {
 	ChainNanos int64
 
 	// Worker-pool churn over the run: bound-phase launches on the pool and
-	// the worker wakeups they delivered, plus the worker count of the most
+	// the wakeups of parked workers they needed (a worker still spinning
+	// from the previous round needs none), plus the worker count of the most
 	// recent bound round (occupancy gauge).
 	PoolRuns    uint64
 	PoolWakes   uint64

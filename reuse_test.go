@@ -199,6 +199,56 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 	}
 }
 
+// TestReuseClampsHostThreadsToPool: a reused simulator keeps the worker pool
+// it was built with. A Reset that asks for more host threads than that pool
+// has must neither run nor report more bound workers than it has, and must
+// give the results of a fresh run at the built size. Four pinned processes
+// without synchronization keep every round at four cores, so the final
+// probe sample reports a full round.
+func TestReuseClampsHostThreadsToPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	run := func(sim *Simulator, host int) *Result {
+		t.Helper()
+		for i := 0; i < 4; i++ {
+			p := DefaultWorkloadParams()
+			p.Seed = uint64(1 + i)
+			p.AddrSpace = uint64(i + 1)
+			p.WorkingSet = 8 << 10
+			p.BlocksPerThread = 1 << 20
+			sim.AddPinnedWorkload(fmt.Sprintf("proc-%d", i), p, 1, []int{i})
+		}
+		sim.SetHostThreads(host)
+		sim.SetSeed(99)
+		sim.SetMaxInstructions(200000)
+		res, err := sim.Run()
+		if err != nil {
+			t.Fatalf("run at %d host threads: %v", host, err)
+		}
+		return res
+	}
+	fresh, err := New(reuseCfg(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(fresh, 1)
+
+	sim, err := New(reuseCfg(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SetReusable(true)
+	defer sim.Close()
+	run(sim, 1)
+	if err := sim.Reset(nil); err != nil {
+		t.Fatal(err)
+	}
+	got := run(sim, 4)
+	if w := sim.Probe().Snapshot().PoolWorkers; w > 1 {
+		t.Errorf("PoolWorkers = %d on a pool built with 1 worker", w)
+	}
+	requireIdentical(t, "Reset to 4 host threads on a 1-worker pool", want, got)
+}
+
 // panicObserver is an access observer that faults after a fixed number of
 // observed accesses — the injected-fault vector for the panic-discard tests.
 type panicObserver struct{ fuse int }
