@@ -7,8 +7,10 @@
 //	zsimexp [-scale 1.0] [-max-cores 1024] [-host-threads N] <experiment>
 //
 // Experiments: table2, table3, fig2, fig5, fig6perf, fig6speedup, fig6stream,
-// table4, fig7, fig8, fig9, intervals, meshhotspot, all; sweep (with -daemon)
-// runs a campaign through zsimd.
+// table4, fig7, fig8, fig9, intervals, meshhotspot, oversub.
+//
+// "all" runs every experiment in that order; "sweep" (with -daemon) runs a
+// campaign through zsimd.
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"zsim/internal/harness"
@@ -44,22 +47,21 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: zsimexp [flags] <table2|table3|fig2|fig5|fig6perf|fig6speedup|fig6stream|table4|fig7|fig8|fig9|intervals|meshhotspot|sweep|all>")
+		fmt.Fprintf(stderr, "usage: zsimexp [flags] <%s|sweep|all>\n", strings.Join(experimentNames(), "|"))
 		return 2
 	}
+	opts := harness.Options{Scale: *scale, MaxCores: *maxCores, HostThreads: *hostThr, Timeout: *timeout}
 	if fs.Arg(0) == "sweep" {
 		if *daemon == "" {
 			fmt.Fprintln(stderr, "zsimexp: sweep needs -daemon URL (a running zsimd)")
 			return 2
 		}
-		opts := harness.Options{Scale: *scale, MaxCores: *maxCores, HostThreads: *hostThr, Timeout: *timeout}
 		if err := runSweep(*daemon, opts, stdout); err != nil {
 			fmt.Fprintln(stderr, "zsimexp:", err)
 			return 1
 		}
 		return 0
 	}
-	opts := harness.Options{Scale: *scale, MaxCores: *maxCores, HostThreads: *hostThr, Timeout: *timeout}
 	if *progress {
 		opts.Progress = stderr
 		opts.ProgressPeriod = *progIvl
@@ -67,7 +69,6 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	if !*quiet {
 		opts.Log = stderr
 	}
-
 	if err := run(fs.Arg(0), opts, stdout); err != nil {
 		fmt.Fprintln(stderr, "zsimexp:", err)
 		return 1
@@ -75,51 +76,30 @@ func cliMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func run(name string, opts harness.Options, stdout io.Writer) error {
-	type formatter interface{ Format() string }
-	emit := func(r formatter, err error) error {
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, r.Format())
-		return nil
+// experimentNames lists the registered experiments in order.
+func experimentNames() []string {
+	names := make([]string, len(harness.Experiments))
+	for i, e := range harness.Experiments {
+		names[i] = e.Name
 	}
-	switch name {
-	case "table2":
-		fmt.Fprintln(stdout, harness.Table2())
-	case "table3":
-		fmt.Fprintln(stdout, harness.Table3(64))
-	case "fig2":
-		return emit(harness.Figure2(opts))
-	case "fig5":
-		return emit(harness.Figure5(opts))
-	case "fig6perf":
-		return emit(harness.Figure6Perf(opts))
-	case "fig6speedup":
-		return emit(harness.Figure6Speedup(opts))
-	case "fig6stream":
-		return emit(harness.Figure6Stream(opts))
-	case "table4":
-		return emit(harness.Table4(opts))
-	case "fig7":
-		return emit(harness.Figure7(opts))
-	case "fig8":
-		return emit(harness.Figure8(opts, ""))
-	case "fig9":
-		return emit(harness.Figure9(opts))
-	case "intervals":
-		return emit(harness.IntervalSensitivity(opts, ""))
-	case "meshhotspot":
-		return emit(harness.MeshHotspot(opts))
-	case "all":
-		fmt.Fprintln(stdout, harness.Table2())
-		fmt.Fprintln(stdout, harness.Table3(64))
-		for _, exp := range []string{"fig2", "fig5", "fig6perf", "fig6speedup", "fig6stream", "table4", "fig7", "fig8", "fig9", "intervals", "meshhotspot"} {
-			if err := run(exp, opts, stdout); err != nil {
-				return fmt.Errorf("%s: %w", exp, err)
-			}
+	return names
+}
+
+// run prints the named experiment's table, or every experiment's for "all".
+func run(name string, opts harness.Options, stdout io.Writer) error {
+	found := false
+	for _, e := range harness.Experiments {
+		if name != "all" && name != e.Name {
+			continue
 		}
-	default:
+		found = true
+		t, err := e.Run(opts)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		fmt.Fprintln(stdout, t.Format())
+	}
+	if !found {
 		return fmt.Errorf("unknown experiment %q", name)
 	}
 	return nil

@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -64,5 +65,67 @@ func TestUsageErrors(t *testing.T) {
 		if code := cliMain([]string{flag, "1", "fig6stream"}, &stdout, &stderr); code != 2 {
 			t.Errorf("%s: exit %d, want 2", flag, code)
 		}
+	}
+}
+
+// TestAllRunsEveryExperiment dispatches "all" at tiny scale, so every
+// registered experiment runs end to end through the CLI and prints its title.
+func TestAllRunsEveryExperiment(t *testing.T) {
+	titles := map[string]string{
+		"table2":      "Table 2: validation configuration",
+		"table3":      "Table 3: tiled chip configuration",
+		"fig2":        "Figure 2: fraction of accesses",
+		"fig5":        "Validation vs golden reference",
+		"fig6perf":    "Validation vs golden reference",
+		"fig6speedup": "Figure 6 (middle)",
+		"fig6stream":  "Figure 6 (right)",
+		"table4":      "Table 4: simulation performance, 32-core chip",
+		"fig7":        "Figure 7: single-thread",
+		"fig8":        "Figure 8: simulator speedup vs host threads (32-core target)",
+		"fig9":        "Figure 9: hmean simulation MIPS",
+		"intervals":   "Interval-length sensitivity",
+		"meshhotspot": "Mesh hotspot: zero-load vs contended NoC (32 cores",
+		"oversub":     "Oversubscribed client-server",
+	}
+	var stdout, stderr bytes.Buffer
+	code := cliMain([]string{"-scale", "0.02", "-max-cores", "32", "-host-threads", "1", "-quiet", "all"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("cliMain exit %d\nstderr: %s", code, stderr.String())
+	}
+	for _, name := range experimentNames() {
+		title, ok := titles[name]
+		if !ok {
+			t.Errorf("experiment %q has no expected title in this test", name)
+		} else if !strings.Contains(stdout.String(), title) {
+			t.Errorf("%s: output lacks %q", name, title)
+		}
+	}
+}
+
+// TestDocListsExperiments keeps the package doc's experiment list equal to
+// the registry.
+func TestDocListsExperiments(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []string
+	in := false
+	for _, line := range strings.Split(string(src), "\n") {
+		text, isComment := strings.CutPrefix(line, "// ")
+		if isComment && strings.HasPrefix(text, "Experiments: ") {
+			in, text = true, strings.TrimPrefix(text, "Experiments: ")
+		}
+		if !in {
+			continue
+		}
+		if !isComment || text == "" {
+			break
+		}
+		list = append(list, strings.TrimSuffix(text, "."))
+	}
+	want := strings.Join(experimentNames(), ", ")
+	if got := strings.Join(list, " "); got != want {
+		t.Fatalf("main.go doc lists experiments\n  %s\nregistry has\n  %s", got, want)
 	}
 }

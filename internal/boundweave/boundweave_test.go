@@ -211,43 +211,43 @@ func TestInterferenceProfilerRules(t *testing.T) {
 	// Same line, same interval, different cores, both reads: NOT interfering.
 	p.ObserveAccess(10, false, 0, 100)
 	p.ObserveAccess(10, false, 1, 200)
-	if p.Interfering != 0 {
+	if p.Interfering[0] != 0 {
 		t.Fatalf("read-read sharing is not path-altering")
 	}
 	// A write from another core to the same line in the same interval IS.
 	p.ObserveAccess(10, true, 2, 300)
-	if p.Interfering != 1 {
-		t.Fatalf("write to a read-shared line should interfere, got %d", p.Interfering)
+	if p.Interfering[0] != 1 {
+		t.Fatalf("write to a read-shared line should interfere, got %d", p.Interfering[0])
 	}
 	// Subsequent read from yet another core also interferes (the line has
 	// been written this interval).
 	p.ObserveAccess(10, false, 3, 400)
-	if p.Interfering != 2 {
-		t.Fatalf("read after write should interfere, got %d", p.Interfering)
+	if p.Interfering[0] != 2 {
+		t.Fatalf("read after write should interfere, got %d", p.Interfering[0])
 	}
 	// Same core repeatedly writing its own line: not interfering.
 	p.ObserveAccess(99, true, 5, 100)
 	p.ObserveAccess(99, true, 5, 200)
-	if p.Interfering != 2 {
+	if p.Interfering[0] != 2 {
 		t.Fatalf("single-core accesses must not interfere")
 	}
 	// A new interval resets the line's history.
 	p.ObserveAccess(10, true, 7, 5100)
-	if p.Interfering != 2 {
+	if p.Interfering[0] != 2 {
 		t.Fatalf("first access of a new interval must not interfere")
 	}
 	if p.Total != 7 {
 		t.Fatalf("total accesses should be counted, got %d", p.Total)
 	}
-	if p.Fraction() <= 0 || p.Fraction() >= 1 {
-		t.Fatalf("fraction out of range: %f", p.Fraction())
+	if p.Fractions()[0] <= 0 || p.Fractions()[0] >= 1 {
+		t.Fatalf("fraction out of range: %f", p.Fractions()[0])
 	}
 	p.Reset()
-	if p.Total != 0 || p.Fraction() != 0 {
+	if p.Total != 0 || p.Fractions()[0] != 0 {
 		t.Fatalf("reset should clear the profiler")
 	}
 	// Zero interval length defaults to 1000.
-	if NewInterferenceProfiler(0).intervalLen != 1000 {
+	if NewInterferenceProfiler(0).windows[0].length != 1000 {
 		t.Fatalf("interval length should default")
 	}
 }
@@ -278,7 +278,7 @@ func TestInterferenceGrowsWithIntervalLength(t *testing.T) {
 		if prof.Total == 0 {
 			t.Fatalf("profiler should observe accesses")
 		}
-		return prof.Fraction()
+		return prof.Fractions()[0]
 	}
 	f1k := run(1000)
 	f100k := run(100000)

@@ -1,32 +1,42 @@
 package boundweave
 
-import "sync"
+import (
+	"fmt"
+	"sync"
 
-// InterferenceProfiler measures the fraction of memory accesses that suffer
-// path-altering interference for a given reordering window (interval length),
-// reproducing the characterization of Figure 2. Two accesses interfere in a
-// path-altering way when they touch the same cache line within the same
-// interval, come from different cores, and at least one of them is a write
-// (two read hits to the same line are explicitly excluded by the paper's
-// definition). Eviction-induced interference is not counted here; the paper
-// reports it is negligible for realistic associativities.
+	"zsim/internal/config"
+	"zsim/internal/runctl"
+	"zsim/internal/trace"
+	"zsim/internal/virt"
+)
+
+// InterferenceProfiler measures, for one or more reordering windows (interval
+// lengths), the fraction of memory accesses that suffer path-altering
+// interference, reproducing the characterization of Figure 2. Two accesses
+// interfere in a path-altering way when they touch the same cache line within
+// the same interval, come from different cores, and at least one of them is a
+// write (two read hits to the same line are explicitly excluded by the
+// paper's definition). Eviction-induced interference is not counted here; the
+// paper reports it is negligible for realistic associativities.
 //
-// The profiler is installed as a cache.AccessObserver on every core, so it
+// Options.Profiler installs it as a cache.AccessObserver on every core, so it
 // sees the access stream before the hierarchy reorders anything. It is safe
 // for concurrent use by all bound-phase worker threads.
 type InterferenceProfiler struct {
-	intervalLen uint64
+	mu      sync.Mutex
+	windows []window
 
-	mu sync.Mutex
-	// lines maps line -> per-interval access summary. Entries are reset
-	// lazily whenever an access from a newer interval arrives.
-	lines map[uint64]*lineInfo
+	Total uint64
+	// Interfering[i] counts the interfering accesses under the i-th window.
+	Interfering []uint64
+}
 
-	Total       uint64
-	Interfering uint64
-	// WriteShared counts interfering accesses that involved a write to a
-	// shared line (the dominant class in the paper's characterization).
-	WriteShared uint64
+// window is one reordering window: its length in cycles and a per-line
+// summary of the current interval's accesses. Entries are reset lazily
+// whenever an access from a newer interval arrives.
+type window struct {
+	length uint64
+	lines  map[uint64]*lineInfo
 }
 
 type lineInfo struct {
@@ -36,69 +46,92 @@ type lineInfo struct {
 	anyWrite  bool
 }
 
-// NewInterferenceProfiler creates a profiler for the given interval length in
-// cycles (the paper sweeps 1K, 10K and 100K).
-func NewInterferenceProfiler(intervalLen uint64) *InterferenceProfiler {
-	if intervalLen == 0 {
-		intervalLen = 1000
+// NewInterferenceProfiler creates a profiler with one window per given length
+// in cycles (the paper sweeps 1K, 10K and 100K); a zero length means 1000.
+func NewInterferenceProfiler(lengths ...uint64) *InterferenceProfiler {
+	p := &InterferenceProfiler{Interfering: make([]uint64, len(lengths))}
+	for _, l := range lengths {
+		if l == 0 {
+			l = 1000
+		}
+		p.windows = append(p.windows, window{length: l, lines: make(map[uint64]*lineInfo)})
 	}
-	return &InterferenceProfiler{
-		intervalLen: intervalLen,
-		lines:       make(map[uint64]*lineInfo),
-	}
+	return p
 }
 
 // ObserveAccess implements cache.AccessObserver.
 func (p *InterferenceProfiler) ObserveAccess(lineAddr uint64, write bool, coreID int, cycle uint64) {
-	interval := cycle / p.intervalLen
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.Total++
-	li, ok := p.lines[lineAddr]
+	for i := range p.windows {
+		if p.windows[i].observe(lineAddr, write, coreID, cycle) {
+			p.Interfering[i]++
+		}
+	}
+}
+
+// observe records one access in the window and reports whether it interferes.
+func (w *window) observe(lineAddr uint64, write bool, coreID int, cycle uint64) bool {
+	interval := cycle / w.length
+	li, ok := w.lines[lineAddr]
 	if !ok || li.interval != interval {
 		if !ok {
 			li = &lineInfo{}
-			p.lines[lineAddr] = li
+			w.lines[lineAddr] = li
 		}
-		li.interval = interval
-		li.firstCore = coreID
-		li.multiCore = false
-		li.anyWrite = write
-		return
+		*li = lineInfo{interval: interval, firstCore: coreID, anyWrite: write}
+		return false
 	}
 	// Same line, same interval.
 	sameCore := li.firstCore == coreID && !li.multiCore
 	if !sameCore {
 		li.multiCore = true
 	}
-	interferes := !sameCore && (write || li.anyWrite)
 	if write {
 		li.anyWrite = true
 	}
-	if interferes {
-		p.Interfering++
-		if write {
-			p.WriteShared++
-		}
-	}
+	return !sameCore && li.anyWrite
 }
 
-// Fraction returns interfering accesses / total accesses.
-func (p *InterferenceProfiler) Fraction() float64 {
+// Fractions returns interfering accesses / total accesses, one per window.
+func (p *InterferenceProfiler) Fractions() []float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	out := make([]float64, len(p.windows))
 	if p.Total == 0 {
-		return 0
+		return out
 	}
-	return float64(p.Interfering) / float64(p.Total)
+	for i, n := range p.Interfering {
+		out[i] = float64(n) / float64(p.Total)
+	}
+	return out
 }
 
 // Reset clears all counts and line state.
 func (p *InterferenceProfiler) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.lines = make(map[uint64]*lineInfo)
+	for i := range p.windows {
+		clear(p.windows[i].lines)
+	}
 	p.Total = 0
-	p.Interfering = 0
-	p.WriteShared = 0
+	clear(p.Interfering)
+}
+
+// Profile runs w to completion on a system built from cfg, with the profiler
+// observing every core, and fails if the run stops abnormally.
+func (p *InterferenceProfiler) Profile(cfg *config.System, w *trace.Workload, hostThreads int) error {
+	sys, err := BuildSystem(cfg)
+	if err != nil {
+		return err
+	}
+	sched := virt.NewScheduler(cfg.NumCores)
+	sched.AddWorkload(w)
+	sim := NewSimulator(sys, sched, Options{HostThreads: hostThreads, Seed: 1, Profiler: p})
+	sim.Run()
+	if sim.Reason != runctl.ReasonNone {
+		return fmt.Errorf("profiling on %s: run %s at interval %d", cfg.Name, sim.Reason, sim.Intervals)
+	}
+	return nil
 }

@@ -1,31 +1,33 @@
-// Package harness builds and runs the experiments of the paper's evaluation
-// section (Section 4): every figure and table has a function here that
-// produces its rows or series, and a formatter that prints them in the same
-// layout the paper uses. The cmd/zsimexp binary is a thin wrapper over this
-// package; the benchmark (bench/) does not use it.
+// Package harness regenerates the evaluation of the paper (Section 4): each
+// figure and table is an Experiment in the ordered registry Experiments, and
+// every experiment returns its numbers as one Table, printed by Table.Format.
+// The cmd/zsimexp binary dispatches on the registry; the benchmark (bench/)
+// does not use this package.
 //
-// Experiments accept an Options value whose Scale field shrinks instruction
-// budgets and core counts so the full suite can also run in seconds for tests
-// and continuous integration; the default Scale of 1.0 is the paper-scale
-// budget, ~2M instructions per workload.
+// Experiments are clients of the public zsim facade: each simulation run is
+// zsim.New, AddWorkload, Run, with the caller's host threads, wall-clock
+// budget and progress heartbeat applied, and a run that stops abnormally
+// becomes the experiment's error. Figure 2 is the one exception: it watches
+// every access, so it runs through boundweave.InterferenceProfiler.Profile.
+// The validation figures compare against baseline.RunGolden, the fully
+// ordered reference model.
+//
+// Options.Scale shrinks instruction budgets (and Options.MaxCores the chip
+// sizes) so the whole suite also runs in seconds for tests; Scale 1.0 is the
+// paper-scale budget, ~2M instructions per workload.
 package harness
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
-	"zsim/internal/boundweave"
+	"zsim"
 	"zsim/internal/config"
-	"zsim/internal/noc"
-	"zsim/internal/runctl"
-	"zsim/internal/stats"
-	"zsim/internal/telemetry"
 	"zsim/internal/trace"
-	"zsim/internal/virt"
 )
 
 // Options control experiment sizing.
@@ -54,13 +56,7 @@ type Options struct {
 	ProgressPeriod time.Duration
 }
 
-// DefaultOptions returns full-scale experiment options.
-func DefaultOptions() Options { return Options{Scale: 1.0} }
-
-// TestOptions returns options small enough for unit tests.
-func TestOptions() Options { return Options{Scale: 0.02, HostThreads: 2, MaxCores: 64} }
-
-func (o Options) logf(format string, args ...interface{}) {
+func (o Options) logf(format string, args ...any) {
 	if o.Log != nil {
 		fmt.Fprintf(o.Log, format+"\n", args...)
 	}
@@ -75,11 +71,7 @@ func (o Options) hostThreads() int {
 
 // budgetBlocks converts a baseline block budget through the scale factor.
 func (o Options) budgetBlocks(base int) int {
-	n := int(float64(base) * o.Scale)
-	if n < 50 {
-		n = 50
-	}
-	return n
+	return max(int(float64(base)*o.Scale), 50)
 }
 
 // bigChipCores returns the simulated core count for the thousand-core
@@ -89,6 +81,31 @@ func (o Options) bigChipCores(want int) int {
 		return o.MaxCores
 	}
 	return want
+}
+
+// Experiment is one registered experiment: the name cmd/zsimexp dispatches
+// on and the function that produces its table.
+type Experiment struct {
+	Name string
+	Run  func(Options) (*Table, error)
+}
+
+// Experiments lists every experiment, in the order "zsimexp all" runs them.
+var Experiments = []Experiment{
+	{"table2", Table2},
+	{"table3", Table3},
+	{"fig2", Figure2},
+	{"fig5", Figure5},
+	{"fig6perf", Figure6Perf},
+	{"fig6speedup", Figure6Speedup},
+	{"fig6stream", Figure6Stream},
+	{"table4", Table4},
+	{"fig7", Figure7},
+	{"fig8", Figure8},
+	{"fig9", Figure9},
+	{"intervals", IntervalSensitivity},
+	{"meshhotspot", MeshHotspot},
+	{"oversub", OversubscribedClientServer},
 }
 
 // ModelKind names the four simulation-model combinations of the evaluation:
@@ -115,62 +132,145 @@ func (m ModelKind) coreModel() config.CoreModel {
 
 func (m ModelKind) contention() bool { return m == ModelIPC1C || m == ModelOOOC }
 
-// RunResult is the outcome of one simulation run.
-type RunResult struct {
-	Metrics   *stats.Metrics
-	HostNanos int64
-	Intervals uint64
-	// NOC aggregates the NoC contention subsystem's counters (zero when the
-	// configuration leaves it disabled).
-	NOC noc.Stats
+// Table is the result of every experiment: a title, named columns each with
+// its own number format, named rows of numeric cells, and note lines printed
+// under the table. A table without columns is just its title and notes.
+type Table struct {
+	Title string
+	// Key heads the column of row names.
+	Key     string
+	Columns []Column
+	Rows    []Row
+	Notes   []string
 }
 
-// runZSim builds the system for cfg, runs the named workload with the given
-// thread count through the bound-weave simulator, and returns metrics plus
-// host time.
-func runZSim(cfg *config.System, workload string, params trace.Params, threads int, opts Options) (*RunResult, error) {
-	sys, err := boundweave.BuildSystem(cfg)
+// Column is a column's name and the fmt format its cells print with.
+// Percentage columns (format pct) hold percent values, not fractions.
+type Column struct {
+	Name, Format string
+}
+
+// Row is one named row; Cells[i] belongs to Columns[i].
+type Row struct {
+	Name  string
+	Cells []float64
+}
+
+// pct is the format of signed percentage columns.
+const pct = "%+.1f%%"
+
+// columns returns one column per name, all printed with format.
+func columns(format string, names ...string) []Column {
+	cols := make([]Column, len(names))
+	for i, n := range names {
+		cols[i] = Column{n, format}
+	}
+	return cols
+}
+
+// labels formats each x with format, for columns named by a sweep.
+func labels(format string, xs []int) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = fmt.Sprintf(format, x)
+	}
+	return out
+}
+
+// AddRow appends a row.
+func (t *Table) AddRow(name string, cells ...float64) {
+	t.Rows = append(t.Rows, Row{name, cells})
+}
+
+// Cell returns the value in the named row and column, and whether both exist.
+func (t *Table) Cell(row, col string) (float64, bool) {
+	for _, r := range t.Rows {
+		if r.Name != row {
+			continue
+		}
+		for i, c := range t.Columns {
+			if c.Name == col && i < len(r.Cells) {
+				return r.Cells[i], true
+			}
+		}
+	}
+	return 0, false
+}
+
+// Format renders the title, the rows under aligned column headers, and the
+// notes after a blank line.
+func (t *Table) Format() string {
+	var b strings.Builder
+	b.WriteString(t.Title + "\n")
+	if len(t.Columns) > 0 {
+		// lines[0] is the header and lines[1] the separator, filled in once
+		// the widths are known.
+		lines := [][]string{{t.Key}, nil}
+		for _, c := range t.Columns {
+			lines[0] = append(lines[0], c.Name)
+		}
+		for _, r := range t.Rows {
+			line := []string{r.Name}
+			for i, v := range r.Cells {
+				line = append(line, fmt.Sprintf(t.Columns[i].Format, v))
+			}
+			lines = append(lines, line)
+		}
+		widths := make([]int, len(lines[0]))
+		for _, line := range lines {
+			for i, s := range line {
+				widths[i] = max(widths[i], len(s))
+			}
+		}
+		for _, w := range widths {
+			lines[1] = append(lines[1], strings.Repeat("-", w))
+		}
+		for _, line := range lines {
+			var row strings.Builder
+			for i, s := range line {
+				fmt.Fprintf(&row, "%-*s  ", widths[i], s)
+			}
+			b.WriteString(strings.TrimRight(row.String(), " ") + "\n")
+		}
+		if len(t.Notes) > 0 {
+			b.WriteString("\n")
+		}
+	}
+	for _, n := range t.Notes {
+		b.WriteString(n + "\n")
+	}
+	return b.String()
+}
+
+// workload is one process of a simulated run.
+type workload struct {
+	name    string
+	params  trace.Params
+	threads int
+}
+
+// simulate runs the workloads on cfg through the zsim facade with opts' host
+// threads, wall-clock budget and progress heartbeat. A run that stops
+// abnormally (deadline, deadlock, panic) becomes the experiment's error
+// rather than silently truncated rows.
+func simulate(cfg *config.System, opts Options, seed uint64, loads ...workload) (*zsim.Result, error) {
+	cfg.MaxWallTime = opts.Timeout
+	sim, err := zsim.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	w := trace.NewIn(sys.Root.Arena(), workload, params, threads)
-	sched := virt.NewScheduler(cfg.NumCores)
-	sched.AddWorkload(w)
-	bwOpts := boundweave.Options{
-		HostThreads: opts.hostThreads(),
-		Seed:        1,
-		MaxWallTime: opts.Timeout,
+	for _, l := range loads {
+		sim.AddWorkload(l.name, l.params, l.threads)
 	}
-	stopHeartbeat := func() {}
+	sim.SetHostThreads(opts.hostThreads())
+	sim.SetSeed(seed)
 	if opts.Progress != nil {
-		period := opts.ProgressPeriod
-		if period <= 0 {
-			period = 2 * time.Second
-		}
-		probe := new(telemetry.Probe)
-		bwOpts.Probe = probe
-		prefix := fmt.Sprintf("%s/%s: ", cfg.Name, workload)
-		stopHeartbeat = telemetry.StartHeartbeat(opts.Progress, probe, prefix, period)
+		period := cmp.Or(opts.ProgressPeriod, 2*time.Second)
+		defer zsim.StartHeartbeat(opts.Progress, sim.Probe(), cfg.Name+"/"+loads[0].name+": ", period)()
 	}
-	sim := boundweave.NewSimulator(sys, sched, bwOpts)
-	start := time.Now()
-	sim.Run()
-	elapsed := time.Since(start).Nanoseconds()
-	stopHeartbeat()
-	if r := sim.Reason; r != runctl.ReasonNone {
-		// An experiment run that deadlocks, overruns its budget or panics
-		// must surface as a loud failure, not as silently-wrong table rows.
-		return nil, fmt.Errorf("%s on %s: run %s at interval %d (cycle %d)",
-			workload, cfg.Name, r, sim.Intervals, sim.GlobalCycle())
-	}
-	m := sys.Metrics()
-	m.Workload = workload
-	m.Model = string(cfg.CoreModel)
-	m.HostNanos = elapsed
-	m.Finalize()
-	res := &RunResult{Metrics: m, HostNanos: elapsed, Intervals: sim.Intervals}
-	if sys.Fabric != nil {
-		res.NOC = sys.Fabric.TotalStats()
+	res, err := sim.Run()
+	if err != nil {
+		return nil, fmt.Errorf("%s on %s: %w", loads[0].name, cfg.Name, err)
 	}
 	return res, nil
 }
@@ -197,56 +297,4 @@ func nativeRate(params trace.Params, threads int) float64 {
 		return 0
 	}
 	return float64(instrs) / elapsed / 1e6 // MIPS
-}
-
-// table renders rows of columns with aligned widths.
-func table(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cols []string) {
-		for i, c := range cols {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteString("\n")
-	}
-	writeRow(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, r := range rows {
-		writeRow(r)
-	}
-	return b.String()
-}
-
-func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
-func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
-func pct(v float64) string {
-	return fmt.Sprintf("%+.1f%%", v*100)
-}
-
-// sortedKeys returns the map's keys in sorted order (for deterministic
-// tables).
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
