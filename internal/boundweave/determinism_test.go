@@ -177,6 +177,40 @@ func sharedTrafficRun(t *testing.T) string {
 	cfg.Contention = true
 	cfg.NOCContention = true
 	cfg.NOCLinkBytes = 4
+	sys, sim := runSharedTraffic(t, cfg)
+	var sb strings.Builder
+	m := sys.Metrics()
+	fs := sys.Fabric.TotalStats()
+	fmt.Fprintf(&sb, "cycles=%d instrs=%d l3=%d weave=%d feedback=%d noc(trav=%d conflicts=%d stalls=%d delay=%d)",
+		m.Cycles, m.Instrs, m.L3Misses, sim.WeaveEvents, sim.TotalFeedback,
+		fs.Traversals, fs.PortConflicts, fs.QueueStalls, fs.QueueDelay)
+	return sb.String()
+}
+
+// bankMemRun is the shared-traffic workload with the NoC contention
+// subsystem off: the weave graph holds only bank and DDR3 events, the shape
+// of the 1,024-core chip's weave.
+func bankMemRun(t *testing.T) string {
+	t.Helper()
+	cfg := config.TiledChip(4, config.CoreIPC1)
+	cfg.Contention = true
+	sys, sim := runSharedTraffic(t, cfg)
+	m := sys.Metrics()
+	var conflicts, mshrStalls uint64
+	for _, b := range sim.models.banks {
+		if b != nil {
+			conflicts += b.PortConflicts
+			mshrStalls += b.MSHRStalls
+		}
+	}
+	return fmt.Sprintf("cycles=%d instrs=%d l3=%d memrd=%d weave=%d feedback=%d bank(conflicts=%d mshrstalls=%d)",
+		m.Cycles, m.Instrs, m.L3Misses, m.MemReads, sim.WeaveEvents, sim.TotalFeedback, conflicts, mshrStalls)
+}
+
+// runSharedTraffic runs the write-shared hotspot workload on cfg with one
+// bound worker.
+func runSharedTraffic(t *testing.T, cfg *config.System) (*System, *Simulator) {
+	t.Helper()
 	sys, err := BuildSystem(cfg)
 	if err != nil {
 		t.Fatalf("BuildSystem: %v", err)
@@ -193,14 +227,7 @@ func sharedTrafficRun(t *testing.T) string {
 	sched.AddWorkload(trace.New("shared-hotspot", p, 32))
 	sim := NewSimulator(sys, sched, Options{HostThreads: 1, Seed: 7})
 	sim.Run()
-
-	var sb strings.Builder
-	m := sys.Metrics()
-	fs := sys.Fabric.TotalStats()
-	fmt.Fprintf(&sb, "cycles=%d instrs=%d l3=%d weave=%d feedback=%d noc(trav=%d conflicts=%d stalls=%d delay=%d)",
-		m.Cycles, m.Instrs, m.L3Misses, sim.WeaveEvents, sim.TotalFeedback,
-		fs.Traversals, fs.PortConflicts, fs.QueueStalls, fs.QueueDelay)
-	return sb.String()
+	return sys, sim
 }
 
 // TestGoldenWeaveOrder pins the weave order to literal signatures recorded
@@ -209,15 +236,21 @@ func sharedTrafficRun(t *testing.T) string {
 // else checks its (cycle, sequence) order, so a change in how ties or key
 // raises resolve shows up here as a changed signature. The shared-traffic
 // run is tie-heavy; the NoC run adds locks, syscalls, oversubscription and
-// router events.
+// router events; the bank-mem run, recorded when each access still carried a
+// core-side root and response event, has only bank and DDR3 events. The
+// weave= fields count the events the engine ran and were re-recorded when
+// those core-side events were folded away; the rest of each literal is the
+// original.
 func TestGoldenWeaveOrder(t *testing.T) {
 	for _, c := range []struct{ name, got, want string }{
 		{"shared-traffic", sharedTrafficRun(t),
-			"cycles=24777 instrs=21578 l3=842 weave=22401 feedback=568301 noc(trav=4173 conflicts=2745 stalls=803 delay=1399954)"},
+			"cycles=24777 instrs=21578 l3=842 weave=8328 feedback=568301 noc(trav=4173 conflicts=2745 stalls=803 delay=1399954)"},
 		{"noc", deterministicRunNOC(t, 1, 4, true, 1, true),
 			"core(cyc=33075 instr=2722) core(cyc=35446 instr=3162) core(cyc=35313 instr=3348) core(cyc=32025 instr=3053) " +
-				"| cycles=35446 instrs=12285 l1d=515 l2=553 l3=553 memrd=460 | intervals=36 rounds=116 weave=4290 feedback=9667 " +
+				"| cycles=35446 instrs=12285 l1d=515 l2=553 l3=553 memrd=460 | intervals=36 rounds=116 weave=2209 feedback=9667 " +
 				"| cs=204 joins=113 lockblk=66 sysblk=40 barrier=8 | noc(trav=1103 conflicts=104 stalls=0 delay=1319)"},
+		{"bank-mem", bankMemRun(t),
+			"cycles=15368 instrs=21578 l3=842 memrd=403 weave=4226 feedback=276729 bank(conflicts=1496 mshrstalls=0)"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s signature moved:\n  got:  %s\n  want: %s", c.name, c.got, c.want)

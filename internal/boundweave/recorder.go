@@ -7,11 +7,14 @@ import (
 	"zsim/internal/noc"
 )
 
-// accessRecord is one bound-phase memory access that left the private cache
-// levels: its zero-load issue cycle, whether it was a store, and the hops it
-// performed.
+// accessRecord is one bound-phase memory access that reached a shared
+// component: its zero-load issue and completion cycles, whether it was a
+// store, and its model hops — the hops that become weave events, in program
+// order. Private-level hops are dropped when the access is recorded; only
+// the completion cycle keeps their zero-load time.
 type accessRecord struct {
 	issueCycle uint64
+	doneCycle  uint64
 	write      bool
 	hops       []cache.Hop
 }
@@ -20,7 +23,8 @@ type accessRecord struct {
 // access from its core (via the core.AccessRecorder interface) and keeps the
 // ones that touch shared components (L3 banks, memory controllers), which are
 // the accesses the weave phase retimes. Each core has its own recorder and is
-// driven by one host thread, so no locking is needed.
+// driven by one host thread, so no locking is needed, and the filtering runs
+// on the parallel bound workers rather than in the serial weave.
 //
 // The recorder owns a freelist of hop buffers: RecordAccess takes ownership
 // of the consumed trace's buffer and hands a recycled one back to the core,
@@ -28,20 +32,22 @@ type accessRecord struct {
 // the freelist. After the first few intervals the record path therefore
 // performs no heap allocation.
 type Recorder struct {
-	coreID int
 	shared []bool // dense component-ID -> weave-retimed table
-	recs   []accessRecord
-	free   [][]cache.Hop
+	// net keeps network hops, which become router events when the system has
+	// a NoC contention fabric.
+	net  bool
+	recs []accessRecord
+	free [][]cache.Hop
 	// Dropped counts accesses that stayed within the private levels and were
 	// therefore not recorded (contention there is dominated by the core
 	// itself and is modeled in the bound phase).
 	Dropped uint64
 }
 
-// NewRecorder creates a recorder for one core. shared is the set of component
-// IDs whose events are weave-simulated.
+// NewRecorder creates a recorder for core coreID. shared is the set of
+// component IDs whose events are weave-simulated.
 func NewRecorder(coreID int, shared map[int]bool) *Recorder {
-	return &Recorder{coreID: coreID, shared: denseShared(shared)}
+	return &Recorder{shared: denseShared(shared)}
 }
 
 // denseShared densifies a shared-component set into a component-ID-indexed
@@ -65,21 +71,31 @@ func denseShared(shared map[int]bool) []bool {
 }
 
 // RecordAccess implements core.AccessRecorder. It keeps traces that touch a
-// shared component and returns a recycled hop buffer for the core's next
-// access.
+// shared component, compacted in place to their model hops, and returns a
+// recycled hop buffer for the core's next access.
 func (r *Recorder) RecordAccess(coreID int, issueCycle uint64, write bool, hops []cache.Hop) []cache.Hop {
-	touchesShared := false
+	done := issueCycle
+	if n := len(hops); n > 0 {
+		done = hops[n-1].Cycle + uint64(hops[n-1].Latency)
+	}
+	kept, touchesShared := 0, false
 	for i := range hops {
-		if c := hops[i].Comp; c >= 0 && c < len(r.shared) && r.shared[c] {
+		h := &hops[i]
+		switch c := h.Comp; {
+		case c >= 0 && c < len(r.shared) && r.shared[c]:
 			touchesShared = true
-			break
+		case r.net && (h.Kind == cache.HopNet || h.Kind == cache.HopNetMem):
+		default:
+			continue
 		}
+		hops[kept] = *h
+		kept++
 	}
 	if !touchesShared {
 		r.Dropped++
 		return hops[:0] // the caller keeps reusing its own buffer
 	}
-	r.recs = append(r.recs, accessRecord{issueCycle: issueCycle, write: write, hops: hops})
+	r.recs = append(r.recs, accessRecord{issueCycle: issueCycle, doneCycle: done, write: write, hops: hops[:kept]})
 	if n := len(r.free); n > 0 {
 		buf := r.free[n-1]
 		r.free = r.free[:n-1]
@@ -177,13 +193,18 @@ func (b *BankModel) Reset() {
 }
 
 // weaveModels bundles the per-component contention models used by the weave
-// phase of one Simulator, as dense component-ID-indexed tables. fabric and
-// routerComp (node-indexed) are non-nil only when NoC contention is enabled.
+// phase of one Simulator, as dense component-ID-indexed tables: banks and
+// mems span the low IDs that hold them, routers every ID. routers, fabric
+// and routerComp (node-indexed) are non-nil only when NoC contention is
+// enabled. exec is the one executor every weave event carries: run, bound to
+// these tables once per simulator.
 type weaveModels struct {
 	banks      []*BankModel
 	mems       []memctrl.ContentionModel
+	routers    []*noc.Router
 	fabric     *noc.Fabric
 	routerComp []int
+	exec       event.Executor
 }
 
 func (m *weaveModels) bank(comp int) *BankModel {
@@ -193,56 +214,37 @@ func (m *weaveModels) bank(comp int) *BankModel {
 	return nil
 }
 
-func (m *weaveModels) mem(comp int) memctrl.ContentionModel {
-	if comp >= 0 && comp < len(m.mems) {
-		return m.mems[comp]
+// run executes one weave event on the model of its component. A bank event's
+// Flag marks a miss; a memory event's Arg is the line and its Flag marks a
+// writeback; a router event's Arg is the output port.
+func (m *weaveModels) run(ev *event.Event, dispatch uint64) uint64 {
+	switch c := ev.Comp; {
+	case c < len(m.banks) && m.banks[c] != nil:
+		return m.banks[c].Schedule(dispatch, ev.Flag)
+	case c < len(m.mems) && m.mems[c] != nil:
+		return dispatch + m.mems[c].RequestLatency(ev.Arg, dispatch, ev.Flag)
+	default:
+		return m.routers[c].Schedule(int(ev.Arg), dispatch)
 	}
-	return nil
 }
 
-// bankExec, memExec and routerExec are the shared weave-event executors. The
-// per-event context lives in the event's Ctx/Arg/Flag fields, so building a
-// chain never allocates a closure.
-func bankExec(ev *event.Event, dispatch uint64) uint64 {
-	return ev.Ctx.(*BankModel).Schedule(dispatch, ev.Flag)
-}
-
-func memExec(ev *event.Event, dispatch uint64) uint64 {
-	return dispatch + ev.Ctx.(memctrl.ContentionModel).RequestLatency(ev.Arg, dispatch, ev.Flag)
-}
-
-// routerExec dispatches a packet through one router's output port; Arg
-// carries the port index.
-func routerExec(ev *event.Event, dispatch uint64) uint64 {
-	return ev.Ctx.(*noc.Router).Schedule(int(ev.Arg), dispatch)
-}
-
-// buildChain converts one recorded access into a weave event chain and
-// returns the chain's response event (at the core), whose finish-vs-bound
-// difference is the access's contention delay. Events are allocated from the
-// given slab.
-//
-// prevResp, when non-nil, is the response event of the same core's most
-// recent recorded *load*: it becomes a parent of this chain's root,
-// serializing the core's later shared-level accesses behind the load the
-// core stalled on. A load delayed by contention therefore delays the core's
-// subsequent misses, cascading the contention delay through the access
-// stream exactly as the stalled bound-phase core would have experienced it.
-// Stores do not gate later accesses (the core does not stall on them).
-// Without prevResp the root has no parent and is enqueued on eng at once.
-func buildChain(slab *event.Slab, eng *event.Engine, rec *accessRecord, coreComp int, models *weaveModels, prevResp *event.Event) *event.Event {
-	// Root: the core issues the request at its bound-phase cycle.
-	root := slab.Alloc()
-	root.Comp = coreComp
-	root.MinCycle = rec.issueCycle
-	if prevResp != nil {
-		prevResp.AddChild(root)
-	} else {
-		eng.Enqueue(root)
+// buildChain allocates rec's events from slab, one per contended hop in
+// program order, each a child of the one before, and returns the first and
+// the last. Each event's lower bound is its hop's zero-load arrival, so an
+// uncontended chain finishes exactly at the bound-phase cycle. A recorded
+// access touches a shared component and every shared component has a model,
+// so the chain is never empty.
+func (m *weaveModels) buildChain(slab *event.Slab, rec *accessRecord) (first, last *event.Event) {
+	add := func(comp int, minCycle, arg uint64, flag bool) {
+		ev := slab.Alloc()
+		ev.Comp, ev.MinCycle, ev.Exec, ev.Arg, ev.Flag = comp, minCycle, m.exec, arg, flag
+		if last == nil {
+			first = ev
+		} else {
+			last.AddChild(ev)
+		}
+		last = ev
 	}
-
-	prev := root
-	lastZeroLoadDone := rec.issueCycle
 	for i := range rec.hops {
 		h := &rec.hops[i]
 		switch h.Kind {
@@ -250,79 +252,78 @@ func buildChain(slab *event.Slab, eng *event.Engine, rec *accessRecord, coreComp
 			// A routed NoC traversal: one event per router along the
 			// topology's deterministic route, each occupying its output port.
 			// The first router dispatches after the zero-load injection
-			// latency; each event's lower bound is its zero-load arrival, so
-			// an uncontended route finishes exactly at the bound-phase cycle.
-			if fab := models.fabric; fab != nil {
-				cur, dst := int(h.Src), int(h.Dst)
-				minCycle := h.Cycle + fab.Injection()
-				perHop := fab.PerHop()
-				for cur != dst {
-					next, port := fab.NextHop(cur, dst)
-					ev := slab.Alloc()
-					ev.Comp = models.routerComp[cur]
-					ev.MinCycle = minCycle
-					ev.Ctx = fab.Router(cur)
-					ev.Arg = uint64(port)
-					ev.Exec = routerExec
-					prev.AddChild(ev)
-					prev = ev
-					minCycle += perHop
-					cur = next
-				}
+			// latency.
+			cur, dst := int(h.Src), int(h.Dst)
+			minCycle := h.Cycle + m.fabric.Injection()
+			perHop := m.fabric.PerHop()
+			for cur != dst {
+				next, port := m.fabric.NextHop(cur, dst)
+				add(m.routerComp[cur], minCycle, uint64(port), false)
+				minCycle += perHop
+				cur = next
 			}
-			lastZeroLoadDone = h.Cycle + uint64(h.Latency)
-			continue
 		case cache.HopNetMem:
 			// The LLC-to-controller link: a single traversal of the owning
 			// bank's memory-egress port (the one hop the bound phase charges).
-			if fab := models.fabric; fab != nil {
-				src := int(h.Src)
-				ev := slab.Alloc()
-				ev.Comp = models.routerComp[src]
-				ev.MinCycle = h.Cycle
-				ev.Ctx = fab.Router(src)
-				ev.Arg = uint64(fab.MemPort())
-				ev.Exec = routerExec
-				prev.AddChild(ev)
-				prev = ev
+			add(m.routerComp[h.Src], h.Cycle, uint64(m.fabric.MemPort()), false)
+		default:
+			if m.bank(h.Comp) != nil {
+				add(h.Comp, h.Cycle, h.Line, h.Kind == cache.HopMiss)
+			} else {
+				add(h.Comp, h.Cycle, h.Line, h.Kind == cache.HopWB)
 			}
-			lastZeroLoadDone = h.Cycle + uint64(h.Latency)
-			continue
 		}
-		if bank := models.bank(h.Comp); bank != nil {
-			ev := slab.Alloc()
-			ev.Comp = h.Comp
-			ev.MinCycle = h.Cycle
-			ev.Ctx = bank
-			ev.Flag = h.Kind == cache.HopMiss
-			ev.Exec = bankExec
-			prev.AddChild(ev)
-			prev = ev
-			lastZeroLoadDone = h.Cycle + uint64(h.Latency)
-			continue
-		}
-		if mem := models.mem(h.Comp); mem != nil {
-			ev := slab.Alloc()
-			ev.Comp = h.Comp
-			ev.MinCycle = h.Cycle
-			ev.Ctx = mem
-			ev.Arg = h.Line
-			ev.Flag = h.Kind == cache.HopWB
-			ev.Exec = memExec
-			prev.AddChild(ev)
-			prev = ev
-			lastZeroLoadDone = h.Cycle + uint64(h.Latency)
-			continue
-		}
-		// Private-level hops contribute only their zero-load time.
-		lastZeroLoadDone = h.Cycle + uint64(h.Latency)
 	}
+	if first == nil {
+		panic("boundweave: a recorded access has no contended hop")
+	}
+	return first, last
+}
 
-	// Response event back at the core: its lower bound is the access's
-	// zero-load completion; its actual finish reflects contention upstream.
-	resp := slab.Alloc()
-	resp.Comp = coreComp
-	resp.MinCycle = lastZeroLoadDone
-	prev.AddChild(resp)
-	return resp
+// coreChain is one core's chain-building state within an interval. A core's
+// accesses are built in program order, and its later shared-level accesses
+// queue behind the load it stalled on: the first event of an access is a
+// child of the last event of the core's latest load, and dispatches no
+// earlier than that load's zero-load completion. A load delayed by
+// contention therefore delays the core's subsequent misses, as the stalled
+// bound-phase core would have experienced it. Stores gate nothing (the core
+// does not stall on them).
+type coreChain struct {
+	load     *event.Event // last event of the core's latest load
+	loadDone uint64       // that load's zero-load completion
+	// fb is the last event of the access with the latest zero-load
+	// completion, fbDone (a later access wins a tie).
+	fb     *event.Event
+	fbDone uint64
+}
+
+// add builds rec's events and links them into the core's chain. The first
+// event's lower bound becomes max(its hop's bound, the issue cycle, the
+// latest load's completion), and its parent the latest load's last event;
+// with no earlier load it is enqueued on eng. add returns the first event.
+func (c *coreChain) add(slab *event.Slab, eng *event.Engine, m *weaveModels, rec *accessRecord) *event.Event {
+	first, last := m.buildChain(slab, rec)
+	first.MinCycle = max(first.MinCycle, rec.issueCycle, c.loadDone)
+	if c.load != nil {
+		c.load.AddChild(first)
+	} else {
+		eng.Enqueue(first)
+	}
+	if !rec.write {
+		c.load, c.loadDone = last, rec.doneCycle
+	}
+	if rec.doneCycle >= c.fbDone {
+		c.fb, c.fbDone = last, rec.doneCycle
+	}
+	return first
+}
+
+// feedback is the core's contention delay once the engine has run: how far
+// past its zero-load completion the latest-completing access's last event
+// finished.
+func (c *coreChain) feedback() uint64 {
+	if c.fb == nil || c.fb.FinishCycle() <= c.fbDone {
+		return 0
+	}
+	return c.fb.FinishCycle() - c.fbDone
 }

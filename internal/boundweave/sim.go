@@ -3,6 +3,7 @@ package boundweave
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -11,6 +12,7 @@ import (
 	"zsim/internal/engine"
 	"zsim/internal/event"
 	"zsim/internal/memctrl"
+	"zsim/internal/noc"
 	"zsim/internal/runctl"
 	"zsim/internal/telemetry"
 	"zsim/internal/trace"
@@ -93,9 +95,8 @@ type Simulator struct {
 	// engine is the persistent weave engine (nil without contention),
 	// reused every interval.
 	engine *event.Engine
-	// last is the per-core scratch used by runWeave to track each core's
-	// latest response event.
-	last []lastResp
+	// chains is runWeave's per-core chain-building scratch.
+	chains []coreChain
 
 	globalCycle uint64
 	rngState    uint64
@@ -139,7 +140,7 @@ type Simulator struct {
 	probe     *telemetry.Probe
 	traceSink *telemetry.TraceSink
 
-	// Run statistics.
+	// Run statistics. WeaveEvents counts the events the weave engine ran.
 	Intervals     uint64
 	BoundRounds   uint64
 	WeaveEvents   uint64
@@ -147,8 +148,8 @@ type Simulator struct {
 	BoundNanos    int64
 	WeaveNanos    int64
 	// ChainNanos is the part of WeaveNanos spent building the intervals'
-	// event chains, including pushing each chain root onto the engine's
-	// heap; the rest is the engine run and the delay feedback.
+	// event chains, including pushing each core's ungated first events onto
+	// the engine's heap; the rest is the engine run and the delay feedback.
 	ChainNanos int64
 	// Stalled reports that the run ended because no thread was runnable and
 	// no blocked thread could ever be woken by the passage of simulated time
@@ -172,13 +173,6 @@ type homeQueue struct {
 	next   atomic.Int64
 	lo, hi int
 	_      [40]byte
-}
-
-// lastResp remembers a core's latest weave response event and its zero-load
-// lower bound.
-type lastResp struct {
-	ev       *event.Event
-	minCycle uint64
 }
 
 // NewSimulator wires a built system, a populated scheduler and run options
@@ -222,17 +216,7 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 	s.workers = min(host, s.pool.Parallelism())
 
 	if s.contention {
-		maxComp := -1
-		for _, comp := range sys.BankComp {
-			if comp > maxComp {
-				maxComp = comp
-			}
-		}
-		for _, comp := range sys.MemComp {
-			if comp > maxComp {
-				maxComp = comp
-			}
-		}
+		maxComp := max(slices.Max(sys.BankComp), slices.Max(sys.MemComp))
 		s.models = &weaveModels{
 			banks: make([]*BankModel, maxComp+1),
 			mems:  make([]memctrl.ContentionModel, maxComp+1),
@@ -244,7 +228,12 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 			sys.Fabric.Reset()
 			s.models.fabric = sys.Fabric
 			s.models.routerComp = sys.RouterComp
+			s.models.routers = make([]*noc.Router, slices.Max(sys.RouterComp)+1)
+			for node, comp := range sys.RouterComp {
+				s.models.routers[comp] = sys.Fabric.Router(node)
+			}
 		}
+		s.models.exec = s.models.run
 		for i, comp := range sys.BankComp {
 			s.models.banks[comp] = NewBankModel(sys.Banks[i].Latency(), sys.Banks[i].MSHRs(), uint64(cfg.MemLatency))
 		}
@@ -269,13 +258,13 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 		recs := make([]Recorder, n)
 		s.recorders = make([]*Recorder, n)
 		for coreID, c := range sys.Cores {
-			recs[coreID] = Recorder{coreID: coreID, shared: shared}
+			recs[coreID] = Recorder{shared: shared, net: sys.Fabric != nil}
 			s.recorders[coreID] = &recs[coreID]
 			c.SetRecorder(&recs[coreID])
 		}
 		s.slab = event.NewSlab(64 << 10 / int(unsafe.Sizeof(event.Event{})))
 		s.engine = new(event.Engine)
-		s.last = make([]lastResp, n)
+		s.chains = make([]coreChain, n)
 	}
 	s.instrsTotal.Store(s.totalInstrs())
 	s.probe = opts.Probe
@@ -361,9 +350,7 @@ func (s *Simulator) Reset(opts Options) error {
 				m.Reset()
 			}
 		}
-		for i := range s.last {
-			s.last[i] = lastResp{}
-		}
+		clear(s.chains)
 	}
 	if opts.Profiler != nil {
 		for _, c := range s.Sys.Cores {
@@ -705,48 +692,31 @@ loop:
 }
 
 // runWeave builds the interval's event graph from the per-core recorders,
-// executes it on the persistent engine, and feeds the contention delays back
-// into the core clocks. Once the slab, the heap and the hop freelists have
-// warmed up, a steady-state weave interval performs no heap allocation.
+// one event per contended hop, executes it on the persistent engine, and
+// feeds the contention delays back into the core clocks. Once the slab, the
+// heap and the hop freelists have warmed up, a steady-state weave interval
+// performs no heap allocation.
 func (s *Simulator) runWeave() {
 	chainStart := time.Now()
 	// Build chains core by core from the one slab, so sequence numbers order
-	// events by (core, program order), and remember each core's latest
-	// response event.
-	last := s.last
-	for i := range last {
-		last[i] = lastResp{}
-	}
+	// events by (core, program order).
 	s.slab.Reset()
-	totalEvents := uint64(0)
 	for coreID, rec := range s.recorders {
-		coreComp := s.Sys.CoreComp[coreID]
-		var prevLoadResp *event.Event
+		c := &s.chains[coreID]
+		*c = coreChain{}
 		for i := range rec.recs {
-			r := &rec.recs[i]
-			resp := buildChain(s.slab, s.engine, r, coreComp, s.models, prevLoadResp)
-			if !r.write {
-				prevLoadResp = resp
-			}
-			totalEvents += uint64(len(r.hops)) + 2
-			if resp.MinCycle >= last[coreID].minCycle {
-				last[coreID] = lastResp{ev: resp, minCycle: resp.MinCycle}
-			}
+			c.add(s.slab, s.engine, s.models, &rec.recs[i])
 		}
 	}
-	s.WeaveEvents += totalEvents
 	s.ChainNanos += time.Since(chainStart).Nanoseconds()
 
 	s.engine.Run()
+	s.WeaveEvents += uint64(s.slab.InUse()) // Run executes every event built
 
 	// Feedback: each core's clock advances by the contention delay of its
-	// last access (actual finish minus zero-load bound).
-	for coreID, lr := range last {
-		if lr.ev == nil || !lr.ev.Finished() {
-			continue
-		}
-		if lr.ev.FinishCycle() > lr.minCycle {
-			delay := lr.ev.FinishCycle() - lr.minCycle
+	// latest-completing access.
+	for coreID := range s.chains {
+		if delay := s.chains[coreID].feedback(); delay > 0 {
 			s.Sys.Cores[coreID].AddDelay(delay)
 			s.TotalFeedback += delay
 		}

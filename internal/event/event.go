@@ -13,11 +13,13 @@
 //
 // An Engine runs every interval on the caller from a single binary min-heap
 // ordered by (dispatch cycle, sequence number) that holds only events ready to
-// run. Enqueue pushes a chain root at its lower bound (MinCycle). Run pops the
-// minimum, executes it and releases its children; a child whose last parent
-// has just finished is pushed at its ready cycle — the latest parent finish
-// plus Delay, and at least MinCycle. Every parent has finished by then, so a
-// key is final when it is pushed and is never changed.
+// run. Enqueue pushes a chain root at its lower bound (MinCycle). Run executes
+// the minimum in place and releases its children; a child whose last parent
+// has just finished is ready at the latest parent finish plus Delay, and at
+// least MinCycle. The first ready child replaces the executed head with one
+// sift-down, later ones are pushed, and a head that readies no child is
+// popped. Every parent has finished by then, so a key is final when it enters
+// the heap and is never changed.
 //
 // The pop order is the pure (final dispatch cycle, sequence) order, a function
 // of the bound phase alone:
@@ -40,16 +42,18 @@
 package event
 
 // Executor is the contention-model callback attached to an event: it receives
-// the event itself (whose Ctx/Arg/Flag fields carry the model context) and
-// the cycle at which the event is dispatched, and returns the cycle at which
-// the event finishes (>= the dispatch cycle). Executors are typically shared
-// package-level functions rather than per-event closures, so that building an
-// interval's event graph allocates nothing.
+// the event itself (whose Comp/Arg/Flag fields select the model and carry the
+// access) and the cycle at which the event is dispatched, and returns the
+// cycle at which the event finishes (>= the dispatch cycle). A simulator binds
+// one executor that switches on Comp over its model tables and gives it to
+// every event, so building an interval's event graph allocates nothing. An
+// executor must not call Enqueue.
 type Executor func(ev *Event, dispatchCycle uint64) (finishCycle uint64)
 
-// Event is one weave-phase event: an access hitting a component, a memory
-// read, a writeback, or a core-side marker. Events are allocated from a Slab
-// with their dependencies fully specified before the engine runs them.
+// Event is one weave-phase event: an access occupying one contended
+// component (an L3 bank, a memory controller, a NoC router port). Events are
+// allocated from a Slab with their dependencies fully specified before the
+// engine runs them. An Event is 80 bytes.
 type Event struct {
 	// Comp is the global component ID the event operates on.
 	Comp int
@@ -59,34 +63,29 @@ type Event struct {
 	// Exec computes the event's finish cycle given its dispatch cycle. A nil
 	// Exec means the event finishes instantly at its dispatch cycle.
 	Exec Executor
-	// Ctx carries the executor's context (e.g. a *BankModel or a memory
-	// contention model). Storing a pointer in an interface does not allocate,
-	// so a shared Executor plus Ctx/Arg/Flag replaces a per-event closure.
-	Ctx any
 	// Arg is an executor-defined scalar (e.g. the access's line address).
 	Arg uint64
 	// Delay is the fixed parent-to-child delay: the event cannot be
 	// dispatched before parentFinish + Delay (for each parent).
-	Delay uint64
+	Delay uint32
 	// Flag is an executor-defined boolean (e.g. miss-vs-hit or write-vs-read).
 	Flag bool
 
-	// Mutable simulation state. done and pendingParents share Flag's word,
-	// which keeps an Event at 112 bytes.
+	// Mutable simulation state. Delay through seq pack into two words.
 	done           bool
 	pendingParents int32
-	children       []*Event
-	readyCycle     uint64 // max over finished parents of (finish + Delay)
-	finishCycle    uint64
-
 	// seq is the event's creation sequence number in its Slab. It breaks
 	// dispatch-cycle ties in the heap, so same-cycle events execute in a
 	// reproducible order instead of heap-arrival order.
-	seq uint64
+	seq      uint32
+	children []*Event
+	// cycle is the ready cycle (the max over finished parents of finish +
+	// Delay) until the event runs, and its finish cycle after.
+	cycle uint64
 }
 
 // Seq returns the event's deterministic creation sequence number.
-func (e *Event) Seq() uint64 { return e.seq }
+func (e *Event) Seq() uint64 { return uint64(e.seq) }
 
 // AddChild declares that child depends on e (child cannot dispatch before e
 // finishes plus child.Delay). The parent must have been allocated before the
@@ -102,7 +101,7 @@ func (e *Event) Finished() bool { return e.done }
 
 // FinishCycle returns the cycle at which the event finished (valid only after
 // Finished() is true).
-func (e *Event) FinishCycle() uint64 { return e.finishCycle }
+func (e *Event) FinishCycle() uint64 { return e.cycle }
 
 // NumChildren returns the number of declared children (used by tests).
 func (e *Event) NumChildren() int { return len(e.children) }
@@ -148,7 +147,7 @@ func (s *Slab) Alloc() *Event {
 	}
 	e := &s.chunks[s.cur][s.next]
 	s.next++
-	*e = Event{children: e.children[:0], seq: uint64(s.inUse)}
+	*e = Event{children: e.children[:0], seq: uint32(s.inUse)}
 	s.inUse++
 	return e
 }
@@ -169,7 +168,13 @@ func (s *Slab) InUse() int { return s.inUse }
 type queueItem struct {
 	ev    *Event
 	cycle uint64
-	seq   uint64
+	seq   uint32
+}
+
+// readyItem is the heap entry of a ready event: its key is its ready cycle,
+// at least its lower bound.
+func readyItem(ev *Event) queueItem {
+	return queueItem{ev: ev, cycle: max(ev.cycle, ev.MinCycle), seq: ev.seq}
 }
 
 // less is the (cycle, sequence) heap order. Component is deliberately not
@@ -186,10 +191,9 @@ func (a *queueItem) less(b *queueItem) bool {
 // interface boxing).
 type eventPQ []queueItem
 
-// push adds a ready event at its ready cycle (at least its lower bound) and
-// sifts it up.
+// push adds a ready event and sifts it up.
 func (q *eventPQ) push(ev *Event) {
-	it := queueItem{ev: ev, cycle: max(ev.readyCycle, ev.MinCycle), seq: ev.seq}
+	it := readyItem(ev)
 	*q = append(*q, it)
 	s := *q
 	i := len(s) - 1
@@ -204,35 +208,37 @@ func (q *eventPQ) push(ev *Event) {
 	s[i] = it
 }
 
-// down sifts element i toward the leaves until the heap property holds.
-func (q eventPQ) down(i int) {
+// setTop overwrites the head with it and sifts it toward the leaves until the
+// heap property holds.
+func (q eventPQ) setTop(it queueItem) {
 	n := len(q)
+	i := 0
 	for {
 		l := 2*i + 1
 		if l >= n {
-			return
+			break
 		}
 		m := l
 		if r := l + 1; r < n && q[r].less(&q[l]) {
 			m = r
 		}
-		if !q[m].less(&q[i]) {
-			return
+		if !q[m].less(&it) {
+			break
 		}
-		q[i], q[m] = q[m], q[i]
+		q[i] = q[m]
 		i = m
 	}
+	q[i] = it
 }
 
-// pop removes and returns the head. The heap must not be empty.
-func (q *eventPQ) pop() queueItem {
+// pop removes the head. The heap must not be empty.
+func (q *eventPQ) pop() {
 	s := *q
-	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
 	*q = s[:n]
-	q.down(0)
-	return top
+	if n > 0 {
+		q.setTop(s[n])
+	}
 }
 
 // Engine executes the weave phase of each interval. The zero Engine is ready
@@ -253,11 +259,12 @@ func (e *Engine) Reset() { e.pq = e.pq[:0] }
 
 // Run executes all enqueued events and their descendants to completion and
 // returns the largest finish cycle (the interval's actual end; 0 when nothing
-// was enqueued).
+// was enqueued). A ready child's key is above its parent's and keys are
+// unique, so replacing the head in place keeps the pop-then-push order.
 func (e *Engine) Run() uint64 {
 	var maxFinish uint64
 	for len(e.pq) > 0 {
-		it := e.pq.pop()
+		it := e.pq[0]
 		ev := it.ev
 		finish := it.cycle
 		if ev.Exec != nil {
@@ -265,18 +272,27 @@ func (e *Engine) Run() uint64 {
 				finish = f
 			}
 		}
-		ev.finishCycle = finish
+		ev.cycle = finish
 		ev.done = true
 		maxFinish = max(maxFinish, finish)
+		atHead := true // ev still occupies the heap's root
 		for _, ch := range ev.children {
 			if ch.seq < ev.seq {
 				panic("event: dependency graph violates creation order (a parent was allocated after its child); every parent needs parent.Seq() < child.Seq()")
 			}
-			ch.readyCycle = max(ch.readyCycle, finish+ch.Delay)
+			ch.cycle = max(ch.cycle, finish+uint64(ch.Delay))
 			ch.pendingParents--
 			if ch.pendingParents == 0 {
-				e.pq.push(ch)
+				if atHead {
+					e.pq.setTop(readyItem(ch))
+					atHead = false
+				} else {
+					e.pq.push(ch)
+				}
 			}
+		}
+		if atHead {
+			e.pq.pop()
 		}
 	}
 	return maxFinish

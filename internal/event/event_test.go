@@ -3,6 +3,7 @@ package event
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSlabAllocAndReset(t *testing.T) {
@@ -71,18 +72,22 @@ func TestEventPQOrdering(t *testing.T) {
 	evs := make([]Event, len(cycles))
 	for i, c := range cycles {
 		evs[i].MinCycle = c
-		evs[i].seq = uint64(i)
+		evs[i].seq = uint32(i)
 		q.push(&evs[i])
 	}
 	// A ready cycle above the lower bound is the key.
 	var late Event
-	late.MinCycle, late.readyCycle, late.seq = 1, 6, 20
+	late.MinCycle, late.cycle, late.seq = 1, 6, 20
 	q.push(&late)
 	// Pops interleaved with pushes keep the (cycle, seq) order.
-	type key struct{ cycle, seq uint64 }
+	type key struct {
+		cycle uint64
+		seq   uint32
+	}
 	var got []key
 	for i := 0; len(q) > 0; i++ {
-		it := q.pop()
+		it := q[0]
+		q.pop()
 		got = append(got, key{it.cycle, it.seq})
 		if i == 2 {
 			var mid Event
@@ -98,6 +103,63 @@ func TestEventPQOrdering(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("pops out of order: %v, want %v", got, want)
 		}
+	}
+}
+
+// TestEventSize pins the event at 80 bytes: Delay through seq pack into two
+// words, and the ready and finish cycles share one field.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 80 {
+		t.Fatalf("Event is %d bytes, want at most 80", got)
+	}
+}
+
+// TestRunReplacesTop runs heads that ready 0, 1 and 3 children: each head
+// stays at the heap's root while it executes, its first ready child takes
+// its place, and the execution order is still (dispatch cycle, sequence).
+func TestRunReplacesTop(t *testing.T) {
+	var eng Engine
+	s := NewSlab(16)
+	type key struct{ cycle, seq uint64 }
+	var order []key
+	exec := func(ev *Event, c uint64) uint64 {
+		if eng.pq[0].ev != ev {
+			t.Errorf("event %d executed away from the heap's root", ev.Seq())
+		}
+		order = append(order, key{c, ev.Seq()})
+		return c + ev.Arg
+	}
+	mk := func(minCycle, lat uint64) *Event {
+		ev := s.Alloc()
+		ev.MinCycle, ev.Arg, ev.Exec = minCycle, lat, exec
+		return ev
+	}
+	a := mk(10, 0) // readies no child
+	b := mk(5, 4)  // readies d at 9
+	c := mk(7, 1)  // readies e, f and g at 8
+	d := mk(0, 0)
+	e, f, g := mk(20, 0), mk(8, 0), mk(12, 0)
+	b.AddChild(d)
+	c.AddChild(e)
+	c.AddChild(f)
+	c.AddChild(g)
+	for _, ev := range []*Event{a, b, c} {
+		eng.Enqueue(ev)
+	}
+	if end := eng.Run(); end != 20 {
+		t.Fatalf("Run returned %d, want 20", end)
+	}
+	want := []key{{5, 1}, {7, 2}, {8, 5}, {9, 3}, {10, 0}, {12, 6}, {20, 4}}
+	if len(order) != len(want) {
+		t.Fatalf("executed %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("executed %v, want %v", order, want)
+		}
+	}
+	if len(eng.pq) != 0 {
+		t.Fatalf("heap holds %d events after Run", len(eng.pq))
 	}
 }
 

@@ -33,8 +33,8 @@ type orderDAG struct {
 	dispatch []uint64
 }
 
-func orderExec(ev *Event, d uint64) uint64 {
-	g := ev.Ctx.(*orderDAG)
+// exec records an Exec call.
+func (g *orderDAG) exec(ev *Event, d uint64) uint64 {
 	g.runs[ev.Seq()]++
 	g.trace = append(g.trace, [2]uint64{d, ev.Seq()})
 	g.dispatch[ev.Seq()] = d
@@ -50,10 +50,10 @@ func buildOrderDAG(eng *Engine, seed uint64, n int) *orderDAG {
 		ev.Comp = int(rng.next() % 3)
 		ev.MinCycle = rng.next() % 6
 		if rng.next()%2 == 0 {
-			ev.Delay = rng.next() % 3
+			ev.Delay = uint32(rng.next() % 3)
 		}
 		if rng.next()%4 != 0 {
-			ev.Ctx, ev.Exec = g, orderExec
+			ev.Exec = g.exec
 			if rng.next()%3 != 0 {
 				ev.Arg = rng.next() % 4
 			}
@@ -93,7 +93,7 @@ func TestEngineOrderProperty(t *testing.T) {
 			}
 			want := ev.MinCycle
 			for _, p := range g.parents[i] {
-				want = max(want, g.evs[p].FinishCycle()+ev.Delay)
+				want = max(want, g.evs[p].FinishCycle()+uint64(ev.Delay))
 			}
 			got := ev.FinishCycle() // a nil Exec finishes at its dispatch
 			if ev.Exec != nil {
@@ -127,8 +127,7 @@ type portModel struct {
 	dispatch  []uint64
 }
 
-func portExec(ev *Event, d uint64) uint64 {
-	m := ev.Ctx.(*portModel)
+func (m *portModel) exec(ev *Event, d uint64) uint64 {
 	m.dispatch[ev.Seq()] = d
 	start := max(d, m.busyUntil[ev.Comp])
 	m.busyUntil[ev.Comp] = start + ev.Arg%3 + 1
@@ -153,13 +152,13 @@ func TestEngineGoldenOrder(t *testing.T) {
 		ev := s.Alloc()
 		ev.Comp = int(rng.next() % 8)
 		ev.MinCycle = uint64(i/20)*6 + rng.next()%3
-		ev.Delay = rng.next() % 3
+		ev.Delay = uint32(rng.next() % 3)
 		switch rng.next() % 6 {
 		case 0: // nil Exec: finishes at its dispatch
 		case 1:
-			ev.Ctx, ev.Exec = m, portExec // zero latency, still occupies the port
+			ev.Exec = m.exec // zero latency, still occupies the port
 		default:
-			ev.Ctx, ev.Exec, ev.Arg = m, portExec, 1+rng.next()%12
+			ev.Exec, ev.Arg = m.exec, 1+rng.next()%12
 		}
 		parents := 0
 		for k := rng.next() % 4; k > 0 && i > 0; k-- {

@@ -431,8 +431,9 @@ type Result struct {
 	BoundRounds uint64
 	// HostTime is the wall-clock time the simulation took.
 	HostTime time.Duration
-	// WeaveEvents is the number of weave-phase events simulated (0 when the
-	// configuration disables contention).
+	// WeaveEvents is the number of weave-phase events simulated, one per
+	// contended hop: an L3 bank or memory controller access, or a NoC router
+	// traversal (0 when the configuration disables contention).
 	WeaveEvents uint64
 	// Sched reports the scheduling activity of the virtualization layer.
 	Sched SchedStats
