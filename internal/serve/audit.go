@@ -44,37 +44,21 @@ func newAuditLog(w io.Writer) *auditLog {
 	return &auditLog{buf: buf, enc: json.NewEncoder(buf), dst: w}
 }
 
-// record appends one event. Encoding errors are swallowed: the audit log is
-// an observer and must never fail a job.
+// record appends one event.
 func (a *auditLog) record(event, jobID, state, detail string) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	_ = a.enc.Encode(auditRecord{
-		Time:   time.Now().UTC(),
-		Event:  event,
-		Job:    jobID,
-		State:  state,
-		Detail: detail,
-	})
+	a.write(auditRecord{Event: event, Job: jobID, State: state, Detail: detail})
 }
 
-// recordResult archives one result-store row. Like record, it never fails.
-func (a *auditLog) recordResult(row *ResultRow) {
+// write appends rec, stamped with the current time. Encoding errors are
+// swallowed: the audit log is an observer and must never fail a job.
+func (a *auditLog) write(rec auditRecord) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	_ = a.enc.Encode(auditRecord{
-		Time:   time.Now().UTC(),
-		Event:  "result",
-		Job:    row.Job,
-		State:  row.Outcome,
-		Result: row,
-	})
+	rec.Time = time.Now().UTC()
+	_ = a.enc.Encode(rec)
 }
 
 // flush pushes buffered records to the destination (called after each record

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -212,7 +213,7 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 	s.campSeq++
 	c.id = fmt.Sprintf("campaign-%d", s.campSeq)
 	s.campaigns[c.id] = c
-	s.campOrder = append(s.campOrder, c.id)
+	s.campList = append(s.campList, c)
 	s.mu.Unlock()
 
 	s.audit.record("campaign", c.id, "running",
@@ -228,13 +229,15 @@ func (s *Server) lookupCampaign(r *http.Request) (*campaignState, bool) {
 	return c, ok
 }
 
-func (s *Server) handleCampaignList(w http.ResponseWriter, r *http.Request) {
+// campaignList snapshots the campaigns in creation order.
+func (s *Server) campaignList() []*campaignState {
 	s.mu.Lock()
-	camps := make([]*campaignState, 0, len(s.campOrder))
-	for _, id := range s.campOrder {
-		camps = append(camps, s.campaigns[id])
-	}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.campList)
+}
+
+func (s *Server) handleCampaignList(w http.ResponseWriter, r *http.Request) {
+	camps := s.campaignList()
 	out := make([]CampaignStatus, 0, len(camps))
 	for _, c := range camps {
 		out = append(out, c.status(false))
@@ -295,25 +298,12 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 func (s *Server) pumpCampaigns() {
 	s.pumpMu.Lock()
 	defer s.pumpMu.Unlock()
-	for {
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return
-		}
-		camps := make([]*campaignState, 0, len(s.campOrder))
-		for _, id := range s.campOrder {
-			camps = append(camps, s.campaigns[id])
-		}
-		s.mu.Unlock()
-		progress := false
-		for _, c := range camps {
+	for progress := true; progress; {
+		progress = false
+		for _, c := range s.campaignList() {
 			if s.releaseNextChild(c) {
 				progress = true
 			}
-		}
-		if !progress {
-			return
 		}
 	}
 }
@@ -328,57 +318,24 @@ func (s *Server) releaseNextChild(c *campaignState) bool {
 	}
 	p := &c.points[c.next]
 	c.mu.Unlock()
-
-	req := c.childRequest(p)
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return false
-	}
-	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("job-%d", s.seq),
-		req:       req,
-		state:     StateQueued,
-		submitted: time.Now().UTC(),
-		class:     c.class,
-		camp:      c,
-		point:     p.Index,
-	}
-	if !s.sched.enqueue(j, c.class) {
-		// Class limit reached: the point stays unreleased (and the burned job
-		// ID keeps numbering attributable); the next completion re-pumps.
-		s.mu.Unlock()
-		return false
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-
-	c.mu.Lock()
-	c.next++
-	c.outstanding++
-	c.children = append(c.children, j.id)
-	c.mu.Unlock()
-	s.audit.record("submit", j.id, StateQueued, fmt.Sprintf("campaign=%s point=%d", c.id, p.Index))
-	return true
+	_, shed := s.admit(c.childRequest(p), c.class, c, p.Index)
+	return shed == ""
 }
 
-// campaignChildDone folds a finished child into its campaign: aggregates,
-// quota release, and the campaign-finish audit edge.
-func (s *Server) campaignChildDone(j *job, state string, result *JobResult, dur time.Duration) {
-	c := j.camp
-	p := &c.points[j.point]
-	pr := campaign.PointResult{Outcome: state, Seconds: dur.Seconds()}
-	if result != nil && result.Metrics != nil && state == StateSucceeded {
-		pr.Cycles = result.Metrics.Cycles
-		pr.Instructions = result.Metrics.Instrs
-		pr.SimMIPS = result.Metrics.SimMIPS
-	}
+// campaignChildDone folds a finished child's row into its campaign:
+// aggregates, quota release, and the campaign-finish audit edge.
+func (s *Server) campaignChildDone(j *job) {
+	c, row := j.camp, &j.row
 	c.mu.Lock()
 	c.outstanding--
 	c.done++
-	c.agg.Add(p, pr)
+	c.agg.Add(&c.points[j.point], campaign.PointResult{
+		Outcome:      row.Outcome,
+		Seconds:      row.Seconds,
+		Cycles:       row.Cycles,
+		Instructions: row.Instructions,
+		SimMIPS:      row.SimMIPS,
+	})
 	finishedNow := c.finished.IsZero() &&
 		((c.cancelled && c.outstanding == 0) || c.done == len(c.points))
 	var finalState string
@@ -397,13 +354,7 @@ func (s *Server) campaignChildDone(j *job, state string, result *JobResult, dur 
 // during shutdown, so a drained daemon leaves a replayable account of sweep
 // progress (done/outstanding/pending per campaign plus the aggregate summary).
 func (s *Server) drainCampaigns() {
-	s.mu.Lock()
-	camps := make([]*campaignState, 0, len(s.campOrder))
-	for _, id := range s.campOrder {
-		camps = append(camps, s.campaigns[id])
-	}
-	s.mu.Unlock()
-	for _, c := range camps {
+	for _, c := range s.campaignList() {
 		c.mu.Lock()
 		st := c.statusLocked(true)
 		c.mu.Unlock()

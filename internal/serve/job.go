@@ -195,16 +195,24 @@ type JobStatus struct {
 	Progress *JobProgress `json:"progress,omitempty"`
 }
 
-// job is the server-side record of one submitted simulation.
+// job is the server-side record of one submitted simulation, from admission
+// until it leaves the server's finished-job record.
 type job struct {
 	id  string
-	req *JobRequest
+	seq int         // admission order; id is "job-<seq>"
+	req *JobRequest // nil once gone
 	// class is the admission class (classHigh/Normal/Low); camp and point link
 	// a campaign child to its parent sweep (camp == nil, point == -1 for
 	// interactive jobs). All three are fixed at admission.
 	class int
 	camp  *campaignState
 	point int
+
+	// row is the job's result row, written once under Server.mu as the job
+	// is filed and never changed after. gone, guarded by Server.mu, marks a
+	// finished job past the retention window, whose req and result are gone.
+	row  ResultRow
+	gone bool
 
 	mu        sync.Mutex
 	state     string

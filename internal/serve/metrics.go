@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -26,7 +28,6 @@ type metrics struct {
 	cancels    uint64
 	jobsTotal  map[string]uint64 // terminal state -> count
 	reused     uint64
-	results    uint64 // rows filed into the result store
 	latency    map[latencyKey]*telemetry.Histogram
 	running    map[*telemetry.Probe]struct{}
 	completed  telemetry.Totals
@@ -148,13 +149,6 @@ func (m *metrics) avgLatencySeconds() float64 {
 	return m.ewmaLatency
 }
 
-// resultFiled counts one row filed into the result store.
-func (m *metrics) resultFiled() {
-	m.mu.Lock()
-	m.results++
-	m.mu.Unlock()
-}
-
 // engineAggregate sums completed totals with every live probe's current
 // snapshot. phaseCounts reports running jobs per published phase.
 func (m *metrics) engineAggregate() (agg telemetry.Totals, phaseCounts map[string]int) {
@@ -181,34 +175,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	inflight := m.inflight
 	cancels := m.cancels
 	reused := m.reused
-	results := m.results
-	sheds := make(map[string]uint64, len(m.sheds))
-	for k, v := range m.sheds {
-		sheds[k] = v
-	}
-	jobs := make(map[string]uint64, len(m.jobsTotal))
-	for k, v := range m.jobsTotal {
-		jobs[k] = v
-	}
-	lat := make(map[latencyKey]*telemetry.Histogram, len(m.latency))
-	for k, v := range m.latency {
-		lat[k] = v
-	}
+	sheds := maps.Clone(m.sheds)
+	jobs := maps.Clone(m.jobsTotal)
+	lat := maps.Clone(m.latency)
 	m.mu.Unlock()
 	ps := s.pool.stats()
 	arenaBytes := s.pool.arenaBytes()
 	classDepths := s.sched.classDepths()
-	storeRows, storeEvicted := s.store.stats()
 	s.mu.Lock()
-	jobsEvicted := s.evicted
-	camps := make([]*campaignState, 0, len(s.campOrder))
-	for _, id := range s.campOrder {
-		camps = append(camps, s.campaigns[id])
-	}
+	storeRows, storeEvicted, _, jobsEvicted := s.windowsLocked()
+	results := s.doneTotal
 	s.mu.Unlock()
 	campStates := map[string]int{"running": 0, "done": 0, "cancelled": 0}
 	var campPointsDone uint64
-	for _, c := range camps {
+	for _, c := range s.campaignList() {
 		c.mu.Lock()
 		campStates[c.stateName()]++
 		campPointsDone += uint64(c.done)
@@ -234,13 +214,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	pw.Family("zsimd_jobs_inflight", "gauge", "Jobs currently executing on workers.")
 	pw.UintSample("zsimd_jobs_inflight", nil, uint64(inflight))
 	pw.Family("zsimd_jobs_total", "counter", "Finished jobs by terminal state.")
-	for _, st := range sortedKeys(jobs) {
+	for _, st := range slices.Sorted(maps.Keys(jobs)) {
 		pw.UintSample("zsimd_jobs_total", []telemetry.Label{{Name: "outcome", Value: st}}, jobs[st])
 	}
 	pw.Family("zsimd_jobs_reused_total", "counter", "Finished jobs served by a warm pooled simulator.")
 	pw.UintSample("zsimd_jobs_reused_total", nil, reused)
 	pw.Family("zsimd_sheds_total", "counter", "Submissions shed, by reason.")
-	for _, reason := range sortedKeys(sheds) {
+	for _, reason := range slices.Sorted(maps.Keys(sheds)) {
 		pw.UintSample("zsimd_sheds_total", []telemetry.Label{{Name: "reason", Value: reason}}, sheds[reason])
 	}
 	pw.Family("zsimd_cancels_total", "counter", "Accepted cancellation requests.")
@@ -329,16 +309,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// The response is already streaming; nothing to do but drop it.
 		_ = err
 	}
-}
-
-// sortedKeys returns the map's keys sorted, for deterministic exposition.
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // uptimeString renders the server's uptime for /healthz.

@@ -50,10 +50,11 @@ type Options struct {
 	PoolIdleExpiry time.Duration
 	// RetainJobs bounds how many terminal jobs stay addressable via
 	// GET /jobs/{id} (default 1024; negative = unlimited). Older terminal
-	// jobs are evicted — their compact rows remain queryable in the result
-	// store and the audit log keeps the full history.
+	// jobs are evicted (410) — their compact rows remain queryable in the
+	// result store and the audit log keeps the full history.
 	RetainJobs int
-	// StoreSize bounds the in-memory result store ring (default 4096 rows).
+	// StoreSize bounds the result store: GET /results serves the rows of the
+	// newest StoreSize finished jobs (default 4096).
 	StoreSize int
 	// MaxCampaignPoints bounds a single campaign expansion (default
 	// campaign.DefaultMaxPoints).
@@ -69,26 +70,26 @@ type Server struct {
 	opts    Options
 	mux     *http.ServeMux
 	audit   *auditLog
-	pool    *simPool     // warm-simulator pool (nil when Options.PoolSize == 0)
-	metrics *metrics     // /metrics scrape registry
-	sched   *scheduler   // class-aware admission queue
-	store   *resultStore // queryable ring of recent result rows
+	pool    *simPool   // warm-simulator pool (nil when Options.PoolSize == 0)
+	metrics *metrics   // /metrics scrape registry
+	sched   *scheduler // class-aware admission queue
 
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// jobs holds every addressable job: the live ones and those in done.
 	jobs     map[string]*job
-	order    []string // submission order, for stable listings
 	seq      int
 	draining bool
-	// finished lists terminal job IDs oldest-first; retention evicts from its
-	// head once it outgrows Options.RetainJobs.
-	finished []string
-	evicted  uint64
+	// done is the one record of finished jobs, oldest first (see file);
+	// doneTotal counts every job ever filed, so the first
+	// doneTotal-len(done) have left it.
+	done      []*job
+	doneTotal uint64
 
 	campaigns map[string]*campaignState
-	campOrder []string
+	campList  []*campaignState // creation order
 	campSeq   int
 	// pumpMu serializes campaign child release (see pumpCampaigns).
 	pumpMu sync.Mutex
@@ -107,6 +108,9 @@ func New(opts Options) *Server {
 	if opts.RetainJobs == 0 {
 		opts.RetainJobs = 1024
 	}
+	if opts.StoreSize <= 0 {
+		opts.StoreSize = 4096
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
@@ -115,7 +119,6 @@ func New(opts Options) *Server {
 		pool:       newSimPool(opts.PoolSize, opts.PoolPerShape),
 		metrics:    newMetrics(),
 		sched:      newScheduler(opts.QueueDepth),
-		store:      newResultStore(opts.StoreSize),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*job),
@@ -183,14 +186,7 @@ func (s *Server) retryAfterSeconds() int {
 	}
 	backlog := s.sched.depth() + s.metrics.inflightCount()
 	est := avg * float64(backlog+1) / float64(s.opts.Workers)
-	secs := int(math.Ceil(est))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
+	return min(60, max(1, int(math.Ceil(est))))
 }
 
 // shedResponse writes a 503 with the queue-state-derived Retry-After, and
@@ -202,10 +198,7 @@ func (s *Server) shedResponse(w http.ResponseWriter, reason, jobID, msg string) 
 	s.audit.record("shed", jobID, "", msg)
 }
 
-// handleSubmit admits a job or sheds it. Admission is all-or-nothing under
-// the server lock: the job is registered and enqueued atomically, so a
-// submitted job is always observable via GET /jobs/{id} and always reaches a
-// worker (or a drain-time cancellation) exactly once.
+// handleSubmit admits a job or sheds it.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -219,106 +212,139 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	class, _ := parsePriority(req.Priority) // validate() already vetted it
+	switch j, shed := s.admit(&req, class, nil, -1); shed {
+	case "":
+		writeJSON(w, http.StatusAccepted, j.status())
+	case "draining":
+		s.shedResponse(w, shed, "", "shutting down")
+	default:
+		s.shedResponse(w, shed, j.id, "queue full")
+	}
+}
 
+// admit is the one way a job enters the server: all-or-nothing under the
+// server lock, it takes the next job ID, enqueues the job, registers it (and
+// counts a campaign child against its campaign), so an admitted job is
+// always observable via GET /jobs/{id} and reaches a worker (or a drain-time
+// cancellation) exactly once. It then writes the submit audit record.
+//
+// A refusal returns the shed reason: "draining", or "queue_full" when the
+// class limit is reached. An interactive job refused by the queue still takes
+// its ID, so the caller's shed record is attributable and IDs never repeat; a
+// refused campaign child takes none and waits for the next pump.
+func (s *Server) admit(req *JobRequest, class int, camp *campaignState, point int) (j *job, shed string) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.shedResponse(w, "draining", "", "shutting down")
-		return
+		return nil, "draining"
 	}
-	s.seq++
-	j := &job{
-		id:        fmt.Sprintf("job-%d", s.seq),
-		req:       &req,
+	j = &job{
+		id:        fmt.Sprintf("job-%d", s.seq+1),
+		seq:       s.seq + 1,
+		req:       req,
 		state:     StateQueued,
 		submitted: time.Now().UTC(),
 		class:     class,
-		point:     -1,
+		camp:      camp,
+		point:     point,
 	}
-	if !s.sched.enqueue(j, class) {
-		// The job was never admitted (not registered, not queued), but its ID
-		// stays burned so the shed audit record is attributable and IDs never
-		// repeat.
+	queued := s.sched.enqueue(j, class)
+	if !queued && camp != nil {
 		s.mu.Unlock()
-		s.shedResponse(w, "queue_full", j.id, "queue full")
-		return
+		return nil, "queue_full"
+	}
+	s.seq++
+	if !queued {
+		s.mu.Unlock()
+		return j, "queue_full"
 	}
 	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.mu.Unlock()
-
-	s.audit.record("submit", j.id, StateQueued, "")
-	writeJSON(w, http.StatusAccepted, j.status())
-}
-
-func (s *Server) lookup(r *http.Request) (*job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[r.PathValue("id")]
-	return j, ok
-}
-
-// missingJob answers a lookup miss: 410 for jobs evicted by retention (their
-// row survives in /results and the audit log), 404 for IDs never admitted.
-func (s *Server) missingJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.store.has(id) {
-		writeJSON(w, http.StatusGone, errorBody{
-			Error: fmt.Sprintf("job %s evicted from retention; see /results?job=%s or the audit log", id, id),
-		})
-		return
+	detail := ""
+	if camp != nil {
+		camp.mu.Lock()
+		camp.next++
+		camp.outstanding++
+		camp.children = append(camp.children, j.id)
+		camp.mu.Unlock()
+		detail = fmt.Sprintf("campaign=%s point=%d", camp.id, point)
 	}
-	writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+	s.mu.Unlock()
+	s.audit.record("submit", j.id, StateQueued, detail)
+	return j, ""
+}
+
+// lookup resolves the request's job. When there is none to serve it answers
+// itself and returns nil: 410 for a job past the retention window (its row
+// survives in /results and the audit log), 404 for an ID never admitted or
+// already out of the finished-job record.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
+	id := r.PathValue("id")
+	s.mu.Lock()
+	j := s.jobs[id]
+	gone := j != nil && j.gone
+	s.mu.Unlock()
+	switch {
+	case j == nil:
+		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
+	case gone:
+		writeGone(w, id)
+	default:
+		return j
+	}
+	return nil
+}
+
+func writeGone(w http.ResponseWriter, id string) {
+	writeJSON(w, http.StatusGone, errorBody{
+		Error: fmt.Sprintf("job %s evicted from retention; see /results?job=%s or the audit log", id, id),
+	})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		if j := s.jobs[id]; j != nil { // evicted IDs stay in order until compaction
+	jobs := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		if !j.gone {
 			jobs = append(jobs, j)
 		}
 	}
 	s.mu.Unlock()
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
 	out := make([]JobStatus, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, j.status())
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Submitted.Before(out[b].Submitted) })
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		s.missingJob(w, r)
-		return
+	if j := s.lookup(w, r); j != nil {
+		writeJSON(w, http.StatusOK, j.status())
 	}
-	writeJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		s.missingJob(w, r)
+	j := s.lookup(w, r)
+	if j == nil {
 		return
 	}
 	j.mu.Lock()
 	done := j.terminal()
 	res := j.result
 	j.mu.Unlock()
-	if !done || res == nil {
+	switch {
+	case !done:
 		writeJSON(w, http.StatusConflict, errorBody{Error: "job not finished"})
-		return
+	case res == nil: // left the retention window since lookup
+		writeGone(w, j.id)
+	default:
+		writeJSON(w, http.StatusOK, res)
 	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(r)
-	if !ok {
-		s.missingJob(w, r)
+	j := s.lookup(w, r)
+	if j == nil {
 		return
 	}
 	if !j.requestCancel() {
@@ -349,11 +375,9 @@ type healthBody struct {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	retained := len(s.jobs)
-	evicted := s.evicted
-	ncamp := len(s.campaigns)
+	rows, storeEvicted, retained, evicted := s.windowsLocked()
+	ncamp := len(s.campList)
 	s.mu.Unlock()
-	rows, storeEvicted := s.store.stats()
 	writeJSON(w, http.StatusOK, healthBody{
 		Status:        "ok",
 		Uptime:        s.metrics.uptimeString(),
@@ -445,26 +469,17 @@ func (s *Server) Prewarm(cfgs []*zsim.Config) (int, error) {
 }
 
 // runJob executes one job end to end: transition to running, execute under a
-// cancellable per-job context, classify the outcome, and audit every step.
-// A panic anywhere in setup or teardown is contained here — one bad job must
-// never take a worker (or the daemon) down.
+// cancellable per-job context, classify the outcome and finish it. A panic
+// anywhere in setup or teardown is contained here — one bad job must never
+// take a worker (or the daemon) down.
 func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 
-	// Every finished job is counted in the metrics before its terminal state
-	// is published, so a client that saw it finish also sees it in /metrics.
 	j.mu.Lock()
 	if j.cancelled {
-		s.metrics.jobDone(StateCancelled, shapeLabel(0), 0, false, false)
-		j.state = StateCancelled
-		j.finished = time.Now().UTC()
-		result := &JobResult{Error: "cancelled before start", Failure: &Failure{Reason: runctl.ReasonCancelled.String()}}
-		j.result = result
 		j.mu.Unlock()
-		s.audit.record("finish", j.id, StateCancelled, "cancelled while queued")
-		s.jobFinished(j, StateCancelled, result, 0, 0)
-		s.audit.flush()
+		s.finish(j, StateCancelled, &JobResult{Error: "cancelled before start", Failure: &Failure{Reason: runctl.ReasonCancelled.String()}}, 0, 0)
 		return
 	}
 	j.state = StateRunning
@@ -478,91 +493,59 @@ func (s *Server) runJob(j *job) {
 	res, reused, shape, err := s.execute(ctx, j)
 	result, state := classify(res, err)
 	result.Reused = reused
-	dur := time.Since(started)
-	s.metrics.jobDone(state, shapeLabel(shape), dur, reused, true)
+	s.finish(j, state, result, shape, time.Since(started))
+}
 
+// finish is the one exit of every job a worker takes, whether it ran or was
+// cancelled while queued. It builds the job's result row, counts the metrics
+// and files the job into done before publishing the terminal state, so a
+// client that has seen the job finish also finds it in /metrics and /results.
+// It then writes the finish and result audit records, folds a campaign child
+// into its campaign, releases follow-on campaign work and flushes the audit
+// log. Called by the job's worker with no locks held.
+func (s *Server) finish(j *job, state string, result *JobResult, shape uint64, dur time.Duration) {
+	started := !j.started.IsZero() // written by this worker in runJob
+	now := time.Now().UTC()
+	row := ResultRow{
+		Job:      j.id,
+		Shape:    shapeLabel(shape),
+		Outcome:  state,
+		Reused:   result.Reused,
+		Seconds:  dur.Seconds(),
+		Finished: now,
+	}
+	if m := result.Metrics; m != nil {
+		row.Cycles, row.Instructions, row.IPC, row.SimMIPS = m.Cycles, m.Instrs, m.IPC, m.SimMIPS
+	}
+	if j.camp != nil {
+		row.Campaign, row.Point = j.camp.id, &j.point
+	}
+	s.metrics.jobDone(state, row.Shape, dur, result.Reused, started)
+
+	s.mu.Lock()
+	j.row = row
+	s.file(j)
 	j.mu.Lock()
-	j.state = state
-	j.finished = time.Now().UTC()
-	j.cancel = nil
-	j.result = result
+	j.state, j.finished, j.cancel, j.result = state, now, nil, result
 	j.mu.Unlock()
+	s.mu.Unlock()
+
 	detail := result.Error
-	if reused {
+	if !started {
+		detail = "cancelled while queued"
+	} else if result.Reused {
 		detail = "reused=true"
 		if result.Error != "" {
 			detail += " " + result.Error
 		}
 	}
 	s.audit.record("finish", j.id, state, detail)
-	s.jobFinished(j, state, result, shape, dur)
-	s.audit.flush()
-}
-
-// jobFinished is the single post-terminal hook: it files the job's compact
-// result row (store + audit archive), folds campaign children into their
-// campaign, enforces job retention, and releases follow-on campaign work.
-// Called from runJob with no locks held.
-func (s *Server) jobFinished(j *job, state string, result *JobResult, shape uint64, dur time.Duration) {
-	row := ResultRow{
-		Job:      j.id,
-		Shape:    shapeLabel(shape),
-		Outcome:  state,
-		Seconds:  dur.Seconds(),
-		Finished: time.Now().UTC(),
-	}
-	if result != nil {
-		row.Reused = result.Reused
-		if m := result.Metrics; m != nil {
-			row.Cycles = m.Cycles
-			row.Instructions = m.Instrs
-			row.IPC = m.IPC
-			row.SimMIPS = m.SimMIPS
-		}
-	}
+	s.audit.write(auditRecord{Event: "result", Job: j.id, State: state, Result: &j.row})
 	if j.camp != nil {
-		row.Campaign = j.camp.id
-		point := j.point
-		row.Point = &point
+		s.campaignChildDone(j)
 	}
-	s.store.insert(row)
-	s.audit.recordResult(&row)
-	s.metrics.resultFiled()
-	if j.camp != nil {
-		s.campaignChildDone(j, state, result, dur)
-	}
-	s.evictOldJobs(j.id)
 	s.pumpCampaigns()
-}
-
-// evictOldJobs appends the newly terminal job to the finish-order list and
-// evicts the oldest terminal jobs beyond the retention bound. Eviction only
-// drops the in-memory job record — the result store and audit log remain.
-func (s *Server) evictOldJobs(id string) {
-	retain := s.opts.RetainJobs
-	s.mu.Lock()
-	s.finished = append(s.finished, id)
-	if retain >= 0 {
-		for len(s.finished) > retain {
-			victim := s.finished[0]
-			s.finished = s.finished[1:]
-			if _, ok := s.jobs[victim]; ok {
-				delete(s.jobs, victim)
-				s.evicted++
-			}
-		}
-	}
-	// Compact the submission-order list once evictions leave it mostly holes.
-	if len(s.order) > 2*(len(s.jobs)+16) {
-		kept := make([]string, 0, len(s.jobs))
-		for _, jid := range s.order {
-			if _, ok := s.jobs[jid]; ok {
-				kept = append(kept, jid)
-			}
-		}
-		s.order = kept
-	}
-	s.mu.Unlock()
+	s.audit.flush()
 }
 
 // execute builds (or checks out of the warm pool) and runs the simulation
@@ -752,7 +735,10 @@ func (s *Server) Shutdown(grace time.Duration) {
 	s.baseCancel()
 	s.pool.close()
 	s.drainCampaigns()
-	s.audit.record("drained", "", "", strconv.Itoa(s.jobCount()))
+	s.mu.Lock()
+	_, _, retained, _ := s.windowsLocked()
+	s.mu.Unlock()
+	s.audit.record("drained", "", "", strconv.Itoa(retained))
 	s.audit.close()
 }
 
@@ -769,12 +755,6 @@ func (s *Server) cancelAll() {
 			s.audit.record("cancel", j.id, "", "shutdown: grace expired")
 		}
 	}
-}
-
-func (s *Server) jobCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
 }
 
 func (s *Server) waitWorkers() {

@@ -3,15 +3,14 @@ package serve
 import (
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
-// ResultRow is one finished job's row in the queryable result store: the
-// compact, indexed slice of the job result that campaign queries and scaling
-// analyses need, without the full metrics tree. Every row is also appended to
-// the JSONL audit stream (event "result"), which is the store's durable
-// archive — the in-memory table is a bounded ring over the most recent rows.
+// ResultRow is one finished job's row in the result store: the compact,
+// indexed slice of the job result that campaign queries and scaling analyses
+// need, without the full metrics tree. Every row is also appended to the JSONL
+// audit stream (event "result"), which is the store's durable archive — in
+// memory, GET /results serves the rows of the newest StoreSize finished jobs.
 type ResultRow struct {
 	Job      string `json:"job"`
 	Campaign string `json:"campaign,omitempty"`
@@ -31,38 +30,6 @@ type ResultRow struct {
 	Finished     time.Time `json:"finished"`
 }
 
-// resultStore is a bounded ring of the most recent result rows, indexed for
-// the GET /results query surface. Rows beyond the capacity evict oldest-first;
-// the audit log keeps the full history.
-type resultStore struct {
-	mu        sync.Mutex
-	capacity  int
-	rows      []ResultRow // ring buffer, rows[next] is the oldest once full
-	next      int
-	full      bool
-	evictions uint64
-}
-
-func newResultStore(capacity int) *resultStore {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	return &resultStore{capacity: capacity}
-}
-
-func (st *resultStore) insert(row ResultRow) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.rows) < st.capacity {
-		st.rows = append(st.rows, row)
-		return
-	}
-	st.rows[st.next] = row
-	st.next = (st.next + 1) % st.capacity
-	st.full = true
-	st.evictions++
-}
-
 // resultFilter selects rows; zero fields match everything.
 type resultFilter struct {
 	campaign string
@@ -72,34 +39,48 @@ type resultFilter struct {
 	limit    int
 }
 
-// query returns matching rows newest-first, up to the filter's limit.
-func (st *resultStore) query(f resultFilter) []ResultRow {
+// file appends a just-finished job to done, the one record of finished jobs,
+// and applies both windows to it. The job that falls out of the newest
+// RetainJobs drops its request and full result and from then on answers 410;
+// the job that falls out of the ring leaves the jobs map and answers 404. The
+// ring holds max(StoreSize, RetainJobs) jobs, or every job when RetainJobs is
+// negative. Callers hold s.mu and have set j.row.
+func (s *Server) file(j *job) {
+	s.done = append(s.done, j)
+	s.doneTotal++
+	retain := s.opts.RetainJobs
+	if retain < 0 {
+		return
+	}
+	if n := len(s.done); n > retain {
+		old := s.done[n-1-retain]
+		old.mu.Lock()
+		old.gone, old.req, old.result = true, nil, nil
+		old.mu.Unlock()
+	}
+	if len(s.done) > max(s.opts.StoreSize, retain) {
+		delete(s.jobs, s.done[0].id)
+		s.done[0] = nil
+		s.done = s.done[1:]
+	}
+}
+
+// results returns the rows of the newest StoreSize finished jobs that match
+// f, newest first, up to the filter's limit (default 100).
+func (s *Server) results(f resultFilter) []ResultRow {
 	if f.limit <= 0 {
 		f.limit = 100
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]ResultRow, 0, min(f.limit, len(st.rows)))
-	// Walk newest to oldest: backwards from next-1 through the ring.
-	n := len(st.rows)
-	for i := 1; i <= n && len(out) < f.limit; i++ {
-		idx := (st.next - i + n) % n
-		// Before the ring wraps, rows is append-ordered and next stays 0, so
-		// the newest row is the last element.
-		if !st.full {
-			idx = n - i
-		}
-		row := &st.rows[idx]
-		if f.campaign != "" && row.Campaign != f.campaign {
-			continue
-		}
-		if f.shape != "" && row.Shape != f.shape {
-			continue
-		}
-		if f.outcome != "" && row.Outcome != f.outcome {
-			continue
-		}
-		if f.job != "" && row.Job != f.job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	oldest := max(0, len(s.done)-s.opts.StoreSize)
+	out := make([]ResultRow, 0, min(f.limit, len(s.done)-oldest))
+	for i := len(s.done) - 1; i >= oldest && len(out) < f.limit; i-- {
+		row := &s.done[i].row
+		if (f.campaign != "" && row.Campaign != f.campaign) ||
+			(f.shape != "" && row.Shape != f.shape) ||
+			(f.outcome != "" && row.Outcome != f.outcome) ||
+			(f.job != "" && row.Job != f.job) {
 			continue
 		}
 		out = append(out, *row)
@@ -107,22 +88,19 @@ func (st *resultStore) query(f resultFilter) []ResultRow {
 	return out
 }
 
-// has reports whether any stored row belongs to the given job id.
-func (st *resultStore) has(jobID string) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for i := range st.rows {
-		if st.rows[i].Job == jobID {
-			return true
-		}
+// windowsLocked derives the store and retention counters of /healthz and
+// /metrics from done; callers hold s.mu. jobsRetained counts the addressable
+// jobs (live ones included), the evicted counts every finished job that has
+// left the respective window.
+func (s *Server) windowsLocked() (storeRows int, storeEvicted uint64, jobsRetained int, jobsEvicted uint64) {
+	storeRows = min(len(s.done), s.opts.StoreSize)
+	storeEvicted = s.doneTotal - uint64(storeRows)
+	jobsRetained = len(s.jobs)
+	if retain := s.opts.RetainJobs; retain >= 0 {
+		jobsRetained -= max(0, len(s.done)-retain)
+		jobsEvicted = s.doneTotal - uint64(min(len(s.done), retain))
 	}
-	return false
-}
-
-func (st *resultStore) stats() (rows int, evictions uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.rows), st.evictions
+	return storeRows, storeEvicted, jobsRetained, jobsEvicted
 }
 
 // handleResults serves GET /results: the queryable view over recent finished
@@ -143,5 +121,5 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 		f.limit = n
 	}
-	writeJSON(w, http.StatusOK, s.store.query(f))
+	writeJSON(w, http.StatusOK, s.results(f))
 }

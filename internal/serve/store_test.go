@@ -1,10 +1,13 @@
 package serve
 
-// Internal tests for the bounded result store: ring eviction, newest-first
-// queries, filters, and the has() probe backing 410 Gone responses.
+// Internal tests for the finished-job record: newest-first queries, the store
+// and retention windows over the ring (with the 410/404 split they back), and
+// the /results filters.
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -20,12 +23,36 @@ func row(i int, campaign, outcome string) ResultRow {
 	}
 }
 
-func TestStoreNewestFirst(t *testing.T) {
-	st := newResultStore(10)
-	for i := 0; i < 5; i++ {
-		st.insert(row(i, "", "succeeded"))
+// storeServer builds an idle server and files one finished job per row, the
+// way finish does.
+func storeServer(t *testing.T, opts Options, rows ...ResultRow) *Server {
+	t.Helper()
+	s := New(opts)
+	t.Cleanup(func() { s.Shutdown(0) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, r := range rows {
+		j := &job{id: r.Job, seq: i + 1, point: -1, req: &JobRequest{}, state: r.Outcome, result: &JobResult{}}
+		j.row = r
+		s.jobs[j.id] = j
+		s.file(j)
 	}
-	got := st.query(resultFilter{})
+	return s
+}
+
+func getCode(s *Server, path string) int {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec.Code
+}
+
+func TestStoreNewestFirst(t *testing.T) {
+	var rows []ResultRow
+	for i := 0; i < 5; i++ {
+		rows = append(rows, row(i, "", "succeeded"))
+	}
+	s := storeServer(t, Options{StoreSize: 10}, rows...)
+	got := s.results(resultFilter{})
 	if len(got) != 5 {
 		t.Fatalf("got %d rows", len(got))
 	}
@@ -37,16 +64,23 @@ func TestStoreNewestFirst(t *testing.T) {
 	}
 }
 
+// TestStoreRingEviction: past StoreSize the oldest rows leave /results and
+// their jobs answer 404; inside it, jobs past RetainJobs answer 410 and the
+// newest RetainJobs stay fully addressable.
 func TestStoreRingEviction(t *testing.T) {
-	st := newResultStore(4)
+	var rows []ResultRow
 	for i := 0; i < 10; i++ {
-		st.insert(row(i, "", "succeeded"))
+		rows = append(rows, row(i, "", "succeeded"))
 	}
-	rows, evictions := st.stats()
-	if rows != 4 || evictions != 6 {
-		t.Fatalf("stats = %d rows / %d evictions, want 4 / 6", rows, evictions)
+	s := storeServer(t, Options{StoreSize: 4, RetainJobs: 2}, rows...)
+	s.mu.Lock()
+	storeRows, storeEvicted, retained, jobsEvicted := s.windowsLocked()
+	s.mu.Unlock()
+	if storeRows != 4 || storeEvicted != 6 || retained != 2 || jobsEvicted != 8 {
+		t.Fatalf("windows = %d rows / %d evicted, %d jobs retained / %d evicted, want 4 / 6, 2 / 8",
+			storeRows, storeEvicted, retained, jobsEvicted)
 	}
-	got := st.query(resultFilter{})
+	got := s.results(resultFilter{})
 	if len(got) != 4 {
 		t.Fatalf("got %d rows", len(got))
 	}
@@ -57,16 +91,15 @@ func TestStoreRingEviction(t *testing.T) {
 			t.Fatalf("row %d = %s, want %s", i, r.Job, want)
 		}
 	}
-	if st.has("job-3") {
-		t.Fatalf("evicted job still reported present")
-	}
-	if !st.has("job-9") {
-		t.Fatalf("retained job reported absent")
+	for id, want := range map[string]int{"job-3": 404, "job-6": 410, "job-7": 410, "job-8": 200, "job-9": 200} {
+		if code := getCode(s, "/jobs/"+id+"/result"); code != want {
+			t.Fatalf("GET /jobs/%s/result: HTTP %d, want %d", id, code, want)
+		}
 	}
 }
 
 func TestStoreFilters(t *testing.T) {
-	st := newResultStore(100)
+	var rows []ResultRow
 	for i := 0; i < 20; i++ {
 		camp := ""
 		if i%2 == 0 {
@@ -76,39 +109,41 @@ func TestStoreFilters(t *testing.T) {
 		if i%5 == 0 {
 			outcome = "failed"
 		}
-		st.insert(row(i, camp, outcome))
+		rows = append(rows, row(i, camp, outcome))
 	}
-	if got := st.query(resultFilter{campaign: "campaign-1"}); len(got) != 10 {
+	s := storeServer(t, Options{StoreSize: 100}, rows...)
+	if got := s.results(resultFilter{campaign: "campaign-1"}); len(got) != 10 {
 		t.Fatalf("campaign filter: %d rows, want 10", len(got))
 	}
-	if got := st.query(resultFilter{outcome: "failed"}); len(got) != 4 {
+	if got := s.results(resultFilter{outcome: "failed"}); len(got) != 4 {
 		t.Fatalf("outcome filter: %d rows, want 4", len(got))
 	}
-	if got := st.query(resultFilter{campaign: "campaign-1", outcome: "failed"}); len(got) != 2 {
+	if got := s.results(resultFilter{campaign: "campaign-1", outcome: "failed"}); len(got) != 2 {
 		t.Fatalf("combined filter: %d rows, want 2 (i = 0 and 10)", len(got))
 	}
-	if got := st.query(resultFilter{job: "job-7"}); len(got) != 1 || got[0].Job != "job-7" {
+	if got := s.results(resultFilter{job: "job-7"}); len(got) != 1 || got[0].Job != "job-7" {
 		t.Fatalf("job filter: %+v", got)
 	}
-	if got := st.query(resultFilter{shape: fmt.Sprintf("%016x", 1)}); len(got) != 10 {
+	if got := s.results(resultFilter{shape: fmt.Sprintf("%016x", 1)}); len(got) != 10 {
 		t.Fatalf("shape filter: %d rows, want 10", len(got))
 	}
-	if got := st.query(resultFilter{limit: 3}); len(got) != 3 || got[0].Job != "job-19" {
+	if got := s.results(resultFilter{limit: 3}); len(got) != 3 || got[0].Job != "job-19" {
 		t.Fatalf("limit: %d rows, first %s", len(got), got[0].Job)
 	}
-	if got := st.query(resultFilter{campaign: "no-such"}); len(got) != 0 {
+	if got := s.results(resultFilter{campaign: "no-such"}); len(got) != 0 {
 		t.Fatalf("miss filter returned rows: %v", got)
 	}
 }
 
-// TestStoreQueryAfterWrap: newest-first ordering must hold when the ring has
-// wrapped and next points mid-slice.
+// TestStoreQueryAfterWrap: newest-first ordering must hold once the ring has
+// dropped its oldest jobs.
 func TestStoreQueryAfterWrap(t *testing.T) {
-	st := newResultStore(4)
-	for i := 0; i < 6; i++ { // next == 2 after wrap
-		st.insert(row(i, "", "succeeded"))
+	var rows []ResultRow
+	for i := 0; i < 6; i++ {
+		rows = append(rows, row(i, "", "succeeded"))
 	}
-	got := st.query(resultFilter{limit: 2})
+	s := storeServer(t, Options{StoreSize: 4, RetainJobs: 4}, rows...)
+	got := s.results(resultFilter{limit: 2})
 	if len(got) != 2 || got[0].Job != "job-5" || got[1].Job != "job-4" {
 		t.Fatalf("post-wrap order: %+v", got)
 	}
