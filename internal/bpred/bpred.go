@@ -1,68 +1,31 @@
-// Package bpred implements the branch predictors used by the core timing
-// models. The OOO core model uses a two-level (GShare-style) predictor with a
-// global history register and a table of 2-bit saturating counters, which is
-// the organization the paper models for its Westmere-class core ("a modeled
-// 2-level branch predictor with an idealized BTB"). Simpler predictors
-// (always-taken, bimodal) are provided as baselines and for ablation studies.
+// Package bpred implements the branch predictor both core timing models use:
+// a two-level (GShare-style) predictor with a global history register and a
+// table of 2-bit saturating counters, the organization the paper models for
+// its Westmere-class core ("a modeled 2-level branch predictor with an
+// idealized BTB").
 //
-// Predictors are purely behavioural: they receive the branch PC and the
-// actual outcome (supplied by the workload trace) and report whether the
+// The predictor is purely behavioural: it receives the branch PC and the
+// actual outcome (supplied by the workload trace) and reports whether the
 // prediction would have been correct. The timing models translate a
 // misprediction into a fixed pipeline-flush penalty, as Westmere recovers
-// from mispredictions in a roughly constant number of cycles.
+// from mispredictions in a roughly constant number of cycles, and count
+// predictions and mispredictions in their own stats registry.
 package bpred
 
 import "zsim/internal/arena"
 
-// Predictor is a branch direction predictor. Predict returns the predicted
-// direction for the branch at pc; Update trains the predictor with the actual
-// outcome. Implementations are not safe for concurrent use: each simulated
-// core owns its own predictor.
-type Predictor interface {
-	// Predict returns the predicted direction (true = taken) for the branch
-	// at the given program counter.
-	Predict(pc uint64) bool
-	// Update trains the predictor with the resolved outcome of the branch at
-	// pc.
-	Update(pc uint64, taken bool)
-	// Reset restores the predictor to its just-constructed state (tables
-	// cleared, history zeroed) for warm-simulator reuse.
-	Reset()
-	// Name returns a short identifier for stats and configs.
-	Name() string
-}
-
-// PredictAndUpdate is the common pattern used by the core models: predict,
-// train, and report whether the prediction was correct.
-func PredictAndUpdate(p Predictor, pc uint64, taken bool) bool {
-	pred := p.Predict(pc)
-	p.Update(pc, taken)
-	return pred == taken
-}
-
-// AlwaysTaken is the trivial static predictor.
-type AlwaysTaken struct{}
-
-// NewAlwaysTaken returns a predictor that always predicts taken.
-func NewAlwaysTaken() *AlwaysTaken { return &AlwaysTaken{} }
-
-// Predict always returns true.
-func (*AlwaysTaken) Predict(uint64) bool { return true }
-
-// Update is a no-op.
-func (*AlwaysTaken) Update(uint64, bool) {}
-
-// Reset is a no-op (the predictor is stateless).
-func (*AlwaysTaken) Reset() {}
-
-// Name returns "always-taken".
-func (*AlwaysTaken) Name() string { return "always-taken" }
+// The predictor geometry: a 16K-entry counter table indexed by the branch PC
+// XORed with 12 bits of global history.
+const (
+	entries  = 16384
+	histBits = 12
+)
 
 // counter2 is a 2-bit saturating counter stored in a biased encoding
 // (stored = actual ^ 2), chosen so the zero value decodes to "weakly taken"
 // — the usual initialization. Tables therefore need no init loop: a zeroed
 // allocation is already correctly initialized, which makes building
-// thousand-core chips (two predictors per core) measurably cheaper.
+// thousand-core chips (one predictor per core) measurably cheaper.
 type counter2 uint8
 
 func (c counter2) actual() uint8 { return uint8(c) ^ 2 }
@@ -81,112 +44,38 @@ func (c counter2) update(taken bool) counter2 {
 	return counter2(a ^ 2)
 }
 
-// Bimodal is a PC-indexed table of 2-bit saturating counters.
-type Bimodal struct {
-	table []counter2
-	mask  uint64
-}
-
-// NewBimodal creates a bimodal predictor with the given table size (rounded
-// up to a power of two, minimum 16 entries).
-func NewBimodal(entries int) *Bimodal { return NewBimodalIn(nil, entries) }
-
-// NewBimodalIn is NewBimodal with the table and predictor carved from the
-// given construction arena (nil falls back to the heap).
-func NewBimodalIn(a *arena.Arena, entries int) *Bimodal {
-	n := 16
-	for n < entries {
-		n <<= 1
-	}
-	// The biased counter2 encoding makes the zero value "weakly taken", so
-	// the freshly allocated (always-zeroed) table needs no initialization
-	// pass, whether it comes from the heap or from an arena chunk.
-	b := arena.One[Bimodal](a)
-	b.table = arena.Take[counter2](a, n)
-	b.mask = uint64(n - 1)
-	return b
-}
-
-func (b *Bimodal) index(pc uint64) uint64 { return (pc >> 2) & b.mask }
-
-// Predict returns the table's current prediction for pc.
-func (b *Bimodal) Predict(pc uint64) bool { return b.table[b.index(pc)].taken() }
-
-// Update trains the counter for pc.
-func (b *Bimodal) Update(pc uint64, taken bool) {
-	i := b.index(pc)
-	b.table[i] = b.table[i].update(taken)
-}
-
-// Reset clears the counter table (the biased encoding's zero value is the
-// fresh "weakly taken" state).
-func (b *Bimodal) Reset() { clear(b.table) }
-
-// Name returns "bimodal".
-func (b *Bimodal) Name() string { return "bimodal" }
-
 // TwoLevel is a GShare-style two-level predictor: a global history register
-// XORed with the branch PC indexes a table of 2-bit counters. This is the
-// predictor the OOO core model uses by default (the paper models a 2-level
-// predictor; the exact Westmere organization is undisclosed).
+// XORed with the branch PC indexes a table of 2-bit counters (the paper
+// models a 2-level predictor; the exact Westmere organization is
+// undisclosed). It is not safe for concurrent use: each simulated core owns
+// its own predictor.
 type TwoLevel struct {
-	table    []counter2
-	mask     uint64
-	history  uint64
-	histBits uint
+	table   []counter2
+	history uint64
 }
 
-// NewTwoLevel creates a GShare predictor with the given table size (rounded
-// up to a power of two, minimum 64) and history length in bits.
-func NewTwoLevel(entries int, histBits uint) *TwoLevel {
-	return NewTwoLevelIn(nil, entries, histBits)
-}
-
-// NewTwoLevelIn is NewTwoLevel with the table and predictor carved from the
-// given construction arena (nil falls back to the heap).
-func NewTwoLevelIn(a *arena.Arena, entries int, histBits uint) *TwoLevel {
-	n := 64
-	for n < entries {
-		n <<= 1
-	}
-	if histBits == 0 {
-		histBits = 12
-	}
-	if histBits > 32 {
-		histBits = 32
-	}
+// New creates a predictor with the table carved from the given construction
+// arena (nil falls back to the heap).
+func New(a *arena.Arena) *TwoLevel {
 	g := arena.One[TwoLevel](a)
-	g.table = arena.Take[counter2](a, n)
-	g.mask = uint64(n - 1)
-	g.histBits = histBits
+	g.table = arena.Take[counter2](a, entries)
 	return g
 }
 
-// NewDefault returns the predictor configuration used by the validated OOO
-// core model: a 16K-entry GShare with 12 bits of global history.
-func NewDefault() *TwoLevel { return NewTwoLevel(16384, 12) }
-
-// NewDefaultIn is NewDefault allocating from the given construction arena.
-func NewDefaultIn(a *arena.Arena) *TwoLevel { return NewTwoLevelIn(a, 16384, 12) }
-
-func (g *TwoLevel) index(pc uint64) uint64 {
-	return ((pc >> 2) ^ g.history) & g.mask
-}
-
-// Predict returns the current prediction for pc under the current global
-// history.
-func (g *TwoLevel) Predict(pc uint64) bool { return g.table[g.index(pc)].taken() }
-
-// Update trains the indexed counter and shifts the outcome into the global
-// history register.
-func (g *TwoLevel) Update(pc uint64, taken bool) {
-	i := g.index(pc)
+// PredictAndUpdate predicts the branch at pc under the current global
+// history, trains the indexed counter with the actual outcome, shifts the
+// outcome into the history register, and reports whether the prediction was
+// correct.
+func (g *TwoLevel) PredictAndUpdate(pc uint64, taken bool) bool {
+	i := ((pc >> 2) ^ g.history) & (entries - 1)
+	correct := g.table[i].taken() == taken
 	g.table[i] = g.table[i].update(taken)
 	g.history <<= 1
 	if taken {
 		g.history |= 1
 	}
-	g.history &= (1 << g.histBits) - 1
+	g.history &= 1<<histBits - 1
+	return correct
 }
 
 // Reset clears the counter table and the global history register, restoring
@@ -194,49 +83,4 @@ func (g *TwoLevel) Update(pc uint64, taken bool) {
 func (g *TwoLevel) Reset() {
 	clear(g.table)
 	g.history = 0
-}
-
-// Name returns "two-level".
-func (g *TwoLevel) Name() string { return "two-level" }
-
-// Stats wraps a predictor and counts predictions and mispredictions, which
-// the harness converts into branch MPKI for the Figure 5 scatter plot.
-type Stats struct {
-	P           Predictor
-	Predictions uint64
-	Mispredicts uint64
-}
-
-// NewStats wraps p with statistics counting.
-func NewStats(p Predictor) *Stats { return &Stats{P: p} }
-
-// NewStatsIn is NewStats allocating the wrapper from the given arena.
-func NewStatsIn(a *arena.Arena, p Predictor) *Stats {
-	s := arena.One[Stats](a)
-	s.P = p
-	return s
-}
-
-// PredictAndUpdate predicts, trains, counts, and reports correctness.
-func (s *Stats) PredictAndUpdate(pc uint64, taken bool) bool {
-	s.Predictions++
-	correct := PredictAndUpdate(s.P, pc, taken)
-	if !correct {
-		s.Mispredicts++
-	}
-	return correct
-}
-
-// Reset zeroes the counts and resets the wrapped predictor.
-func (s *Stats) Reset() {
-	s.Predictions, s.Mispredicts = 0, 0
-	s.P.Reset()
-}
-
-// MispredictRate returns mispredictions / predictions (0 if no predictions).
-func (s *Stats) MispredictRate() float64 {
-	if s.Predictions == 0 {
-		return 0
-	}
-	return float64(s.Mispredicts) / float64(s.Predictions)
 }

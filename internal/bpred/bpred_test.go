@@ -4,20 +4,19 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"zsim/internal/arena"
 )
 
-func TestAlwaysTaken(t *testing.T) {
-	p := NewAlwaysTaken()
-	if !p.Predict(0x400) {
-		t.Fatalf("always-taken must predict taken")
+// mispredicts feeds n branches to p and counts the mispredictions.
+func mispredicts(p *TwoLevel, n int, branch func(i int) (pc uint64, taken bool)) int {
+	miss := 0
+	for i := 0; i < n; i++ {
+		if !p.PredictAndUpdate(branch(i)) {
+			miss++
+		}
 	}
-	p.Update(0x400, false) // must not panic or change behaviour
-	if !p.Predict(0x400) {
-		t.Fatalf("always-taken must still predict taken")
-	}
-	if p.Name() != "always-taken" {
-		t.Fatalf("name: %s", p.Name())
-	}
+	return miss
 }
 
 func TestCounter2Saturation(t *testing.T) {
@@ -40,118 +39,58 @@ func TestCounter2Saturation(t *testing.T) {
 	}
 }
 
-func TestBimodalLearnsBias(t *testing.T) {
-	p := NewBimodal(1024)
-	pc := uint64(0x1234)
-	// Train strongly not-taken.
-	for i := 0; i < 8; i++ {
-		p.Update(pc, false)
-	}
-	if p.Predict(pc) {
-		t.Fatalf("bimodal should learn a not-taken bias")
-	}
-	// Retrain taken.
-	for i := 0; i < 8; i++ {
-		p.Update(pc, true)
-	}
-	if !p.Predict(pc) {
-		t.Fatalf("bimodal should relearn a taken bias")
-	}
-	if p.Name() != "bimodal" {
-		t.Fatalf("name: %s", p.Name())
-	}
-}
-
-func TestBimodalSizeRounding(t *testing.T) {
-	p := NewBimodal(1000)
-	if len(p.table) != 1024 {
-		t.Fatalf("table should round up to 1024, got %d", len(p.table))
-	}
-	p = NewBimodal(0)
-	if len(p.table) != 16 {
-		t.Fatalf("minimum table size should be 16, got %d", len(p.table))
-	}
-}
-
 func TestTwoLevelLearnsPattern(t *testing.T) {
-	// A branch alternating T,N,T,N is mispredicted ~50% by a bimodal
-	// predictor but learned almost perfectly by a history-based one.
-	pc := uint64(0x4000)
-	g := NewStats(NewDefault())
-	b := NewStats(NewBimodal(16384))
-	for i := 0; i < 4000; i++ {
-		taken := i%2 == 0
-		g.PredictAndUpdate(pc, taken)
-		b.PredictAndUpdate(pc, taken)
-	}
-	if g.MispredictRate() > 0.05 {
-		t.Fatalf("two-level should learn an alternating pattern, rate=%f", g.MispredictRate())
-	}
-	if b.MispredictRate() < 0.3 {
-		t.Fatalf("bimodal should struggle with an alternating pattern, rate=%f", b.MispredictRate())
+	// A branch alternating T,N,T,N defeats a PC-indexed counter (~50%
+	// mispredicted) but is learned almost perfectly through the history.
+	miss := mispredicts(New(nil), 4000, func(i int) (uint64, bool) { return 0x4000, i%2 == 0 })
+	if rate := float64(miss) / 4000; rate > 0.05 {
+		t.Fatalf("two-level should learn an alternating pattern, rate=%f", rate)
 	}
 }
 
 func TestTwoLevelBiasedBranches(t *testing.T) {
 	// 95%-taken branches should be predicted well.
-	g := NewStats(NewDefault())
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		pc := uint64(0x1000 + (i%16)*4)
-		taken := rng.Float64() < 0.95
-		g.PredictAndUpdate(pc, taken)
-	}
-	if g.MispredictRate() > 0.15 {
-		t.Fatalf("biased branches should have low mispredict rate, got %f", g.MispredictRate())
+	miss := mispredicts(New(nil), 20000, func(i int) (uint64, bool) {
+		return uint64(0x1000 + (i%16)*4), rng.Float64() < 0.95
+	})
+	if rate := float64(miss) / 20000; rate > 0.15 {
+		t.Fatalf("biased branches should have low mispredict rate, got %f", rate)
 	}
 }
 
+// The geometry is fixed: every predictor, heap- or arena-backed, has one
+// counter per table entry, and Reset restores the fresh state.
 func TestTwoLevelConfigBounds(t *testing.T) {
-	p := NewTwoLevel(0, 0)
-	if len(p.table) != 64 {
-		t.Fatalf("minimum table is 64 entries, got %d", len(p.table))
+	if entries&(entries-1) != 0 {
+		t.Fatalf("entries = %d must be a power of two (it is indexed by mask)", entries)
 	}
-	if p.histBits != 12 {
-		t.Fatalf("default history is 12 bits, got %d", p.histBits)
-	}
-	p = NewTwoLevel(100, 64)
-	if p.histBits != 32 {
-		t.Fatalf("history should clamp to 32 bits, got %d", p.histBits)
-	}
-	if p.Name() != "two-level" {
-		t.Fatalf("name: %s", p.Name())
-	}
-}
-
-func TestStatsCounts(t *testing.T) {
-	s := NewStats(NewAlwaysTaken())
-	s.PredictAndUpdate(0x10, true)  // correct
-	s.PredictAndUpdate(0x10, false) // wrong
-	s.PredictAndUpdate(0x10, false) // wrong
-	if s.Predictions != 3 || s.Mispredicts != 2 {
-		t.Fatalf("counts: %d/%d", s.Mispredicts, s.Predictions)
-	}
-	if got := s.MispredictRate(); got < 0.66 || got > 0.67 {
-		t.Fatalf("rate: %f", got)
-	}
-	empty := NewStats(NewAlwaysTaken())
-	if empty.MispredictRate() != 0 {
-		t.Fatalf("empty stats should have rate 0")
-	}
-}
-
-// Property: the history register never exceeds histBits bits, and predictions
-// are always a deterministic function of (table, history, pc).
-func TestTwoLevelHistoryBounded(t *testing.T) {
-	f := func(pcs []uint32, outcomes []bool) bool {
-		g := NewTwoLevel(256, 8)
-		n := len(pcs)
-		if len(outcomes) < n {
-			n = len(outcomes)
+	a := arena.New()
+	for _, p := range []*TwoLevel{New(nil), New(a)} {
+		if len(p.table) != entries {
+			t.Fatalf("table has %d entries, want %d", len(p.table), entries)
 		}
+		mispredicts(p, 100, func(i int) (uint64, bool) { return uint64(i * 4), i%3 == 0 })
+		p.Reset()
+		if p.history != 0 {
+			t.Fatalf("Reset left history %#x", p.history)
+		}
+		for i, c := range p.table {
+			if c != 0 {
+				t.Fatalf("Reset left counter %d = %d", i, c)
+			}
+		}
+	}
+}
+
+// Property: the history register never exceeds histBits bits.
+func TestTwoLevelHistoryBounded(t *testing.T) {
+	g := New(nil)
+	f := func(pcs []uint32, outcomes []bool) bool {
+		n := min(len(pcs), len(outcomes))
 		for i := 0; i < n; i++ {
-			g.Update(uint64(pcs[i]), outcomes[i])
-			if g.history >= 1<<g.histBits {
+			g.PredictAndUpdate(uint64(pcs[i]), outcomes[i])
+			if g.history >= 1<<histBits {
 				return false
 			}
 		}
@@ -162,17 +101,10 @@ func TestTwoLevelHistoryBounded(t *testing.T) {
 	}
 }
 
-// Property: for a perfectly biased branch stream (always taken), any of the
-// dynamic predictors converges to at most a handful of mispredictions.
-func TestAlwaysTakenStreamConverges(t *testing.T) {
-	predictors := []Predictor{NewBimodal(256), NewDefault()}
-	for _, p := range predictors {
-		s := NewStats(p)
-		for i := 0; i < 1000; i++ {
-			s.PredictAndUpdate(0xabcd, true)
-		}
-		if s.Mispredicts > 5 {
-			t.Fatalf("%s: too many mispredictions on a constant stream: %d", p.Name(), s.Mispredicts)
-		}
+// Property: a perfectly biased branch stream (always taken) converges to at
+// most a handful of mispredictions.
+func TestConstantStreamConverges(t *testing.T) {
+	if miss := mispredicts(New(nil), 1000, func(int) (uint64, bool) { return 0xabcd, true }); miss > 5 {
+		t.Fatalf("too many mispredictions on a constant stream: %d", miss)
 	}
 }

@@ -370,9 +370,6 @@ func (c *Cache) AddChild(child *Cache) int {
 // NumLines returns the cache's capacity in lines.
 func (c *Cache) NumLines() int { return c.sets * c.ways }
 
-// NumStripes returns the number of lock stripes (test/diagnostic helper).
-func (c *Cache) NumStripes() int { return len(c.stripes) }
-
 func (c *Cache) setOf(lineAddr uint64) int {
 	// Hash the line address so that strided accesses spread across sets even
 	// when the stride is a multiple of the set count (the "hashed" L3 in the

@@ -50,9 +50,6 @@ func (b *Banked) Name() string { return b.name }
 // NumBanks returns the number of banks.
 func (b *Banked) NumBanks() int { return len(b.banks) }
 
-// Bank returns bank i.
-func (b *Banked) Bank(i int) *Cache { return b.banks[i] }
-
 // BankOf returns the bank index that owns the line.
 func (b *Banked) BankOf(lineAddr uint64) int {
 	h := lineAddr * 0xff51afd7ed558ccd

@@ -237,14 +237,7 @@ func makePoint(base *config.System, spec PointSpec, index int, coords []Coord) (
 		cfg.NumCores = spec.Cores
 	}
 	if spec.Topology != "" {
-		switch kind := config.NetworkKind(spec.Topology); kind {
-		case config.NetRing, config.NetMesh, config.NetFlat:
-			cfg.Network = kind
-		default:
-			// config.Validate lets unknown kinds fall through to the flat
-			// default; a sweep axis must fail loudly instead.
-			return Point{}, fmt.Errorf("campaign: point %d (%s): unknown topology %q", index, coordString(coords), spec.Topology)
-		}
+		cfg.Network = config.NetworkKind(spec.Topology) // Validate rejects unknown kinds
 	}
 	if spec.LinkBytes > 0 {
 		cfg.NOCLinkBytes = spec.LinkBytes

@@ -220,8 +220,12 @@ func (s *System) Validate() error {
 	if s.L3.Banks <= 0 {
 		s.L3.Banks = 1
 	}
-	if s.Network == "" {
+	switch s.Network {
+	case "":
 		s.Network = NetFlat
+	case NetRing, NetMesh, NetFlat:
+	default:
+		return fmt.Errorf("config: unknown network %q (want %q, %q or %q)", s.Network, NetRing, NetMesh, NetFlat)
 	}
 	if s.NOCContention && s.Network == NetFlat {
 		return fmt.Errorf("config: nocContention requires a routed topology (ring or mesh), not %q", s.Network)
@@ -239,8 +243,12 @@ func (s *System) Validate() error {
 	if s.MemControllers <= 0 {
 		s.MemControllers = 1
 	}
-	if s.MemModel == "" {
+	switch s.MemModel {
+	case "":
 		s.MemModel = MemSimple
+	case MemSimple, MemMD1:
+	default:
+		return fmt.Errorf("config: unknown memory model %q (want %q or %q)", s.MemModel, MemSimple, MemMD1)
 	}
 	if s.MemLatency == 0 {
 		s.MemLatency = 120
@@ -251,8 +259,13 @@ func (s *System) Validate() error {
 	if s.IntervalCycles == 0 {
 		s.IntervalCycles = 1000
 	}
-	if s.WeaveMem == "" {
+	switch s.WeaveMem {
+	case "":
 		s.WeaveMem = WeaveMemDDR3
+	case WeaveMemDDR3, WeaveMemCycleDriven, WeaveMemNone:
+	default:
+		return fmt.Errorf("config: unknown weave memory model %q (want %q, %q or %q)",
+			s.WeaveMem, WeaveMemDDR3, WeaveMemCycleDriven, WeaveMemNone)
 	}
 	switch s.WeaveModeKind {
 	case "", WeaveParallelDet, WeaveSerial:

@@ -76,6 +76,10 @@ func TestValidateErrors(t *testing.T) {
 		{"tile mismatch", func(s *System) { s.CoresPerTile = 5 }},
 		{"zero l1d", func(s *System) { s.L1D.SizeKB = 0 }},
 		{"zero l3", func(s *System) { s.L3.SizeKB = 0 }},
+		{"bad mem model", func(s *System) { s.MemModel = "md-1" }},
+		{"bad weave mem", func(s *System) { s.WeaveMem = "dram" }},
+		{"bad network", func(s *System) { s.Network = "torus" }},
+		{"bad network with noc", func(s *System) { s.Network = "torus"; s.NOCContention = true }},
 	}
 	for _, c := range cases {
 		s := WestmereValidation()
@@ -97,7 +101,7 @@ func TestValidateDefaults(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("minimal config should validate: %v", err)
 	}
-	if s.CoreModel != CoreOOO || s.MemModel != MemSimple || s.Network != NetFlat {
+	if s.CoreModel != CoreOOO || s.MemModel != MemSimple || s.Network != NetFlat || s.WeaveMem != WeaveMemDDR3 {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
 	if s.IntervalCycles != 1000 || s.MemControllers != 1 {

@@ -61,7 +61,9 @@ type Core interface {
 	ID() int
 	// Name returns the core model's name ("ipc1" or "ooo").
 	Name() string
-	// BranchStats returns (predicted, mispredicted) branch counts.
+	// BranchStats returns (predicted, mispredicted) conditional-branch
+	// counts: the core's branchPredictions and branchMispredicts registry
+	// counters, which the stats tree's Reset zeroes.
 	BranchStats() (uint64, uint64)
 }
 
@@ -188,7 +190,7 @@ type IPC1 struct {
 
 	cycle     uint64
 	lastFetch uint64 // line address of the last fetched I-cache line
-	pred      *bpred.Stats
+	pred      *bpred.TwoLevel
 }
 
 // NewIPC1 creates a simple core. When the registry tree carries a
@@ -199,7 +201,7 @@ func NewIPC1(id int, ports MemPorts, reg *stats.Registry) *IPC1 {
 	c := arena.One[IPC1](a)
 	c.memUnit = memUnit{id: id, ports: ports}
 	c.cnt = newCounters(reg)
-	c.pred = bpred.NewStatsIn(a, bpred.NewDefaultIn(a))
+	c.pred = bpred.New(a)
 	return c
 }
 
@@ -216,7 +218,7 @@ func (c *IPC1) Instrs() uint64 { return c.cnt.Instrs.Get() }
 func (c *IPC1) Uops() uint64 { return c.cnt.Uops.Get() }
 
 // BranchStats returns (predictions, mispredictions).
-func (c *IPC1) BranchStats() (uint64, uint64) { return c.pred.Predictions, c.pred.Mispredicts }
+func (c *IPC1) BranchStats() (uint64, uint64) { return c.cnt.BrPred.Get(), c.cnt.BrMiss.Get() }
 
 // AddDelay applies weave-phase feedback.
 func (c *IPC1) AddDelay(cycles uint64) {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
+	"zsim/internal/bpred"
 	"zsim/internal/cache"
 	"zsim/internal/isa"
 	"zsim/internal/memctrl"
@@ -428,5 +430,62 @@ func TestSchedulePortRespectsBusy(t *testing.T) {
 	cy, _ := c.schedulePort(isa.PortsALU, 1_000_000)
 	if cy != 1_000_000 {
 		t.Fatalf("far-future scheduling should start at the requested cycle, got %d", cy)
+	}
+}
+
+// Both core models count each conditional branch once, in their registry
+// counters, and BranchStats reads exactly those: the counts equal a
+// standalone predictor fed the same (pc, taken) stream, the stats tree's
+// Reset (with the core's own) brings them back to zero, and a replay after
+// Reset counts the same again.
+func TestBranchStatsMatchPredictor(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var blocks []*trace.DynBlock
+	for i := 0; i < 600; i++ {
+		if i%5 == 4 {
+			blocks = append(blocks, loadBlock(uint64(i%7), []uint64{uint64(i) << 6})) // no branch
+			continue
+		}
+		b := aluBlock(uint64(rng.Intn(24)), 1+rng.Intn(6))
+		b.Taken = rng.Intn(4) != 0
+		blocks = append(blocks, b)
+	}
+	ref := bpred.New(nil)
+	var wantPred, wantMiss uint64
+	for _, b := range blocks {
+		if b.Decoded.CondBranch {
+			wantPred++
+			if !ref.PredictAndUpdate(b.BranchPC, b.Taken) {
+				wantMiss++
+			}
+		}
+	}
+	if wantMiss == 0 || wantMiss == wantPred {
+		t.Fatalf("stream is not a useful test: %d/%d mispredicted", wantMiss, wantPred)
+	}
+	for _, mk := range []func(*stats.Registry) Core{
+		func(reg *stats.Registry) Core { return NewIPC1(0, buildHierarchy(), reg) },
+		func(reg *stats.Registry) Core { return NewOOO(0, OOOWestmere(), buildHierarchy(), reg) },
+	} {
+		reg := stats.NewRegistry("core")
+		c := mk(reg)
+		for _, b := range blocks {
+			c.SimulateBlock(b)
+		}
+		if pred, miss := c.BranchStats(); pred != wantPred || miss != wantMiss {
+			t.Fatalf("%s: BranchStats = (%d, %d), want (%d, %d)", c.Name(), pred, miss, wantPred, wantMiss)
+		}
+		reg.Reset()
+		c.Reset()
+		if pred, miss := c.BranchStats(); pred != 0 || miss != 0 {
+			t.Fatalf("%s: BranchStats after Reset = (%d, %d)", c.Name(), pred, miss)
+		}
+		// The predictor was reset too: a replay mispredicts the same branches.
+		for _, b := range blocks {
+			c.SimulateBlock(b)
+		}
+		if pred, miss := c.BranchStats(); pred != wantPred || miss != wantMiss {
+			t.Fatalf("%s: replay after Reset = (%d, %d), want (%d, %d)", c.Name(), pred, miss, wantPred, wantMiss)
+		}
 	}
 }

@@ -23,32 +23,22 @@ type OOOConfig struct {
 	StoreQueueSize   int
 	FetchBytesPerCyc int
 	MispredictCycles uint64
-	// RRFWritesPerCycle models the limited register-renaming bandwidth for
-	// non-captured operands (the paper models a limited-width RRF).
-	RRFWritesPerCycle int
-	// SchedWindowCycles bounds how far ahead of the issue clock a µop may be
-	// scheduled on a port (the future window of port occupancy).
-	SchedWindowCycles int
-	// PredictorEntries and PredictorHistBits configure the two-level branch
-	// predictor.
-	PredictorEntries  int
-	PredictorHistBits uint
 }
+
+// schedWindowCycles bounds how far ahead of the issue clock a µop may be
+// scheduled on a port (the future window of port occupancy).
+const schedWindowCycles = 256
 
 // OOOWestmere returns the Westmere-class configuration used for validation.
 func OOOWestmere() OOOConfig {
 	return OOOConfig{
-		IssueWidth:        4,
-		RetireWidth:       4,
-		ROBSize:           128,
-		LoadQueueSize:     48,
-		StoreQueueSize:    32,
-		FetchBytesPerCyc:  16,
-		MispredictCycles:  17,
-		RRFWritesPerCycle: 4,
-		SchedWindowCycles: 256,
-		PredictorEntries:  16384,
-		PredictorHistBits: 12,
+		IssueWidth:       4,
+		RetireWidth:      4,
+		ROBSize:          128,
+		LoadQueueSize:    48,
+		StoreQueueSize:   32,
+		FetchBytesPerCyc: 16,
+		MispredictCycles: 17,
 	}
 }
 
@@ -69,7 +59,7 @@ type OOO struct {
 	memUnit
 	cfg  OOOConfig
 	cnt  Counters
-	pred *bpred.Stats
+	pred *bpred.TwoLevel
 
 	// Per-stage clocks.
 	fetchClock  uint64
@@ -128,9 +118,6 @@ func NewOOO(id int, cfg OOOConfig, ports MemPorts, reg *stats.Registry) *OOO {
 	if cfg.ROBSize < 8 {
 		cfg.ROBSize = 128
 	}
-	if cfg.SchedWindowCycles < 32 {
-		cfg.SchedWindowCycles = 256
-	}
 	if cfg.FetchBytesPerCyc < 1 {
 		cfg.FetchBytesPerCyc = 16
 	}
@@ -143,19 +130,13 @@ func NewOOO(id int, cfg OOOConfig, ports MemPorts, reg *stats.Registry) *OOO {
 	if cfg.StoreQueueSize < 1 {
 		cfg.StoreQueueSize = 32
 	}
-	if cfg.PredictorEntries == 0 {
-		cfg.PredictorEntries = 16384
-	}
-	if cfg.PredictorHistBits == 0 {
-		cfg.PredictorHistBits = 12
-	}
 	a := reg.Arena()
 	c := arena.One[OOO](a)
 	c.memUnit = memUnit{id: id, ports: ports}
 	c.cfg = cfg
 	c.cnt = newCounters(reg)
-	c.pred = bpred.NewStatsIn(a, bpred.NewTwoLevelIn(a, cfg.PredictorEntries, cfg.PredictorHistBits))
-	c.portBusy = arena.Take[[isa.NumPorts]bool](a, cfg.SchedWindowCycles)
+	c.pred = bpred.New(a)
+	c.portBusy = arena.Take[[isa.NumPorts]bool](a, schedWindowCycles)
 	c.rob = arena.Take[uint64](a, cfg.ROBSize)
 	// Pre-size the load/store queues and the per-block scratch so the
 	// steady-state simulation loop never grows them on the heap.
@@ -178,7 +159,7 @@ func (c *OOO) Instrs() uint64 { return c.cnt.Instrs.Get() }
 func (c *OOO) Uops() uint64 { return c.cnt.Uops.Get() }
 
 // BranchStats returns (predictions, mispredictions).
-func (c *OOO) BranchStats() (uint64, uint64) { return c.pred.Predictions, c.pred.Mispredicts }
+func (c *OOO) BranchStats() (uint64, uint64) { return c.cnt.BrPred.Get(), c.cnt.BrMiss.Get() }
 
 // AddDelay applies weave-phase feedback by advancing every stage clock.
 func (c *OOO) AddDelay(cycles uint64) {
@@ -349,8 +330,8 @@ func (c *OOO) SimulateBlock(b *trace.DynBlock) {
 // has already resolved operand readiness and fence ordering into dispatch
 // using the block's translation-time skeleton.
 func (c *OOO) simulateUop(b *trace.DynBlock, u *isa.Uop, dispatch uint64) uint64 {
-	// (3) Issue width and RRF bandwidth: at most IssueWidth µops enter the
-	// window per cycle.
+	// (3) Issue width: at most IssueWidth µops enter the window per cycle.
+	// Register-file (RRF) read bandwidth is not modeled.
 	if c.issueCycle != c.issueClock {
 		c.issueCycle = c.issueClock
 		c.issuedThisCycle = 0

@@ -10,6 +10,7 @@ import (
 	"zsim/internal/boundweave"
 	"zsim/internal/config"
 	"zsim/internal/stats"
+	"zsim/internal/telemetry"
 	"zsim/internal/trace"
 )
 
@@ -298,7 +299,7 @@ func Figure7(opts Options) (*Table, error) {
 			mips = append(mips, zres.Metrics.SimMIPS)
 		}
 		slices.Sort(mips)
-		t.AddRow(string(model), mips[0], stats.Median(mips), mips[len(mips)-1], stats.HMean(mips))
+		t.AddRow(string(model), mips[0], telemetry.QuantileSorted(mips, 0.5), mips[len(mips)-1], stats.HMean(mips))
 	}
 	return t, nil
 }

@@ -60,7 +60,6 @@ type portState struct {
 // Router is the weave-phase contention model for one node's router. Only the
 // single-threaded weave engine drives it, so it needs no locking.
 type Router struct {
-	node       int
 	perHop     uint64 // zero-load network per-hop latency (link + pipeline)
 	memHop     uint64 // zero-load memory-egress link latency
 	flitCycles uint64 // port occupancy per packet
@@ -77,9 +76,6 @@ type Router struct {
 	QueueStalls   *stats.Counter // packets that found their port's queue full on arrival
 	QueueDelay    *stats.Counter // total cycles packets waited for ports
 }
-
-// Node returns the topology node this router serves.
-func (r *Router) Node() int { return r.node }
 
 // Schedule dispatches one packet through the router's output port at the
 // given cycle and returns the cycle at which the packet's head reaches the
@@ -186,7 +182,6 @@ func NewFabric(topo network.Topology, cfg Config, reg *stats.Registry) *Fabric {
 	for n := range f.routers {
 		rr := reg.ChildIdx("router", n)
 		r := arena.One[Router](a)
-		r.node = n
 		r.perHop = uint64(topo.PerHopLatency())
 		r.memHop = uint64(cfg.MemHopLatency)
 		r.flitCycles = uint64(cfg.PacketFlits) * uint64(cfg.CyclesPerFlit)

@@ -215,6 +215,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"no workloads", `{"workloads": []}`},
 		{"unknown workload", `{"workloads": [{"name": "no-such-benchmark"}]}`},
 		{"unknown preset", `{"preset": "cray", "workloads": [{"name": "blackscholes"}]}`},
+		{"unknown memory model", `{"config": {"numCores": 1, "memModel": "md-1",
+			"l1i": {"sizeKB": 32}, "l1d": {"sizeKB": 32}, "l2": {"sizeKB": 256}, "l3": {"sizeKB": 1024}},
+			"workloads": [{"name": "blackscholes"}]}`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))

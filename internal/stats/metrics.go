@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Metrics holds the derived, per-run performance metrics that the paper's
 // evaluation section reports: IPC, MPKI per cache level, MIPS of the
@@ -136,46 +133,4 @@ func MeanAbs(vals []float64) float64 {
 		sum += math.Abs(v)
 	}
 	return sum / float64(len(vals))
-}
-
-// MaxAbs returns the maximum absolute value (0 for an empty slice).
-func MaxAbs(vals []float64) float64 {
-	var max float64
-	for _, v := range vals {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// GeoMean returns the geometric mean of positive values.
-func GeoMean(vals []float64) float64 {
-	var sum float64
-	var n int
-	for _, v := range vals {
-		if v <= 0 {
-			continue
-		}
-		sum += math.Log(v)
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// Median returns the median of the values (0 for an empty slice).
-func Median(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }

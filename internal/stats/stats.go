@@ -1,22 +1,24 @@
-// Package stats provides the statistics infrastructure used by every timing
-// model in the simulator: scalar counters, vector counters, histograms, and
-// hierarchical registries that can be exported as text or CSV.
+// Package stats provides the per-component counters every timing model keeps,
+// organized as a tree of registries that can be reset for warm reuse and
+// exported as text or CSV, plus the derived per-run Metrics the experiment
+// tables are built from.
 //
 // The original zsim exports statistics through HDF5; this implementation is
 // stdlib-only and exports through text and CSV writers, which is sufficient
 // for the experiment harness to regenerate every table and figure in the
 // paper.
 //
-// Counters are plain uint64 fields updated by a single goroutine (each core
-// or cache model is driven by exactly one host thread during the bound
-// phase), so they do not need atomic updates. Aggregation across components
-// happens at interval or simulation boundaries.
+// A Counter is a plain uint64 updated by a single goroutine: each core and
+// private cache is driven by exactly one host thread at a time during the
+// bound phase. Components that several host threads update at once (shared
+// cache banks, memory controllers) register AtomicCounters instead.
+// Aggregation across components happens at interval or simulation
+// boundaries.
 package stats
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -67,136 +69,13 @@ func (c *AtomicCounter) Get() uint64 { return c.v.Load() }
 // Set overwrites the counter value.
 func (c *AtomicCounter) Set(v uint64) { c.v.Store(v) }
 
-// Gauge is a scalar statistic that may go up or down (e.g., occupancy).
-type Gauge struct {
-	Name string
-	Desc string
-	V    int64
-}
-
-// Add adds delta (possibly negative) to the gauge.
-func (g *Gauge) Add(delta int64) { g.V += delta }
-
-// Get returns the current value.
-func (g *Gauge) Get() int64 { return g.V }
-
-// VectorCounter is an indexed family of counters sharing one name, such as
-// per-bank access counts or per-port issue counts.
-type VectorCounter struct {
-	Name string
-	Desc string
-	Vals []uint64
-}
-
-// NewVectorCounter creates a vector counter with n entries.
-func NewVectorCounter(name, desc string, n int) *VectorCounter {
-	v := &VectorCounter{}
-	initVectorCounter(v, nil, name, desc, n)
-	return v
-}
-
-// initVectorCounter is the single construction path for vector counters,
-// shared by NewVectorCounter and the arena-backed Registry.Vector.
-func initVectorCounter(v *VectorCounter, a *arena.Arena, name, desc string, n int) {
-	v.Name, v.Desc = name, desc
-	v.Vals = arena.Take[uint64](a, n)
-}
-
-// Inc increments entry i.
-func (v *VectorCounter) Inc(i int) { v.Vals[i]++ }
-
-// Add adds n to entry i.
-func (v *VectorCounter) Add(i int, n uint64) { v.Vals[i] += n }
-
-// Get returns entry i.
-func (v *VectorCounter) Get(i int) uint64 { return v.Vals[i] }
-
-// Total returns the sum of all entries.
-func (v *VectorCounter) Total() uint64 {
-	var t uint64
-	for _, x := range v.Vals {
-		t += x
-	}
-	return t
-}
-
-// Histogram is a fixed-bucket histogram of non-negative samples, used for
-// latency distributions (e.g., memory access latency in the weave phase).
-type Histogram struct {
-	Name       string
-	Desc       string
-	BucketSize uint64
-	Buckets    []uint64
-	Overflow   uint64
-	Count      uint64
-	Sum        uint64
-	MaxSample  uint64
-}
-
-// NewHistogram creates a histogram with nBuckets buckets of width bucketSize.
-func NewHistogram(name, desc string, bucketSize uint64, nBuckets int) *Histogram {
-	h := &Histogram{}
-	initHistogram(h, nil, name, desc, bucketSize, nBuckets)
-	return h
-}
-
-// initHistogram is the single construction path for histograms (validation
-// included), shared by NewHistogram and the arena-backed Registry.Histogram.
-func initHistogram(h *Histogram, a *arena.Arena, name, desc string, bucketSize uint64, nBuckets int) {
-	if bucketSize == 0 {
-		bucketSize = 1
-	}
-	h.Name, h.Desc = name, desc
-	h.BucketSize = bucketSize
-	h.Buckets = arena.Take[uint64](a, nBuckets)
-}
-
-// Sample records one sample.
-func (h *Histogram) Sample(v uint64) {
-	h.Count++
-	h.Sum += v
-	if v > h.MaxSample {
-		h.MaxSample = v
-	}
-	idx := v / h.BucketSize
-	if int(idx) >= len(h.Buckets) {
-		h.Overflow++
-		return
-	}
-	h.Buckets[idx]++
-}
-
-// Mean returns the mean of all samples, or 0 if there are none.
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// Percentile returns an approximate percentile (0-100) using bucket midpoints.
-func (h *Histogram) Percentile(p float64) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	target := p / 100 * float64(h.Count)
-	var cum float64
-	for i, b := range h.Buckets {
-		cum += float64(b)
-		if cum >= target {
-			return (float64(i) + 0.5) * float64(h.BucketSize)
-		}
-	}
-	return float64(h.MaxSample)
-}
-
 // Registry is a named collection of statistics belonging to one simulated
 // component (a core, a cache, a memory controller). Registries nest to form
 // the stats tree of the whole simulated system.
 //
 // Registries and the statistics they register are flat, arena-backed objects
 // when the root registry carries an arena (NewRegistryIn): every Counter,
-// AtomicCounter, Gauge and child Registry is carved from large type-uniform
+// AtomicCounter and child Registry is carved from large type-uniform
 // chunks instead of being heap-allocated individually, and indexed children
 // (ChildIdx) format their names lazily at export time. Building the stats
 // tree of a 1,024-core chip is then a handful of chunk allocations.
@@ -211,9 +90,6 @@ type Registry struct {
 	arena    *arena.Arena
 	counters []*Counter
 	atomics  []*AtomicCounter
-	gauges   []*Gauge
-	vectors  []*VectorCounter
-	hists    []*Histogram
 	children []*Registry
 }
 
@@ -245,36 +121,6 @@ func (r *Registry) Name() string {
 	return fmt.Sprintf("%s-%d", r.prefix, r.idx)
 }
 
-// matchName reports whether the registry's name equals s, without formatting
-// indexed names. It must accept exactly the strings Name() would produce:
-// leading zeros and out-of-range suffixes are rejected, matching the strict
-// string comparison this replaces.
-func (r *Registry) matchName(s string) bool {
-	if r.prefix == "" {
-		return r.name == s
-	}
-	n := len(r.prefix)
-	if len(s) < n+2 || s[:n] != r.prefix || s[n] != '-' {
-		return false
-	}
-	digits := s[n+1:]
-	if len(digits) > 1 && digits[0] == '0' {
-		return false // Name() never formats leading zeros
-	}
-	idx := int64(0)
-	for i := 0; i < len(digits); i++ {
-		ch := digits[i]
-		if ch < '0' || ch > '9' {
-			return false
-		}
-		idx = idx*10 + int64(ch-'0')
-		if idx > math.MaxInt32 {
-			return false
-		}
-	}
-	return int32(idx) == r.idx
-}
-
 // Counter creates, registers and returns a new counter.
 func (r *Registry) Counter(name, desc string) *Counter {
 	c := arena.One[Counter](r.arena)
@@ -295,30 +141,6 @@ func (r *Registry) Atomic(name, desc string) *AtomicCounter {
 	}
 	r.atomics = append(r.atomics, c)
 	return c
-}
-
-// Gauge creates, registers and returns a new gauge.
-func (r *Registry) Gauge(name, desc string) *Gauge {
-	g := arena.One[Gauge](r.arena)
-	g.Name, g.Desc = name, desc
-	r.gauges = append(r.gauges, g)
-	return g
-}
-
-// Vector creates, registers and returns a new vector counter with n entries.
-func (r *Registry) Vector(name, desc string, n int) *VectorCounter {
-	v := arena.One[VectorCounter](r.arena)
-	initVectorCounter(v, r.arena, name, desc, n)
-	r.vectors = append(r.vectors, v)
-	return v
-}
-
-// Histogram creates, registers and returns a new histogram.
-func (r *Registry) Histogram(name, desc string, bucketSize uint64, nBuckets int) *Histogram {
-	h := arena.One[Histogram](r.arena)
-	initHistogram(h, r.arena, name, desc, bucketSize, nBuckets)
-	r.hists = append(r.hists, h)
-	return h
 }
 
 // Child creates, registers and returns a nested registry (inheriting the
@@ -343,13 +165,7 @@ func (r *Registry) ChildIdx(prefix string, idx int) *Registry {
 	return c
 }
 
-// AddChild attaches an existing registry as a child.
-func (r *Registry) AddChild(c *Registry) {
-	r.children = append(r.children, c)
-}
-
-// Reset zeroes every statistic in the subtree (counters, atomics, gauges,
-// vectors, histograms) without disturbing the tree structure or names. It is
+// Reset zeroes every counter in the subtree without disturbing the tree structure or names. It is
 // the statistics half of warm-simulator reuse: a reused system starts from
 // the exact zero state a freshly built stats tree has.
 func (r *Registry) Reset() {
@@ -359,94 +175,9 @@ func (r *Registry) Reset() {
 	for _, c := range r.atomics {
 		c.Set(0)
 	}
-	for _, g := range r.gauges {
-		g.V = 0
-	}
-	for _, v := range r.vectors {
-		clear(v.Vals)
-	}
-	for _, h := range r.hists {
-		clear(h.Buckets)
-		h.Overflow, h.Count, h.Sum, h.MaxSample = 0, 0, 0, 0
-	}
 	for _, ch := range r.children {
 		ch.Reset()
 	}
-}
-
-// Lookup returns the value of a counter addressed by a dotted path such as
-// "core-0.instrs". It returns false if the path does not resolve.
-func (r *Registry) Lookup(path string) (uint64, bool) {
-	parts := strings.Split(path, ".")
-	return r.lookup(parts)
-}
-
-func (r *Registry) lookup(parts []string) (uint64, bool) {
-	if len(parts) == 0 {
-		return 0, false
-	}
-	if len(parts) == 1 {
-		for _, c := range r.counters {
-			if c.Name == parts[0] {
-				return c.V, true
-			}
-		}
-		for _, c := range r.atomics {
-			if c.Name == parts[0] {
-				return c.Get(), true
-			}
-		}
-		return 0, false
-	}
-	for _, ch := range r.children {
-		if ch.matchName(parts[0]) {
-			return ch.lookup(parts[1:])
-		}
-	}
-	return 0, false
-}
-
-// SumCounters returns the sum, over the whole subtree, of all counters with
-// the given name. This is how aggregate statistics (total instructions, total
-// L3 misses, ...) are derived.
-func (r *Registry) SumCounters(name string) uint64 {
-	var total uint64
-	for _, c := range r.counters {
-		if c.Name == name {
-			total += c.V
-		}
-	}
-	for _, c := range r.atomics {
-		if c.Name == name {
-			total += c.Get()
-		}
-	}
-	for _, ch := range r.children {
-		total += ch.SumCounters(name)
-	}
-	return total
-}
-
-// MaxCounter returns the maximum value, over the whole subtree, of all
-// counters with the given name (e.g., the final cycle count across cores).
-func (r *Registry) MaxCounter(name string) uint64 {
-	var max uint64
-	for _, c := range r.counters {
-		if c.Name == name && c.V > max {
-			max = c.V
-		}
-	}
-	for _, c := range r.atomics {
-		if c.Name == name && c.Get() > max {
-			max = c.Get()
-		}
-	}
-	for _, ch := range r.children {
-		if m := ch.MaxCounter(name); m > max {
-			max = m
-		}
-	}
-	return max
 }
 
 // WriteText writes a human-readable dump of the registry tree.
@@ -466,22 +197,6 @@ func (r *Registry) writeText(w io.Writer, depth int) error {
 	}
 	for _, c := range r.atomics {
 		if _, err := fmt.Fprintf(w, "%s  %s: %d # %s\n", indent, c.Name, c.Get(), c.Desc); err != nil {
-			return err
-		}
-	}
-	for _, g := range r.gauges {
-		if _, err := fmt.Fprintf(w, "%s  %s: %d # %s\n", indent, g.Name, g.V, g.Desc); err != nil {
-			return err
-		}
-	}
-	for _, v := range r.vectors {
-		if _, err := fmt.Fprintf(w, "%s  %s: %v total=%d # %s\n", indent, v.Name, v.Vals, v.Total(), v.Desc); err != nil {
-			return err
-		}
-	}
-	for _, h := range r.hists {
-		if _, err := fmt.Fprintf(w, "%s  %s: count=%d mean=%.2f max=%d # %s\n",
-			indent, h.Name, h.Count, h.Mean(), h.MaxSample, h.Desc); err != nil {
 			return err
 		}
 	}

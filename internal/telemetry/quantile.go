@@ -1,23 +1,9 @@
 package telemetry
 
-import "sort"
-
-// Quantile returns the q-quantile (0 <= q <= 1) of samples by linear
-// interpolation between closest ranks. The input need not be sorted; it is
-// not modified. Returns 0 for an empty slice.
-func Quantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	return QuantileSorted(sorted, q)
-}
-
-// QuantileSorted is Quantile over an already ascending-sorted slice, without
-// copying. Callers aggregating many quantiles over one sample set should sort
-// once and use this.
+// QuantileSorted returns the q-quantile (0 <= q <= 1) of an ascending-sorted
+// slice by linear interpolation between closest ranks, without copying.
+// Returns 0 for an empty slice. Callers aggregating many quantiles over one
+// sample set sort once and call it per quantile.
 func QuantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {

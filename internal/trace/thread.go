@@ -13,7 +13,6 @@ import "zsim/internal/isa"
 // models and keeps block generation allocation-free on the hot path.
 type Thread struct {
 	w   *Workload
-	tid int
 	rng *rand64
 
 	// Work accounting.
@@ -70,7 +69,6 @@ func (w *Workload) NewThread(tid int) *Thread {
 
 	t := &Thread{
 		w:        w,
-		tid:      tid,
 		rng:      newRand(p.Seed*2654435761 + uint64(tid)*0x9e3779b97f4a7c15 + 1),
 		privBase: 0x10_0000_0000 + p.AddrSpace<<44 + uint64(tid)*alignUp(p.WorkingSet+4096, 1<<20),
 	}
@@ -89,9 +87,6 @@ func (w *Workload) NewThread(tid int) *Thread {
 }
 
 func alignUp(v, a uint64) uint64 { return (v + a - 1) / a * a }
-
-// TID returns the thread's index within its workload.
-func (t *Thread) TID() int { return t.tid }
 
 // Done reports whether the thread has emitted its SyncDone block.
 func (t *Thread) Done() bool { return t.done }
@@ -169,9 +164,9 @@ func (t *Thread) NextBlock() *DynBlock {
 }
 
 // SpinBlock returns a dynamic execution of the spin-wait loop on the given
-// lock. The execution driver issues these while the thread waits for a
-// contended lock, producing the coherence traffic (and simulated cycles) a
-// real spinlock produces.
+// lock: the block whose code also serves as every sync entry sequence. The
+// simulator does not issue it (a thread waiting on a contended lock blocks in
+// the scheduler instead); it exposes that block's lock-word addressing.
 func (t *Thread) SpinBlock(lockID int) *DynBlock {
 	return t.fillLockDyn(t.w.spinDecoded, lockID, SyncNone, 0)
 }

@@ -464,16 +464,10 @@ func (r *Result) Summary() string {
 		r.HostTime.Round(time.Millisecond), m.SimMIPS, r.Intervals, r.WeaveEvents)
 }
 
-// buildSim constructs the bound-weave simulator state (recorders, event
-// slabs, weave engine, worker pool) for the configured system and workloads
-// without running it. Run calls it implicitly; the construction benchmarks
-// call it directly and Close the result.
-func (s *Simulator) buildSim() *boundweave.Simulator {
-	return s.buildSimCtl(nil)
-}
-
-// buildSimCtl is buildSim with the run-control token and the configuration's
-// run limits wired in.
+// buildSimCtl constructs the bound-weave simulator state (recorders, event
+// slabs, weave engine, worker pool) for the configured system and workloads,
+// with the run-control token and the configuration's run limits wired in,
+// without running it.
 func (s *Simulator) buildSimCtl(ctl *runctl.Token) *boundweave.Simulator {
 	return boundweave.NewSimulator(s.sys, s.sched, s.runOptions(ctl))
 }
