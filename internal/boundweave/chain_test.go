@@ -116,14 +116,16 @@ func TestChainShape(t *testing.T) {
 			sim := newChainSim(t)
 			defer sim.Close()
 			sys := sim.Sys
-			k := hopKit{l1: sys.L1D[0].CompID(), l2: sys.L2[0].CompID(), bankComp: sys.BankComp[0], memComp: sys.MemComp[0]}
+			// BuildSystem numbers the first L2 right after the last bank, and
+			// core 0's L1D right before core 0.
+			k := hopKit{l1: sys.CoreComp[0] - 1, l2: sys.BankComp[len(sys.BankComp)-1] + 1, bankComp: sys.BankComp[0], memComp: sys.MemComp[0]}
 			accesses := c.accesses(k, sim.models.fabric.Injection())
 			rec := sim.recorders[0]
 			for _, a := range accesses {
 				rec.RecordAccess(0, a.issue, a.write, a.hops)
 			}
-			if rec.Len() != len(accesses) {
-				t.Fatalf("recorded %d accesses, want %d", rec.Len(), len(accesses))
+			if len(rec.recs) != len(accesses) {
+				t.Fatalf("recorded %d accesses, want %d", len(rec.recs), len(accesses))
 			}
 			var ch coreChain
 			var firsts []*event.Event
@@ -147,7 +149,9 @@ func TestChainShape(t *testing.T) {
 			}
 			sim.engine.Run()
 			for i, first := range firsts {
-				if !first.Finished() { // neither enqueued nor anyone's child
+				// A run event finishes at or after its lower bound; one never
+				// enqueued nor anyone's child keeps its zero finish cycle.
+				if first.FinishCycle() < first.MinCycle {
 					t.Errorf("access %d: first event never ran", i)
 				}
 			}

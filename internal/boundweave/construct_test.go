@@ -19,7 +19,7 @@ import (
 // path performed ~72 allocations per core (counters, predictor tables, cache
 // set tables, registry nodes, name strings, event slabs); the arena brought
 // it under 10, and arena-backing the workload decode (trace.NewIn +
-// isa.DecodeIn: blocks, µops, timing templates, decoder cache) removed most
+// isa.DecodeIn: blocks, µops, timing templates) removed most
 // of what was left — the remainder is per-thread stream objects and
 // scheduler state.
 func TestConstructionAllocsBounded(t *testing.T) {

@@ -63,7 +63,7 @@ func runAnother(t *testing.T) {
 
 func TestRunCancelledMidRun(t *testing.T) {
 	ctl := new(runctl.Token)
-	sim := endlessSim(t, Options{Ctl: ctl, MaxIntervals: 1 << 30})
+	sim := endlessSim(t, Options{Ctl: ctl})
 	go func() {
 		for sim.instrsTotal.Load() == 0 { // let it make some progress first
 			time.Sleep(100 * time.Microsecond)
@@ -190,8 +190,7 @@ func (p *panicMemModel) RequestLatency(lineAddr, cycle uint64, write bool) uint6
 	}
 	return 100
 }
-func (p *panicMemModel) Reset()       {}
-func (p *panicMemModel) Name() string { return "panic-mem" }
+func (p *panicMemModel) Reset() {}
 
 // TestRunWeavePanicRecovered extends the failure matrix to the weave phase: a
 // panic inside event execution (a poisoned memory-controller contention

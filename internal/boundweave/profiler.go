@@ -108,17 +108,6 @@ func (p *InterferenceProfiler) Fractions() []float64 {
 	return out
 }
 
-// Reset clears all counts and line state.
-func (p *InterferenceProfiler) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := range p.windows {
-		clear(p.windows[i].lines)
-	}
-	p.Total = 0
-	clear(p.Interfering)
-}
-
 // Profile runs w to completion on a system built from cfg, with the profiler
 // observing every core, and fails if the run stops abnormally.
 func (p *InterferenceProfiler) Profile(cfg *config.System, w *trace.Workload, hostThreads int) error {

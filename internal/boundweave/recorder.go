@@ -104,9 +104,6 @@ func (r *Recorder) RecordAccess(coreID int, issueCycle uint64, write bool, hops 
 	return nil
 }
 
-// Len returns the number of recorded accesses in the current interval.
-func (r *Recorder) Len() int { return len(r.recs) }
-
 // Reset clears the interval's records (called after the weave phase),
 // returning their hop buffers to the freelist for the next interval.
 func (r *Recorder) Reset() {

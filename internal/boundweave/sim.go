@@ -24,8 +24,6 @@ type Options struct {
 	// MaxInstrs stops the simulation once the total simulated instruction
 	// count reaches this value (0 = run until every thread finishes).
 	MaxInstrs uint64
-	// MaxIntervals bounds the number of bound-weave intervals (0 = no bound).
-	MaxIntervals uint64
 	// HostThreads caps bound-phase parallelism (0 = cfg.HostThreads, which
 	// itself defaults to the number of host CPUs).
 	HostThreads int
@@ -38,8 +36,8 @@ type Options struct {
 	// Ctl is the cooperative cancellation token the run polls at interval
 	// boundaries in both phases (and between bound rounds). Cancelling it
 	// stops the run at the next boundary with partial state intact; nil
-	// gives the run a private, never-cancelled token. Reaching MaxInstrs or
-	// MaxIntervals is a normal completion, not a cancellation.
+	// gives the run a private, never-cancelled token. Reaching MaxInstrs is a
+	// normal completion, not a cancellation.
 	Ctl *runctl.Token
 	// MaxWallTime arms a wall-clock watchdog that cancels Ctl with
 	// ReasonDeadline when the run exceeds it (0 = no limit). Enforcement is
@@ -156,8 +154,8 @@ type Simulator struct {
 	// (a deadlocked workload); previously this spun forever.
 	Stalled bool
 
-	// Failure report: Reason is ReasonNone after a clean run (completion,
-	// MaxInstrs or MaxIntervals reached) and the typed failure otherwise.
+	// Failure report: Reason is ReasonNone after a clean run (completion or
+	// MaxInstrs reached) and the typed failure otherwise.
 	// On ReasonPanicked, PanicErr carries the recovered capture and
 	// FailPhase the phase that was executing. Partial statistics and the
 	// system's metrics remain valid after any failure.
@@ -239,12 +237,9 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 		}
 		for _, comp := range sys.MemComp {
 			var m memctrl.ContentionModel
-			switch cfg.WeaveMem {
-			case config.WeaveMemCycleDriven:
-				m = memctrl.NewCycleDriven("weave-mem", memctrl.DefaultDDR3Timing())
-			case config.WeaveMemNone:
-				m = &memctrl.NoContention{Latency: uint64(cfg.MemLatency)}
-			default:
+			if cfg.WeaveMem == config.WeaveMemCycleDriven {
+				m = memctrl.NewCycleDriven(memctrl.DefaultDDR3Timing())
+			} else {
 				m = memctrl.NewDDR3("weave-mem", memctrl.DefaultDDR3Timing())
 			}
 			s.models.mems[comp] = m
@@ -458,9 +453,6 @@ func (s *Simulator) Run() uint64 {
 			break
 		}
 		if s.opts.MaxInstrs > 0 && s.instrsTotal.Load() >= s.opts.MaxInstrs {
-			break
-		}
-		if s.opts.MaxIntervals > 0 && s.Intervals >= s.opts.MaxIntervals {
 			break
 		}
 		if !s.runInterval() {

@@ -99,16 +99,16 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		var ctrl memctrl.Controller
 		switch cfg.MemModel {
 		case config.MemMD1:
-			ctrl = memctrl.NewMD1(name, comp, cfg.MemLatency, cfg.MemServiceCycles, memReg.Child(name))
+			ctrl = memctrl.NewMD1(comp, cfg.MemLatency, cfg.MemServiceCycles, memReg.Child(name))
 		default:
-			ctrl = memctrl.NewSimple(name, comp, cfg.MemLatency, memReg.Child(name))
+			ctrl = memctrl.NewSimple(comp, cfg.MemLatency, memReg.Child(name))
 		}
 		sys.Mems = append(sys.Mems, ctrl)
 		sys.MemComp = append(sys.MemComp, comp)
 		sys.SharedComp[comp] = true
 		memLevels = append(memLevels, ctrl)
 	}
-	memRouter := cache.NewMemRouter("mem-router", memLevels, cfg.NetHopCycles)
+	memRouter := cache.NewMemRouter(memLevels, cfg.NetHopCycles)
 
 	// L3 banks (fully shared, inclusive, one directory over all L2s).
 	l3Reg := root.Child("l3")
@@ -119,20 +119,17 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	for b := 0; b < cfg.L3.Banks; b++ {
 		comp := alloc()
 		bank := cache.New(cache.Config{
-			NamePrefix: "l3b",
-			NameIdx:    b,
-			SizeKB:     bankSizeKB,
-			Ways:       cfg.L3.Ways,
-			Latency:    cfg.L3.Latency,
-			MSHRs:      cfg.L3.MSHRs,
-			RandomRepl: cfg.L3.RandomRepl,
+			SizeKB:  bankSizeKB,
+			Ways:    cfg.L3.Ways,
+			Latency: cfg.L3.Latency,
+			MSHRs:   cfg.L3.MSHRs,
 		}, comp, l3Reg.ChildIdx("l3b", b))
 		bank.SetParent(memRouter)
 		sys.Banks = append(sys.Banks, bank)
 		sys.BankComp = append(sys.BankComp, comp)
 		sys.SharedComp[comp] = true
 	}
-	sys.L3 = cache.NewBanked("l3", sys.Banks, cfg.NetInjection+cfg.NetHopCycles)
+	sys.L3 = cache.NewBanked(sys.Banks, cfg.NetInjection+cfg.NetHopCycles)
 	// Distance-dependent latency: from the requesting core's tile to the
 	// bank's tile, using the configured topology.
 	coresPerTile := cfg.CoresPerTile
@@ -150,12 +147,10 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	for i := 0; i < numL2; i++ {
 		comp := alloc()
 		l2 := cache.New(cache.Config{
-			NamePrefix: "l2",
-			NameIdx:    i,
-			SizeKB:     cfg.L2.SizeKB,
-			Ways:       cfg.L2.Ways,
-			Latency:    cfg.L2.Latency,
-			MSHRs:      cfg.L2.MSHRs,
+			SizeKB:  cfg.L2.SizeKB,
+			Ways:    cfg.L2.Ways,
+			Latency: cfg.L2.Latency,
+			MSHRs:   cfg.L2.MSHRs,
 		}, comp, l2Reg.ChildIdx("l2", i))
 		l2.SetParent(sys.L3)
 		sys.L2 = append(sys.L2, l2)
@@ -175,10 +170,10 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		l1iComp := alloc()
 		l1dComp := alloc()
 		l1i := cache.New(cache.Config{
-			NamePrefix: "l1i", NameIdx: cID, SizeKB: cfg.L1I.SizeKB, Ways: cfg.L1I.Ways, Latency: cfg.L1I.Latency,
+			SizeKB: cfg.L1I.SizeKB, Ways: cfg.L1I.Ways, Latency: cfg.L1I.Latency,
 		}, l1iComp, coreReg.ChildIdx("l1i", cID))
 		l1d := cache.New(cache.Config{
-			NamePrefix: "l1d", NameIdx: cID, SizeKB: cfg.L1D.SizeKB, Ways: cfg.L1D.Ways, Latency: cfg.L1D.Latency,
+			SizeKB: cfg.L1D.SizeKB, Ways: cfg.L1D.Ways, Latency: cfg.L1D.Latency,
 		}, l1dComp, coreReg.ChildIdx("l1d", cID))
 		l2 := sys.L2[tile]
 		l1i.SetParent(l2)
@@ -197,7 +192,7 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		case config.CoreIPC1:
 			c = core.NewIPC1(cID, ports, reg)
 		default:
-			c = core.NewOOO(cID, oooConfigFrom(cfg.OOO), ports, reg)
+			c = core.NewOOO(cID, core.OOOConfig(cfg.OOO), ports, reg)
 		}
 		sys.Cores = append(sys.Cores, c)
 	}
@@ -282,32 +277,6 @@ func (s *System) Reset() {
 	if s.Fabric != nil {
 		s.Fabric.Reset()
 	}
-}
-
-func oooConfigFrom(p config.OOOParams) core.OOOConfig {
-	cfg := core.OOOWestmere()
-	if p.IssueWidth > 0 {
-		cfg.IssueWidth = p.IssueWidth
-	}
-	if p.RetireWidth > 0 {
-		cfg.RetireWidth = p.RetireWidth
-	}
-	if p.ROBSize > 0 {
-		cfg.ROBSize = p.ROBSize
-	}
-	if p.LoadQueueSize > 0 {
-		cfg.LoadQueueSize = p.LoadQueueSize
-	}
-	if p.StoreQueueSize > 0 {
-		cfg.StoreQueueSize = p.StoreQueueSize
-	}
-	if p.FetchBytesPerCyc > 0 {
-		cfg.FetchBytesPerCyc = p.FetchBytesPerCyc
-	}
-	if p.MispredictCycles > 0 {
-		cfg.MispredictCycles = p.MispredictCycles
-	}
-	return cfg
 }
 
 func maxInt(a, b int) int {

@@ -1,5 +1,5 @@
 // Package cache implements the simulated memory hierarchy used by the bound
-// phase: set-associative caches with LRU or random replacement, MESI
+// phase: set-associative caches with LRU replacement, MESI
 // coherence with in-cache directories over inclusive hierarchies, multi-bank
 // shared caches, and the per-cache locking scheme that lets the parallel
 // bound phase access the shared hierarchy from many host threads at once.
@@ -177,8 +177,6 @@ type Level interface {
 	// Access serves the request and returns the cycle at which the requested
 	// line is available at the requester, assuming zero load.
 	Access(req *Request) uint64
-	// Name returns the component's name for stats and debugging.
-	Name() string
 }
 
 // line is one cache line's tag, coherence state, directory info and
@@ -194,50 +192,38 @@ type line struct {
 
 // stripe is one lock stripe of a cache: a mutex protecting the sets
 // congruent to its index mod nStripes (set&stripeMask), plus the per-stripe
-// replacement clock and random-replacement state those sets use. Stripes are
-// padded to a host cache line so neighbouring stripes don't false-share.
+// replacement clock those sets use. Stripes are padded to a host cache line
+// so neighbouring stripes don't false-share.
 type stripe struct {
 	mu    sync.Mutex
 	useCt uint64 // replacement clock (compared within one set only)
-	rng   uint64 // xorshift state for random replacement
-	_     [40]byte
+	_     [48]byte
 }
+
+// MaxChildren is the number of children a cache's directory can track: its
+// sharer set is a 64-bit mask.
+const MaxChildren = 64
 
 // maxStripes bounds the number of lock stripes per cache.
 const maxStripes = 64
 
 // Config describes one cache.
 type Config struct {
-	// Name names the cache. Builders creating thousands of identically-shaped
-	// caches can instead set NamePrefix + NameIdx, and the "<prefix>-<idx>"
-	// name is formatted lazily when first asked for, so construction performs
-	// no string allocation.
-	Name       string
-	NamePrefix string
-	NameIdx    int
-	SizeKB     int
-	Ways       int
-	Latency    uint32 // zero-load access latency in cycles
+	SizeKB  int
+	Ways    int
+	Latency uint32 // zero-load access latency in cycles
 	// MSHRs bounds outstanding misses in the weave-phase contention model
 	// (the bound phase ignores it).
 	MSHRs int
-	// NumBanks > 1 creates a banked cache (use NewBanked).
-	NumBanks int
-	// RandomRepl selects random replacement instead of LRU.
-	RandomRepl bool
 }
 
 // Cache is a single set-associative cache (or one bank of a banked cache).
 type Cache struct {
-	name    string
-	prefix  string
-	nameIdx int
 	compID  int
 	sets    int
 	ways    int
 	latency uint32
 	mshrs   int
-	random  bool
 
 	// setArr[s] holds set s's ways; nil until the set is first touched.
 	setArr     [][]line
@@ -274,11 +260,7 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 		sets = 1
 	}
 	if reg == nil {
-		name := cfg.Name
-		if name == "" && cfg.NamePrefix != "" {
-			name = fmt.Sprintf("%s-%d", cfg.NamePrefix, cfg.NameIdx)
-		}
-		reg = stats.NewRegistry(name)
+		reg = stats.NewRegistry("cache")
 	}
 	a := reg.Arena()
 	nStripes := 1
@@ -287,15 +269,11 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 	}
 	c := arena.One[Cache](a)
 	*c = Cache{
-		name:       cfg.Name,
-		prefix:     cfg.NamePrefix,
-		nameIdx:    cfg.NameIdx,
 		compID:     compID,
 		sets:       sets,
 		ways:       ways,
 		latency:    cfg.Latency,
 		mshrs:      cfg.MSHRs,
-		random:     cfg.RandomRepl,
 		setArr:     arena.Take[[]line](a, sets),
 		stripes:    arena.Take[stripe](a, nStripes),
 		stripeMask: nStripes - 1,
@@ -307,9 +285,6 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 		Invals:      reg.Atomic("invalidations", "lines invalidated by coherence"),
 		UpgradeMiss: reg.Atomic("upgradeMisses", "write hits to Shared lines requiring upgrade"),
 	}
-	for i := range c.stripes {
-		c.stripes[i].rng = uint64(compID)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 0xdeadbeef
-	}
 	return c
 }
 
@@ -317,7 +292,7 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 // every touched set is cleared back to all-Invalid zero lines (lazily
 // allocated way arrays are kept — a zeroed array behaves exactly like the
 // nil array a fresh cache starts with), and each stripe's replacement clock
-// and random-replacement RNG are re-seeded with the construction formula.
+// is zeroed.
 // Statistics counters are registry-owned and zeroed by Registry.Reset.
 // Callers must be quiescent (no concurrent accesses).
 func (c *Cache) Reset() {
@@ -328,22 +303,8 @@ func (c *Cache) Reset() {
 	}
 	for i := range c.stripes {
 		c.stripes[i].useCt = 0
-		c.stripes[i].rng = uint64(c.compID)*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 0xdeadbeef
 	}
 }
-
-// Name returns the cache's name, formatting prefix-indexed names on demand.
-// It never writes cache state (no lazy memoization), so it is safe to call
-// concurrently with accesses; Name is off the hot path.
-func (c *Cache) Name() string {
-	if c.name == "" && c.prefix != "" {
-		return fmt.Sprintf("%s-%d", c.prefix, c.nameIdx)
-	}
-	return c.name
-}
-
-// CompID returns the cache's global component ID.
-func (c *Cache) CompID() int { return c.compID }
 
 // Latency returns the cache's zero-load access latency.
 func (c *Cache) Latency() uint32 { return c.latency }
@@ -355,10 +316,10 @@ func (c *Cache) MSHRs() int { return c.mshrs }
 func (c *Cache) SetParent(p Level) { c.parent = p }
 
 // AddChild registers a child cache for directory tracking and returns the
-// child's index. Panics if more than 64 children are added (the directory
-// sharer set is a 64-bit mask).
+// child's index. Panics if more than MaxChildren children are added;
+// config.Validate refuses chips that would need more.
 func (c *Cache) AddChild(child *Cache) int {
-	if len(c.children) >= 64 {
+	if len(c.children) >= MaxChildren {
 		panic("cache: more than 64 children per cache are not supported")
 	}
 	idx := len(c.children)
@@ -406,21 +367,14 @@ func findWay(lines []line, tag uint64) int {
 	return -1
 }
 
-// victimWay picks a victim way in the set. Caller must hold the stripe lock.
-func (c *Cache) victimWay(st *stripe, lines []line) int {
-	// Prefer an invalid way.
+// victimWay picks a victim way in the set: an invalid way if there is one,
+// else the least recently used. Caller must hold the stripe lock.
+func victimWay(lines []line) int {
 	for w := range lines {
 		if lines[w].state == Invalid {
 			return w
 		}
 	}
-	if c.random {
-		st.rng ^= st.rng << 13
-		st.rng ^= st.rng >> 7
-		st.rng ^= st.rng << 17
-		return int(st.rng % uint64(c.ways))
-	}
-	// LRU.
 	best, bestUse := 0, lines[0].lastUse
 	for w := 1; w < len(lines); w++ {
 		if lines[w].lastUse < bestUse {
@@ -504,7 +458,7 @@ func (c *Cache) Access(req *Request) uint64 {
 	}
 
 	// Miss: pick a victim and evict it, then fetch from the parent.
-	vw := c.victimWay(st, lines)
+	vw := victimWay(lines)
 	victim := lines[vw]
 	lines[vw].state = Invalid
 	st.mu.Unlock()
@@ -548,7 +502,7 @@ func (c *Cache) fetchAndInstall(req *Request, localAvail uint64) uint64 {
 	lines := c.setLines(set)
 	way := findWay(lines, req.LineAddr)
 	if way < 0 {
-		way = c.victimWay(st, lines)
+		way = victimWay(lines)
 		victim := lines[way]
 		if victim.state != Invalid {
 			lines[way].state = Invalid
@@ -560,7 +514,7 @@ func (c *Cache) fetchAndInstall(req *Request, localAvail uint64) uint64 {
 			// Re-lookup: the set may have changed while unlocked.
 			way = findWay(lines, req.LineAddr)
 			if way < 0 {
-				way = c.victimWay(st, lines)
+				way = victimWay(lines)
 				lines[way].state = Invalid
 			}
 		}
@@ -743,15 +697,6 @@ func (c *Cache) Invalidate(lineAddr uint64) bool {
 		}
 	}
 	return dirty
-}
-
-// Contains reports whether the cache currently holds the line (test helper).
-func (c *Cache) Contains(lineAddr uint64) bool {
-	set := c.setOf(lineAddr)
-	st := c.stripeOf(set)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return findWay(c.setArr[set], lineAddr) >= 0
 }
 
 // StateOf returns the MESI state of the line (Invalid if absent).

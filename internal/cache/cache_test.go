@@ -28,12 +28,10 @@ func (m *fakeMem) Access(req *Request) uint64 {
 	return req.Cycle + uint64(m.lat)
 }
 
-func (m *fakeMem) Name() string { return "fakemem" }
-
 // newL1 builds a small standalone L1 backed by fakeMem.
 func newL1(sizeKB, ways int) (*Cache, *fakeMem) {
 	mem := &fakeMem{lat: 100}
-	l1 := New(Config{Name: "l1", SizeKB: sizeKB, Ways: ways, Latency: 4, MSHRs: 8}, 1, stats.NewRegistry("l1"))
+	l1 := New(Config{SizeKB: sizeKB, Ways: ways, Latency: 4, MSHRs: 8}, 1, stats.NewRegistry("l1"))
 	l1.SetParent(mem)
 	return l1, mem
 }
@@ -155,24 +153,12 @@ func TestCacheLRUKeepsHotLine(t *testing.T) {
 	}
 	// The hot line itself should never miss again.
 	hotMisses := uint64(0)
-	if !l1.Contains(hot) {
+	if l1.StateOf(hot) == Invalid {
 		hotMisses++
 	}
 	_ = missesBefore
 	if hotMisses != 0 {
 		t.Fatalf("LRU should keep the hot line resident")
-	}
-}
-
-func TestRandomReplacement(t *testing.T) {
-	reg := stats.NewRegistry("r")
-	c := New(Config{Name: "rand", SizeKB: 4, Ways: 4, Latency: 1, RandomRepl: true}, 2, reg)
-	c.SetParent(&fakeMem{lat: 10})
-	for i := uint64(0); i < 500; i++ {
-		c.Access(&Request{LineAddr: i})
-	}
-	if c.Evictions.Get() == 0 {
-		t.Fatalf("random replacement should still evict")
 	}
 }
 
@@ -208,10 +194,10 @@ func TestHopRecording(t *testing.T) {
 // L1s, the L2 and the memory.
 func buildTwoLevel() (l1s []*Cache, l2 *Cache, mem *fakeMem) {
 	mem = &fakeMem{lat: 100}
-	l2 = New(Config{Name: "l2", SizeKB: 256, Ways: 8, Latency: 7}, 10, stats.NewRegistry("l2"))
+	l2 = New(Config{SizeKB: 256, Ways: 8, Latency: 7}, 10, stats.NewRegistry("l2"))
 	l2.SetParent(mem)
 	for i := 0; i < 2; i++ {
-		l1 := New(Config{Name: "l1", SizeKB: 32, Ways: 8, Latency: 4}, i, stats.NewRegistry("l1"))
+		l1 := New(Config{SizeKB: 32, Ways: 8, Latency: 4}, i, stats.NewRegistry("l1"))
 		l1.SetParent(l2)
 		l2.AddChild(l1)
 		l1s = append(l1s, l1)
@@ -226,14 +212,14 @@ func TestCoherenceInvalidationOnWrite(t *testing.T) {
 	// Core 0 reads the line, core 1 reads the line: both L1s hold it.
 	l1s[0].Access(&Request{LineAddr: lineA, CoreID: 0})
 	l1s[1].Access(&Request{LineAddr: lineA, CoreID: 1})
-	if !l1s[0].Contains(lineA) || !l1s[1].Contains(lineA) {
+	if l1s[0].StateOf(lineA) == Invalid || l1s[1].StateOf(lineA) == Invalid {
 		t.Fatalf("both L1s should hold the line after reads")
 	}
 
 	// Core 1 writes the line: core 0's copy must be invalidated via the L2
 	// directory.
 	l1s[1].Access(&Request{LineAddr: lineA, CoreID: 1, Write: true})
-	if l1s[0].Contains(lineA) {
+	if l1s[0].StateOf(lineA) != Invalid {
 		t.Fatalf("core 0's copy should be invalidated by core 1's write")
 	}
 	if l1s[1].StateOf(lineA) != Modified {
@@ -249,9 +235,9 @@ func TestInclusiveEvictionInvalidatesChildren(t *testing.T) {
 	// Tiny L2 (direct-mapped, 4KB = 64 lines) with a larger L1 would violate
 	// inclusion unless L2 evictions invalidate the L1 copy.
 	mem := &fakeMem{lat: 100}
-	l2 := New(Config{Name: "l2", SizeKB: 4, Ways: 1, Latency: 7}, 10, stats.NewRegistry("l2"))
+	l2 := New(Config{SizeKB: 4, Ways: 1, Latency: 7}, 10, stats.NewRegistry("l2"))
 	l2.SetParent(mem)
-	l1 := New(Config{Name: "l1", SizeKB: 32, Ways: 8, Latency: 4}, 0, stats.NewRegistry("l1"))
+	l1 := New(Config{SizeKB: 32, Ways: 8, Latency: 4}, 0, stats.NewRegistry("l1"))
 	l1.SetParent(l2)
 	l2.AddChild(l1)
 
@@ -262,7 +248,7 @@ func TestInclusiveEvictionInvalidatesChildren(t *testing.T) {
 	// Inclusion: any line still in L1 must also be in L2.
 	violations := 0
 	for i := uint64(0); i < 512; i++ {
-		if l1.Contains(i) && !l2.Contains(i) {
+		if l1.StateOf(i) != Invalid && l2.StateOf(i) == Invalid {
 			violations++
 		}
 	}
@@ -276,9 +262,9 @@ func TestInclusiveEvictionInvalidatesChildren(t *testing.T) {
 
 func TestDirtyChildWritebackOnParentEviction(t *testing.T) {
 	mem := &fakeMem{lat: 100}
-	l2 := New(Config{Name: "l2", SizeKB: 4, Ways: 1, Latency: 7}, 10, stats.NewRegistry("l2"))
+	l2 := New(Config{SizeKB: 4, Ways: 1, Latency: 7}, 10, stats.NewRegistry("l2"))
 	l2.SetParent(mem)
-	l1 := New(Config{Name: "l1", SizeKB: 32, Ways: 8, Latency: 4}, 0, stats.NewRegistry("l1"))
+	l1 := New(Config{SizeKB: 32, Ways: 8, Latency: 4}, 0, stats.NewRegistry("l1"))
 	l1.SetParent(l2)
 	l2.AddChild(l1)
 
@@ -297,12 +283,12 @@ func TestBankedRouting(t *testing.T) {
 	reg := stats.NewRegistry("l3")
 	var banks []*Cache
 	for i := 0; i < 4; i++ {
-		b := New(Config{Name: "l3b", SizeKB: 256, Ways: 16, Latency: 14}, 20+i, reg.Child("bank"))
+		b := New(Config{SizeKB: 256, Ways: 16, Latency: 14}, 20+i, reg.Child("bank"))
 		b.SetParent(mem)
 		banks = append(banks, b)
 	}
-	l3 := NewBanked("l3", banks, 5)
-	if l3.NumBanks() != 4 || l3.Name() != "l3" {
+	l3 := NewBanked(banks, 5)
+	if len(l3.banks) != 4 {
 		t.Fatalf("banked setup wrong")
 	}
 
@@ -339,9 +325,9 @@ func TestBankedRouting(t *testing.T) {
 
 func TestBankedDistanceFunc(t *testing.T) {
 	mem := &fakeMem{lat: 0}
-	b0 := New(Config{Name: "b0", SizeKB: 64, Ways: 4, Latency: 10}, 1, nil)
+	b0 := New(Config{SizeKB: 64, Ways: 4, Latency: 10}, 1, nil)
 	b0.SetParent(mem)
-	l3 := NewBanked("l3", []*Cache{b0}, 3)
+	l3 := NewBanked([]*Cache{b0}, 3)
 	l3.SetDistanceFunc(func(coreID, bank int) uint32 { return uint32(7 * (coreID + 1)) })
 	done := l3.Access(&Request{LineAddr: 1, Cycle: 0, CoreID: 1})
 	// distance = 14 each way, bank hit-miss to mem lat 0 => 14 + 10 + 0 + 14
@@ -353,8 +339,8 @@ func TestBankedDistanceFunc(t *testing.T) {
 func TestMemRouter(t *testing.T) {
 	m0 := &fakeMem{lat: 50}
 	m1 := &fakeMem{lat: 50}
-	r := NewMemRouter("memrouter", []Level{m0, m1}, 10)
-	if r.NumControllers() != 2 || r.Name() != "memrouter" {
+	r := NewMemRouter([]Level{m0, m1}, 10)
+	if r.NumControllers() != 2 {
 		t.Fatalf("router setup wrong")
 	}
 	for i := uint64(0); i < 200; i++ {
@@ -394,11 +380,11 @@ func TestAccessObserverCalledOnce(t *testing.T) {
 func TestConcurrentAccessesNoDeadlock(t *testing.T) {
 	// 8 L1s sharing an L2, hammered concurrently with overlapping lines.
 	mem := &fakeMem{lat: 100}
-	l2 := New(Config{Name: "l2", SizeKB: 64, Ways: 8, Latency: 7}, 10, stats.NewRegistry("l2"))
+	l2 := New(Config{SizeKB: 64, Ways: 8, Latency: 7}, 10, stats.NewRegistry("l2"))
 	l2.SetParent(mem)
 	var l1s []*Cache
 	for i := 0; i < 8; i++ {
-		l1 := New(Config{Name: "l1", SizeKB: 8, Ways: 4, Latency: 4}, i, stats.NewRegistry("l1"))
+		l1 := New(Config{SizeKB: 8, Ways: 4, Latency: 4}, i, stats.NewRegistry("l1"))
 		l1.SetParent(l2)
 		l2.AddChild(l1)
 		l1s = append(l1s, l1)
@@ -447,7 +433,7 @@ func TestCacheAccountingInvariant(t *testing.T) {
 		}
 		resident := 0
 		for a := uint64(0); a < 512; a++ {
-			if l1.Contains(a) {
+			if l1.StateOf(a) != Invalid {
 				resident++
 			}
 		}
@@ -472,8 +458,8 @@ func TestCoherenceSingleWriterInvariant(t *testing.T) {
 		for lineA := uint64(0); lineA < 8; lineA++ {
 			m0 := l1s[0].StateOf(lineA) == Modified
 			m1 := l1s[1].StateOf(lineA) == Modified
-			p0 := l1s[0].Contains(lineA)
-			p1 := l1s[1].Contains(lineA)
+			p0 := l1s[0].StateOf(lineA) != Invalid
+			p1 := l1s[1].StateOf(lineA) != Invalid
 			if m0 && p1 {
 				return false
 			}

@@ -15,7 +15,6 @@ package cache
 // address. It implements Level and is used as the parent of the private cache
 // levels.
 type Banked struct {
-	name  string
 	banks []*Cache
 	// netLatency is the zero-load network latency (cycles) added to every
 	// access that crosses the interconnect to reach a bank.
@@ -32,8 +31,8 @@ type Banked struct {
 }
 
 // NewBanked creates a banked-cache router over the given banks.
-func NewBanked(name string, banks []*Cache, netLatency uint32) *Banked {
-	return &Banked{name: name, banks: banks, netLatency: netLatency}
+func NewBanked(banks []*Cache, netLatency uint32) *Banked {
+	return &Banked{banks: banks, netLatency: netLatency}
 }
 
 // SetDistanceFunc installs a per-(core,bank) latency function, replacing the
@@ -43,12 +42,6 @@ func (b *Banked) SetDistanceFunc(f func(coreID, bank int) uint32) { b.distanceFn
 // SetNetNodeFunc installs the core->bank topology-node resolver that enables
 // NoC hop recording on traced requests.
 func (b *Banked) SetNetNodeFunc(f func(coreID, bank int) (src, dst int)) { b.netNodeFn = f }
-
-// Name returns the router's name.
-func (b *Banked) Name() string { return b.name }
-
-// NumBanks returns the number of banks.
-func (b *Banked) NumBanks() int { return len(b.banks) }
 
 // BankOf returns the bank index that owns the line.
 func (b *Banked) BankOf(lineAddr uint64) int {
@@ -83,7 +76,6 @@ func (b *Banked) Access(req *Request) uint64 {
 // several memory controllers, selected by hashing the line address (channel
 // interleaving).
 type MemRouter struct {
-	name  string
 	ctrls []Level
 	// netLatency models the path from the LLC bank to the memory controller.
 	netLatency uint32
@@ -95,12 +87,9 @@ type MemRouter struct {
 }
 
 // NewMemRouter creates a router over the given memory controllers.
-func NewMemRouter(name string, ctrls []Level, netLatency uint32) *MemRouter {
-	return &MemRouter{name: name, ctrls: ctrls, netLatency: netLatency}
+func NewMemRouter(ctrls []Level, netLatency uint32) *MemRouter {
+	return &MemRouter{ctrls: ctrls, netLatency: netLatency}
 }
-
-// Name returns the router's name.
-func (m *MemRouter) Name() string { return m.name }
 
 // SetNetNodeFunc installs the line->controller topology-node resolver that
 // enables NoC hop recording on traced requests.

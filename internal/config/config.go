@@ -13,6 +13,8 @@ import (
 	"io"
 	"os"
 	"time"
+
+	"zsim/internal/cache"
 )
 
 // CoreModel selects a core timing model.
@@ -40,7 +42,6 @@ type WeaveMemModel string
 const (
 	WeaveMemDDR3        WeaveMemModel = "ddr3"         // detailed event-driven DDR3 model
 	WeaveMemCycleDriven WeaveMemModel = "cycle-driven" // DRAMSim2-style cycle-driven model
-	WeaveMemNone        WeaveMemModel = "none"         // no DRAM contention
 )
 
 // WeaveMode is the type of the retired weaveMode field. The weave phase has
@@ -72,8 +73,6 @@ type CacheConfig struct {
 	MSHRs   int    `json:"mshrs"`
 	// Banks applies only to the shared LLC.
 	Banks int `json:"banks,omitempty"`
-	// RandomRepl selects random replacement instead of LRU.
-	RandomRepl bool `json:"randomRepl,omitempty"`
 }
 
 // OOOParams exposes the OOO core's microarchitectural knobs in configs.
@@ -203,6 +202,14 @@ func (s *System) Validate() error {
 	if s.NumCores%s.CoresPerTile != 0 {
 		return fmt.Errorf("config: numCores (%d) must be a multiple of coresPerTile (%d)", s.NumCores, s.CoresPerTile)
 	}
+	// Every L3 bank's directory tracks each tile's L2, and each L2's tracks
+	// its cores' L1I and L1D, in 64-bit sharer masks.
+	if tiles := s.NumTiles(); tiles > cache.MaxChildren {
+		return fmt.Errorf("config: %d tiles exceed the L3 directory's %d-sharer limit (raise coresPerTile)", tiles, cache.MaxChildren)
+	}
+	if 2*s.CoresPerTile > cache.MaxChildren {
+		return fmt.Errorf("config: %d cores per tile exceed the L2 directory's %d-sharer limit (2 L1s per core)", s.CoresPerTile, cache.MaxChildren)
+	}
 	if s.FreqGHz <= 0 {
 		s.FreqGHz = 2.27
 	}
@@ -262,10 +269,10 @@ func (s *System) Validate() error {
 	switch s.WeaveMem {
 	case "":
 		s.WeaveMem = WeaveMemDDR3
-	case WeaveMemDDR3, WeaveMemCycleDriven, WeaveMemNone:
+	case WeaveMemDDR3, WeaveMemCycleDriven:
 	default:
-		return fmt.Errorf("config: unknown weave memory model %q (want %q, %q or %q)",
-			s.WeaveMem, WeaveMemDDR3, WeaveMemCycleDriven, WeaveMemNone)
+		return fmt.Errorf("config: unknown weave memory model %q (want %q or %q; a run without contention sets contention to false)",
+			s.WeaveMem, WeaveMemDDR3, WeaveMemCycleDriven)
 	}
 	switch s.WeaveModeKind {
 	case "", WeaveParallelDet, WeaveSerial:
@@ -273,13 +280,25 @@ func (s *System) Validate() error {
 		return fmt.Errorf("config: unknown weave mode %q (want %q or %q)",
 			s.WeaveModeKind, WeaveParallelDet, WeaveSerial)
 	}
-	if s.OOO.IssueWidth == 0 {
-		s.OOO = DefaultOOOParams()
-	}
+	def := DefaultOOOParams()
+	orDefault(&s.OOO.IssueWidth, def.IssueWidth)
+	orDefault(&s.OOO.RetireWidth, def.RetireWidth)
+	orDefault(&s.OOO.ROBSize, def.ROBSize)
+	orDefault(&s.OOO.LoadQueueSize, def.LoadQueueSize)
+	orDefault(&s.OOO.StoreQueueSize, def.StoreQueueSize)
+	orDefault(&s.OOO.FetchBytesPerCyc, def.FetchBytesPerCyc)
+	orDefault(&s.OOO.MispredictCycles, def.MispredictCycles)
 	if s.MaxWallTime < 0 {
 		s.MaxWallTime = 0 // negative = unlimited, same as unset
 	}
 	return nil
+}
+
+// orDefault sets an unset (zero or negative) field to its default.
+func orDefault[T int | uint64](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // ShapeKey hashes every construction-shape field of the configuration: the

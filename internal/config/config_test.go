@@ -80,6 +80,9 @@ func TestValidateErrors(t *testing.T) {
 		{"bad weave mem", func(s *System) { s.WeaveMem = "dram" }},
 		{"bad network", func(s *System) { s.Network = "torus" }},
 		{"bad network with noc", func(s *System) { s.Network = "torus"; s.NOCContention = true }},
+		{"retired weave mem", func(s *System) { s.WeaveMem = "none" }},
+		{"65 tiles under the L3", func(s *System) { s.NumCores = 65 }},
+		{"33 cores per tile", func(s *System) { s.NumCores, s.CoresPerTile = 66, 33 }},
 	}
 	for _, c := range cases {
 		s := WestmereValidation()
@@ -87,6 +90,16 @@ func TestValidateErrors(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Fatalf("%s: expected a validation error", c.name)
 		}
+	}
+	// BuildSystem cannot wire more than 64 sharers into one directory, so
+	// Validate refuses such chips instead of letting construction panic.
+	s := SmallTest()
+	s.NumCores = 72
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "64-sharer limit") {
+		t.Fatalf("72 private-L2 cores: got %v, want the 64-sharer limit", err)
+	}
+	if err := TiledChip(64, CoreOOO).Validate(); err != nil {
+		t.Fatalf("the 1,024-core tiled chip must validate: %v", err)
 	}
 }
 
@@ -135,6 +148,48 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	_, err := Load(strings.NewReader(`{"numCores": 4, "bogusField": 1}`))
 	if err == nil {
 		t.Fatalf("unknown fields should be rejected")
+	}
+}
+
+// An ooo block that sets some fields keeps them; only the unset ones take
+// the Westmere defaults.
+func TestLoadFillsPartialOOOBlock(t *testing.T) {
+	s := WestmereValidation()
+	s.OOO = OOOParams{ROBSize: 64}
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	want := DefaultOOOParams()
+	want.ROBSize = 64
+	if loaded.OOO != want {
+		t.Fatalf("ooo = %+v, want %+v", loaded.OOO, want)
+	}
+}
+
+// randomRepl and weaveMem "none" were removed; configs naming them fail to
+// load instead of silently running something else.
+func TestLoadRejectsRemovedValues(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WestmereValidation().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	js := buf.String()
+	for _, c := range []struct{ old, new, want string }{
+		{`"l3": {`, `"l3": {"randomRepl": true,`, `unknown field "randomRepl"`},
+		{`"weaveMem": "ddr3"`, `"weaveMem": "none"`, `unknown weave memory model "none"`},
+	} {
+		mod := strings.Replace(js, c.old, c.new, 1)
+		if mod == js {
+			t.Fatalf("preset JSON has no %s", c.old)
+		}
+		if _, err := Load(strings.NewReader(mod)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: got %v, want an error containing %q", c.new, err, c.want)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // by the dynamic instruction stream, rather than being stepped every cycle
 // (cycle-driven) or scheduled through a priority queue (event-driven). All
 // per-instruction decode work (µop fission, port masks, latencies, frontend
-// stall cycles) was already done once per static block by the isa.Decoder, so
+// stall cycles) was already done once per static block by isa.Decode, so
 // the per-µop work here is a handful of clock updates — this is what gives
 // the 10-100x core-model speedup over conventional simulators.
 package core
@@ -57,10 +57,6 @@ type Core interface {
 	// the stats tree's Reset; installed recorders and observers are removed
 	// (the simulator re-installs them). The core must be quiescent.
 	Reset()
-	// ID returns the core's index in the simulated chip.
-	ID() int
-	// Name returns the core model's name ("ipc1" or "ooo").
-	Name() string
 	// BranchStats returns (predicted, mispredicted) conditional-branch
 	// counts: the core's branchPredictions and branchMispredicts registry
 	// counters, which the stats tree's Reset zeroes.
@@ -104,9 +100,6 @@ type memUnit struct {
 	req    cache.Request
 	hopBuf []cache.Hop
 }
-
-// ID returns the core's index.
-func (m *memUnit) ID() int { return m.id }
 
 // SetRecorder installs the access recorder.
 func (m *memUnit) SetRecorder(rec AccessRecorder) { m.rec = rec }
@@ -204,9 +197,6 @@ func NewIPC1(id int, ports MemPorts, reg *stats.Registry) *IPC1 {
 	c.pred = bpred.New(a)
 	return c
 }
-
-// Name returns "ipc1".
-func (c *IPC1) Name() string { return "ipc1" }
 
 // Cycle returns the core's current cycle.
 func (c *IPC1) Cycle() uint64 { return c.cycle }

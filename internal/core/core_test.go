@@ -16,11 +16,11 @@ import (
 // one core and returns the ports.
 func buildHierarchy() MemPorts {
 	reg := stats.NewRegistry("sys")
-	mem := memctrl.NewSimple("mem", 99, 120, reg.Child("mem"))
-	l2 := cache.New(cache.Config{Name: "l2", SizeKB: 256, Ways: 8, Latency: 7}, 3, reg.Child("l2"))
+	mem := memctrl.NewSimple(99, 120, reg.Child("mem"))
+	l2 := cache.New(cache.Config{SizeKB: 256, Ways: 8, Latency: 7}, 3, reg.Child("l2"))
 	l2.SetParent(mem)
-	l1i := cache.New(cache.Config{Name: "l1i", SizeKB: 32, Ways: 4, Latency: 3}, 1, reg.Child("l1i"))
-	l1d := cache.New(cache.Config{Name: "l1d", SizeKB: 32, Ways: 8, Latency: 4}, 2, reg.Child("l1d"))
+	l1i := cache.New(cache.Config{SizeKB: 32, Ways: 4, Latency: 3}, 1, reg.Child("l1i"))
+	l1d := cache.New(cache.Config{SizeKB: 32, Ways: 8, Latency: 4}, 2, reg.Child("l1d"))
 	l1i.SetParent(l2)
 	l1d.SetParent(l2)
 	l2.AddChild(l1i)
@@ -58,7 +58,7 @@ func loadBlock(id uint64, addrs []uint64) *trace.DynBlock {
 
 func TestIPC1Basics(t *testing.T) {
 	c := NewIPC1(3, buildHierarchy(), stats.NewRegistry("core"))
-	if c.ID() != 3 || c.Name() != "ipc1" {
+	if c.id != 3 {
 		t.Fatalf("metadata wrong")
 	}
 	b := aluBlock(1, 10)
@@ -142,7 +142,7 @@ func TestIPC1BranchMispredictPenalty(t *testing.T) {
 
 func TestOOOBasicThroughput(t *testing.T) {
 	c := NewOOO(1, OOOWestmere(), buildHierarchy(), stats.NewRegistry("core"))
-	if c.ID() != 1 || c.Name() != "ooo" {
+	if c.id != 1 {
 		t.Fatalf("metadata wrong")
 	}
 	// High-ILP ALU blocks: the OOO core should sustain well above 1 IPC once
@@ -356,14 +356,14 @@ func TestAccessRecorderReceivesHops(t *testing.T) {
 		c.SetRecorder(sink)
 		c.SimulateBlock(loadBlock(1, []uint64{1 << 35}))
 		if sink.accesses == 0 || sink.hops == 0 {
-			t.Fatalf("%s: recorder should receive the block's accesses", c.Name())
+			t.Fatalf("%T: recorder should receive the block's accesses", c)
 		}
 		// Disabling the recorder stops recording.
 		c.SetRecorder(nil)
 		before := sink.accesses
 		c.SimulateBlock(loadBlock(2, []uint64{1<<35 + 4096}))
 		if sink.accesses != before {
-			t.Fatalf("%s: recorder should not be called after being removed", c.Name())
+			t.Fatalf("%T: recorder should not be called after being removed", c)
 		}
 	}
 }
@@ -473,19 +473,19 @@ func TestBranchStatsMatchPredictor(t *testing.T) {
 			c.SimulateBlock(b)
 		}
 		if pred, miss := c.BranchStats(); pred != wantPred || miss != wantMiss {
-			t.Fatalf("%s: BranchStats = (%d, %d), want (%d, %d)", c.Name(), pred, miss, wantPred, wantMiss)
+			t.Fatalf("%T: BranchStats = (%d, %d), want (%d, %d)", c, pred, miss, wantPred, wantMiss)
 		}
 		reg.Reset()
 		c.Reset()
 		if pred, miss := c.BranchStats(); pred != 0 || miss != 0 {
-			t.Fatalf("%s: BranchStats after Reset = (%d, %d)", c.Name(), pred, miss)
+			t.Fatalf("%T: BranchStats after Reset = (%d, %d)", c, pred, miss)
 		}
 		// The predictor was reset too: a replay mispredicts the same branches.
 		for _, b := range blocks {
 			c.SimulateBlock(b)
 		}
 		if pred, miss := c.BranchStats(); pred != wantPred || miss != wantMiss {
-			t.Fatalf("%s: replay after Reset = (%d, %d), want (%d, %d)", c.Name(), pred, miss, wantPred, wantMiss)
+			t.Fatalf("%T: replay after Reset = (%d, %d), want (%d, %d)", c, pred, miss, wantPred, wantMiss)
 		}
 	}
 }

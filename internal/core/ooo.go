@@ -146,9 +146,6 @@ func NewOOO(id int, cfg OOOConfig, ports MemPorts, reg *stats.Registry) *OOO {
 	return c
 }
 
-// Name returns "ooo".
-func (c *OOO) Name() string { return "ooo" }
-
 // Cycle returns the retire-stage clock (the architected completion point).
 func (c *OOO) Cycle() uint64 { return c.retireClock }
 

@@ -96,11 +96,8 @@ func (e *Event) AddChild(child *Event) {
 	child.pendingParents++
 }
 
-// Finished reports whether the event has executed.
-func (e *Event) Finished() bool { return e.done }
-
 // FinishCycle returns the cycle at which the event finished (valid only after
-// Finished() is true).
+// it has executed).
 func (e *Event) FinishCycle() uint64 { return e.cycle }
 
 // NumChildren returns the number of declared children (used by tests).

@@ -173,7 +173,7 @@ func TestSingleEventExecution(t *testing.T) {
 	ev.Exec = func(_ *Event, c uint64) uint64 { got = c; return c + 25 }
 	eng.Enqueue(ev)
 	end := eng.Run()
-	if !ev.Finished() {
+	if !ev.done {
 		t.Fatalf("event should have executed")
 	}
 	if got != 100 {
@@ -205,7 +205,7 @@ func TestParentChildDelayPropagation(t *testing.T) {
 
 	eng.Enqueue(parent)
 	eng.Run()
-	if !child.Finished() {
+	if !child.done {
 		t.Fatalf("child should run after parent")
 	}
 	if childDispatch != 55 {
@@ -235,7 +235,7 @@ func TestMultipleParentsWaitForAll(t *testing.T) {
 	eng.Enqueue(p1)
 	eng.Enqueue(p2)
 	eng.Run()
-	if !child.Finished() {
+	if !child.done {
 		t.Fatalf("child should execute after both parents")
 	}
 	if dispatch != 90 {
@@ -268,7 +268,7 @@ func TestCrossDomainChain(t *testing.T) {
 	eng.Enqueue(core)
 	end := eng.Run()
 	for i, ev := range []*Event{core, l3, mem, resp} {
-		if !ev.Finished() {
+		if !ev.done {
 			t.Fatalf("event %d did not finish", i)
 		}
 	}
@@ -559,7 +559,7 @@ func TestNilExecFinishesInstantly(t *testing.T) {
 	ev.MinCycle = 42
 	eng.Enqueue(ev)
 	end := eng.Run()
-	if !ev.Finished() || ev.FinishCycle() != 42 || end != 42 {
+	if !ev.done || ev.FinishCycle() != 42 || end != 42 {
 		t.Fatalf("nil-exec event should finish at its dispatch cycle: %d", ev.FinishCycle())
 	}
 }
@@ -597,7 +597,7 @@ func TestEventChainProperties(t *testing.T) {
 		eng.Run()
 		var last uint64
 		for _, ev := range chain {
-			if !ev.Finished() {
+			if !ev.done {
 				return false
 			}
 			if ev.FinishCycle() < ev.MinCycle {

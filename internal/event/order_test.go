@@ -87,8 +87,8 @@ func TestEngineOrderProperty(t *testing.T) {
 		g := buildOrderDAG(&eng, seed, int(size)%150+1)
 		eng.Run()
 		for i, ev := range g.evs {
-			if !ev.Finished() || (ev.Exec != nil && g.runs[i] != 1) {
-				t.Logf("seed %d: event %d ran %d times (finished %v)", seed, i, g.runs[i], ev.Finished())
+			if !ev.done || (ev.Exec != nil && g.runs[i] != 1) {
+				t.Logf("seed %d: event %d ran %d times (finished %v)", seed, i, g.runs[i], ev.done)
 				return false
 			}
 			want := ev.MinCycle
@@ -186,7 +186,7 @@ func TestEngineGoldenOrder(t *testing.T) {
 		}
 	}
 	for i, ev := range evs {
-		if !ev.Finished() {
+		if !ev.done {
 			t.Fatalf("event %d never ran", i)
 		}
 		d := ev.FinishCycle()

@@ -1,11 +1,6 @@
 package isa
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"zsim/internal/arena"
-)
+import "zsim/internal/arena"
 
 // MemOp is one memory access of a block's timing template, in µop program
 // order: the memory-operand slot it reads its dynamic address from and
@@ -411,81 +406,4 @@ func (d *DecodedBBL) buildTemplate(a *arena.Arena) {
 			d.LiveOut = append(d.LiveOut, RegWrite{Reg: Reg(r), Uop: w})
 		}
 	}
-}
-
-// Decoder memoizes DecodedBBLs by static block ID, exactly as zsim caches
-// translated basic blocks in Pin's code cache. It is safe for concurrent use
-// by all simulated cores: the common case (hit) takes only a read lock.
-type Decoder struct {
-	mu    sync.RWMutex
-	cache map[uint64]*DecodedBBL
-	// arena, when non-nil, backs every DecodedBBL this cache creates (and the
-	// decoder object itself): workload construction then performs a handful
-	// of chunk allocations instead of thousands of per-block ones.
-	arena *arena.Arena
-
-	// hits and misses count cache performance for the ablation benchmarks
-	// that quantify the DBT-style speedup. They are updated atomically so the
-	// hot path (a hit) only needs the read lock.
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-// NewDecoder returns an empty decoder cache.
-func NewDecoder() *Decoder {
-	return NewDecoderIn(nil)
-}
-
-// NewDecoderIn returns an empty decoder cache whose decoded blocks are
-// carved from the given construction arena (nil falls back to the heap).
-func NewDecoderIn(a *arena.Arena) *Decoder {
-	d := arena.One[Decoder](a)
-	d.cache = make(map[uint64]*DecodedBBL)
-	d.arena = a
-	return d
-}
-
-// Lookup returns the cached decoding for a block, decoding and caching it on
-// first use.
-func (d *Decoder) Lookup(b *BasicBlock) *DecodedBBL {
-	d.mu.RLock()
-	bbl, ok := d.cache[b.ID]
-	d.mu.RUnlock()
-	if ok {
-		d.hits.Add(1)
-		return bbl
-	}
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if bbl, ok := d.cache[b.ID]; ok {
-		d.hits.Add(1)
-		return bbl
-	}
-	bbl = DecodeIn(d.arena, b)
-	d.cache[b.ID] = bbl
-	d.misses.Add(1)
-	return bbl
-}
-
-// Hits returns the number of decode-cache hits so far.
-func (d *Decoder) HitCount() uint64 { return d.hits.Load() }
-
-// Misses returns the number of decode-cache misses (actual decodes) so far.
-func (d *Decoder) MissCount() uint64 { return d.misses.Load() }
-
-// Invalidate removes a block from the cache, mirroring zsim freeing
-// translated blocks when Pin invalidates a code trace (e.g., after JIT code
-// is rewritten by a managed runtime).
-func (d *Decoder) Invalidate(id uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.cache, id)
-}
-
-// Size returns the number of cached decoded blocks.
-func (d *Decoder) Size() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.cache)
 }

@@ -109,11 +109,11 @@ func (i Instruction) String() string {
 
 // BasicBlock is a static basic block: a straight-line sequence of
 // instructions ending (optionally) in a branch. Workload programs are built
-// from basic blocks; the Decoder translates each one exactly once into a
+// from basic blocks; Decode translates each one exactly once into a
 // DecodedBBL.
 type BasicBlock struct {
-	// ID uniquely identifies the static block within a workload. It is the
-	// memoization key for the decoder (the analogue of a Pin trace address).
+	// ID uniquely identifies the static block within a workload (the
+	// analogue of a Pin trace address).
 	ID uint64
 	// Addr is the simulated virtual address of the first instruction, used
 	// for instruction-cache accesses.

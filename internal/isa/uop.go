@@ -8,14 +8,15 @@
 // instrumentation engine (the runtime and garbage collector clash with code
 // injection), so this package substitutes a synthetic x86-like ISA: workload
 // generators (package trace) emit static basic blocks of Instructions, and
-// the Decoder translates each static block exactly once into a DecodedBBL —
+// Decode translates each static block exactly once into a DecodedBBL —
 // the same artifact zsim's instrumentation phase produces: µop types,
 // feasible execution ports, register dependencies, latencies, frontend
 // (predecoder/decoder) stall cycles, and memory-operand slots.
 //
 // The key property the paper relies on — decoding work is paid once per
-// static block instead of once per dynamic instruction — is preserved: the
-// Decoder memoizes DecodedBBLs by block ID.
+// static block instead of once per dynamic instruction — is preserved: each
+// trace.Workload decodes every static block once, when it is built, and
+// every dynamic execution shares the result.
 package isa
 
 import "fmt"
@@ -163,17 +164,6 @@ const (
 
 // Has reports whether the mask includes port p (0-based).
 func (m PortMask) Has(p int) bool { return m&(1<<uint(p)) != 0 }
-
-// Count returns the number of ports in the mask.
-func (m PortMask) Count() int {
-	n := 0
-	for p := 0; p < NumPorts; p++ {
-		if m.Has(p) {
-			n++
-		}
-	}
-	return n
-}
 
 // Uop is a single micro-operation in the format the timing models consume,
 // mirroring the decoded-µop table in Figure 1 of the paper: type, up to two

@@ -54,8 +54,7 @@ func DefaultDDR3Timing() DDR3Timing {
 // command ordering, and fast powerdown exit latency. It is not safe for
 // concurrent use; only the single-threaded weave engine drives it.
 type DDR3 struct {
-	name string
-	t    DDR3Timing
+	t DDR3Timing
 
 	// bankFree[i] is the memory cycle at which bank i can accept a new
 	// activate; bankIdleSince[i] tracks powerdown eligibility.
@@ -74,22 +73,19 @@ type DDR3 struct {
 	TotalWaitMem   uint64 // total queueing wait in memory cycles
 }
 
-// NewDDR3 creates a detailed DDR3 controller model.
-func NewDDR3(name string, t DDR3Timing) *DDR3 {
+// NewDDR3 creates a detailed DDR3 controller model. The name argument is
+// unused; it is kept so existing callers compile.
+func NewDDR3(_ string, t DDR3Timing) *DDR3 {
 	nb := t.Banks * t.Ranks
 	if nb < 1 {
 		nb = 1
 	}
 	return &DDR3{
-		name:          name,
 		t:             t,
 		bankFree:      make([]uint64, nb),
 		bankIdleSince: make([]uint64, nb),
 	}
 }
-
-// Name returns the model's name.
-func (d *DDR3) Name() string { return "ddr3" }
 
 // Reset clears all bank and bus state.
 func (d *DDR3) Reset() {
@@ -174,8 +170,7 @@ func (d *DDR3) AverageWaitCPU() float64 {
 // stepping, which reproduces the paper's observation that a cycle-driven DRAM
 // model caps overall simulation speed (~3 MIPS in the paper).
 type CycleDriven struct {
-	name string
-	t    DDR3Timing
+	t DDR3Timing
 
 	clock     uint64 // current memory cycle
 	bankBusy  []uint64
@@ -187,16 +182,13 @@ type CycleDriven struct {
 }
 
 // NewCycleDriven creates a cycle-driven DRAM model.
-func NewCycleDriven(name string, t DDR3Timing) *CycleDriven {
+func NewCycleDriven(t DDR3Timing) *CycleDriven {
 	nb := t.Banks * t.Ranks
 	if nb < 1 {
 		nb = 1
 	}
-	return &CycleDriven{name: name, t: t, bankBusy: make([]uint64, nb)}
+	return &CycleDriven{t: t, bankBusy: make([]uint64, nb)}
 }
-
-// Name returns the model's name.
-func (c *CycleDriven) Name() string { return "cycle-driven" }
 
 // Reset clears the model state.
 func (c *CycleDriven) Reset() {
@@ -252,20 +244,3 @@ func (c *CycleDriven) RequestLatency(lineAddr uint64, cycle uint64, write bool) 
 	c.TotalReqs++
 	return (dataDone - arrivalMem) * t.CPUCyclesPerMemCycle
 }
-
-// NoContention is a trivial ContentionModel that returns a fixed latency,
-// used to express "no contention model" runs (-NC configurations) through
-// the same interface.
-type NoContention struct {
-	// Latency is the fixed latency in CPU cycles.
-	Latency uint64
-}
-
-// RequestLatency returns the fixed latency.
-func (n *NoContention) RequestLatency(uint64, uint64, bool) uint64 { return n.Latency }
-
-// Reset does nothing.
-func (n *NoContention) Reset() {}
-
-// Name returns "none".
-func (n *NoContention) Name() string { return "none" }

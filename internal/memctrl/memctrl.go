@@ -28,8 +28,6 @@ import (
 // cache.Level that also exposes its access counters.
 type Controller interface {
 	cache.Level
-	// CompID returns the controller's global component ID.
-	CompID() int
 	// Reads returns the number of read accesses served.
 	Reads() uint64
 	// Writes returns the number of write (writeback) accesses served.
@@ -46,8 +44,6 @@ type ContentionModel interface {
 	RequestLatency(lineAddr uint64, cycle uint64, write bool) uint64
 	// Reset clears the model's state (used between intervals or runs).
 	Reset()
-	// Name identifies the model in stats and experiment tables.
-	Name() string
 }
 
 // Simple is a fixed-latency memory controller: every access takes the
@@ -55,7 +51,6 @@ type ContentionModel interface {
 // counters are atomic, so concurrent accesses from many bound-phase host
 // threads never serialize on a lock.
 type Simple struct {
-	name   string
 	compID int
 	// Latency is the zero-load latency in CPU cycles (row access + channel
 	// transfer, no queuing).
@@ -66,27 +61,17 @@ type Simple struct {
 }
 
 // NewSimple creates a fixed-latency controller.
-func NewSimple(name string, compID int, latency uint32, reg *stats.Registry) *Simple {
+func NewSimple(compID int, latency uint32, reg *stats.Registry) *Simple {
 	if reg == nil {
-		reg = stats.NewRegistry(name)
+		reg = stats.NewRegistry("mem")
 	}
 	return &Simple{
-		name:    name,
 		compID:  compID,
 		latency: latency,
 		reads:   reg.Atomic("reads", "read requests served"),
 		writes:  reg.Atomic("writes", "write requests served"),
 	}
 }
-
-// Name returns the controller's name.
-func (s *Simple) Name() string { return s.name }
-
-// CompID returns the controller's component ID.
-func (s *Simple) CompID() int { return s.compID }
-
-// Latency returns the configured zero-load latency.
-func (s *Simple) Latency() uint32 { return s.latency }
 
 // Reads returns the number of reads served.
 func (s *Simple) Reads() uint64 { return s.reads.Get() }
@@ -115,7 +100,6 @@ func (s *Simple) Access(req *cache.Request) uint64 {
 // reordered accesses and open-loop utilization estimates misestimate queuing
 // delay).
 type MD1 struct {
-	name    string
 	compID  int
 	latency uint32 // zero-load latency, CPU cycles
 	// serviceCycles is the deterministic service time per request (the
@@ -134,12 +118,11 @@ type MD1 struct {
 // NewMD1 creates an M/D/1 controller. serviceCycles is the per-request
 // service (channel occupancy) time in CPU cycles; it determines the
 // saturation bandwidth.
-func NewMD1(name string, compID int, latency uint32, serviceCycles float64, reg *stats.Registry) *MD1 {
+func NewMD1(compID int, latency uint32, serviceCycles float64, reg *stats.Registry) *MD1 {
 	if reg == nil {
-		reg = stats.NewRegistry(name)
+		reg = stats.NewRegistry("mem")
 	}
 	return &MD1{
-		name:          name,
 		compID:        compID,
 		latency:       latency,
 		serviceCycles: serviceCycles,
@@ -149,12 +132,6 @@ func NewMD1(name string, compID int, latency uint32, serviceCycles float64, reg 
 		satEvent:      reg.Counter("saturated", "requests served at clamped utilization"),
 	}
 }
-
-// Name returns the controller's name.
-func (m *MD1) Name() string { return m.name }
-
-// CompID returns the controller's component ID.
-func (m *MD1) CompID() int { return m.compID }
 
 // Reads returns the number of reads served.
 func (m *MD1) Reads() uint64 { m.mu.Lock(); defer m.mu.Unlock(); return m.reads.Get() }

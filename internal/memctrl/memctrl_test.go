@@ -9,10 +9,7 @@ import (
 )
 
 func TestSimpleController(t *testing.T) {
-	s := NewSimple("mem0", 100, 120, stats.NewRegistry("mem0"))
-	if s.Name() != "mem0" || s.CompID() != 100 || s.Latency() != 120 {
-		t.Fatalf("simple controller metadata wrong")
-	}
+	s := NewSimple(100, 120, stats.NewRegistry("mem0"))
 	done := s.Access(&cache.Request{LineAddr: 1, Cycle: 50})
 	if done != 170 {
 		t.Fatalf("fixed latency wrong: %d", done)
@@ -28,14 +25,14 @@ func TestSimpleController(t *testing.T) {
 		t.Fatalf("hop recording wrong: %+v", req.Hops)
 	}
 	// Nil registry is allowed.
-	s2 := NewSimple("mem1", 1, 10, nil)
+	s2 := NewSimple(1, 10, nil)
 	if s2.Access(&cache.Request{Cycle: 0}) != 10 {
 		t.Fatalf("nil-registry controller broken")
 	}
 }
 
 func TestMD1LowLoadNearZeroLoad(t *testing.T) {
-	m := NewMD1("mem", 1, 100, 8, nil)
+	m := NewMD1(1, 100, 8, nil)
 	// Sparse accesses: utilization ~0, latency ~zero-load.
 	var cycle uint64
 	var last uint64
@@ -52,7 +49,7 @@ func TestMD1LowLoadNearZeroLoad(t *testing.T) {
 }
 
 func TestMD1HighLoadAddsQueueing(t *testing.T) {
-	m := NewMD1("mem", 1, 100, 8, nil)
+	m := NewMD1(1, 100, 8, nil)
 	// Dense accesses: inter-arrival close to the service time -> queuing.
 	var cycle uint64
 	var lat uint64
@@ -67,7 +64,7 @@ func TestMD1HighLoadAddsQueueing(t *testing.T) {
 		t.Fatalf("utilization should be high, got %f", m.Utilization())
 	}
 	// Saturation clamp: arrivals faster than the service rate.
-	m2 := NewMD1("mem2", 2, 100, 8, nil)
+	m2 := NewMD1(2, 100, 8, nil)
 	cycle = 0
 	for i := 0; i < 500; i++ {
 		m2.Access(&cache.Request{LineAddr: uint64(i), Cycle: cycle})
@@ -84,16 +81,10 @@ func TestMD1HighLoadAddsQueueing(t *testing.T) {
 		t.Fatalf("reads counter should persist across Reset")
 	}
 	_ = m2.Writes()
-	if m2.CompID() != 2 || m2.Name() != "mem2" {
-		t.Fatalf("metadata wrong")
-	}
 }
 
 func TestDDR3UncontendedLatency(t *testing.T) {
 	d := NewDDR3("mem", DefaultDDR3Timing())
-	if d.Name() != "ddr3" {
-		t.Fatalf("name wrong")
-	}
 	lat := d.RequestLatency(1, 0, false)
 	// Zero-load latency = (tRCD + tCAS + tBurst) * ratio = (9+9+4)*3 = 66.
 	if lat != 66 {
@@ -160,10 +151,7 @@ func TestDDR3WritesOccupyLonger(t *testing.T) {
 func TestCycleDrivenMatchesEventDrivenShape(t *testing.T) {
 	timing := DefaultDDR3Timing()
 	ev := NewDDR3("ev", timing)
-	cd := NewCycleDriven("cd", timing)
-	if cd.Name() != "cycle-driven" {
-		t.Fatalf("name wrong")
-	}
+	cd := NewCycleDriven(timing)
 	// Uncontended latency matches exactly.
 	le := ev.RequestLatency(7, 0, false)
 	lc := cd.RequestLatency(7, 0, false)
@@ -190,14 +178,6 @@ func TestCycleDrivenMatchesEventDrivenShape(t *testing.T) {
 	if cd.Ticks != 0 || cd.TotalReqs != 0 {
 		t.Fatalf("reset should clear cycle-driven state")
 	}
-}
-
-func TestNoContentionModel(t *testing.T) {
-	n := &NoContention{Latency: 42}
-	if n.RequestLatency(1, 2, true) != 42 || n.Name() != "none" {
-		t.Fatalf("NoContention model broken")
-	}
-	n.Reset()
 }
 
 // Property: DDR3 latency is always at least the zero-load latency, and
@@ -231,7 +211,7 @@ func TestDDR3LatencyLowerBound(t *testing.T) {
 // non-decreasing function of utilization (checked at the two extremes).
 func TestMD1Bounds(t *testing.T) {
 	f := func(gapsRaw []uint8) bool {
-		m := NewMD1("mem", 1, 100, 8, nil)
+		m := NewMD1(1, 100, 8, nil)
 		var cycle uint64
 		for _, g := range gapsRaw {
 			lat := m.Access(&cache.Request{LineAddr: 1, Cycle: cycle}) - cycle

@@ -198,9 +198,6 @@ func NewFabric(topo network.Topology, cfg Config, reg *stats.Registry) *Fabric {
 	return f
 }
 
-// Topology returns the fabric's topology.
-func (f *Fabric) Topology() network.Topology { return f.topo }
-
 // Router returns node n's router (node indices are normalized like the
 // topology's Latency arguments).
 func (f *Fabric) Router(n int) *Router {

@@ -62,9 +62,6 @@ func (r Reason) String() string {
 	}
 }
 
-// Failure reports whether the reason describes an abnormal stop.
-func (r Reason) Failure() bool { return r != ReasonNone }
-
 // Token is a cooperative cancellation token: one atomic word holding the
 // first failure reason raised against the run. The zero value is ready to
 // use. All methods are safe for concurrent use and safe on a nil receiver
@@ -95,15 +92,6 @@ func (t *Token) Reason() Reason {
 // Cancelled reports whether the token has been cancelled. One atomic load,
 // no allocation.
 func (t *Token) Cancelled() bool { return t.Reason() != ReasonNone }
-
-// Reset rearms a token for reuse (e.g. a pooled service worker running its
-// next job). It must not race Cancel from a watchdog still armed against the
-// previous run; stop the watchdog first.
-func (t *Token) Reset() {
-	if t != nil {
-		t.state.Store(uint32(ReasonNone))
-	}
-}
 
 // Watchdog is an armed wall-clock limit: when the limit expires before Stop
 // is called, it cancels the watched token with ReasonDeadline. The zero/nil

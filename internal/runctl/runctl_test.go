@@ -21,10 +21,6 @@ func TestTokenFirstCancelWins(t *testing.T) {
 	if got := tok.Reason(); got != ReasonCancelled {
 		t.Fatalf("reason = %v, want cancelled", got)
 	}
-	tok.Reset()
-	if tok.Cancelled() {
-		t.Fatalf("Reset should rearm the token")
-	}
 }
 
 func TestTokenNilSafe(t *testing.T) {
@@ -32,7 +28,6 @@ func TestTokenNilSafe(t *testing.T) {
 	if tok.Cancel(ReasonCancelled) || tok.Cancelled() || tok.Reason() != ReasonNone {
 		t.Fatalf("nil token must be inert")
 	}
-	tok.Reset() // must not panic
 	var w *Watchdog
 	w.Stop() // must not panic
 }
@@ -126,8 +121,5 @@ func TestReasonStrings(t *testing.T) {
 		if r.String() != want {
 			t.Fatalf("Reason(%d).String() = %q, want %q", r, r.String(), want)
 		}
-	}
-	if ReasonNone.Failure() || !ReasonDeadlocked.Failure() {
-		t.Fatalf("Failure() misclassifies")
 	}
 }

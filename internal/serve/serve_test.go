@@ -218,6 +218,11 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown memory model", `{"config": {"numCores": 1, "memModel": "md-1",
 			"l1i": {"sizeKB": 32}, "l1d": {"sizeKB": 32}, "l2": {"sizeKB": 256}, "l3": {"sizeKB": 1024}},
 			"workloads": [{"name": "blackscholes"}]}`},
+		// 72 private L2s exceed the L3 directory's 64 sharers: refused at
+		// submit, not failed later when the chip is built.
+		{"too many tiles", `{"config": {"numCores": 72,
+			"l1i": {"sizeKB": 32}, "l1d": {"sizeKB": 32}, "l2": {"sizeKB": 256}, "l3": {"sizeKB": 1024}},
+			"workloads": [{"name": "blackscholes"}]}`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))

@@ -111,18 +111,6 @@ func HMean(vals []float64) float64 {
 	return float64(n) / sum
 }
 
-// Mean returns the arithmetic mean of the values (0 for an empty slice).
-func Mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
-}
-
 // MeanAbs returns the mean of absolute values (0 for an empty slice).
 func MeanAbs(vals []float64) float64 {
 	if len(vals) == 0 {

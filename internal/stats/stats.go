@@ -60,9 +60,6 @@ type AtomicCounter struct {
 // Inc adds one to the counter.
 func (c *AtomicCounter) Inc() { c.v.Add(1) }
 
-// Add adds n to the counter.
-func (c *AtomicCounter) Add(n uint64) { c.v.Add(n) }
-
 // Get returns the current value.
 func (c *AtomicCounter) Get() uint64 { return c.v.Load() }
 

@@ -136,13 +136,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
 // Write emits the histogram's _bucket/_sum/_count samples under name with the
 // given base labels (the "le" label is appended per bucket).
 func (h *Histogram) Write(pw *PromWriter, name string, labels []Label) {

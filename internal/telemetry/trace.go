@@ -88,15 +88,6 @@ func (t *TraceSink) Dropped() int64 {
 	return t.dropped.Load()
 }
 
-// Reset discards all recorded events, keeping capacity.
-func (t *TraceSink) Reset() {
-	if t == nil {
-		return
-	}
-	t.next.Store(0)
-	t.dropped.Store(0)
-}
-
 // WriteJSON emits the trace as a Chrome trace-event JSON array: one "M"
 // (metadata) event naming each track, then one "X" (complete) event per
 // slice. The output loads directly in Perfetto / chrome://tracing. Call

@@ -88,9 +88,6 @@ func (w *Workload) NewThread(tid int) *Thread {
 
 func alignUp(v, a uint64) uint64 { return (v + a - 1) / a * a }
 
-// Done reports whether the thread has emitted its SyncDone block.
-func (t *Thread) Done() bool { return t.done }
-
 // NextBlock returns the next dynamic block for the thread. After the thread's
 // work is exhausted it returns a block with Sync == SyncDone (and keeps
 // returning it if called again).

@@ -122,7 +122,7 @@ type Params struct {
 	// AvgBlockLen is the average number of instructions per basic block.
 	AvgBlockLen int
 	// StaticBlocks is the number of distinct static basic blocks (the code
-	// footprint); it determines L1I behaviour and decoder-cache size.
+	// footprint); it determines L1I behaviour and the decoded-block count.
 	StaticBlocks int
 
 	// MemFraction is the fraction of instructions that access memory.
@@ -213,7 +213,6 @@ type Workload struct {
 	Threads int
 
 	arena   *arena.Arena
-	decoder *isa.Decoder
 	blocks  []*isa.BasicBlock
 	decoded []*isa.DecodedBBL
 
@@ -230,14 +229,14 @@ type Workload struct {
 
 // New constructs a workload with the given name, parameters and thread count.
 // The static code footprint is generated deterministically from the seed and
-// decoded once (the decoder plays the role of Pin's translation cache).
+// decoded once (decoded plays the role of Pin's translation cache).
 func New(name string, p Params, threads int) *Workload {
 	return NewIn(nil, name, p, threads)
 }
 
-// NewIn is New with the workload's static code — basic blocks, their decoded
-// translations and the decoder cache — carved from the given construction
-// arena (nil falls back to the heap). The zsim facade passes the simulated
+// NewIn is New with the workload's static code — basic blocks and their
+// decoded translations — carved from the given construction arena (nil falls
+// back to the heap). The zsim facade passes the simulated
 // system's arena, turning the largest remaining fixed construction cost
 // (workload decode, ~4k allocations per workload) into a few chunk
 // allocations.
@@ -262,14 +261,10 @@ func NewIn(a *arena.Arena, name string, p Params, threads int) *Workload {
 	w.Params = p
 	w.Threads = threads
 	w.arena = a
-	w.decoder = isa.NewDecoderIn(a)
 	w.sharedBase = 0x7f00_0000_0000 + p.AddrSpace<<44
 	w.generateCode()
 	return w
 }
-
-// Decoder exposes the workload's decode cache (for DBT-ablation benchmarks).
-func (w *Workload) Decoder() *isa.Decoder { return w.decoder }
 
 // NumStaticBlocks returns the number of distinct static blocks generated.
 func (w *Workload) NumStaticBlocks() int { return len(w.blocks) }
@@ -361,7 +356,7 @@ func (w *Workload) generateCode() {
 			b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpJmp, Bytes: 2})
 		}
 		w.blocks = append(w.blocks, b)
-		w.decoded = append(w.decoded, w.decoder.Lookup(b))
+		w.decoded = append(w.decoded, isa.DecodeIn(w.arena, b))
 		codeAddr += b.Bytes()
 	}
 
@@ -375,7 +370,7 @@ func (w *Workload) generateCode() {
 		isa.Instruction{Op: isa.OpCmpXchg, Dst: isa.RAX, Src1: isa.RBX, Src2: isa.RDX, Bytes: 5},
 		isa.Instruction{Op: isa.OpJcc, Bytes: 2},
 	)
-	w.spinDecoded = w.decoder.Lookup(w.spinBlock)
+	w.spinDecoded = isa.DecodeIn(w.arena, w.spinBlock)
 }
 
 func maxInt(a, b int) int {

@@ -45,8 +45,8 @@ func TestWorkloadConstruction(t *testing.T) {
 	if w.NumStaticBlocks() != 64 {
 		t.Fatalf("expected 64 static blocks, got %d", w.NumStaticBlocks())
 	}
-	if w.Decoder().Size() != 65 { // 64 + spin block
-		t.Fatalf("decoder should hold 65 blocks, got %d", w.Decoder().Size())
+	if len(w.decoded) != 64 || w.spinDecoded == nil {
+		t.Fatalf("expected 64 decoded blocks plus the spin block, got %d", len(w.decoded))
 	}
 	// Defensive clamps.
 	w2 := New("clamped", Params{Seed: 1, BlocksPerThread: 10}, 0)
@@ -76,7 +76,7 @@ func TestThreadProducesWorkAndTerminates(t *testing.T) {
 		blocks++
 		instrs += b.Decoded.Instrs
 	}
-	if !th.Done() {
+	if !th.done {
 		t.Fatalf("thread should terminate within the block budget")
 	}
 	if blocks < 150 || instrs == 0 {

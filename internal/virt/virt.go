@@ -14,8 +14,7 @@
 //   - blocking-syscall handling: threads that enter a blocking system call
 //     leave the interval barrier and rejoin when the call completes, so the
 //     rest of the simulation keeps advancing (the paper's join/leave
-//     mechanism);
-//   - per-thread fast-forwarding of warm-up blocks.
+//     mechanism).
 //
 // # One entry path, one owner
 //
@@ -52,7 +51,6 @@ const (
 	StateBlockedLock
 	StateBlockedBarrier
 	StateBlockedSyscall
-	StateFastForward
 	StateDone
 )
 
@@ -69,8 +67,6 @@ func (s ThreadState) String() string {
 		return "blocked-barrier"
 	case StateBlockedSyscall:
 		return "blocked-syscall"
-	case StateFastForward:
-		return "fast-forward"
 	case StateDone:
 		return "done"
 	default:
@@ -122,9 +118,6 @@ type Thread struct {
 	WakeCycle uint64
 	// WaitLock is the lock the thread is blocked on (when StateBlockedLock).
 	WaitLock int
-	// FastForwardBlocks is the number of blocks to skip at near-native speed
-	// before detailed simulation starts for this thread.
-	FastForwardBlocks int
 
 	// Core is the per-core run slot the thread currently occupies (-1 when
 	// not placed). It makes descheduling O(1) instead of a slot scan.
@@ -199,9 +192,6 @@ type Scheduler struct {
 	// thousands of such scans per interval). Entries are validated against
 	// the thread's current state at pop time.
 	wakeQ []wakeEntry
-	// ffPending lists threads created in the fast-forward state; the first
-	// wake() drains it (threads never enter fast-forward later).
-	ffPending []int
 
 	// Reusable scratch.
 	ops       []pendingRef
@@ -359,9 +349,6 @@ func NewScheduler(numCores int) *Scheduler {
 	return s
 }
 
-// NumCores returns the number of simulated cores.
-func (s *Scheduler) NumCores() int { return s.numCores }
-
 // Reset restores the scheduler to its just-constructed (empty) state for
 // warm-simulator reuse: all processes, threads, synchronization state and
 // statistics are dropped while every slice and map keeps its capacity, so
@@ -378,7 +365,6 @@ func (s *Scheduler) Reset() {
 	s.counts = SchedCounts{}
 	s.procLive = s.procLive[:0]
 	s.wakeQ = s.wakeQ[:0]
-	s.ffPending = s.ffPending[:0]
 	s.ops = s.ops[:0]
 	s.freeCores = s.freeCores[:0]
 	s.wakeScr = s.wakeScr[:0]
@@ -404,13 +390,8 @@ func (s *Scheduler) AddProcess(p *Process) {
 		if p.ID >= 0 {
 			s.procLive[p.ID]++
 		}
-		if t.FastForwardBlocks > 0 {
-			t.State = StateFastForward
-			s.ffPending = append(s.ffPending, t.ID)
-		} else {
-			t.State = StateRunnable
-			s.counts.Runnable++
-		}
+		t.State = StateRunnable
+		s.counts.Runnable++
 		s.enqueue(t.ID)
 	}
 }
@@ -513,7 +494,7 @@ func (s *Scheduler) ScheduleInterval(now uint64) []Assignment {
 // ScheduleIntervalInto is ScheduleInterval writing into a reusable buffer, so
 // the steady-state interval loop performs no allocation.
 func (s *Scheduler) ScheduleIntervalInto(now uint64, out []Assignment) []Assignment {
-	// Wake syscall-blocked and fast-forwarding threads whose time has come.
+	// Wake syscall-blocked threads whose time has come.
 	s.wake(now)
 
 	// Threads still marked running keep their cores; everything else vacates
@@ -757,11 +738,9 @@ func (s *Scheduler) NextSyscallWake() (cycle uint64, ok bool) {
 	return 0, false
 }
 
-// wake transitions syscall-blocked threads whose wake time has passed and
-// fast-forwarding threads back to runnable. Wakeable threads come from the
-// wake heap (drained in thread-ID order, matching the table scan this
-// replaces); fast-forwarding threads only exist before their first wake and
-// are drained from ffPending.
+// wake transitions syscall-blocked threads whose wake time has passed back
+// to runnable. Wakeable threads come from the wake heap (drained in
+// thread-ID order, matching the table scan this replaces).
 func (s *Scheduler) wake(now uint64) {
 	for _, tid := range s.drainWakeQ(now, false) {
 		t := s.threads[tid]
@@ -771,30 +750,6 @@ func (s *Scheduler) wake(now uint64) {
 		}
 		s.enqueue(t.ID)
 	}
-	if len(s.ffPending) == 0 {
-		return
-	}
-	for _, tid := range s.ffPending {
-		t := s.threads[tid]
-		if t.State != StateFastForward {
-			continue
-		}
-		// Fast-forwarding threads skip their warmup blocks at near-native
-		// speed (no timing): consume them here, outside timed simulation.
-		for t.FastForwardBlocks > 0 {
-			b := t.Stream.NextBlock()
-			t.FastForwardBlocks--
-			if b.Sync == trace.SyncDone {
-				s.setState(t, StateDone)
-				break
-			}
-		}
-		if t.State != StateDone {
-			s.setState(t, StateRunnable)
-			s.enqueue(t.ID)
-		}
-	}
-	s.ffPending = s.ffPending[:0]
 }
 
 // deschedule removes a thread from its core (it keeps its runnable state and

@@ -21,7 +21,7 @@ func holdsLock(s *Scheduler, t *Thread, lockID int) bool {
 
 func TestThreadStateString(t *testing.T) {
 	states := []ThreadState{StateRunnable, StateRunning, StateBlockedLock, StateBlockedBarrier,
-		StateBlockedSyscall, StateFastForward, StateDone}
+		StateBlockedSyscall, StateDone}
 	for _, st := range states {
 		if st.String() == "" || strings.HasPrefix(st.String(), "state(") {
 			t.Fatalf("state %d has no name", st)
@@ -34,8 +34,8 @@ func TestThreadStateString(t *testing.T) {
 
 func TestSchedulerBasicAssignment(t *testing.T) {
 	s := NewScheduler(4)
-	if s.NumCores() != 4 {
-		t.Fatalf("cores: %d", s.NumCores())
+	if s.numCores != 4 {
+		t.Fatalf("cores: %d", s.numCores)
 	}
 	w := testWorkload(3, 100)
 	s.AddWorkload(w)
@@ -255,25 +255,6 @@ func TestBlockedSyscallJoinLeave(t *testing.T) {
 	}
 	if s.Counts().SyscallBlocks != 1 {
 		t.Fatalf("syscall blocks should be counted")
-	}
-}
-
-func TestFastForwardSkipsBlocks(t *testing.T) {
-	s := NewScheduler(1)
-	w := testWorkload(1, 100)
-	p := &Process{ID: 0}
-	p.Threads = append(p.Threads, &Thread{Stream: w.NewThread(0), FastForwardBlocks: 30})
-	s.AddProcess(p)
-	th := s.Thread(0)
-	if th.State != StateFastForward {
-		t.Fatalf("thread should start fast-forwarding")
-	}
-	asg := s.ScheduleInterval(0)
-	if len(asg) != 1 {
-		t.Fatalf("fast-forwarded thread should be schedulable afterwards")
-	}
-	if th.FastForwardBlocks != 0 {
-		t.Fatalf("fast-forward blocks should be consumed")
 	}
 }
 

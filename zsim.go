@@ -185,7 +185,7 @@ type Simulator struct {
 	sys   *boundweave.System
 	sched *virt.Scheduler
 
-	// runArena backs per-run state (workload decode caches); Reset rewinds
+	// runArena backs per-run state (workload decoded blocks); Reset rewinds
 	// it, unlike the construction arena that owns the system itself.
 	runArena *arena.Arena
 
@@ -354,7 +354,7 @@ func (s *Simulator) SetSeed(seed uint64) { s.seed = seed }
 // process ID.
 func (s *Simulator) AddWorkload(name string, params WorkloadParams, threads int) int {
 	s.assignAddrSpace(&params)
-	// Workload static code (blocks + decoder cache) lives in the per-run
+	// Workload static code (blocks + decoded blocks) lives in the per-run
 	// arena so Reset can rewind it for the next run's workloads.
 	w := trace.NewIn(s.runArena, name, params, threads)
 	p := s.sched.AddWorkload(w)
