@@ -4,8 +4,8 @@
 // millions of small, identically-typed, never-freed allocations; the arena
 // turns each type's stream of small allocations into a handful of large
 // chunk allocations. One Arena is created per simulated system (it hangs off
-// the root stats.Registry) and feeds cache sets, stripe state, predictor
-// tables, statistics counters and decoded workload code.
+// the root stats.Registry) and feeds cache set tables, stripe state,
+// predictor tables, statistics counters and decoded workload code.
 //
 // Objects taken from an arena are never returned individually, but a whole
 // arena can be rewound: Reset retains every allocated chunk and rewinds the
@@ -39,9 +39,9 @@ const (
 )
 
 // Arena is a type-segregated slab allocator that only grows between Resets.
-// It is safe for concurrent use (construction is mostly single-threaded, but
-// lazily allocated cache sets take from the arena during the parallel bound
-// phase).
+// It is safe for concurrent use, although construction is mostly
+// single-threaded. Lazily allocated cache ways do not take from the arena:
+// they come from the heap on the parallel bound phase's hot path.
 type Arena struct {
 	mu    sync.Mutex
 	pools map[reflect.Type]any

@@ -15,17 +15,22 @@ package bpred
 import "zsim/internal/arena"
 
 // The predictor geometry: a 16K-entry counter table indexed by the branch PC
-// XORed with 12 bits of global history.
+// XORed with 12 bits of global history, packed four 2-bit counters to a byte
+// (a 4 KB table).
 const (
-	entries  = 16384
-	histBits = 12
+	entries     = 16384
+	histBits    = 12
+	counterBits = 2
+	counterMask = 1<<counterBits - 1
+	perByte     = 8 / counterBits
 )
 
 // counter2 is a 2-bit saturating counter stored in a biased encoding
 // (stored = actual ^ 2), chosen so the zero value decodes to "weakly taken"
 // — the usual initialization. Tables therefore need no init loop: a zeroed
 // allocation is already correctly initialized, which makes building
-// thousand-core chips (one predictor per core) measurably cheaper.
+// thousand-core chips (one predictor per core) measurably cheaper. A
+// counter2 value occupies the low two bits; the table stores four per byte.
 type counter2 uint8
 
 func (c counter2) actual() uint8 { return uint8(c) ^ 2 }
@@ -47,10 +52,10 @@ func (c counter2) update(taken bool) counter2 {
 // TwoLevel is a GShare-style two-level predictor: a global history register
 // XORed with the branch PC indexes a table of 2-bit counters (the paper
 // models a 2-level predictor; the exact Westmere organization is
-// undisclosed). It is not safe for concurrent use: each simulated core owns
-// its own predictor.
+// undisclosed). Counter i sits in bits 2*(i%4) of table[i/4]. It is not safe
+// for concurrent use: each simulated core owns its own predictor.
 type TwoLevel struct {
-	table   []counter2
+	table   []uint8
 	history uint64
 }
 
@@ -58,7 +63,7 @@ type TwoLevel struct {
 // arena (nil falls back to the heap).
 func New(a *arena.Arena) *TwoLevel {
 	g := arena.One[TwoLevel](a)
-	g.table = arena.Take[counter2](a, entries)
+	g.table = arena.Take[uint8](a, entries/perByte)
 	return g
 }
 
@@ -68,8 +73,11 @@ func New(a *arena.Arena) *TwoLevel {
 // correct.
 func (g *TwoLevel) PredictAndUpdate(pc uint64, taken bool) bool {
 	i := ((pc >> 2) ^ g.history) & (entries - 1)
-	correct := g.table[i].taken() == taken
-	g.table[i] = g.table[i].update(taken)
+	b := &g.table[i/perByte]
+	shift := (i % perByte) * counterBits
+	c := counter2(*b>>shift) & counterMask
+	correct := c.taken() == taken
+	*b = *b&^(counterMask<<shift) | uint8(c.update(taken))<<shift
 	g.history <<= 1
 	if taken {
 		g.history |= 1

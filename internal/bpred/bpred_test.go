@@ -59,26 +59,56 @@ func TestTwoLevelBiasedBranches(t *testing.T) {
 	}
 }
 
-// The geometry is fixed: every predictor, heap- or arena-backed, has one
-// counter per table entry, and Reset restores the fresh state.
+// The geometry is fixed: every predictor, heap- or arena-backed, packs its
+// 16,384 counters four to a byte, and Reset restores the fresh state.
 func TestTwoLevelConfigBounds(t *testing.T) {
-	if entries&(entries-1) != 0 {
-		t.Fatalf("entries = %d must be a power of two (it is indexed by mask)", entries)
+	if entries != 16384 || entries&(entries-1) != 0 {
+		t.Fatalf("entries = %d, want 16384 (a power of two: it is indexed by mask)", entries)
 	}
 	a := arena.New()
 	for _, p := range []*TwoLevel{New(nil), New(a)} {
-		if len(p.table) != entries {
-			t.Fatalf("table has %d entries, want %d", len(p.table), entries)
+		if len(p.table)*4 != entries {
+			t.Fatalf("table has %d bytes holding %d counters, want %d", len(p.table), len(p.table)*4, entries)
 		}
 		mispredicts(p, 100, func(i int) (uint64, bool) { return uint64(i * 4), i%3 == 0 })
 		p.Reset()
 		if p.history != 0 {
 			t.Fatalf("Reset left history %#x", p.history)
 		}
-		for i, c := range p.table {
-			if c != 0 {
-				t.Fatalf("Reset left counter %d = %d", i, c)
+		for i, b := range p.table {
+			if b != 0 {
+				t.Fatalf("Reset left table byte %d = %#x", i, b)
 			}
+		}
+	}
+}
+
+// The packed table behaves exactly like one byte per counter: a reference
+// predictor with an unpacked []counter2 table, fed the same random stream,
+// makes the same prediction on every branch, and the packed counters decode
+// to the reference's.
+func TestTwoLevelPackedMatchesUnpacked(t *testing.T) {
+	ref := make([]counter2, entries)
+	var refHist uint64
+	p := New(nil)
+	rng := rand.New(rand.NewSource(7))
+	for n := 0; n < 200000; n++ {
+		pc, taken := uint64(rng.Intn(1<<16))*4, rng.Intn(3) != 0
+		i := ((pc >> 2) ^ refHist) & (entries - 1)
+		want := ref[i].taken() == taken
+		ref[i] = ref[i].update(taken)
+		refHist <<= 1
+		if taken {
+			refHist |= 1
+		}
+		refHist &= 1<<histBits - 1
+		if got := p.PredictAndUpdate(pc, taken); got != want {
+			t.Fatalf("branch %d (pc %#x): packed predictor said %v, reference %v", n, pc, got, want)
+		}
+	}
+	for i, c := range ref {
+		if got := counter2(p.table[i/4]>>(2*(i%4))) & 3; got != c {
+			t.Fatalf("counter %d = %d, reference %d", i, got, c)
 		}
 	}
 }

@@ -20,14 +20,18 @@
 // Within one cache, locking is striped by set: concurrent accesses to
 // different sets of a shared multi-bank cache proceed in parallel, and
 // statistics are kept in atomic counters so no global lock serializes the
-// hot path. Set arrays are allocated lazily, the first time a set is
-// touched, so building a thousand-core chip with hundreds of megabytes of
-// simulated cache costs memory only for the sets the workload actually uses.
+// hot path. A cache's set table holds one 8-byte pointer per set, and a
+// set's ways are allocated lazily, the first time the set is touched, so
+// building a thousand-core chip with hundreds of megabytes of simulated
+// cache costs memory only for the sets the workload actually uses. Each way
+// packs its tag, MESI state and child-modified bit into one word, so a line
+// takes 24 bytes.
 package cache
 
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"zsim/internal/arena"
 	"zsim/internal/stats"
@@ -180,15 +184,30 @@ type Level interface {
 }
 
 // line is one cache line's tag, coherence state, directory info and
-// replacement metadata. The fields are packed so a line takes 32 bytes (two
-// lines per host cache line).
+// replacement metadata in 24 bytes. key packs the tag (the line address),
+// the child-modified bit (some child may hold the line modified) and the
+// MESI state as tag<<3 | childMod<<2 | state, so a zeroed line is Invalid.
+// Line addresses are byte addresses shifted right by 6, at most 58 bits, so
+// the shift loses no tag bit.
 type line struct {
-	tag      uint64 // line address
-	lastUse  uint64 // replacement timestamp
-	sharers  uint64 // bitmask of children holding the line (directory)
-	state    State
-	childMod bool // some child may hold the line modified
+	key     uint64
+	lastUse uint64 // replacement timestamp
+	sharers uint64 // bitmask of children holding the line (directory)
 }
+
+const (
+	keyState    = 3 // key bits holding the MESI state
+	keyChildMod = 4 // key bit set when some child may hold the line modified
+	keyTagShift = 3
+)
+
+func (l *line) state() State   { return State(l.key & keyState) }
+func (l *line) tag() uint64    { return l.key >> keyTagShift }
+func (l *line) childMod() bool { return l.key&keyChildMod != 0 }
+
+func (l *line) setState(s State) { l.key = l.key&^keyState | uint64(s) }
+
+func (l *line) clearChildMod() { l.key &^= keyChildMod }
 
 // stripe is one lock stripe of a cache: a mutex protecting the sets
 // congruent to its index mod nStripes (set&stripeMask), plus the per-stripe
@@ -225,8 +244,9 @@ type Cache struct {
 	latency uint32
 	mshrs   int
 
-	// setArr[s] holds set s's ways; nil until the set is first touched.
-	setArr     [][]line
+	// setArr[s] points at set s's first way; nil until the set is first
+	// touched. Only setWays turns it back into a slice.
+	setArr     []*line
 	stripes    []stripe
 	stripeMask int
 
@@ -247,8 +267,8 @@ type Cache struct {
 // New creates a cache from the config, registering its statistics under the
 // given registry. compID is the global component ID used in weave traces.
 // When the registry tree carries a construction arena, the cache object, its
-// set table, its lock stripes and (lazily) its line arrays are all carved
-// from that arena.
+// set table and its lock stripes are carved from that arena; the lazily
+// allocated ways come from the heap (see setLines).
 func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 	ways := cfg.Ways
 	if ways < 1 {
@@ -274,7 +294,7 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 		ways:       ways,
 		latency:    cfg.Latency,
 		mshrs:      cfg.MSHRs,
-		setArr:     arena.Take[[]line](a, sets),
+		setArr:     arena.Take[*line](a, sets),
 		stripes:    arena.Take[stripe](a, nStripes),
 		stripeMask: nStripes - 1,
 
@@ -296,10 +316,8 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 // Statistics counters are registry-owned and zeroed by Registry.Reset.
 // Callers must be quiescent (no concurrent accesses).
 func (c *Cache) Reset() {
-	for _, s := range c.setArr {
-		if s != nil {
-			clear(s)
-		}
+	for set := range c.setArr {
+		clear(c.setWays(set))
 	}
 	for i := range c.stripes {
 		c.stripes[i].useCt = 0
@@ -342,25 +360,35 @@ func (c *Cache) setOf(lineAddr uint64) int {
 // stripeOf returns the lock stripe covering the set.
 func (c *Cache) stripeOf(set int) *stripe { return &c.stripes[set&c.stripeMask] }
 
-// setLines returns set's way array, allocating it on first touch. The lazy
+// setWays returns set's ways, or nil if the set was never touched. Caller
+// must hold the set's stripe lock (or the cache must be quiescent).
+func (c *Cache) setWays(set int) []line {
+	p := c.setArr[set]
+	if p == nil {
+		return nil
+	}
+	return unsafe.Slice(p, c.ways)
+}
+
+// setLines returns set's ways, allocating them on first touch. The lazy
 // allocation deliberately uses the heap, not the construction arena: first
 // touches happen on the parallel bound phase's hot path, and funneling every
 // worker through the arena's shared mutex would serialize warm-up on
 // many-core hosts. Caller must hold the set's stripe lock.
 func (c *Cache) setLines(set int) []line {
-	s := c.setArr[set]
-	if s == nil {
-		s = make([]line, c.ways)
-		c.setArr[set] = s
+	if c.setArr[set] == nil {
+		c.setArr[set] = &make([]line, c.ways)[0]
 	}
-	return s
+	return c.setWays(set)
 }
 
 // findWay returns the way index of tag in the set's lines, or -1. A nil
-// (never-touched) set reports -1.
+// (never-touched) set reports -1. A way matches when its key holds tag and a
+// valid state: key^tag<<3 is then below 8 with a nonzero state.
 func findWay(lines []line, tag uint64) int {
+	want := tag << keyTagShift
 	for w := range lines {
-		if lines[w].state != Invalid && lines[w].tag == tag {
+		if d := lines[w].key ^ want; d < 1<<keyTagShift && d&keyState != 0 {
 			return w
 		}
 	}
@@ -371,7 +399,7 @@ func findWay(lines []line, tag uint64) int {
 // else the least recently used. Caller must hold the stripe lock.
 func victimWay(lines []line) int {
 	for w := range lines {
-		if lines[w].state == Invalid {
+		if lines[w].state() == Invalid {
 			return w
 		}
 	}
@@ -411,7 +439,7 @@ func (c *Cache) Access(req *Request) uint64 {
 	if way >= 0 {
 		l := &lines[way]
 		l.lastUse = now
-		if !req.Write || l.state == Exclusive || l.state == Modified {
+		if state := l.state(); !req.Write || state == Exclusive || state == Modified {
 			// Plain hit.
 			if req.Write {
 				// Write hit with sufficient permission: invalidate any other
@@ -419,7 +447,7 @@ func (c *Cache) Access(req *Request) uint64 {
 				if l.sharers != 0 {
 					c.invalidateChildrenLocked(req, req.LineAddr, l)
 				}
-				l.state = Modified
+				l.setState(Modified)
 				req.FillState = Modified
 			} else {
 				// Read hit. If another child may hold the line Exclusive or
@@ -430,13 +458,13 @@ func (c *Cache) Access(req *Request) uint64 {
 				if req.childIdx >= 0 && len(c.children) > 0 {
 					otherSharers &^= 1 << uint(req.childIdx)
 				}
-				if l.childMod && otherSharers != 0 {
+				if l.childMod() && otherSharers != 0 {
 					if c.downgradeChildrenLocked(req, req.LineAddr, otherSharers) {
-						l.state = Modified
+						l.setState(Modified)
 					}
-					l.childMod = false
+					l.clearChildMod()
 				}
-				if otherSharers != 0 || l.state == Shared {
+				if otherSharers != 0 || l.state() == Shared {
 					req.FillState = Shared
 				} else {
 					req.FillState = Exclusive
@@ -450,34 +478,34 @@ func (c *Cache) Access(req *Request) uint64 {
 		}
 		// Write hit on Shared: upgrade through the parent (invalidates other
 		// copies system-wide). Treated as a miss for timing purposes.
-		l.state = Invalid // re-installed below after the parent access
+		l.setState(Invalid) // re-installed below after the parent access
 		st.mu.Unlock()
 		c.UpgradeMiss.Inc()
 		c.Misses.Inc()
-		return c.fetchAndInstall(req, availCycle)
+		return c.fetchAndInstall(req, set, availCycle)
 	}
 
 	// Miss: pick a victim and evict it, then fetch from the parent.
 	vw := victimWay(lines)
 	victim := lines[vw]
-	lines[vw].state = Invalid
+	lines[vw].setState(Invalid)
 	st.mu.Unlock()
 	c.Misses.Inc()
 
-	if victim.state != Invalid {
+	if victim.state() != Invalid {
 		c.Evictions.Inc()
 		c.evictLine(req, victim)
 	}
-	return c.fetchAndInstall(req, availCycle)
+	return c.fetchAndInstall(req, set, availCycle)
 }
 
-// fetchAndInstall completes a miss: it forwards the request to the parent
-// (without holding any of our locks), then installs the line. It returns the
-// zero-load cycle at which the line is available to the requester. The
-// request is forwarded in place — the parent mutates it — and the
-// caller-side fields are restored afterwards, so the miss path allocates
-// nothing.
-func (c *Cache) fetchAndInstall(req *Request, localAvail uint64) uint64 {
+// fetchAndInstall completes a miss on set, the request line's set as Access
+// computed it: it forwards the request to the parent (without holding any of
+// our locks), then installs the line. It returns the zero-load cycle at
+// which the line is available to the requester. The request is forwarded in
+// place — the parent mutates it — and the caller-side fields are restored
+// afterwards, so the miss path allocates nothing.
+func (c *Cache) fetchAndInstall(req *Request, set int, localAvail uint64) uint64 {
 	req.addHop(c.compID, HopMiss, req.Cycle, c.latency)
 	var fillCycle uint64
 	grant := Exclusive
@@ -495,7 +523,6 @@ func (c *Cache) fetchAndInstall(req *Request, localAvail uint64) uint64 {
 	}
 
 	// Install the line.
-	set := c.setOf(req.LineAddr)
 	st := c.stripeOf(set)
 	st.mu.Lock()
 	st.useCt++
@@ -504,8 +531,8 @@ func (c *Cache) fetchAndInstall(req *Request, localAvail uint64) uint64 {
 	if way < 0 {
 		way = victimWay(lines)
 		victim := lines[way]
-		if victim.state != Invalid {
-			lines[way].state = Invalid
+		if victim.state() != Invalid {
+			lines[way].setState(Invalid)
 			st.mu.Unlock()
 			c.Evictions.Inc()
 			c.evictLine(req, victim)
@@ -515,21 +542,18 @@ func (c *Cache) fetchAndInstall(req *Request, localAvail uint64) uint64 {
 			way = findWay(lines, req.LineAddr)
 			if way < 0 {
 				way = victimWay(lines)
-				lines[way].state = Invalid
+				lines[way].setState(Invalid)
 			}
 		}
 	}
+	if req.Write {
+		grant = Modified
+	}
 	l := &lines[way]
-	l.tag = req.LineAddr
+	l.key = req.LineAddr<<keyTagShift | uint64(grant)
 	l.lastUse = st.useCt
 	l.sharers = 0
-	l.childMod = false
-	if req.Write {
-		l.state = Modified
-	} else {
-		l.state = grant
-	}
-	req.FillState = l.state
+	req.FillState = grant
 	c.markChild(l, req)
 	st.mu.Unlock()
 	return fillCycle
@@ -548,7 +572,7 @@ func (c *Cache) markChild(l *line, req *Request) {
 		// Modified, so both write grants and Exclusive grants mark the line
 		// as possibly dirty in a child.
 		if req.Write || req.FillState == Exclusive || req.FillState == Modified {
-			l.childMod = true
+			l.key |= keyChildMod
 		}
 	}
 }
@@ -560,18 +584,18 @@ func (c *Cache) markChild(l *line, req *Request) {
 func (c *Cache) evictLine(req *Request, victim line) {
 	// Invalidate children copies.
 	if victim.sharers != 0 {
-		dirtyInChild := c.invalidateChildren(victim.tag, victim.sharers)
+		dirtyInChild := c.invalidateChildren(victim.tag(), victim.sharers)
 		if dirtyInChild {
-			victim.state = Modified
+			victim.setState(Modified)
 		}
 	}
-	if victim.state == Modified {
+	if victim.state() == Modified {
 		c.Writebacks.Inc()
 		req.addHop(c.compID, HopWB, req.Cycle, 0)
 		if c.parent != nil {
 			savedLine, savedWrite := req.LineAddr, req.Write
 			savedFill, savedChild := req.FillState, req.childIdx
-			req.LineAddr = victim.tag
+			req.LineAddr = victim.tag()
 			req.Write = true
 			req.childIdx = c.childIdx
 			c.parent.Access(req)
@@ -616,7 +640,7 @@ func (c *Cache) invalidateChildrenLocked(req *Request, lineAddr uint64, l *line)
 		req.addHop(ch.compID, HopInval, req.Cycle, 0)
 	}
 	l.sharers &^= sharers
-	l.childMod = false
+	l.clearChildMod()
 }
 
 // downgradeChildrenLocked downgrades the given children sharers to Shared and
@@ -643,20 +667,20 @@ func (c *Cache) Downgrade(lineAddr uint64) bool {
 	set := c.setOf(lineAddr)
 	st := c.stripeOf(set)
 	st.mu.Lock()
-	lines := c.setArr[set]
+	lines := c.setWays(set)
 	way := findWay(lines, lineAddr)
 	if way < 0 {
 		st.mu.Unlock()
 		return false
 	}
 	l := &lines[way]
-	dirty := l.state == Modified
-	if l.state == Modified || l.state == Exclusive {
-		l.state = Shared
+	dirty := l.state() == Modified
+	if dirty || l.state() == Exclusive {
+		l.setState(Shared)
 	}
 	sharers := l.sharers
-	childMod := l.childMod
-	l.childMod = false
+	childMod := l.childMod()
+	l.clearChildMod()
 	st.mu.Unlock()
 
 	if childMod && sharers != 0 {
@@ -679,18 +703,18 @@ func (c *Cache) Invalidate(lineAddr uint64) bool {
 	set := c.setOf(lineAddr)
 	st := c.stripeOf(set)
 	st.mu.Lock()
-	lines := c.setArr[set]
+	lines := c.setWays(set)
 	way := findWay(lines, lineAddr)
 	if way < 0 {
 		st.mu.Unlock()
 		return false
 	}
 	l := lines[way]
-	lines[way].state = Invalid
+	lines[way].setState(Invalid)
 	st.mu.Unlock()
 	c.Invals.Inc()
 
-	dirty := l.state == Modified
+	dirty := l.state() == Modified
 	if l.sharers != 0 {
 		if c.invalidateChildren(lineAddr, l.sharers) {
 			dirty = true
@@ -705,10 +729,10 @@ func (c *Cache) StateOf(lineAddr uint64) State {
 	st := c.stripeOf(set)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	lines := c.setArr[set]
+	lines := c.setWays(set)
 	way := findWay(lines, lineAddr)
 	if way < 0 {
 		return Invalid
 	}
-	return lines[way].state
+	return lines[way].state()
 }

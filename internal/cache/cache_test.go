@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"zsim/internal/stats"
 )
@@ -11,10 +13,11 @@ import (
 // fakeMem is a terminal level with a fixed latency, standing in for a memory
 // controller in cache-only tests.
 type fakeMem struct {
-	lat      uint32
-	mu       sync.Mutex
-	accesses int
-	writes   int
+	lat       uint32
+	mu        sync.Mutex
+	accesses  int
+	writes    int
+	lastWrite uint64 // line address of the latest write (writeback)
 }
 
 func (m *fakeMem) Access(req *Request) uint64 {
@@ -22,6 +25,7 @@ func (m *fakeMem) Access(req *Request) uint64 {
 	m.accesses++
 	if req.Write {
 		m.writes++
+		m.lastWrite = req.LineAddr
 	}
 	m.mu.Unlock()
 	req.addHop(999, HopMem, req.Cycle, m.lat)
@@ -471,5 +475,140 @@ func TestCoherenceSingleWriterInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A line is 24 bytes (tag, state and child-modified bit share one word) and
+// the set table holds one 8-byte pointer per set.
+func TestLineLayout(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 24 {
+		t.Fatalf("line is %d bytes, want 24", n)
+	}
+	var c Cache
+	if n := unsafe.Sizeof(c.setArr[0]); n != 8 {
+		t.Fatalf("set-table entry is %d bytes, want 8", n)
+	}
+}
+
+// accessResult is what one access of a replayed stream reports.
+type accessResult struct {
+	done      uint64
+	fill      State
+	state     State
+	dirtyInv  bool
+	hits      uint64
+	misses    uint64
+	evictions uint64
+}
+
+// replayStream drives a mixed stream of reads, writes, capacity evictions
+// and explicit invalidations through two L1s sharing a small L2, and records
+// each step's return cycle, FillState, resulting state and counters.
+func replayStream(l1s []*Cache, l2 *Cache) []accessResult {
+	var out []accessResult
+	rng := uint64(12345)
+	for i := 0; i < 4000; i++ {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		core := int(rng & 1)
+		lineA := (rng >> 8) % 600 // the L2 holds 256 lines: it evicts
+		var r accessResult
+		switch op := (rng >> 4) % 8; {
+		case op == 0:
+			r.dirtyInv = l2.Invalidate(lineA)
+		case op == 1:
+			r.dirtyInv = l1s[core].Invalidate(lineA)
+		default:
+			req := &Request{LineAddr: lineA, Write: op >= 5, CoreID: core, Cycle: uint64(i) * 10}
+			r.done = l1s[core].Access(req)
+			r.fill = req.FillState
+		}
+		r.state = l1s[core].StateOf(lineA)
+		for _, c := range append([]*Cache{l2}, l1s...) {
+			r.hits += c.Hits.Get()
+			r.misses += c.Misses.Get()
+			r.evictions += c.Evictions.Get()
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// A Reset hierarchy replays a stream exactly as it ran when fresh.
+func TestResetReplaysLikeFresh(t *testing.T) {
+	reg := stats.NewRegistry("chip")
+	mem := &fakeMem{lat: 100}
+	l2 := New(Config{SizeKB: 16, Ways: 4, Latency: 7}, 10, reg.Child("l2"))
+	l2.SetParent(mem)
+	var l1s []*Cache
+	for i := 0; i < 2; i++ {
+		l1 := New(Config{SizeKB: 2, Ways: 2, Latency: 4}, i, reg.ChildIdx("l1", i))
+		l1.SetParent(l2)
+		l2.AddChild(l1)
+		l1s = append(l1s, l1)
+	}
+	fresh := replayStream(l1s, l2)
+	last := fresh[len(fresh)-1]
+	if last.evictions == 0 || last.hits == 0 || !slices.ContainsFunc(fresh, func(r accessResult) bool { return r.dirtyInv }) {
+		t.Fatalf("stream should hit, evict and invalidate dirty lines: %+v", last)
+	}
+	for _, c := range append([]*Cache{l2}, l1s...) {
+		c.Reset()
+	}
+	reg.Reset()
+	again := replayStream(l1s, l2)
+	for i := range fresh {
+		if fresh[i] != again[i] {
+			t.Fatalf("step %d after Reset: %+v, fresh %+v", i, again[i], fresh[i])
+		}
+	}
+}
+
+// Coherence actions and lookups on never-touched sets find nothing and
+// allocate nothing: the set stays untouched.
+func TestUntouchedSetsStayNil(t *testing.T) {
+	c := New(Config{SizeKB: 64, Ways: 8, Latency: 4}, 0, nil)
+	allocs := testing.AllocsPerRun(10, func() {
+		for a := uint64(0); a < 1024; a++ {
+			if c.Invalidate(a) || c.Downgrade(a) || c.StateOf(a) != Invalid {
+				t.Fatalf("line %d found in an empty cache", a)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("lookups on untouched sets allocated %.0f times", allocs)
+	}
+	for set, p := range c.setArr {
+		if p != nil {
+			t.Fatalf("set %d was allocated by a lookup", set)
+		}
+	}
+}
+
+// The highest line address keeps every tag bit: it installs, reads back,
+// is written back under its own address and invalidates.
+func TestHighestLineAddr(t *testing.T) {
+	top := LineAddr(^uint64(0))
+	l1, mem := newL1(4, 1) // direct-mapped: the next line in the set evicts it
+	l1.Access(&Request{LineAddr: top, Write: true})
+	if got := l1.StateOf(top); got != Modified {
+		t.Fatalf("StateOf(top) = %v, want M", got)
+	}
+	if l1.StateOf(top^1) != Invalid || l1.StateOf(top>>1) != Invalid {
+		t.Fatalf("a neighbouring address aliases the top line")
+	}
+	if !l1.Invalidate(top) || l1.StateOf(top) != Invalid {
+		t.Fatalf("Invalidate(top) should report dirty and leave the line Invalid")
+	}
+	l1.Access(&Request{LineAddr: top, Write: true})
+	set := l1.setOf(top)
+	other := uint64(0)
+	for l1.setOf(other) != set {
+		other++
+	}
+	l1.Access(&Request{LineAddr: other})
+	if l1.Writebacks.Get() != 1 || mem.lastWrite != top {
+		t.Fatalf("evicting the top line wrote back %#x (%d writebacks), want %#x", mem.lastWrite, l1.Writebacks.Get(), top)
 	}
 }
