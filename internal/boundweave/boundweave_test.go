@@ -517,7 +517,7 @@ func TestStalledWorkloadTerminates(t *testing.T) {
 func preseedDeadlock(t *testing.T, sched *virt.Scheduler) {
 	t.Helper()
 	t0, t1 := sched.Thread(0), sched.Thread(1)
-	asg := sched.ScheduleInterval(0)
+	asg := sched.ScheduleIntervalInto(0, nil)
 	t0.Record(virt.OpLockAcquire, 1, 0, 0)
 	t0.Record(virt.OpBarrier, 1, 0, 0)
 	t1.Record(virt.OpLockAcquire, 1, 0, 0)

@@ -38,9 +38,9 @@ type Recorder struct {
 	net  bool
 	recs []accessRecord
 	free [][]cache.Hop
-	// Dropped counts accesses that stayed within the private levels and were
-	// therefore not recorded (contention there is dominated by the core
-	// itself and is modeled in the bound phase).
+	// Dropped counts the accesses since the last Reset that stayed within
+	// the private levels and were therefore not recorded (contention there is
+	// dominated by the core itself and is modeled in the bound phase).
 	Dropped uint64
 }
 
@@ -104,14 +104,16 @@ func (r *Recorder) RecordAccess(coreID int, issueCycle uint64, write bool, hops 
 	return nil
 }
 
-// Reset clears the interval's records (called after the weave phase),
-// returning their hop buffers to the freelist for the next interval.
+// Reset clears the interval's records and the drop count (called after the
+// weave phase and when a run starts), returning the records' hop buffers to
+// the freelist for the next interval.
 func (r *Recorder) Reset() {
 	for i := range r.recs {
 		r.free = append(r.free, r.recs[i].hops[:0])
 		r.recs[i].hops = nil
 	}
 	r.recs = r.recs[:0]
+	r.Dropped = 0
 }
 
 // BankModel is the weave-phase contention model for a pipelined L3 bank: a
@@ -183,10 +185,9 @@ func (b *BankModel) Schedule(dispatch uint64, isMiss bool) uint64 {
 	return start + uint64(b.Latency)
 }
 
-// Reset clears the model between runs.
+// Reset restores the model to its just-built state, counters included.
 func (b *BankModel) Reset() {
-	b.portFree = 0
-	b.mshrFree = b.mshrFree[:0]
+	*b = BankModel{Latency: b.Latency, MSHRs: b.MSHRs, MissHoldCycles: b.MissHoldCycles, mshrFree: b.mshrFree[:0]}
 }
 
 // weaveModels bundles the per-component contention models used by the weave
@@ -202,6 +203,21 @@ type weaveModels struct {
 	fabric     *noc.Fabric
 	routerComp []int
 	exec       event.Executor
+}
+
+// reset restores every bank and memory model to its just-built state. The
+// routers belong to the System's fabric and rewind with the System.
+func (m *weaveModels) reset() {
+	for _, b := range m.banks {
+		if b != nil {
+			b.Reset()
+		}
+	}
+	for _, mem := range m.mems {
+		if mem != nil {
+			mem.Reset()
+		}
+	}
 }
 
 func (m *weaveModels) bank(comp int) *BankModel {

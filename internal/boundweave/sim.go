@@ -100,7 +100,7 @@ type Simulator struct {
 	rngState    uint64
 
 	// Bound-round execution state. workers is the bound worker count,
-	// min(hostThreads, pool size, GOMAXPROCS), set when Run starts; a round
+	// min(hostThreads, pool size, GOMAXPROCS), set by initRun; a round
 	// uses roundWorkers = min(workers, its assignment count). homes[w] is
 	// worker w's home queue for the round: a range of homeAsg (one slot per
 	// core, allocated once) holding the round's cores c with
@@ -138,7 +138,13 @@ type Simulator struct {
 	probe     *telemetry.Probe
 	traceSink *telemetry.TraceSink
 
-	// Run statistics. WeaveEvents counts the events the weave engine ran.
+	runStats
+}
+
+// runStats are one run's statistics, zeroed by a single assignment in
+// initRun. Embedding keeps them spelled sim.Intervals, sim.Reason and so on.
+// WeaveEvents counts the events the weave engine ran.
+type runStats struct {
 	Intervals     uint64
 	BoundRounds   uint64
 	WeaveEvents   uint64
@@ -151,7 +157,7 @@ type Simulator struct {
 	ChainNanos int64
 	// Stalled reports that the run ended because no thread was runnable and
 	// no blocked thread could ever be woken by the passage of simulated time
-	// (a deadlocked workload); previously this spun forever.
+	// (a deadlocked workload).
 	Stalled bool
 
 	// Failure report: Reason is ReasonNone after a clean run (completion or
@@ -174,44 +180,27 @@ type homeQueue struct {
 }
 
 // NewSimulator wires a built system, a populated scheduler and run options
-// into a runnable simulation.
+// into a runnable simulation. It allocates the simulator's shape and capacity
+// and leaves every per-run field to initRun, the path Reset takes too.
 func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 	cfg := sys.Cfg
-	host := opts.HostThreads
-	if host <= 0 {
-		host = cfg.HostThreads
-	}
-	if host <= 0 {
-		host = runtime.NumCPU()
-	}
-	s := &Simulator{
-		Sys:         sys,
-		Sched:       sched,
-		opts:        opts,
-		intervalLen: cfg.IntervalCycles,
-		hostThreads: host,
-		contention:  cfg.Contention,
-		rngState:    opts.Seed*6364136223846793005 + 1442695040888963407,
-	}
-	s.ctl = opts.Ctl
-	if s.ctl == nil {
-		s.ctl = new(runctl.Token)
-	}
+	host := resolveHostThreads(opts, cfg)
 	// The per-core bookkeeping is sized exactly with plain allocations: the
 	// construction arena's minimum chunk per element type would leave
 	// kilobytes of slack per type on a small chip.
 	n := len(sys.Cores)
-	s.boundTask = s.boundWorker
-	s.coreCycles = make([]uint64, n)
-	s.lastTid = make([]int32, n)
-	for i := range s.lastTid {
-		s.lastTid[i] = -1
+	s := &Simulator{
+		Sys:         sys,
+		Sched:       sched,
+		intervalLen: cfg.IntervalCycles,
+		contention:  cfg.Contention,
+		pool:        engine.NewPool(host),
+		homes:       make([]homeQueue, host),
+		homeAsg:     make([]virt.Assignment, n),
+		coreCycles:  make([]uint64, n),
+		lastTid:     make([]int32, n),
 	}
-
-	s.pool = engine.NewPool(host)
-	s.homes = make([]homeQueue, host)
-	s.homeAsg = make([]virt.Assignment, n)
-	s.workers = min(host, s.pool.Parallelism())
+	s.boundTask = s.boundWorker
 
 	if s.contention {
 		maxComp := max(slices.Max(sys.BankComp), slices.Max(sys.MemComp))
@@ -221,9 +210,7 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 		}
 		if sys.Fabric != nil {
 			// NoC contention: the fabric's routers live in the System (their
-			// stats registry is built once); a fresh simulator starts them
-			// from idle port clocks.
-			sys.Fabric.Reset()
+			// stats registry is built once).
 			s.models.fabric = sys.Fabric
 			s.models.routerComp = sys.RouterComp
 			s.models.routers = make([]*noc.Router, slices.Max(sys.RouterComp)+1)
@@ -252,24 +239,80 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 		shared := denseShared(sys.SharedComp)
 		recs := make([]Recorder, n)
 		s.recorders = make([]*Recorder, n)
-		for coreID, c := range sys.Cores {
+		for coreID := range recs {
 			recs[coreID] = Recorder{shared: shared, net: sys.Fabric != nil}
 			s.recorders[coreID] = &recs[coreID]
-			c.SetRecorder(&recs[coreID])
 		}
 		s.slab = event.NewSlab(64 << 10 / int(unsafe.Sizeof(event.Event{})))
 		s.engine = new(event.Engine)
 		s.chains = make([]coreChain, n)
 	}
-	s.instrsTotal.Store(s.totalInstrs())
+	s.initRun(opts)
+	return s
+}
+
+// resolveHostThreads is the bound phase's host thread count for opts: 0
+// defers to the configuration, and 0 there to the host's CPUs.
+func resolveHostThreads(opts Options, cfg *config.System) int {
+	host := opts.HostThreads
+	if host <= 0 {
+		host = cfg.HostThreads
+	}
+	if host <= 0 {
+		host = runtime.NumCPU()
+	}
+	return host
+}
+
+// initRun puts every per-run field in its initial state for opts: the
+// options and what derives from them, the bound rounds' scratch, the per-core
+// bookkeeping, the weave state, the recorders and observers the cores carry,
+// and the run statistics. NewSimulator calls it on a just-built system and
+// Reset after rewinding the system, so a reset simulator is a fresh one by
+// construction (TestResetMatchesFresh checks it field by field).
+func (s *Simulator) initRun(opts Options) {
+	s.opts = opts
+	s.hostThreads = resolveHostThreads(opts, s.Sys.Cfg)
+	s.rngState = opts.Seed*6364136223846793005 + 1442695040888963407
+	s.ctl = opts.Ctl
+	if s.ctl == nil {
+		s.ctl = new(runctl.Token)
+	}
 	s.probe = opts.Probe
 	s.traceSink = opts.Trace
-	if opts.Profiler != nil {
-		for _, c := range sys.Cores {
+
+	s.globalCycle = 0
+	// GOMAXPROCS is read here, once per run: rounds would pay for the
+	// runtime's scheduler lock.
+	s.workers = min(s.hostThreads, s.pool.Parallelism())
+	s.roundWorkers, s.intervalEnd = 0, 0
+	clear(s.homes)
+	clear(s.homeAsg)
+	s.asgA, s.asgB = s.asgA[:0], s.asgB[:0]
+	clear(s.coreCycles)
+	for i := range s.lastTid {
+		s.lastTid[i] = -1
+	}
+	s.instrsTotal.Store(s.totalInstrs())
+	s.phase = ""
+	s.runStats = runStats{}
+
+	// Cores are built, and reset, with no recorder or observer attached.
+	for coreID, c := range s.Sys.Cores {
+		if s.contention {
+			s.recorders[coreID].Reset()
+			c.SetRecorder(s.recorders[coreID])
+		}
+		if opts.Profiler != nil {
 			c.SetObserver(opts.Profiler)
 		}
 	}
-	return s
+	if s.contention {
+		s.slab.Reset()
+		s.engine.Reset()
+		s.models.reset()
+		clear(s.chains)
+	}
 }
 
 // GlobalCycle returns the current interval-aligned global cycle.
@@ -306,8 +349,10 @@ func (s *Simulator) Close() { s.pool.Close() }
 // another run without reconstruction. Everything expensive stays warm: the
 // construction arena's chunks, the worker pool, the weave engine's heap, the
 // per-core recorders, the event slab and contention models. Only their mutable
-// state rewinds, so a Reset simulator produces bit-identical results to a
-// fresh build for the same options and workloads.
+// state rewinds: System.Reset rewinds the chip, and initRun, the per-run
+// initialiser NewSimulator also ends with, does the rest. A Reset simulator
+// therefore produces bit-identical results to a fresh build for the same
+// options and workloads.
 //
 // opts may vary the run-variable knobs (seed, limits, cancellation token,
 // profiler); shape-defining state (interval length, contention models, pool
@@ -323,76 +368,7 @@ func (s *Simulator) Reset(opts Options) error {
 	}
 	opts.Reusable = true
 	s.Sys.Reset()
-
-	// Core resets detach recorders and observers; re-install them.
-	if s.contention {
-		for coreID, c := range s.Sys.Cores {
-			rec := s.recorders[coreID]
-			rec.Reset()
-			rec.Dropped = 0
-			c.SetRecorder(rec)
-		}
-		s.slab.Reset()
-		s.engine.Reset()
-		for _, b := range s.models.banks {
-			if b != nil {
-				b.Reset()
-				b.Accesses, b.PortConflicts, b.MSHRStalls = 0, 0, 0
-			}
-		}
-		for _, m := range s.models.mems {
-			if m != nil {
-				m.Reset()
-			}
-		}
-		clear(s.chains)
-	}
-	if opts.Profiler != nil {
-		for _, c := range s.Sys.Cores {
-			c.SetObserver(opts.Profiler)
-		}
-	}
-
-	host := opts.HostThreads
-	if host <= 0 {
-		host = s.Sys.Cfg.HostThreads
-	}
-	if host <= 0 {
-		host = runtime.NumCPU()
-	}
-	s.opts = opts
-	s.hostThreads = host // Run clamps the bound workers to the pool's built size
-	s.rngState = opts.Seed*6364136223846793005 + 1442695040888963407
-	s.ctl = opts.Ctl
-	if s.ctl == nil {
-		s.ctl = new(runctl.Token)
-	}
-
-	s.globalCycle = 0
-	s.roundWorkers = 0
-	s.intervalEnd = 0
-	s.asgA = s.asgA[:0]
-	s.asgB = s.asgB[:0]
-	clear(s.coreCycles)
-	for i := range s.lastTid {
-		s.lastTid[i] = -1
-	}
-	s.instrsTotal.Store(0)
-	s.phase = ""
-	s.probe = opts.Probe
-	s.traceSink = opts.Trace
-
-	s.Intervals = 0
-	s.BoundRounds = 0
-	s.WeaveEvents = 0
-	s.TotalFeedback = 0
-	s.BoundNanos = 0
-	s.WeaveNanos = 0
-	s.ChainNanos = 0
-	s.Stalled = false
-	s.Reason = runctl.ReasonNone
-	s.PanicErr = nil
-	s.FailPhase = ""
+	s.initRun(opts)
 	return nil
 }
 
@@ -427,9 +403,6 @@ func (s *Simulator) Run() uint64 {
 		defer w.Stop()
 	}
 	s.poolRuns0, s.poolWakes0 = s.pool.Stats()
-	// GOMAXPROCS is read here, once per run: rounds would pay for the
-	// runtime's scheduler lock.
-	s.workers = min(s.hostThreads, s.pool.Parallelism())
 	s.probe.BeginRun(s.opts.MaxCycles)
 	defer func() {
 		// Final publication (runs first on the defer stack, so it also fires

@@ -87,18 +87,11 @@ func NewDDR3(_ string, t DDR3Timing) *DDR3 {
 	}
 }
 
-// Reset clears all bank and bus state.
+// Reset restores the model to its just-built state, counters included.
 func (d *DDR3) Reset() {
-	for i := range d.bankFree {
-		d.bankFree[i] = 0
-		d.bankIdleSince[i] = 0
-	}
-	d.busFree = 0
-	d.lastStart = 0
-	d.TotalRequests = 0
-	d.RowConflicts = 0
-	d.PowerdownExits = 0
-	d.TotalWaitMem = 0
+	clear(d.bankFree)
+	clear(d.bankIdleSince)
+	*d = DDR3{t: d.t, bankFree: d.bankFree, bankIdleSince: d.bankIdleSince}
 }
 
 func (d *DDR3) bankOf(lineAddr uint64) int {
@@ -190,15 +183,10 @@ func NewCycleDriven(t DDR3Timing) *CycleDriven {
 	return &CycleDriven{t: t, bankBusy: make([]uint64, nb)}
 }
 
-// Reset clears the model state.
+// Reset restores the model to its just-built state, counters included.
 func (c *CycleDriven) Reset() {
-	c.clock = 0
-	c.busBusy = 0
-	c.TotalReqs = 0
-	c.Ticks = 0
-	for i := range c.bankBusy {
-		c.bankBusy[i] = 0
-	}
+	clear(c.bankBusy)
+	*c = CycleDriven{t: c.t, bankBusy: c.bankBusy}
 }
 
 func (c *CycleDriven) bankOf(lineAddr uint64) int {

@@ -42,7 +42,7 @@ type ContentionModel interface {
 	// RequestLatency returns the total latency (in CPU cycles) of a request
 	// arriving at the controller at the given cycle.
 	RequestLatency(lineAddr uint64, cycle uint64, write bool) uint64
-	// Reset clears the model's state (used between intervals or runs).
+	// Reset restores the model to its just-built state, counters included.
 	Reset()
 }
 
@@ -190,10 +190,12 @@ func (m *MD1) Access(req *cache.Request) uint64 {
 	return req.Cycle + lat
 }
 
-// Reset clears the arrival window.
+// Reset restores the model to its just-built state: an empty arrival window.
+// Its counters are registry-owned and zeroed by Registry.Reset.
 func (m *MD1) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	clear(m.window)
 	m.widx = 0
 	m.wcount = 0
 }

@@ -147,11 +147,12 @@ func (r *Router) Schedule(port int, dispatch uint64) uint64 {
 	return start + lat
 }
 
-// Reset clears the router's port clocks and queues (statistics are kept).
+// Reset restores the router's ports to their just-built state: idle clocks
+// and empty queues. Its counters are registry-owned and zeroed by
+// Registry.Reset.
 func (r *Router) Reset() {
 	for i := range r.ports {
-		r.ports[i].free = 0
-		r.ports[i].inflight = r.ports[i].inflight[:0]
+		r.ports[i] = portState{inflight: r.ports[i].inflight[:0]}
 	}
 }
 
@@ -222,8 +223,8 @@ func (f *Fabric) PerHop() uint64 { return uint64(f.topo.PerHopLatency()) }
 // NextHop delegates to the topology's deterministic routing.
 func (f *Fabric) NextHop(cur, dst int) (next, port int) { return f.topo.NextHop(cur, dst) }
 
-// Reset clears every router's port clocks (used when a fresh simulator is
-// attached to an already-built system).
+// Reset restores every router's ports to their just-built state (System.Reset
+// calls it).
 func (f *Fabric) Reset() {
 	for _, r := range f.routers {
 		r.Reset()

@@ -153,7 +153,7 @@ type Process struct {
 // Scheduler is the user-level scheduler: it assigns runnable threads to
 // simulated cores (round-robin, affinity-aware), tracks synchronization
 // state, and implements the blocking-syscall join/leave protocol — both at
-// interval boundaries (ScheduleInterval) and inside intervals
+// interval boundaries (ScheduleIntervalInto) and inside intervals
 // (ResolveRound).
 //
 // A Scheduler has a single owner: its methods must not run concurrently with
@@ -343,9 +343,7 @@ func NewScheduler(numCores int) *Scheduler {
 		locks:    make(map[int]*lockState),
 		barriers: make(map[int]*barrierState),
 	}
-	for i := range s.running {
-		s.running[i] = -1
-	}
+	s.Reset()
 	return s
 }
 
@@ -483,16 +481,12 @@ type Assignment struct {
 	Thread *Thread
 }
 
-// ScheduleInterval assigns runnable threads to cores for the next interval
-// and returns the assignments. Threads already running stay on their core
-// unless they blocked; free cores pull from the run queue round-robin,
-// honouring affinities. Oversubscribed threads take turns across intervals.
-func (s *Scheduler) ScheduleInterval(now uint64) []Assignment {
-	return s.ScheduleIntervalInto(now, nil)
-}
-
-// ScheduleIntervalInto is ScheduleInterval writing into a reusable buffer, so
-// the steady-state interval loop performs no allocation.
+// ScheduleIntervalInto assigns runnable threads to cores for the next
+// interval and appends the assignments to out, a reusable buffer, so the
+// steady-state interval loop performs no allocation. Threads already running
+// stay on their core unless they blocked; free cores pull from the run queue
+// round-robin, honouring affinities. Oversubscribed threads take turns across
+// intervals.
 func (s *Scheduler) ScheduleIntervalInto(now uint64, out []Assignment) []Assignment {
 	// Wake syscall-blocked threads whose time has come.
 	s.wake(now)

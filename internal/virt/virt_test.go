@@ -42,7 +42,7 @@ func TestSchedulerBasicAssignment(t *testing.T) {
 	if s.NumThreads() != 3 || s.LiveThreads() != 3 {
 		t.Fatalf("threads: %d live %d", s.NumThreads(), s.LiveThreads())
 	}
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	if len(asg) != 3 {
 		t.Fatalf("3 threads on 4 cores should all be scheduled, got %d", len(asg))
 	}
@@ -57,7 +57,7 @@ func TestSchedulerBasicAssignment(t *testing.T) {
 		}
 	}
 	// Next interval: still running, same assignments.
-	asg2 := s.ScheduleInterval(1000)
+	asg2 := s.ScheduleIntervalInto(1000, nil)
 	if len(asg2) != 3 {
 		t.Fatalf("running threads should stay scheduled")
 	}
@@ -72,7 +72,7 @@ func TestSchedulerOversubscription(t *testing.T) {
 	ran := make(map[int]int)
 	now := uint64(0)
 	for interval := 0; interval < 20; interval++ {
-		asg := s.ScheduleInterval(now)
+		asg := s.ScheduleIntervalInto(now, nil)
 		if len(asg) > 2 {
 			t.Fatalf("cannot schedule more threads than cores")
 		}
@@ -100,7 +100,7 @@ func TestSchedulerAffinity(t *testing.T) {
 		p.Threads = append(p.Threads, &Thread{Stream: w.NewThread(i)})
 	}
 	s.AddProcess(p)
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	if len(asg) != 1 {
 		t.Fatalf("only one thread fits on the single allowed core, got %d", len(asg))
 	}
@@ -112,7 +112,7 @@ func TestSchedulerAffinity(t *testing.T) {
 	p2 := &Process{ID: 0, Affinity: []int{0}}
 	p2.Threads = append(p2.Threads, &Thread{Stream: w.NewThread(0), Affinity: []int{3}})
 	s2.AddProcess(p2)
-	asg = s2.ScheduleInterval(0)
+	asg = s2.ScheduleIntervalInto(0, nil)
 	if len(asg) != 1 || asg[0].Core != 3 {
 		t.Fatalf("thread affinity should win: %+v", asg)
 	}
@@ -123,7 +123,7 @@ func TestLockBlockingAndHandoff(t *testing.T) {
 	w := testWorkload(2, 10)
 	s.AddWorkload(w)
 	t0, t1 := s.Thread(0), s.Thread(1)
-	s.ScheduleInterval(0)
+	s.ScheduleIntervalInto(0, nil)
 
 	s.onLockAcquire(t0, 7, 100)
 	if !holdsLock(s, t0, 7) || t0.State != StateRunning {
@@ -152,7 +152,7 @@ func TestLockBlockingAndHandoff(t *testing.T) {
 		t.Fatalf("spurious release must not steal the lock")
 	}
 	// The woken thread gets scheduled again.
-	asg := s.ScheduleInterval(1000)
+	asg := s.ScheduleIntervalInto(1000, nil)
 	found := false
 	for _, a := range asg {
 		if a.Thread.ID == t1.ID {
@@ -168,7 +168,7 @@ func TestBarrierReleasesWhenAllArrive(t *testing.T) {
 	s := NewScheduler(4)
 	w := testWorkload(3, 10)
 	s.AddWorkload(w)
-	s.ScheduleInterval(0)
+	s.ScheduleIntervalInto(0, nil)
 	t0, t1, t2 := s.Thread(0), s.Thread(1), s.Thread(2)
 
 	s.onBarrier(t0, 100)
@@ -195,7 +195,7 @@ func TestBarrierIgnoresFinishedThreads(t *testing.T) {
 	s := NewScheduler(2)
 	w := testWorkload(2, 10)
 	s.AddWorkload(w)
-	s.ScheduleInterval(0)
+	s.ScheduleIntervalInto(0, nil)
 	t0, t1 := s.Thread(0), s.Thread(1)
 	// Thread 1 finishes; a barrier must then only require thread 0.
 	s.onDone(t1, 50)
@@ -212,7 +212,7 @@ func TestDoneReleasesHeldLocks(t *testing.T) {
 	s := NewScheduler(2)
 	w := testWorkload(2, 10)
 	s.AddWorkload(w)
-	s.ScheduleInterval(0)
+	s.ScheduleIntervalInto(0, nil)
 	t0, t1 := s.Thread(0), s.Thread(1)
 	s.onLockAcquire(t0, 1, 10)
 	s.onLockAcquire(t1, 1, 20) // blocks
@@ -226,21 +226,21 @@ func TestBlockedSyscallJoinLeave(t *testing.T) {
 	s := NewScheduler(2)
 	w := testWorkload(2, 10)
 	s.AddWorkload(w)
-	s.ScheduleInterval(0)
+	s.ScheduleIntervalInto(0, nil)
 	t0 := s.Thread(0)
 	s.onBlockedSyscall(t0, 1000, 5000)
 	if t0.State != StateBlockedSyscall {
 		t.Fatalf("thread should be blocked in the kernel")
 	}
 	// Before the wake time it is not scheduled.
-	asg := s.ScheduleInterval(2000)
+	asg := s.ScheduleIntervalInto(2000, nil)
 	for _, a := range asg {
 		if a.Thread.ID == t0.ID {
 			t.Fatalf("blocked thread must not be scheduled")
 		}
 	}
 	// After the wake time it rejoins with its clock advanced.
-	asg = s.ScheduleInterval(7000)
+	asg = s.ScheduleIntervalInto(7000, nil)
 	found := false
 	for _, a := range asg {
 		if a.Thread.ID == t0.ID {
@@ -272,7 +272,7 @@ func TestMultiprocessScheduling(t *testing.T) {
 	if p1.ID == p2.ID {
 		t.Fatalf("processes should have distinct IDs")
 	}
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	procs := map[int]int{}
 	for _, a := range asg {
 		procs[a.Thread.Proc]++
@@ -296,7 +296,7 @@ func TestMultiprocessScheduling(t *testing.T) {
 func TestResolveRoundGrantsFreeLockAndResumes(t *testing.T) {
 	s := NewScheduler(2)
 	s.AddWorkload(testWorkload(2, 10))
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	if len(asg) != 2 {
 		t.Fatalf("both threads should be scheduled, got %d", len(asg))
 	}
@@ -330,7 +330,7 @@ func TestResolveRoundArbitratesBySimulatedCycle(t *testing.T) {
 	// (which in a real run depends on host scheduling).
 	s := NewScheduler(2)
 	s.AddWorkload(testWorkload(2, 10))
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	tA, tB := s.Thread(0), s.Thread(1)
 	tA.Cycle = 200
 	tA.Record(OpLockAcquire, 9, 200, 0)
@@ -350,7 +350,7 @@ func TestResolveRoundMidIntervalLockHandoff(t *testing.T) {
 	// same interval on the freed core instead of waiting for the next one.
 	s := NewScheduler(2)
 	s.AddWorkload(testWorkload(2, 10))
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	t0, t1 := s.Thread(0), s.Thread(1)
 
 	t0.Cycle = 10
@@ -389,7 +389,7 @@ func TestResolveRoundSyscallLeaveAndJoin(t *testing.T) {
 	// inside the interval, the first thread rejoins.
 	s := NewScheduler(1)
 	s.AddWorkload(testWorkload(2, 10))
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	if len(asg) != 1 {
 		t.Fatalf("one core fits one thread")
 	}
@@ -431,7 +431,7 @@ func TestResolveRoundHonoursAffinityOnFreedCores(t *testing.T) {
 		&Thread{Stream: w.NewThread(1)},
 		&Thread{Stream: w.NewThread(2), Affinity: []int{0}})
 	s.AddProcess(p)
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	if len(asg) != 2 {
 		t.Fatalf("two cores fit two threads")
 	}
@@ -453,7 +453,7 @@ func TestResolveRoundHonoursAffinityOnFreedCores(t *testing.T) {
 func TestResolveRoundRespectsIntervalEnd(t *testing.T) {
 	s := NewScheduler(1)
 	s.AddWorkload(testWorkload(2, 10))
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	t0 := s.Thread(0)
 	t0.Cycle = 990
 	t0.Record(OpSyscall, 0, 990, 100000)
@@ -470,7 +470,7 @@ func TestResolveRoundRespectsIntervalEnd(t *testing.T) {
 func TestEndIntervalTimeMultiplexes(t *testing.T) {
 	s := NewScheduler(2)
 	s.AddWorkload(testWorkload(4, 10))
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	for _, a := range asg {
 		a.Thread.Cycle = 1000
 	}
@@ -480,7 +480,7 @@ func TestEndIntervalTimeMultiplexes(t *testing.T) {
 			t.Fatalf("oversubscribed threads should be descheduled at the interval end")
 		}
 	}
-	asg2 := s.ScheduleInterval(1000)
+	asg2 := s.ScheduleIntervalInto(1000, nil)
 	for _, a := range asg2 {
 		if a.Thread.ID != 2 && a.Thread.ID != 3 {
 			t.Fatalf("waiting threads should get the cores next interval, got thread %d", a.Thread.ID)
@@ -494,7 +494,7 @@ func TestRunnableAndLiveCounts(t *testing.T) {
 	if s.NumRunnable() != 3 || s.LiveThreads() != 3 {
 		t.Fatalf("counts: runnable=%d live=%d", s.NumRunnable(), s.LiveThreads())
 	}
-	asg := s.ScheduleInterval(0)
+	asg := s.ScheduleIntervalInto(0, nil)
 	if s.NumRunnable() != 1 {
 		t.Fatalf("two placed threads leave one runnable, got %d", s.NumRunnable())
 	}
@@ -528,7 +528,7 @@ func TestBarrierSparseProcessIDs(t *testing.T) {
 	}
 	pa := mk(3, 2) // sparse IDs: 3 and 9
 	pb := mk(9, 2)
-	s.ScheduleInterval(0)
+	s.ScheduleIntervalInto(0, nil)
 
 	// Process 9's first thread finishes; its barrier then needs only one
 	// arrival, while process 3 still needs both of its threads.

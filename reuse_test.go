@@ -95,27 +95,40 @@ func requireIdentical(t *testing.T, stage string, want, got *Result) {
 
 // TestReuseBitIdentityMatrix is the fresh-vs-reused identity matrix:
 // GOMAXPROCS {1,4} x bound phase {serial (1 host thread), parallel (4)} x
-// NoC {off,on}, with the reused simulator exercised after a clean run, after
-// a cycle-limit abort, and after a cancellation — every subsequent clean run
-// must match the fresh baseline exactly.
+// NoC {off,on}, plus a serial OOO core over MD1 memory with the cycle-driven
+// weave DRAM model, with the reused simulator exercised after a clean run,
+// after a cycle-limit abort, and after a cancellation — every subsequent clean
+// run must match the fresh baseline exactly. The MD1 row is serial because
+// MD1 retimes accesses in bound-phase arrival order.
 func TestReuseBitIdentityMatrix(t *testing.T) {
 	modes := []struct {
 		name string
 		noc  bool
+		ooo  bool // ooo cores, md1 memory, cycle-driven weave DRAM
 		host int
 	}{
-		{"serial", false, 1},
-		{"parallel", false, 4},
-		{"serial-noc", true, 1},
-		{"parallel-noc", true, 4},
+		{"serial", false, false, 1},
+		{"parallel", false, false, 4},
+		{"serial-noc", true, false, 1},
+		{"parallel-noc", true, false, 4},
+		{"serial-ooo-md1-cycle-driven", false, true, 1},
 	}
 	for _, gmp := range []int{1, 4} {
 		for _, m := range modes {
 			t.Run(fmt.Sprintf("gomaxprocs-%d/%s", gmp, m.name), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gmp))
+				modeCfg := func() *Config {
+					cfg := reuseCfg(m.noc)
+					if m.ooo {
+						cfg.CoreModel = config.CoreOOO
+						cfg.MemModel = config.MemMD1
+						cfg.WeaveMem = config.WeaveMemCycleDriven
+					}
+					return cfg
+				}
 
 				// Fresh baseline: ordinary single-use simulator.
-				fresh, err := New(reuseCfg(m.noc))
+				fresh, err := New(modeCfg())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +138,7 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 				}
 
 				// Reusable simulator, run 1: must match fresh.
-				sim, err := New(reuseCfg(m.noc))
+				sim, err := New(modeCfg())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -148,7 +161,7 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 				requireIdentical(t, "after clean run", want, got)
 
 				// Reset into a cycle-limited abort, then Reset back to clean.
-				limited := reuseCfg(m.noc)
+				limited := modeCfg()
 				limited.MaxCycles = 3000
 				if err := sim.Reset(limited); err != nil {
 					t.Fatalf("Reset to limited cfg: %v", err)
@@ -161,7 +174,7 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 						t.Fatalf("cycle-limited run: %v", err)
 					}
 				}
-				if err := sim.Reset(reuseCfg(m.noc)); err != nil {
+				if err := sim.Reset(modeCfg()); err != nil {
 					t.Fatalf("Reset after cycle-limit abort: %v", err)
 				}
 				got, err = reuseRun(t, sim, nil, 300, m.host)

@@ -189,7 +189,22 @@ type Simulator struct {
 	// it, unlike the construction arena that owns the system itself.
 	runArena *arena.Arena
 
-	// Options.
+	// Warm-reuse state: when reusable is set, bw is the persistent
+	// bound-weave simulator kept alive across runs.
+	reusable bool
+	bw       *boundweave.Simulator
+
+	// probe is the simulator's always-on telemetry publication point (cheap:
+	// atomic stores at interval boundaries).
+	probe *telemetry.Probe
+
+	runSetup
+}
+
+// runSetup is one run's inputs (the Set* options and the added workloads) and
+// whether and how the run ended. New and Reset both start it from
+// newRunSetup.
+type runSetup struct {
 	maxInstrs   uint64
 	hostThreads int
 	seed        uint64
@@ -198,19 +213,16 @@ type Simulator struct {
 	usedAddr  map[uint64]bool
 	ran       bool
 
-	// Warm-reuse state: when reusable is set, bw is the persistent
-	// bound-weave simulator kept alive across runs, and lastReason remembers
-	// how the previous run ended (Reset refuses to rewind after a panic).
-	reusable   bool
-	bw         *boundweave.Simulator
-	lastReason runctl.Reason
-
-	// probe is the simulator's always-on telemetry publication point (cheap:
-	// atomic stores at interval boundaries); traceSink is the optional
-	// Chrome-trace sink.
-	probe     *telemetry.Probe
+	// traceSink is the optional Chrome-trace sink.
 	traceSink *telemetry.TraceSink
+	// lastReason is how the previous run ended (Reset refuses to rewind
+	// after a panic).
+	lastReason runctl.Reason
 }
+
+// newRunSetup is the per-run state of a simulator no workload or option has
+// been given yet.
+func newRunSetup() runSetup { return runSetup{seed: 1} }
 
 // assignAddrSpace places a new process in its own simulated address-space
 // slice so multiprocess runs do not alias each other's code, lock words or
@@ -243,8 +255,8 @@ func New(cfg *Config) (*Simulator, error) {
 		sys:      sys,
 		sched:    virt.NewScheduler(cfg.NumCores),
 		runArena: arena.New(),
-		seed:     1,
 		probe:    new(telemetry.Probe),
+		runSetup: newRunSetup(),
 	}, nil
 }
 
@@ -326,14 +338,8 @@ func (s *Simulator) Reset(cfg *Config) error {
 	// scheduler reset just dropped; rewinding it lets the next run's workloads
 	// decode into the same warm chunks.
 	s.runArena.Reset()
-	s.workloads = 0
-	s.usedAddr = nil
-	s.ran = false
-	s.maxInstrs = 0
-	s.hostThreads = 0
-	s.seed = 1
-	s.traceSink = nil // a Set* option: re-apply per run
-	s.probe.Reset()   // the next run's BeginRun rewinds it too; clear eagerly
+	s.runSetup = newRunSetup()
+	s.probe.Reset() // the next run's BeginRun rewinds it too; clear eagerly
 	return nil
 }
 
@@ -353,13 +359,7 @@ func (s *Simulator) SetSeed(seed uint64) { s.seed = seed }
 // cores; the round-robin scheduler time-multiplexes them). It returns the
 // process ID.
 func (s *Simulator) AddWorkload(name string, params WorkloadParams, threads int) int {
-	s.assignAddrSpace(&params)
-	// Workload static code (blocks + decoded blocks) lives in the per-run
-	// arena so Reset can rewind it for the next run's workloads.
-	w := trace.NewIn(s.runArena, name, params, threads)
-	p := s.sched.AddWorkload(w)
-	s.workloads++
-	return p.ID
+	return s.AddPinnedWorkload(name, params, threads, nil)
 }
 
 // AddNamedWorkload adds a process running one of the registered named
@@ -374,12 +374,14 @@ func (s *Simulator) AddNamedWorkload(name string, threads int) (int, error) {
 
 // AddPinnedWorkload adds a workload whose threads are restricted to the given
 // cores (the "groups of cores per application" usage model the paper
-// describes for multiprogrammed runs).
+// describes for multiprogrammed runs). nil cores leaves them unrestricted.
 func (s *Simulator) AddPinnedWorkload(name string, params WorkloadParams, threads int, cores []int) int {
 	s.assignAddrSpace(&params)
+	// Workload static code (blocks + decoded blocks) lives in the per-run
+	// arena so Reset can rewind it for the next run's workloads.
 	w := trace.NewIn(s.runArena, name, params, threads)
 	p := &virt.Process{ID: s.workloads, Name: name, Affinity: cores}
-	for i := 0; i < threads; i++ {
+	for i := 0; i < w.Threads; i++ {
 		p.Threads = append(p.Threads, &virt.Thread{Stream: w.NewThread(i)})
 	}
 	s.sched.AddProcess(p)
@@ -464,14 +466,6 @@ func (r *Result) Summary() string {
 		r.HostTime.Round(time.Millisecond), m.SimMIPS, r.Intervals, r.WeaveEvents)
 }
 
-// buildSimCtl constructs the bound-weave simulator state (recorders, event
-// slabs, weave engine, worker pool) for the configured system and workloads,
-// with the run-control token and the configuration's run limits wired in,
-// without running it.
-func (s *Simulator) buildSimCtl(ctl *runctl.Token) *boundweave.Simulator {
-	return boundweave.NewSimulator(s.sys, s.sched, s.runOptions(ctl))
-}
-
 // runOptions assembles the bound-weave options for one run.
 func (s *Simulator) runOptions(ctl *runctl.Token) boundweave.Options {
 	return boundweave.Options{
@@ -491,14 +485,15 @@ func (s *Simulator) runOptions(ctl *runctl.Token) boundweave.Options {
 // the first run (or always, when not reusable), a warm Reset of the retained
 // one on every run after that.
 func (s *Simulator) acquireSim(ctl *runctl.Token) (*boundweave.Simulator, error) {
+	opts := s.runOptions(ctl)
 	if !s.reusable {
-		return s.buildSimCtl(ctl), nil
+		return boundweave.NewSimulator(s.sys, s.sched, opts), nil
 	}
 	if s.bw == nil {
-		s.bw = s.buildSimCtl(ctl)
+		s.bw = boundweave.NewSimulator(s.sys, s.sched, opts)
 		return s.bw, nil
 	}
-	if err := s.bw.Reset(s.runOptions(ctl)); err != nil {
+	if err := s.bw.Reset(opts); err != nil {
 		return nil, err
 	}
 	return s.bw, nil

@@ -133,7 +133,7 @@ func TestRunDeadlockReturnsTypedError(t *testing.T) {
 	// it (Record, then one ResolveRound): thread 0 takes lock 1 and waits at
 	// a barrier, holding the lock thread 1 then blocks on.
 	t0, t1 := sim.sched.Thread(0), sim.sched.Thread(1)
-	asg := sim.sched.ScheduleInterval(0)
+	asg := sim.sched.ScheduleIntervalInto(0, nil)
 	t0.Record(virt.OpLockAcquire, 1, 0, 0)
 	t0.Record(virt.OpBarrier, 1, 0, 0)
 	t1.Record(virt.OpLockAcquire, 1, 0, 0)
