@@ -143,18 +143,15 @@ type Simulator struct {
 
 // runStats are one run's statistics, zeroed by a single assignment in
 // initRun. Embedding keeps them spelled sim.Intervals, sim.Reason and so on.
-// WeaveEvents counts the events the weave engine ran.
+// The embedded telemetry.Sample holds the run's counters (WeaveEvents counts
+// the events the weave engine ran; ChainNanos is the part of WeaveNanos spent
+// building the intervals' event chains, including pushing each core's
+// ungated first events onto the engine's heap). Its gauges — Cycles, Instrs,
+// the pool and thread fields — stay zero here: publishTelemetry fills them
+// into the copy it publishes.
 type runStats struct {
-	Intervals     uint64
-	BoundRounds   uint64
-	WeaveEvents   uint64
+	telemetry.Sample
 	TotalFeedback uint64
-	BoundNanos    int64
-	WeaveNanos    int64
-	// ChainNanos is the part of WeaveNanos spent building the intervals'
-	// event chains, including pushing each core's ungated first events onto
-	// the engine's heap; the rest is the engine run and the delay feedback.
-	ChainNanos int64
 	// Stalled reports that the run ended because no thread was runnable and
 	// no blocked thread could ever be woken by the passage of simulated time
 	// (a deadlocked workload).
@@ -522,30 +519,21 @@ func (s *Simulator) runInterval() bool {
 	return true
 }
 
-// publishTelemetry stores the run's current counters into the probe: one
-// Sample built on the stack and written with atomic stores, so it adds no
-// allocation to the interval loop. All sources are quiescent at interval
-// boundaries (the pool's workers are parked between phases).
+// publishTelemetry stores the run's current counters into the probe: a copy
+// of the run's Sample with the gauges filled in, built on the stack, so it
+// adds no allocation to the interval loop. All sources are quiescent at
+// interval boundaries (the pool's workers are parked between phases).
 func (s *Simulator) publishTelemetry() {
 	if s.probe == nil {
 		return
 	}
+	smp := s.Sample
 	sc := s.Sched.Counts()
-	smp := telemetry.Sample{
-		Intervals:       s.Intervals,
-		BoundRounds:     s.BoundRounds,
-		Cycles:          s.globalCycle,
-		Instrs:          s.instrsTotal.Load(),
-		WeaveEvents:     s.WeaveEvents,
-		BoundNanos:      s.BoundNanos,
-		WeaveNanos:      s.WeaveNanos,
-		ChainNanos:      s.ChainNanos,
-		PoolWorkers:     s.roundWorkers,
-		LiveThreads:     sc.Live,
-		RunnableThreads: sc.Runnable,
-	}
+	smp.Cycles, smp.Instrs = s.globalCycle, s.instrsTotal.Load()
+	smp.LiveThreads, smp.RunnableThreads = sc.Live, sc.Runnable
 	runs, wakes := s.pool.Stats()
 	smp.PoolRuns, smp.PoolWakes = runs-s.poolRuns0, wakes-s.poolWakes0
+	smp.PoolWorkers = s.roundWorkers
 	s.probe.Publish(smp)
 }
 

@@ -231,15 +231,22 @@ func (f *Fabric) Reset() {
 	}
 }
 
-// Stats aggregates the fabric's counters.
+// Stats aggregates the fabric's counters over a run.
 type Stats struct {
-	Traversals    uint64
-	BusyCycles    uint64
+	// Traversals counts packets scheduled through router output ports, and
+	// BusyCycles the output-port occupancy they charged (backpressure
+	// included).
+	Traversals uint64
+	BusyCycles uint64
+	// PortConflicts counts packets that found their output port's link busy;
+	// QueueStalls counts the subset of them that also found the port's
+	// bounded queue full on arrival (each charges the port backpressure
+	// occupancy for the time the packet blocked the upstream link).
 	PortConflicts uint64
 	QueueStalls   uint64
-	QueueDelay    uint64
-	// MaxRouterDelay is the largest per-router queueing delay, a hotspot
-	// indicator.
+	// QueueDelay is the total cycles packets spent waiting for ports, and
+	// MaxRouterDelay the largest per-router share of it (hotspot indicator).
+	QueueDelay     uint64
 	MaxRouterDelay uint64
 }
 

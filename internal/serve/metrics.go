@@ -30,7 +30,7 @@ type metrics struct {
 	reused     uint64
 	latency    map[latencyKey]*telemetry.Histogram
 	running    map[*telemetry.Probe]struct{}
-	completed  telemetry.Totals
+	completed  telemetry.Sample
 	inflight   int
 	maxVariant int // cap on distinct latency series, guarding label cardinality
 	// ewmaLatency tracks recent job service latency (seconds; 0 until the
@@ -105,7 +105,7 @@ func (m *metrics) detachProbe(p *telemetry.Probe, final telemetry.Snapshot) {
 	}
 	m.mu.Lock()
 	delete(m.running, p)
-	m.completed.Add(final)
+	m.completed.Add(final.Sample)
 	m.mu.Unlock()
 }
 
@@ -151,14 +151,14 @@ func (m *metrics) avgLatencySeconds() float64 {
 
 // engineAggregate sums completed totals with every live probe's current
 // snapshot. phaseCounts reports running jobs per published phase.
-func (m *metrics) engineAggregate() (agg telemetry.Totals, phaseCounts map[string]int) {
+func (m *metrics) engineAggregate() (agg telemetry.Sample, phaseCounts map[string]int) {
 	phaseCounts = map[string]int{"bound": 0, "weave": 0, "idle": 0, "done": 0}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	agg = m.completed
 	for p := range m.running {
 		s := p.Snapshot()
-		agg.Add(s)
+		agg.Add(s.Sample)
 		phaseCounts[s.Phase]++
 	}
 	return agg, phaseCounts

@@ -8,8 +8,9 @@
 // simulation: probes and trace sinks only record wall-clock time and counter
 // values that are pure functions of work already done, so fixed-seed results
 // are bit-identical with telemetry enabled or disabled, and every update on
-// the simulation side is a handful of atomic stores at an interval boundary —
-// no locks, no allocation, no channel traffic on the hot path.
+// the simulation side happens at an interval boundary: one struct copy under
+// a lock no reader holds for longer than a copy, plus atomic phase stores —
+// no allocation and no channel traffic on the hot path.
 package telemetry
 
 import (
@@ -42,68 +43,72 @@ func PhaseName(ph uint32) string {
 	}
 }
 
-// Sample is one interval boundary's worth of counter values, produced by the
-// bound-weave driver and stored into a Probe. All values are absolute (the
-// run's running totals), not deltas, so a missed publication can never skew a
-// reader. It is passed by value: publishing allocates nothing.
+// Sample is the run-counter record: every counter a run publishes is one
+// field here, declared once and moved as one value from the bound-weave
+// driver, through a Probe, to the service's totals (Add). All values are
+// absolute (the run's running totals), not deltas, so a missed publication
+// can never skew a reader. It is passed by value: publishing allocates
+// nothing. The JSON keys are the public progress-snapshot shape.
 type Sample struct {
-	Intervals   uint64
-	BoundRounds uint64
-	Cycles      uint64
-	Instrs      uint64
-	WeaveEvents uint64
+	Intervals   uint64 `json:"intervals"`
+	BoundRounds uint64 `json:"boundRounds"`
+	Cycles      uint64 `json:"cycles"`
+	Instrs      uint64 `json:"instrs"`
+	WeaveEvents uint64 `json:"weaveEvents"`
 
 	// Per-phase wall time spent in the bound and weave phases (host ns), and
 	// the part of the weave time spent building event chains (root pushes
 	// included).
-	BoundNanos int64
-	WeaveNanos int64
-	ChainNanos int64
+	BoundNanos int64 `json:"boundNanos"`
+	WeaveNanos int64 `json:"weaveNanos"`
+	ChainNanos int64 `json:"chainNanos"`
 
 	// Worker-pool churn over the run: bound-phase launches on the pool and
 	// the wakeups of parked workers they needed (a worker still spinning
 	// from the previous round needs none), plus the worker count of the most
 	// recent bound round (occupancy gauge).
-	PoolRuns    uint64
-	PoolWakes   uint64
-	PoolWorkers int
+	PoolRuns    uint64 `json:"poolRuns,omitempty"`
+	PoolWakes   uint64 `json:"poolWakes,omitempty"`
+	PoolWorkers int    `json:"poolWorkers,omitempty"`
 
 	// Scheduler gauges from the virtualization layer.
-	LiveThreads     int
-	RunnableThreads int
+	LiveThreads     int `json:"liveThreads"`
+	RunnableThreads int `json:"runnableThreads"`
+}
+
+// Add accumulates another run's sample: it sums the counters and leaves the
+// gauges (PoolWorkers, LiveThreads, RunnableThreads) unsummed. The service
+// layer adds each finished job's final sample and sums live jobs' samples on
+// top at scrape time, so the exported engine counters are monotone across
+// the daemon's lifetime.
+func (t *Sample) Add(s Sample) {
+	t.Intervals += s.Intervals
+	t.BoundRounds += s.BoundRounds
+	t.Cycles += s.Cycles
+	t.Instrs += s.Instrs
+	t.WeaveEvents += s.WeaveEvents
+	t.BoundNanos += s.BoundNanos
+	t.WeaveNanos += s.WeaveNanos
+	t.ChainNanos += s.ChainNanos
+	t.PoolRuns += s.PoolRuns
+	t.PoolWakes += s.PoolWakes
 }
 
 // Probe is the per-simulator telemetry publication point. The simulation side
-// stores a Sample into it at every interval boundary (atomic stores only);
-// readers — HTTP handlers, heartbeat printers — take a Snapshot at any time
-// without touching the simulation. Every field is an individual atomic, so a
-// snapshot is a consistent-enough view for monitoring (each counter is
-// internally exact and monotone within a run) while staying race-free and
-// allocation-free in both directions.
+// stores a Sample into it at every interval boundary; readers — HTTP
+// handlers, heartbeat printers — take a Snapshot at any time without touching
+// the simulation. The record sits behind a mutex that either side holds only
+// for one struct copy, so a snapshot is always one whole publication and
+// neither side allocates. The phase is a separate atomic: it changes twice an
+// interval and needs no lock.
 //
 // A Probe observes one run at a time: BeginRun rewinds it, so a warm-reused
 // simulator starts its next job from zero. The zero value is ready to use.
 type Probe struct {
-	phase      atomic.Uint32
-	startNanos atomic.Int64
-	maxCycles  atomic.Uint64
+	phase atomic.Uint32
 
-	intervals   atomic.Uint64
-	boundRounds atomic.Uint64
-	cycles      atomic.Uint64
-	instrs      atomic.Uint64
-	weaveEvents atomic.Uint64
-
-	boundNanos atomic.Int64
-	weaveNanos atomic.Int64
-	chainNanos atomic.Int64
-
-	poolRuns    atomic.Uint64
-	poolWakes   atomic.Uint64
-	poolWorkers atomic.Int64
-
-	liveThreads     atomic.Int64
-	runnableThreads atomic.Int64
+	mu   sync.Mutex
+	snap Snapshot // Phase unused: the phase atomic is the source
 }
 
 // BeginRun rewinds the probe for a new run and records its start time and
@@ -114,9 +119,9 @@ func (p *Probe) BeginRun(maxCycles uint64) {
 	if p == nil {
 		return
 	}
-	p.Reset()
-	p.startNanos.Store(time.Now().UnixNano())
-	p.maxCycles.Store(maxCycles)
+	p.mu.Lock()
+	p.snap = Snapshot{StartNanos: time.Now().UnixNano(), MaxCycles: maxCycles}
+	p.mu.Unlock()
 	p.phase.Store(PhaseBound)
 }
 
@@ -125,22 +130,10 @@ func (p *Probe) Reset() {
 	if p == nil {
 		return
 	}
+	p.mu.Lock()
+	p.snap = Snapshot{}
+	p.mu.Unlock()
 	p.phase.Store(PhaseIdle)
-	p.startNanos.Store(0)
-	p.maxCycles.Store(0)
-	p.intervals.Store(0)
-	p.boundRounds.Store(0)
-	p.cycles.Store(0)
-	p.instrs.Store(0)
-	p.weaveEvents.Store(0)
-	p.boundNanos.Store(0)
-	p.weaveNanos.Store(0)
-	p.chainNanos.Store(0)
-	p.poolRuns.Store(0)
-	p.poolWakes.Store(0)
-	p.poolWorkers.Store(0)
-	p.liveThreads.Store(0)
-	p.runnableThreads.Store(0)
 }
 
 // SetPhase publishes the currently executing phase. Nil-safe, one atomic
@@ -152,26 +145,16 @@ func (p *Probe) SetPhase(ph uint32) {
 	p.phase.Store(ph)
 }
 
-// Publish stores one interval boundary's sample. Nil-safe; performs only
-// atomic stores, so the steady-state interval loop stays allocation-free with
-// a probe attached.
+// Publish stores one interval boundary's sample. Nil-safe; one struct copy
+// under the probe's lock, so the steady-state interval loop stays
+// allocation-free with a probe attached.
 func (p *Probe) Publish(s Sample) {
 	if p == nil {
 		return
 	}
-	p.intervals.Store(s.Intervals)
-	p.boundRounds.Store(s.BoundRounds)
-	p.cycles.Store(s.Cycles)
-	p.instrs.Store(s.Instrs)
-	p.weaveEvents.Store(s.WeaveEvents)
-	p.boundNanos.Store(s.BoundNanos)
-	p.weaveNanos.Store(s.WeaveNanos)
-	p.chainNanos.Store(s.ChainNanos)
-	p.poolRuns.Store(s.PoolRuns)
-	p.poolWakes.Store(s.PoolWakes)
-	p.poolWorkers.Store(int64(s.PoolWorkers))
-	p.liveThreads.Store(int64(s.LiveThreads))
-	p.runnableThreads.Store(int64(s.RunnableThreads))
+	p.mu.Lock()
+	p.snap.Sample = s
+	p.mu.Unlock()
 }
 
 // Snapshot is a point-in-time copy of a probe's published state, safe to hold
@@ -180,23 +163,7 @@ type Snapshot struct {
 	Phase      string `json:"phase"`
 	StartNanos int64  `json:"-"`
 	MaxCycles  uint64 `json:"-"`
-
-	Intervals   uint64 `json:"intervals"`
-	BoundRounds uint64 `json:"boundRounds"`
-	Cycles      uint64 `json:"cycles"`
-	Instrs      uint64 `json:"instrs"`
-	WeaveEvents uint64 `json:"weaveEvents"`
-
-	BoundNanos int64 `json:"boundNanos"`
-	WeaveNanos int64 `json:"weaveNanos"`
-	ChainNanos int64 `json:"chainNanos"`
-
-	PoolRuns    uint64 `json:"poolRuns,omitempty"`
-	PoolWakes   uint64 `json:"poolWakes,omitempty"`
-	PoolWorkers int    `json:"poolWorkers,omitempty"`
-
-	LiveThreads     int `json:"liveThreads"`
-	RunnableThreads int `json:"runnableThreads"`
+	Sample
 
 	// Always zero. bench/ (frozen until a later benchmark PR) still reads
 	// these diagnostics of the retired parallel weave executor; nothing else
@@ -213,24 +180,11 @@ func (p *Probe) Snapshot() Snapshot {
 	if p == nil {
 		return Snapshot{Phase: PhaseName(PhaseIdle)}
 	}
-	return Snapshot{
-		Phase:           PhaseName(p.phase.Load()),
-		StartNanos:      p.startNanos.Load(),
-		MaxCycles:       p.maxCycles.Load(),
-		Intervals:       p.intervals.Load(),
-		BoundRounds:     p.boundRounds.Load(),
-		Cycles:          p.cycles.Load(),
-		Instrs:          p.instrs.Load(),
-		WeaveEvents:     p.weaveEvents.Load(),
-		BoundNanos:      p.boundNanos.Load(),
-		WeaveNanos:      p.weaveNanos.Load(),
-		ChainNanos:      p.chainNanos.Load(),
-		PoolRuns:        p.poolRuns.Load(),
-		PoolWakes:       p.poolWakes.Load(),
-		PoolWorkers:     int(p.poolWorkers.Load()),
-		LiveThreads:     int(p.liveThreads.Load()),
-		RunnableThreads: int(p.runnableThreads.Load()),
-	}
+	p.mu.Lock()
+	s := p.snap
+	p.mu.Unlock()
+	s.Phase = PhaseName(p.phase.Load())
+	return s
 }
 
 // SimMIPS returns the run's simulation rate (simulated MIPS) as of nowNanos.
@@ -248,30 +202,6 @@ func (s Snapshot) PctMaxCycles() float64 {
 		return 0
 	}
 	return 100 * float64(s.Cycles) / float64(s.MaxCycles)
-}
-
-// Totals accumulates snapshots across runs/jobs: the service layer adds each
-// finished job's final snapshot here and sums live jobs' snapshots on top at
-// scrape time, so the exported engine counters are monotone across the
-// daemon's lifetime.
-type Totals struct {
-	Intervals, BoundRounds, Cycles, Instrs, WeaveEvents uint64
-	BoundNanos, WeaveNanos, ChainNanos                  int64
-	PoolRuns, PoolWakes                                 uint64
-}
-
-// Add accumulates one snapshot.
-func (t *Totals) Add(s Snapshot) {
-	t.Intervals += s.Intervals
-	t.BoundRounds += s.BoundRounds
-	t.Cycles += s.Cycles
-	t.Instrs += s.Instrs
-	t.WeaveEvents += s.WeaveEvents
-	t.BoundNanos += s.BoundNanos
-	t.WeaveNanos += s.WeaveNanos
-	t.ChainNanos += s.ChainNanos
-	t.PoolRuns += s.PoolRuns
-	t.PoolWakes += s.PoolWakes
 }
 
 // StartHeartbeat spawns a goroutine that prints one progress line to w every

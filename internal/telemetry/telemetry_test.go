@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -71,7 +73,7 @@ func TestNilProbeIsSafe(t *testing.T) {
 }
 
 func TestSnapshotDerived(t *testing.T) {
-	s := Snapshot{StartNanos: 1_000_000_000, Instrs: 2_000_000, Cycles: 50, MaxCycles: 200}
+	s := Snapshot{StartNanos: 1_000_000_000, MaxCycles: 200, Sample: Sample{Instrs: 2_000_000, Cycles: 50}}
 	// 1 second elapsed, 2M instructions -> 2 MIPS.
 	if got := s.SimMIPS(2_000_000_000); got < 1.99 || got > 2.01 {
 		t.Errorf("SimMIPS = %v, want ~2", got)
@@ -82,18 +84,127 @@ func TestSnapshotDerived(t *testing.T) {
 	if got := s.PctMaxCycles(); got != 25 {
 		t.Errorf("PctMaxCycles = %v, want 25", got)
 	}
-	if got := (Snapshot{Cycles: 50}).PctMaxCycles(); got != 0 {
+	if got := (Snapshot{Sample: Sample{Cycles: 50}}).PctMaxCycles(); got != 0 {
 		t.Errorf("PctMaxCycles without budget = %v, want 0", got)
 	}
 }
 
-func TestTotalsAdd(t *testing.T) {
-	var tot Totals
-	tot.Add(Snapshot{Intervals: 3, Cycles: 30, Instrs: 300, BoundNanos: 10, PoolRuns: 5})
-	tot.Add(Snapshot{Intervals: 4, Cycles: 40, Instrs: 400, BoundNanos: 20, PoolRuns: 7})
+func TestSampleAdd(t *testing.T) {
+	tot := Sample{PoolWorkers: 2, LiveThreads: 8, RunnableThreads: 6}
+	tot.Add(Sample{Intervals: 3, Cycles: 30, Instrs: 300, BoundNanos: 10, PoolRuns: 5,
+		PoolWorkers: 4, LiveThreads: 3, RunnableThreads: 1})
+	tot.Add(Sample{Intervals: 4, Cycles: 40, Instrs: 400, BoundNanos: 20, PoolRuns: 7,
+		PoolWorkers: 4, LiveThreads: 3, RunnableThreads: 1})
 	if tot.Intervals != 7 || tot.Cycles != 70 || tot.Instrs != 700 || tot.BoundNanos != 30 || tot.PoolRuns != 12 {
-		t.Errorf("Totals = %+v", tot)
+		t.Errorf("counters not summed: %+v", tot)
 	}
+	if tot.PoolWorkers != 2 || tot.LiveThreads != 8 || tot.RunnableThreads != 6 {
+		t.Errorf("gauges were summed: %+v", tot)
+	}
+}
+
+// TestSnapshotJSONKeys pins the wire shape of a snapshot (zsim.ProgressSnapshot)
+// to its key list, in order.
+func TestSnapshotJSONKeys(t *testing.T) {
+	snap := Snapshot{Phase: "bound", StartNanos: 1, MaxCycles: 2, Sample: Sample{
+		Intervals: 1, BoundRounds: 1, Cycles: 1, Instrs: 1, WeaveEvents: 1,
+		BoundNanos: 1, WeaveNanos: 1, ChainNanos: 1,
+		PoolRuns: 1, PoolWakes: 1, PoolWorkers: 1,
+		LiveThreads: 1, RunnableThreads: 1,
+	}}
+	b, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every value is a scalar, so the object's tokens alternate key, value.
+	dec := json.NewDecoder(bytes.NewReader(b))
+	var keys []string
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		if _, err := dec.Token(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"phase", "intervals", "boundRounds", "cycles", "instrs", "weaveEvents",
+		"boundNanos", "weaveNanos", "chainNanos", "poolRuns", "poolWakes", "poolWorkers",
+		"liveThreads", "runnableThreads"}
+	if !slices.Equal(keys, want) {
+		t.Errorf("snapshot JSON keys = %v, want %v (%s)", keys, want, b)
+	}
+}
+
+// TestSnapshotIsOnePublication checks that a reader never sees a snapshot
+// that mixes two publications: a writer publishes samples whose counters all
+// equal i, and every snapshot's counters must agree with one another. A torn
+// read can only show at GOMAXPROCS >= 2.
+func TestSnapshotIsOnePublication(t *testing.T) {
+	const reads = 20_000
+	p := new(Probe)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := uint64(i)
+			p.Publish(Sample{
+				Intervals: n, BoundRounds: n, Cycles: n, Instrs: n, WeaveEvents: n,
+				BoundNanos: int64(n), WeaveNanos: int64(n), ChainNanos: int64(n),
+				PoolRuns: n, PoolWakes: n, PoolWorkers: i,
+				LiveThreads: i, RunnableThreads: i,
+			})
+		}
+	}()
+	torn := 0
+	for range reads {
+		if !oneValue(p.Snapshot()) {
+			torn++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if torn > 0 {
+		t.Errorf("%d of %d snapshots mixed two publications", torn, reads)
+	}
+}
+
+// oneValue reports whether every published integer field of s (the fields
+// that reach JSON) holds the same value.
+func oneValue(s Snapshot) bool {
+	v := reflect.ValueOf(s)
+	var first int64
+	seen := false
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if f.Tag.Get("json") == "-" {
+			continue
+		}
+		var x int64
+		switch fv := v.FieldByIndex(f.Index); fv.Kind() {
+		case reflect.Int, reflect.Int64:
+			x = fv.Int()
+		case reflect.Uint64:
+			x = int64(fv.Uint())
+		default:
+			continue
+		}
+		if seen && x != first {
+			return false
+		}
+		first, seen = x, true
+	}
+	return true
 }
 
 func TestHeartbeatEmitsFinalLine(t *testing.T) {

@@ -421,13 +421,20 @@ func (s *Scheduler) NumRunnable() int { return s.counts.Runnable }
 // SchedCounts is a snapshot of the scheduler's statistics counters and
 // thread-population gauges.
 type SchedCounts struct {
-	Live             int
-	Runnable         int
-	ContextSwitches  uint64
+	// Live counts threads that are not Done, Runnable those ready to run.
+	Live     int
+	Runnable int
+	// ContextSwitches counts thread-to-core placements.
+	ContextSwitches uint64
+	// MidIntervalJoins counts threads pulled onto a core inside an interval
+	// (after another thread blocked on a lock or syscall) instead of waiting
+	// for the next interval barrier.
 	MidIntervalJoins uint64
-	LockBlocks       uint64
-	BarrierWaits     uint64
-	SyscallBlocks    uint64
+	// LockBlocks, BarrierWaits and SyscallBlocks count the synchronization
+	// events resolved against simulated time.
+	LockBlocks    uint64
+	BarrierWaits  uint64
+	SyscallBlocks uint64
 }
 
 // Counts snapshots the scheduler's counters.

@@ -136,6 +136,12 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fresh run: %v", err)
 				}
+				if want.Sched.Live != 0 || want.Sched.Runnable != 0 {
+					t.Errorf("completed run reports live threads: %+v", want.Sched)
+				}
+				if m.noc && (want.NOC.Traversals == 0 || want.NOC.BusyCycles == 0) {
+					t.Errorf("NoC contention run reports no router activity: %+v", want.NOC)
+				}
 
 				// Reusable simulator, run 1: must match fresh.
 				sim, err := New(modeCfg())

@@ -39,6 +39,7 @@ import (
 	"zsim/internal/arena"
 	"zsim/internal/boundweave"
 	"zsim/internal/config"
+	"zsim/internal/noc"
 	"zsim/internal/runctl"
 	"zsim/internal/stats"
 	"zsim/internal/telemetry"
@@ -391,36 +392,12 @@ func (s *Simulator) AddPinnedWorkload(name string, params WorkloadParams, thread
 
 // NOCStats summarizes the weave-phase NoC contention subsystem's activity
 // during a run (all zero unless Config.NOCContention is enabled).
-type NOCStats struct {
-	// Traversals counts packets scheduled through router output ports.
-	Traversals uint64
-	// PortConflicts counts packets that found their output port's link busy;
-	// QueueStalls counts the subset of them that also found the port's
-	// bounded queue full on arrival (each charges the port backpressure
-	// occupancy for the time the packet blocked the upstream link).
-	PortConflicts uint64
-	QueueStalls   uint64
-	// QueueDelay is the total cycles packets spent waiting for ports, and
-	// MaxRouterDelay the largest per-router share of it (hotspot indicator).
-	QueueDelay     uint64
-	MaxRouterDelay uint64
-}
+type NOCStats = noc.Stats
 
 // SchedStats summarizes the virtualization layer's scheduling activity
-// during a run.
-type SchedStats struct {
-	// ContextSwitches counts thread-to-core placements.
-	ContextSwitches uint64
-	// MidIntervalJoins counts threads pulled onto a core inside an interval
-	// (after another thread blocked on a lock or syscall) instead of waiting
-	// for the next interval barrier.
-	MidIntervalJoins uint64
-	// LockBlocks, BarrierWaits and SyscallBlocks count the synchronization
-	// events resolved against simulated time.
-	LockBlocks    uint64
-	BarrierWaits  uint64
-	SyscallBlocks uint64
-}
+// during a run. Live and Runnable are the thread gauges at the end of it:
+// both are 0 after a run that completed.
+type SchedStats = virt.SchedCounts
 
 // Result is the outcome of a simulation run.
 type Result struct {
@@ -601,18 +578,10 @@ func (s *Simulator) collectResult(sim *boundweave.Simulator, elapsed time.Durati
 	m.Finalize()
 	var nocStats NOCStats
 	if s.sys.Fabric != nil {
-		fs := s.sys.Fabric.TotalStats()
-		nocStats = NOCStats{
-			Traversals:     fs.Traversals,
-			PortConflicts:  fs.PortConflicts,
-			QueueStalls:    fs.QueueStalls,
-			QueueDelay:     fs.QueueDelay,
-			MaxRouterDelay: fs.MaxRouterDelay,
-		}
+		nocStats = s.sys.Fabric.TotalStats()
 	}
 	sysChunks, sysBytes := s.sys.Root.Arena().Stats()
 	runChunks, runBytes := s.runArena.Stats()
-	sc := s.sched.Counts()
 	return &Result{
 		Metrics:     m,
 		Intervals:   sim.Intervals,
@@ -621,15 +590,9 @@ func (s *Simulator) collectResult(sim *boundweave.Simulator, elapsed time.Durati
 		WeaveEvents: sim.WeaveEvents,
 		ArenaChunks: sysChunks + runChunks,
 		ArenaBytes:  sysBytes + runBytes,
-		Sched: SchedStats{
-			ContextSwitches:  sc.ContextSwitches,
-			MidIntervalJoins: sc.MidIntervalJoins,
-			LockBlocks:       sc.LockBlocks,
-			BarrierWaits:     sc.BarrierWaits,
-			SyscallBlocks:    sc.SyscallBlocks,
-		},
-		NOC:     nocStats,
-		Stalled: sim.Stalled,
+		Sched:       s.sched.Counts(),
+		NOC:         nocStats,
+		Stalled:     sim.Stalled,
 	}
 }
 
