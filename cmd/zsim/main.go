@@ -115,14 +115,15 @@ func main() {
 		case zsim.DeadlineExceeded:
 			fmt.Fprintf(os.Stderr, "zsim: the run exceeded its -timeout of %v; partial results below\n", *timeout)
 		}
-		fmt.Println(res.Summary())
-		os.Exit(1)
 	}
 	fmt.Println(res.Summary())
 	if *statsDump {
-		if err := sim.WriteStats(os.Stdout); err != nil {
-			fatal(err)
+		if werr := sim.WriteStats(os.Stdout); werr != nil {
+			fatal(werr)
 		}
+	}
+	if err != nil {
+		os.Exit(1)
 	}
 }
 

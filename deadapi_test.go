@@ -31,11 +31,8 @@ var deadAPIAllowed = map[string]string{
 	"isa.BasicBlock.NumInstrs":       "block-shape accessor the isa tests check generated blocks with",
 	"isa.Opcode.HasLoad":             "opcode property the isa tests check the decoder against",
 	"isa.Opcode.HasStore":            "opcode property the isa tests check the decoder against",
-	"memctrl.DDR3.AverageWaitCPU":    "lets the memctrl tests check queuing grows with load",
-	"memctrl.MD1.Utilization":        "lets the memctrl tests check the M/D/1 arrival window",
 	"network.Mesh.Width":             "geometry accessor the network tests check mesh sizing with",
 	"network.RouteAppend":            "materializes a whole route, which the topology tests compare",
-	"noc.Fabric.NumRouters":          "lets the noc tests check one router per topology node",
 	"trace.Thread.SpinBlock":         "lets the trace tests check lock-word addressing",
 	"trace.Workload.SharedBase":      "lets the trace tests check shared-region addressing",
 	"virt.Scheduler.NumRunnable":     "lets the virt and golden-schedule tests check run-queue accounting",

@@ -1,11 +1,12 @@
 // Package arena provides the slab allocator that backs simulator
 // construction. Building a large simulated chip (1,024 cores, thousands of
-// caches, predictors and statistics counters) naturally decomposes into
-// millions of small, identically-typed, never-freed allocations; the arena
-// turns each type's stream of small allocations into a handful of large
-// chunk allocations. One Arena is created per simulated system (it hangs off
-// the root stats.Registry) and feeds cache set tables, stripe state,
-// predictor tables, statistics counters and decoded workload code.
+// caches, predictors and statistics registry nodes) naturally decomposes
+// into millions of small, identically-typed, never-freed allocations; the
+// arena turns each type's stream of small allocations into a handful of
+// large chunk allocations. One Arena is created per simulated system (it
+// hangs off the root stats.Registry) and feeds registry nodes, cache set
+// tables, stripe state (each stripe carries its cache's statistics),
+// predictor tables and decoded workload code.
 //
 // Objects taken from an arena are never returned individually, but a whole
 // arena can be rewound: Reset retains every allocated chunk and rewinds the
@@ -14,7 +15,7 @@
 // Memory handed out is always zeroed — chunks come fresh from the Go
 // allocator, and Reset re-zeroes the carved prefix of every chunk — so
 // zero-value-initialized structures (biased branch-predictor counters,
-// Invalid cache lines, statistics counters) need no separate init pass,
+// Invalid cache lines, statistics counts) need no separate init pass,
 // fresh or reused.
 //
 // All entry points accept a nil *Arena and fall back to plain make, so

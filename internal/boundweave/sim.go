@@ -206,8 +206,8 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 			mems:  make([]memctrl.ContentionModel, maxComp+1),
 		}
 		if sys.Fabric != nil {
-			// NoC contention: the fabric's routers live in the System (their
-			// stats registry is built once).
+			// NoC contention: the fabric's routers live in the System (built
+			// once, with their statistics).
 			s.models.fabric = sys.Fabric
 			s.models.routerComp = sys.RouterComp
 			s.models.routers = make([]*noc.Router, slices.Max(sys.RouterComp)+1)

@@ -62,7 +62,7 @@ type System struct {
 
 // BuildSystem constructs the simulated chip described by the configuration.
 // One construction arena, hung off the root stats registry, feeds every
-// component's bulk state (stats counters, cache sets and stripes, predictor
+// component's bulk state (registry nodes, cache sets and stripes, predictor
 // tables), so building a 1,024-core chip performs a handful of large chunk
 // allocations instead of millions of small ones.
 func BuildSystem(cfg *config.System) (*System, error) {
@@ -246,14 +246,13 @@ func BuildSystem(cfg *config.System) (*System, error) {
 }
 
 // Reset rewinds the built system to its just-constructed state for warm
-// reuse: every counter in the stats registry tree is zeroed and every
-// stateful component (cores, caches, memory controllers, NoC routers)
-// restores its architectural and timing state. The construction arena is
+// reuse: every stateful component (cores, caches, memory controllers, NoC
+// routers) restores its architectural and timing state and zeroes its own
+// statistics; the registry tree holds no counts. The construction arena is
 // deliberately NOT reset — it owns the components' live backing storage.
 // Core recorders and observers are detached by the core resets; the caller
 // (Simulator.Reset) re-installs them.
 func (s *System) Reset() {
-	s.Root.Reset()
 	for _, c := range s.Cores {
 		c.Reset()
 	}

@@ -9,7 +9,7 @@
 // prediction would have been correct. The timing models translate a
 // misprediction into a fixed pipeline-flush penalty, as Westmere recovers
 // from mispredictions in a roughly constant number of cycles, and count
-// predictions and mispredictions in their own stats registry.
+// predictions and mispredictions in their own statistics.
 package bpred
 
 import "zsim/internal/arena"

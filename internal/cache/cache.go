@@ -18,14 +18,14 @@
 // accesses to the same line may be serialized in either order.
 //
 // Within one cache, locking is striped by set: concurrent accesses to
-// different sets of a shared multi-bank cache proceed in parallel, and
-// statistics are kept in atomic counters so no global lock serializes the
-// hot path. A cache's set table holds one 8-byte pointer per set, and a
-// set's ways are allocated lazily, the first time the set is touched, so
-// building a thousand-core chip with hundreds of megabytes of simulated
-// cache costs memory only for the sets the workload actually uses. Each way
-// packs its tag, MESI state and child-modified bit into one word, so a line
-// takes 24 bytes.
+// different sets of a shared multi-bank cache proceed in parallel, and each
+// stripe counts its own statistics under the lock the access already holds,
+// so no global lock or atomic serializes the hot path. A cache's set table
+// holds one 8-byte pointer per set, and a set's ways are allocated lazily,
+// the first time the set is touched, so building a thousand-core chip with
+// hundreds of megabytes of simulated cache costs memory only for the sets
+// the workload actually uses. Each way packs its tag, MESI state and
+// child-modified bit into one word, so a line takes 24 bytes.
 package cache
 
 import (
@@ -211,12 +211,53 @@ func (l *line) clearChildMod() { l.key &^= keyChildMod }
 
 // stripe is one lock stripe of a cache: a mutex protecting the sets
 // congruent to its index mod nStripes (set&stripeMask), plus the per-stripe
-// replacement clock those sets use. Stripes are padded to a host cache line
-// so neighbouring stripes don't false-share.
+// replacement clock those sets use and the statistics their accesses count.
+// A stripe fills one 64 B host cache line, so neighbouring stripes don't
+// false-share.
 type stripe struct {
 	mu    sync.Mutex
-	useCt uint64 // replacement clock (compared within one set only)
-	_     [48]byte
+	useCt uint64           // replacement clock (compared within one set only)
+	n     [numStats]uint64 // statistics, indexed by sHits...
+}
+
+// Statistics a cache counts, as indices into stripe.n.
+const (
+	sHits = iota
+	sMisses
+	sEvictions
+	sWritebacks
+	sInvals
+	sUpgradeMisses
+	numStats
+)
+
+// Count is one of a cache's statistics, counted per lock stripe.
+type Count struct {
+	c *Cache
+	i int
+}
+
+// Get returns the statistic summed over the cache's stripes. The cache must
+// be quiescent.
+func (n Count) Get() uint64 { return n.c.count(n.i) }
+
+func (c *Cache) count(i int) uint64 {
+	var v uint64
+	for s := range c.stripes {
+		v += c.stripes[s].n[i]
+	}
+	return v
+}
+
+// VisitStats reports the cache's statistics in export order (stats.Source).
+// The cache must be quiescent.
+func (c *Cache) VisitStats(f func(name, desc string, v uint64)) {
+	f("hits", "accesses that hit", c.count(sHits))
+	f("misses", "accesses that missed", c.count(sMisses))
+	f("evictions", "lines evicted", c.count(sEvictions))
+	f("writebacks", "dirty lines written back", c.count(sWritebacks))
+	f("invalidations", "lines invalidated by coherence", c.count(sInvals))
+	f("upgradeMisses", "write hits to Shared lines requiring upgrade", c.count(sUpgradeMisses))
 }
 
 // MaxChildren is the number of children a cache's directory can track: its
@@ -254,21 +295,16 @@ type Cache struct {
 	children []*Cache // for directory-driven invalidations
 	childIdx int      // this cache's index within its parent's children
 
-	// Statistics (atomic: the striped hot path updates them from many host
-	// threads without a shared lock).
-	Hits        *stats.AtomicCounter
-	Misses      *stats.AtomicCounter
-	Evictions   *stats.AtomicCounter
-	Writebacks  *stats.AtomicCounter
-	Invals      *stats.AtomicCounter
-	UpgradeMiss *stats.AtomicCounter
+	// Hits and Misses read the two statistics other packages aggregate; the
+	// counts themselves live in the stripes.
+	Hits, Misses Count
 }
 
-// New creates a cache from the config, registering its statistics under the
-// given registry. compID is the global component ID used in weave traces.
-// When the registry tree carries a construction arena, the cache object, its
-// set table and its lock stripes are carved from that arena; the lazily
-// allocated ways come from the heap (see setLines).
+// New creates a cache from the config, exporting its statistics under the
+// given registry (which may be nil). compID is the global component ID used
+// in weave traces. When the registry tree carries a construction arena, the
+// cache object, its set table and its lock stripes are carved from that
+// arena; the lazily allocated ways come from the heap (see setLines).
 func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 	ways := cfg.Ways
 	if ways < 1 {
@@ -278,9 +314,6 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 	sets := lines / ways
 	if sets < 1 {
 		sets = 1
-	}
-	if reg == nil {
-		reg = stats.NewRegistry("cache")
 	}
 	a := reg.Arena()
 	nStripes := 1
@@ -297,14 +330,9 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 		setArr:     arena.Take[*line](a, sets),
 		stripes:    arena.Take[stripe](a, nStripes),
 		stripeMask: nStripes - 1,
-
-		Hits:        reg.Atomic("hits", "accesses that hit"),
-		Misses:      reg.Atomic("misses", "accesses that missed"),
-		Evictions:   reg.Atomic("evictions", "lines evicted"),
-		Writebacks:  reg.Atomic("writebacks", "dirty lines written back"),
-		Invals:      reg.Atomic("invalidations", "lines invalidated by coherence"),
-		UpgradeMiss: reg.Atomic("upgradeMisses", "write hits to Shared lines requiring upgrade"),
 	}
+	c.Hits, c.Misses = Count{c, sHits}, Count{c, sMisses}
+	reg.Record(c)
 	return c
 }
 
@@ -312,15 +340,15 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 // every touched set is cleared back to all-Invalid zero lines (lazily
 // allocated way arrays are kept — a zeroed array behaves exactly like the
 // nil array a fresh cache starts with), and each stripe's replacement clock
-// is zeroed.
-// Statistics counters are registry-owned and zeroed by Registry.Reset.
-// Callers must be quiescent (no concurrent accesses).
+// and statistics are zeroed. Callers must be quiescent (no concurrent
+// accesses).
 func (c *Cache) Reset() {
 	for set := range c.setArr {
 		clear(c.setWays(set))
 	}
 	for i := range c.stripes {
-		c.stripes[i].useCt = 0
+		st := &c.stripes[i]
+		st.useCt, st.n = 0, [numStats]uint64{}
 	}
 }
 
@@ -471,32 +499,33 @@ func (c *Cache) Access(req *Request) uint64 {
 				}
 			}
 			c.markChild(l, req)
+			st.n[sHits]++
 			st.mu.Unlock()
-			c.Hits.Inc()
 			req.addHop(c.compID, HopHit, req.Cycle, c.latency)
 			return availCycle
 		}
 		// Write hit on Shared: upgrade through the parent (invalidates other
 		// copies system-wide). Treated as a miss for timing purposes.
 		l.setState(Invalid) // re-installed below after the parent access
+		st.n[sUpgradeMisses]++
+		st.n[sMisses]++
 		st.mu.Unlock()
-		c.UpgradeMiss.Inc()
-		c.Misses.Inc()
-		return c.fetchAndInstall(req, set, availCycle)
+		return c.fetchAndInstall(req, set, availCycle, false)
 	}
 
 	// Miss: pick a victim and evict it, then fetch from the parent.
 	vw := victimWay(lines)
 	victim := lines[vw]
 	lines[vw].setState(Invalid)
-	st.mu.Unlock()
-	c.Misses.Inc()
-
-	if victim.state() != Invalid {
-		c.Evictions.Inc()
-		c.evictLine(req, victim)
+	st.n[sMisses]++
+	evict := victim.state() != Invalid
+	if evict {
+		st.n[sEvictions]++
 	}
-	return c.fetchAndInstall(req, set, availCycle)
+	st.mu.Unlock()
+
+	wb := evict && c.evictLine(req, victim)
+	return c.fetchAndInstall(req, set, availCycle, wb)
 }
 
 // fetchAndInstall completes a miss on set, the request line's set as Access
@@ -504,8 +533,10 @@ func (c *Cache) Access(req *Request) uint64 {
 // our locks), then installs the line. It returns the zero-load cycle at
 // which the line is available to the requester. The request is forwarded in
 // place — the parent mutates it — and the caller-side fields are restored
-// afterwards, so the miss path allocates nothing.
-func (c *Cache) fetchAndInstall(req *Request, set int, localAvail uint64) uint64 {
+// afterwards, so the miss path allocates nothing. wb reports that the
+// caller's eviction from set wrote back; it is counted under the install's
+// stripe lock.
+func (c *Cache) fetchAndInstall(req *Request, set int, localAvail uint64, wb bool) uint64 {
 	req.addHop(c.compID, HopMiss, req.Cycle, c.latency)
 	var fillCycle uint64
 	grant := Exclusive
@@ -526,6 +557,9 @@ func (c *Cache) fetchAndInstall(req *Request, set int, localAvail uint64) uint64
 	st := c.stripeOf(set)
 	st.mu.Lock()
 	st.useCt++
+	if wb {
+		st.n[sWritebacks]++
+	}
 	lines := c.setLines(set)
 	way := findWay(lines, req.LineAddr)
 	if way < 0 {
@@ -533,11 +567,14 @@ func (c *Cache) fetchAndInstall(req *Request, set int, localAvail uint64) uint64
 		victim := lines[way]
 		if victim.state() != Invalid {
 			lines[way].setState(Invalid)
+			st.n[sEvictions]++
 			st.mu.Unlock()
-			c.Evictions.Inc()
-			c.evictLine(req, victim)
+			wb := c.evictLine(req, victim)
 			st.mu.Lock()
 			st.useCt++
+			if wb {
+				st.n[sWritebacks]++
+			}
 			// Re-lookup: the set may have changed while unlocked.
 			way = findWay(lines, req.LineAddr)
 			if way < 0 {
@@ -578,10 +615,10 @@ func (c *Cache) markChild(l *line, req *Request) {
 }
 
 // evictLine handles the eviction of a victim line: invalidate it in children
-// (inclusive hierarchy) and write it back to the parent if dirty. The
-// writeback reuses the in-flight request (mutate, forward, restore) instead
-// of allocating a new one.
-func (c *Cache) evictLine(req *Request, victim line) {
+// (inclusive hierarchy) and write it back to the parent if dirty, reporting
+// whether it wrote back. The writeback reuses the in-flight request (mutate,
+// forward, restore) instead of allocating a new one. No locks are held on c.
+func (c *Cache) evictLine(req *Request, victim line) bool {
 	// Invalidate children copies.
 	if victim.sharers != 0 {
 		dirtyInChild := c.invalidateChildren(victim.tag(), victim.sharers)
@@ -589,20 +626,21 @@ func (c *Cache) evictLine(req *Request, victim line) {
 			victim.setState(Modified)
 		}
 	}
-	if victim.state() == Modified {
-		c.Writebacks.Inc()
-		req.addHop(c.compID, HopWB, req.Cycle, 0)
-		if c.parent != nil {
-			savedLine, savedWrite := req.LineAddr, req.Write
-			savedFill, savedChild := req.FillState, req.childIdx
-			req.LineAddr = victim.tag()
-			req.Write = true
-			req.childIdx = c.childIdx
-			c.parent.Access(req)
-			req.LineAddr, req.Write = savedLine, savedWrite
-			req.FillState, req.childIdx = savedFill, savedChild
-		}
+	if victim.state() != Modified {
+		return false
 	}
+	req.addHop(c.compID, HopWB, req.Cycle, 0)
+	if c.parent != nil {
+		savedLine, savedWrite := req.LineAddr, req.Write
+		savedFill, savedChild := req.FillState, req.childIdx
+		req.LineAddr = victim.tag()
+		req.Write = true
+		req.childIdx = c.childIdx
+		c.parent.Access(req)
+		req.LineAddr, req.Write = savedLine, savedWrite
+		req.FillState, req.childIdx = savedFill, savedChild
+	}
+	return true
 }
 
 // invalidateChildren invalidates the line in every child in the sharer mask
@@ -711,8 +749,8 @@ func (c *Cache) Invalidate(lineAddr uint64) bool {
 	}
 	l := lines[way]
 	lines[way].setState(Invalid)
+	st.n[sInvals]++
 	st.mu.Unlock()
-	c.Invals.Inc()
 
 	dirty := l.state() == Modified
 	if l.sharers != 0 {

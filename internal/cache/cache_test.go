@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
-
-	"zsim/internal/stats"
 )
 
 // fakeMem is a terminal level with a fixed latency, standing in for a memory
@@ -35,7 +33,7 @@ func (m *fakeMem) Access(req *Request) uint64 {
 // newL1 builds a small standalone L1 backed by fakeMem.
 func newL1(sizeKB, ways int) (*Cache, *fakeMem) {
 	mem := &fakeMem{lat: 100}
-	l1 := New(Config{SizeKB: sizeKB, Ways: ways, Latency: 4, MSHRs: 8}, 1, stats.NewRegistry("l1"))
+	l1 := New(Config{SizeKB: sizeKB, Ways: ways, Latency: 4, MSHRs: 8}, 1, nil)
 	l1.SetParent(mem)
 	return l1, mem
 }
@@ -116,14 +114,14 @@ func TestCacheCapacityEvictions(t *testing.T) {
 	if l1.Misses.Get() != 128 {
 		t.Fatalf("all cold accesses should miss, got %d", l1.Misses.Get())
 	}
-	if l1.Evictions.Get() < 60 {
-		t.Fatalf("expected ~64 evictions, got %d", l1.Evictions.Get())
+	if l1.count(sEvictions) < 60 {
+		t.Fatalf("expected ~64 evictions, got %d", l1.count(sEvictions))
 	}
 	if mem.accesses != 128 {
 		t.Fatalf("memory should see every miss, got %d", mem.accesses)
 	}
 	// Clean evictions must not write back.
-	if l1.Writebacks.Get() != 0 || mem.writes != 0 {
+	if l1.count(sWritebacks) != 0 || mem.writes != 0 {
 		t.Fatalf("clean evictions should not write back")
 	}
 }
@@ -134,7 +132,7 @@ func TestCacheDirtyEvictionWritesBack(t *testing.T) {
 	for i := uint64(0); i < 256; i++ {
 		l1.Access(&Request{LineAddr: i, Write: true})
 	}
-	if l1.Writebacks.Get() == 0 {
+	if l1.count(sWritebacks) == 0 {
 		t.Fatalf("dirty evictions should produce writebacks")
 	}
 	if mem.writes == 0 {
@@ -198,10 +196,10 @@ func TestHopRecording(t *testing.T) {
 // L1s, the L2 and the memory.
 func buildTwoLevel() (l1s []*Cache, l2 *Cache, mem *fakeMem) {
 	mem = &fakeMem{lat: 100}
-	l2 = New(Config{SizeKB: 256, Ways: 8, Latency: 7}, 10, stats.NewRegistry("l2"))
+	l2 = New(Config{SizeKB: 256, Ways: 8, Latency: 7}, 10, nil)
 	l2.SetParent(mem)
 	for i := 0; i < 2; i++ {
-		l1 := New(Config{SizeKB: 32, Ways: 8, Latency: 4}, i, stats.NewRegistry("l1"))
+		l1 := New(Config{SizeKB: 32, Ways: 8, Latency: 4}, i, nil)
 		l1.SetParent(l2)
 		l2.AddChild(l1)
 		l1s = append(l1s, l1)
@@ -210,7 +208,7 @@ func buildTwoLevel() (l1s []*Cache, l2 *Cache, mem *fakeMem) {
 }
 
 func TestCoherenceInvalidationOnWrite(t *testing.T) {
-	l1s, l2, _ := buildTwoLevel()
+	l1s, _, _ := buildTwoLevel()
 	lineA := uint64(0x1000)
 
 	// Core 0 reads the line, core 1 reads the line: both L1s hold it.
@@ -229,19 +227,18 @@ func TestCoherenceInvalidationOnWrite(t *testing.T) {
 	if l1s[1].StateOf(lineA) != Modified {
 		t.Fatalf("writer should hold the line Modified, got %v", l1s[1].StateOf(lineA))
 	}
-	if l1s[0].Invals.Get() == 0 {
+	if l1s[0].count(sInvals) == 0 {
 		t.Fatalf("invalidation should be counted at the victim L1")
 	}
-	_ = l2
 }
 
 func TestInclusiveEvictionInvalidatesChildren(t *testing.T) {
 	// Tiny L2 (direct-mapped, 4KB = 64 lines) with a larger L1 would violate
 	// inclusion unless L2 evictions invalidate the L1 copy.
 	mem := &fakeMem{lat: 100}
-	l2 := New(Config{SizeKB: 4, Ways: 1, Latency: 7}, 10, stats.NewRegistry("l2"))
+	l2 := New(Config{SizeKB: 4, Ways: 1, Latency: 7}, 10, nil)
 	l2.SetParent(mem)
-	l1 := New(Config{SizeKB: 32, Ways: 8, Latency: 4}, 0, stats.NewRegistry("l1"))
+	l1 := New(Config{SizeKB: 32, Ways: 8, Latency: 4}, 0, nil)
 	l1.SetParent(l2)
 	l2.AddChild(l1)
 
@@ -259,16 +256,16 @@ func TestInclusiveEvictionInvalidatesChildren(t *testing.T) {
 	if violations != 0 {
 		t.Fatalf("inclusion violated for %d lines", violations)
 	}
-	if l1.Invals.Get() == 0 {
+	if l1.count(sInvals) == 0 {
 		t.Fatalf("L2 evictions should have invalidated L1 copies")
 	}
 }
 
 func TestDirtyChildWritebackOnParentEviction(t *testing.T) {
 	mem := &fakeMem{lat: 100}
-	l2 := New(Config{SizeKB: 4, Ways: 1, Latency: 7}, 10, stats.NewRegistry("l2"))
+	l2 := New(Config{SizeKB: 4, Ways: 1, Latency: 7}, 10, nil)
 	l2.SetParent(mem)
-	l1 := New(Config{SizeKB: 32, Ways: 8, Latency: 4}, 0, stats.NewRegistry("l1"))
+	l1 := New(Config{SizeKB: 32, Ways: 8, Latency: 4}, 0, nil)
 	l1.SetParent(l2)
 	l2.AddChild(l1)
 
@@ -284,10 +281,9 @@ func TestDirtyChildWritebackOnParentEviction(t *testing.T) {
 
 func TestBankedRouting(t *testing.T) {
 	mem := &fakeMem{lat: 100}
-	reg := stats.NewRegistry("l3")
 	var banks []*Cache
 	for i := 0; i < 4; i++ {
-		b := New(Config{SizeKB: 256, Ways: 16, Latency: 14}, 20+i, reg.Child("bank"))
+		b := New(Config{SizeKB: 256, Ways: 16, Latency: 14}, 20+i, nil)
 		b.SetParent(mem)
 		banks = append(banks, b)
 	}
@@ -384,11 +380,11 @@ func TestAccessObserverCalledOnce(t *testing.T) {
 func TestConcurrentAccessesNoDeadlock(t *testing.T) {
 	// 8 L1s sharing an L2, hammered concurrently with overlapping lines.
 	mem := &fakeMem{lat: 100}
-	l2 := New(Config{SizeKB: 64, Ways: 8, Latency: 7}, 10, stats.NewRegistry("l2"))
+	l2 := New(Config{SizeKB: 64, Ways: 8, Latency: 7}, 10, nil)
 	l2.SetParent(mem)
 	var l1s []*Cache
 	for i := 0; i < 8; i++ {
-		l1 := New(Config{SizeKB: 8, Ways: 4, Latency: 4}, i, stats.NewRegistry("l1"))
+		l1 := New(Config{SizeKB: 8, Ways: 4, Latency: 4}, i, nil)
 		l1.SetParent(l2)
 		l2.AddChild(l1)
 		l1s = append(l1s, l1)
@@ -410,13 +406,18 @@ func TestConcurrentAccessesNoDeadlock(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	var hits, misses uint64
+	var hits, misses, writebacks uint64
 	for _, l1 := range l1s {
 		hits += l1.Hits.Get()
 		misses += l1.Misses.Get()
+		writebacks += l1.count(sWritebacks)
 	}
 	if hits+misses != 8*5000 {
 		t.Fatalf("every access must be either a hit or a miss: %d + %d != %d", hits, misses, 8*5000)
+	}
+	// Every L1 miss and writeback is exactly one L2 access.
+	if l2Acc := l2.Hits.Get() + l2.Misses.Get(); l2Acc != misses+writebacks {
+		t.Fatalf("L2 saw %d accesses, want L1 misses %d + writebacks %d", l2Acc, misses, writebacks)
 	}
 }
 
@@ -478,11 +479,15 @@ func TestCoherenceSingleWriterInvariant(t *testing.T) {
 	}
 }
 
-// A line is 24 bytes (tag, state and child-modified bit share one word) and
-// the set table holds one 8-byte pointer per set.
+// A line is 24 bytes (tag, state and child-modified bit share one word), a
+// lock stripe with its statistics fills one 64 B host line, and the set
+// table holds one 8-byte pointer per set.
 func TestLineLayout(t *testing.T) {
 	if n := unsafe.Sizeof(line{}); n != 24 {
 		t.Fatalf("line is %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(stripe{}); n != 64 {
+		t.Fatalf("stripe is %d bytes, want 64", n)
 	}
 	var c Cache
 	if n := unsafe.Sizeof(c.setArr[0]); n != 8 {
@@ -528,7 +533,7 @@ func replayStream(l1s []*Cache, l2 *Cache) []accessResult {
 		for _, c := range append([]*Cache{l2}, l1s...) {
 			r.hits += c.Hits.Get()
 			r.misses += c.Misses.Get()
-			r.evictions += c.Evictions.Get()
+			r.evictions += c.count(sEvictions)
 		}
 		out = append(out, r)
 	}
@@ -537,13 +542,12 @@ func replayStream(l1s []*Cache, l2 *Cache) []accessResult {
 
 // A Reset hierarchy replays a stream exactly as it ran when fresh.
 func TestResetReplaysLikeFresh(t *testing.T) {
-	reg := stats.NewRegistry("chip")
 	mem := &fakeMem{lat: 100}
-	l2 := New(Config{SizeKB: 16, Ways: 4, Latency: 7}, 10, reg.Child("l2"))
+	l2 := New(Config{SizeKB: 16, Ways: 4, Latency: 7}, 10, nil)
 	l2.SetParent(mem)
 	var l1s []*Cache
 	for i := 0; i < 2; i++ {
-		l1 := New(Config{SizeKB: 2, Ways: 2, Latency: 4}, i, reg.ChildIdx("l1", i))
+		l1 := New(Config{SizeKB: 2, Ways: 2, Latency: 4}, i, nil)
 		l1.SetParent(l2)
 		l2.AddChild(l1)
 		l1s = append(l1s, l1)
@@ -556,7 +560,6 @@ func TestResetReplaysLikeFresh(t *testing.T) {
 	for _, c := range append([]*Cache{l2}, l1s...) {
 		c.Reset()
 	}
-	reg.Reset()
 	again := replayStream(l1s, l2)
 	for i := range fresh {
 		if fresh[i] != again[i] {
@@ -608,7 +611,7 @@ func TestHighestLineAddr(t *testing.T) {
 		other++
 	}
 	l1.Access(&Request{LineAddr: other})
-	if l1.Writebacks.Get() != 1 || mem.lastWrite != top {
-		t.Fatalf("evicting the top line wrote back %#x (%d writebacks), want %#x", mem.lastWrite, l1.Writebacks.Get(), top)
+	if l1.count(sWritebacks) != 1 || mem.lastWrite != top {
+		t.Fatalf("evicting the top line wrote back %#x (%d writebacks), want %#x", mem.lastWrite, l1.count(sWritebacks), top)
 	}
 }

@@ -52,14 +52,12 @@ type Core interface {
 	// path-altering-interference profiler); nil disables it.
 	SetObserver(obs cache.AccessObserver)
 	// Reset restores the core to its just-constructed state (clocks, branch
-	// predictor, pipeline structures, transient fetch state) for
-	// warm-simulator reuse. Registry-owned counters are zeroed separately by
-	// the stats tree's Reset; installed recorders and observers are removed
+	// predictor, pipeline structures, transient fetch state, statistics) for
+	// warm-simulator reuse; installed recorders and observers are removed
 	// (the simulator re-installs them). The core must be quiescent.
 	Reset()
 	// BranchStats returns (predicted, mispredicted) conditional-branch
-	// counts: the core's branchPredictions and branchMispredicts registry
-	// counters, which the stats tree's Reset zeroes.
+	// counts: the core's branchPredictions and branchMispredicts statistics.
 	BranchStats() (uint64, uint64)
 }
 
@@ -144,33 +142,24 @@ func (m *memUnit) access(port cache.Level, lineAddr uint64, write bool, cycle ui
 	return avail
 }
 
-// Counters groups the statistic counters every core model maintains.
+// Counters are the statistics every core model counts.
 type Counters struct {
-	Instrs     *stats.Counter
-	Uops       *stats.Counter
-	Cycles     *stats.Counter
-	Loads      *stats.Counter
-	Stores     *stats.Counter
-	Fetches    *stats.Counter
-	BrPred     *stats.Counter
-	BrMiss     *stats.Counter
-	FetchStall *stats.Counter
-	IssueStall *stats.Counter
+	Instrs, Uops, Cycles, Loads, Stores, Fetches uint64
+	BrPred, BrMiss, FetchStall, IssueStall       uint64
 }
 
-func newCounters(reg *stats.Registry) Counters {
-	return Counters{
-		Instrs:     reg.Counter("instrs", "instructions simulated"),
-		Uops:       reg.Counter("uops", "µops simulated"),
-		Cycles:     reg.Counter("cycles", "core cycles elapsed"),
-		Loads:      reg.Counter("loads", "load µops issued to the L1D"),
-		Stores:     reg.Counter("stores", "store µops issued to the L1D"),
-		Fetches:    reg.Counter("fetches", "instruction-fetch accesses to the L1I"),
-		BrPred:     reg.Counter("branchPredictions", "conditional branches predicted"),
-		BrMiss:     reg.Counter("branchMispredicts", "conditional branches mispredicted"),
-		FetchStall: reg.Counter("fetchStallCycles", "cycles lost to frontend stalls"),
-		IssueStall: reg.Counter("issueStallCycles", "cycles lost to backend (issue) stalls"),
-	}
+// VisitStats reports the counters in export order (stats.Source).
+func (n *Counters) VisitStats(f func(name, desc string, v uint64)) {
+	f("instrs", "instructions simulated", n.Instrs)
+	f("uops", "µops simulated", n.Uops)
+	f("cycles", "core cycles elapsed", n.Cycles)
+	f("loads", "load µops issued to the L1D", n.Loads)
+	f("stores", "store µops issued to the L1D", n.Stores)
+	f("fetches", "instruction-fetch accesses to the L1I", n.Fetches)
+	f("branchPredictions", "conditional branches predicted", n.BrPred)
+	f("branchMispredicts", "conditional branches mispredicted", n.BrMiss)
+	f("fetchStallCycles", "cycles lost to frontend stalls", n.FetchStall)
+	f("issueStallCycles", "cycles lost to backend (issue) stalls", n.IssueStall)
 }
 
 // IPC1 is the simple core model: one cycle per instruction, plus the memory
@@ -193,8 +182,8 @@ func NewIPC1(id int, ports MemPorts, reg *stats.Registry) *IPC1 {
 	a := reg.Arena()
 	c := arena.One[IPC1](a)
 	c.memUnit = memUnit{id: id, ports: ports}
-	c.cnt = newCounters(reg)
 	c.pred = bpred.New(a)
+	reg.Record(&c.cnt)
 	return c
 }
 
@@ -202,25 +191,25 @@ func NewIPC1(id int, ports MemPorts, reg *stats.Registry) *IPC1 {
 func (c *IPC1) Cycle() uint64 { return c.cycle }
 
 // Instrs returns the instruction count.
-func (c *IPC1) Instrs() uint64 { return c.cnt.Instrs.Get() }
+func (c *IPC1) Instrs() uint64 { return c.cnt.Instrs }
 
 // Uops returns the µop count.
-func (c *IPC1) Uops() uint64 { return c.cnt.Uops.Get() }
+func (c *IPC1) Uops() uint64 { return c.cnt.Uops }
 
 // BranchStats returns (predictions, mispredictions).
-func (c *IPC1) BranchStats() (uint64, uint64) { return c.cnt.BrPred.Get(), c.cnt.BrMiss.Get() }
+func (c *IPC1) BranchStats() (uint64, uint64) { return c.cnt.BrPred, c.cnt.BrMiss }
 
 // AddDelay applies weave-phase feedback.
 func (c *IPC1) AddDelay(cycles uint64) {
 	c.cycle += cycles
-	c.cnt.Cycles.Set(c.cycle)
+	c.cnt.Cycles = c.cycle
 }
 
 // SetCycle fast-forwards the core clock.
 func (c *IPC1) SetCycle(cycle uint64) {
 	if cycle > c.cycle {
 		c.cycle = cycle
-		c.cnt.Cycles.Set(c.cycle)
+		c.cnt.Cycles = c.cycle
 	}
 }
 
@@ -232,6 +221,7 @@ func (c *IPC1) ContextSwitch() { c.lastFetch = ^uint64(0) }
 // Reset restores the just-constructed state for warm reuse.
 func (c *IPC1) Reset() {
 	c.memUnit.reset()
+	c.cnt = Counters{}
 	c.cycle = 0
 	c.lastFetch = 0
 	c.pred.Reset()
@@ -248,13 +238,13 @@ func (c *IPC1) SimulateBlock(b *trace.DynBlock) {
 	fetchLine := cache.LineAddr(d.Addr)
 	if fetchLine != c.lastFetch {
 		c.lastFetch = fetchLine
-		c.cnt.Fetches.Inc()
+		c.cnt.Fetches++
 		avail := c.access(c.ports.L1I, fetchLine, false, c.cycle)
 		if avail > c.cycle {
 			// The simple model charges I-cache miss latency fully.
 			lat := avail - c.cycle
 			if lat > uint64(lineHitLatency(c.ports.L1I)) {
-				c.cnt.FetchStall.Add(lat)
+				c.cnt.FetchStall += lat
 				c.cycle = avail
 			}
 		}
@@ -262,10 +252,10 @@ func (c *IPC1) SimulateBlock(b *trace.DynBlock) {
 
 	// One cycle per instruction, using the block's precomputed aggregates.
 	c.cycle += uint64(d.Instrs)
-	c.cnt.Instrs.Add(uint64(d.Instrs))
-	c.cnt.Uops.Add(uint64(len(d.Uops)))
-	c.cnt.Loads.Add(uint64(d.Loads))
-	c.cnt.Stores.Add(uint64(d.Stores))
+	c.cnt.Instrs += uint64(d.Instrs)
+	c.cnt.Uops += uint64(len(d.Uops))
+	c.cnt.Loads += uint64(d.Loads)
+	c.cnt.Stores += uint64(d.Stores)
 
 	// Memory operations: loads stall the core for their full latency, stores
 	// are sent to the hierarchy but do not stall. The block's timing template
@@ -287,13 +277,13 @@ func (c *IPC1) SimulateBlock(b *trace.DynBlock) {
 	// Branch prediction: mispredictions add a fixed penalty even on the
 	// simple core (this keeps branch MPKI statistics meaningful).
 	if d.CondBranch {
-		c.cnt.BrPred.Inc()
+		c.cnt.BrPred++
 		if !c.pred.PredictAndUpdate(b.BranchPC, b.Taken) {
-			c.cnt.BrMiss.Inc()
+			c.cnt.BrMiss++
 			c.cycle += mispredictPenalty
 		}
 	}
-	c.cnt.Cycles.Set(c.cycle)
+	c.cnt.Cycles = c.cycle
 }
 
 // lineHitLatency returns the hit latency of a cache.Level if it is a *cache.Cache.

@@ -8,19 +8,17 @@ import (
 	"zsim/internal/cache"
 	"zsim/internal/isa"
 	"zsim/internal/memctrl"
-	"zsim/internal/stats"
 	"zsim/internal/trace"
 )
 
 // buildHierarchy creates a small private L1I/L1D + L2 -> memory hierarchy for
 // one core and returns the ports.
 func buildHierarchy() MemPorts {
-	reg := stats.NewRegistry("sys")
-	mem := memctrl.NewSimple(99, 120, reg.Child("mem"))
-	l2 := cache.New(cache.Config{SizeKB: 256, Ways: 8, Latency: 7}, 3, reg.Child("l2"))
+	mem := memctrl.NewSimple(99, 120, nil)
+	l2 := cache.New(cache.Config{SizeKB: 256, Ways: 8, Latency: 7}, 3, nil)
 	l2.SetParent(mem)
-	l1i := cache.New(cache.Config{SizeKB: 32, Ways: 4, Latency: 3}, 1, reg.Child("l1i"))
-	l1d := cache.New(cache.Config{SizeKB: 32, Ways: 8, Latency: 4}, 2, reg.Child("l1d"))
+	l1i := cache.New(cache.Config{SizeKB: 32, Ways: 4, Latency: 3}, 1, nil)
+	l1d := cache.New(cache.Config{SizeKB: 32, Ways: 8, Latency: 4}, 2, nil)
 	l1i.SetParent(l2)
 	l1d.SetParent(l2)
 	l2.AddChild(l1i)
@@ -57,7 +55,7 @@ func loadBlock(id uint64, addrs []uint64) *trace.DynBlock {
 }
 
 func TestIPC1Basics(t *testing.T) {
-	c := NewIPC1(3, buildHierarchy(), stats.NewRegistry("core"))
+	c := NewIPC1(3, buildHierarchy(), nil)
 	if c.id != 3 {
 		t.Fatalf("metadata wrong")
 	}
@@ -86,7 +84,7 @@ func TestIPC1Basics(t *testing.T) {
 
 func TestIPC1LoadLatencyStalls(t *testing.T) {
 	ports := buildHierarchy()
-	c := NewIPC1(0, ports, stats.NewRegistry("core"))
+	c := NewIPC1(0, ports, nil)
 	// Warm up the I-cache with an ALU block at the same address.
 	addrs := []uint64{1 << 30}
 	b := loadBlock(1, addrs)
@@ -105,7 +103,7 @@ func TestIPC1LoadLatencyStalls(t *testing.T) {
 }
 
 func TestIPC1DelayAndSetCycle(t *testing.T) {
-	c := NewIPC1(0, buildHierarchy(), stats.NewRegistry("core"))
+	c := NewIPC1(0, buildHierarchy(), nil)
 	c.SimulateBlock(aluBlock(1, 4))
 	base := c.Cycle()
 	c.AddDelay(100)
@@ -123,7 +121,7 @@ func TestIPC1DelayAndSetCycle(t *testing.T) {
 }
 
 func TestIPC1BranchMispredictPenalty(t *testing.T) {
-	c := NewIPC1(0, buildHierarchy(), stats.NewRegistry("core"))
+	c := NewIPC1(0, buildHierarchy(), nil)
 	// Alternate outcomes on the same branch address at first confuse the
 	// predictor; total mispredicts must be > 0 and each costs 17 cycles.
 	b := aluBlock(1, 2)
@@ -141,7 +139,7 @@ func TestIPC1BranchMispredictPenalty(t *testing.T) {
 }
 
 func TestOOOBasicThroughput(t *testing.T) {
-	c := NewOOO(1, OOOWestmere(), buildHierarchy(), stats.NewRegistry("core"))
+	c := NewOOO(1, OOOWestmere(), buildHierarchy(), nil)
 	if c.id != 1 {
 		t.Fatalf("metadata wrong")
 	}
@@ -168,8 +166,8 @@ func TestOOOFasterThanIPC1OnILP(t *testing.T) {
 	// The same high-ILP instruction stream should take fewer cycles on the
 	// OOO core than on the IPC1 core.
 	mkCores := func() (Core, Core) {
-		return NewIPC1(0, buildHierarchy(), stats.NewRegistry("a")),
-			NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("b"))
+		return NewIPC1(0, buildHierarchy(), nil),
+			NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
 	}
 	simple, ooo := mkCores()
 	// Independent integer ALU work spread over many registers: three ALU
@@ -191,7 +189,7 @@ func TestOOOFasterThanIPC1OnILP(t *testing.T) {
 func TestOOODependencyChainSerializes(t *testing.T) {
 	// A long dependent chain of multiplies (latency 3) cannot run faster than
 	// latency * count, regardless of width.
-	c := NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("core"))
+	c := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
 	var instrs []isa.Instruction
 	for i := 0; i < 10; i++ {
 		instrs = append(instrs, isa.Instruction{Op: isa.OpMul, Dst: isa.RAX, Src1: isa.RAX, Src2: isa.RBX, Bytes: 3})
@@ -208,7 +206,7 @@ func TestOOODependencyChainSerializes(t *testing.T) {
 
 func TestOOOLoadMissStalls(t *testing.T) {
 	ports := buildHierarchy()
-	c := NewOOO(0, OOOWestmere(), ports, stats.NewRegistry("core"))
+	c := NewOOO(0, OOOWestmere(), ports, nil)
 	// Dependent loads to distinct cold lines: every one misses to memory and
 	// the dependent chain exposes the full latency.
 	var lat []uint64
@@ -236,7 +234,7 @@ func TestOOOLoadMissStalls(t *testing.T) {
 
 func TestOOOStoreForwarding(t *testing.T) {
 	ports := buildHierarchy()
-	c := NewOOO(0, OOOWestmere(), ports, stats.NewRegistry("core"))
+	c := NewOOO(0, OOOWestmere(), ports, nil)
 	addr := uint64(1 << 33)
 	// Store to a line then immediately load it: the load should forward from
 	// the store queue instead of paying a miss.
@@ -259,8 +257,8 @@ func TestOOOStoreForwarding(t *testing.T) {
 }
 
 func TestOOOMispredictionPenalty(t *testing.T) {
-	predictable := NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("a"))
-	unpredictable := NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("b"))
+	predictable := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
+	unpredictable := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
 	b := aluBlock(1, 6)
 	for i := 0; i < 300; i++ {
 		b.Taken = true
@@ -279,8 +277,8 @@ func TestOOOMispredictionPenalty(t *testing.T) {
 }
 
 func TestOOOFenceSerializes(t *testing.T) {
-	withFence := NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("a"))
-	without := NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("b"))
+	withFence := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
+	without := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
 	addr := uint64(1 << 34)
 	fenced := []isa.Instruction{
 		{Op: isa.OpStore, Dst: isa.RBX, Src1: isa.RBP, Bytes: 4},
@@ -302,7 +300,7 @@ func TestOOOFenceSerializes(t *testing.T) {
 }
 
 func TestOOOAddDelayAdvancesAllClocks(t *testing.T) {
-	c := NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("core"))
+	c := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
 	c.SimulateBlock(aluBlock(1, 8))
 	base := c.Cycle()
 	c.AddDelay(1000)
@@ -323,7 +321,7 @@ func TestOOOAddDelayAdvancesAllClocks(t *testing.T) {
 }
 
 func TestOOOConfigDefaults(t *testing.T) {
-	c := NewOOO(0, OOOConfig{}, buildHierarchy(), stats.NewRegistry("core"))
+	c := NewOOO(0, OOOConfig{}, buildHierarchy(), nil)
 	if c.cfg.IssueWidth != 4 || c.cfg.ROBSize != 128 || c.cfg.LoadQueueSize != 48 ||
 		c.cfg.StoreQueueSize != 32 || c.cfg.MispredictCycles != 17 {
 		t.Fatalf("zero config should get Westmere-like defaults: %+v", c.cfg)
@@ -348,8 +346,8 @@ func (r *recordingSink) RecordAccess(coreID int, issueCycle uint64, write bool, 
 
 func TestAccessRecorderReceivesHops(t *testing.T) {
 	for _, mk := range []func() Core{
-		func() Core { return NewIPC1(0, buildHierarchy(), stats.NewRegistry("c")) },
-		func() Core { return NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("c")) },
+		func() Core { return NewIPC1(0, buildHierarchy(), nil) },
+		func() Core { return NewOOO(0, OOOWestmere(), buildHierarchy(), nil) },
 	} {
 		c := mk()
 		sink := &recordingSink{}
@@ -369,12 +367,12 @@ func TestAccessRecorderReceivesHops(t *testing.T) {
 }
 
 func TestOOONilDecodedBlockIgnored(t *testing.T) {
-	c := NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("core"))
+	c := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
 	c.SimulateBlock(&trace.DynBlock{})
 	if c.Instrs() != 0 {
 		t.Fatalf("nil decoded block should be ignored")
 	}
-	s := NewIPC1(0, buildHierarchy(), stats.NewRegistry("core"))
+	s := NewIPC1(0, buildHierarchy(), nil)
 	s.SimulateBlock(&trace.DynBlock{})
 	if s.Instrs() != 0 {
 		t.Fatalf("nil decoded block should be ignored by IPC1 too")
@@ -388,7 +386,7 @@ func TestOOOWorkloadDriven(t *testing.T) {
 	p.BlocksPerThread = 1500
 	w := trace.New("unit", p, 1)
 	th := w.NewThread(0)
-	c := NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("core"))
+	c := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
 	for {
 		b := th.NextBlock()
 		if b.Sync == trace.SyncDone {
@@ -403,13 +401,13 @@ func TestOOOWorkloadDriven(t *testing.T) {
 	if ipc < 0.05 || ipc > 4.0 {
 		t.Fatalf("workload IPC out of plausible range: %.3f", ipc)
 	}
-	if c.cnt.Loads.Get() == 0 || c.cnt.Stores.Get() == 0 || c.cnt.Fetches.Get() == 0 {
+	if c.cnt.Loads == 0 || c.cnt.Stores == 0 || c.cnt.Fetches == 0 {
 		t.Fatalf("memory and fetch counters should be populated")
 	}
 }
 
 func TestSchedulePortRespectsBusy(t *testing.T) {
-	c := NewOOO(0, OOOWestmere(), buildHierarchy(), stats.NewRegistry("core"))
+	c := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
 	// The load port (port 2) can hold only one µop per cycle: scheduling two
 	// loads at the same earliest cycle must place them on different cycles.
 	c1, _ := c.schedulePort(isa.PortsLoad, 100)
@@ -433,11 +431,10 @@ func TestSchedulePortRespectsBusy(t *testing.T) {
 	}
 }
 
-// Both core models count each conditional branch once, in their registry
-// counters, and BranchStats reads exactly those: the counts equal a
-// standalone predictor fed the same (pc, taken) stream, the stats tree's
-// Reset (with the core's own) brings them back to zero, and a replay after
-// Reset counts the same again.
+// Both core models count each conditional branch once, in their statistics,
+// and BranchStats reads exactly those: the counts equal a standalone
+// predictor fed the same (pc, taken) stream, the core's Reset brings them
+// back to zero, and a replay after Reset counts the same again.
 func TestBranchStatsMatchPredictor(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var blocks []*trace.DynBlock
@@ -463,19 +460,16 @@ func TestBranchStatsMatchPredictor(t *testing.T) {
 	if wantMiss == 0 || wantMiss == wantPred {
 		t.Fatalf("stream is not a useful test: %d/%d mispredicted", wantMiss, wantPred)
 	}
-	for _, mk := range []func(*stats.Registry) Core{
-		func(reg *stats.Registry) Core { return NewIPC1(0, buildHierarchy(), reg) },
-		func(reg *stats.Registry) Core { return NewOOO(0, OOOWestmere(), buildHierarchy(), reg) },
+	for _, c := range []Core{
+		NewIPC1(0, buildHierarchy(), nil),
+		NewOOO(0, OOOWestmere(), buildHierarchy(), nil),
 	} {
-		reg := stats.NewRegistry("core")
-		c := mk(reg)
 		for _, b := range blocks {
 			c.SimulateBlock(b)
 		}
 		if pred, miss := c.BranchStats(); pred != wantPred || miss != wantMiss {
 			t.Fatalf("%T: BranchStats = (%d, %d), want (%d, %d)", c, pred, miss, wantPred, wantMiss)
 		}
-		reg.Reset()
 		c.Reset()
 		if pred, miss := c.BranchStats(); pred != 0 || miss != 0 {
 			t.Fatalf("%T: BranchStats after Reset = (%d, %d)", c, pred, miss)

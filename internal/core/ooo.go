@@ -134,7 +134,6 @@ func NewOOO(id int, cfg OOOConfig, ports MemPorts, reg *stats.Registry) *OOO {
 	c := arena.One[OOO](a)
 	c.memUnit = memUnit{id: id, ports: ports}
 	c.cfg = cfg
-	c.cnt = newCounters(reg)
 	c.pred = bpred.New(a)
 	c.portBusy = arena.Take[[isa.NumPorts]bool](a, schedWindowCycles)
 	c.rob = arena.Take[uint64](a, cfg.ROBSize)
@@ -143,6 +142,7 @@ func NewOOO(id int, cfg OOOConfig, ports MemPorts, reg *stats.Registry) *OOO {
 	c.loadQ = arena.TakeCap[uint64](a, 0, cfg.LoadQueueSize)
 	c.storeQ = arena.TakeCap[storeEntry](a, 0, cfg.StoreQueueSize)
 	c.doneBuf = arena.TakeCap[uint64](a, 0, 64)
+	reg.Record(&c.cnt)
 	return c
 }
 
@@ -150,13 +150,13 @@ func NewOOO(id int, cfg OOOConfig, ports MemPorts, reg *stats.Registry) *OOO {
 func (c *OOO) Cycle() uint64 { return c.retireClock }
 
 // Instrs returns the instruction count.
-func (c *OOO) Instrs() uint64 { return c.cnt.Instrs.Get() }
+func (c *OOO) Instrs() uint64 { return c.cnt.Instrs }
 
 // Uops returns the µop count.
-func (c *OOO) Uops() uint64 { return c.cnt.Uops.Get() }
+func (c *OOO) Uops() uint64 { return c.cnt.Uops }
 
 // BranchStats returns (predictions, mispredictions).
-func (c *OOO) BranchStats() (uint64, uint64) { return c.cnt.BrPred.Get(), c.cnt.BrMiss.Get() }
+func (c *OOO) BranchStats() (uint64, uint64) { return c.cnt.BrPred, c.cnt.BrMiss }
 
 // AddDelay applies weave-phase feedback by advancing every stage clock.
 func (c *OOO) AddDelay(cycles uint64) {
@@ -164,7 +164,7 @@ func (c *OOO) AddDelay(cycles uint64) {
 	c.decodeClock += cycles
 	c.issueClock += cycles
 	c.retireClock += cycles
-	c.cnt.Cycles.Set(c.retireClock)
+	c.cnt.Cycles = c.retireClock
 }
 
 // SetCycle fast-forwards all clocks to at least the given cycle.
@@ -187,6 +187,7 @@ func (c *OOO) ContextSwitch() { c.lastFetchLine = ^uint64(0) }
 // within a block, so stale values can never leak into timing.
 func (c *OOO) Reset() {
 	c.memUnit.reset()
+	c.cnt = Counters{}
 	c.fetchClock, c.decodeClock, c.issueClock, c.retireClock = 0, 0, 0, 0
 	c.scoreboard = [isa.NumRegs]uint64{}
 	for i := range c.portBusy {
@@ -218,7 +219,7 @@ func (c *OOO) SimulateBlock(b *trace.DynBlock) {
 	// --- Fetch stage ---------------------------------------------------
 	// Resume after any pending misprediction redirect.
 	if c.pendingRedirect > c.fetchClock {
-		c.cnt.FetchStall.Add(c.pendingRedirect - c.fetchClock)
+		c.cnt.FetchStall += c.pendingRedirect - c.fetchClock
 		c.fetchClock = c.pendingRedirect
 		c.pendingRedirect = 0
 	}
@@ -230,13 +231,13 @@ func (c *OOO) SimulateBlock(b *trace.DynBlock) {
 			continue
 		}
 		c.lastFetchLine = lineA
-		c.cnt.Fetches.Inc()
+		c.cnt.Fetches++
 		avail := c.access(c.ports.L1I, lineA, false, c.fetchClock)
 		if avail > c.fetchClock {
 			hitLat := uint64(lineHitLatency(c.ports.L1I))
 			if avail-c.fetchClock > hitLat {
 				// I-cache miss: the frontend stalls for the excess latency.
-				c.cnt.FetchStall.Add(avail - c.fetchClock - hitLat)
+				c.cnt.FetchStall += avail - c.fetchClock - hitLat
 				c.fetchClock = avail - hitLat
 			}
 		}
@@ -297,14 +298,14 @@ func (c *OOO) SimulateBlock(b *trace.DynBlock) {
 		c.scoreboard[lw.Reg] = done[lw.Uop]
 	}
 
-	c.cnt.Instrs.Add(uint64(d.Instrs))
-	c.cnt.Uops.Add(uint64(len(d.Uops)))
+	c.cnt.Instrs += uint64(d.Instrs)
+	c.cnt.Uops += uint64(len(d.Uops))
 
 	// --- Branch resolution ----------------------------------------------
 	if d.CondBranch {
-		c.cnt.BrPred.Inc()
+		c.cnt.BrPred++
 		if !c.pred.PredictAndUpdate(b.BranchPC, b.Taken) {
-			c.cnt.BrMiss.Inc()
+			c.cnt.BrMiss++
 			// The redirect takes effect when the branch resolves (the RIP
 			// scoreboard entry carries the branch µop's completion cycle)
 			// plus the fixed recovery penalty. Wrong-path fetch pollution:
@@ -316,10 +317,10 @@ func (c *OOO) SimulateBlock(b *trace.DynBlock) {
 			c.pendingRedirect = resolve + c.cfg.MispredictCycles
 			wrongPath := cache.LineAddr(d.Addr+d.Bytes) + 1
 			c.access(c.ports.L1I, wrongPath, false, c.fetchClock)
-			c.cnt.Fetches.Inc()
+			c.cnt.Fetches++
 		}
 	}
-	c.cnt.Cycles.Set(c.retireClock)
+	c.cnt.Cycles = c.retireClock
 }
 
 // simulateUop runs one µop through dispatch, port scheduling, execution and
@@ -340,7 +341,7 @@ func (c *OOO) simulateUop(b *trace.DynBlock, u *isa.Uop, dispatch uint64) uint64
 	}
 	if dispatch < c.issueClock {
 		stall := c.issueClock - dispatch
-		c.cnt.IssueStall.Add(stall)
+		c.cnt.IssueStall += stall
 		dispatch = c.issueClock
 	}
 
@@ -348,7 +349,7 @@ func (c *OOO) simulateUop(b *trace.DynBlock, u *isa.Uop, dispatch uint64) uint64
 	// issue stage stalls until then (the paper's head-of-line ROB stall).
 	oldestRetire := c.rob[c.robHead]
 	if oldestRetire > dispatch {
-		c.cnt.IssueStall.Add(oldestRetire - dispatch)
+		c.cnt.IssueStall += oldestRetire - dispatch
 		dispatch = oldestRetire
 		if c.issueClock < dispatch {
 			c.issueClock = dispatch
@@ -362,7 +363,7 @@ func (c *OOO) simulateUop(b *trace.DynBlock, u *isa.Uop, dispatch uint64) uint64
 	var doneCycle uint64
 	switch u.Type {
 	case isa.UopLoad:
-		c.cnt.Loads.Inc()
+		c.cnt.Loads++
 		addr := addrFor(b, u.MemSlot)
 		lineA := cache.LineAddr(addr)
 		if fwd, ok := c.storeForward(lineA, execCycle); ok {
@@ -378,7 +379,7 @@ func (c *OOO) simulateUop(b *trace.DynBlock, u *isa.Uop, dispatch uint64) uint64
 		// drain are tracked by the matching StData µop.
 		doneCycle = execCycle + uint64(u.Lat)
 	case isa.UopStData:
-		c.cnt.Stores.Inc()
+		c.cnt.Stores++
 		addr := addrFor(b, u.MemSlot)
 		lineA := cache.LineAddr(addr)
 		// The store drains to the L1D after it commits; under TSO it does not
@@ -462,7 +463,7 @@ func (c *OOO) pushStore(lineAddr, dataCycle, drainCycle uint64) {
 		// enter; this back-pressures the issue stage.
 		oldest := c.storeQ[0]
 		if oldest.commitDone > c.issueClock {
-			c.cnt.IssueStall.Add(oldest.commitDone - c.issueClock)
+			c.cnt.IssueStall += oldest.commitDone - c.issueClock
 			c.issueClock = oldest.commitDone
 		}
 		// Compact in place so the queue keeps its (arena-backed) capacity.
@@ -492,7 +493,7 @@ func (c *OOO) pushLoad(doneCycle uint64) {
 	if c.cfg.LoadQueueSize > 0 && len(c.loadQ) >= c.cfg.LoadQueueSize {
 		oldest := c.loadQ[0]
 		if oldest > c.issueClock {
-			c.cnt.IssueStall.Add(oldest - c.issueClock)
+			c.cnt.IssueStall += oldest - c.issueClock
 			c.issueClock = oldest
 		}
 		// Compact in place so the queue keeps its (arena-backed) capacity.

@@ -148,14 +148,6 @@ func (d *DDR3) RequestLatency(lineAddr uint64, cycle uint64, write bool) uint64 
 	return latMem * t.CPUCyclesPerMemCycle
 }
 
-// AverageWaitCPU returns the average queuing wait per request in CPU cycles.
-func (d *DDR3) AverageWaitCPU() float64 {
-	if d.TotalRequests == 0 {
-		return 0
-	}
-	return float64(d.TotalWaitMem*d.t.CPUCyclesPerMemCycle) / float64(d.TotalRequests)
-}
-
 // CycleDriven is a DRAMSim2-style cycle-driven DRAM model: it exposes the
 // same weave-phase interface as DDR3 but advances an internal clock one
 // memory cycle at a time, re-evaluating its bank state machines every tick.

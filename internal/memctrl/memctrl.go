@@ -19,6 +19,7 @@ package memctrl
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"zsim/internal/cache"
 	"zsim/internal/stats"
@@ -47,44 +48,49 @@ type ContentionModel interface {
 }
 
 // Simple is a fixed-latency memory controller: every access takes the
-// zero-load latency. It is the terminal level used by the bound phase. Its
-// counters are atomic, so concurrent accesses from many bound-phase host
-// threads never serialize on a lock.
+// zero-load latency. It is the terminal level used by the bound phase. Every
+// L3 bank calls it concurrently with no lock held, so its counts are atomic.
 type Simple struct {
 	compID int
 	// Latency is the zero-load latency in CPU cycles (row access + channel
 	// transfer, no queuing).
 	latency uint32
 
-	reads  *stats.AtomicCounter
-	writes *stats.AtomicCounter
+	reads, writes atomic.Uint64
 }
 
-// NewSimple creates a fixed-latency controller.
+// NewSimple creates a fixed-latency controller, exporting its statistics
+// under reg (which may be nil).
 func NewSimple(compID int, latency uint32, reg *stats.Registry) *Simple {
-	if reg == nil {
-		reg = stats.NewRegistry("mem")
-	}
-	return &Simple{
-		compID:  compID,
-		latency: latency,
-		reads:   reg.Atomic("reads", "read requests served"),
-		writes:  reg.Atomic("writes", "write requests served"),
-	}
+	s := &Simple{compID: compID, latency: latency}
+	reg.Record(s)
+	return s
 }
 
 // Reads returns the number of reads served.
-func (s *Simple) Reads() uint64 { return s.reads.Get() }
+func (s *Simple) Reads() uint64 { return s.reads.Load() }
 
 // Writes returns the number of writes served.
-func (s *Simple) Writes() uint64 { return s.writes.Get() }
+func (s *Simple) Writes() uint64 { return s.writes.Load() }
+
+// VisitStats reports the controller's statistics (stats.Source).
+func (s *Simple) VisitStats(f func(name, desc string, v uint64)) {
+	f("reads", "read requests served", s.reads.Load())
+	f("writes", "write requests served", s.writes.Load())
+}
+
+// Reset zeroes the controller's statistics, its only state.
+func (s *Simple) Reset() {
+	s.reads.Store(0)
+	s.writes.Store(0)
+}
 
 // Access serves a request with the fixed zero-load latency.
 func (s *Simple) Access(req *cache.Request) uint64 {
 	if req.Write {
-		s.writes.Inc()
+		s.writes.Add(1)
 	} else {
-		s.reads.Inc()
+		s.reads.Add(1)
 	}
 	if req.RecordHops {
 		req.Hops = append(req.Hops, cache.Hop{Comp: s.compID, Kind: cache.HopMem, Line: req.LineAddr, Cycle: req.Cycle, Latency: s.latency})
@@ -106,42 +112,48 @@ type MD1 struct {
 	// channel occupancy), which bounds throughput.
 	serviceCycles float64
 
-	mu       sync.Mutex
-	window   []uint64 // arrival cycles of recent requests (ring buffer)
-	widx     int
-	wcount   int
-	reads    *stats.Counter
-	writes   *stats.Counter
-	satEvent *stats.Counter
+	// mu guards the arrival window and the statistics.
+	mu        sync.Mutex
+	window    []uint64 // arrival cycles of recent requests (ring buffer)
+	widx      int
+	wcount    int
+	reads     uint64
+	writes    uint64
+	saturated uint64
 }
 
-// NewMD1 creates an M/D/1 controller. serviceCycles is the per-request
-// service (channel occupancy) time in CPU cycles; it determines the
-// saturation bandwidth.
+// NewMD1 creates an M/D/1 controller, exporting its statistics under reg
+// (which may be nil). serviceCycles is the per-request service (channel
+// occupancy) time in CPU cycles; it determines the saturation bandwidth.
 func NewMD1(compID int, latency uint32, serviceCycles float64, reg *stats.Registry) *MD1 {
-	if reg == nil {
-		reg = stats.NewRegistry("mem")
-	}
-	return &MD1{
+	m := &MD1{
 		compID:        compID,
 		latency:       latency,
 		serviceCycles: serviceCycles,
 		window:        make([]uint64, 64),
-		reads:         reg.Counter("reads", "read requests served"),
-		writes:        reg.Counter("writes", "write requests served"),
-		satEvent:      reg.Counter("saturated", "requests served at clamped utilization"),
 	}
+	reg.Record(m)
+	return m
 }
 
 // Reads returns the number of reads served.
-func (m *MD1) Reads() uint64 { m.mu.Lock(); defer m.mu.Unlock(); return m.reads.Get() }
+func (m *MD1) Reads() uint64 { m.mu.Lock(); defer m.mu.Unlock(); return m.reads }
 
 // Writes returns the number of writes served.
-func (m *MD1) Writes() uint64 { m.mu.Lock(); defer m.mu.Unlock(); return m.writes.Get() }
+func (m *MD1) Writes() uint64 { m.mu.Lock(); defer m.mu.Unlock(); return m.writes }
 
-// Utilization estimates the controller's current utilization from the arrival
-// window (0 if too few samples).
-func (m *MD1) Utilization() float64 {
+// VisitStats reports the controller's statistics (stats.Source).
+func (m *MD1) VisitStats(f func(name, desc string, v uint64)) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f("reads", "read requests served", m.reads)
+	f("writes", "write requests served", m.writes)
+	f("saturated", "requests served at clamped utilization", m.saturated)
+}
+
+// utilization estimates the controller's current utilization from the
+// arrival window (0 if too few samples).
+func (m *MD1) utilization() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.utilizationLocked()
@@ -164,9 +176,9 @@ func (m *MD1) utilizationLocked() float64 {
 func (m *MD1) Access(req *cache.Request) uint64 {
 	m.mu.Lock()
 	if req.Write {
-		m.writes.Inc()
+		m.writes++
 	} else {
-		m.reads.Inc()
+		m.reads++
 	}
 	// Record the arrival.
 	m.window[m.widx] = req.Cycle
@@ -177,7 +189,7 @@ func (m *MD1) Access(req *cache.Request) uint64 {
 	rho := m.utilizationLocked()
 	if rho > 0.95 {
 		rho = 0.95
-		m.satEvent.Inc()
+		m.saturated++
 	}
 	m.mu.Unlock()
 
@@ -190,12 +202,12 @@ func (m *MD1) Access(req *cache.Request) uint64 {
 	return req.Cycle + lat
 }
 
-// Reset restores the model to its just-built state: an empty arrival window.
-// Its counters are registry-owned and zeroed by Registry.Reset.
+// Reset restores the model to its just-built state: an empty arrival window
+// and zero statistics.
 func (m *MD1) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	clear(m.window)
-	m.widx = 0
-	m.wcount = 0
+	m.widx, m.wcount = 0, 0
+	m.reads, m.writes, m.saturated = 0, 0, 0
 }

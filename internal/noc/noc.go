@@ -66,15 +66,24 @@ type Router struct {
 	queueDepth int
 	ports      []portState // network ports, then one memory-egress port
 
-	// Statistics, registered in the system's registry under noc/router-<n>.
+	// Statistics, exported in the system's registry under noc/router-<n>.
 	// A queue-stalled packet always also conflicts on its (necessarily
 	// busy) port, so QueueStalls counts a subset of PortConflicts — the
 	// packets that additionally cost the port backpressure occupancy.
-	Traversals    *stats.Counter // packets scheduled through this router
-	BusyCycles    *stats.Counter // total port occupancy charged (incl. backpressure)
-	PortConflicts *stats.Counter // packets that found their port busy
-	QueueStalls   *stats.Counter // packets that found their port's queue full on arrival
-	QueueDelay    *stats.Counter // total cycles packets waited for ports
+	Traversals    uint64 // packets scheduled through this router
+	BusyCycles    uint64 // total port occupancy charged (incl. backpressure)
+	PortConflicts uint64 // packets that found their port busy
+	QueueStalls   uint64 // packets that found their port's queue full on arrival
+	QueueDelay    uint64 // total cycles packets waited for ports
+}
+
+// VisitStats reports the router's statistics (stats.Source).
+func (r *Router) VisitStats(f func(name, desc string, v uint64)) {
+	f("traversals", "packets scheduled through this router", r.Traversals)
+	f("busyCycles", "total output-port occupancy in cycles (incl. backpressure)", r.BusyCycles)
+	f("portConflicts", "packets that found their output port busy", r.PortConflicts)
+	f("queueStalls", "packets that arrived to a full port queue (subset of portConflicts)", r.QueueStalls)
+	f("queueDelay", "total cycles packets waited for output ports", r.QueueDelay)
 }
 
 // Schedule dispatches one packet through the router's output port at the
@@ -87,7 +96,7 @@ type Router struct {
 // effective bandwidth instead of merely serializing.
 func (r *Router) Schedule(port int, dispatch uint64) uint64 {
 	p := &r.ports[port]
-	r.Traversals.Inc()
+	r.Traversals++
 	start := dispatch
 	var backpressure uint64
 	if r.queueDepth > 0 {
@@ -113,7 +122,7 @@ func (r *Router) Schedule(port int, dispatch uint64) uint64 {
 				}
 			}
 			if earliest > dispatch {
-				r.QueueStalls.Inc()
+				r.QueueStalls++
 				// The wasted link time is capped at one train length per
 				// admitted packet: trains are admitted serially, so a
 				// blocked train can idle the wire for at most its own
@@ -129,17 +138,17 @@ func (r *Router) Schedule(port int, dispatch uint64) uint64 {
 		}
 	}
 	if p.free > start {
-		r.PortConflicts.Inc()
+		r.PortConflicts++
 		start = p.free
 	}
 	if r.queueDepth > 0 {
 		p.inflight = append(p.inflight, start+r.flitCycles)
 	}
 	if start > dispatch {
-		r.QueueDelay.Add(start - dispatch)
+		r.QueueDelay += start - dispatch
 	}
 	p.free = start + r.flitCycles + backpressure
-	r.BusyCycles.Add(r.flitCycles + backpressure)
+	r.BusyCycles += r.flitCycles + backpressure
 	lat := r.perHop
 	if port == len(r.ports)-1 {
 		lat = r.memHop
@@ -147,13 +156,13 @@ func (r *Router) Schedule(port int, dispatch uint64) uint64 {
 	return start + lat
 }
 
-// Reset restores the router's ports to their just-built state: idle clocks
-// and empty queues. Its counters are registry-owned and zeroed by
-// Registry.Reset.
+// Reset restores the router to its just-built state: idle clocks, empty
+// queues and zero statistics.
 func (r *Router) Reset() {
 	for i := range r.ports {
 		r.ports[i] = portState{inflight: r.ports[i].inflight[:0]}
 	}
+	r.Traversals, r.BusyCycles, r.PortConflicts, r.QueueStalls, r.QueueDelay = 0, 0, 0, 0, 0
 }
 
 // Fabric bundles the topology and the per-node routers of one simulated
@@ -165,7 +174,7 @@ type Fabric struct {
 	memPort int
 }
 
-// NewFabric creates one router per topology node, registering each router's
+// NewFabric creates one router per topology node, exporting each router's
 // statistics under reg (router-<node>). Every router gets the topology's
 // network ports plus one memory-egress port.
 func NewFabric(topo network.Topology, cfg Config, reg *stats.Registry) *Fabric {
@@ -181,19 +190,13 @@ func NewFabric(topo network.Topology, cfg Config, reg *stats.Registry) *Fabric {
 	f.memPort = topo.NumPorts()
 	f.routers = arena.Take[*Router](a, topo.Nodes())
 	for n := range f.routers {
-		rr := reg.ChildIdx("router", n)
 		r := arena.One[Router](a)
 		r.perHop = uint64(topo.PerHopLatency())
 		r.memHop = uint64(cfg.MemHopLatency)
 		r.flitCycles = uint64(cfg.PacketFlits) * uint64(cfg.CyclesPerFlit)
 		r.queueDepth = cfg.QueueDepth
 		r.ports = arena.Take[portState](a, topo.NumPorts()+1)
-
-		r.Traversals = rr.Counter("traversals", "packets scheduled through this router")
-		r.BusyCycles = rr.Counter("busyCycles", "total output-port occupancy in cycles (incl. backpressure)")
-		r.PortConflicts = rr.Counter("portConflicts", "packets that found their output port busy")
-		r.QueueStalls = rr.Counter("queueStalls", "packets that arrived to a full port queue (subset of portConflicts)")
-		r.QueueDelay = rr.Counter("queueDelay", "total cycles packets waited for output ports")
+		reg.ChildIdx("router", n).Record(r)
 		f.routers[n] = r
 	}
 	return f
@@ -208,9 +211,6 @@ func (f *Fabric) Router(n int) *Router {
 	return f.routers[n]
 }
 
-// NumRouters returns the number of routers (= topology nodes).
-func (f *Fabric) NumRouters() int { return len(f.routers) }
-
 // MemPort returns the index of the memory-egress port on every router.
 func (f *Fabric) MemPort() int { return f.memPort }
 
@@ -223,8 +223,8 @@ func (f *Fabric) PerHop() uint64 { return uint64(f.topo.PerHopLatency()) }
 // NextHop delegates to the topology's deterministic routing.
 func (f *Fabric) NextHop(cur, dst int) (next, port int) { return f.topo.NextHop(cur, dst) }
 
-// Reset restores every router's ports to their just-built state (System.Reset
-// calls it).
+// Reset restores every router to its just-built state (System.Reset calls
+// it).
 func (f *Fabric) Reset() {
 	for _, r := range f.routers {
 		r.Reset()
@@ -254,14 +254,12 @@ type Stats struct {
 func (f *Fabric) TotalStats() Stats {
 	var s Stats
 	for _, r := range f.routers {
-		s.Traversals += r.Traversals.Get()
-		s.BusyCycles += r.BusyCycles.Get()
-		s.PortConflicts += r.PortConflicts.Get()
-		s.QueueStalls += r.QueueStalls.Get()
-		s.QueueDelay += r.QueueDelay.Get()
-		if d := r.QueueDelay.Get(); d > s.MaxRouterDelay {
-			s.MaxRouterDelay = d
-		}
+		s.Traversals += r.Traversals
+		s.BusyCycles += r.BusyCycles
+		s.PortConflicts += r.PortConflicts
+		s.QueueStalls += r.QueueStalls
+		s.QueueDelay += r.QueueDelay
+		s.MaxRouterDelay = max(s.MaxRouterDelay, r.QueueDelay)
 	}
 	return s
 }

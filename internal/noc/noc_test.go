@@ -34,7 +34,7 @@ func TestZeroLoadPassThrough(t *testing.T) {
 	if got := r.Schedule(f.MemPort(), 200); got != 201 {
 		t.Fatalf("mem-egress hop should finish at 201 (dispatch+memHop), got %d", got)
 	}
-	if r.PortConflicts.Get() != 0 || r.QueueDelay.Get() != 0 {
+	if r.PortConflicts != 0 || r.QueueDelay != 0 {
 		t.Fatalf("zero-load traversals must not record contention")
 	}
 }
@@ -52,11 +52,11 @@ func TestPortOccupancy(t *testing.T) {
 	if got := r.Schedule(network.MeshPortWest, 102); got != 108 {
 		t.Fatalf("second packet should start at 105 and finish at 108, got %d", got)
 	}
-	if r.PortConflicts.Get() != 1 {
-		t.Fatalf("one port conflict expected, got %d", r.PortConflicts.Get())
+	if r.PortConflicts != 1 {
+		t.Fatalf("one port conflict expected, got %d", r.PortConflicts)
 	}
-	if r.QueueDelay.Get() != 3 {
-		t.Fatalf("queue delay should be 3 cycles (105-102), got %d", r.QueueDelay.Get())
+	if r.QueueDelay != 3 {
+		t.Fatalf("queue delay should be 3 cycles (105-102), got %d", r.QueueDelay)
 	}
 }
 
@@ -70,17 +70,17 @@ func TestBoundedQueueStall(t *testing.T) {
 	r := f.Router(2)
 	r.Schedule(network.MeshPortEast, 100) // starts 100, train drains at 105
 	r.Schedule(network.MeshPortEast, 100) // queued; starts 105, drains at 110
-	if r.QueueStalls.Get() != 0 {
-		t.Fatalf("a non-full queue must not stall, got %d stalls", r.QueueStalls.Get())
+	if r.QueueStalls != 0 {
+		t.Fatalf("a non-full queue must not stall, got %d stalls", r.QueueStalls)
 	}
 	got := r.Schedule(network.MeshPortEast, 101) // queue full until 105: blocks 4 cycles
 	if got != 113 {
 		t.Fatalf("third packet should serialize to start 110 and finish at 113; got %d", got)
 	}
-	if r.QueueStalls.Get() != 1 {
-		t.Fatalf("full-queue arrival should count one stall, got %d", r.QueueStalls.Get())
+	if r.QueueStalls != 1 {
+		t.Fatalf("full-queue arrival should count one stall, got %d", r.QueueStalls)
 	}
-	if r.QueueDelay.Get() == 0 {
+	if r.QueueDelay == 0 {
 		t.Fatalf("stalled packets must account queue delay")
 	}
 	// Backpressure: the port is now occupied until 110+5+4 = 119 (flit
@@ -102,12 +102,12 @@ func TestUnboundedQueueNoBackpressure(t *testing.T) {
 	if got := r.Schedule(network.MeshPortEast, 112); got != 118 {
 		t.Fatalf("unbounded queue should purely serialize (start 115, finish 118); got %d", got)
 	}
-	if r.QueueStalls.Get() != 0 {
+	if r.QueueStalls != 0 {
 		t.Fatalf("unbounded queue must never stall")
 	}
 }
 
-// TestReset clears port clocks and queues but keeps statistics.
+// TestReset clears port clocks, queues and statistics.
 func TestReset(t *testing.T) {
 	f := testFabric(1)
 	r := f.Router(3)
@@ -116,8 +116,8 @@ func TestReset(t *testing.T) {
 	if got := r.Schedule(network.MeshPortEast, 101); got != 104 {
 		t.Fatalf("after Reset the port should be idle, got %d", got)
 	}
-	if r.Traversals.Get() != 2 {
-		t.Fatalf("Reset must keep statistics, got %d traversals", r.Traversals.Get())
+	if r.Traversals != 1 {
+		t.Fatalf("Reset must zero statistics, got %d traversals", r.Traversals)
 	}
 }
 
@@ -125,8 +125,8 @@ func TestReset(t *testing.T) {
 // topology's ports plus a memory-egress port.
 func TestFabricShape(t *testing.T) {
 	f := testFabric(8)
-	if f.NumRouters() != 4 {
-		t.Fatalf("2x2 mesh should have 4 routers, got %d", f.NumRouters())
+	if len(f.routers) != 4 {
+		t.Fatalf("2x2 mesh should have 4 routers, got %d", len(f.routers))
 	}
 	if f.MemPort() != 4 {
 		t.Fatalf("mesh mem port should be index 4, got %d", f.MemPort())

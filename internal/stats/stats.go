@@ -1,19 +1,18 @@
-// Package stats provides the per-component counters every timing model keeps,
-// organized as a tree of registries that can be reset for warm reuse and
-// exported as text or CSV, plus the derived per-run Metrics the experiment
-// tables are built from.
+// Package stats provides the tree through which every timing model exports
+// its statistics as text or CSV, plus the derived per-run Metrics the
+// experiment tables are built from.
 //
 // The original zsim exports statistics through HDF5; this implementation is
 // stdlib-only and exports through text and CSV writers, which is sufficient
 // for the experiment harness to regenerate every table and figure in the
 // paper.
 //
-// A Counter is a plain uint64 updated by a single goroutine: each core and
-// private cache is driven by exactly one host thread at a time during the
-// bound phase. Components that several host threads update at once (shared
-// cache banks, memory controllers) register AtomicCounters instead.
-// Aggregation across components happens at interval or simulation
-// boundaries.
+// Components keep their counts as plain fields of their own records, updated
+// under whatever synchronization the component already has (a cache counts
+// under its stripe locks; the lock-free simple memory controller alone uses
+// atomics), and zero them in their own Reset. A registry node only names a
+// component and reads its counts, through the component's Source, when the
+// tree is exported at the end of a run.
 package stats
 
 import (
@@ -21,61 +20,26 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"zsim/internal/arena"
 )
 
-// Counter is a monotonically increasing scalar statistic.
-type Counter struct {
-	Name string
-	Desc string
-	V    uint64
+// Source is a component whose statistics a registry node exports. VisitStats
+// calls f once per statistic, always in the same order, with the statistic's
+// name, description and current value: each type's VisitStats is that type's
+// one table of statistic names.
+type Source interface {
+	VisitStats(f func(name, desc string, v uint64))
 }
 
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.V++ }
-
-// Add adds n to the counter.
-func (c *Counter) Add(n uint64) { c.V += n }
-
-// Get returns the current value.
-func (c *Counter) Get() uint64 { return c.V }
-
-// Set overwrites the counter value. It is used when a model computes the
-// value externally (e.g., cycle counters owned by a core model).
-func (c *Counter) Set(v uint64) { c.V = v }
-
-// AtomicCounter is a monotonically increasing scalar statistic updated by
-// several host threads at once. Components whose hot path is sharded across
-// threads (shared caches with striped locking, memory controllers) use it
-// instead of Counter, trading a lock-free atomic add for the single-writer
-// assumption.
-type AtomicCounter struct {
-	Name string
-	Desc string
-	v    atomic.Uint64
-}
-
-// Inc adds one to the counter.
-func (c *AtomicCounter) Inc() { c.v.Add(1) }
-
-// Get returns the current value.
-func (c *AtomicCounter) Get() uint64 { return c.v.Load() }
-
-// Set overwrites the counter value.
-func (c *AtomicCounter) Set(v uint64) { c.v.Store(v) }
-
-// Registry is a named collection of statistics belonging to one simulated
-// component (a core, a cache, a memory controller). Registries nest to form
-// the stats tree of the whole simulated system.
+// Registry is a node of the statistics tree of the simulated system: a
+// component name, at most one Source and the nested nodes.
 //
-// Registries and the statistics they register are flat, arena-backed objects
-// when the root registry carries an arena (NewRegistryIn): every Counter,
-// AtomicCounter and child Registry is carved from large type-uniform
-// chunks instead of being heap-allocated individually, and indexed children
-// (ChildIdx) format their names lazily at export time. Building the stats
-// tree of a 1,024-core chip is then a handful of chunk allocations.
+// When the root registry carries an arena (NewRegistryIn), every child node
+// is carved from it, indexed children (ChildIdx) format their names lazily
+// at export time, and components built under the tree allocate their own
+// bulk state from the same arena (Arena). Building the stats tree of a
+// 1,024-core chip is then a handful of chunk allocations.
 type Registry struct {
 	// name is the explicit component name; indexed registries (ChildIdx)
 	// leave it empty and carry prefix + idx instead, formatting the name only
@@ -85,8 +49,7 @@ type Registry struct {
 	idx    int32
 
 	arena    *arena.Arena
-	counters []*Counter
-	atomics  []*AtomicCounter
+	source   Source
 	children []*Registry
 }
 
@@ -95,9 +58,8 @@ func NewRegistry(name string) *Registry {
 	return &Registry{name: name}
 }
 
-// NewRegistryIn creates a root registry whose statistics tree (counters,
-// children, ...) is allocated from the given arena. Children inherit the
-// arena.
+// NewRegistryIn creates a root registry whose tree is allocated from the
+// given arena. Children inherit the arena.
 func NewRegistryIn(name string, a *arena.Arena) *Registry {
 	r := arena.One[Registry](a)
 	r.name = name
@@ -105,10 +67,23 @@ func NewRegistryIn(name string, a *arena.Arena) *Registry {
 	return r
 }
 
-// Arena returns the arena backing this registry tree (nil for plain
+// Arena returns the arena backing this registry tree (nil for plain or nil
 // registries). Component constructors that receive a registry use it to
 // allocate their own bulk state from the same slabs.
-func (r *Registry) Arena() *arena.Arena { return r.arena }
+func (r *Registry) Arena() *arena.Arena {
+	if r == nil {
+		return nil
+	}
+	return r.arena
+}
+
+// Record makes src the node's statistics. On a nil registry it does nothing:
+// a component built without one still counts, it just exports nothing.
+func (r *Registry) Record(src Source) {
+	if r != nil {
+		r.source = src
+	}
+}
 
 // Name returns the component name, formatting indexed names lazily.
 func (r *Registry) Name() string {
@@ -116,28 +91,6 @@ func (r *Registry) Name() string {
 		return r.name
 	}
 	return fmt.Sprintf("%s-%d", r.prefix, r.idx)
-}
-
-// Counter creates, registers and returns a new counter.
-func (r *Registry) Counter(name, desc string) *Counter {
-	c := arena.One[Counter](r.arena)
-	c.Name, c.Desc = name, desc
-	if r.counters == nil {
-		r.counters = arena.TakeCap[*Counter](r.arena, 0, 10)
-	}
-	r.counters = append(r.counters, c)
-	return c
-}
-
-// Atomic creates, registers and returns a new atomic counter.
-func (r *Registry) Atomic(name, desc string) *AtomicCounter {
-	c := arena.One[AtomicCounter](r.arena)
-	c.Name, c.Desc = name, desc
-	if r.atomics == nil {
-		r.atomics = arena.TakeCap[*AtomicCounter](r.arena, 0, 6)
-	}
-	r.atomics = append(r.atomics, c)
-	return c
 }
 
 // Child creates, registers and returns a nested registry (inheriting the
@@ -162,21 +115,6 @@ func (r *Registry) ChildIdx(prefix string, idx int) *Registry {
 	return c
 }
 
-// Reset zeroes every counter in the subtree without disturbing the tree structure or names. It is
-// the statistics half of warm-simulator reuse: a reused system starts from
-// the exact zero state a freshly built stats tree has.
-func (r *Registry) Reset() {
-	for _, c := range r.counters {
-		c.V = 0
-	}
-	for _, c := range r.atomics {
-		c.Set(0)
-	}
-	for _, ch := range r.children {
-		ch.Reset()
-	}
-}
-
 // WriteText writes a human-readable dump of the registry tree.
 func (r *Registry) WriteText(w io.Writer) error {
 	return r.writeText(w, 0)
@@ -184,28 +122,24 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 func (r *Registry) writeText(w io.Writer, depth int) error {
 	indent := strings.Repeat("  ", depth)
-	if _, err := fmt.Fprintf(w, "%s%s:\n", indent, r.Name()); err != nil {
-		return err
-	}
-	for _, c := range r.counters {
-		if _, err := fmt.Fprintf(w, "%s  %s: %d # %s\n", indent, c.Name, c.V, c.Desc); err != nil {
-			return err
-		}
-	}
-	for _, c := range r.atomics {
-		if _, err := fmt.Fprintf(w, "%s  %s: %d # %s\n", indent, c.Name, c.Get(), c.Desc); err != nil {
-			return err
-		}
+	_, err := fmt.Fprintf(w, "%s%s:\n", indent, r.Name())
+	if r.source != nil {
+		r.source.VisitStats(func(name, desc string, v uint64) {
+			if err == nil {
+				_, err = fmt.Fprintf(w, "%s  %s: %d # %s\n", indent, name, v, desc)
+			}
+		})
 	}
 	for _, ch := range r.children {
-		if err := ch.writeText(w, depth+1); err != nil {
-			return err
+		if err != nil {
+			break
 		}
+		err = ch.writeText(w, depth+1)
 	}
-	return nil
+	return err
 }
 
-// WriteCSV writes all counters in the subtree as "path,name,value" rows,
+// WriteCSV writes all statistics in the subtree as "path,name,value" rows,
 // sorted by path, suitable for post-processing by the experiment harness.
 func (r *Registry) WriteCSV(w io.Writer) error {
 	rows := r.collectCSV("")
@@ -224,11 +158,10 @@ func (r *Registry) collectCSV(prefix string) []string {
 		path = prefix + "." + r.Name()
 	}
 	var rows []string
-	for _, c := range r.counters {
-		rows = append(rows, fmt.Sprintf("%s,%s,%d", path, c.Name, c.V))
-	}
-	for _, c := range r.atomics {
-		rows = append(rows, fmt.Sprintf("%s,%s,%d", path, c.Name, c.Get()))
+	if r.source != nil {
+		r.source.VisitStats(func(name, _ string, v uint64) {
+			rows = append(rows, fmt.Sprintf("%s,%s,%d", path, name, v))
+		})
 	}
 	for _, ch := range r.children {
 		rows = append(rows, ch.collectCSV(path)...)

@@ -2,61 +2,39 @@ package stats
 
 import (
 	"bytes"
+	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestCounterBasics(t *testing.T) {
-	r := NewRegistry("core-0")
-	c := r.Counter("instrs", "instructions executed")
-	if c.Get() != 0 {
-		t.Fatalf("new counter should be zero, got %d", c.Get())
-	}
-	c.Inc()
-	c.Add(9)
-	if c.Get() != 10 {
-		t.Fatalf("expected 10, got %d", c.Get())
-	}
-	c.Set(5)
-	if c.Get() != 5 {
-		t.Fatalf("expected 5 after Set, got %d", c.Get())
+// fakeSource is a Source reporting its values as statistics s0, s1, ...
+type fakeSource []uint64
+
+func (s fakeSource) VisitStats(f func(name, desc string, v uint64)) {
+	for i, v := range s {
+		f(fmt.Sprintf("s%d", i), fmt.Sprintf("stat %d", i), v)
 	}
 }
 
 func TestRegistryWriteText(t *testing.T) {
 	root := NewRegistry("sim")
-	c := root.Child("core-0")
-	c.Counter("instrs", "instructions").Add(42)
-	c.Atomic("hits", "hits").v.Add(7)
+	root.Child("core-0").Record(fakeSource{42, 7})
+	root.Child("idle")
 	var buf bytes.Buffer
-	if err := root.WriteText(&buf); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"sim:", "core-0:", "instrs: 42", "hits: 7"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("text output missing %q:\n%s", want, out)
-		}
+	if err := root.WriteText(&buf); err != nil || buf.String() != "sim:\n  core-0:\n    s0: 42 # stat 0\n    s1: 7 # stat 1\n  idle:\n" {
+		t.Fatalf("WriteText = %q, %v", buf.String(), err)
 	}
 }
 
+// CSV rows are sorted by path.
 func TestRegistryWriteCSV(t *testing.T) {
 	root := NewRegistry("sim")
-	root.Child("b").Counter("x", "").Add(2)
-	root.Child("a").Counter("x", "").Add(1)
+	root.Child("b").Record(fakeSource{2})
+	root.Child("a").Record(fakeSource{1, 3})
 	var buf bytes.Buffer
-	if err := root.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("expected 2 rows, got %d: %v", len(lines), lines)
-	}
-	// Rows are sorted by path.
-	if !strings.HasPrefix(lines[0], "sim.a,") || !strings.HasPrefix(lines[1], "sim.b,") {
-		t.Fatalf("rows not sorted: %v", lines)
+	if err := root.WriteCSV(&buf); err != nil || buf.String() != "sim.a,s0,1\nsim.a,s1,3\nsim.b,s0,2\n" {
+		t.Fatalf("WriteCSV = %q, %v", buf.String(), err)
 	}
 }
 
@@ -189,46 +167,16 @@ func TestHMeanPropertyAMGMHM(t *testing.T) {
 // format it lazily as "<prefix>-<idx>".
 func TestIndexedChildNames(t *testing.T) {
 	root := NewRegistryIn("sys", nil)
-	root.ChildIdx("l2", 7).Counter("hits", "h").Add(70)
-	root.ChildIdx("l2", 0).Atomic("misses", "m").v.Add(5)
+	root.ChildIdx("l2", 7).Record(fakeSource{70})
+	root.ChildIdx("l2", 0).Record(fakeSource{5})
 	if got := root.ChildIdx("l2", 12).Name(); got != "l2-12" {
 		t.Fatalf("Name() = %q, want l2-12", got)
 	}
-	var csv bytes.Buffer
-	if err := root.WriteCSV(&csv); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
+	var csv, text bytes.Buffer
+	if err := root.WriteCSV(&csv); err != nil || csv.String() != "sys.l2-0,s0,5\nsys.l2-7,s0,70\n" {
+		t.Fatalf("WriteCSV = %q, %v", csv.String(), err)
 	}
-	if got, want := csv.String(), "sys.l2-0,misses,5\nsys.l2-7,hits,70\n"; got != want {
-		t.Fatalf("CSV:\n%s\nwant:\n%s", got, want)
-	}
-	var text bytes.Buffer
-	if err := root.WriteText(&text); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	for _, want := range []string{"  l2-7:\n    hits: 70 # h\n", "  l2-0:\n    misses: 5 # m\n", "  l2-12:\n"} {
-		if !strings.Contains(text.String(), want) {
-			t.Fatalf("text output missing %q:\n%s", want, text.String())
-		}
-	}
-}
-
-// Reset zeroes plain and atomic counters in the whole subtree and keeps the
-// tree's shape and names.
-func TestRegistryReset(t *testing.T) {
-	root := NewRegistry("sim")
-	c := root.Counter("cycles", "")
-	a := root.ChildIdx("bank", 3).Atomic("hits", "")
-	c.Add(9)
-	a.v.Add(4)
-	root.Reset()
-	if c.Get() != 0 || a.Get() != 0 {
-		t.Fatalf("Reset left %d, %d", c.Get(), a.Get())
-	}
-	var csv bytes.Buffer
-	if err := root.WriteCSV(&csv); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	if got, want := csv.String(), "sim,cycles,0\nsim.bank-3,hits,0\n"; got != want {
-		t.Fatalf("after Reset:\n%s\nwant:\n%s", got, want)
+	if err := root.WriteText(&text); err != nil || text.String() != "sys:\n  l2-7:\n    s0: 70 # stat 0\n  l2-0:\n    s0: 5 # stat 0\n  l2-12:\n" {
+		t.Fatalf("WriteText = %q, %v", text.String(), err)
 	}
 }

@@ -27,14 +27,6 @@ func TestPublicAPIQuickRun(t *testing.T) {
 	if !strings.Contains(res.Summary(), "simulated") {
 		t.Fatalf("summary malformed: %s", res.Summary())
 	}
-	var buf bytes.Buffer
-	if err := sim.WriteStats(&buf); err != nil || buf.Len() == 0 {
-		t.Fatalf("WriteStats failed: %v", err)
-	}
-	buf.Reset()
-	if err := sim.WriteStatsCSV(&buf); err != nil || buf.Len() == 0 {
-		t.Fatalf("WriteStatsCSV failed: %v", err)
-	}
 	// Running twice is an error.
 	if _, err := sim.Run(); err == nil {
 		t.Fatalf("second Run should fail")
