@@ -135,7 +135,7 @@ func TestChainShape(t *testing.T) {
 					loadChildren = load.NumChildren()
 				}
 				before := sim.slab.InUse()
-				first := ch.add(sim.slab, sim.engine, sim.models, &rec.recs[i])
+				first := ch.add(sim.slab, sim.engine, sim.models, &rec.recs[i], rec.hops(&rec.recs[i]))
 				if got := sim.slab.InUse() - before; got != a.events {
 					t.Errorf("access %d built %d events, want %d", i, got, a.events)
 				}

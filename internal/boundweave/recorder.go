@@ -9,14 +9,15 @@ import (
 
 // accessRecord is one bound-phase memory access that reached a shared
 // component: its zero-load issue and completion cycles, whether it was a
-// store, and its model hops — the hops that become weave events, in program
-// order. Private-level hops are dropped when the access is recorded; only
-// the completion cycle keeps their zero-load time.
+// store, and where its model hops — the hops that become weave events, in
+// program order — sit in its recorder's hop log (n hops from off).
+// Private-level hops are dropped when the access is recorded; only the
+// completion cycle keeps their zero-load time. A record holds no pointers.
 type accessRecord struct {
 	issueCycle uint64
 	doneCycle  uint64
+	off, n     int32
 	write      bool
-	hops       []cache.Hop
 }
 
 // Recorder is the per-core bound-phase trace: it receives every recorded
@@ -26,22 +27,17 @@ type accessRecord struct {
 // driven by one host thread, so no locking is needed, and the filtering runs
 // on the parallel bound workers rather than in the serial weave.
 //
-// The recorder owns a freelist of hop buffers: RecordAccess takes ownership
-// of the consumed trace's buffer and hands a recycled one back to the core,
-// and Reset (called after each weave phase) returns every retained buffer to
-// the freelist. After the first few intervals the record path therefore
-// performs no heap allocation.
+// The kept hops of an interval's accesses go to one hop log, back to back,
+// and the caller keeps its own hop buffer. Reset (called after each weave
+// phase) truncates the records and the log, so after the first few
+// intervals the record path performs no heap allocation.
 type Recorder struct {
 	shared []bool // dense component-ID -> weave-retimed table
 	// net keeps network hops, which become router events when the system has
 	// a NoC contention fabric.
 	net  bool
 	recs []accessRecord
-	free [][]cache.Hop
-	// Dropped counts the accesses since the last Reset that stayed within
-	// the private levels and were therefore not recorded (contention there is
-	// dominated by the core itself and is modeled in the bound phase).
-	Dropped uint64
+	log  []cache.Hop
 }
 
 // NewRecorder creates a recorder for core coreID. shared is the set of
@@ -70,9 +66,9 @@ func denseShared(shared map[int]bool) []bool {
 	return arr
 }
 
-// RecordAccess implements core.AccessRecorder. It keeps traces that touch a
-// shared component, compacted in place to their model hops, and returns a
-// recycled hop buffer for the core's next access.
+// RecordAccess implements core.AccessRecorder. It appends the model hops of
+// a trace that touches a shared component to the hop log, compacting them in
+// place first, and always hands the caller's buffer back truncated.
 func (r *Recorder) RecordAccess(coreID int, issueCycle uint64, write bool, hops []cache.Hop) []cache.Hop {
 	done := issueCycle
 	if n := len(hops); n > 0 {
@@ -91,29 +87,22 @@ func (r *Recorder) RecordAccess(coreID int, issueCycle uint64, write bool, hops 
 		hops[kept] = *h
 		kept++
 	}
-	if !touchesShared {
-		r.Dropped++
-		return hops[:0] // the caller keeps reusing its own buffer
+	if touchesShared {
+		r.recs = append(r.recs, accessRecord{issueCycle: issueCycle, doneCycle: done,
+			off: int32(len(r.log)), n: int32(kept), write: write})
+		r.log = append(r.log, hops[:kept]...)
 	}
-	r.recs = append(r.recs, accessRecord{issueCycle: issueCycle, doneCycle: done, write: write, hops: hops[:kept]})
-	if n := len(r.free); n > 0 {
-		buf := r.free[n-1]
-		r.free = r.free[:n-1]
-		return buf
-	}
-	return nil
+	return hops[:0]
 }
 
-// Reset clears the interval's records and the drop count (called after the
-// weave phase and when a run starts), returning the records' hop buffers to
-// the freelist for the next interval.
+// hops returns rec's model hops from the log.
+func (r *Recorder) hops(rec *accessRecord) []cache.Hop { return r.log[rec.off : rec.off+rec.n] }
+
+// Reset clears the interval's records and hop log (called after the weave
+// phase and when a run starts), keeping their capacity.
 func (r *Recorder) Reset() {
-	for i := range r.recs {
-		r.free = append(r.free, r.recs[i].hops[:0])
-		r.recs[i].hops = nil
-	}
 	r.recs = r.recs[:0]
-	r.Dropped = 0
+	r.log = r.log[:0]
 }
 
 // BankModel is the weave-phase contention model for a pipelined L3 bank: a
@@ -241,13 +230,13 @@ func (m *weaveModels) run(ev *event.Event, dispatch uint64) uint64 {
 	}
 }
 
-// buildChain allocates rec's events from slab, one per contended hop in
-// program order, each a child of the one before, and returns the first and
-// the last. Each event's lower bound is its hop's zero-load arrival, so an
-// uncontended chain finishes exactly at the bound-phase cycle. A recorded
-// access touches a shared component and every shared component has a model,
-// so the chain is never empty.
-func (m *weaveModels) buildChain(slab *event.Slab, rec *accessRecord) (first, last *event.Event) {
+// buildChain allocates a recorded access's events from slab, one per
+// contended hop in program order, each a child of the one before, and
+// returns the first and the last. Each event's lower bound is its hop's
+// zero-load arrival, so an uncontended chain finishes exactly at the
+// bound-phase cycle. A recorded access touches a shared component and every
+// shared component has a model, so the chain is never empty.
+func (m *weaveModels) buildChain(slab *event.Slab, hops []cache.Hop) (first, last *event.Event) {
 	add := func(comp int, minCycle, arg uint64, flag bool) {
 		ev := slab.Alloc()
 		ev.Comp, ev.MinCycle, ev.Exec, ev.Arg, ev.Flag = comp, minCycle, m.exec, arg, flag
@@ -258,8 +247,8 @@ func (m *weaveModels) buildChain(slab *event.Slab, rec *accessRecord) (first, la
 		}
 		last = ev
 	}
-	for i := range rec.hops {
-		h := &rec.hops[i]
+	for i := range hops {
+		h := &hops[i]
 		switch h.Kind {
 		case cache.HopNet:
 			// A routed NoC traversal: one event per router along the
@@ -310,12 +299,13 @@ type coreChain struct {
 	fbDone uint64
 }
 
-// add builds rec's events and links them into the core's chain. The first
-// event's lower bound becomes max(its hop's bound, the issue cycle, the
-// latest load's completion), and its parent the latest load's last event;
-// with no earlier load it is enqueued on eng. add returns the first event.
-func (c *coreChain) add(slab *event.Slab, eng *event.Engine, m *weaveModels, rec *accessRecord) *event.Event {
-	first, last := m.buildChain(slab, rec)
+// add builds the events of rec, whose model hops are hops, and links them
+// into the core's chain. The first event's lower bound becomes max(its hop's
+// bound, the issue cycle, the latest load's completion), and its parent the
+// latest load's last event; with no earlier load it is enqueued on eng. add
+// returns the first event.
+func (c *coreChain) add(slab *event.Slab, eng *event.Engine, m *weaveModels, rec *accessRecord, hops []cache.Hop) *event.Event {
+	first, last := m.buildChain(slab, hops)
 	first.MinCycle = max(first.MinCycle, rec.issueCycle, c.loadDone)
 	if c.load != nil {
 		c.load.AddChild(first)

@@ -16,10 +16,9 @@ import (
 // keyed by type ("pkg.Type") or struct field ("pkg.Type.field"). Everything
 // else a simulator can reach must equal a fresh build after Reset.
 var resetSkip = map[string]string{
-	"arena.Arena":              "construction arena: owns the components' storage and keeps its chunks warm",
-	"engine.Pool":              "worker pool: persistent goroutines and lifetime counters, no simulated state",
-	"boundweave.Recorder.free": "hop-buffer freelist: capacity recycled across runs",
-	"event.Slab.chunks":        "event chunks: capacity; Slab.Reset rewinds the fill cursor that reads them",
+	"arena.Arena":       "construction arena: owns the components' storage and keeps its chunks warm",
+	"engine.Pool":       "worker pool: persistent goroutines and lifetime counters, no simulated state",
+	"event.Slab.chunks": "event chunks: capacity; Slab.Reset rewinds the fill cursor that reads them",
 }
 
 // TestResetMatchesFresh proves that Reset is a fresh build: a simulator that

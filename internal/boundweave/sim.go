@@ -647,7 +647,7 @@ loop:
 // runWeave builds the interval's event graph from the per-core recorders,
 // one event per contended hop, executes it on the persistent engine, and
 // feeds the contention delays back into the core clocks. Once the slab, the
-// heap and the hop freelists have warmed up, a steady-state weave interval
+// heap and the hop logs have warmed up, a steady-state weave interval
 // performs no heap allocation.
 func (s *Simulator) runWeave() {
 	chainStart := time.Now()
@@ -658,7 +658,7 @@ func (s *Simulator) runWeave() {
 		c := &s.chains[coreID]
 		*c = coreChain{}
 		for i := range rec.recs {
-			c.add(s.slab, s.engine, s.models, &rec.recs[i])
+			c.add(s.slab, s.engine, s.models, &rec.recs[i], rec.hops(&rec.recs[i]))
 		}
 	}
 	s.ChainNanos += time.Since(chainStart).Nanoseconds()

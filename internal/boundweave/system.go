@@ -134,14 +134,15 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	// bank's tile, using the configured topology.
 	coresPerTile := cfg.CoresPerTile
 	net := sys.Net
-	banksPerTile := maxInt(cfg.L3.Banks/tiles, 1)
+	banksPerTile := max(cfg.L3.Banks/tiles, 1)
 	sys.L3.SetDistanceFunc(func(coreID, bank int) uint32 {
 		srcTile := coreID / coresPerTile
 		dstTile := bank / banksPerTile
 		return net.Latency(srcTile, dstTile)
 	})
 
-	// L2 caches: one per tile (shared within the tile) or one per core.
+	// L2 caches: one per tile (shared within the tile) or one per core. A
+	// per-core L2, like every L1, is private: it takes one lock stripe.
 	l2Reg := root.Child("l2")
 	numL2 := tiles
 	for i := 0; i < numL2; i++ {
@@ -151,6 +152,7 @@ func BuildSystem(cfg *config.System) (*System, error) {
 			Ways:    cfg.L2.Ways,
 			Latency: cfg.L2.Latency,
 			MSHRs:   cfg.L2.MSHRs,
+			Private: coresPerTile == 1,
 		}, comp, l2Reg.ChildIdx("l2", i))
 		l2.SetParent(sys.L3)
 		sys.L2 = append(sys.L2, l2)
@@ -170,10 +172,10 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		l1iComp := alloc()
 		l1dComp := alloc()
 		l1i := cache.New(cache.Config{
-			SizeKB: cfg.L1I.SizeKB, Ways: cfg.L1I.Ways, Latency: cfg.L1I.Latency,
+			SizeKB: cfg.L1I.SizeKB, Ways: cfg.L1I.Ways, Latency: cfg.L1I.Latency, Private: true,
 		}, l1iComp, coreReg.ChildIdx("l1i", cID))
 		l1d := cache.New(cache.Config{
-			SizeKB: cfg.L1D.SizeKB, Ways: cfg.L1D.Ways, Latency: cfg.L1D.Latency,
+			SizeKB: cfg.L1D.SizeKB, Ways: cfg.L1D.Ways, Latency: cfg.L1D.Latency, Private: true,
 		}, l1dComp, coreReg.ChildIdx("l1d", cID))
 		l2 := sys.L2[tile]
 		l1i.SetParent(l2)
@@ -276,13 +278,6 @@ func (s *System) Reset() {
 	if s.Fabric != nil {
 		s.Fabric.Reset()
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Metrics aggregates the system's counters into the harness's Metrics form.

@@ -13,19 +13,29 @@
 // (fetches, writebacks) and down (invalidations, downgrades) the hierarchy: a
 // cache never holds its own lock while calling up into its parent, and only
 // takes child locks while handling a downward invalidation. Lock ordering is
-// therefore always parent-before-child and the scheme is deadlock-free. The
-// only race this admits is the one the paper accepts: two near-simultaneous
-// accesses to the same line may be serialized in either order.
+// therefore always parent-before-child and the scheme is deadlock-free. It
+// admits the race the paper accepts, two near-simultaneous accesses to the
+// same line serialized in either order, and one it does not: a miss holds no
+// lock between its parent's grant and its own install, so an invalidation or
+// downgrade sent in that window finds nothing and the fill then installs an
+// untracked copy (one cache may hold a line Exclusive or Modified while
+// another still holds it). Even serially, a write upgrade at a level with
+// several children re-installs the line with the requester as its only
+// sharer and leaves the other children's Shared copies in place, so a shared
+// tile L2 does not always include its L1s.
 //
 // Within one cache, locking is striped by set: concurrent accesses to
 // different sets of a shared multi-bank cache proceed in parallel, and each
 // stripe counts its own statistics under the lock the access already holds,
-// so no global lock or atomic serializes the hot path. A cache's set table
-// holds one 8-byte pointer per set, and a set's ways are allocated lazily,
-// the first time the set is touched, so building a thousand-core chip with
-// hundreds of megabytes of simulated cache costs memory only for the sets
-// the workload actually uses. Each way packs its tag, MESI state and
-// child-modified bit into one word, so a line takes 24 bytes.
+// so no global lock or atomic serializes the hot path. A private cache, one
+// that only one core's requests reach (Config.Private), takes one stripe,
+// which holds all its counts: only coherence actions from other cores
+// contend with its owner for it. A cache's set table holds one 8-byte pointer
+// per set, and a set's ways are allocated lazily, the first time the set is
+// touched, so building a thousand-core chip with hundreds of megabytes of
+// simulated cache costs memory only for the sets the workload actually uses.
+// Each way packs its tag, MESI state and child-modified bit into one word, so
+// a line takes 24 bytes.
 package cache
 
 import (
@@ -275,6 +285,9 @@ type Config struct {
 	// MSHRs bounds outstanding misses in the weave-phase contention model
 	// (the bound phase ignores it).
 	MSHRs int
+	// Private marks a cache that only one core's requests reach; it takes
+	// one lock stripe instead of one per set (up to maxStripes).
+	Private bool
 }
 
 // Cache is a single set-associative cache (or one bank of a banked cache).
@@ -317,7 +330,7 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 	}
 	a := reg.Arena()
 	nStripes := 1
-	for nStripes*2 <= sets && nStripes < maxStripes {
+	for !cfg.Private && nStripes*2 <= sets && nStripes < maxStripes {
 		nStripes *= 2
 	}
 	c := arena.One[Cache](a)

@@ -377,47 +377,72 @@ func TestAccessObserverCalledOnce(t *testing.T) {
 	}
 }
 
-func TestConcurrentAccessesNoDeadlock(t *testing.T) {
-	// 8 L1s sharing an L2, hammered concurrently with overlapping lines.
-	mem := &fakeMem{lat: 100}
-	l2 := New(Config{SizeKB: 64, Ways: 8, Latency: 7}, 10, nil)
-	l2.SetParent(mem)
-	var l1s []*Cache
-	for i := 0; i < 8; i++ {
-		l1 := New(Config{SizeKB: 8, Ways: 4, Latency: 4}, i, nil)
-		l1.SetParent(l2)
-		l2.AddChild(l1)
-		l1s = append(l1s, l1)
-	}
-	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(core int) {
-			defer wg.Done()
-			rng := uint64(core + 1)
-			for i := 0; i < 5000; i++ {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				line := rng % 512 // heavy sharing across cores
-				write := rng&3 == 0
-				l1s[core].Access(&Request{LineAddr: line, Write: write, CoreID: core})
+// validLines returns the lines valid in c. c must be quiescent.
+func validLines(c *Cache) []uint64 {
+	var out []uint64
+	for set := range c.setArr {
+		for _, l := range c.setWays(set) {
+			if l.state() != Invalid {
+				out = append(out, l.tag())
 			}
-		}(c)
+		}
 	}
-	wg.Wait()
-	var hits, misses, writebacks uint64
-	for _, l1 := range l1s {
-		hits += l1.Hits.Get()
-		misses += l1.Misses.Get()
-		writebacks += l1.count(sWritebacks)
-	}
-	if hits+misses != 8*5000 {
-		t.Fatalf("every access must be either a hit or a miss: %d + %d != %d", hits, misses, 8*5000)
-	}
-	// Every L1 miss and writeback is exactly one L2 access.
-	if l2Acc := l2.Hits.Get() + l2.Misses.Get(); l2Acc != misses+writebacks {
-		t.Fatalf("L2 saw %d accesses, want L1 misses %d + writebacks %d", l2Acc, misses, writebacks)
+	return out
+}
+
+// 8 L1s sharing an L2, hammered concurrently with overlapping lines, with
+// striped L1s and with private (one-stripe) ones. At quiescence the counts
+// add up and the hierarchy is still inclusive.
+func TestConcurrentAccessesNoDeadlock(t *testing.T) {
+	for _, private := range []bool{false, true} {
+		mem := &fakeMem{lat: 100}
+		l2 := New(Config{SizeKB: 64, Ways: 8, Latency: 7}, 10, nil)
+		l2.SetParent(mem)
+		var l1s []*Cache
+		for i := 0; i < 8; i++ {
+			l1 := New(Config{SizeKB: 8, Ways: 4, Latency: 4, Private: private}, i, nil)
+			l1.SetParent(l2)
+			l2.AddChild(l1)
+			l1s = append(l1s, l1)
+		}
+		if n := len(l1s[0].stripes); private != (n == 1) {
+			t.Fatalf("private=%v L1 has %d stripes", private, n)
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func(core int) {
+				defer wg.Done()
+				rng := uint64(core + 1)
+				for i := 0; i < 5000; i++ {
+					rng ^= rng << 13
+					rng ^= rng >> 7
+					rng ^= rng << 17
+					line := rng % 512 // heavy sharing across cores
+					write := rng&3 == 0
+					l1s[core].Access(&Request{LineAddr: line, Write: write, CoreID: core})
+				}
+			}(c)
+		}
+		wg.Wait()
+		var hits, misses, writebacks uint64
+		for i, l1 := range l1s {
+			hits += l1.Hits.Get()
+			misses += l1.Misses.Get()
+			writebacks += l1.count(sWritebacks)
+			for _, line := range validLines(l1) {
+				if l2.StateOf(line) == Invalid {
+					t.Fatalf("private=%v: line %d is valid in L1 %d but not in the L2", private, line, i)
+				}
+			}
+		}
+		if hits+misses != 8*5000 {
+			t.Fatalf("private=%v: every access must be either a hit or a miss: %d + %d != %d", private, hits, misses, 8*5000)
+		}
+		// Every L1 miss and writeback is exactly one L2 access.
+		if l2Acc := l2.Hits.Get() + l2.Misses.Get(); l2Acc != misses+writebacks {
+			t.Fatalf("private=%v: L2 saw %d accesses, want L1 misses %d + writebacks %d", private, l2Acc, misses, writebacks)
+		}
 	}
 }
 
@@ -540,18 +565,42 @@ func replayStream(l1s []*Cache, l2 *Cache) []accessResult {
 	return out
 }
 
-// A Reset hierarchy replays a stream exactly as it ran when fresh.
-func TestResetReplaysLikeFresh(t *testing.T) {
+// replayHierarchy builds replayStream's two L1s, private or striped, under a
+// small L2.
+func replayHierarchy(private bool) ([]*Cache, *Cache) {
 	mem := &fakeMem{lat: 100}
 	l2 := New(Config{SizeKB: 16, Ways: 4, Latency: 7}, 10, nil)
 	l2.SetParent(mem)
 	var l1s []*Cache
 	for i := 0; i < 2; i++ {
-		l1 := New(Config{SizeKB: 2, Ways: 2, Latency: 4}, i, nil)
+		l1 := New(Config{SizeKB: 2, Ways: 2, Latency: 4, Private: private}, i, nil)
 		l1.SetParent(l2)
 		l2.AddChild(l1)
 		l1s = append(l1s, l1)
 	}
+	return l1s, l2
+}
+
+// A private L1's one stripe replays a stream exactly as per-set stripes do:
+// LRU compares stamps within one set, and a set's stamps follow its access
+// order under either clock.
+func TestPrivateReplaysLikeStriped(t *testing.T) {
+	striped := replayStream(replayHierarchy(false))
+	l1s, l2 := replayHierarchy(true)
+	if len(l1s[0].stripes) != 1 {
+		t.Fatalf("private L1 has %d stripes", len(l1s[0].stripes))
+	}
+	private := replayStream(l1s, l2)
+	for i := range striped {
+		if striped[i] != private[i] {
+			t.Fatalf("step %d with private L1s: %+v, striped %+v", i, private[i], striped[i])
+		}
+	}
+}
+
+// A Reset hierarchy replays a stream exactly as it ran when fresh.
+func TestResetReplaysLikeFresh(t *testing.T) {
+	l1s, l2 := replayHierarchy(false)
 	fresh := replayStream(l1s, l2)
 	last := fresh[len(fresh)-1]
 	if last.evictions == 0 || last.hits == 0 || !slices.ContainsFunc(fresh, func(r accessResult) bool { return r.dirtyInv }) {

@@ -66,12 +66,12 @@ type Core interface {
 // access performed. The bound-weave driver uses it to build weave events for
 // accesses that miss beyond the private levels.
 //
-// RecordAccess takes ownership of the hops slice and returns a replacement
-// hop buffer (length 0, possibly nil) for the core's next access. Recorders
-// recycle the buffers of consumed traces back to their core, which makes the
-// steady-state record path allocation-free. write distinguishes stores (which
-// do not stall the core) from loads, so the weave phase can serialize a
-// core's access stream behind its loads only.
+// RecordAccess takes ownership of the hops slice and returns the hop buffer
+// (length 0, possibly nil) for the core's next access. The bound-weave
+// recorder copies the hops it keeps and hands the core's own buffer back, so
+// the steady-state record path is allocation-free. write distinguishes
+// stores (which do not stall the core) from loads, so the weave phase can
+// serialize a core's access stream behind its loads only.
 type AccessRecorder interface {
 	RecordAccess(coreID int, issueCycle uint64, write bool, hops []cache.Hop) []cache.Hop
 }
