@@ -5,18 +5,15 @@
 // arena turns each type's stream of small allocations into a handful of
 // large chunk allocations. One Arena is created per simulated system (it
 // hangs off the root stats.Registry) and feeds registry nodes, cache set
-// tables, stripe state (each stripe carries its cache's statistics),
-// predictor tables and decoded workload code.
+// tables, stripe state (each stripe carries its cache's statistics) and
+// predictor tables; the zsim facade gives each workload's decoded code an
+// arena of its own.
 //
-// Objects taken from an arena are never returned individually, but a whole
-// arena can be rewound: Reset retains every allocated chunk and rewinds the
-// carve offsets, so the next construction pass re-Takes the same warm memory
-// with zero new chunk allocations (the basis of warm-simulator reuse).
-// Memory handed out is always zeroed — chunks come fresh from the Go
-// allocator, and Reset re-zeroes the carved prefix of every chunk — so
+// Objects taken from an arena are never returned individually: an arena
+// lives exactly as long as the object graph built from it. Memory handed
+// out is always zeroed — chunks come fresh from the Go allocator — so
 // zero-value-initialized structures (biased branch-predictor counters,
-// Invalid cache lines, statistics counts) need no separate init pass,
-// fresh or reused.
+// Invalid cache lines, statistics counts) need no separate init pass.
 //
 // All entry points accept a nil *Arena and fall back to plain make, so
 // components remain constructible in isolation (tests, examples) without
@@ -39,7 +36,7 @@ const (
 	maxChunkBytes = 256 << 10
 )
 
-// Arena is a type-segregated slab allocator that only grows between Resets.
+// Arena is a type-segregated slab allocator that only grows.
 // It is safe for concurrent use, although construction is mostly
 // single-threaded. Lazily allocated cache ways do not take from the arena:
 // they come from the heap on the parallel bound phase's hot path.
@@ -58,8 +55,7 @@ func New() *Arena {
 
 // Stats reports the number of chunk allocations performed and the total bytes
 // reserved so far (diagnostics for construction benchmarks and job results).
-// Both are monotone: Reset retains chunks, so a warm arena's stats stop
-// growing once its working set is established.
+// Both are monotone.
 func (a *Arena) Stats() (chunks int, bytes uint64) {
 	if a == nil {
 		return 0, 0
@@ -69,49 +65,13 @@ func (a *Arena) Stats() (chunks int, bytes uint64) {
 	return a.chunks, a.bytes
 }
 
-// resetter lets Arena.Reset rewind a pool without knowing its element type.
-type resetter interface{ reset() }
-
-// Reset rewinds the arena: every chunk is retained, its carved prefix is
-// re-zeroed, and carving restarts from the first chunk. Slices previously
-// Taken become dangling aliases of memory the arena will hand out again —
-// callers must drop every reference rooted in the arena before resetting
-// (the warm-pool discipline: the whole object graph built from the arena is
-// torn down or rebuilt together).
-func (a *Arena) Reset() {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, p := range a.pools {
-		p.(resetter).reset()
-	}
-}
-
-// chunk is one retained slab of a pool: its backing storage and how much of
-// it has been carved.
-type chunk[T any] struct {
-	buf  []T
-	used int
-}
-
-// pool is the per-type chunk state: the retained chunks, the index of the
-// chunk currently being carved, and the size the next new chunk will have
-// (geometric growth, preserved across Resets).
+// pool is the per-type state: the chunk currently being carved, how much of
+// it is carved, and the size the next new chunk will have (geometric
+// growth). Earlier chunks stay alive through the slices carved from them.
 type pool[T any] struct {
-	chunks    []chunk[T]
-	cur       int
+	buf       []T
+	used      int
 	nextBytes int
-}
-
-func (p *pool[T]) reset() {
-	for i := range p.chunks {
-		ch := &p.chunks[i]
-		clear(ch.buf[:ch.used])
-		ch.used = 0
-	}
-	p.cur = 0
 }
 
 // Take returns a zeroed slice of n Ts with len == cap == n, carved from the
@@ -146,13 +106,7 @@ func TakeCap[T any](a *Arena, n, c int) []T {
 		p = &pool[T]{}
 		a.pools[key] = p
 	}
-	// Advance past retained chunks that cannot fit this request. After a
-	// Reset this walks forward through warm chunks; before any Reset, cur is
-	// always the last chunk, matching the original single-tail behavior.
-	for p.cur < len(p.chunks) && len(p.chunks[p.cur].buf)-p.chunks[p.cur].used < c {
-		p.cur++
-	}
-	if p.cur == len(p.chunks) {
+	if len(p.buf)-p.used < c {
 		var zero T
 		size := int(unsafe.Sizeof(zero))
 		if p.nextBytes < minChunkBytes {
@@ -167,13 +121,12 @@ func TakeCap[T any](a *Arena, n, c int) []T {
 		if p.nextBytes < maxChunkBytes {
 			p.nextBytes *= 2
 		}
-		p.chunks = append(p.chunks, chunk[T]{buf: make([]T, elems)})
+		p.buf, p.used = make([]T, elems), 0
 		a.chunks++
 		a.bytes += uint64(elems * size)
 	}
-	ch := &p.chunks[p.cur]
-	s := ch.buf[ch.used : ch.used+c : ch.used+c]
-	ch.used += c
+	s := p.buf[p.used : p.used+c : p.used+c]
+	p.used += c
 	return s[:n]
 }
 

@@ -235,11 +235,10 @@ func New(name string, p Params, threads int) *Workload {
 }
 
 // NewIn is New with the workload's static code — basic blocks and their
-// decoded translations — carved from the given construction arena (nil falls
-// back to the heap). The zsim facade passes the simulated
-// system's arena, turning the largest remaining fixed construction cost
-// (workload decode, ~4k allocations per workload) into a few chunk
-// allocations.
+// decoded translations — carved from the given arena (nil falls back to the
+// heap), turning workload decode (~4k allocations per workload) into a few
+// chunk allocations. The zsim facade gives each workload an arena of its
+// own, so a warm simulator can keep one run's workloads for the next.
 func NewIn(a *arena.Arena, name string, p Params, threads int) *Workload {
 	if threads < 1 {
 		threads = 1

@@ -10,8 +10,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"zsim/internal/config"
@@ -45,13 +47,20 @@ func reuseCfg(noc bool) *Config {
 // host threads; ctx == nil means Background.
 func reuseRun(t *testing.T, sim *Simulator, ctx context.Context, blocks, host int) (*Result, error) {
 	t.Helper()
+	return reuseRunCode(t, sim, ctx, blocks, host, 16)
+}
+
+// reuseRunCode is reuseRun with each process's static code footprint set to
+// static basic blocks.
+func reuseRunCode(t *testing.T, sim *Simulator, ctx context.Context, blocks, host, static int) (*Result, error) {
+	t.Helper()
 	for i := 0; i < 8; i++ {
 		p := DefaultWorkloadParams()
 		p.Seed = uint64(1000 + 17*i)
 		p.AddrSpace = uint64(i + 1) // disjoint address-space slices
 		p.SharedFraction = 0
 		p.WorkingSet = 8 << 10
-		p.StaticBlocks = 16
+		p.StaticBlocks = static
 		p.BlocksPerThread = blocks
 		p.LockEvery = 16
 		p.NumLocks = 2
@@ -376,34 +385,137 @@ func TestReuseShapeKeyGuards(t *testing.T) {
 }
 
 // TestReuseArenaFootprintFlat pins the warm-memory claim: once a reusable
-// simulator has served one run, further Reset+run cycles allocate no new
-// arena chunks — the construction and per-run arenas serve every subsequent
-// run from retained memory.
+// simulator has served one run, further Reset+run cycles of the same
+// workloads allocate no new arena chunks — the construction arena and the
+// retained workloads' arenas serve every subsequent run. The footprint
+// includes the workloads' code: a 4096-static-block mix reports more than a
+// 16-block one on the same chip.
 func TestReuseArenaFootprintFlat(t *testing.T) {
-	sim, err := New(reuseCfg(true))
+	footprint := make(map[int]uint64)
+	for _, static := range []int{16, 4096} {
+		sim, err := New(reuseCfg(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.SetReusable(true)
+		defer sim.Close()
+		first, err := reuseRunCode(t, sim, nil, 300, 4, static)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.ArenaChunks == 0 || first.ArenaBytes == 0 {
+			t.Fatalf("arena stats missing from result: %+v", first)
+		}
+		for i := 0; i < 3; i++ {
+			if err := sim.Reset(nil); err != nil {
+				t.Fatal(err)
+			}
+			res, err := reuseRunCode(t, sim, nil, 300, 4, static)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ArenaChunks != first.ArenaChunks || res.ArenaBytes != first.ArenaBytes {
+				t.Fatalf("%d static blocks: reuse %d grew the arenas: %d chunks / %d B, first run had %d / %d",
+					static, i+1, res.ArenaChunks, res.ArenaBytes, first.ArenaChunks, first.ArenaBytes)
+			}
+		}
+		footprint[static] = first.ArenaBytes
+	}
+	if footprint[4096] <= footprint[16] {
+		t.Fatalf("ArenaBytes omits workload code: 4096 static blocks report %d B, 16 report %d B",
+			footprint[4096], footprint[16])
+	}
+}
+
+// mixProc is one process of a TestReuseProgramMix workload mix.
+type mixProc struct {
+	seed    uint64
+	static  int
+	threads int
+}
+
+// runMix runs one mix on sim inside the determinism envelope (disjoint
+// address spaces, every process pinned to one core, serial bound phase) and
+// returns the result and the program keys the run added.
+func runMix(t *testing.T, sim *Simulator, mix []mixProc) (*Result, []programKey) {
+	t.Helper()
+	for i, m := range mix {
+		p := DefaultWorkloadParams()
+		p.Seed = m.seed
+		p.AddrSpace = uint64(i + 1)
+		p.SharedFraction = 0
+		p.WorkingSet = 8 << 10
+		p.StaticBlocks = m.static
+		p.BlocksPerThread = 200
+		p.LockEvery = 16
+		p.NumLocks = 2
+		sim.AddPinnedWorkload(fmt.Sprintf("proc-%d", i), p, m.threads, []int{i % 4})
+	}
+	sim.SetHostThreads(1)
+	sim.SetSeed(7)
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, slices.Clone(sim.added)
+}
+
+// TestReuseProgramMix changes the workload mix across Reset: the second mix
+// repeats one of the first mix's processes exactly (its translated program
+// is reused), changes another's seed and a third's thread count (both
+// retranslated). Every run matches a fresh simulator's on the same mix, and
+// after each run the simulator holds exactly that run's programs.
+func TestReuseProgramMix(t *testing.T) {
+	mixA := []mixProc{{1, 16, 1}, {2, 16, 1}, {3, 16, 2}}
+	mixB := []mixProc{{1, 16, 1}, {5, 16, 1}, {3, 16, 1}}
+	fresh := func(mix []mixProc) *Result {
+		sim, err := New(reuseCfg(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := runMix(t, sim, mix)
+		return res
+	}
+	holdsExactly := func(stage string, sim *Simulator, keys []programKey) {
+		t.Helper()
+		if len(sim.programs) != len(keys) {
+			t.Fatalf("%s: simulator holds %d programs, the run added %d", stage, len(sim.programs), len(keys))
+		}
+		for _, k := range keys {
+			if _, ok := sim.programs[k]; !ok {
+				t.Fatalf("%s: program %s of the run is not held", stage, k.name)
+			}
+		}
+	}
+
+	sim, err := New(reuseCfg(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim.SetReusable(true)
 	defer sim.Close()
-	first, err := reuseRun(t, sim, nil, 300, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.ArenaChunks == 0 || first.ArenaBytes == 0 {
-		t.Fatalf("arena stats missing from result: %+v", first)
-	}
-	for i := 0; i < 3; i++ {
+	got, keysA := runMix(t, sim, mixA)
+	requireIdentical(t, "mix A", fresh(mixA), got)
+	holdsExactly("mix A", sim, keysA)
+
+	for _, step := range []struct {
+		stage string
+		mix   []mixProc
+	}{{"mix B", mixB}, {"mix A again", mixA}} {
+		stage, prev := step.stage, maps.Clone(sim.programs)
 		if err := sim.Reset(nil); err != nil {
 			t.Fatal(err)
 		}
-		res, err := reuseRun(t, sim, nil, 300, 4)
-		if err != nil {
-			t.Fatal(err)
+		got, keys := runMix(t, sim, step.mix)
+		requireIdentical(t, stage, fresh(step.mix), got)
+		holdsExactly(stage, sim, keys)
+		if keys[0] != keysA[0] || sim.programs[keys[0]].w != prev[keys[0]].w {
+			t.Fatalf("%s: the repeated process did not reuse the previous run's program", stage)
 		}
-		if res.ArenaChunks != first.ArenaChunks || res.ArenaBytes != first.ArenaBytes {
-			t.Fatalf("reuse %d grew the arenas: %d chunks / %d B, first run had %d / %d",
-				i+1, res.ArenaChunks, res.ArenaBytes, first.ArenaChunks, first.ArenaBytes)
+		for _, k := range keys[1:] {
+			if _, held := prev[k]; held {
+				t.Fatalf("%s: changed process %s has the previous run's key", stage, k.name)
+			}
 		}
 	}
 }

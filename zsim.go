@@ -34,6 +34,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"time"
 
 	"zsim/internal/arena"
@@ -183,12 +185,14 @@ func LookupWorkload(name string) (WorkloadParams, bool) { return trace.Lookup(na
 // add one or more workloads (processes), then Run.
 type Simulator struct {
 	cfg   *Config
+	shape uint64 // cfg.ShapeKey(), hashed once: Reset only swaps in same-shape configs
 	sys   *boundweave.System
 	sched *virt.Scheduler
 
-	// runArena backs per-run state (workload decoded blocks); Reset rewinds
-	// it, unlike the construction arena that owns the system itself.
-	runArena *arena.Arena
+	// programs holds the translated workloads of the last run and of the run
+	// being set up. A run drops the ones it did not add, so a warm simulator
+	// translates a repeated program once and Reset keeps at most one run's.
+	programs map[programKey]program
 
 	// Warm-reuse state: when reusable is set, bw is the persistent
 	// bound-weave simulator kept alive across runs.
@@ -212,6 +216,7 @@ type runSetup struct {
 
 	workloads int
 	usedAddr  map[uint64]bool
+	added     []programKey
 	ran       bool
 
 	// traceSink is the optional Chrome-trace sink.
@@ -224,6 +229,20 @@ type runSetup struct {
 // newRunSetup is the per-run state of a simulator no workload or option has
 // been given yet.
 func newRunSetup() runSetup { return runSetup{seed: 1} }
+
+// programKey is trace.NewIn's complete input. NewIn is a pure function of
+// it, so a program held under an equal key is the one NewIn would build.
+type programKey struct {
+	name    string
+	params  WorkloadParams
+	threads int
+}
+
+// program is one translated workload and the arena its code lives in.
+type program struct {
+	w     *trace.Workload
+	arena *arena.Arena
+}
 
 // assignAddrSpace places a new process in its own simulated address-space
 // slice so multiprocess runs do not alias each other's code, lock words or
@@ -253,9 +272,10 @@ func New(cfg *Config) (*Simulator, error) {
 	}
 	return &Simulator{
 		cfg:      cfg,
+		shape:    cfg.ShapeKey(),
 		sys:      sys,
 		sched:    virt.NewScheduler(cfg.NumCores),
-		runArena: arena.New(),
+		programs: make(map[programKey]program),
 		probe:    new(telemetry.Probe),
 		runSetup: newRunSetup(),
 	}, nil
@@ -273,12 +293,15 @@ func (s *Simulator) Probe() *Probe { return s.probe }
 func (s *Simulator) SetTrace(sink *TraceSink) { s.traceSink = sink }
 
 // ArenaStats reports the simulator's current arena footprint (construction
-// arena plus the per-run workload arena) without running it, for pool/memory
-// telemetry.
+// arena plus the arena of every workload it holds) without running it, for
+// pool/memory telemetry.
 func (s *Simulator) ArenaStats() (chunks int, bytes uint64) {
-	sysChunks, sysBytes := s.sys.Root.Arena().Stats()
-	runChunks, runBytes := s.runArena.Stats()
-	return sysChunks + runChunks, sysBytes + runBytes
+	chunks, bytes = s.sys.Root.Arena().Stats()
+	for _, p := range s.programs {
+		c, b := p.arena.Stats()
+		chunks, bytes = chunks+c, bytes+b
+	}
+	return chunks, bytes
 }
 
 // SetReusable marks the simulator for warm reuse: RunContext keeps the
@@ -291,7 +314,7 @@ func (s *Simulator) SetReusable(v bool) { s.reusable = v }
 // ShapeKey returns the configuration's construction-shape hash: two
 // simulators with equal shape keys are structurally interchangeable, and a
 // Reset may swap in any same-shape configuration. See Config.ShapeKey.
-func (s *Simulator) ShapeKey() uint64 { return s.cfg.ShapeKey() }
+func (s *Simulator) ShapeKey() uint64 { return s.shape }
 
 // Close releases the persistent resources of a reusable simulator (worker
 // pool, weave engine). It is idempotent and a no-op for simulators that were
@@ -304,9 +327,9 @@ func (s *Simulator) Close() {
 }
 
 // Reset rewinds a reusable simulator to its just-built state so it can serve
-// another run: all statistics, core/cache/predictor/contention state, the
-// scheduler and the per-run arena rewind; the construction arena, worker
-// pool and weave engine stay warm. cfg supplies the next run's
+// another run: all statistics, core/cache/predictor/contention state and the
+// scheduler rewind; the construction arena, worker pool, weave engine and
+// the last run's translated workloads stay warm. cfg supplies the next run's
 // configuration; it must have the same ShapeKey as the simulator's (only
 // run-variable fields — name, seeds, limits — may differ), and nil keeps the
 // current one. Workloads and options are cleared: re-add workloads and
@@ -328,17 +351,13 @@ func (s *Simulator) Reset(cfg *Config) error {
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
-		if cfg.ShapeKey() != s.cfg.ShapeKey() {
-			return fmt.Errorf("zsim: Reset config shape mismatch (got %#x, simulator built for %#x)", cfg.ShapeKey(), s.cfg.ShapeKey())
+		if key := cfg.ShapeKey(); key != s.shape {
+			return fmt.Errorf("zsim: Reset config shape mismatch (got %#x, simulator built for %#x)", key, s.shape)
 		}
 	}
 	s.cfg = cfg
 	s.sys.Cfg = cfg
 	s.sched.Reset()
-	// The run arena backed the previous run's workload decode state, which the
-	// scheduler reset just dropped; rewinding it lets the next run's workloads
-	// decode into the same warm chunks.
-	s.runArena.Reset()
 	s.runSetup = newRunSetup()
 	s.probe.Reset() // the next run's BeginRun rewinds it too; clear eagerly
 	return nil
@@ -378,9 +397,15 @@ func (s *Simulator) AddNamedWorkload(name string, threads int) (int, error) {
 // describes for multiprogrammed runs). nil cores leaves them unrestricted.
 func (s *Simulator) AddPinnedWorkload(name string, params WorkloadParams, threads int, cores []int) int {
 	s.assignAddrSpace(&params)
-	// Workload static code (blocks + decoded blocks) lives in the per-run
-	// arena so Reset can rewind it for the next run's workloads.
-	w := trace.NewIn(s.runArena, name, params, threads)
+	key := programKey{name, params, threads}
+	prog, ok := s.programs[key]
+	if !ok {
+		prog.arena = arena.New()
+		prog.w = trace.NewIn(prog.arena, name, params, threads)
+		s.programs[key] = prog
+	}
+	s.added = append(s.added, key)
+	w := prog.w
 	p := &virt.Process{ID: s.workloads, Name: name, Affinity: cores}
 	for i := 0; i < w.Threads; i++ {
 		p.Threads = append(p.Threads, &virt.Thread{Stream: w.NewThread(i)})
@@ -423,10 +448,10 @@ type Result struct {
 	// (no thread runnable and none wakeable by simulated time).
 	Stalled bool
 	// ArenaChunks and ArenaBytes report the simulator's arena footprint
-	// (construction arena plus the per-run workload arena). Both are
-	// monotone over a simulator's lifetime: on a warm-reused simulator they
-	// stop growing once the working set is established, so equal values
-	// across runs demonstrate allocation-free reuse.
+	// (construction arena plus the arenas of the run's workloads). A warm
+	// simulator drops the workloads a run did not re-add, so they can fall;
+	// across runs of the same workloads they stay flat, which demonstrates
+	// allocation-free reuse.
 	ArenaChunks int
 	ArenaBytes  uint64
 }
@@ -502,6 +527,8 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("zsim: no workloads added")
 	}
 	s.ran = true
+	// Release the held programs this run did not add.
+	maps.DeleteFunc(s.programs, func(k programKey, _ program) bool { return !slices.Contains(s.added, k) })
 	ctl := new(runctl.Token)
 	sim, err := s.acquireSim(ctl)
 	if err != nil {
@@ -580,16 +607,15 @@ func (s *Simulator) collectResult(sim *boundweave.Simulator, elapsed time.Durati
 	if s.sys.Fabric != nil {
 		nocStats = s.sys.Fabric.TotalStats()
 	}
-	sysChunks, sysBytes := s.sys.Root.Arena().Stats()
-	runChunks, runBytes := s.runArena.Stats()
+	chunks, bytes := s.ArenaStats()
 	return &Result{
 		Metrics:     m,
 		Intervals:   sim.Intervals,
 		BoundRounds: sim.BoundRounds,
 		HostTime:    elapsed,
 		WeaveEvents: sim.WeaveEvents,
-		ArenaChunks: sysChunks + runChunks,
-		ArenaBytes:  sysBytes + runBytes,
+		ArenaChunks: chunks,
+		ArenaBytes:  bytes,
 		Sched:       s.sched.Counts(),
 		NOC:         nocStats,
 		Stalled:     sim.Stalled,
