@@ -35,11 +35,14 @@
 // touched, so building a thousand-core chip with hundreds of megabytes of
 // simulated cache costs memory only for the sets the workload actually uses.
 // Each way packs its tag, MESI state and child-modified bit into one word, so
-// a line takes 24 bytes.
+// a line takes 24 bytes. A dirty bitmap, one bit per set, marks the sets
+// installed into since the last Reset, so Reset costs O(sets/64 + sets
+// installed since the last Reset) rather than a visit to every set.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"unsafe"
 
@@ -303,6 +306,13 @@ type Cache struct {
 	setArr     []*line
 	stripes    []stripe
 	stripeMask int
+	// dirty has one bit per set, set when a line is installed into the set
+	// and cleared by Reset. Stripe s owns words [s*dirtyWords,
+	// (s+1)*dirtyWords) and its sets in order (set>>stripeShift), so a word is
+	// only written under one stripe's lock.
+	dirty       []uint64
+	dirtyWords  int
+	stripeShift int
 
 	parent   Level
 	children []*Cache // for directory-driven invalidations
@@ -333,16 +343,21 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 	for !cfg.Private && nStripes*2 <= sets && nStripes < maxStripes {
 		nStripes *= 2
 	}
+	shift := bits.TrailingZeros(uint(nStripes))
+	dirtyWords := ((sets+nStripes-1)>>shift + 63) / 64
 	c := arena.One[Cache](a)
 	*c = Cache{
-		compID:     compID,
-		sets:       sets,
-		ways:       ways,
-		latency:    cfg.Latency,
-		mshrs:      cfg.MSHRs,
-		setArr:     arena.Take[*line](a, sets),
-		stripes:    arena.Take[stripe](a, nStripes),
-		stripeMask: nStripes - 1,
+		compID:      compID,
+		sets:        sets,
+		ways:        ways,
+		latency:     cfg.Latency,
+		mshrs:       cfg.MSHRs,
+		setArr:      arena.Take[*line](a, sets),
+		stripes:     arena.Take[stripe](a, nStripes),
+		stripeMask:  nStripes - 1,
+		dirty:       arena.Take[uint64](a, nStripes*dirtyWords),
+		dirtyWords:  dirtyWords,
+		stripeShift: shift,
 	}
 	c.Hits, c.Misses = Count{c, sHits}, Count{c, sMisses}
 	reg.Record(c)
@@ -350,14 +365,23 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 }
 
 // Reset restores the cache to its just-constructed state for warm reuse:
-// every touched set is cleared back to all-Invalid zero lines (lazily
-// allocated way arrays are kept — a zeroed array behaves exactly like the
-// nil array a fresh cache starts with), and each stripe's replacement clock
-// and statistics are zeroed. Callers must be quiescent (no concurrent
-// accesses).
+// every set installed into since the last Reset is cleared back to
+// all-Invalid zero lines (lazily allocated way arrays are kept — a zeroed
+// array behaves exactly like the nil array a fresh cache starts with), the
+// dirty bitmap is zeroed, and each stripe's replacement clock and statistics
+// are zeroed. Installing is the only way a zeroed set becomes non-zero, so
+// the sets Reset skips are already clear. Callers must be quiescent (no
+// concurrent accesses).
 func (c *Cache) Reset() {
-	for set := range c.setArr {
-		clear(c.setWays(set))
+	for w, word := range c.dirty {
+		if word == 0 {
+			continue
+		}
+		s, base := w/c.dirtyWords, w%c.dirtyWords*64
+		for ; word != 0; word &= word - 1 {
+			clear(c.setWays((base+bits.TrailingZeros64(word))<<c.stripeShift | s))
+		}
+		c.dirty[w] = 0
 	}
 	for i := range c.stripes {
 		st := &c.stripes[i]
@@ -409,6 +433,18 @@ func (c *Cache) setWays(set int) []line {
 		return nil
 	}
 	return unsafe.Slice(p, c.ways)
+}
+
+// markDirty records in the dirty bitmap that set holds an installed line.
+// It writes only when the bit is clear: bound workers on neighbouring caches
+// share host lines of the bitmap, and a set is installed into many times.
+// Caller must hold the set's stripe lock.
+func (c *Cache) markDirty(set int) {
+	i := set >> c.stripeShift
+	w := &c.dirty[(set&c.stripeMask)*c.dirtyWords+i/64]
+	if bit := uint64(1) << (i % 64); *w&bit == 0 {
+		*w |= bit
+	}
 }
 
 // setLines returns set's ways, allocating them on first touch. The lazy
@@ -599,6 +635,7 @@ func (c *Cache) fetchAndInstall(req *Request, set int, localAvail uint64, wb boo
 	if req.Write {
 		grant = Modified
 	}
+	c.markDirty(set)
 	l := &lines[way]
 	l.key = req.LineAddr<<keyTagShift | uint64(grant)
 	l.lastUse = st.useCt

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"testing"
@@ -662,5 +664,125 @@ func TestHighestLineAddr(t *testing.T) {
 	l1.Access(&Request{LineAddr: other})
 	if l1.count(sWritebacks) != 1 || mem.lastWrite != top {
 		t.Fatalf("evicting the top line wrote back %#x (%d writebacks), want %#x", mem.lastWrite, l1.count(sWritebacks), top)
+	}
+}
+
+// dirtySets returns how many bits the cache's dirty bitmap holds.
+func dirtySets(c *Cache) int {
+	n := 0
+	for _, w := range c.dirty {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// assertClear fails unless every way of every set is zero, every count is
+// zero and the dirty bitmap is empty: the cache equals a fresh one.
+func assertClear(t *testing.T, c *Cache, when string) {
+	t.Helper()
+	for set := range c.setArr {
+		for w, l := range c.setWays(set) {
+			if l != (line{}) {
+				t.Fatalf("%s: set %d way %d holds %+v", when, set, w, l)
+			}
+		}
+	}
+	for i := range numStats {
+		if n := c.count(i); n != 0 {
+			t.Fatalf("%s: statistic %d is %d", when, i, n)
+		}
+	}
+	if n := dirtySets(c); n != 0 {
+		t.Fatalf("%s: %d dirty bits left", when, n)
+	}
+}
+
+// Two runs install into disjoint groups of sets, each followed by a Reset:
+// every line of both groups ends Invalid, every way zero, every count zero
+// and the bitmap empty. The geometries cover several bitmap words per
+// stripe, a set count that does not divide by the stripe count, and a
+// private cache's single stripe.
+func TestResetClearsOnlyInstalledSets(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeKB: 2048, Ways: 4, Latency: 4},
+		{SizeKB: 100, Ways: 4, Latency: 4},
+		{SizeKB: 2048, Ways: 4, Latency: 4, Private: true},
+	} {
+		c := New(cfg, 0, nil)
+		c.SetParent(&fakeMem{lat: 100})
+		var groupA, groupB []uint64
+		for a := uint64(0); len(groupA) < 300 || len(groupB) < 300; a += 7 {
+			if c.setOf(a) < c.sets/2 {
+				groupA = append(groupA, a)
+			} else {
+				groupB = append(groupB, a)
+			}
+		}
+		run := func(lines []uint64) {
+			touched := map[int]bool{}
+			for i, a := range lines {
+				c.Access(&Request{LineAddr: a, Write: i%3 == 0})
+				touched[c.setOf(a)] = true
+			}
+			if n := dirtySets(c); n != len(touched) {
+				t.Fatalf("%+v: %d dirty bits after installing into %d sets", cfg, n, len(touched))
+			}
+			c.Reset()
+		}
+		run(groupA)
+		assertClear(t, c, fmt.Sprintf("%+v after run A", cfg))
+		run(groupB)
+		for _, a := range append(groupA, groupB...) {
+			if s := c.StateOf(a); s != Invalid {
+				t.Fatalf("%+v: line %d is %v after both Resets", cfg, a, s)
+			}
+		}
+		assertClear(t, c, fmt.Sprintf("%+v after run B", cfg))
+	}
+}
+
+// Goroutines install into every stripe of one shared cache at once, so the
+// race detector sees the dirty-bit marks, each made under its set's stripe
+// lock; a Reset afterwards must then leave the cache clear.
+func TestConcurrentInstallsMarkEveryStripe(t *testing.T) {
+	c := New(Config{SizeKB: 1024, Ways: 4, Latency: 4}, 0, nil)
+	c.SetParent(&fakeMem{lat: 100})
+	const workers = 4
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := uint64(g); a < uint64(2*c.sets); a += workers {
+				c.Access(&Request{LineAddr: a, Write: a%5 == 0})
+			}
+		}()
+	}
+	wg.Wait()
+	installed := 0
+	for set := range c.setArr {
+		if c.setArr[set] != nil && slices.ContainsFunc(c.setWays(set), func(l line) bool { return l.state() != Invalid }) {
+			installed++
+		}
+	}
+	if n := dirtySets(c); n != installed || n < c.sets/2 {
+		t.Fatalf("%d dirty bits for %d installed sets of %d", n, installed, c.sets)
+	}
+	c.Reset()
+	assertClear(t, c, "after Reset")
+}
+
+// BenchmarkResetSparse installs a few dozen lines into a 64 MB cache and
+// resets it: the cost a warm job pays for a big shared cache it barely used.
+func BenchmarkResetSparse(b *testing.B) {
+	c := New(Config{SizeKB: 64 << 10, Ways: 16, Latency: 12}, 0, nil)
+	c.SetParent(&fakeMem{lat: 100})
+	req := &Request{}
+	for b.Loop() {
+		for a := uint64(0); a < 48; a++ {
+			*req = Request{LineAddr: a * 4099}
+			c.Access(req)
+		}
+		c.Reset()
 	}
 }

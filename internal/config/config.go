@@ -9,9 +9,10 @@ package config
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"math"
 	"os"
+	"reflect"
 	"time"
 
 	"zsim/internal/cache"
@@ -309,6 +310,11 @@ func orDefault[T int | uint64](v *T, def T) {
 // with equal shape keys can share one warm simulator via Reset. Validate
 // both configs first: validation fills defaults, and an unvalidated config
 // hashes differently from its validated self.
+//
+// The key is FNV-64a over System's field values in declaration order, nested
+// structs included: integers, floats and bools as 8 bytes, strings with a
+// length prefix. A field of a kind hashField does not handle panics, so a new
+// field cannot silently fall out of the key.
 func (s *System) ShapeKey() uint64 {
 	shape := *s
 	shape.Name = ""
@@ -316,9 +322,53 @@ func (s *System) ShapeKey() uint64 {
 	shape.MaxCycles = 0
 	shape.WeaveDomains = 0
 	shape.WeaveModeKind = ""
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", shape)
-	return h.Sum64()
+	return hashField(fnvOffset64, reflect.ValueOf(&shape).Elem())
+}
+
+// FNV-64a parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashField folds v's value into the FNV-64a state h.
+func hashField(h uint64, v reflect.Value) uint64 {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			h = hashField(h, v.Field(i))
+		}
+		return h
+	case reflect.Bool:
+		if v.Bool() {
+			return hashWord(h, 1)
+		}
+		return hashWord(h, 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return hashWord(h, uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return hashWord(h, v.Uint())
+	case reflect.Float32, reflect.Float64:
+		return hashWord(h, math.Float64bits(v.Float()))
+	case reflect.String:
+		str := v.String()
+		h = hashWord(h, uint64(len(str)))
+		for i := range len(str) {
+			h = (h ^ uint64(str[i])) * fnvPrime64
+		}
+		return h
+	default:
+		panic(fmt.Sprintf("config: ShapeKey cannot hash a %s field", v.Kind()))
+	}
+}
+
+// hashWord folds the 8 little-endian bytes of x into the FNV-64a state h.
+func hashWord(h, x uint64) uint64 {
+	for range 8 {
+		h = (h ^ x&0xff) * fnvPrime64
+		x >>= 8
+	}
+	return h
 }
 
 // NumTiles returns the number of tiles in the configuration.

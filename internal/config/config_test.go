@@ -3,6 +3,8 @@ package config
 import (
 	"bytes"
 	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -298,5 +300,61 @@ func TestWeaveModeRoundTripAndDefaults(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"numCores":2,"weaveParallel":true,
 		"l1i":{"sizeKB":16},"l1d":{"sizeKB":16},"l2":{"sizeKB":64},"l3":{"sizeKB":256}}`)); err == nil {
 		t.Fatalf("legacy weaveParallel config should be rejected")
+	}
+}
+
+// TestShapeKeyCoversEveryField changes each leaf field of System, nested
+// structs included, to a different non-zero value: the shape key must move
+// for every field except the five run-variable and inert ones, and must not
+// move for those. A field added to System is covered without being listed.
+func TestShapeKeyCoversEveryField(t *testing.T) {
+	outside := map[string]bool{"Name": true, "MaxWallTime": true, "MaxCycles": true,
+		"WeaveDomains": true, "WeaveModeKind": true}
+	base := SmallTest()
+	key := base.ShapeKey()
+	var visit func(path string, idx []int, typ reflect.Type)
+	visit = func(path string, idx []int, typ reflect.Type) {
+		if typ.Kind() == reflect.Struct {
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				visit(strings.TrimPrefix(path+"."+f.Name, "."), append(slices.Clone(idx), i), f.Type)
+			}
+			return
+		}
+		s := *base
+		v := reflect.ValueOf(&s).Elem().FieldByIndex(idx)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int()%1000 + 1001)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(v.Uint()%100 + 101)
+		case reflect.Float32, reflect.Float64:
+			v.SetFloat(v.Float() + 0.5)
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		default:
+			t.Fatalf("%s: unhandled kind %s", path, v.Kind())
+		}
+		if v.IsZero() {
+			t.Fatalf("%s: test value is zero", path)
+		}
+		moved := s.ShapeKey() != key
+		if outside[path] && moved {
+			t.Errorf("%s is outside the shape but moved the key", path)
+		}
+		if !outside[path] && !moved {
+			t.Errorf("%s is construction shape but left the key unchanged", path)
+		}
+	}
+	visit("", nil, reflect.TypeFor[System]())
+}
+
+// BenchmarkShapeKey measures one shape-key hash of the Westmere preset.
+func BenchmarkShapeKey(b *testing.B) {
+	s := WestmereValidation()
+	for b.Loop() {
+		s.ShapeKey()
 	}
 }

@@ -334,6 +334,21 @@ func TestWorkloadRegistry(t *testing.T) {
 	}
 }
 
+// Lookup hands out copies of the one registry: changing a returned Params
+// does not change what the next Lookup returns.
+func TestLookupReturnsCopies(t *testing.T) {
+	if n, want := len(AllNames()), len(SPECCPU2006())+len(Multithreaded()); n != want {
+		t.Fatalf("AllNames has %d workloads, want %d", n, want)
+	}
+	p, _ := Lookup("mcf")
+	want := p
+	p.WorkingSet++
+	p.BlocksPerThread = 1
+	if got, _ := Lookup("mcf"); got != want {
+		t.Fatalf("changing a looked-up Params changed the registry: %+v, want %+v", got, want)
+	}
+}
+
 func TestMustLookupPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

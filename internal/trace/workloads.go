@@ -2,7 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // This file is the workload registry: it maps the benchmark names used in the
@@ -519,16 +522,22 @@ func Table4Names() []string {
 		"applu_m", "barnes", "ocean", "fft", "radix", "mgrid_m"}
 }
 
+// registry maps every workload name to its parameter set. It is built once:
+// Params is a value type, so a caller that changes the copy Lookup returns
+// cannot change the registry.
+var registry = sync.OnceValue(func() map[string]Params {
+	spec, mt := specCPUParams(), multiThreadedParams()
+	m := make(map[string]Params, len(spec)+len(mt))
+	maps.Copy(m, spec)
+	maps.Copy(m, mt)
+	return m
+})
+
 // Lookup returns the parameter set registered under name. The second return
 // value reports whether the name is known.
 func Lookup(name string) (Params, bool) {
-	if p, ok := specCPUParams()[name]; ok {
-		return p, true
-	}
-	if p, ok := multiThreadedParams()[name]; ok {
-		return p, true
-	}
-	return Params{}, false
+	p, ok := registry()[name]
+	return p, ok
 }
 
 // MustLookup returns the parameter set registered under name and panics with
@@ -543,8 +552,4 @@ func MustLookup(name string) Params {
 }
 
 // AllNames returns every registered workload name, sorted.
-func AllNames() []string {
-	names := append(SPECCPU2006(), Multithreaded()...)
-	sort.Strings(names)
-	return names
-}
+func AllNames() []string { return slices.Sorted(maps.Keys(registry())) }
