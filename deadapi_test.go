@@ -21,21 +21,16 @@ import (
 // internal/ that no non-test file uses, kept on purpose. Keys are
 // "pkg.Func", "pkg.Type.Method" or "pkg.Type.Field".
 var deadAPIAllowed = map[string]string{
-	"cache.Cache.NumLines":           "geometry accessor the cache tests check sizing with",
-	"cache.Cache.StateOf":            "MESI probe the coherence tests assert line states with",
-	"cache.MemRouter.NumControllers": "geometry accessor the cache tests check controller wiring with",
-	"event.Event.NumChildren":        "lets the event and chain-build tests check declared edges",
-	"event.Event.Seq":                "lets the weave-order tests check creation order",
-	"harness.Table.Cell":             "how tests read an experiment table by row and column name",
-	"isa.BasicBlock.EndsInBranch":    "block-shape accessor the isa tests check generated blocks with",
-	"isa.BasicBlock.NumInstrs":       "block-shape accessor the isa tests check generated blocks with",
-	"isa.Opcode.HasLoad":             "opcode property the isa tests check the decoder against",
-	"isa.Opcode.HasStore":            "opcode property the isa tests check the decoder against",
-	"network.Mesh.Width":             "geometry accessor the network tests check mesh sizing with",
-	"network.RouteAppend":            "materializes a whole route, which the topology tests compare",
-	"trace.Thread.SpinBlock":         "lets the trace tests check lock-word addressing",
-	"trace.Workload.SharedBase":      "lets the trace tests check shared-region addressing",
-	"virt.Scheduler.NumRunnable":     "lets the virt and golden-schedule tests check run-queue accounting",
+	"cache.Cache.StateOf":         "MESI probe the coherence tests assert line states with",
+	"event.Event.NumChildren":     "lets the event and chain-build tests check declared edges",
+	"event.Event.Seq":             "lets the weave-order tests check creation order",
+	"harness.Table.Cell":          "how tests read an experiment table by row and column name",
+	"isa.BasicBlock.EndsInBranch": "block-shape accessor the isa tests check generated blocks with",
+	"isa.BasicBlock.NumInstrs":    "block-shape accessor the isa tests check generated blocks with",
+	"isa.Opcode.HasLoad":          "opcode property the isa tests check the decoder against",
+	"isa.Opcode.HasStore":         "opcode property the isa tests check the decoder against",
+	"network.RouteAppend":         "materializes a whole route, which the topology tests compare",
+	"trace.Thread.SpinBlock":      "lets the trace tests check lock-word addressing",
 }
 
 // TestNoDeadExportedAPI fails when an exported function, method, interface

@@ -113,7 +113,7 @@ func runSequential(sys *boundweave.System, sched *virt.Scheduler, maxInstrs uint
 		}
 		coreID := it.threadID % cfg.NumCores
 		c := sys.Cores[coreID]
-		start := maxU64(it.cycle, th.Cycle)
+		start := max(it.cycle, th.Cycle)
 		if start > c.Cycle() {
 			c.SetCycle(start)
 		}
@@ -132,7 +132,7 @@ func runSequential(sys *boundweave.System, sched *virt.Scheduler, maxInstrs uint
 		// later cycle so the simulation makes progress while they wait; they
 		// only execute again once the scheduler makes them runnable. A
 		// released barrier may have advanced the thread past its core.
-		requeueCycle := maxU64(c.Cycle(), th.Cycle)
+		requeueCycle := max(c.Cycle(), th.Cycle)
 		switch th.State {
 		case virt.StateDone:
 			continue
@@ -141,7 +141,7 @@ func runSequential(sys *boundweave.System, sched *virt.Scheduler, maxInstrs uint
 		case virt.StateBlockedSyscall:
 			requeueCycle = th.WakeCycle
 		}
-		heap.Push(&pq, seqItem{threadID: it.threadID, cycle: maxU64(requeueCycle, it.cycle+1)})
+		heap.Push(&pq, seqItem{threadID: it.threadID, cycle: max(requeueCycle, it.cycle+1)})
 	}
 }
 
@@ -161,11 +161,4 @@ func syncOp(blk *trace.DynBlock) (virt.OpKind, uint64) {
 		return virt.OpLockRelease, 0
 	}
 	return virt.OpNone, 0
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

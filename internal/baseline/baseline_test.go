@@ -107,9 +107,9 @@ func TestGoldenSchedulerCountsSettle(t *testing.T) {
 	sched := virt.NewScheduler(cfg.NumCores)
 	sched.AddWorkload(trace.New("syscalls", syscallParams(), 3))
 	runSequential(sys, sched, 0)
-	if sched.NumRunnable() != 0 || sched.LiveThreads() != 0 {
+	if sched.Counts().Runnable != 0 || sched.LiveThreads() != 0 {
 		t.Fatalf("after the run: live=%d runnable=%d, want 0 and 0",
-			sched.LiveThreads(), sched.NumRunnable())
+			sched.LiveThreads(), sched.Counts().Runnable)
 	}
 	if sched.Counts().SyscallBlocks == 0 {
 		t.Fatalf("the workload should block in syscalls")

@@ -146,14 +146,11 @@ type Request struct {
 	Write    bool
 	CoreID   int    // issuing core, used for profiling and network routing
 	Cycle    uint64 // cycle the request arrives at the level being accessed
-	// Hops accumulates the levels this request touched; nil disables tracing
-	// (set by the bound phase only for accesses it wants weave events for).
+	// Hops accumulates the levels this request touched, when RecordHops is
+	// set (by the bound phase, only for accesses it wants weave events for).
 	Hops []Hop
 	// RecordHops enables appending to Hops.
 	RecordHops bool
-	// Prof, when non-nil, receives every (line, write) access for the
-	// path-altering-interference profiler of Figure 2.
-	Prof AccessObserver
 	// FillState is set by the serving level to tell the requester which MESI
 	// state to install the line in (Shared when other children also hold the
 	// line, Exclusive/Modified otherwise). Terminal levels (memory) leave it
@@ -411,9 +408,6 @@ func (c *Cache) AddChild(child *Cache) int {
 	return idx
 }
 
-// NumLines returns the cache's capacity in lines.
-func (c *Cache) NumLines() int { return c.sets * c.ways }
-
 func (c *Cache) setOf(lineAddr uint64) int {
 	// Hash the line address so that strided accesses spread across sets even
 	// when the stride is a multiple of the set count (the "hashed" L3 in the
@@ -497,13 +491,6 @@ func victimWay(lines []line) int {
 // and fetches the line from the parent. Directory state tracks which children
 // hold the line so writes can invalidate other sharers.
 func (c *Cache) Access(req *Request) uint64 {
-	if req.Prof != nil {
-		// Only the first level observes the access (profiling is about the
-		// access stream, not about each hierarchy level).
-		req.Prof.ObserveAccess(req.LineAddr, req.Write, req.CoreID, req.Cycle)
-		req.Prof = nil
-	}
-
 	set := c.setOf(req.LineAddr)
 	st := c.stripeOf(set)
 	st.mu.Lock()

@@ -342,7 +342,7 @@ func TestMemRouter(t *testing.T) {
 	m0 := &fakeMem{lat: 50}
 	m1 := &fakeMem{lat: 50}
 	r := NewMemRouter([]Level{m0, m1}, 10)
-	if r.NumControllers() != 2 {
+	if len(r.ctrls) != 2 {
 		t.Fatalf("router setup wrong")
 	}
 	for i := uint64(0); i < 200; i++ {
@@ -357,25 +357,6 @@ func TestMemRouter(t *testing.T) {
 	done := r.Access(&Request{LineAddr: 5, Cycle: 0})
 	if done != 70 {
 		t.Fatalf("router latency should be 10+50+10=70, got %d", done)
-	}
-}
-
-type observerFunc struct {
-	calls int
-	last  uint64
-}
-
-func (o *observerFunc) ObserveAccess(lineAddr uint64, write bool, coreID int, cycle uint64) {
-	o.calls++
-	o.last = lineAddr
-}
-
-func TestAccessObserverCalledOnce(t *testing.T) {
-	l1s, _, _ := buildTwoLevel()
-	obs := &observerFunc{}
-	l1s[0].Access(&Request{LineAddr: 77, Prof: obs})
-	if obs.calls != 1 || obs.last != 77 {
-		t.Fatalf("observer should be called exactly once at the first level: %+v", obs)
 	}
 }
 
@@ -469,7 +450,7 @@ func TestCacheAccountingInvariant(t *testing.T) {
 				resident++
 			}
 		}
-		return resident <= l1.NumLines()
+		return resident <= l1.sets*l1.ways
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

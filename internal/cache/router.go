@@ -97,9 +97,6 @@ func (m *MemRouter) SetNetNodeFunc(f func(lineAddr uint64, ctrl int) (src, dst i
 	m.netNodeFn = f
 }
 
-// NumControllers returns the number of memory controllers.
-func (m *MemRouter) NumControllers() int { return len(m.ctrls) }
-
 // CtrlOf returns the controller index that owns the line.
 func (m *MemRouter) CtrlOf(lineAddr uint64) int {
 	h := lineAddr*0xc2b2ae3d27d4eb4f + 0x165667b19e3779f9

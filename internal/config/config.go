@@ -462,7 +462,7 @@ func TiledChip(tiles int, model CoreModel) *System {
 		L3:           CacheConfig{SizeKB: 8 * 1024 * tiles, Ways: 16, Latency: 12, Banks: tiles, MSHRs: 16},
 		Network:      NetMesh,
 		NetHopCycles: 1, NetRouterStage: 2, NetInjection: 1,
-		MemControllers:   maxInt(tiles/2, 1),
+		MemControllers:   max(tiles/2, 1),
 		MemModel:         MemSimple,
 		MemLatency:       120,
 		MemServiceCycles: 4,
@@ -474,13 +474,6 @@ func TiledChip(tiles int, model CoreModel) *System {
 		panic("config: invalid tiled preset: " + err.Error())
 	}
 	return s
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SmallTest returns a small 4-core configuration used by unit tests and the

@@ -116,12 +116,17 @@ func (m *memUnit) reset() {
 	m.hopBuf = m.hopBuf[:0]
 }
 
-// access issues one request to a cache port, recording hops when a recorder
-// is installed. The request struct and the hop buffer are reused across
-// accesses, so the steady-state access path allocates nothing.
+// access issues one request to a cache port, reporting it to the observer
+// first (once per core access, whatever levels it then reaches) and recording
+// hops when a recorder is installed. The request struct and the hop buffer
+// are reused across accesses, so the steady-state access path allocates
+// nothing.
 func (m *memUnit) access(port cache.Level, lineAddr uint64, write bool, cycle uint64) uint64 {
 	if port == nil {
 		return cycle
+	}
+	if m.obs != nil {
+		m.obs.ObserveAccess(lineAddr, write, m.id, cycle)
 	}
 	m.req = cache.Request{
 		LineAddr:   lineAddr,
@@ -130,7 +135,6 @@ func (m *memUnit) access(port cache.Level, lineAddr uint64, write bool, cycle ui
 		Cycle:      cycle,
 		Hops:       m.hopBuf[:0],
 		RecordHops: m.rec != nil,
-		Prof:       m.obs,
 	}
 	avail := port.Access(&m.req)
 	if m.rec != nil && len(m.req.Hops) > 0 {

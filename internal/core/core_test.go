@@ -366,6 +366,50 @@ func TestAccessRecorderReceivesHops(t *testing.T) {
 	}
 }
 
+// countingPort counts the requests a core issues into one of its ports.
+type countingPort struct {
+	cache.Level
+	n int
+}
+
+func (p *countingPort) Access(req *cache.Request) uint64 {
+	p.n++
+	return p.Level.Access(req)
+}
+
+type observerFunc struct {
+	calls int
+	lines map[uint64]int
+}
+
+func (o *observerFunc) ObserveAccess(lineAddr uint64, write bool, coreID int, cycle uint64) {
+	o.calls++
+	o.lines[lineAddr]++
+}
+
+// TestAccessObserverCalledOnce: the observer sees each core access exactly
+// once, however many hierarchy levels the access then misses through.
+func TestAccessObserverCalledOnce(t *testing.T) {
+	for _, mk := range []func(MemPorts) Core{
+		func(p MemPorts) Core { return NewIPC1(0, p, nil) },
+		func(p MemPorts) Core { return NewOOO(0, OOOWestmere(), p, nil) },
+	} {
+		ports := buildHierarchy()
+		l1i, l1d := &countingPort{Level: ports.L1I}, &countingPort{Level: ports.L1D}
+		c := mk(MemPorts{L1I: l1i, L1D: l1d})
+		obs := &observerFunc{lines: map[uint64]int{}}
+		c.SetObserver(obs)
+		addr := uint64(1 << 35) // cold: misses the L1 and the L2 into memory
+		c.SimulateBlock(loadBlock(1, []uint64{addr}))
+		if obs.calls == 0 || obs.calls != l1i.n+l1d.n {
+			t.Fatalf("%T: observer called %d times for %d port accesses", c, obs.calls, l1i.n+l1d.n)
+		}
+		if got := obs.lines[cache.LineAddr(addr)]; got != 1 {
+			t.Fatalf("%T: the load's line was observed %d times, want 1", c, got)
+		}
+	}
+}
+
 func TestOOONilDecodedBlockIgnored(t *testing.T) {
 	c := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
 	c.SimulateBlock(&trace.DynBlock{})

@@ -196,9 +196,6 @@ func (m *Mesh) Name() string { return "mesh" }
 // Nodes returns the number of mesh nodes.
 func (m *Mesh) Nodes() int { return m.width * m.height }
 
-// Width returns the mesh width.
-func (m *Mesh) Width() int { return m.width }
-
 // Latency returns the dimension-ordered-routing zero-load latency.
 func (m *Mesh) Latency(src, dst int) uint32 {
 	n := m.Nodes()

@@ -43,7 +43,7 @@ func TestRingLatency(t *testing.T) {
 
 func TestMeshLatency(t *testing.T) {
 	m := NewMesh(4, 4, 1, 2, 3)
-	if m.Name() != "mesh" || m.Nodes() != 16 || m.Width() != 4 {
+	if m.Name() != "mesh" || m.Nodes() != 16 || m.width != 4 {
 		t.Fatalf("mesh metadata wrong")
 	}
 	if got := m.Latency(0, 0); got != 3 {

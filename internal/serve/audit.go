@@ -25,6 +25,8 @@ type auditRecord struct {
 
 // auditLog serializes records to an underlying writer. A nil *auditLog (or
 // one built over a nil writer) is a no-op, so call sites never need to guard.
+// Its lock is a leaf: the server buffers records while holding Server.mu and
+// flushes and closes the log outside it.
 type auditLog struct {
 	mu  sync.Mutex
 	buf *bufio.Writer

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"sync"
 	"time"
 
 	"zsim/internal/campaign"
@@ -55,9 +54,8 @@ type CampaignStatus struct {
 }
 
 // campaignState is the server-side record of one campaign. The points slice
-// and expansion metadata are immutable after creation; progress fields are
-// guarded by mu. Child release order is serialized by the server's pump lock,
-// so next/outstanding advance without release/release races.
+// and expansion metadata are immutable after creation; Server.mu guards the
+// progress fields.
 type campaignState struct {
 	id         string
 	name       string
@@ -68,7 +66,6 @@ type campaignState struct {
 	shapes     int
 	valueOrder map[string][]string
 
-	mu          sync.Mutex
 	next        int // next point index to release
 	outstanding int
 	done        int
@@ -79,7 +76,7 @@ type campaignState struct {
 	children    []string
 }
 
-// stateName derives the campaign's lifecycle state; callers hold c.mu.
+// stateName derives the campaign's lifecycle state.
 func (c *campaignState) stateName() string {
 	if c.cancelled {
 		if c.outstanding == 0 {
@@ -93,8 +90,9 @@ func (c *campaignState) stateName() string {
 	return "running"
 }
 
-// statusLocked snapshots the campaign; callers hold c.mu.
-func (c *campaignState) statusLocked(detail bool) CampaignStatus {
+// status is the campaign's wire form, with the summary and children when
+// detail is set; callers hold Server.mu.
+func (c *campaignState) status(detail bool) CampaignStatus {
 	st := CampaignStatus{
 		ID:          c.id,
 		Name:        c.name,
@@ -112,15 +110,9 @@ func (c *campaignState) statusLocked(detail bool) CampaignStatus {
 	if detail {
 		summary := c.agg.Snapshot(c.valueOrder)
 		st.Summary = &summary
-		st.Children = append([]string(nil), c.children...)
+		st.Children = slices.Clone(c.children)
 	}
 	return st
-}
-
-func (c *campaignState) status(detail bool) CampaignStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.statusLocked(detail)
 }
 
 // childRequest builds the point's job request from the campaign base.
@@ -204,129 +196,93 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		created:    time.Now().UTC(),
 	}
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.shedResponse(w, "draining", "", "shutting down")
-		return
-	}
-	s.campSeq++
-	c.id = fmt.Sprintf("campaign-%d", s.campSeq)
-	s.campaigns[c.id] = c
-	s.campList = append(s.campList, c)
-	s.mu.Unlock()
-
-	s.audit.record("campaign", c.id, "running",
-		fmt.Sprintf("name=%s points=%d shapes=%d priority=%s quota=%d", c.name, len(points), c.shapes, classNames[class], quota))
-	s.pumpCampaigns()
-	writeJSON(w, http.StatusAccepted, c.status(false))
-}
-
-func (s *Server) lookupCampaign(r *http.Request) (*campaignState, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.campaigns[r.PathValue("id")]
-	return c, ok
-}
-
-// campaignList snapshots the campaigns in creation order.
-func (s *Server) campaignList() []*campaignState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return slices.Clone(s.campList)
+	s.respond(w, func() reply {
+		if s.draining {
+			return s.shed("draining", "", "shutting down")
+		}
+		s.campSeq++
+		c.id = fmt.Sprintf("campaign-%d", s.campSeq)
+		s.campaigns[c.id] = c
+		s.campList = append(s.campList, c)
+		s.audit.record("campaign", c.id, "running",
+			fmt.Sprintf("name=%s points=%d shapes=%d priority=%s quota=%d", c.name, len(points), c.shapes, classNames[class], quota))
+		s.pump()
+		return reply{code: http.StatusAccepted, body: c.status(false)}
+	})
 }
 
 func (s *Server) handleCampaignList(w http.ResponseWriter, r *http.Request) {
-	camps := s.campaignList()
-	out := make([]CampaignStatus, 0, len(camps))
-	for _, c := range camps {
-		out = append(out, c.status(false))
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.respond(w, func() reply {
+		out := make([]CampaignStatus, 0, len(s.campList))
+		for _, c := range s.campList {
+			out = append(out, c.status(false))
+		}
+		return reply{code: http.StatusOK, body: out}
+	})
 }
 
 func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.lookupCampaign(r)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such campaign"})
-		return
-	}
-	writeJSON(w, http.StatusOK, c.status(true))
+	s.respond(w, func() reply {
+		c := s.campaigns[r.PathValue("id")]
+		if c == nil {
+			return errReply(http.StatusNotFound, "no such campaign")
+		}
+		return reply{code: http.StatusOK, body: c.status(true)}
+	})
 }
 
 // handleCampaignCancel stops releasing new children and cancels the
 // outstanding ones; already-finished children keep their results.
 func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.lookupCampaign(r)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such campaign"})
-		return
-	}
-	c.mu.Lock()
-	already := c.cancelled || c.done == len(c.points)
-	if !already {
+	s.respond(w, func() reply {
+		c := s.campaigns[r.PathValue("id")]
+		switch {
+		case c == nil:
+			return errReply(http.StatusNotFound, "no such campaign")
+		case c.cancelled || c.done == len(c.points):
+			return errReply(http.StatusConflict, "campaign already finished")
+		}
 		c.cancelled = true
 		if c.outstanding == 0 && c.finished.IsZero() {
 			c.finished = time.Now().UTC()
 		}
-	}
-	children := append([]string(nil), c.children...)
-	c.mu.Unlock()
-	if already {
-		writeJSON(w, http.StatusConflict, errorBody{Error: "campaign already finished"})
-		return
-	}
-	// Cancel outstanding children; terminal ones refuse the cancel harmlessly.
-	for _, id := range children {
-		s.mu.Lock()
-		j := s.jobs[id]
-		s.mu.Unlock()
-		if j != nil && j.requestCancel() {
-			s.metrics.cancelRequested()
-			s.audit.record("cancel", j.id, "", "campaign cancelled")
+		// Cancel outstanding children; terminal ones refuse the cancel harmlessly.
+		for _, id := range c.children {
+			if j := s.jobs[id]; j != nil && j.requestCancel() {
+				s.metrics.cancels++
+				s.audit.record("cancel", j.id, "", "campaign cancelled")
+			}
 		}
-	}
-	s.audit.record("campaign", c.id, "cancelled", "cancel requested")
-	writeJSON(w, http.StatusAccepted, c.status(false))
+		s.audit.record("campaign", c.id, "cancelled", "cancel requested")
+		return reply{code: http.StatusAccepted, body: c.status(false)}
+	})
 }
 
-// pumpCampaigns releases children for every campaign that has quota headroom,
-// round-robin across campaigns until no campaign can make progress. pumpMu
-// serializes pumps (submission, every job completion), so release order — and
-// therefore child job numbering — is deterministic given a completion order.
-// Lock order: pumpMu > s.mu > c.mu, never the reverse.
-func (s *Server) pumpCampaigns() {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
+// pump releases children for every campaign that has quota headroom,
+// round-robin across campaigns until no campaign can make progress. It runs
+// under s.mu (at submission and at every job completion), so release order —
+// and therefore child job numbering — is deterministic given a completion
+// order.
+func (s *Server) pump() {
 	for progress := true; progress; {
 		progress = false
-		for _, c := range s.campaignList() {
-			if s.releaseNextChild(c) {
+		for _, c := range s.campList {
+			if c.cancelled || c.next >= len(c.points) || c.outstanding >= c.quota {
+				continue
+			}
+			p := &c.points[c.next]
+			if _, shed := s.admit(c.childRequest(p), c.class, c, p.Index); shed == "" {
 				progress = true
 			}
 		}
 	}
 }
 
-// releaseNextChild admits the campaign's next point as a child job if quota
-// and class limits allow. Only the pump calls this (under pumpMu).
-func (s *Server) releaseNextChild(c *campaignState) bool {
-	c.mu.Lock()
-	if c.cancelled || c.next >= len(c.points) || c.outstanding >= c.quota {
-		c.mu.Unlock()
-		return false
-	}
-	p := &c.points[c.next]
-	c.mu.Unlock()
-	_, shed := s.admit(c.childRequest(p), c.class, c, p.Index)
-	return shed == ""
-}
-
 // campaignChildDone folds a finished child's row into its campaign:
-// aggregates, quota release, and the campaign-finish audit edge.
+// aggregates, quota release, and the campaign-finish audit edge. Callers hold
+// s.mu.
 func (s *Server) campaignChildDone(j *job) {
 	c, row := j.camp, &j.row
-	c.mu.Lock()
 	c.outstanding--
 	c.done++
 	c.agg.Add(&c.points[j.point], campaign.PointResult{
@@ -336,17 +292,9 @@ func (s *Server) campaignChildDone(j *job) {
 		Instructions: row.Instructions,
 		SimMIPS:      row.SimMIPS,
 	})
-	finishedNow := c.finished.IsZero() &&
-		((c.cancelled && c.outstanding == 0) || c.done == len(c.points))
-	var finalState string
-	if finishedNow {
+	if c.finished.IsZero() && ((c.cancelled && c.outstanding == 0) || c.done == len(c.points)) {
 		c.finished = time.Now().UTC()
-		finalState = c.stateName()
-	}
-	doneCount := c.done
-	c.mu.Unlock()
-	if finishedNow {
-		s.audit.record("campaign", c.id, finalState, fmt.Sprintf("done=%d points=%d", doneCount, len(c.points)))
+		s.audit.record("campaign", c.id, c.stateName(), fmt.Sprintf("done=%d points=%d", c.done, len(c.points)))
 	}
 }
 
@@ -354,14 +302,17 @@ func (s *Server) campaignChildDone(j *job) {
 // during shutdown, so a drained daemon leaves a replayable account of sweep
 // progress (done/outstanding/pending per campaign plus the aggregate summary).
 func (s *Server) drainCampaigns() {
-	for _, c := range s.campaignList() {
-		c.mu.Lock()
-		st := c.statusLocked(true)
-		c.mu.Unlock()
+	s.mu.Lock()
+	sts := make([]CampaignStatus, len(s.campList))
+	for i, c := range s.campList {
+		sts[i] = c.status(true)
+	}
+	s.mu.Unlock()
+	for _, st := range sts {
 		detail, err := json.Marshal(st)
 		if err != nil {
 			detail = []byte(`{}`)
 		}
-		s.audit.record("campaign-drain", c.id, st.State, string(detail))
+		s.audit.record("campaign-drain", st.ID, st.State, string(detail))
 	}
 }

@@ -18,7 +18,9 @@ import (
 // postFuzzBody posts body to path and checks the response properties.
 func postFuzzBody(t *testing.T, path string, body []byte) {
 	s := New(Options{Workers: 1, MaxCampaignPoints: 16})
-	s.sched.close()
+	s.mu.Lock()
+	s.sched.closed = true
+	s.mu.Unlock()
 	defer s.Shutdown(0)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))

@@ -13,7 +13,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"zsim"
@@ -196,25 +195,25 @@ type JobStatus struct {
 }
 
 // job is the server-side record of one submitted simulation, from admission
-// until it leaves the server's finished-job record.
+// until it leaves the server's finished-job record. id, seq, class, camp,
+// point and submitted are fixed at admission; Server.mu guards the rest.
 type job struct {
 	id  string
 	seq int         // admission order; id is "job-<seq>"
 	req *JobRequest // nil once gone
 	// class is the admission class (classHigh/Normal/Low); camp and point link
 	// a campaign child to its parent sweep (camp == nil, point == -1 for
-	// interactive jobs). All three are fixed at admission.
+	// interactive jobs).
 	class int
 	camp  *campaignState
 	point int
 
-	// row is the job's result row, written once under Server.mu as the job
-	// is filed and never changed after. gone, guarded by Server.mu, marks a
-	// finished job past the retention window, whose req and result are gone.
+	// row is the job's result row, written once as the job is filed. gone
+	// marks a finished job past the retention window, whose req and result
+	// are gone.
 	row  ResultRow
 	gone bool
 
-	mu        sync.Mutex
 	state     string
 	cancelled bool               // cancel requested while still queued
 	cancel    context.CancelFunc // set while running
@@ -223,22 +222,13 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	// probe is the running simulation's telemetry probe, set for the span of
-	// the run (attached after the simulator is acquired, detached before it
-	// can return to the warm pool).
+	// the run (attached after the simulator is acquired, detached in the
+	// critical section that returns it to the warm pool).
 	probe *telemetry.Probe
 }
 
-// setProbe publishes (or, with nil, withdraws) the job's telemetry probe.
-func (j *job) setProbe(p *telemetry.Probe) {
-	j.mu.Lock()
-	j.probe = p
-	j.mu.Unlock()
-}
-
-// status snapshots the job under its lock.
+// status is the job's wire form; callers hold Server.mu.
 func (j *job) status() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	st := JobStatus{
 		ID:        j.id,
 		State:     j.state,
@@ -282,18 +272,14 @@ func (j *job) terminal() bool {
 
 // requestCancel delivers a cancellation to the job wherever it is in its
 // lifecycle. It reports whether the cancel was accepted (false once the job
-// already finished).
+// already finished). Callers hold Server.mu.
 func (j *job) requestCancel() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	switch j.state {
 	case StateQueued:
 		j.cancelled = true
 		return true
 	case StateRunning:
-		if j.cancel != nil {
-			j.cancel()
-		}
+		j.cancel()
 		return true
 	default:
 		return false

@@ -9,6 +9,7 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -26,28 +27,37 @@ import (
 // including labels, exactly as exposed.
 func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
+	samples, err := scrape(ts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return samples
+}
+
+// scrape is scrapeMetrics for goroutines other than the test's own: it
+// returns what went wrong instead of failing the test.
+func scrape(ts *httptest.Server) (map[string]float64, error) {
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: HTTP %d", resp.StatusCode)
+		return nil, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("metrics Content-Type = %q", ct)
+		return nil, fmt.Errorf("metrics Content-Type = %q", ct)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return parseExposition(t, string(body))
+	return parseExposition(string(body))
 }
 
 // parseExposition validates the scrape line by line: every line is a HELP/TYPE
 // comment or a `name{labels} value` sample with a parseable float value.
-func parseExposition(t *testing.T, body string) map[string]float64 {
-	t.Helper()
+func parseExposition(body string) (map[string]float64, error) {
 	samples := make(map[string]float64)
 	typed := make(map[string]bool) // families with a # TYPE line
 	for _, line := range strings.Split(body, "\n") {
@@ -57,7 +67,7 @@ func parseExposition(t *testing.T, body string) map[string]float64 {
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
 			if len(fields) < 4 || (fields[1] != "HELP" && fields[1] != "TYPE") {
-				t.Fatalf("malformed comment line: %q", line)
+				return nil, fmt.Errorf("malformed comment line: %q", line)
 			}
 			if fields[1] == "TYPE" {
 				typed[fields[2]] = true
@@ -68,15 +78,15 @@ func parseExposition(t *testing.T, body string) map[string]float64 {
 		// and label values in this exposition never contain spaces.
 		sp := strings.LastIndexByte(line, ' ')
 		if sp < 0 {
-			t.Fatalf("malformed sample line: %q", line)
+			return nil, fmt.Errorf("malformed sample line: %q", line)
 		}
 		name, valStr := line[:sp], line[sp+1:]
 		val, err := strconv.ParseFloat(valStr, 64)
 		if err != nil && valStr != "+Inf" && valStr != "NaN" {
-			t.Fatalf("unparseable value in %q: %v", line, err)
+			return nil, fmt.Errorf("unparseable value in %q: %v", line, err)
 		}
 		if _, dup := samples[name]; dup {
-			t.Fatalf("duplicate sample %q", name)
+			return nil, fmt.Errorf("duplicate sample %q", name)
 		}
 		samples[name] = val
 		// Every sample belongs to a declared family (histogram samples carry
@@ -90,13 +100,13 @@ func parseExposition(t *testing.T, body string) map[string]float64 {
 			base = strings.TrimSuffix(base, suf)
 		}
 		if !typed[family] && !typed[base] {
-			t.Fatalf("sample %q has no # TYPE declaration", name)
+			return nil, fmt.Errorf("sample %q has no # TYPE declaration", name)
 		}
 	}
 	if len(samples) == 0 {
-		t.Fatal("empty exposition")
+		return nil, fmt.Errorf("empty exposition")
 	}
-	return samples
+	return samples, nil
 }
 
 // sumBySuffix sums sample values whose name starts with prefix and, after the
@@ -435,5 +445,86 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	samples := scrapeMetrics(t, ts)
 	if got := sumByPrefix(samples, "zsimd_job_latency_seconds_count"); got != float64(len(ids)) {
 		t.Errorf("latency _count sum = %v, want %d", got, len(ids))
+	}
+}
+
+// TestMetricsScrapeCoherent: every scrape is one snapshot of the server. Two
+// scrapers run while two workers finish short jobs back to back, and each
+// scrape must count every finished job in all three places or in none:
+// Σ zsimd_jobs_total == zsimd_results_total == Σ zsimd_job_latency_seconds_count.
+func TestMetricsScrapeCoherent(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 2, QueueDepth: 8, PoolSize: 4})
+	body, err := json.Marshal(quickJob())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // keeps the workers busy; a shed just retries
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("POST /jobs: %v", err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+
+	var mu sync.Mutex
+	scrapes, incoherent := 0, 0
+	var example [3]float64
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				samples, err := scrape(ts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := [3]float64{
+					sumByPrefix(samples, "zsimd_jobs_total{"),
+					samples["zsimd_results_total"],
+					sumByPrefix(samples, "zsimd_job_latency_seconds_count"),
+				}
+				mu.Lock()
+				scrapes++
+				if got[0] != got[1] || got[1] != got[2] {
+					incoherent++
+					example = got
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	time.Sleep(2 * time.Second)
+	close(stop)
+	wg.Wait()
+
+	final := scrapeMetrics(t, ts)["zsimd_results_total"]
+	t.Logf("%d scrapes over %v finished jobs", scrapes, final)
+	if final < 10 {
+		t.Fatalf("only %v jobs finished; the scrapes raced nothing", final)
+	}
+	if incoherent > 0 {
+		t.Errorf("%d of %d scrapes disagree on [jobs results latency-count], e.g. %v", incoherent, scrapes, example)
 	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sync"
 	"time"
 
 	"zsim"
@@ -17,8 +16,9 @@ import (
 //
 // The pool bounds both the total number of retained simulators (size) and
 // the number per shape (perShape), so a burst of one-off shapes cannot pin
-// unbounded memory. get and put are O(1) under one mutex; the simulators
-// themselves are only ever used by the single worker that checked them out.
+// unbounded memory. Server.mu guards it; the simulators themselves are only
+// ever used by the single worker that checked them out, and are built,
+// rewound and closed outside the lock.
 //
 // Entries remember when they were parked; the server's janitor calls
 // expireIdle so shapes that stopped arriving release their arena memory
@@ -27,7 +27,6 @@ import (
 // its own counter, so /healthz can account for every entry:
 // occupancy == returns + prewarmed − hits − expiries.
 type simPool struct {
-	mu       sync.Mutex
 	size     int // total retained simulators across shapes
 	perShape int // retained simulators per shape key
 	shapes   map[uint64][]poolEntry
@@ -91,8 +90,6 @@ func (p *simPool) get(key uint64) *zsim.Simulator {
 	if p == nil {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	entries := p.shapes[key]
 	if len(entries) == 0 {
 		p.misses++
@@ -110,25 +107,14 @@ func (p *simPool) get(key uint64) *zsim.Simulator {
 	return sim
 }
 
-// put returns a simulator to the pool under its shape key. It reports whether
-// the pool retained it; on false (pool full, per-shape cap reached, or pool
-// closed) the caller must Close the simulator.
-func (p *simPool) put(key uint64, sim *zsim.Simulator) bool {
-	return p.park(key, sim, false)
-}
-
-// prewarm parks a freshly built simulator before any job ever requested its
-// shape, counted separately from job returns.
-func (p *simPool) prewarm(key uint64, sim *zsim.Simulator) bool {
-	return p.park(key, sim, true)
-}
-
-func (p *simPool) park(key uint64, sim *zsim.Simulator, warmup bool) bool {
+// put parks a simulator under its shape key, a job's return or (warmup) a
+// prewarmed one. It reports whether the pool retained it; on false (pool
+// full, per-shape cap reached, or pool closed) the caller must Close the
+// simulator.
+func (p *simPool) put(key uint64, sim *zsim.Simulator, warmup bool) bool {
 	if p == nil || sim == nil {
 		return false
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.closed || p.total >= p.size || len(p.shapes[key]) >= p.perShape {
 		p.discards++
 		return false
@@ -143,14 +129,12 @@ func (p *simPool) park(key uint64, sim *zsim.Simulator, warmup bool) bool {
 	return true
 }
 
-// expireIdle closes every entry parked before the cutoff and reports how many
-// it released. Simulator Close (which tears down worker pools and arenas)
-// runs outside the pool lock.
-func (p *simPool) expireIdle(cutoff time.Time) int {
+// expireIdle removes every entry parked before the cutoff and returns the
+// removed simulators for the caller to Close outside the lock.
+func (p *simPool) expireIdle(cutoff time.Time) []*zsim.Simulator {
 	if p == nil {
-		return 0
+		return nil
 	}
-	p.mu.Lock()
 	var victims []*zsim.Simulator
 	for key, entries := range p.shapes {
 		kept := entries[:0]
@@ -172,20 +156,14 @@ func (p *simPool) expireIdle(cutoff time.Time) int {
 	}
 	p.total -= len(victims)
 	p.expiries += uint64(len(victims))
-	p.mu.Unlock()
-	for _, sim := range victims {
-		sim.Close()
-	}
-	return len(victims)
+	return victims
 }
 
-// stats snapshots the pool counters. Safe on a nil (disabled) pool.
+// stats reports the pool counters. Safe on a nil (disabled) pool.
 func (p *simPool) stats() poolStats {
 	if p == nil {
 		return poolStats{}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	st := poolStats{
 		Enabled:   true,
 		Size:      p.size,
@@ -207,13 +185,11 @@ func (p *simPool) stats() poolStats {
 
 // arenaBytes sums the arena footprint of every retained simulator (retained
 // means idle: no worker touches a pooled simulator, so reading its arena
-// stats under the pool mutex is safe). Zero on a nil (disabled) pool.
+// stats under Server.mu is safe). Zero on a nil (disabled) pool.
 func (p *simPool) arenaBytes() uint64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var total uint64
 	for _, entries := range p.shapes {
 		for _, e := range entries {
@@ -224,22 +200,20 @@ func (p *simPool) arenaBytes() uint64 {
 	return total
 }
 
-// close releases every retained simulator's persistent resources (worker
-// pools, weave engines) and marks the pool closed; later puts are refused so
-// in-flight jobs finishing after shutdown close their simulators themselves.
-func (p *simPool) close() {
+// close marks the pool closed and empties it, returning every retained
+// simulator for the caller to Close outside the lock; later puts are refused,
+// so in-flight jobs finishing after shutdown close their simulators
+// themselves.
+func (p *simPool) close() []*zsim.Simulator {
 	if p == nil {
-		return
+		return nil
 	}
-	p.mu.Lock()
-	shapes := p.shapes
-	p.shapes = make(map[uint64][]poolEntry)
-	p.total = 0
-	p.closed = true
-	p.mu.Unlock()
-	for _, entries := range shapes {
+	var sims []*zsim.Simulator
+	for _, entries := range p.shapes {
 		for _, e := range entries {
-			e.sim.Close()
+			sims = append(sims, e.sim)
 		}
 	}
+	p.shapes, p.total, p.closed = nil, 0, true
+	return sims
 }

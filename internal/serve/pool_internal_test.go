@@ -35,11 +35,11 @@ func checkPoolInvariant(t *testing.T, p *simPool) {
 
 func TestPoolPrewarmCounters(t *testing.T) {
 	p := newSimPool(2, 2)
-	defer p.close()
+	defer func() { closeAll(p.close()) }()
 	key := config.SmallTest().ShapeKey()
 
 	a, b := poolSim(t), poolSim(t)
-	if !p.prewarm(key, a) || !p.prewarm(key, b) {
+	if !p.put(key, a, true) || !p.put(key, b, true) {
 		t.Fatalf("prewarm refused below capacity")
 	}
 	st := p.stats()
@@ -50,7 +50,7 @@ func TestPoolPrewarmCounters(t *testing.T) {
 
 	// A third prewarm into a full pool is discarded, caller closes.
 	c := poolSim(t)
-	if p.prewarm(key, c) {
+	if p.put(key, c, true) {
 		t.Fatalf("prewarm accepted past capacity")
 	}
 	c.Close()
@@ -62,7 +62,7 @@ func TestPoolPrewarmCounters(t *testing.T) {
 	if sim := p.get(key); sim == nil {
 		t.Fatalf("get missed a prewarmed shape")
 	} else {
-		if !p.put(key, sim) {
+		if !p.put(key, sim, false) {
 			t.Fatalf("put refused with free capacity")
 		}
 	}
@@ -75,23 +75,25 @@ func TestPoolPrewarmCounters(t *testing.T) {
 
 func TestPoolExpireIdle(t *testing.T) {
 	p := newSimPool(4, 4)
-	defer p.close()
+	defer func() { closeAll(p.close()) }()
 	key := config.SmallTest().ShapeKey()
 
-	p.prewarm(key, poolSim(t))
-	p.prewarm(key, poolSim(t))
+	p.put(key, poolSim(t), true)
+	p.put(key, poolSim(t), true)
 	if p.arenaBytes() == 0 {
 		t.Fatalf("parked simulators report zero arena bytes")
 	}
 
 	// A cutoff in the past expires nothing.
-	if n := p.expireIdle(time.Now().Add(-time.Hour)); n != 0 {
+	if n := len(p.expireIdle(time.Now().Add(-time.Hour))); n != 0 {
 		t.Fatalf("past cutoff expired %d entries", n)
 	}
 	checkPoolInvariant(t, p)
 
 	// A future cutoff expires everything and releases the arena accounting.
-	if n := p.expireIdle(time.Now().Add(time.Hour)); n != 2 {
+	victims := p.expireIdle(time.Now().Add(time.Hour))
+	closeAll(victims)
+	if n := len(victims); n != 2 {
 		t.Fatalf("expired %d entries, want 2", n)
 	}
 	st := p.stats()
@@ -112,15 +114,17 @@ func TestPoolExpireIdle(t *testing.T) {
 
 func TestPoolExpirySparesRecent(t *testing.T) {
 	p := newSimPool(4, 4)
-	defer p.close()
+	defer func() { closeAll(p.close()) }()
 	key := config.SmallTest().ShapeKey()
 
-	p.prewarm(key, poolSim(t))
+	p.put(key, poolSim(t), true)
 	cutoff := time.Now() // old entry is before this, new one after
 	time.Sleep(2 * time.Millisecond)
-	p.prewarm(key, poolSim(t))
+	p.put(key, poolSim(t), true)
 
-	if n := p.expireIdle(cutoff); n != 1 {
+	victims := p.expireIdle(cutoff)
+	closeAll(victims)
+	if n := len(victims); n != 1 {
 		t.Fatalf("expired %d entries, want 1", n)
 	}
 	st := p.stats()
@@ -140,14 +144,16 @@ func TestPoolNilSafety(t *testing.T) {
 	if p.get(1) != nil {
 		t.Fatalf("nil pool returned a simulator")
 	}
-	if p.put(1, nil) || p.prewarm(1, nil) {
+	if p.put(1, nil, false) || p.put(1, nil, true) {
 		t.Fatalf("nil pool retained a simulator")
 	}
-	if p.expireIdle(time.Now()) != 0 || p.arenaBytes() != 0 {
+	if p.expireIdle(time.Now()) != nil || p.arenaBytes() != 0 {
 		t.Fatalf("nil pool reported occupancy")
 	}
 	if st := p.stats(); st.Enabled {
 		t.Fatalf("nil pool reports enabled")
 	}
-	p.close()
+	if p.close() != nil {
+		t.Fatalf("nil pool returned simulators on close")
+	}
 }

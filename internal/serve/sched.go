@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Admission classes, highest priority first. Interactive jobs default to
 // classNormal; campaign children default to classLow, so a 5,000-point sweep
@@ -30,26 +27,18 @@ func parsePriority(s string) (int, error) {
 	return 0, fmt.Errorf("unknown priority %q (want high, normal or low)", s)
 }
 
-// scheduler is the policy-driven admission queue that replaces the original
-// FIFO channel: three class queues drained strictly highest-class-first, with
-// per-class admission limits over the shared capacity. Lower classes are
-// refused earlier (a saturating sweep cannot consume the whole queue), and
-// the high class has reserved headroom above nominal capacity so an
-// interactive job is admitted even while normal-priority load saturates the
-// queue. Within a class, order is FIFO.
+// scheduler is the policy-driven admission queue: three class queues drained
+// strictly highest-class-first, with per-class admission limits over the
+// shared capacity. Lower classes are refused earlier (a saturating sweep
+// cannot consume the whole queue), and the high class has reserved headroom
+// above nominal capacity so an interactive job is admitted even while
+// normal-priority load saturates the queue. Within a class, order is FIFO.
+// Server.mu guards it; idle workers wait on Server.ready.
 type scheduler struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
 	queues   [numClasses][]*job
 	size     int
 	capacity int
 	closed   bool
-}
-
-func newScheduler(capacity int) *scheduler {
-	s := &scheduler{capacity: capacity}
-	s.cond = sync.NewCond(&s.mu)
-	return s
 }
 
 // limit is the total queue size at or above which the given class is refused.
@@ -69,62 +58,25 @@ func (q *scheduler) limit(class int) int {
 // enqueue admits the job into its class queue, or refuses it (queue closed or
 // the class's admission limit reached). Callers treat false as a shed.
 func (q *scheduler) enqueue(j *job, class int) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed || q.size >= q.limit(class) {
 		return false
 	}
 	q.queues[class] = append(q.queues[class], j)
 	q.size++
-	q.cond.Signal()
 	return true
 }
 
-// next blocks until a job is available (highest class first) or the queue is
-// closed and drained, which it reports with ok == false.
+// next dequeues the oldest job of the highest non-empty class, reporting
+// false when the queue is empty.
 func (q *scheduler) next() (*job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		for class := 0; class < numClasses; class++ {
-			if queue := q.queues[class]; len(queue) > 0 {
-				j := queue[0]
-				queue[0] = nil
-				q.queues[class] = queue[1:]
-				q.size--
-				return j, true
-			}
+	for class, queue := range q.queues {
+		if len(queue) > 0 {
+			j := queue[0]
+			queue[0] = nil
+			q.queues[class] = queue[1:]
+			q.size--
+			return j, true
 		}
-		if q.closed {
-			return nil, false
-		}
-		q.cond.Wait()
 	}
-}
-
-// close stops admission and wakes every worker; next drains what was already
-// admitted and then reports closed.
-func (q *scheduler) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// depth is the total number of queued jobs.
-func (q *scheduler) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
-}
-
-// classDepths snapshots the per-class queue lengths.
-func (q *scheduler) classDepths() [numClasses]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	var d [numClasses]int
-	for c := range q.queues {
-		d[c] = len(q.queues[c])
-	}
-	return d
+	return nil, false
 }

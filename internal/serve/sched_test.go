@@ -3,6 +3,8 @@ package serve
 // Internal tests for the class-aware admission queue: strict class ordering,
 // per-class admission limits and close/drain semantics. The HTTP-level
 // behavior (sheds, campaign fairness) is covered by the external e2e tests.
+// The queue is a plain record under Server.mu, so these single-goroutine
+// tests drive it without a lock.
 
 import (
 	"testing"
@@ -12,7 +14,7 @@ import (
 func testJob(id string) *job { return &job{id: id, point: -1} }
 
 func TestSchedulerClassOrdering(t *testing.T) {
-	q := newScheduler(16)
+	q := &scheduler{capacity: 16}
 	if !q.enqueue(testJob("low-1"), classLow) ||
 		!q.enqueue(testJob("norm-1"), classNormal) ||
 		!q.enqueue(testJob("high-1"), classHigh) ||
@@ -29,7 +31,7 @@ func TestSchedulerClassOrdering(t *testing.T) {
 }
 
 func TestSchedulerClassLimits(t *testing.T) {
-	q := newScheduler(8) // low limit 6, normal limit 8, high limit 9
+	q := &scheduler{capacity: 8} // low limit 6, normal limit 8, high limit 9
 	admitted := 0
 	for i := 0; i < 10; i++ {
 		if q.enqueue(testJob("low"), classLow) {
@@ -55,19 +57,18 @@ func TestSchedulerClassLimits(t *testing.T) {
 	if q.enqueue(testJob("high"), classHigh) {
 		t.Fatalf("high admitted past its headroom")
 	}
-	if q.depth() != 9 {
-		t.Fatalf("depth = %d, want 9", q.depth())
+	if q.size != 9 {
+		t.Fatalf("depth = %d, want 9", q.size)
 	}
-	d := q.classDepths()
-	if d[classHigh] != 1 || d[classNormal] != 2 || d[classLow] != 6 {
-		t.Fatalf("class depths = %v", d)
+	if len(q.queues[classHigh]) != 1 || len(q.queues[classNormal]) != 2 || len(q.queues[classLow]) != 6 {
+		t.Fatalf("class depths = %d/%d/%d", len(q.queues[classHigh]), len(q.queues[classNormal]), len(q.queues[classLow]))
 	}
 }
 
 // TestSchedulerTinyQueue pins the capacity-1 behavior the load-shedding e2e
 // test depends on: one normal job queues, the next sheds, high still fits.
 func TestSchedulerTinyQueue(t *testing.T) {
-	q := newScheduler(1)
+	q := &scheduler{capacity: 1}
 	if !q.enqueue(testJob("a"), classNormal) {
 		t.Fatalf("first normal refused")
 	}
@@ -83,10 +84,10 @@ func TestSchedulerTinyQueue(t *testing.T) {
 }
 
 func TestSchedulerCloseDrains(t *testing.T) {
-	q := newScheduler(4)
+	q := &scheduler{capacity: 4}
 	q.enqueue(testJob("a"), classNormal)
 	q.enqueue(testJob("b"), classLow)
-	q.close()
+	q.closed = true
 	if q.enqueue(testJob("c"), classHigh) {
 		t.Fatalf("enqueue accepted after close")
 	}
@@ -102,23 +103,19 @@ func TestSchedulerCloseDrains(t *testing.T) {
 	}
 }
 
-// TestSchedulerCloseWakesBlockedWorker: a worker parked in next() must be
-// released by close.
+// TestSchedulerCloseWakesBlockedWorker: workers parked on an empty queue must
+// be released when Shutdown closes it.
 func TestSchedulerCloseWakesBlockedWorker(t *testing.T) {
-	q := newScheduler(4)
-	done := make(chan bool, 1)
+	s := New(Options{Workers: 2})
+	time.Sleep(10 * time.Millisecond) // let the workers park
+	done := make(chan struct{})
 	go func() {
-		_, ok := q.next()
-		done <- ok
+		s.Shutdown(time.Hour) // returns once every worker has exited
+		close(done)
 	}()
-	time.Sleep(10 * time.Millisecond) // let the goroutine park
-	q.close()
 	select {
-	case ok := <-done:
-		if ok {
-			t.Fatalf("blocked next returned a job from an empty closed queue")
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("close did not wake blocked worker")
+		t.Fatalf("closing the queue did not wake the blocked workers")
 	}
 }

@@ -274,11 +274,8 @@ func TestDeterminismMatchesFacade(t *testing.T) {
 	}
 
 	// Host-time-dependent fields cannot match; everything simulated must.
-	a, b := *got.Metrics, *want.Metrics
-	a.HostNanos, b.HostNanos = 0, 0
-	a.SimMIPS, b.SimMIPS = 0, 0
-	if a != b {
-		t.Fatalf("service metrics diverge from facade:\n service: %+v\n facade:  %+v", a, b)
+	if !sameMetrics(got.Metrics, want.Metrics) {
+		t.Fatalf("service metrics diverge from facade:\n service: %+v\n facade:  %+v", got.Metrics, want.Metrics)
 	}
 	if got.Intervals != want.Intervals || got.WeaveEvents != want.WeaveEvents {
 		t.Fatalf("interval/event counts diverge: %d/%d vs %d/%d",

@@ -9,14 +9,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
 	"zsim"
 	"zsim/internal/runctl"
-	"zsim/internal/telemetry"
 )
 
 // Options configure a Server. Zero values get sensible defaults.
@@ -66,18 +65,29 @@ type Options struct {
 
 // Server is the zsimd job service: an http.Handler plus the worker pool
 // behind it. Create with New, serve with net/http, stop with Shutdown.
+//
+// mu is the one lock for everything the daemon keeps about jobs: the
+// admission queue, the warm pool, every job's state, the campaigns, the
+// finished-job ring and the metrics. The leaf locks taken under it are the
+// audit log's and each telemetry probe's. Simulator construction, Reset, runs
+// and Close, response encoding and network writes, and audit flush and sync
+// all happen outside it.
 type Server struct {
 	opts    Options
 	mux     *http.ServeMux
 	audit   *auditLog
-	pool    *simPool   // warm-simulator pool (nil when Options.PoolSize == 0)
-	metrics *metrics   // /metrics scrape registry
-	sched   *scheduler // class-aware admission queue
+	workers sync.WaitGroup
 
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
 
 	mu sync.Mutex
+	// ready wakes idle workers (on mu) when a job is queued or the queue
+	// closes.
+	ready   sync.Cond
+	sched   scheduler // class-aware admission queue
+	pool    *simPool  // warm-simulator pool (nil when Options.PoolSize == 0)
+	metrics metrics   // /metrics scrape registry
 	// jobs holds every addressable job: the live ones and those in done.
 	jobs     map[string]*job
 	seq      int
@@ -91,10 +101,6 @@ type Server struct {
 	campaigns map[string]*campaignState
 	campList  []*campaignState // creation order
 	campSeq   int
-	// pumpMu serializes campaign child release (see pumpCampaigns).
-	pumpMu sync.Mutex
-
-	workers sync.WaitGroup
 }
 
 // New builds a Server and starts its workers.
@@ -116,14 +122,15 @@ func New(opts Options) *Server {
 		opts:       opts,
 		mux:        http.NewServeMux(),
 		audit:      newAuditLog(opts.Audit),
-		pool:       newSimPool(opts.PoolSize, opts.PoolPerShape),
-		metrics:    newMetrics(),
-		sched:      newScheduler(opts.QueueDepth),
 		baseCtx:    ctx,
 		baseCancel: cancel,
+		sched:      scheduler{capacity: opts.QueueDepth},
+		pool:       newSimPool(opts.PoolSize, opts.PoolPerShape),
+		metrics:    newMetrics(),
 		jobs:       make(map[string]*job),
 		campaigns:  make(map[string]*campaignState),
 	}
+	s.ready.L = &s.mu
 	s.routes()
 	s.workers.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
@@ -175,27 +182,45 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// retryAfterSeconds derives the shed Retry-After hint from queue state: the
-// expected time to drain the current backlog plus one job, using the EWMA of
-// observed job latency (1s floor before any job has finished). Clamped to
-// [1, 60] so clients neither hammer nor stall.
-func (s *Server) retryAfterSeconds() int {
-	avg := s.metrics.avgLatencySeconds()
+// reply is an answer decided under s.mu and written after it is released, so
+// no response encoding or network write ever holds the lock.
+type reply struct {
+	code  int
+	body  any
+	retry int // Retry-After seconds of a shed (0 = none)
+}
+
+func errReply(code int, msg string) reply {
+	return reply{code: code, body: errorBody{Error: msg}}
+}
+
+// respond runs decide under s.mu and writes its reply after unlocking.
+func (s *Server) respond(w http.ResponseWriter, decide func() reply) {
+	s.mu.Lock()
+	rep := decide()
+	s.mu.Unlock()
+	if rep.retry > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(rep.retry))
+	}
+	writeJSON(w, rep.code, rep.body)
+}
+
+// shed counts and audits a refused submission and returns its 503. The
+// Retry-After hint is the expected time to drain the current backlog plus one
+// job, using the EWMA of observed job latency (1s before any job has
+// finished), clamped to [1, 60] so clients neither hammer nor stall. Callers
+// hold s.mu.
+func (s *Server) shed(reason, jobID, msg string) reply {
+	avg := s.metrics.ewmaLatency
 	if avg <= 0 {
 		avg = 1
 	}
-	backlog := s.sched.depth() + s.metrics.inflightCount()
-	est := avg * float64(backlog+1) / float64(s.opts.Workers)
-	return min(60, max(1, int(math.Ceil(est))))
-}
-
-// shedResponse writes a 503 with the queue-state-derived Retry-After, and
-// records the shed in metrics and the audit log.
-func (s *Server) shedResponse(w http.ResponseWriter, reason, jobID, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: msg})
-	s.metrics.shed(reason)
+	est := avg * float64(s.sched.size+s.metrics.inflight+1) / float64(s.opts.Workers)
+	s.metrics.sheds[reason]++
 	s.audit.record("shed", jobID, "", msg)
+	rep := errReply(http.StatusServiceUnavailable, msg)
+	rep.retry = min(60, max(1, int(math.Ceil(est))))
+	return rep
 }
 
 // handleSubmit admits a job or sheds it.
@@ -212,30 +237,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	class, _ := parsePriority(req.Priority) // validate() already vetted it
-	switch j, shed := s.admit(&req, class, nil, -1); shed {
-	case "":
-		writeJSON(w, http.StatusAccepted, j.status())
-	case "draining":
-		s.shedResponse(w, shed, "", "shutting down")
-	default:
-		s.shedResponse(w, shed, j.id, "queue full")
-	}
+	s.respond(w, func() reply {
+		switch j, shed := s.admit(&req, class, nil, -1); shed {
+		case "":
+			return reply{code: http.StatusAccepted, body: j.status()}
+		case "draining":
+			return s.shed(shed, "", "shutting down")
+		default:
+			return s.shed(shed, j.id, "queue full")
+		}
+	})
 }
 
-// admit is the one way a job enters the server: all-or-nothing under the
-// server lock, it takes the next job ID, enqueues the job, registers it (and
-// counts a campaign child against its campaign), so an admitted job is
-// always observable via GET /jobs/{id} and reaches a worker (or a drain-time
-// cancellation) exactly once. It then writes the submit audit record.
+// admit is the one way a job enters the server: all-or-nothing under s.mu,
+// which callers hold, it takes the next job ID, enqueues the job, registers
+// it (and counts a campaign child against its campaign), so an admitted job
+// is always observable via GET /jobs/{id} and reaches a worker (or a
+// drain-time cancellation) exactly once. It then writes the submit audit
+// record.
 //
 // A refusal returns the shed reason: "draining", or "queue_full" when the
 // class limit is reached. An interactive job refused by the queue still takes
 // its ID, so the caller's shed record is attributable and IDs never repeat; a
 // refused campaign child takes none and waits for the next pump.
 func (s *Server) admit(req *JobRequest, class int, camp *campaignState, point int) (j *job, shed string) {
-	s.mu.Lock()
 	if s.draining {
-		s.mu.Unlock()
 		return nil, "draining"
 	}
 	j = &job{
@@ -250,110 +276,97 @@ func (s *Server) admit(req *JobRequest, class int, camp *campaignState, point in
 	}
 	queued := s.sched.enqueue(j, class)
 	if !queued && camp != nil {
-		s.mu.Unlock()
 		return nil, "queue_full"
 	}
 	s.seq++
 	if !queued {
-		s.mu.Unlock()
 		return j, "queue_full"
 	}
+	s.ready.Signal()
 	s.jobs[j.id] = j
 	detail := ""
 	if camp != nil {
-		camp.mu.Lock()
 		camp.next++
 		camp.outstanding++
 		camp.children = append(camp.children, j.id)
-		camp.mu.Unlock()
 		detail = fmt.Sprintf("campaign=%s point=%d", camp.id, point)
 	}
-	s.mu.Unlock()
 	s.audit.record("submit", j.id, StateQueued, detail)
 	return j, ""
 }
 
-// lookup resolves the request's job. When there is none to serve it answers
-// itself and returns nil: 410 for a job past the retention window (its row
-// survives in /results and the audit log), 404 for an ID never admitted or
-// already out of the finished-job record.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
+// lookup resolves the request's job; callers hold s.mu. When there is none to
+// serve it returns nil and the answer: 410 for a job past the retention
+// window (its row survives in /results and the audit log), 404 for an ID
+// never admitted or already out of the finished-job record.
+func (s *Server) lookup(r *http.Request) (*job, reply) {
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j := s.jobs[id]
-	gone := j != nil && j.gone
-	s.mu.Unlock()
-	switch {
+	switch j := s.jobs[id]; {
 	case j == nil:
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such job"})
-	case gone:
-		writeGone(w, id)
+		return nil, errReply(http.StatusNotFound, "no such job")
+	case j.gone:
+		return nil, errReply(http.StatusGone,
+			fmt.Sprintf("job %s evicted from retention; see /results?job=%s or the audit log", id, id))
 	default:
-		return j
+		return j, reply{}
 	}
-	return nil
-}
-
-func writeGone(w http.ResponseWriter, id string) {
-	writeJSON(w, http.StatusGone, errorBody{
-		Error: fmt.Sprintf("job %s evicted from retention; see /results?job=%s or the audit log", id, id),
-	})
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		if !j.gone {
-			jobs = append(jobs, j)
+	s.respond(w, func() reply {
+		jobs := make([]*job, 0, len(s.jobs))
+		for _, j := range s.jobs {
+			if !j.gone {
+				jobs = append(jobs, j)
+			}
 		}
-	}
-	s.mu.Unlock()
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
-	out := make([]JobStatus, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.status())
-	}
-	writeJSON(w, http.StatusOK, out)
+		slices.SortFunc(jobs, func(a, b *job) int { return a.seq - b.seq })
+		out := make([]JobStatus, len(jobs))
+		for i, j := range jobs {
+			out[i] = j.status()
+		}
+		return reply{code: http.StatusOK, body: out}
+	})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if j := s.lookup(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.status())
-	}
+	s.respond(w, func() reply {
+		j, miss := s.lookup(r)
+		if j == nil {
+			return miss
+		}
+		return reply{code: http.StatusOK, body: j.status()}
+	})
 }
 
+// handleResult serves a finished job's full result. The result is immutable
+// once set, so encoding it after the lock is released is safe.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	done := j.terminal()
-	res := j.result
-	j.mu.Unlock()
-	switch {
-	case !done:
-		writeJSON(w, http.StatusConflict, errorBody{Error: "job not finished"})
-	case res == nil: // left the retention window since lookup
-		writeGone(w, j.id)
-	default:
-		writeJSON(w, http.StatusOK, res)
-	}
+	s.respond(w, func() reply {
+		j, miss := s.lookup(r)
+		switch {
+		case j == nil:
+			return miss
+		case !j.terminal():
+			return errReply(http.StatusConflict, "job not finished")
+		}
+		return reply{code: http.StatusOK, body: j.result}
+	})
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	if !j.requestCancel() {
-		writeJSON(w, http.StatusConflict, errorBody{Error: "job already finished"})
-		return
-	}
-	s.metrics.cancelRequested()
-	s.audit.record("cancel", j.id, "", "cancel requested")
-	writeJSON(w, http.StatusAccepted, j.status())
+	s.respond(w, func() reply {
+		j, miss := s.lookup(r)
+		switch {
+		case j == nil:
+			return miss
+		case !j.requestCancel():
+			return errReply(http.StatusConflict, "job already finished")
+		}
+		s.metrics.cancels++
+		s.audit.record("cancel", j.id, "", "cancel requested")
+		return reply{code: http.StatusAccepted, body: j.status()}
+	})
 }
 
 // healthBody is the /healthz payload: liveness, uptime, queue and worker
@@ -374,23 +387,22 @@ type healthBody struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	rows, storeEvicted, retained, evicted := s.windowsLocked()
-	ncamp := len(s.campList)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, healthBody{
-		Status:        "ok",
-		Uptime:        s.metrics.uptimeString(),
-		QueueDepth:    s.sched.depth(),
-		QueueCapacity: s.opts.QueueDepth,
-		InFlight:      s.metrics.inflightCount(),
-		Workers:       s.opts.Workers,
-		Pool:          s.pool.stats(),
-		Campaigns:     ncamp,
-		StoreRows:     rows,
-		StoreEvicted:  storeEvicted,
-		JobsRetained:  retained,
-		JobsEvicted:   evicted,
+	s.respond(w, func() reply {
+		rows, storeEvicted, retained, evicted := s.windows()
+		return reply{code: http.StatusOK, body: healthBody{
+			Status:        "ok",
+			Uptime:        time.Since(s.metrics.start).Round(time.Millisecond).String(),
+			QueueDepth:    s.sched.size,
+			QueueCapacity: s.opts.QueueDepth,
+			InFlight:      s.metrics.inflight,
+			Workers:       s.opts.Workers,
+			Pool:          s.pool.stats(),
+			Campaigns:     len(s.campList),
+			StoreRows:     rows,
+			StoreEvicted:  storeEvicted,
+			JobsRetained:  retained,
+			JobsEvicted:   evicted,
+		}}
 	})
 }
 
@@ -398,21 +410,26 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // (healthz) but no longer ready, which lets a load balancer stop routing to
 // it while in-flight jobs finish.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	s.respond(w, func() reply {
+		if s.draining {
+			return reply{code: http.StatusServiceUnavailable, body: map[string]string{"status": "draining"}}
+		}
+		return reply{code: http.StatusOK, body: map[string]string{"status": "ready"}}
+	})
 }
 
-// worker drains the scheduler until Shutdown closes it.
+// worker runs queued jobs, highest class first, until Shutdown closes the
+// queue and it is drained.
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for {
+		s.mu.Lock()
 		j, ok := s.sched.next()
+		for !ok && !s.sched.closed {
+			s.ready.Wait()
+			j, ok = s.sched.next()
+		}
+		s.mu.Unlock()
 		if !ok {
 			return
 		}
@@ -434,8 +451,17 @@ func (s *Server) poolJanitor(ttl time.Duration) {
 		case <-s.baseCtx.Done():
 			return
 		case <-t.C:
-			s.pool.expireIdle(time.Now().Add(-ttl))
+			s.mu.Lock()
+			victims := s.pool.expireIdle(time.Now().Add(-ttl))
+			s.mu.Unlock()
+			closeAll(victims)
 		}
+	}
+}
+
+func closeAll(sims []*zsim.Simulator) {
+	for _, sim := range sims {
+		sim.Close()
 	}
 }
 
@@ -458,7 +484,10 @@ func (s *Server) Prewarm(cfgs []*zsim.Config) (int, error) {
 			return pooled, fmt.Errorf("prewarm config %d: %w", i, err)
 		}
 		sim.SetReusable(true)
-		if s.pool.prewarm(cfg.ShapeKey(), sim) {
+		s.mu.Lock()
+		parked := s.pool.put(cfg.ShapeKey(), sim, true)
+		s.mu.Unlock()
+		if parked {
 			pooled++
 		} else {
 			sim.Close()
@@ -476,19 +505,17 @@ func (s *Server) runJob(j *job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 
-	j.mu.Lock()
+	started := time.Now()
+	s.mu.Lock()
 	if j.cancelled {
-		j.mu.Unlock()
+		s.mu.Unlock()
 		s.finish(j, StateCancelled, &JobResult{Error: "cancelled before start", Failure: &Failure{Reason: runctl.ReasonCancelled.String()}}, 0, 0)
 		return
 	}
-	j.state = StateRunning
-	started := time.Now()
-	j.started = started.UTC()
-	j.cancel = cancel
-	j.mu.Unlock()
-	s.metrics.jobStarted()
+	j.state, j.started, j.cancel = StateRunning, started.UTC(), cancel
+	s.metrics.inflight++
 	s.audit.record("start", j.id, StateRunning, "")
+	s.mu.Unlock()
 
 	res, reused, shape, err := s.execute(ctx, j)
 	result, state := classify(res, err)
@@ -497,12 +524,12 @@ func (s *Server) runJob(j *job) {
 }
 
 // finish is the one exit of every job a worker takes, whether it ran or was
-// cancelled while queued. It builds the job's result row, counts the metrics
-// and files the job into done before publishing the terminal state, so a
-// client that has seen the job finish also finds it in /metrics and /results.
-// It then writes the finish and result audit records, folds a campaign child
-// into its campaign, releases follow-on campaign work and flushes the audit
-// log. Called by the job's worker with no locks held.
+// cancelled while queued. In one critical section it counts the metrics,
+// files the job into done with its result row, publishes the terminal state,
+// writes the finish and result audit records, folds a campaign child into its
+// campaign and releases follow-on campaign work; so a client that has seen
+// the job finish also finds it in /metrics and /results, and every scrape
+// counts it everywhere or nowhere. It flushes the audit log after unlocking.
 func (s *Server) finish(j *job, state string, result *JobResult, shape uint64, dur time.Duration) {
 	started := !j.started.IsZero() // written by this worker in runJob
 	now := time.Now().UTC()
@@ -520,16 +547,6 @@ func (s *Server) finish(j *job, state string, result *JobResult, shape uint64, d
 	if j.camp != nil {
 		row.Campaign, row.Point = j.camp.id, &j.point
 	}
-	s.metrics.jobDone(state, row.Shape, dur, result.Reused, started)
-
-	s.mu.Lock()
-	j.row = row
-	s.file(j)
-	j.mu.Lock()
-	j.state, j.finished, j.cancel, j.result = state, now, nil, result
-	j.mu.Unlock()
-	s.mu.Unlock()
-
 	detail := result.Error
 	if !started {
 		detail = "cancelled while queued"
@@ -539,12 +556,19 @@ func (s *Server) finish(j *job, state string, result *JobResult, shape uint64, d
 			detail += " " + result.Error
 		}
 	}
+
+	s.mu.Lock()
+	s.metrics.jobDone(state, row.Shape, dur, result.Reused, started)
+	j.row = row
+	s.file(j)
+	j.state, j.finished, j.cancel, j.result = state, now, nil, result
 	s.audit.record("finish", j.id, state, detail)
 	s.audit.write(auditRecord{Event: "result", Job: j.id, State: state, Result: &j.row})
 	if j.camp != nil {
 		s.campaignChildDone(j)
 	}
-	s.pumpCampaigns()
+	s.pump()
+	s.mu.Unlock()
 	s.audit.flush()
 }
 
@@ -556,33 +580,30 @@ func (s *Server) finish(j *job, state string, result *JobResult, shape uint64, d
 // survives arbitrary job input — and discarding whatever simulator was in
 // hand, since a panicked setup leaves it unrewindable.
 //
-// While the run executes, the simulator's telemetry probe is published in two
-// places: on the job (GET /jobs/{id} progress) and in the metrics registry's
-// live aggregate. Both are detached — and the final snapshot folded into the
-// completed engine totals — before the simulator can reach the warm pool,
-// where the next job would rewind the probe.
+// While the run executes, the simulator's telemetry probe is published on the
+// job (GET /jobs/{id} progress) and in the metrics registry's live aggregate.
+// The deferred teardown detaches it — folding the final snapshot into the
+// completed engine totals — in the same critical section that returns the
+// simulator to the warm pool, where the next job would rewind the probe.
 func (s *Server) execute(ctx context.Context, j *job) (res *zsim.Result, reused bool, shape uint64, err error) {
 	req := j.req
 	var sim *zsim.Simulator
-	var probe *telemetry.Probe
-	detached := false
-	detach := func() {
-		if probe == nil || detached {
-			return
-		}
-		detached = true
-		j.setProbe(nil)
-		s.metrics.detachProbe(probe, probe.Snapshot())
-	}
 	defer func() {
 		if r := recover(); r != nil {
-			pe := runctl.NewPanicError(r, -1)
-			err = fmt.Errorf("job setup panicked: %w", pe)
-			if sim != nil {
-				sim.Close()
-			}
+			err = fmt.Errorf("job setup panicked: %w", runctl.NewPanicError(r, -1))
 		}
-		detach()
+		// Cancelled and deadline-exceeded runs stop at clean interval
+		// boundaries and rewind safely; a panicked run (an aborted engine) or
+		// a failed setup cannot be rewound.
+		var re *zsim.RunError
+		keep := sim != nil && (err == nil || errors.As(err, &re) && re.Reason != zsim.Panicked)
+		s.mu.Lock()
+		s.detach(j)
+		keep = keep && s.pool.put(shape, sim, false)
+		s.mu.Unlock()
+		if sim != nil && !keep {
+			sim.Close()
+		}
 	}()
 
 	cfg, err := req.buildConfig()
@@ -602,9 +623,11 @@ func (s *Server) execute(ctx context.Context, j *job) (res *zsim.Result, reused 
 	// Warm path: a pooled simulator of this shape rewinds to serve the job.
 	// Reset validates the shape match itself; a refusal (which shouldn't
 	// happen for a pool hit) falls back to fresh construction.
-	key := cfg.ShapeKey()
-	shape = key
-	if pooled := s.pool.get(key); pooled != nil {
+	shape = cfg.ShapeKey()
+	s.mu.Lock()
+	pooled := s.pool.get(shape)
+	s.mu.Unlock()
+	if pooled != nil {
 		if rerr := pooled.Reset(cfg); rerr != nil {
 			pooled.Close()
 		} else {
@@ -620,13 +643,13 @@ func (s *Server) execute(ctx context.Context, j *job) (res *zsim.Result, reused 
 			sim.SetReusable(true)
 		}
 	}
-	probe = sim.Probe()
-	j.setProbe(probe)
-	s.metrics.attachProbe(probe)
+	s.mu.Lock()
+	j.probe = sim.Probe()
+	s.metrics.running[j.probe] = struct{}{}
+	s.mu.Unlock()
 	for _, w := range req.Workloads {
 		params, ok := zsim.LookupWorkload(w.Name)
 		if !ok {
-			sim.Close()
 			return nil, reused, shape, fmt.Errorf("unknown workload %q", w.Name)
 		}
 		if w.Blocks > 0 {
@@ -644,24 +667,6 @@ func (s *Server) execute(ctx context.Context, j *job) (res *zsim.Result, reused 
 		sim.SetSeed(req.Seed)
 	}
 	res, err = sim.RunContext(ctx)
-	// Fold the final telemetry snapshot into the completed totals before the
-	// simulator becomes poolable (see detach's contract above).
-	detach()
-
-	// Return the simulator to the pool unless the run panicked (an aborted
-	// engine cannot be rewound; the facade already released its resources) or
-	// the pool is full/closed. Cancelled and deadline-exceeded runs stop at
-	// clean interval boundaries and rewind safely.
-	discard := false
-	if err != nil {
-		var re *zsim.RunError
-		if !errors.As(err, &re) || re.Reason == zsim.Panicked {
-			discard = true
-		}
-	}
-	if discard || !s.pool.put(key, sim) {
-		sim.Close()
-	}
 	return res, reused, shape, err
 }
 
@@ -707,14 +712,15 @@ func classify(res *zsim.Result, err error) (*JobResult, string) {
 // returns. It is idempotent; the first call wins.
 func (s *Server) Shutdown(grace time.Duration) {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.waitWorkers()
+	first := !s.draining
+	// Workers exit after draining what was admitted.
+	s.draining, s.sched.closed = true, true
+	s.ready.Broadcast()
+	s.mu.Unlock()
+	if !first {
+		s.workers.Wait()
 		return
 	}
-	s.draining = true
-	s.mu.Unlock()
-	s.sched.close() // workers exit after draining what was admitted
 	s.audit.record("shutdown", "", "", fmt.Sprintf("grace=%s", grace))
 
 	done := make(chan struct{})
@@ -729,34 +735,24 @@ func (s *Server) Shutdown(grace time.Duration) {
 		// stop at the next interval boundary and report partial results, so
 		// this wait is bounded by one simulation interval per job.
 		s.audit.record("shutdown", "", "", "grace expired; cancelling in-flight jobs")
-		s.cancelAll()
+		s.mu.Lock()
+		for _, j := range s.jobs {
+			if j.requestCancel() {
+				s.audit.record("cancel", j.id, "", "shutdown: grace expired")
+			}
+		}
+		s.mu.Unlock()
 		<-done
 	}
 	s.baseCancel()
-	s.pool.close()
+	s.mu.Lock()
+	pooled := s.pool.close()
+	s.mu.Unlock()
+	closeAll(pooled)
 	s.drainCampaigns()
 	s.mu.Lock()
-	_, _, retained, _ := s.windowsLocked()
+	_, _, retained, _ := s.windows()
 	s.mu.Unlock()
 	s.audit.record("drained", "", "", strconv.Itoa(retained))
 	s.audit.close()
-}
-
-// cancelAll delivers a cancel to every non-terminal job.
-func (s *Server) cancelAll() {
-	s.mu.Lock()
-	jobs := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		if j.requestCancel() {
-			s.audit.record("cancel", j.id, "", "shutdown: grace expired")
-		}
-	}
-}
-
-func (s *Server) waitWorkers() {
-	s.workers.Wait()
 }

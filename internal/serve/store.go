@@ -54,9 +54,7 @@ func (s *Server) file(j *job) {
 	}
 	if n := len(s.done); n > retain {
 		old := s.done[n-1-retain]
-		old.mu.Lock()
 		old.gone, old.req, old.result = true, nil, nil
-		old.mu.Unlock()
 	}
 	if len(s.done) > max(s.opts.StoreSize, retain) {
 		delete(s.jobs, s.done[0].id)
@@ -88,11 +86,11 @@ func (s *Server) results(f resultFilter) []ResultRow {
 	return out
 }
 
-// windowsLocked derives the store and retention counters of /healthz and
-// /metrics from done; callers hold s.mu. jobsRetained counts the addressable
-// jobs (live ones included), the evicted counts every finished job that has
-// left the respective window.
-func (s *Server) windowsLocked() (storeRows int, storeEvicted uint64, jobsRetained int, jobsEvicted uint64) {
+// windows derives the store and retention counters of /healthz and /metrics
+// from done; callers hold s.mu. jobsRetained counts the addressable jobs
+// (live ones included), the evicted counts every finished job that has left
+// the respective window.
+func (s *Server) windows() (storeRows int, storeEvicted uint64, jobsRetained int, jobsEvicted uint64) {
 	storeRows = min(len(s.done), s.opts.StoreSize)
 	storeEvicted = s.doneTotal - uint64(storeRows)
 	jobsRetained = len(s.jobs)

@@ -74,7 +74,7 @@ func TestStoreRingEviction(t *testing.T) {
 	}
 	s := storeServer(t, Options{StoreSize: 4, RetainJobs: 2}, rows...)
 	s.mu.Lock()
-	storeRows, storeEvicted, retained, jobsEvicted := s.windowsLocked()
+	storeRows, storeEvicted, retained, jobsEvicted := s.windows()
 	s.mu.Unlock()
 	if storeRows != 4 || storeEvicted != 6 || retained != 2 || jobsEvicted != 8 {
 		t.Fatalf("windows = %d rows / %d evicted, %d jobs retained / %d evicted, want 4 / 6, 2 / 8",

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // This file is a minimal hand-rolled Prometheus text-exposition writer (the
@@ -24,23 +23,17 @@ type Label struct {
 
 // PromWriter accumulates one exposition document. Families must be declared
 // (Help) before their samples; samples are emitted in call order, which the
-// format allows as long as each family's samples are contiguous.
+// format allows as long as each family's samples are contiguous. Write errors
+// are not reported: render into a buffer and send that.
 type PromWriter struct {
-	w   io.Writer
-	err error
+	w io.Writer
 }
 
 // NewPromWriter wraps w.
 func NewPromWriter(w io.Writer) *PromWriter { return &PromWriter{w: w} }
 
-// Err returns the first write error, if any.
-func (pw *PromWriter) Err() error { return pw.err }
-
 func (pw *PromWriter) printf(format string, args ...any) {
-	if pw.err != nil {
-		return
-	}
-	_, pw.err = fmt.Fprintf(pw.w, format, args...)
+	_, _ = fmt.Fprintf(pw.w, format, args...)
 }
 
 // Family emits the # HELP / # TYPE header for a metric family. typ is
@@ -107,10 +100,9 @@ var DefaultLatencyBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// Histogram is a fixed-bucket latency histogram, safe for concurrent Observe
-// and Write. Observations are in seconds.
+// Histogram is a fixed-bucket latency histogram. It has no lock of its own:
+// its owner serializes Observe and Write. Observations are in seconds.
 type Histogram struct {
-	mu     sync.Mutex
 	bounds []float64 // ascending upper bounds, excluding +Inf
 	counts []uint64  // len(bounds)+1; last is the +Inf bucket
 	sum    float64
@@ -129,30 +121,23 @@ func NewHistogram(bounds []float64) *Histogram {
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.mu.Lock()
 	h.counts[i]++
 	h.sum += v
 	h.total++
-	h.mu.Unlock()
 }
 
 // Write emits the histogram's _bucket/_sum/_count samples under name with the
 // given base labels (the "le" label is appended per bucket).
 func (h *Histogram) Write(pw *PromWriter, name string, labels []Label) {
-	h.mu.Lock()
-	counts := append([]uint64(nil), h.counts...)
-	sum, total := h.sum, h.total
-	h.mu.Unlock()
-
 	lbls := make([]Label, len(labels), len(labels)+1)
 	copy(lbls, labels)
 	var cum uint64
 	for i, bound := range h.bounds {
-		cum += counts[i]
+		cum += h.counts[i]
 		pw.UintSample(name+"_bucket", append(lbls, Label{"le", formatFloat(bound)}), cum)
 	}
-	cum += counts[len(h.bounds)]
+	cum += h.counts[len(h.bounds)]
 	pw.UintSample(name+"_bucket", append(lbls, Label{"le", "+Inf"}), cum)
-	pw.Sample(name+"_sum", labels, sum)
-	pw.UintSample(name+"_count", labels, total)
+	pw.Sample(name+"_sum", labels, h.sum)
+	pw.UintSample(name+"_count", labels, h.total)
 }

@@ -149,7 +149,7 @@ func (t *Thread) NextBlock() *DynBlock {
 	if p.LockEvery > 0 && t.sinceLock >= p.LockEvery {
 		t.sinceLock = 0
 		t.heldLock = t.rng.intn(p.NumLocks)
-		t.csLeft = maxInt(p.LockHoldBlocks, 1)
+		t.csLeft = max(p.LockHoldBlocks, 1)
 		return t.lockBlock(SyncLockAcquire, t.heldLock)
 	}
 
@@ -219,7 +219,7 @@ func (t *Thread) computeBlock(kind SyncKind, syncID int) *DynBlock {
 	// instruction working set as real programs do.
 	var idx int
 	nb := len(t.w.blocks)
-	hot := maxInt(nb/8, 1)
+	hot := max(nb/8, 1)
 	if t.rng.float() < 0.8 {
 		idx = t.rng.intn(hot)
 	} else {
@@ -287,9 +287,9 @@ func (t *Thread) genAddr() uint64 {
 			}
 			return t.w.sharedBase + t.sharedPtr
 		}
-		return t.w.sharedBase + (t.rng.next() % maxU64(p.SharedWorkingSet, 64) &^ 7)
+		return t.w.sharedBase + (t.rng.next() % max(p.SharedWorkingSet, 64) &^ 7)
 	}
-	ws := maxU64(p.WorkingSet, 4096)
+	ws := max(p.WorkingSet, 4096)
 	if t.rng.float() < p.StridedFraction {
 		t.stridePtr += 8
 		if t.stridePtr >= ws {
@@ -302,14 +302,7 @@ func (t *Thread) genAddr() uint64 {
 	// nodes far more often than a uniform draw over the footprint would).
 	region := ws
 	if t.rng.float() < 0.85 {
-		region = maxU64(ws/16, 4096)
+		region = max(ws/16, 4096)
 	}
 	return t.privBase + (t.rng.next()%region)&^7
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

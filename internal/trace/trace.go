@@ -302,7 +302,7 @@ func (w *Workload) generateCode() {
 			src := isa.GPR((chain + 1) % p.ILP)
 			chain = (chain + 1) % p.ILP
 			isMem := false
-			if memOps > 0 && (j%((memOps+aluOps)/maxInt(memOps, 1)+1) == 0 || aluOps == 0) {
+			if memOps > 0 && (j%((memOps+aluOps)/max(memOps, 1)+1) == 0 || aluOps == 0) {
 				isMem = true
 				memOps--
 			} else if aluOps > 0 {
@@ -372,18 +372,8 @@ func (w *Workload) generateCode() {
 	w.spinDecoded = isa.DecodeIn(w.arena, w.spinBlock)
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // LockAddr returns the simulated address of lock word id. Lock words are
 // spaced a cache line apart just below the shared region.
 func (w *Workload) LockAddr(id int) uint64 {
 	return w.sharedBase - uint64((id+1))*64
 }
-
-// SharedBase returns the base address of the shared data region.
-func (w *Workload) SharedBase() uint64 { return w.sharedBase }

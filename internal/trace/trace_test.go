@@ -97,7 +97,7 @@ func TestThreadAddressesWithinRegions(t *testing.T) {
 	w := New("test", p, 2)
 	th0 := w.NewThread(0)
 	th1 := w.NewThread(1)
-	sharedLo := w.SharedBase()
+	sharedLo := w.sharedBase
 	sharedHi := sharedLo + p.SharedWorkingSet
 	lockLo := w.LockAddr(p.NumLocks - 1)
 	checkThread := func(th *Thread) (priv, shared int) {

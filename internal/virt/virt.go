@@ -415,9 +415,6 @@ func (s *Scheduler) NumThreads() int { return len(s.threads) }
 // no thread-table scan).
 func (s *Scheduler) LiveThreads() int { return s.counts.Live }
 
-// NumRunnable returns the number of runnable threads.
-func (s *Scheduler) NumRunnable() int { return s.counts.Runnable }
-
 // SchedCounts is a snapshot of the scheduler's statistics counters and
 // thread-population gauges.
 type SchedCounts struct {

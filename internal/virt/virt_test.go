@@ -491,12 +491,12 @@ func TestEndIntervalTimeMultiplexes(t *testing.T) {
 func TestRunnableAndLiveCounts(t *testing.T) {
 	s := NewScheduler(2)
 	s.AddWorkload(testWorkload(3, 10))
-	if s.NumRunnable() != 3 || s.LiveThreads() != 3 {
-		t.Fatalf("counts: runnable=%d live=%d", s.NumRunnable(), s.LiveThreads())
+	if s.Counts().Runnable != 3 || s.LiveThreads() != 3 {
+		t.Fatalf("counts: runnable=%d live=%d", s.Counts().Runnable, s.LiveThreads())
 	}
 	asg := s.ScheduleIntervalInto(0, nil)
-	if s.NumRunnable() != 1 {
-		t.Fatalf("two placed threads leave one runnable, got %d", s.NumRunnable())
+	if s.Counts().Runnable != 1 {
+		t.Fatalf("two placed threads leave one runnable, got %d", s.Counts().Runnable)
 	}
 	s.onDone(asg[0].Thread, 100)
 	if s.LiveThreads() != 2 {

@@ -97,7 +97,7 @@ func requireIdentical(t *testing.T, stage string, want, got *Result) {
 	normalizeResult(want)
 	normalizeResult(got)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("%s: reused simulator diverged from fresh:\n fresh:  %+v\n metrics %+v\n reused: %+v\n metrics %+v",
+		t.Fatalf("%s: results diverge:\n want: %+v\n metrics %+v\n got:  %+v\n metrics %+v",
 			stage, want, want.Metrics, got, got.Metrics)
 	}
 }

@@ -3,8 +3,8 @@ package zsim
 // Telemetry perturbation tests at the facade level: the observability layer's
 // cardinal rule is that observation never changes simulation results. A
 // fixed-seed run with a trace sink attached and its probe scraped continuously
-// from another goroutine must produce bit-identical simulated metrics to an
-// unobserved run.
+// from another goroutine must produce a bit-identical Result to an unobserved
+// run.
 
 import (
 	"bytes"
@@ -67,16 +67,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	plain, _, _ := identityRun(t, false)
 	observed, sim, sink := identityRun(t, true)
 
-	a, b := *plain.Metrics, *observed.Metrics
-	a.HostNanos, b.HostNanos = 0, 0
-	a.SimMIPS, b.SimMIPS = 0, 0
-	if a != b {
-		t.Fatalf("observed run diverged from plain run:\n plain:    %+v\n observed: %+v", a, b)
-	}
-	if plain.Intervals != observed.Intervals || plain.WeaveEvents != observed.WeaveEvents {
-		t.Fatalf("interval/event counts diverge: %d/%d vs %d/%d",
-			plain.Intervals, plain.WeaveEvents, observed.Intervals, observed.WeaveEvents)
-	}
+	requireIdentical(t, "observed vs plain", plain, observed)
 
 	// The probe ends the run in phase "done" with counters matching the result.
 	snap := sim.Probe().Snapshot()
