@@ -10,8 +10,8 @@
 //	GET  /jobs/{id}/result  job result (409 until finished; partial metrics on failures)
 //	POST /jobs/{id}/cancel  cancel a queued or running job
 //	POST /campaigns         submit a design-space sweep (base job × axes)
-//	GET  /campaigns         list campaigns
-//	GET  /campaigns/{id}    campaign progress + live aggregates (curves, percentiles)
+//	GET  /campaigns         list running and retained finished campaigns
+//	GET  /campaigns/{id}    campaign progress + live aggregates (curves, percentiles; 410 once evicted by -retain)
 //	POST /campaigns/{id}/cancel  stop a campaign; outstanding children are cancelled
 //	GET  /results           query recent result rows (?campaign= ?shape= ?outcome= ?job= ?limit=)
 //	GET  /healthz           liveness plus queue/worker/pool/store gauges
@@ -94,7 +94,7 @@ func run(args []string, stderr io.Writer, onReady func(net.Addr)) int {
 		poolShape  = fs.Int("pool-per-shape", 2, "warm-simulator pool: simulators retained per configuration shape")
 		poolExpiry = fs.Duration("pool-idle-expiry", 0, "close pooled simulators idle longer than this (0 = never)")
 		prewarm    = fs.String("prewarm", "", "JSON file with a config (or array of configs) to pre-build warm simulators for at startup")
-		retain     = fs.Int("retain", 1024, "terminal jobs kept addressable via GET /jobs/{id} (older ones evict to the result store; -1 = unlimited)")
+		retain     = fs.Int("retain", 1024, "finished jobs and finished campaigns each kept addressable via GET /jobs/{id} and /campaigns/{id} (older ones evict to the result store and audit log; -1 = unlimited)")
 		storeSize  = fs.Int("store-size", 4096, "result rows retained in the in-memory store ring")
 		campPoints = fs.Int("campaign-points", 0, "max points per campaign expansion (0 = default 10000)")
 		pprofOn    = fs.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")

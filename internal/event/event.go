@@ -84,9 +84,6 @@ type Event struct {
 	cycle uint64
 }
 
-// Seq returns the event's deterministic creation sequence number.
-func (e *Event) Seq() uint64 { return uint64(e.seq) }
-
 // AddChild declares that child depends on e (child cannot dispatch before e
 // finishes plus child.Delay). The parent must have been allocated before the
 // child (e.seq < child.seq); chains built in program order satisfy this by
@@ -275,7 +272,7 @@ func (e *Engine) Run() uint64 {
 		atHead := true // ev still occupies the heap's root
 		for _, ch := range ev.children {
 			if ch.seq < ev.seq {
-				panic("event: dependency graph violates creation order (a parent was allocated after its child); every parent needs parent.Seq() < child.Seq()")
+				panic("event: dependency graph violates creation order (a parent was allocated after its child); every parent needs a lower seq than its child")
 			}
 			ch.cycle = max(ch.cycle, finish+uint64(ch.Delay))
 			ch.pendingParents--

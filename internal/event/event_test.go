@@ -124,9 +124,9 @@ func TestRunReplacesTop(t *testing.T) {
 	var order []key
 	exec := func(ev *Event, c uint64) uint64 {
 		if eng.pq[0].ev != ev {
-			t.Errorf("event %d executed away from the heap's root", ev.Seq())
+			t.Errorf("event %d executed away from the heap's root", uint64(ev.seq))
 		}
-		order = append(order, key{c, ev.Seq()})
+		order = append(order, key{c, uint64(ev.seq)})
 		return c + ev.Arg
 	}
 	mk := func(minCycle, lat uint64) *Event {
@@ -316,7 +316,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 	s := NewSlab(16)
 	var order []uint64
 	record := func(e *Event, c uint64) uint64 {
-		order = append(order, e.Seq())
+		order = append(order, uint64(e.seq))
 		return c
 	}
 	// Allocation order: seq 0..3. Enqueue deliberately scrambled, with equal
@@ -388,7 +388,7 @@ func TestManyEventsAcrossDomainsParallel(t *testing.T) {
 	type rec struct{ cycle, seq uint64 }
 	orders := make([][]rec, comps)
 	record := func(ev *Event, c uint64) uint64 {
-		orders[ev.Comp] = append(orders[ev.Comp], rec{c, ev.Seq()})
+		orders[ev.Comp] = append(orders[ev.Comp], rec{c, uint64(ev.seq)})
 		return c + ev.Arg
 	}
 	for c := 0; c < cores; c++ {
@@ -434,7 +434,7 @@ func TestParallelPerComponentOrder(t *testing.T) {
 	type rec struct{ cycle, seq uint64 }
 	orders := make([][]rec, comps)
 	record := func(ev *Event, c uint64) uint64 {
-		orders[ev.Comp] = append(orders[ev.Comp], rec{c, ev.Seq()})
+		orders[ev.Comp] = append(orders[ev.Comp], rec{c, uint64(ev.seq)})
 		return c + ev.Arg
 	}
 	for core := 0; core < 8; core++ {

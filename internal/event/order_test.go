@@ -35,9 +35,9 @@ type orderDAG struct {
 
 // exec records an Exec call.
 func (g *orderDAG) exec(ev *Event, d uint64) uint64 {
-	g.runs[ev.Seq()]++
-	g.trace = append(g.trace, [2]uint64{d, ev.Seq()})
-	g.dispatch[ev.Seq()] = d
+	g.runs[uint64(ev.seq)]++
+	g.trace = append(g.trace, [2]uint64{d, uint64(ev.seq)})
+	g.dispatch[uint64(ev.seq)] = d
 	return d + ev.Arg // Arg 0 is a zero-latency executor
 }
 
@@ -128,7 +128,7 @@ type portModel struct {
 }
 
 func (m *portModel) exec(ev *Event, d uint64) uint64 {
-	m.dispatch[ev.Seq()] = d
+	m.dispatch[uint64(ev.seq)] = d
 	start := max(d, m.busyUntil[ev.Comp])
 	m.busyUntil[ev.Comp] = start + ev.Arg%3 + 1
 	return start + ev.Arg
@@ -193,7 +193,7 @@ func TestEngineGoldenOrder(t *testing.T) {
 		if ev.Exec != nil {
 			d = m.dispatch[i]
 		}
-		put(0, ev.Seq())
+		put(0, uint64(ev.seq))
 		put(8, d)
 		put(16, ev.FinishCycle())
 		h.Write(buf[:])

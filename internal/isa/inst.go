@@ -62,11 +62,6 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("op%d", uint8(o))
 }
 
-// IsBranch reports whether the opcode is a control-flow instruction.
-func (o Opcode) IsBranch() bool {
-	return o == OpJcc || o == OpJmp || o == OpCall || o == OpRet
-}
-
 // IsConditional reports whether the opcode is a conditional branch.
 func (o Opcode) IsConditional() bool { return o == OpJcc }
 
@@ -122,9 +117,6 @@ type BasicBlock struct {
 	Instrs []Instruction
 }
 
-// NumInstrs returns the number of instructions in the block.
-func (b *BasicBlock) NumInstrs() int { return len(b.Instrs) }
-
 // Bytes returns the total encoded size of the block in bytes.
 func (b *BasicBlock) Bytes() uint64 {
 	var n uint64
@@ -132,13 +124,4 @@ func (b *BasicBlock) Bytes() uint64 {
 		n += uint64(ins.Bytes)
 	}
 	return n
-}
-
-// EndsInBranch reports whether the last instruction is a control-flow
-// instruction.
-func (b *BasicBlock) EndsInBranch() bool {
-	if len(b.Instrs) == 0 {
-		return false
-	}
-	return b.Instrs[len(b.Instrs)-1].Op.IsBranch()
 }

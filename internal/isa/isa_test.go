@@ -51,23 +51,20 @@ func TestUopTypeString(t *testing.T) {
 func TestOpcodePredicates(t *testing.T) {
 	cases := []struct {
 		op                Opcode
-		branch, cond      bool
+		cond              bool
 		hasLoad, hasStore bool
 	}{
-		{OpAdd, false, false, false, false},
-		{OpLoad, false, false, true, false},
-		{OpStore, false, false, false, true},
-		{OpAddToMem, false, false, true, true},
-		{OpJcc, true, true, false, false},
-		{OpJmp, true, false, false, false},
-		{OpCall, true, false, false, true},
-		{OpRet, true, false, true, false},
-		{OpCmpXchg, false, false, true, true},
+		{OpAdd, false, false, false},
+		{OpLoad, false, true, false},
+		{OpStore, false, false, true},
+		{OpAddToMem, false, true, true},
+		{OpJcc, true, false, false},
+		{OpJmp, false, false, false},
+		{OpCall, false, false, true},
+		{OpRet, false, true, false},
+		{OpCmpXchg, false, true, true},
 	}
 	for _, c := range cases {
-		if c.op.IsBranch() != c.branch {
-			t.Errorf("%s IsBranch = %v, want %v", c.op, c.op.IsBranch(), c.branch)
-		}
 		if c.op.IsConditional() != c.cond {
 			t.Errorf("%s IsConditional = %v, want %v", c.op, c.op.IsConditional(), c.cond)
 		}
@@ -101,18 +98,14 @@ func TestBasicBlockHelpers(t *testing.T) {
 			{Op: OpJcc, Bytes: 2},
 		},
 	}
-	if b.NumInstrs() != 3 {
-		t.Fatalf("NumInstrs: %d", b.NumInstrs())
+	if len(b.Instrs) != 3 {
+		t.Fatalf("len(Instrs): %d", len(b.Instrs))
 	}
 	if b.Bytes() != 9 {
 		t.Fatalf("Bytes: %d", b.Bytes())
 	}
-	if !b.EndsInBranch() {
+	if b.Instrs[len(b.Instrs)-1].Op != OpJcc {
 		t.Fatalf("block should end in branch")
-	}
-	empty := &BasicBlock{}
-	if empty.EndsInBranch() {
-		t.Fatalf("empty block should not end in branch")
 	}
 }
 

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"zsim/internal/campaign"
@@ -53,11 +57,12 @@ type CampaignStatus struct {
 	Children []string `json:"children,omitempty"`
 }
 
-// campaignState is the server-side record of one campaign. The points slice
-// and expansion metadata are immutable after creation; Server.mu guards the
-// progress fields.
+// campaignState is the server-side record of one campaign, from admission
+// until it leaves the retired ones. The expansion is immutable after creation
+// and Server.mu guards the rest; once finished, status serves only final.
 type campaignState struct {
 	id         string
+	seq        int // admission order; id is "campaign-<seq>"
 	name       string
 	class      int
 	quota      int
@@ -70,42 +75,34 @@ type campaignState struct {
 	outstanding int
 	done        int
 	cancelled   bool
-	finished    time.Time
 	created     time.Time
 	agg         *campaign.Agg
 	children    []string
-}
-
-// stateName derives the campaign's lifecycle state.
-func (c *campaignState) stateName() string {
-	if c.cancelled {
-		if c.outstanding == 0 {
-			return "cancelled"
-		}
-		return "running"
-	}
-	if c.done == len(c.points) {
-		return "done"
-	}
-	return "running"
+	final       *CampaignStatus // the status at the finish edge; nil while active
 }
 
 // status is the campaign's wire form, with the summary and children when
 // detail is set; callers hold Server.mu.
 func (c *campaignState) status(detail bool) CampaignStatus {
+	if c.final != nil {
+		st := *c.final
+		if !detail {
+			st.Summary, st.Children = nil, nil
+		}
+		return st
+	}
 	st := CampaignStatus{
 		ID:          c.id,
 		Name:        c.name,
 		Priority:    classNames[c.class],
 		Quota:       c.quota,
-		State:       c.stateName(),
+		State:       StateRunning,
 		Points:      len(c.points),
 		Shapes:      c.shapes,
 		Released:    c.next,
 		Outstanding: c.outstanding,
 		Done:        c.done,
 		Created:     c.created,
-		Finished:    c.finished,
 	}
 	if detail {
 		summary := c.agg.Snapshot(c.valueOrder)
@@ -152,20 +149,12 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "base: " + err.Error()})
 		return
 	}
-	pri := req.Priority
-	if pri == "" {
-		pri = "low"
-	}
-	class, err := parsePriority(pri)
+	class, err := parsePriority(cmp.Or(req.Priority, "low"))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	baseCfg, err := req.Base.buildConfig()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "base: " + err.Error()})
-		return
-	}
+	baseCfg, _ := req.Base.buildConfig() // validate() already built it
 	points, err := campaign.Expand(baseCfg, req.Axes, s.opts.MaxCampaignPoints)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
@@ -201,9 +190,9 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 			return s.shed("draining", "", "shutting down")
 		}
 		s.campSeq++
-		c.id = fmt.Sprintf("campaign-%d", s.campSeq)
+		c.seq, c.id = s.campSeq, fmt.Sprintf("campaign-%d", s.campSeq)
 		s.campaigns[c.id] = c
-		s.campList = append(s.campList, c)
+		s.active = append(s.active, c)
 		s.audit.record("campaign", c.id, "running",
 			fmt.Sprintf("name=%s points=%d shapes=%d priority=%s quota=%d", c.name, len(points), c.shapes, classNames[class], quota))
 		s.pump()
@@ -213,39 +202,52 @@ func (s *Server) handleCampaignSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCampaignList(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, func() reply {
-		out := make([]CampaignStatus, 0, len(s.campList))
-		for _, c := range s.campList {
-			out = append(out, c.status(false))
+		cs := slices.SortedFunc(maps.Values(s.campaigns), func(a, b *campaignState) int { return a.seq - b.seq })
+		out := make([]CampaignStatus, len(cs))
+		for i, c := range cs {
+			out[i] = c.status(false)
 		}
 		return reply{code: http.StatusOK, body: out}
 	})
 }
 
+// lookupCampaign resolves the request's campaign like lookup does a job's; an
+// admitted campaign past the retention window answers 410, any other ID 404.
+func (s *Server) lookupCampaign(r *http.Request) (*campaignState, reply) {
+	id := r.PathValue("id")
+	if c := s.campaigns[id]; c != nil {
+		return c, reply{}
+	}
+	if n, err := strconv.Atoi(strings.TrimPrefix(id, "campaign-")); err == nil && n > 0 && n <= s.campSeq && id == "campaign-"+strconv.Itoa(n) {
+		return nil, errReply(http.StatusGone,
+			fmt.Sprintf("campaign %s evicted from retention; see /results?campaign=%s or the audit log", id, id))
+	}
+	return nil, errReply(http.StatusNotFound, "no such campaign")
+}
+
 func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, func() reply {
-		c := s.campaigns[r.PathValue("id")]
+		c, miss := s.lookupCampaign(r)
 		if c == nil {
-			return errReply(http.StatusNotFound, "no such campaign")
+			return miss
 		}
 		return reply{code: http.StatusOK, body: c.status(true)}
 	})
 }
 
 // handleCampaignCancel stops releasing new children and cancels the
-// outstanding ones; already-finished children keep their results.
+// outstanding ones; already-finished children keep their results. The
+// campaign finishes when its last outstanding child lands.
 func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, func() reply {
-		c := s.campaigns[r.PathValue("id")]
+		c, miss := s.lookupCampaign(r)
 		switch {
 		case c == nil:
-			return errReply(http.StatusNotFound, "no such campaign")
-		case c.cancelled || c.done == len(c.points):
+			return miss
+		case c.cancelled || c.final != nil:
 			return errReply(http.StatusConflict, "campaign already finished")
 		}
 		c.cancelled = true
-		if c.outstanding == 0 && c.finished.IsZero() {
-			c.finished = time.Now().UTC()
-		}
 		// Cancel outstanding children; terminal ones refuse the cancel harmlessly.
 		for _, id := range c.children {
 			if j := s.jobs[id]; j != nil && j.requestCancel() {
@@ -253,20 +255,23 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 				s.audit.record("cancel", j.id, "", "campaign cancelled")
 			}
 		}
-		s.audit.record("campaign", c.id, "cancelled", "cancel requested")
+		if c.outstanding == 0 {
+			s.finishCampaign(c)
+		} else {
+			s.audit.record("campaign", c.id, StateRunning, "cancel requested")
+		}
 		return reply{code: http.StatusAccepted, body: c.status(false)}
 	})
 }
 
-// pump releases children for every campaign that has quota headroom,
-// round-robin across campaigns until no campaign can make progress. It runs
-// under s.mu (at submission and at every job completion), so release order —
-// and therefore child job numbering — is deterministic given a completion
-// order.
+// pump releases children for every active campaign that has quota headroom,
+// round-robin across them until none can make progress. It runs under s.mu
+// (at submission and at every job completion), so release order — and
+// therefore child job numbering — is deterministic given a completion order.
 func (s *Server) pump() {
 	for progress := true; progress; {
 		progress = false
-		for _, c := range s.campList {
+		for _, c := range s.active {
 			if c.cancelled || c.next >= len(c.points) || c.outstanding >= c.quota {
 				continue
 			}
@@ -279,12 +284,13 @@ func (s *Server) pump() {
 }
 
 // campaignChildDone folds a finished child's row into its campaign:
-// aggregates, quota release, and the campaign-finish audit edge. Callers hold
-// s.mu.
+// aggregates, quota release, and the campaign's finish edge when this was its
+// last child. Callers hold s.mu.
 func (s *Server) campaignChildDone(j *job) {
 	c, row := j.camp, &j.row
 	c.outstanding--
 	c.done++
+	s.metrics.campaignPoints++
 	c.agg.Add(&c.points[j.point], campaign.PointResult{
 		Outcome:      row.Outcome,
 		Seconds:      row.Seconds,
@@ -292,27 +298,50 @@ func (s *Server) campaignChildDone(j *job) {
 		Instructions: row.Instructions,
 		SimMIPS:      row.SimMIPS,
 	})
-	if c.finished.IsZero() && ((c.cancelled && c.outstanding == 0) || c.done == len(c.points)) {
-		c.finished = time.Now().UTC()
-		s.audit.record("campaign", c.id, c.stateName(), fmt.Sprintf("done=%d points=%d", c.done, len(c.points)))
+	if (c.cancelled && c.outstanding == 0) || c.done == len(c.points) {
+		s.finishCampaign(c)
 	}
 }
 
-// drainCampaigns persists every campaign's terminal snapshot to the audit log
-// during shutdown, so a drained daemon leaves a replayable account of sweep
-// progress (done/outstanding/pending per campaign plus the aggregate summary).
-func (s *Server) drainCampaigns() {
-	s.mu.Lock()
-	sts := make([]CampaignStatus, len(s.campList))
-	for i, c := range s.campList {
-		sts[i] = c.status(true)
+// finishCampaign is a campaign's one finish edge. It takes the final status,
+// writes it as the campaign's one terminal audit record, drops the expansion,
+// aggregate and child list (retained child jobs still name the campaign
+// through j.camp), and moves the campaign from the active list to the retired
+// ones, of which the newest RetainJobs stay addressable. Callers hold s.mu.
+func (s *Server) finishCampaign(c *campaignState) {
+	st := c.status(true)
+	st.State, st.Finished = "done", time.Now().UTC()
+	if c.cancelled {
+		st.State = StateCancelled
 	}
-	s.mu.Unlock()
-	for _, st := range sts {
-		detail, err := json.Marshal(st)
-		if err != nil {
-			detail = []byte(`{}`)
-		}
-		s.audit.record("campaign-drain", st.ID, st.State, string(detail))
+	c.final = &st
+	c.record(s.audit, "campaign")
+	c.base, c.points, c.valueOrder, c.agg, c.children = nil, nil, nil, nil, nil
+	s.active = slices.DeleteFunc(s.active, func(a *campaignState) bool { return a == c })
+	s.retired = append(s.retired, c)
+	if retain := s.opts.RetainJobs; retain >= 0 && len(s.retired) > retain {
+		delete(s.campaigns, s.retired[0].id)
+		s.retired = slices.Delete(s.retired, 0, 1)
+	}
+}
+
+// record writes one audit event whose detail is the campaign's status JSON.
+func (c *campaignState) record(a *auditLog, event string) {
+	st := c.status(true)
+	detail, err := json.Marshal(st)
+	if err != nil {
+		detail = []byte(`{}`)
+	}
+	a.record(event, c.id, st.State, string(detail))
+}
+
+// drainCampaigns persists the snapshot of every campaign still active at
+// shutdown to the audit log (finished ones wrote theirs at their finish
+// edge), so a drained daemon leaves a replayable account of sweep progress
+// (done/outstanding/pending per campaign plus the aggregate summary). Callers
+// hold s.mu.
+func (s *Server) drainCampaigns() {
+	for _, c := range s.active {
+		c.record(s.audit, "campaign-drain")
 	}
 }

@@ -21,15 +21,16 @@ import (
 // simulator (whose probe the next job will rewind) to the warm pool, so the
 // exported zsim_engine_* series are monotone for the daemon's lifetime.
 type metrics struct {
-	start     time.Time
-	sheds     map[string]uint64 // shed reason -> count
-	cancels   uint64
-	jobsTotal map[string]uint64 // terminal state -> count
-	reused    uint64
-	latency   map[latencyKey]*telemetry.Histogram
-	running   map[*telemetry.Probe]struct{}
-	completed telemetry.Sample
-	inflight  int
+	start          time.Time
+	sheds          map[string]uint64 // shed reason -> count
+	cancels        uint64
+	campaignPoints uint64            // campaign children ever finished
+	jobsTotal      map[string]uint64 // terminal state -> count
+	reused         uint64
+	latency        map[latencyKey]*telemetry.Histogram
+	running        map[*telemetry.Probe]struct{}
+	completed      telemetry.Sample
+	inflight       int
 	// ewmaLatency tracks recent job service latency (seconds; 0 until the
 	// first job finishes) and feeds the queue-state-derived Retry-After.
 	ewmaLatency float64
@@ -126,11 +127,9 @@ func (s *Server) writeMetrics(pw *telemetry.PromWriter) {
 	m := &s.metrics
 	storeRows, storeEvicted, _, jobsEvicted := s.windows()
 	ps := s.pool.stats()
-	campStates := map[string]int{}
-	var campPointsDone uint64
-	for _, c := range s.campList {
-		campStates[c.stateName()]++
-		campPointsDone += uint64(c.done)
+	campStates := map[string]int{StateRunning: len(s.active)}
+	for _, c := range s.retired {
+		campStates[c.final.State]++
 	}
 
 	// Service-level metrics.
@@ -169,7 +168,7 @@ func (s *Server) writeMetrics(pw *telemetry.PromWriter) {
 		pw.UintSample("zsimd_campaigns", []telemetry.Label{{Name: "state", Value: st}}, uint64(campStates[st]))
 	}
 	pw.Family("zsimd_campaign_points_done_total", "counter", "Campaign points finished across all campaigns.")
-	pw.UintSample("zsimd_campaign_points_done_total", nil, campPointsDone)
+	pw.UintSample("zsimd_campaign_points_done_total", nil, m.campaignPoints)
 	pw.Family("zsimd_results_total", "counter", "Result rows filed into the store.")
 	pw.UintSample("zsimd_results_total", nil, s.doneTotal)
 	pw.Family("zsimd_store_rows", "gauge", "Result rows currently retained in the store ring.")

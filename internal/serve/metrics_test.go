@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"zsim/internal/campaign"
 	"zsim/internal/serve"
 )
 
@@ -177,9 +178,10 @@ func TestMetricsExposition(t *testing.T) {
 // TestMetricsMonotonic: counters never dip across scrapes, including across
 // warm-pool reuse (the final probe snapshot is folded into the completed
 // totals before the simulator — whose probe the next job rewinds — can be
-// checked out again).
+// checked out again) and across the eviction of finished campaigns (one is
+// retained, so each round's campaign evicts the last one).
 func TestMetricsMonotonic(t *testing.T) {
-	_, ts := newTestServer(t, serve.Options{Workers: 1, PoolSize: 4})
+	_, ts := newTestServer(t, serve.Options{Workers: 1, PoolSize: 4, RetainJobs: 1})
 
 	counters := []string{
 		"zsim_engine_intervals_total",
@@ -190,12 +192,17 @@ func TestMetricsMonotonic(t *testing.T) {
 		"zsim_engine_chain_seconds_total",
 		"zsim_engine_pool_runs_total",
 		`zsimd_jobs_total{outcome="succeeded"}`,
+		"zsimd_campaign_points_done_total",
 	}
 	prev := make(map[string]float64)
 	for round := 0; round < 3; round++ {
 		st := submit(t, ts, quickJob())
 		if st = waitState(t, ts, st.ID, terminal); st.State != serve.StateSucceeded {
 			t.Fatalf("round %d job ended %q (%s)", round, st.State, st.Error)
+		}
+		camp := submitCampaign(t, ts, &serve.CampaignRequest{Base: *quickJob(), Axes: campaign.Axes{Seeds: []uint64{1, 2}}})
+		if fin := waitCampaign(t, ts, camp.ID, time.Minute); fin.State != "done" {
+			t.Fatalf("round %d campaign ended %+v", round, fin)
 		}
 		samples := scrapeMetrics(t, ts)
 		for _, name := range counters {
@@ -208,6 +215,9 @@ func TestMetricsMonotonic(t *testing.T) {
 	// Three identical completed jobs: intervals must have actually advanced.
 	if prev["zsim_engine_intervals_total"] <= 0 {
 		t.Error("intervals_total never advanced")
+	}
+	if prev["zsimd_campaign_points_done_total"] != 6 {
+		t.Errorf("campaign_points_done_total = %v after three 2-point campaigns, want 6", prev["zsimd_campaign_points_done_total"])
 	}
 }
 

@@ -6,7 +6,10 @@ package serve_test
 // and pool idle-expiry through the server's janitor.
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -15,6 +18,7 @@ import (
 	"time"
 
 	"zsim"
+	"zsim/internal/campaign"
 	"zsim/internal/serve"
 )
 
@@ -317,5 +321,222 @@ func TestPoolIdleExpiryServer(t *testing.T) {
 	}
 	if h := getHealth(t, ts); h.Pool.Misses != 2 {
 		t.Fatalf("pool misses = %d, want 2 (both constructions cold)", h.Pool.Misses)
+	}
+}
+
+// rawGet returns the status code and body of GET url.
+func rawGet(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// campaignRecords indexes the "campaign" audit records by campaign ID: the
+// details of the terminal ones (state done or cancelled), and the states of
+// the others after the submission record.
+func campaignRecords(t *testing.T, audit string) (terminal map[string][]string, other map[string][]string) {
+	t.Helper()
+	terminal, other = map[string][]string{}, map[string][]string{}
+	sc := bufio.NewScanner(strings.NewReader(audit))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var rec struct{ Event, Job, State, Detail string }
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("bad audit line %q: %v", sc.Text(), err)
+		}
+		switch {
+		case rec.Event != "campaign":
+		case rec.State == "done" || rec.State == serve.StateCancelled:
+			terminal[rec.Job] = append(terminal[rec.Job], rec.Detail)
+		case !strings.HasPrefix(rec.Detail, "name="):
+			other[rec.Job] = append(other[rec.Job], rec.State+" "+rec.Detail)
+		}
+	}
+	return terminal, other
+}
+
+// checkTerminalRecord asserts that the campaign wrote exactly one terminal
+// audit record and that its detail is, byte for byte, the final status GET
+// /campaigns/{id} served (body, without the encoder's newline).
+func checkTerminalRecord(t *testing.T, terminal map[string][]string, id string, body []byte) {
+	t.Helper()
+	recs := terminal[id]
+	if len(recs) != 1 {
+		t.Fatalf("%s: %d terminal campaign records, want 1: %q", id, len(recs), recs)
+	}
+	if got := strings.TrimSuffix(string(body), "\n"); recs[0] != got {
+		t.Fatalf("%s: terminal record detail differs from GET:\n audit: %s\n GET:   %s", id, recs[0], got)
+	}
+	var st serve.CampaignStatus
+	if err := json.Unmarshal([]byte(recs[0]), &st); err != nil || st.ID != id || st.Summary == nil || st.Finished.IsZero() {
+		t.Fatalf("%s: terminal record detail is not the final status (%v): %s", id, err, recs[0])
+	}
+}
+
+// TestCampaignOneTerminalRecord: a campaign that completes, one cancelled
+// while idle (the low-priority share of the queue is full, so it has no child
+// out) and one cancelled with children in flight each write exactly one
+// terminal "campaign" audit record, whose detail is the final status GET
+// reports. The busy campaign's cancel is recorded as "running", the state the
+// API reports until its last child lands.
+func TestCampaignOneTerminalRecord(t *testing.T) {
+	audit := &lockedBuffer{}
+	s, ts := newTestServer(t, serve.Options{Workers: 1, QueueDepth: 4, Audit: audit})
+
+	quick := campaignBase()
+	quick.Workloads[0].Blocks = 20
+	done := submitCampaign(t, ts, &serve.CampaignRequest{Base: quick, Axes: campaign.Axes{Seeds: []uint64{1, 2}}})
+	if fin := waitCampaign(t, ts, done.ID, time.Minute); fin.State != "done" {
+		t.Fatalf("quick campaign ended %+v", fin)
+	}
+
+	// Two endless children are out (one running, one queued), and two
+	// high-priority endless jobs queue behind them: the queue holds at least
+	// 3 of 4 slots, the low-priority limit, so the next campaign gets none.
+	endless := campaignBase()
+	endless.Workloads[0].Blocks = 1 << 30
+	busy := submitCampaign(t, ts, &serve.CampaignRequest{Base: endless, Axes: campaign.Axes{Seeds: []uint64{1, 2, 3}}, Quota: 2})
+	if busy.Outstanding != 2 {
+		t.Fatalf("busy campaign admitted with %d children out, want 2", busy.Outstanding)
+	}
+	var blockers []string
+	for i := 0; i < 2; i++ {
+		req := endlessJob()
+		req.Priority = "high"
+		blockers = append(blockers, submit(t, ts, req).ID)
+	}
+	idle := submitCampaign(t, ts, &serve.CampaignRequest{Base: quick, Axes: campaign.Axes{Seeds: []uint64{1, 2}}})
+	if idle.Released != 0 || idle.Outstanding != 0 {
+		t.Fatalf("idle campaign got children: %+v", idle)
+	}
+
+	var st serve.CampaignStatus
+	resp := postJSON(t, ts.URL+"/campaigns/"+idle.ID+"/cancel", nil)
+	if decodeInto(t, resp, &st); resp.StatusCode != http.StatusAccepted || st.State != serve.StateCancelled {
+		t.Fatalf("idle cancel: HTTP %d, %+v", resp.StatusCode, st)
+	}
+	resp = postJSON(t, ts.URL+"/campaigns/"+busy.ID+"/cancel", nil)
+	if decodeInto(t, resp, &st); resp.StatusCode != http.StatusAccepted || st.State != serve.StateRunning || st.Outstanding == 0 {
+		t.Fatalf("busy cancel: HTTP %d, %+v", resp.StatusCode, st)
+	}
+	for _, id := range blockers {
+		cancelJob(t, ts, id).Body.Close()
+	}
+	if fin := waitCampaign(t, ts, busy.ID, time.Minute); fin.State != serve.StateCancelled || fin.Outstanding != 0 {
+		t.Fatalf("busy campaign settled as %+v", fin)
+	}
+
+	bodies := map[string][]byte{}
+	for _, id := range []string{done.ID, idle.ID, busy.ID} {
+		code, body := rawGet(t, ts.URL+"/campaigns/"+id)
+		if code != http.StatusOK {
+			t.Fatalf("GET /campaigns/%s: HTTP %d", id, code)
+		}
+		bodies[id] = body
+	}
+	s.Shutdown(time.Second) // flushes the audit log
+	terminal, other := campaignRecords(t, audit.String())
+	for id, body := range bodies {
+		checkTerminalRecord(t, terminal, id, body)
+	}
+	if got := other[busy.ID]; len(got) != 1 || got[0] != "running cancel requested" {
+		t.Fatalf("busy campaign's cancel records: %q", got)
+	}
+	if got := other[idle.ID]; len(got) != 0 {
+		t.Fatalf("idle campaign wrote non-terminal records after submission: %q", got)
+	}
+}
+
+// TestCampaignRetentionEviction: finished campaigns share the jobs' retention
+// bound. The newest RetainJobs stay addressable with the status of their
+// finish edge; an older one answers 410 pointing at /results while its rows
+// stay there; an ID never admitted answers 404; a finished campaign refuses a
+// second cancel with 409.
+func TestCampaignRetentionEviction(t *testing.T) {
+	audit := &lockedBuffer{}
+	s, ts := newTestServer(t, serve.Options{Workers: 1, RetainJobs: 2, Audit: audit})
+
+	base := campaignBase()
+	base.Workloads[0].Blocks = 20
+	var ids []string
+	for i := 0; i < 3; i++ {
+		st := submitCampaign(t, ts, &serve.CampaignRequest{Base: base, Axes: campaign.Axes{Seeds: []uint64{1, 2}}})
+		if fin := waitCampaign(t, ts, st.ID, time.Minute); fin.State != "done" {
+			t.Fatalf("campaign %s ended %+v", st.ID, fin)
+		}
+		ids = append(ids, st.ID)
+	}
+
+	evicted := ids[0]
+	for _, probe := range []func() (int, []byte){
+		func() (int, []byte) { return rawGet(t, ts.URL+"/campaigns/"+evicted) },
+		func() (int, []byte) {
+			resp := postJSON(t, ts.URL+"/campaigns/"+evicted+"/cancel", nil)
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			return resp.StatusCode, body
+		},
+	} {
+		if code, body := probe(); code != http.StatusGone || !bytes.Contains(body, []byte("/results?campaign="+evicted)) {
+			t.Fatalf("evicted campaign: HTTP %d %s, want 410 naming /results?campaign=%s", code, body, evicted)
+		}
+	}
+	if rows := getResults(t, ts, "?campaign="+evicted); len(rows) != 2 {
+		t.Fatalf("evicted campaign's result rows: %d, want 2", len(rows))
+	}
+	for _, probe := range []func() int{
+		func() int { code, _ := rawGet(t, ts.URL+"/campaigns/campaign-999"); return code },
+		func() int {
+			resp := postJSON(t, ts.URL+"/campaigns/campaign-999/cancel", nil)
+			resp.Body.Close()
+			return resp.StatusCode
+		},
+	} {
+		if code := probe(); code != http.StatusNotFound {
+			t.Fatalf("never-admitted campaign: HTTP %d, want 404", code)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/campaigns/"+ids[2]+"/cancel", nil)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("cancel of a finished campaign: HTTP %d, want 409", resp.StatusCode)
+	}
+
+	var list []serve.CampaignStatus
+	listResp, err := http.Get(ts.URL + "/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decodeInto(t, listResp, &list)
+	if len(list) != 2 || list[0].ID != ids[1] || list[1].ID != ids[2] || list[0].Summary != nil {
+		t.Fatalf("GET /campaigns lists %+v, want %v without detail", list, ids[1:])
+	}
+	if h := getHealth(t, ts); h.Campaigns != 2 {
+		t.Fatalf("healthz counts %d campaigns, want the 2 retained", h.Campaigns)
+	}
+	if m := scrapeMetrics(t, ts); m[`zsimd_campaigns{state="done"}`] != 2 || m["zsimd_campaign_points_done_total"] != 6 {
+		t.Fatalf("campaign metrics after eviction: done gauge %v, points done %v",
+			m[`zsimd_campaigns{state="done"}`], m["zsimd_campaign_points_done_total"])
+	}
+
+	bodies := map[string][]byte{}
+	for _, id := range ids[1:] {
+		_, bodies[id] = rawGet(t, ts.URL+"/campaigns/"+id)
+	}
+	s.Shutdown(time.Second) // flushes the audit log
+	terminal, _ := campaignRecords(t, audit.String())
+	for id, body := range bodies {
+		checkTerminalRecord(t, terminal, id, body)
+	}
+	if len(terminal[evicted]) != 1 {
+		t.Fatalf("evicted campaign's terminal records: %q", terminal[evicted])
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -47,10 +48,10 @@ type Options struct {
 	// memory freed. 0 disables expiry (long-lived daemons then pin memory for
 	// every shape they ever pooled).
 	PoolIdleExpiry time.Duration
-	// RetainJobs bounds how many terminal jobs stay addressable via
-	// GET /jobs/{id} (default 1024; negative = unlimited). Older terminal
-	// jobs are evicted (410) — their compact rows remain queryable in the
-	// result store and the audit log keeps the full history.
+	// RetainJobs bounds how many terminal jobs, and how many finished
+	// campaigns, stay addressable by ID (default 1024; negative = unlimited).
+	// Older ones are evicted (410): their rows remain queryable in the result
+	// store and the audit log keeps the full history.
 	RetainJobs int
 	// StoreSize bounds the result store: GET /results serves the rows of the
 	// newest StoreSize finished jobs (default 4096).
@@ -98,22 +99,21 @@ type Server struct {
 	done      []*job
 	doneTotal uint64
 
+	// campaigns holds the addressable campaigns: the active ones, which have
+	// work, in admission order, and the newest RetainJobs retired ones.
 	campaigns map[string]*campaignState
-	campList  []*campaignState // creation order
+	active    []*campaignState
+	retired   []*campaignState
 	campSeq   int
 }
 
 // New builds a Server and starts its workers.
 func New(opts Options) *Server {
-	if opts.Workers <= 0 {
-		opts.Workers = 1
-	}
+	opts.Workers = max(opts.Workers, 1)
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 16
 	}
-	if opts.RetainJobs == 0 {
-		opts.RetainJobs = 1024
-	}
+	opts.RetainJobs = cmp.Or(opts.RetainJobs, 1024)
 	if opts.StoreSize <= 0 {
 		opts.StoreSize = 4096
 	}
@@ -211,11 +211,7 @@ func (s *Server) respond(w http.ResponseWriter, decide func() reply) {
 // finished), clamped to [1, 60] so clients neither hammer nor stall. Callers
 // hold s.mu.
 func (s *Server) shed(reason, jobID, msg string) reply {
-	avg := s.metrics.ewmaLatency
-	if avg <= 0 {
-		avg = 1
-	}
-	est := avg * float64(s.sched.size+s.metrics.inflight+1) / float64(s.opts.Workers)
+	est := cmp.Or(s.metrics.ewmaLatency, 1) * float64(s.sched.size+s.metrics.inflight+1) / float64(s.opts.Workers)
 	s.metrics.sheds[reason]++
 	s.audit.record("shed", jobID, "", msg)
 	rep := errReply(http.StatusServiceUnavailable, msg)
@@ -397,7 +393,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			InFlight:      s.metrics.inflight,
 			Workers:       s.opts.Workers,
 			Pool:          s.pool.stats(),
-			Campaigns:     len(s.campList),
+			Campaigns:     len(s.campaigns),
 			StoreRows:     rows,
 			StoreEvicted:  storeEvicted,
 			JobsRetained:  retained,
@@ -440,11 +436,7 @@ func (s *Server) worker() {
 // poolJanitor periodically expires pool entries idle longer than ttl, until
 // shutdown cancels the base context.
 func (s *Server) poolJanitor(ttl time.Duration) {
-	tick := ttl / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(max(ttl/4, 10*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
@@ -747,12 +739,10 @@ func (s *Server) Shutdown(grace time.Duration) {
 	s.baseCancel()
 	s.mu.Lock()
 	pooled := s.pool.close()
-	s.mu.Unlock()
-	closeAll(pooled)
 	s.drainCampaigns()
-	s.mu.Lock()
 	_, _, retained, _ := s.windows()
 	s.mu.Unlock()
+	closeAll(pooled)
 	s.audit.record("drained", "", "", strconv.Itoa(retained))
 	s.audit.close()
 }
