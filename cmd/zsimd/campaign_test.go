@@ -205,7 +205,8 @@ func TestDaemonCampaignSIGTERMDrain(t *testing.T) {
 	}
 
 	// The audit file must carry the campaign's full story: the submission,
-	// the drain record with the final status, and the children's result rows.
+	// the drain record with the final status, and the children's result rows
+	// on their finish records.
 	data, err := os.ReadFile(auditPath)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +231,10 @@ func TestDaemonCampaignSIGTERMDrain(t *testing.T) {
 		if rec.Event == "campaign-drain" && rec.Job == camp.ID {
 			drainBody = rec.Detail
 		}
-		if rec.Event == "result" && rec.Result != nil && rec.Result.Campaign == camp.ID {
+		if rec.Event == "finish" && rec.Result == nil {
+			t.Fatalf("finish record without its result row: %s", sc.Text())
+		}
+		if rec.Event == "finish" && rec.Result.Campaign == camp.ID {
 			resultRows++
 		}
 	}
@@ -238,6 +242,9 @@ func TestDaemonCampaignSIGTERMDrain(t *testing.T) {
 		if events[want] == 0 {
 			t.Fatalf("audit log missing %q event: %v", want, events)
 		}
+	}
+	if events["result"] != 0 {
+		t.Fatalf("audit log has %d separate result records; finish records carry the rows", events["result"])
 	}
 	if drainBody == "" {
 		t.Fatalf("no campaign-drain record for %s in audit log:\n%s", camp.ID, data)

@@ -5,16 +5,16 @@
 // API (JSON bodies everywhere):
 //
 //	POST /jobs              submit a job; 202 + status, or 503 + Retry-After when shedding
-//	GET  /jobs              list retained jobs
-//	GET  /jobs/{id}         job status (410 once evicted by -retain)
-//	GET  /jobs/{id}/result  job result (409 until finished; partial metrics on failures)
-//	POST /jobs/{id}/cancel  cancel a queued or running job
+//	GET  /jobs              list live and retained jobs
+//	GET  /jobs/{id}         job status (410 once evicted by -retain, or if shed)
+//	GET  /jobs/{id}/result  job result (409 until finished; partial metrics on failures; 410 once evicted)
+//	POST /jobs/{id}/cancel  cancel a queued or running job (409 once finished, 410 once evicted)
 //	POST /campaigns         submit a design-space sweep (base job × axes)
 //	GET  /campaigns         list running and retained finished campaigns
 //	GET  /campaigns/{id}    campaign progress + live aggregates (curves, percentiles; 410 once evicted by -retain)
 //	POST /campaigns/{id}/cancel  stop a campaign; outstanding children are cancelled
-//	GET  /results           query recent result rows (?campaign= ?shape= ?outcome= ?job= ?limit=)
-//	GET  /healthz           liveness plus queue/worker/pool/store gauges
+//	GET  /results           query the rows of the retained jobs (?campaign= ?shape= ?outcome= ?job= ?limit=)
+//	GET  /healthz           liveness plus queue/worker/pool/retention gauges
 //	GET  /readyz            readiness (503 while draining)
 //	GET  /metrics           Prometheus text exposition (plain text, not JSON)
 //	GET  /debug/pprof/      net/http/pprof profiles (only with -pprof)
@@ -22,6 +22,11 @@
 // Jobs are admitted by priority class ("high"/"normal"/"low"): campaign
 // children default to low so sweeps cannot starve interactive jobs, and shed
 // responses derive Retry-After from queue depth and observed job latency.
+//
+// A finished job or campaign stays addressable while it is among the newest
+// -retain of its kind; after that its ID answers 410, and its one terminal
+// audit record ("finish" carrying the job's result row, "campaign" carrying
+// the final campaign status) is the archive. An ID never issued answers 404.
 //
 // SIGTERM/SIGINT stop admission, let in-flight jobs finish within -grace,
 // then cooperatively cancel whatever remains (those jobs report partial
@@ -94,8 +99,7 @@ func run(args []string, stderr io.Writer, onReady func(net.Addr)) int {
 		poolShape  = fs.Int("pool-per-shape", 2, "warm-simulator pool: simulators retained per configuration shape")
 		poolExpiry = fs.Duration("pool-idle-expiry", 0, "close pooled simulators idle longer than this (0 = never)")
 		prewarm    = fs.String("prewarm", "", "JSON file with a config (or array of configs) to pre-build warm simulators for at startup")
-		retain     = fs.Int("retain", 1024, "finished jobs and finished campaigns each kept addressable via GET /jobs/{id} and /campaigns/{id} (older ones evict to the result store and audit log; -1 = unlimited)")
-		storeSize  = fs.Int("store-size", 4096, "result rows retained in the in-memory store ring")
+		retain     = fs.Int("retain", 1024, "finished jobs and finished campaigns each kept addressable via GET /jobs/{id} and /campaigns/{id}, and finished jobs' rows via GET /results (older ones answer 410; the audit log keeps them; -1 = unlimited)")
 		campPoints = fs.Int("campaign-points", 0, "max points per campaign expansion (0 = default 10000)")
 		pprofOn    = fs.Bool("pprof", false, "expose net/http/pprof handlers under /debug/pprof/")
 	)
@@ -128,7 +132,6 @@ func run(args []string, stderr io.Writer, onReady func(net.Addr)) int {
 		PoolPerShape:      *poolShape,
 		PoolIdleExpiry:    *poolExpiry,
 		RetainJobs:        *retain,
-		StoreSize:         *storeSize,
 		MaxCampaignPoints: *campPoints,
 		Pprof:             *pprofOn,
 	})

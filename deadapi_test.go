@@ -23,11 +23,9 @@ import (
 var deadAPIAllowed = map[string]string{
 	"cache.Cache.StateOf":     "MESI probe the coherence tests assert line states with",
 	"event.Event.NumChildren": "lets the event and chain-build tests check declared edges",
-	"harness.Table.Cell":      "how tests read an experiment table by row and column name",
 	"isa.Opcode.HasLoad":      "opcode property the isa tests check the decoder against",
 	"isa.Opcode.HasStore":     "opcode property the isa tests check the decoder against",
 	"network.RouteAppend":     "materializes a whole route, which the topology tests compare",
-	"trace.Thread.SpinBlock":  "lets the trace tests check lock-word addressing",
 }
 
 // TestNoDeadExportedAPI fails when an exported function, method, interface

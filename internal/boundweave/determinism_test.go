@@ -35,14 +35,15 @@ import (
 // syscalls) at the given GOMAXPROCS and returns a signature of everything
 // that must be reproducible.
 func deterministicRun(t *testing.T, gomaxprocs, hostThreads int, contention bool, domains int) string {
-	return deterministicRunNOC(t, gomaxprocs, hostThreads, contention, domains, false)
+	return runSignature(deterministicRunNOC(t, gomaxprocs, hostThreads, contention, domains, false))
 }
 
-// deterministicRunNOC is deterministicRun with the weave-phase NoC
-// contention subsystem optionally enabled (on a 2x2 mesh with narrow links,
-// so router ports actually back up and the router event path is exercised).
-// domains sets the retired weaveDomains knob, which must not move results.
-func deterministicRunNOC(t *testing.T, gomaxprocs, hostThreads int, contention bool, domains int, nocOn bool) string {
+// deterministicRunNOC runs deterministicRun's workload, with the weave-phase
+// NoC contention subsystem optionally enabled (on a 2x2 mesh with narrow
+// links, so router ports actually back up and the router event path is
+// exercised), and returns the finished run. domains sets the retired
+// weaveDomains knob, which must not move results.
+func deterministicRunNOC(t *testing.T, gomaxprocs, hostThreads int, contention bool, domains int, nocOn bool) (*System, *virt.Scheduler, *Simulator) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(gomaxprocs)
 	defer runtime.GOMAXPROCS(old)
@@ -93,14 +94,52 @@ func deterministicRunNOC(t *testing.T, gomaxprocs, hostThreads int, contention b
 
 	sim := NewSimulator(sys, sched, Options{HostThreads: hostThreads, Seed: 99})
 	sim.Run()
-	return runSignature(sys, sched, sim)
+	return sys, sched, sim
 }
 
 // runSignature is everything about a finished run that must be reproducible:
-// per-core clocks and instructions, cache and memory counters, the run's
-// interval, round and weave statistics, the scheduler's counts and, with a
-// NoC, the router counters.
+// the whole statistics tree (every counter a component names in its
+// VisitStats: core clocks and instructions, caches, memory, NoC routers),
+// the run's interval, round, weave and feedback totals, and every field of
+// the scheduler's counts. A counter a component adds joins the signature
+// without an edit here.
 func runSignature(sys *System, sched *virt.Scheduler, sim *Simulator) string {
+	var sb strings.Builder
+	sys.Root.WriteText(&sb)
+	fmt.Fprintf(&sb, "intervals=%d rounds=%d weave=%d feedback=%d\nsched=%+v\n",
+		sim.Intervals, sim.BoundRounds, sim.WeaveEvents, sim.TotalFeedback, sched.Counts())
+	return sb.String()
+}
+
+// signatureDiff lists the lines where two run signatures differ, each under
+// the statistics-tree node it belongs to.
+func signatureDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var sb strings.Builder
+	node := ""
+	for i := range max(len(w), len(g)) {
+		var a, b string
+		if i < len(w) {
+			a = w[i]
+		}
+		if i < len(g) {
+			b = g[i]
+		}
+		if strings.HasSuffix(a, ":") {
+			node = strings.TrimSpace(a)
+		}
+		if a != b {
+			fmt.Fprintf(&sb, "  %s\n    want: %s\n    got:  %s\n", node, strings.TrimSpace(a), strings.TrimSpace(b))
+		}
+	}
+	return sb.String()
+}
+
+// nocGoldenSignature is the field list TestGoldenWeaveOrder's "noc" literal
+// was recorded in: per-core clocks and instructions, cache and memory
+// totals, the run's interval, round and weave statistics, the scheduler's
+// counts and the router totals.
+func nocGoldenSignature(sys *System, sched *virt.Scheduler, sim *Simulator) string {
 	var sb strings.Builder
 	for _, c := range sys.Cores {
 		fmt.Fprintf(&sb, "core(cyc=%d instr=%d) ", c.Cycle(), c.Instrs())
@@ -114,11 +153,9 @@ func runSignature(sys *System, sched *virt.Scheduler, sim *Simulator) string {
 		sim.Intervals, sim.BoundRounds, sim.WeaveEvents, sim.TotalFeedback,
 		sc.ContextSwitches, sc.MidIntervalJoins,
 		sc.LockBlocks, sc.SyscallBlocks, sc.BarrierWaits)
-	if sys.Fabric != nil {
-		fs := sys.Fabric.TotalStats()
-		fmt.Fprintf(&sb, " | noc(trav=%d conflicts=%d stalls=%d delay=%d)",
-			fs.Traversals, fs.PortConflicts, fs.QueueStalls, fs.QueueDelay)
-	}
+	fs := sys.Fabric.TotalStats()
+	fmt.Fprintf(&sb, " | noc(trav=%d conflicts=%d stalls=%d delay=%d)",
+		fs.Traversals, fs.PortConflicts, fs.QueueStalls, fs.QueueDelay)
 	return sb.String()
 }
 
@@ -137,8 +174,7 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			base := deterministicRun(t, 1, 4, c.contention, c.domains)
 			for _, gm := range []int{2, 8} {
 				if got := deterministicRun(t, gm, 4, c.contention, c.domains); got != base {
-					t.Fatalf("results differ between GOMAXPROCS=1 and %d:\n  1: %s\n  %d: %s",
-						gm, base, gm, got)
+					t.Fatalf("results differ between GOMAXPROCS=1 and %d:\n%s", gm, signatureDiff(base, got))
 				}
 			}
 		})
@@ -151,17 +187,17 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // GOMAXPROCS, because router events carry the same (cycle, sequence) order
 // as every other weave event.
 func TestDeterministicNOCContention(t *testing.T) {
-	base := deterministicRunNOC(t, 1, 4, true, 1, true)
+	sys, sched, sim := deterministicRunNOC(t, 1, 4, true, 1, true)
+	base := runSignature(sys, sched, sim)
 	for _, gm := range []int{2, 8} {
-		if got := deterministicRunNOC(t, gm, 4, true, 1, true); got != base {
-			t.Fatalf("NoC results differ between GOMAXPROCS=1 and %d:\n  1: %s\n  %d: %s",
-				gm, base, gm, got)
+		if got := runSignature(deterministicRunNOC(t, gm, 4, true, 1, true)); got != base {
+			t.Fatalf("NoC results differ between GOMAXPROCS=1 and %d:\n%s", gm, signatureDiff(base, got))
 		}
 	}
 	// The run must actually exercise the subsystem: the signature carries the
 	// router counters, so determinism is claimed over them too.
-	if !strings.Contains(base, "noc(trav=") || strings.Contains(base, "noc(trav=0 ") {
-		t.Fatalf("NoC determinism run recorded no router traversals: %s", base)
+	if sys.Fabric.TotalStats().Traversals == 0 || !strings.Contains(base, "router-0:") {
+		t.Fatalf("NoC determinism run recorded no router traversals:\n%s", base)
 	}
 }
 
@@ -245,7 +281,7 @@ func TestGoldenWeaveOrder(t *testing.T) {
 	for _, c := range []struct{ name, got, want string }{
 		{"shared-traffic", sharedTrafficRun(t),
 			"cycles=24777 instrs=21578 l3=842 weave=8328 feedback=568301 noc(trav=4173 conflicts=2745 stalls=803 delay=1399954)"},
-		{"noc", deterministicRunNOC(t, 1, 4, true, 1, true),
+		{"noc", nocGoldenSignature(deterministicRunNOC(t, 1, 4, true, 1, true)),
 			"core(cyc=33075 instr=2722) core(cyc=35446 instr=3162) core(cyc=35313 instr=3348) core(cyc=32025 instr=3053) " +
 				"| cycles=35446 instrs=12285 l1d=515 l2=553 l3=553 memrd=460 | intervals=36 rounds=116 weave=2209 feedback=9667 " +
 				"| cs=204 joins=113 lockblk=66 sysblk=40 barrier=8 | noc(trav=1103 conflicts=104 stalls=0 delay=1319)"},
@@ -267,8 +303,7 @@ func TestDeterministicAcrossHostThreads(t *testing.T) {
 			base := deterministicRun(t, 8, 1, contention, 1)
 			for _, host := range []int{2, 4, 16} {
 				if got := deterministicRun(t, 8, host, contention, 1); got != base {
-					t.Fatalf("results differ between HostThreads=1 and %d:\n  1: %s\n  %d: %s",
-						host, base, host, got)
+					t.Fatalf("results differ between HostThreads=1 and %d:\n%s", host, signatureDiff(base, got))
 				}
 			}
 		})
@@ -320,8 +355,7 @@ func TestDeterministicOOOAcrossHostThreads(t *testing.T) {
 	for _, gm := range []int{2, 4} {
 		for _, host := range []int{1, 2, 3, 6} {
 			if got := oooPinnedRun(t, gm, host); got != base {
-				t.Fatalf("results differ at GOMAXPROCS=%d HostThreads=%d:\n  want: %s\n  got:  %s",
-					gm, host, base, got)
+				t.Fatalf("results differ at GOMAXPROCS=%d HostThreads=%d:\n%s", gm, host, signatureDiff(base, got))
 			}
 		}
 	}

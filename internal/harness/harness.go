@@ -182,21 +182,6 @@ func (t *Table) AddRow(name string, cells ...float64) {
 	t.Rows = append(t.Rows, Row{name, cells})
 }
 
-// Cell returns the value in the named row and column, and whether both exist.
-func (t *Table) Cell(row, col string) (float64, bool) {
-	for _, r := range t.Rows {
-		if r.Name != row {
-			continue
-		}
-		for i, c := range t.Columns {
-			if c.Name == col && i < len(r.Cells) {
-				return r.Cells[i], true
-			}
-		}
-	}
-	return 0, false
-}
-
 // Format renders the title, the rows under aligned column headers, and the
 // notes after a blank line.
 func (t *Table) Format() string {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,14 +16,24 @@ func tiny() Options {
 	return Options{Scale: 0.01, HostThreads: 2, MaxCores: 32}
 }
 
-// cell reads one cell of t, failing the test when it is missing.
+// cell reads the value in the named row and column of tab from its Rows and
+// Columns, failing the test when either is missing.
 func cell(t *testing.T, tab *Table, row, col string) float64 {
 	t.Helper()
-	v, ok := tab.Cell(row, col)
+	v, ok := lookupCell(tab, row, col)
 	if !ok {
 		t.Fatalf("%q has no cell (%q, %q):\n%s", tab.Title, row, col, tab.Format())
 	}
 	return v
+}
+
+func lookupCell(tab *Table, row, col string) (float64, bool) {
+	c := slices.IndexFunc(tab.Columns, func(c Column) bool { return c.Name == col })
+	r := slices.IndexFunc(tab.Rows, func(r Row) bool { return r.Name == row })
+	if c < 0 || r < 0 || c >= len(tab.Rows[r].Cells) {
+		return 0, false
+	}
+	return tab.Rows[r].Cells[c], true
 }
 
 func TestModelKinds(t *testing.T) {
@@ -83,9 +94,9 @@ func TestTableFormatter(t *testing.T) {
 		t.Fatalf("columns not aligned or formatted:\n%s", out)
 	}
 	if v := cell(t, tab, "longer", "bee"); v != 3.25 {
-		t.Fatalf("Cell(longer, bee) = %v", v)
+		t.Fatalf("cell(longer, bee) = %v", v)
 	}
-	if _, ok := tab.Cell("1", "nope"); ok {
+	if _, ok := lookupCell(tab, "1", "nope"); ok {
 		t.Fatalf("missing column should not be found")
 	}
 }

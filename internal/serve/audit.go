@@ -18,8 +18,8 @@ type auditRecord struct {
 	Job    string    `json:"job,omitempty"`
 	State  string    `json:"state,omitempty"`
 	Detail string    `json:"detail,omitempty"`
-	// Result carries the compact result row on "result" events; the audit
-	// stream is the result store's durable archive.
+	// Result carries the job's result row on its terminal "finish" record;
+	// the audit stream is the durable archive of every finished job.
 	Result *ResultRow `json:"result,omitempty"`
 }
 

@@ -114,7 +114,6 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 			QueueDepth:        64,
 			PoolSize:          poolSize,
 			MaxCampaignPoints: b.N + 1,
-			StoreSize:         b.N + 1,
 		})
 		ts := httptest.NewServer(srv)
 		defer func() {

@@ -355,8 +355,10 @@ func TestCampaignDrainPersistsState(t *testing.T) {
 			}
 			drained = &cs
 		case "result":
+			t.Fatalf("separate result record; the finish record carries the row: %s", sc.Text())
+		case "finish":
 			if rec.Result == nil {
-				t.Fatalf("result event without embedded row")
+				t.Fatalf("finish record without embedded row: %s", sc.Text())
 			}
 			if rec.Result.Campaign == st.ID {
 				results++
@@ -400,7 +402,6 @@ func TestCampaignThousandPointWarmSweep(t *testing.T) {
 		QueueDepth: 4,
 		PoolSize:   2,
 		RetainJobs: 1200,
-		StoreSize:  2048,
 	})
 
 	// Pin both workers so the queue state below is deterministic.

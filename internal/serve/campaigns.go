@@ -7,8 +7,6 @@ import (
 	"maps"
 	"net/http"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"zsim/internal/campaign"
@@ -211,18 +209,14 @@ func (s *Server) handleCampaignList(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// lookupCampaign resolves the request's campaign like lookup does a job's; an
-// admitted campaign past the retention window answers 410, any other ID 404.
+// lookupCampaign resolves the request's campaign like lookup does a job's,
+// with the same miss rule.
 func (s *Server) lookupCampaign(r *http.Request) (*campaignState, reply) {
 	id := r.PathValue("id")
 	if c := s.campaigns[id]; c != nil {
 		return c, reply{}
 	}
-	if n, err := strconv.Atoi(strings.TrimPrefix(id, "campaign-")); err == nil && n > 0 && n <= s.campSeq && id == "campaign-"+strconv.Itoa(n) {
-		return nil, errReply(http.StatusGone,
-			fmt.Sprintf("campaign %s evicted from retention; see /results?campaign=%s or the audit log", id, id))
-	}
-	return nil, errReply(http.StatusNotFound, "no such campaign")
+	return nil, notRetained("campaign", id, s.campSeq)
 }
 
 func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {

@@ -199,8 +199,8 @@ type JobStatus struct {
 // point and submitted are fixed at admission; Server.mu guards the rest.
 type job struct {
 	id  string
-	seq int         // admission order; id is "job-<seq>"
-	req *JobRequest // nil once gone
+	seq int // admission order; id is "job-<seq>"
+	req *JobRequest
 	// class is the admission class (classHigh/Normal/Low); camp and point link
 	// a campaign child to its parent sweep (camp == nil, point == -1 for
 	// interactive jobs).
@@ -208,11 +208,8 @@ type job struct {
 	camp  *campaignState
 	point int
 
-	// row is the job's result row, written once as the job is filed. gone
-	// marks a finished job past the retention window, whose req and result
-	// are gone.
-	row  ResultRow
-	gone bool
+	// row is the job's result row, written once as the job is filed.
+	row ResultRow
 
 	state     string
 	cancelled bool               // cancel requested while still queued

@@ -1,13 +1,13 @@
 package serve_test
 
-// HTTP-level tests for the job lifecycle: the retention and result-store
-// windows at their edges, job numbering across refused campaign releases, and
-// the ordering of a finished job's row against its visible terminal state.
+// HTTP-level tests for the job lifecycle: the one retention window at its
+// edges, job numbering across refused campaign releases, and the ordering of
+// a finished job's row against its visible terminal state.
 
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,75 +15,72 @@ import (
 	"zsim/internal/serve"
 )
 
-// httpCode GETs path and returns the response status.
-func httpCode(t *testing.T, ts *httptest.Server, path string) int {
-	t.Helper()
-	resp, err := http.Get(ts.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
-// TestRetentionStoreWindows runs n quick jobs back to back and checks, for
-// each job, what GET /jobs/{id} and /jobs/{id}/result answer (200 retained,
-// 410 evicted but still in /results, 404 gone), plus the /results length and
-// the /healthz and /metrics counters at the window edges.
+// TestRetentionStoreWindows finishes a one-point campaign (its child is
+// job-1) and then four quick jobs, and checks for each job what GET
+// /jobs/{id}, GET /jobs/{id}/result and POST /jobs/{id}/cancel answer: 200,
+// 200 and 409 while it is among the newest RetainJobs finished jobs, 410 on
+// all three after that, in the body form an evicted campaign gets. A number
+// never issued answers 404 on all three. /results holds exactly the retained
+// jobs' rows, and /healthz and /metrics count the same window.
 func TestRetentionStoreWindows(t *testing.T) {
 	cases := []struct {
-		name              string
-		retain, storeSize int
-		jobs              int
-		codes             []int // per job, oldest first
-		resultJobs        []int // 1-based job ordinals in /results, newest first
-		storeEvicted      uint64
-		jobsRetained      int
-		jobsEvicted       uint64
+		name         string
+		retain       int
+		evicted      int   // the oldest this many of the five jobs are evicted
+		resultJobs   []int // 1-based job ordinals in /results, newest first
+		jobsRetained int
 	}{
-		{
-			name: "unbounded retention", retain: -1, storeSize: 2, jobs: 4,
-			codes:      []int{200, 200, 200, 200},
-			resultJobs: []int{4, 3}, storeEvicted: 2, jobsRetained: 4, jobsEvicted: 0,
-		},
-		{
-			name: "retention wider than store", retain: 3, storeSize: 2, jobs: 5,
-			codes:      []int{404, 404, 200, 200, 200},
-			resultJobs: []int{5, 4}, storeEvicted: 3, jobsRetained: 3, jobsEvicted: 2,
-		},
-		{
-			name: "store wider than retention", retain: 2, storeSize: 3, jobs: 5,
-			codes:      []int{404, 404, 410, 200, 200},
-			resultJobs: []int{5, 4, 3}, storeEvicted: 2, jobsRetained: 2, jobsEvicted: 3,
-		},
+		{name: "unbounded retention", retain: -1, evicted: 0, resultJobs: []int{5, 4, 3, 2, 1}, jobsRetained: 5},
+		{name: "bounded retention", retain: 2, evicted: 3, resultJobs: []int{5, 4}, jobsRetained: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts := newTestServer(t, serve.Options{Workers: 1, RetainJobs: tc.retain, StoreSize: tc.storeSize})
-			var ids []string
-			for i := 0; i < tc.jobs; i++ {
+			_, ts := newTestServer(t, serve.Options{Workers: 1, RetainJobs: tc.retain})
+			base := campaignBase()
+			base.Workloads[0].Blocks = 20
+			camp := submitCampaign(t, ts, &serve.CampaignRequest{Base: base, Axes: campaign.Axes{Seeds: []uint64{1}}})
+			if fin := waitCampaign(t, ts, camp.ID, time.Minute); fin.State != "done" {
+				t.Fatalf("campaign %s ended %+v", camp.ID, fin)
+			}
+			ids := []string{"job-1"}
+			for len(ids) < 5 {
 				st := submit(t, ts, quickJob())
 				if fin := waitState(t, ts, st.ID, terminal); fin.State != serve.StateSucceeded {
 					t.Fatalf("job %s ended %q (%s)", st.ID, fin.State, fin.Error)
 				}
 				ids = append(ids, st.ID)
 			}
-			// Every row is filed once the last job is seen terminal.
-			deadline := time.Now().Add(10 * time.Second)
-			for scrapeMetrics(t, ts)["zsimd_results_total"] != float64(tc.jobs) {
-				if time.Now().After(deadline) {
-					t.Fatalf("results_total never reached %d", tc.jobs)
-				}
-				time.Sleep(time.Millisecond)
+			if ids[4] != "job-5" {
+				t.Fatalf("job IDs %v, want job-1 … job-5", ids)
 			}
 
+			probe := func(id string) [3]int {
+				status, _ := rawGet(t, ts.URL+"/jobs/"+id)
+				result, _ := rawGet(t, ts.URL+"/jobs/"+id+"/result")
+				resp := postJSON(t, ts.URL+"/jobs/"+id+"/cancel", nil)
+				resp.Body.Close()
+				return [3]int{status, result, resp.StatusCode}
+			}
 			for i, id := range ids {
-				for _, path := range []string{"/jobs/" + id, "/jobs/" + id + "/result"} {
-					if got := httpCode(t, ts, path); got != tc.codes[i] {
-						t.Errorf("GET %s: HTTP %d, want %d", path, got, tc.codes[i])
+				want := [3]int{200, 200, 409}
+				if i < tc.evicted {
+					want = [3]int{410, 410, 410}
+					if _, body := rawGet(t, ts.URL+"/jobs/"+id); !strings.Contains(string(body),
+						"job "+id+" is no longer retained; its records are in the audit log") {
+						t.Errorf("GET /jobs/%s: 410 body %s is not the evicted-campaign form", id, body)
 					}
 				}
+				if got := probe(id); got != want {
+					t.Errorf("%s: status/result/cancel answer %v, want %v", id, got, want)
+				}
 			}
+			if got := probe("job-99"); got != [3]int{404, 404, 404} {
+				t.Errorf("job-99: status/result/cancel answer %v, want 404 on all three", got)
+			}
+			if code, _ := rawGet(t, ts.URL+"/campaigns/"+camp.ID); code != http.StatusOK {
+				t.Errorf("GET /campaigns/%s: HTTP %d, want 200 (retained)", camp.ID, code)
+			}
+
 			rows := getResults(t, ts, "")
 			if len(rows) != len(tc.resultJobs) {
 				t.Fatalf("/results has %d rows, want %d", len(rows), len(tc.resultJobs))
@@ -95,21 +92,16 @@ func TestRetentionStoreWindows(t *testing.T) {
 			}
 
 			h := getHealth(t, ts)
-			if h.StoreRows != len(tc.resultJobs) || h.StoreEvicted != tc.storeEvicted ||
-				h.JobsRetained != tc.jobsRetained || h.JobsEvicted != tc.jobsEvicted {
-				t.Errorf("healthz: rows %d evicted %d / jobs retained %d evicted %d, want %d %d / %d %d",
-					h.StoreRows, h.StoreEvicted, h.JobsRetained, h.JobsEvicted,
-					len(tc.resultJobs), tc.storeEvicted, tc.jobsRetained, tc.jobsEvicted)
+			if h.JobsRetained != tc.jobsRetained || h.JobsEvicted != uint64(tc.evicted) {
+				t.Errorf("healthz: jobs retained %d evicted %d, want %d %d",
+					h.JobsRetained, h.JobsEvicted, tc.jobsRetained, tc.evicted)
 			}
 			m := scrapeMetrics(t, ts)
-			if got, want := m["zsimd_results_total"], sumByPrefix(m, "zsimd_jobs_total{"); got != want {
-				t.Errorf("zsimd_results_total = %v, Σ zsimd_jobs_total = %v", got, want)
+			if got, want := m["zsimd_results_total"], sumByPrefix(m, "zsimd_jobs_total{"); got != 5 || want != 5 {
+				t.Errorf("zsimd_results_total = %v, Σ zsimd_jobs_total = %v, want 5", got, want)
 			}
-			if m["zsimd_store_rows"] != float64(h.StoreRows) ||
-				m["zsimd_store_evictions_total"] != float64(h.StoreEvicted) ||
-				m["zsimd_jobs_evicted_total"] != float64(h.JobsEvicted) {
-				t.Errorf("metrics disagree with healthz: rows %v evictions %v jobs evicted %v",
-					m["zsimd_store_rows"], m["zsimd_store_evictions_total"], m["zsimd_jobs_evicted_total"])
+			if m["zsimd_jobs_evicted_total"] != float64(h.JobsEvicted) {
+				t.Errorf("zsimd_jobs_evicted_total = %v, healthz jobsEvicted = %d", m["zsimd_jobs_evicted_total"], h.JobsEvicted)
 			}
 		})
 	}

@@ -125,7 +125,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // writeMetrics renders the exposition; callers hold s.mu.
 func (s *Server) writeMetrics(pw *telemetry.PromWriter) {
 	m := &s.metrics
-	storeRows, storeEvicted, _, jobsEvicted := s.windows()
+	_, jobsEvicted := s.retention()
 	ps := s.pool.stats()
 	campStates := map[string]int{StateRunning: len(s.active)}
 	for _, c := range s.retired {
@@ -159,22 +159,18 @@ func (s *Server) writeMetrics(pw *telemetry.PromWriter) {
 	}
 	pw.Family("zsimd_cancels_total", "counter", "Accepted cancellation requests.")
 	pw.UintSample("zsimd_cancels_total", nil, m.cancels)
-	pw.Family("zsimd_jobs_evicted_total", "counter", "Terminal jobs evicted from retention (archived in store/audit).")
+	pw.Family("zsimd_jobs_evicted_total", "counter", "Finished jobs evicted from retention (their finish records stay in the audit log).")
 	pw.UintSample("zsimd_jobs_evicted_total", nil, jobsEvicted)
 
-	// Campaign and result-store metrics.
+	// Campaign and result metrics.
 	pw.Family("zsimd_campaigns", "gauge", "Campaigns by lifecycle state.")
 	for _, st := range []string{"cancelled", "done", "running"} {
 		pw.UintSample("zsimd_campaigns", []telemetry.Label{{Name: "state", Value: st}}, uint64(campStates[st]))
 	}
 	pw.Family("zsimd_campaign_points_done_total", "counter", "Campaign points finished across all campaigns.")
 	pw.UintSample("zsimd_campaign_points_done_total", nil, m.campaignPoints)
-	pw.Family("zsimd_results_total", "counter", "Result rows filed into the store.")
+	pw.Family("zsimd_results_total", "counter", "Result rows filed, one per finished job.")
 	pw.UintSample("zsimd_results_total", nil, s.doneTotal)
-	pw.Family("zsimd_store_rows", "gauge", "Result rows currently retained in the store ring.")
-	pw.UintSample("zsimd_store_rows", nil, uint64(storeRows))
-	pw.Family("zsimd_store_evictions_total", "counter", "Result rows evicted from the store ring (audit log keeps them).")
-	pw.UintSample("zsimd_store_evictions_total", nil, storeEvicted)
 
 	pw.Family("zsimd_job_latency_seconds", "histogram", "Job wall time from start to finish, by outcome and config shape.")
 	keys := slices.SortedFunc(maps.Keys(m.latency), func(a, b latencyKey) int {

@@ -352,7 +352,8 @@ func TestShedAuditCarriesJobID(t *testing.T) {
 	}
 
 	// The shed submission must have been audited with the job id the client
-	// saw in the 503 body.
+	// saw in the 503 body; that id took a number, so it answers 410 like any
+	// job no longer retained.
 	foundShed := false
 	for _, line := range strings.Split(audit.String(), "\n") {
 		if line == "" {
@@ -369,6 +370,9 @@ func TestShedAuditCarriesJobID(t *testing.T) {
 			foundShed = true
 			if rec.Job == "" {
 				t.Errorf("shed audit record has no job id: %s", line)
+			}
+			if code, body := rawGet(t, ts.URL+"/jobs/"+rec.Job); code != http.StatusGone {
+				t.Errorf("GET /jobs/%s of a shed job: HTTP %d %s, want 410", rec.Job, code, body)
 			}
 		}
 	}

@@ -40,8 +40,6 @@ type healthSnap struct {
 		HitRate   float64 `json:"hitRate"`
 	} `json:"pool"`
 	Campaigns    int    `json:"campaigns"`
-	StoreRows    int    `json:"storeRows"`
-	StoreEvicted uint64 `json:"storeEvicted"`
 	JobsRetained int    `json:"jobsRetained"`
 	JobsEvicted  uint64 `json:"jobsEvicted"`
 }
@@ -75,11 +73,13 @@ func getResults(t *testing.T, ts *httptest.Server, query string) []serve.ResultR
 	return rows
 }
 
-// TestJobRetentionEviction: terminal jobs beyond RetainJobs are evicted from
-// GET /jobs/{id} with 410 Gone pointing at /results; their compact rows stay
-// queryable and /healthz accounts for the eviction.
+// TestJobRetentionEviction: terminal jobs beyond RetainJobs leave GET
+// /jobs/{id}, which answers 410 Gone pointing at the audit log, and /results;
+// each job's one "finish" audit record keeps its row; /healthz accounts for
+// the eviction.
 func TestJobRetentionEviction(t *testing.T) {
-	_, ts := newTestServer(t, serve.Options{Workers: 1, RetainJobs: 2})
+	audit := &lockedBuffer{}
+	s, ts := newTestServer(t, serve.Options{Workers: 1, RetainJobs: 2, Audit: audit})
 
 	var ids []string
 	for i := 0; i < 5; i++ {
@@ -102,8 +102,8 @@ func TestJobRetentionEviction(t *testing.T) {
 		if resp.StatusCode != http.StatusGone {
 			t.Fatalf("GET %s: HTTP %d, want 410", url, resp.StatusCode)
 		}
-		if !strings.Contains(body.String(), "evicted") || !strings.Contains(body.String(), "/results") {
-			t.Fatalf("410 body should point at the result store: %s", body)
+		if !strings.Contains(body.String(), "no longer retained") || !strings.Contains(body.String(), "audit log") {
+			t.Fatalf("410 body should point at the audit log: %s", body)
 		}
 	}
 	// Recent jobs stay fully addressable.
@@ -120,10 +120,9 @@ func TestJobRetentionEviction(t *testing.T) {
 		t.Fatalf("unknown job: HTTP %d, want 404", resp.StatusCode)
 	}
 
-	// The evicted job's row survives in the result store.
-	rows := getResults(t, ts, "?job="+ids[0])
-	if len(rows) != 1 || rows[0].Job != ids[0] || rows[0].Outcome != serve.StateSucceeded {
-		t.Fatalf("evicted job's result row: %+v", rows)
+	// The evicted job's row has left /results with it.
+	if rows := getResults(t, ts, "?job="+ids[0]); len(rows) != 0 {
+		t.Fatalf("evicted job's result row still in /results: %+v", rows)
 	}
 
 	// Listings and health reflect the retention bound.
@@ -137,8 +136,18 @@ func TestJobRetentionEviction(t *testing.T) {
 		t.Fatalf("GET /jobs lists %d jobs, want the 2 retained", len(list))
 	}
 	h := getHealth(t, ts)
-	if h.JobsRetained != 2 || h.JobsEvicted != 3 || h.StoreRows != 5 {
+	if h.JobsRetained != 2 || h.JobsEvicted != 3 {
 		t.Fatalf("health retention counters: %+v", h)
+	}
+
+	// The audit log keeps every job's row, the evicted ones' included, on its
+	// one terminal record.
+	s.Shutdown(time.Second) // flushes the audit log
+	rows := finishRows(t, audit.String())
+	for _, id := range ids {
+		if r, ok := rows[id]; !ok || r.Job != id || r.Outcome != serve.StateSucceeded || r.Instructions == 0 {
+			t.Fatalf("%s: finish record row %+v (present %v)", id, r, ok)
+		}
 	}
 }
 
@@ -339,6 +348,35 @@ func rawGet(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
+// finishRows returns the result row of each job's terminal "finish" audit
+// record by job ID. It fails the test if a job has more than one, if one
+// carries no row, or if the log still holds a separate "result" event.
+func finishRows(t *testing.T, audit string) map[string]serve.ResultRow {
+	t.Helper()
+	rows := map[string]serve.ResultRow{}
+	sc := bufio.NewScanner(strings.NewReader(audit))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var rec struct {
+			Event, Job string
+			Result     *serve.ResultRow
+		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatalf("bad audit line %q: %v", sc.Text(), err)
+		}
+		switch rec.Event {
+		case "result":
+			t.Fatalf("separate result record: %s", sc.Text())
+		case "finish":
+			if _, dup := rows[rec.Job]; dup || rec.Result == nil {
+				t.Fatalf("%s: second finish record, or one without a row: %s", rec.Job, sc.Text())
+			}
+			rows[rec.Job] = *rec.Result
+		}
+	}
+	return rows
+}
+
 // campaignRecords indexes the "campaign" audit records by campaign ID: the
 // details of the terminal ones (state done or cancelled), and the states of
 // the others after the submission record.
@@ -457,9 +495,9 @@ func TestCampaignOneTerminalRecord(t *testing.T) {
 
 // TestCampaignRetentionEviction: finished campaigns share the jobs' retention
 // bound. The newest RetainJobs stay addressable with the status of their
-// finish edge; an older one answers 410 pointing at /results while its rows
-// stay there; an ID never admitted answers 404; a finished campaign refuses a
-// second cancel with 409.
+// finish edge; an older one answers 410 pointing at the audit log, where its
+// terminal record and its children's rows stay; an ID never admitted answers
+// 404; a finished campaign refuses a second cancel with 409.
 func TestCampaignRetentionEviction(t *testing.T) {
 	audit := &lockedBuffer{}
 	s, ts := newTestServer(t, serve.Options{Workers: 1, RetainJobs: 2, Audit: audit})
@@ -485,12 +523,10 @@ func TestCampaignRetentionEviction(t *testing.T) {
 			return resp.StatusCode, body
 		},
 	} {
-		if code, body := probe(); code != http.StatusGone || !bytes.Contains(body, []byte("/results?campaign="+evicted)) {
-			t.Fatalf("evicted campaign: HTTP %d %s, want 410 naming /results?campaign=%s", code, body, evicted)
+		if code, body := probe(); code != http.StatusGone ||
+			!bytes.Contains(body, []byte("campaign "+evicted+" is no longer retained; its records are in the audit log")) {
+			t.Fatalf("evicted campaign: HTTP %d %s, want 410 naming the audit log", code, body)
 		}
-	}
-	if rows := getResults(t, ts, "?campaign="+evicted); len(rows) != 2 {
-		t.Fatalf("evicted campaign's result rows: %d, want 2", len(rows))
 	}
 	for _, probe := range []func() int{
 		func() int { code, _ := rawGet(t, ts.URL+"/campaigns/campaign-999"); return code },
@@ -538,5 +574,14 @@ func TestCampaignRetentionEviction(t *testing.T) {
 	}
 	if len(terminal[evicted]) != 1 {
 		t.Fatalf("evicted campaign's terminal records: %q", terminal[evicted])
+	}
+	children := 0
+	for _, r := range finishRows(t, audit.String()) {
+		if r.Campaign == evicted {
+			children++
+		}
+	}
+	if children != 2 {
+		t.Fatalf("evicted campaign's rows in the audit log: %d, want 2", children)
 	}
 }

@@ -7,11 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/pprof"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -48,14 +50,12 @@ type Options struct {
 	// memory freed. 0 disables expiry (long-lived daemons then pin memory for
 	// every shape they ever pooled).
 	PoolIdleExpiry time.Duration
-	// RetainJobs bounds how many terminal jobs, and how many finished
-	// campaigns, stay addressable by ID (default 1024; negative = unlimited).
-	// Older ones are evicted (410): their rows remain queryable in the result
-	// store and the audit log keeps the full history.
+	// RetainJobs bounds how many finished jobs, and how many finished
+	// campaigns, stay addressable by ID (default 1024; negative = unlimited):
+	// a retained job keeps its status, full result and GET /results row.
+	// Older ones are evicted and answer 410; the audit log keeps their
+	// terminal records.
 	RetainJobs int
-	// StoreSize bounds the result store: GET /results serves the rows of the
-	// newest StoreSize finished jobs (default 4096).
-	StoreSize int
 	// MaxCampaignPoints bounds a single campaign expansion (default
 	// campaign.DefaultMaxPoints).
 	MaxCampaignPoints int
@@ -114,9 +114,6 @@ func New(opts Options) *Server {
 		opts.QueueDepth = 16
 	}
 	opts.RetainJobs = cmp.Or(opts.RetainJobs, 1024)
-	if opts.StoreSize <= 0 {
-		opts.StoreSize = 4096
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
@@ -292,31 +289,31 @@ func (s *Server) admit(req *JobRequest, class int, camp *campaignState, point in
 }
 
 // lookup resolves the request's job; callers hold s.mu. When there is none to
-// serve it returns nil and the answer: 410 for a job past the retention
-// window (its row survives in /results and the audit log), 404 for an ID
-// never admitted or already out of the finished-job record.
+// serve it returns nil and the answer of notRetained.
 func (s *Server) lookup(r *http.Request) (*job, reply) {
 	id := r.PathValue("id")
-	switch j := s.jobs[id]; {
-	case j == nil:
-		return nil, errReply(http.StatusNotFound, "no such job")
-	case j.gone:
-		return nil, errReply(http.StatusGone,
-			fmt.Sprintf("job %s evicted from retention; see /results?job=%s or the audit log", id, id))
-	default:
+	if j := s.jobs[id]; j != nil {
 		return j, reply{}
 	}
+	return nil, notRetained("job", id, s.seq)
+}
+
+// notRetained is the one miss rule for jobs and campaigns: an ID the server
+// issued ("<kind>-N" with 0 < N <= last), whose record has left retention or
+// was never kept (a shed job), answers 410 pointing at the audit log; any
+// other ID answers 404. The number is parsed from the ID, so no tombstone is
+// kept.
+func notRetained(kind, id string, last int) reply {
+	prefix := kind + "-"
+	if n, err := strconv.Atoi(strings.TrimPrefix(id, prefix)); err == nil && n > 0 && n <= last && id == prefix+strconv.Itoa(n) {
+		return errReply(http.StatusGone, fmt.Sprintf("%s %s is no longer retained; its records are in the audit log", kind, id))
+	}
+	return errReply(http.StatusNotFound, "no such "+kind)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, func() reply {
-		jobs := make([]*job, 0, len(s.jobs))
-		for _, j := range s.jobs {
-			if !j.gone {
-				jobs = append(jobs, j)
-			}
-		}
-		slices.SortFunc(jobs, func(a, b *job) int { return a.seq - b.seq })
+		jobs := slices.SortedFunc(maps.Values(s.jobs), func(a, b *job) int { return a.seq - b.seq })
 		out := make([]JobStatus, len(jobs))
 		for i, j := range jobs {
 			out[i] = j.status()
@@ -366,7 +363,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthBody is the /healthz payload: liveness, uptime, queue and worker
-// occupancy, warm-pool counters, result-store occupancy and job retention.
+// occupancy, warm-pool counters and job retention.
 type healthBody struct {
 	Status        string    `json:"status"`
 	Uptime        string    `json:"uptime"`
@@ -376,15 +373,13 @@ type healthBody struct {
 	Workers       int       `json:"workers"`
 	Pool          poolStats `json:"pool"`
 	Campaigns     int       `json:"campaigns"`
-	StoreRows     int       `json:"storeRows"`
-	StoreEvicted  uint64    `json:"storeEvicted"`
 	JobsRetained  int       `json:"jobsRetained"`
 	JobsEvicted   uint64    `json:"jobsEvicted"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, func() reply {
-		rows, storeEvicted, retained, evicted := s.windows()
+		retained, evicted := s.retention()
 		return reply{code: http.StatusOK, body: healthBody{
 			Status:        "ok",
 			Uptime:        time.Since(s.metrics.start).Round(time.Millisecond).String(),
@@ -394,8 +389,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			Workers:       s.opts.Workers,
 			Pool:          s.pool.stats(),
 			Campaigns:     len(s.campaigns),
-			StoreRows:     rows,
-			StoreEvicted:  storeEvicted,
 			JobsRetained:  retained,
 			JobsEvicted:   evicted,
 		}}
@@ -518,10 +511,11 @@ func (s *Server) runJob(j *job) {
 // finish is the one exit of every job a worker takes, whether it ran or was
 // cancelled while queued. In one critical section it counts the metrics,
 // files the job into done with its result row, publishes the terminal state,
-// writes the finish and result audit records, folds a campaign child into its
-// campaign and releases follow-on campaign work; so a client that has seen
-// the job finish also finds it in /metrics and /results, and every scrape
-// counts it everywhere or nowhere. It flushes the audit log after unlocking.
+// writes the job's one terminal audit record ("finish", carrying the row),
+// folds a campaign child into its campaign and releases follow-on campaign
+// work; so a client that has seen the job finish also finds it in /metrics
+// and /results, and every scrape counts it everywhere or nowhere. It flushes
+// the audit log after unlocking.
 func (s *Server) finish(j *job, state string, result *JobResult, shape uint64, dur time.Duration) {
 	started := !j.started.IsZero() // written by this worker in runJob
 	now := time.Now().UTC()
@@ -554,8 +548,7 @@ func (s *Server) finish(j *job, state string, result *JobResult, shape uint64, d
 	j.row = row
 	s.file(j)
 	j.state, j.finished, j.cancel, j.result = state, now, nil, result
-	s.audit.record("finish", j.id, state, detail)
-	s.audit.write(auditRecord{Event: "result", Job: j.id, State: state, Result: &j.row})
+	s.audit.write(auditRecord{Event: "finish", Job: j.id, State: state, Detail: detail, Result: &j.row})
 	if j.camp != nil {
 		s.campaignChildDone(j)
 	}
@@ -740,7 +733,7 @@ func (s *Server) Shutdown(grace time.Duration) {
 	s.mu.Lock()
 	pooled := s.pool.close()
 	s.drainCampaigns()
-	_, _, retained, _ := s.windows()
+	retained, _ := s.retention()
 	s.mu.Unlock()
 	closeAll(pooled)
 	s.audit.record("drained", "", "", strconv.Itoa(retained))

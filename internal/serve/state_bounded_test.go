@@ -2,9 +2,9 @@ package serve
 
 // Soak gate for zsimd's memory: a long stream of short jobs and campaigns
 // through one server must leave every piece of its state bounded by its
-// option (finished jobs and campaigns by RetainJobs/StoreSize, the pool by
+// option (finished jobs and campaigns by RetainJobs, the pool by
 // PoolSize, latency series by their cardinality cap), and the live heap flat
-// once the windows have filled.
+// once the retention window has filled.
 
 import (
 	"bytes"
@@ -49,7 +49,7 @@ func TestServeStateBounded(t *testing.T) {
 	if testing.Short() {
 		n = warmup
 	}
-	s := New(Options{Workers: 2, QueueDepth: 16, RetainJobs: retain, StoreSize: retain, PoolSize: poolSize})
+	s := New(Options{Workers: 2, QueueDepth: 16, RetainJobs: retain, PoolSize: poolSize})
 	defer s.Shutdown(time.Second)
 
 	job := JobRequest{Workloads: []WorkloadSpec{{Name: "blackscholes", Threads: 1, Blocks: 2}}, HostThreads: 1}
@@ -85,8 +85,8 @@ func TestServeStateBounded(t *testing.T) {
 		if len(s.campaigns) > retain+len(s.active) {
 			t.Errorf("round %d %s: %d campaigns addressable, retain %d + %d active", round, where, len(s.campaigns), retain, len(s.active))
 		}
-		if len(s.jobs) > retain+live {
-			t.Errorf("round %d %s: %d jobs addressable, ring %d + %d live", round, where, len(s.jobs), retain, live)
+		if len(s.jobs) > retain+live || len(s.done) > retain {
+			t.Errorf("round %d %s: %d jobs addressable, %d in the ring, retain %d + %d live", round, where, len(s.jobs), len(s.done), retain, live)
 		}
 		if len(s.metrics.latency) > maxLatencySeries+1 {
 			t.Errorf("round %d %s: %d latency series", round, where, len(s.metrics.latency))

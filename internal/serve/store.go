@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// ResultRow is one finished job's row in the result store: the compact,
-// indexed slice of the job result that campaign queries and scaling analyses
-// need, without the full metrics tree. Every row is also appended to the JSONL
-// audit stream (event "result"), which is the store's durable archive — in
-// memory, GET /results serves the rows of the newest StoreSize finished jobs.
+// ResultRow is one finished job's row: the compact, indexed slice of the job
+// result that campaign queries and scaling analyses need, without the full
+// metrics tree. The job's terminal "finish" audit record carries it, so the
+// JSONL audit stream is the durable archive; in memory, GET /results serves
+// the rows of the newest RetainJobs finished jobs.
 type ResultRow struct {
 	Job      string `json:"job"`
 	Campaign string `json:"campaign,omitempty"`
@@ -39,41 +39,30 @@ type resultFilter struct {
 	limit    int
 }
 
-// file appends a just-finished job to done, the one record of finished jobs,
-// and applies both windows to it. The job that falls out of the newest
-// RetainJobs drops its request and full result and from then on answers 410;
-// the job that falls out of the ring leaves the jobs map and answers 404. The
-// ring holds max(StoreSize, RetainJobs) jobs, or every job when RetainJobs is
-// negative. Callers hold s.mu and have set j.row.
+// file appends a just-finished job to done, the one record of finished jobs.
+// Past the newest RetainJobs (negative = unlimited) the oldest job leaves done
+// and the jobs map; from then on its ID answers 410. Callers hold s.mu and
+// have set j.row.
 func (s *Server) file(j *job) {
 	s.done = append(s.done, j)
 	s.doneTotal++
-	retain := s.opts.RetainJobs
-	if retain < 0 {
-		return
-	}
-	if n := len(s.done); n > retain {
-		old := s.done[n-1-retain]
-		old.gone, old.req, old.result = true, nil, nil
-	}
-	if len(s.done) > max(s.opts.StoreSize, retain) {
+	if retain := s.opts.RetainJobs; retain >= 0 && len(s.done) > retain {
 		delete(s.jobs, s.done[0].id)
 		s.done[0] = nil
 		s.done = s.done[1:]
 	}
 }
 
-// results returns the rows of the newest StoreSize finished jobs that match
-// f, newest first, up to the filter's limit (default 100).
+// results returns the rows of the retained finished jobs that match f, newest
+// first, up to the filter's limit (default 100).
 func (s *Server) results(f resultFilter) []ResultRow {
 	if f.limit <= 0 {
 		f.limit = 100
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	oldest := max(0, len(s.done)-s.opts.StoreSize)
-	out := make([]ResultRow, 0, min(f.limit, len(s.done)-oldest))
-	for i := len(s.done) - 1; i >= oldest && len(out) < f.limit; i-- {
+	out := make([]ResultRow, 0, min(f.limit, len(s.done)))
+	for i := len(s.done) - 1; i >= 0 && len(out) < f.limit; i-- {
 		row := &s.done[i].row
 		if (f.campaign != "" && row.Campaign != f.campaign) ||
 			(f.shape != "" && row.Shape != f.shape) ||
@@ -86,19 +75,11 @@ func (s *Server) results(f resultFilter) []ResultRow {
 	return out
 }
 
-// windows derives the store and retention counters of /healthz and /metrics
-// from done; callers hold s.mu. jobsRetained counts the addressable jobs
-// (live ones included), the evicted counts every finished job that has left
-// the respective window.
-func (s *Server) windows() (storeRows int, storeEvicted uint64, jobsRetained int, jobsEvicted uint64) {
-	storeRows = min(len(s.done), s.opts.StoreSize)
-	storeEvicted = s.doneTotal - uint64(storeRows)
-	jobsRetained = len(s.jobs)
-	if retain := s.opts.RetainJobs; retain >= 0 {
-		jobsRetained -= max(0, len(s.done)-retain)
-		jobsEvicted = s.doneTotal - uint64(min(len(s.done), retain))
-	}
-	return storeRows, storeEvicted, jobsRetained, jobsEvicted
+// retention derives the retention counters of /healthz and /metrics; callers
+// hold s.mu. jobsRetained counts the addressable jobs (live ones included),
+// jobsEvicted every finished job that has left done.
+func (s *Server) retention() (jobsRetained int, jobsEvicted uint64) {
+	return len(s.jobs), s.doneTotal - uint64(len(s.done))
 }
 
 // handleResults serves GET /results: the queryable view over recent finished

@@ -1,8 +1,8 @@
 package serve
 
-// Internal tests for the finished-job record: newest-first queries, the store
-// and retention windows over the ring (with the 410/404 split they back), and
-// the /results filters.
+// Internal tests for the finished-job record: newest-first queries, the one
+// retention window over the ring (with the 410/404 split it backs), and the
+// /results filters.
 
 import (
 	"fmt"
@@ -23,8 +23,8 @@ func row(i int, campaign, outcome string) ResultRow {
 	}
 }
 
-// storeServer builds an idle server and files one finished job per row, the
-// way finish does.
+// storeServer builds an idle server and admits and files one finished job per
+// row, the way admit and finish do; the i-th row's job takes number i+1.
 func storeServer(t *testing.T, opts Options, rows ...ResultRow) *Server {
 	t.Helper()
 	s := New(opts)
@@ -34,6 +34,7 @@ func storeServer(t *testing.T, opts Options, rows ...ResultRow) *Server {
 	for i, r := range rows {
 		j := &job{id: r.Job, seq: i + 1, point: -1, req: &JobRequest{}, state: r.Outcome, result: &JobResult{}}
 		j.row = r
+		s.seq = j.seq
 		s.jobs[j.id] = j
 		s.file(j)
 	}
@@ -48,37 +49,36 @@ func getCode(s *Server, path string) int {
 
 func TestStoreNewestFirst(t *testing.T) {
 	var rows []ResultRow
-	for i := 0; i < 5; i++ {
+	for i := 1; i <= 5; i++ {
 		rows = append(rows, row(i, "", "succeeded"))
 	}
-	s := storeServer(t, Options{StoreSize: 10}, rows...)
+	s := storeServer(t, Options{RetainJobs: 10}, rows...)
 	got := s.results(resultFilter{})
 	if len(got) != 5 {
 		t.Fatalf("got %d rows", len(got))
 	}
 	for i, r := range got {
-		want := fmt.Sprintf("job-%d", 4-i)
+		want := fmt.Sprintf("job-%d", 5-i)
 		if r.Job != want {
 			t.Fatalf("row %d = %s, want %s", i, r.Job, want)
 		}
 	}
 }
 
-// TestStoreRingEviction: past StoreSize the oldest rows leave /results and
-// their jobs answer 404; inside it, jobs past RetainJobs answer 410 and the
-// newest RetainJobs stay fully addressable.
+// TestStoreRingEviction: past RetainJobs the oldest jobs leave /results and
+// the jobs map and answer 410; the newest RetainJobs stay fully addressable;
+// an ID never issued answers 404.
 func TestStoreRingEviction(t *testing.T) {
 	var rows []ResultRow
-	for i := 0; i < 10; i++ {
+	for i := 1; i <= 10; i++ {
 		rows = append(rows, row(i, "", "succeeded"))
 	}
-	s := storeServer(t, Options{StoreSize: 4, RetainJobs: 2}, rows...)
+	s := storeServer(t, Options{RetainJobs: 4}, rows...)
 	s.mu.Lock()
-	storeRows, storeEvicted, retained, jobsEvicted := s.windows()
+	retained, evicted := s.retention()
 	s.mu.Unlock()
-	if storeRows != 4 || storeEvicted != 6 || retained != 2 || jobsEvicted != 8 {
-		t.Fatalf("windows = %d rows / %d evicted, %d jobs retained / %d evicted, want 4 / 6, 2 / 8",
-			storeRows, storeEvicted, retained, jobsEvicted)
+	if retained != 4 || evicted != 6 {
+		t.Fatalf("retention = %d jobs retained / %d evicted, want 4 / 6", retained, evicted)
 	}
 	got := s.results(resultFilter{})
 	if len(got) != 4 {
@@ -86,12 +86,12 @@ func TestStoreRingEviction(t *testing.T) {
 	}
 	// Only the 4 newest survive, newest first.
 	for i, r := range got {
-		want := fmt.Sprintf("job-%d", 9-i)
+		want := fmt.Sprintf("job-%d", 10-i)
 		if r.Job != want {
 			t.Fatalf("row %d = %s, want %s", i, r.Job, want)
 		}
 	}
-	for id, want := range map[string]int{"job-3": 404, "job-6": 410, "job-7": 410, "job-8": 200, "job-9": 200} {
+	for id, want := range map[string]int{"job-0": 404, "job-1": 410, "job-6": 410, "job-7": 200, "job-10": 200, "job-11": 404} {
 		if code := getCode(s, "/jobs/"+id+"/result"); code != want {
 			t.Fatalf("GET /jobs/%s/result: HTTP %d, want %d", id, code, want)
 		}
@@ -111,7 +111,7 @@ func TestStoreFilters(t *testing.T) {
 		}
 		rows = append(rows, row(i, camp, outcome))
 	}
-	s := storeServer(t, Options{StoreSize: 100}, rows...)
+	s := storeServer(t, Options{}, rows...)
 	if got := s.results(resultFilter{campaign: "campaign-1"}); len(got) != 10 {
 		t.Fatalf("campaign filter: %d rows, want 10", len(got))
 	}
@@ -139,12 +139,12 @@ func TestStoreFilters(t *testing.T) {
 // dropped its oldest jobs.
 func TestStoreQueryAfterWrap(t *testing.T) {
 	var rows []ResultRow
-	for i := 0; i < 6; i++ {
+	for i := 1; i <= 6; i++ {
 		rows = append(rows, row(i, "", "succeeded"))
 	}
-	s := storeServer(t, Options{StoreSize: 4, RetainJobs: 4}, rows...)
+	s := storeServer(t, Options{RetainJobs: 4}, rows...)
 	got := s.results(resultFilter{limit: 2})
-	if len(got) != 2 || got[0].Job != "job-5" || got[1].Job != "job-4" {
+	if len(got) != 2 || got[0].Job != "job-6" || got[1].Job != "job-5" {
 		t.Fatalf("post-wrap order: %+v", got)
 	}
 }

@@ -6,7 +6,7 @@ import "zsim/internal/isa"
 // analogue of an instrumented native thread: the core timing model repeatedly
 // calls NextBlock and simulates the returned block.
 //
-// The DynBlock returned by NextBlock (and SpinBlock) is owned by the Thread
+// The DynBlock returned by NextBlock is owned by the Thread
 // and reused on the next call; callers must finish consuming it (including
 // its Addrs slice) before asking for another block. This mirrors how zsim's
 // instrumentation callbacks pass transient per-block state to the timing
@@ -158,14 +158,6 @@ func (t *Thread) NextBlock() *DynBlock {
 	t.sinceSyscall++
 	t.blocksLeft--
 	return t.computeBlock(SyncNone, 0)
-}
-
-// SpinBlock returns a dynamic execution of the spin-wait loop on the given
-// lock: the block whose code also serves as every sync entry sequence. The
-// simulator does not issue it (a thread waiting on a contended lock blocks in
-// the scheduler instead); it exposes that block's lock-word addressing.
-func (t *Thread) SpinBlock(lockID int) *DynBlock {
-	return t.fillLockDyn(t.w.spinDecoded, lockID, SyncNone, 0)
 }
 
 // doneBlock returns the terminal block.

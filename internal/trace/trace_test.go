@@ -248,10 +248,12 @@ func TestBarrierAndSyscallGeneration(t *testing.T) {
 	}
 }
 
+// TestSpinBlockTargetsLockWord fills the spin-wait block, whose code is also
+// every sync entry sequence, for lock 3: all its accesses go to the lock word.
 func TestSpinBlockTargetsLockWord(t *testing.T) {
 	w := New("test", DefaultParams(), 2)
 	th := w.NewThread(0)
-	b := th.SpinBlock(3)
+	b := th.fillLockDyn(th.w.spinDecoded, 3, SyncNone, 0)
 	if len(b.Addrs) == 0 {
 		t.Fatalf("spin block must access the lock word")
 	}
