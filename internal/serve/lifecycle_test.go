@@ -31,7 +31,8 @@ func TestRetentionStoreWindows(t *testing.T) {
 		jobsRetained int
 	}{
 		{name: "unbounded retention", retain: -1, evicted: 0, resultJobs: []int{5, 4, 3, 2, 1}, jobsRetained: 5},
-		{name: "bounded retention", retain: 2, evicted: 3, resultJobs: []int{5, 4}, jobsRetained: 2},
+		{name: "retention of three", retain: 3, evicted: 2, resultJobs: []int{5, 4, 3}, jobsRetained: 3},
+		{name: "retention of two", retain: 2, evicted: 3, resultJobs: []int{5, 4}, jobsRetained: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
