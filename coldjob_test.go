@@ -1,0 +1,60 @@
+package zsim
+
+import (
+	"runtime"
+	"testing"
+)
+
+// coldJobShape is the k-th of zsimd-mix's eight cold job shapes (k mod 8):
+// tiled chips of 2 to 5 tiles, each with IPC1 and with OOO cores.
+func coldJobShape(k int) *Config {
+	return TiledConfig(2+k%8/2, []string{"ipc1", "ooo"}[k%2])
+}
+
+// TestConstructionBytesBounded bounds the heap bytes New takes for the
+// 64-core OOO tiled chip. New allocated 1,710,112 B (go1.24, linux/amd64)
+// when it built every core's predictor table and OOO window; those are now
+// built on a core's first block, and New allocates 1,005,912 B. The budget
+// is that figure plus 10%.
+func TestConstructionBytesBounded(t *testing.T) {
+	const budget = 1_005_912 * 11 / 10
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		sim, err := New(TiledConfig(4, "ooo"))
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(sim)
+		least = min(least, ms.TotalAlloc-before)
+	}
+	if least > budget {
+		t.Fatalf("New(TiledConfig(4, \"ooo\")) allocates %d B; budget is %d B", least, budget)
+	}
+}
+
+// BenchmarkColdJob runs zsimd-mix's cold jobs through the facade: each op
+// builds a simulator for the next cold shape and runs fluidanimate, 2
+// threads x 25 blocks, on one host thread. It measures what a job that
+// misses the warm pool costs: construction, translation (once per process)
+// and a short run.
+func BenchmarkColdJob(b *testing.B) {
+	params, _ := LookupWorkload("fluidanimate")
+	params.BlocksPerThread = 25
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sim, err := New(coldJobShape(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim.AddWorkload("fluidanimate", params, 2)
+		sim.SetHostThreads(1)
+		sim.SetSeed(uint64(i) + 1)
+		if _, err := sim.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,16 +4,16 @@
 // into millions of small, identically-typed, never-freed allocations; the
 // arena turns each type's stream of small allocations into a handful of
 // large chunk allocations. One Arena is created per simulated system (it
-// hangs off the root stats.Registry) and feeds registry nodes, cache set
-// tables, stripe state (each stripe carries its cache's statistics) and
-// predictor tables; the zsim facade gives each workload's decoded code an
-// arena of its own.
+// hangs off the root stats.Registry) and feeds registry nodes, core objects,
+// cache set tables and stripe state (each stripe carries its cache's
+// statistics); the zsim facade gives each workload's decoded code an arena
+// of its own.
 //
 // Objects taken from an arena are never returned individually: an arena
 // lives exactly as long as the object graph built from it. Memory handed
 // out is always zeroed — chunks come fresh from the Go allocator — so
-// zero-value-initialized structures (biased branch-predictor counters,
-// Invalid cache lines, statistics counts) need no separate init pass.
+// zero-value-initialized structures (Invalid cache lines, statistics
+// counts) need no separate init pass.
 //
 // All entry points accept a nil *Arena and fall back to plain make, so
 // components remain constructible in isolation (tests, examples) without
@@ -38,8 +38,10 @@ const (
 
 // Arena is a type-segregated slab allocator that only grows.
 // It is safe for concurrent use, although construction is mostly
-// single-threaded. Lazily allocated cache ways do not take from the arena:
-// they come from the heap on the parallel bound phase's hot path.
+// single-threaded. State built on first use — cache ways, a core's
+// predictor table and OOO window — does not take from the arena: it comes
+// from the heap on the parallel bound phase's hot path, where the arena's
+// mutex would serialize the workers.
 type Arena struct {
 	mu    sync.Mutex
 	pools map[reflect.Type]any

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"zsim/internal/bpred"
 	"zsim/internal/config"
 	"zsim/internal/runctl"
 	"zsim/internal/trace"
@@ -29,24 +30,32 @@ var resetSkip = map[string]string{
 // change adds is covered without being listed.
 func TestResetMatchesFresh(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  func(*config.System)
+		name    string
+		cfg     func(*config.System)
+		threads int // 0: two more threads than cores
 	}{
-		{"ipc1-no-contention", func(c *config.System) {}},
-		{"ipc1-simple-ddr3", func(c *config.System) { c.Contention = true }},
+		{"ipc1-no-contention", func(c *config.System) {}, 0},
+		{"ipc1-simple-ddr3", func(c *config.System) { c.Contention = true }, 0},
 		{"ooo-md1-cycle-driven", func(c *config.System) {
 			c.Contention = true
 			c.CoreModel = config.CoreOOO
 			c.MemModel = config.MemMD1
 			c.WeaveMem = config.WeaveMemCycleDriven
-		}},
+		}, 0},
 		{"ipc1-mesh-noc", func(c *config.System) {
 			c.Contention = true
 			c.Network = config.NetMesh // 4 single-core tiles -> a 2x2 mesh
 			c.NetRouterStage = 1
 			c.NOCContention = true
 			c.NOCLinkBytes = 4 // 18-flit packets: ports back up under load
-		}},
+		}, 0},
+		// One thread on four cores: the cores that never ran hold no
+		// predictor table or OOO window, in the used and the fresh build.
+		{"ipc1-one-thread", func(c *config.System) { c.Contention = true }, 1},
+		{"ooo-one-thread", func(c *config.System) {
+			c.Contention = true
+			c.CoreModel = config.CoreOOO
+		}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,11 +78,24 @@ func TestResetMatchesFresh(t *testing.T) {
 			p.WorkingSet = 1 << 18
 			p.LockEvery = 16
 			p.BlockedSyscallEvery = 48
-			usedSched.AddWorkload(trace.New("reset", p, len(used.Cores)+2))
+			threads := tc.threads
+			if threads == 0 {
+				threads = len(used.Cores) + 2
+			}
+			usedSched.AddWorkload(trace.New("reset", p, threads))
 			usedSim := NewSimulator(used, usedSched, Options{HostThreads: opts.HostThreads, Seed: 3, Reusable: true})
 			defer usedSim.Close()
 			if usedSim.Run() == 0 || usedSim.Reason != runctl.ReasonNone {
 				t.Fatalf("run: reason %v", usedSim.Reason)
+			}
+			idle := 0
+			for _, c := range used.Cores {
+				if c.Instrs() == 0 {
+					idle++
+				}
+			}
+			if want := threads < len(used.Cores); (idle > 0) != want {
+				t.Fatalf("%d of %d cores never ran with %d threads", idle, len(used.Cores), threads)
 			}
 			usedSched.Reset()
 			if err := usedSim.Reset(opts); err != nil {
@@ -94,6 +116,32 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 }
 
+// The walker's nil-slice rule admits only zeroed tables: a reset predictor
+// equals one that was never used, and one non-zero counter in it is still a
+// difference, whichever side is the fresh one.
+func TestResetWalkerNilSlice(t *testing.T) {
+	walk := func(fresh, reset *bpred.TwoLevel) []string {
+		w := resetWalker{seen: map[resetVisit]bool{}}
+		w.walk("TwoLevel", reflect.ValueOf(fresh), reflect.ValueOf(reset))
+		return w.diffs
+	}
+	unused, used := new(bpred.TwoLevel), new(bpred.TwoLevel)
+	for i := uint64(0); i < 64; i++ {
+		used.PredictAndUpdate(i*4, i%3 == 0)
+	}
+	used.Reset()
+	if d := walk(unused, used); len(d) != 0 {
+		t.Fatalf("a reset predictor differs from an unused one: %v", d)
+	}
+	// A not-taken branch moves one counter and leaves the history at 0.
+	used.PredictAndUpdate(0x40, false)
+	for _, d := range [][]string{walk(unused, used), walk(used, unused)} {
+		if len(d) != 1 || !strings.HasPrefix(d[0], "TwoLevel.table[") {
+			t.Fatalf("one non-zero counter in a reset table: got diffs %v, want exactly one in the table", d)
+		}
+	}
+}
+
 type resetVisit struct {
 	a, b uintptr
 	t    reflect.Type
@@ -101,8 +149,11 @@ type resetVisit struct {
 
 // resetWalker compares two object graphs structurally. Slices compare by
 // length and elements, not capacity; a nil pointer equals a pointer to a zero
-// value (an untouched cache set is nil, a reset one points at zeroed ways);
-// funcs, chans and unsafe pointers compare by nil-ness only.
+// value (an untouched cache set is nil, a reset one points at zeroed ways),
+// and likewise a nil slice equals a slice of zero elements of any length (a
+// core that never ran has no predictor table or OOO window, a reset one has
+// them zeroed): state built on first use is absent or zero, never stale.
+// Funcs, chans and unsafe pointers compare by nil-ness only.
 type resetWalker struct {
 	seen  map[resetVisit]bool
 	diffs []string
@@ -152,6 +203,18 @@ func (w *resetWalker) walk(path string, a, b reflect.Value) {
 			w.walk(path+"."+f.Name, a.Field(i), b.Field(i))
 		}
 	case reflect.Slice, reflect.Array:
+		if a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() {
+			built := a
+			if a.IsNil() {
+				built = b
+			}
+			for i := 0; i < built.Len(); i++ {
+				if e := built.Index(i); !e.IsZero() {
+					w.differ(fmt.Sprintf("%s[%d]", path, i), "nil slice", e)
+				}
+			}
+			return
+		}
 		if a.Len() != b.Len() {
 			w.differ(path+".len", a.Len(), b.Len())
 			return

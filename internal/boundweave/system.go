@@ -62,9 +62,10 @@ type System struct {
 
 // BuildSystem constructs the simulated chip described by the configuration.
 // One construction arena, hung off the root stats registry, feeds every
-// component's bulk state (registry nodes, cache sets and stripes, predictor
-// tables), so building a 1,024-core chip performs a handful of large chunk
-// allocations instead of millions of small ones.
+// component's bulk state (registry nodes, core objects, cache sets and
+// stripes), so building a 1,024-core chip performs a handful of large chunk
+// allocations instead of millions of small ones. A core's predictor table
+// and OOO window are not built here but on its first block.
 func BuildSystem(cfg *config.System) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -12,8 +12,6 @@
 // predictions and mispredictions in their own statistics.
 package bpred
 
-import "zsim/internal/arena"
-
 // The predictor geometry: a 16K-entry counter table indexed by the branch PC
 // XORed with 12 bits of global history, packed four 2-bit counters to a byte
 // (a 4 KB table).
@@ -54,17 +52,13 @@ func (c counter2) update(taken bool) counter2 {
 // models a 2-level predictor; the exact Westmere organization is
 // undisclosed). Counter i sits in bits 2*(i%4) of table[i/4]. It is not safe
 // for concurrent use: each simulated core owns its own predictor.
+//
+// The zero value is a ready predictor. Its table comes from the heap on the
+// first prediction, so a core that never branches (on a thousand-core chip,
+// most cores of a short job) costs no table and Reset has none to clear.
 type TwoLevel struct {
 	table   []uint8
 	history uint64
-}
-
-// New creates a predictor with the table carved from the given construction
-// arena (nil falls back to the heap).
-func New(a *arena.Arena) *TwoLevel {
-	g := arena.One[TwoLevel](a)
-	g.table = arena.Take[uint8](a, entries/perByte)
-	return g
 }
 
 // PredictAndUpdate predicts the branch at pc under the current global
@@ -72,6 +66,9 @@ func New(a *arena.Arena) *TwoLevel {
 // outcome into the history register, and reports whether the prediction was
 // correct.
 func (g *TwoLevel) PredictAndUpdate(pc uint64, taken bool) bool {
+	if g.table == nil {
+		g.table = make([]uint8, entries/perByte)
+	}
 	i := ((pc >> 2) ^ g.history) & (entries - 1)
 	b := &g.table[i/perByte]
 	shift := (i % perByte) * counterBits
@@ -86,8 +83,9 @@ func (g *TwoLevel) PredictAndUpdate(pc uint64, taken bool) bool {
 	return correct
 }
 
-// Reset clears the counter table and the global history register, restoring
-// the just-constructed state (zeroed biased counters decode to weakly taken).
+// Reset clears the counter table, if it has one, and the global history
+// register. A cleared table predicts exactly as a fresh one (zeroed biased
+// counters decode to weakly taken), so the table is kept for the next run.
 func (g *TwoLevel) Reset() {
 	clear(g.table)
 	g.history = 0

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"zsim/internal/arena"
 )
 
 // mispredicts feeds n branches to p and counts the mispredictions.
@@ -42,7 +40,7 @@ func TestCounter2Saturation(t *testing.T) {
 func TestTwoLevelLearnsPattern(t *testing.T) {
 	// A branch alternating T,N,T,N defeats a PC-indexed counter (~50%
 	// mispredicted) but is learned almost perfectly through the history.
-	miss := mispredicts(New(nil), 4000, func(i int) (uint64, bool) { return 0x4000, i%2 == 0 })
+	miss := mispredicts(new(TwoLevel), 4000, func(i int) (uint64, bool) { return 0x4000, i%2 == 0 })
 	if rate := float64(miss) / 4000; rate > 0.05 {
 		t.Fatalf("two-level should learn an alternating pattern, rate=%f", rate)
 	}
@@ -51,7 +49,7 @@ func TestTwoLevelLearnsPattern(t *testing.T) {
 func TestTwoLevelBiasedBranches(t *testing.T) {
 	// 95%-taken branches should be predicted well.
 	rng := rand.New(rand.NewSource(1))
-	miss := mispredicts(New(nil), 20000, func(i int) (uint64, bool) {
+	miss := mispredicts(new(TwoLevel), 20000, func(i int) (uint64, bool) {
 		return uint64(0x1000 + (i%16)*4), rng.Float64() < 0.95
 	})
 	if rate := float64(miss) / 20000; rate > 0.15 {
@@ -59,26 +57,33 @@ func TestTwoLevelBiasedBranches(t *testing.T) {
 	}
 }
 
-// The geometry is fixed: every predictor, heap- or arena-backed, packs its
-// 16,384 counters four to a byte, and Reset restores the fresh state.
+// The geometry is fixed: a predictor has no table until its first
+// prediction, then packs its 16,384 counters four to a byte, and Reset
+// restores the fresh state.
 func TestTwoLevelConfigBounds(t *testing.T) {
 	if entries != 16384 || entries&(entries-1) != 0 {
 		t.Fatalf("entries = %d, want 16384 (a power of two: it is indexed by mask)", entries)
 	}
-	a := arena.New()
-	for _, p := range []*TwoLevel{New(nil), New(a)} {
-		if len(p.table)*4 != entries {
-			t.Fatalf("table has %d bytes holding %d counters, want %d", len(p.table), len(p.table)*4, entries)
-		}
-		mispredicts(p, 100, func(i int) (uint64, bool) { return uint64(i * 4), i%3 == 0 })
-		p.Reset()
-		if p.history != 0 {
-			t.Fatalf("Reset left history %#x", p.history)
-		}
-		for i, b := range p.table {
-			if b != 0 {
-				t.Fatalf("Reset left table byte %d = %#x", i, b)
-			}
+	p := new(TwoLevel)
+	if p.table != nil {
+		t.Fatalf("a new predictor holds a %d-byte table before its first branch", len(p.table))
+	}
+	p.Reset()
+	if p.table != nil {
+		t.Fatal("Reset of an unused predictor built a table")
+	}
+	p.PredictAndUpdate(0x400, true)
+	if len(p.table)*4 != entries {
+		t.Fatalf("table has %d bytes holding %d counters, want %d", len(p.table), len(p.table)*4, entries)
+	}
+	mispredicts(p, 100, func(i int) (uint64, bool) { return uint64(i * 4), i%3 == 0 })
+	p.Reset()
+	if p.history != 0 {
+		t.Fatalf("Reset left history %#x", p.history)
+	}
+	for i, b := range p.table {
+		if b != 0 {
+			t.Fatalf("Reset left table byte %d = %#x", i, b)
 		}
 	}
 }
@@ -90,7 +95,7 @@ func TestTwoLevelConfigBounds(t *testing.T) {
 func TestTwoLevelPackedMatchesUnpacked(t *testing.T) {
 	ref := make([]counter2, entries)
 	var refHist uint64
-	p := New(nil)
+	p := new(TwoLevel)
 	rng := rand.New(rand.NewSource(7))
 	for n := 0; n < 200000; n++ {
 		pc, taken := uint64(rng.Intn(1<<16))*4, rng.Intn(3) != 0
@@ -115,7 +120,7 @@ func TestTwoLevelPackedMatchesUnpacked(t *testing.T) {
 
 // Property: the history register never exceeds histBits bits.
 func TestTwoLevelHistoryBounded(t *testing.T) {
-	g := New(nil)
+	g := new(TwoLevel)
 	f := func(pcs []uint32, outcomes []bool) bool {
 		n := min(len(pcs), len(outcomes))
 		for i := 0; i < n; i++ {
@@ -134,7 +139,7 @@ func TestTwoLevelHistoryBounded(t *testing.T) {
 // Property: a perfectly biased branch stream (always taken) converges to at
 // most a handful of mispredictions.
 func TestConstantStreamConverges(t *testing.T) {
-	if miss := mispredicts(New(nil), 1000, func(int) (uint64, bool) { return 0xabcd, true }); miss > 5 {
+	if miss := mispredicts(new(TwoLevel), 1000, func(int) (uint64, bool) { return 0xabcd, true }); miss > 5 {
 		t.Fatalf("too many mispredictions on a constant stream: %d", miss)
 	}
 }

@@ -176,17 +176,15 @@ type IPC1 struct {
 
 	cycle     uint64
 	lastFetch uint64 // line address of the last fetched I-cache line
-	pred      *bpred.TwoLevel
+	pred      bpred.TwoLevel
 }
 
 // NewIPC1 creates a simple core. When the registry tree carries a
-// construction arena, the core object and its predictor tables are carved
-// from it.
+// construction arena, the core object is carved from it; the predictor's
+// table comes from the heap on the core's first branch.
 func NewIPC1(id int, ports MemPorts, reg *stats.Registry) *IPC1 {
-	a := reg.Arena()
-	c := arena.One[IPC1](a)
+	c := arena.One[IPC1](reg.Arena())
 	c.memUnit = memUnit{id: id, ports: ports}
-	c.pred = bpred.New(a)
 	reg.Record(&c.cnt)
 	return c
 }

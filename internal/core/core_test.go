@@ -2,12 +2,15 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"zsim/internal/arena"
 	"zsim/internal/bpred"
 	"zsim/internal/cache"
 	"zsim/internal/isa"
 	"zsim/internal/memctrl"
+	"zsim/internal/stats"
 	"zsim/internal/trace"
 )
 
@@ -452,6 +455,7 @@ func TestOOOWorkloadDriven(t *testing.T) {
 
 func TestSchedulePortRespectsBusy(t *testing.T) {
 	c := NewOOO(0, OOOWestmere(), buildHierarchy(), nil)
+	c.growScratch(1) // as a first block does: builds the port window
 	// The load port (port 2) can hold only one µop per cycle: scheduling two
 	// loads at the same earliest cycle must place them on different cycles.
 	c1, _ := c.schedulePort(isa.PortsLoad, 100)
@@ -491,7 +495,7 @@ func TestBranchStatsMatchPredictor(t *testing.T) {
 		b.Taken = rng.Intn(4) != 0
 		blocks = append(blocks, b)
 	}
-	ref := bpred.New(nil)
+	ref := new(bpred.TwoLevel)
 	var wantPred, wantMiss uint64
 	for _, b := range blocks {
 		if b.Decoded.CondBranch {
@@ -526,4 +530,46 @@ func TestBranchStatsMatchPredictor(t *testing.T) {
 			t.Fatalf("%T: replay after Reset = (%d, %d), want (%d, %d)", c, pred, miss, wantPred, wantMiss)
 		}
 	}
+}
+
+// A built core holds no predictor table and no OOO scheduling state (port
+// window, ROB, load/store queues, µop scratch) until its first block: a short
+// job on a large chip touches few cores, and the others must cost only their
+// structs, at construction and at every Reset. The first block builds the
+// state and Reset keeps it, cleared.
+func TestCoreStateBuiltOnFirstUse(t *testing.T) {
+	reg := stats.NewRegistryIn("chip", arena.New())
+	ipc1 := NewIPC1(0, buildHierarchy(), reg.ChildIdx("core", 0))
+	ooo := NewOOO(1, OOOWestmere(), buildHierarchy(), reg.ChildIdx("core", 1))
+	table := func(p *bpred.TwoLevel) int { return reflect.ValueOf(p).Elem().FieldByName("table").Len() }
+	check := func(stage string, built bool) {
+		t.Helper()
+		if got := table(&ipc1.pred) > 0; got != built {
+			t.Errorf("%s: IPC1 predictor table present = %v, want %v", stage, got, built)
+		}
+		if got := table(&ooo.pred) > 0; got != built {
+			t.Errorf("%s: OOO predictor table present = %v, want %v", stage, got, built)
+		}
+		window := map[string]int{
+			"portBusy": len(ooo.portBusy), "rob": len(ooo.rob), "loadQ": cap(ooo.loadQ),
+			"storeQ": cap(ooo.storeQ), "doneBuf": cap(ooo.doneBuf),
+		}
+		for name, n := range window {
+			if got := n > 0; got != built {
+				t.Errorf("%s: OOO %s present = %v (size %d), want %v", stage, name, got, n, built)
+			}
+		}
+	}
+	check("built", false)
+	ipc1.Reset()
+	ooo.Reset()
+	check("Reset before first use", false)
+
+	b := aluBlock(1, 4)
+	ipc1.SimulateBlock(b)
+	ooo.SimulateBlock(b)
+	check("after the first block", true)
+	ipc1.Reset()
+	ooo.Reset()
+	check("Reset after the first block", true)
 }

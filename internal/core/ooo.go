@@ -59,7 +59,7 @@ type OOO struct {
 	memUnit
 	cfg  OOOConfig
 	cnt  Counters
-	pred *bpred.TwoLevel
+	pred bpred.TwoLevel
 
 	// Per-stage clocks.
 	fetchClock  uint64
@@ -107,7 +107,11 @@ type OOO struct {
 	doneBuf []uint64
 }
 
-// NewOOO creates an out-of-order core with the given configuration.
+// NewOOO creates an out-of-order core with the given configuration. The core
+// object is carved from the registry tree's construction arena; its
+// scheduling state (port window, ROB, load/store queues, µop scratch) and
+// predictor table come from the heap on first use, so a core a run never
+// uses costs only its struct.
 func NewOOO(id int, cfg OOOConfig, ports MemPorts, reg *stats.Registry) *OOO {
 	if cfg.IssueWidth < 1 {
 		cfg.IssueWidth = 4
@@ -130,20 +134,26 @@ func NewOOO(id int, cfg OOOConfig, ports MemPorts, reg *stats.Registry) *OOO {
 	if cfg.StoreQueueSize < 1 {
 		cfg.StoreQueueSize = 32
 	}
-	a := reg.Arena()
-	c := arena.One[OOO](a)
+	c := arena.One[OOO](reg.Arena())
 	c.memUnit = memUnit{id: id, ports: ports}
 	c.cfg = cfg
-	c.pred = bpred.New(a)
-	c.portBusy = arena.Take[[isa.NumPorts]bool](a, schedWindowCycles)
-	c.rob = arena.Take[uint64](a, cfg.ROBSize)
-	// Pre-size the load/store queues and the per-block scratch so the
-	// steady-state simulation loop never grows them on the heap.
-	c.loadQ = arena.TakeCap[uint64](a, 0, cfg.LoadQueueSize)
-	c.storeQ = arena.TakeCap[storeEntry](a, 0, cfg.StoreQueueSize)
-	c.doneBuf = arena.TakeCap[uint64](a, 0, 64)
 	reg.Record(&c.cnt)
 	return c
+}
+
+// growScratch sizes the per-block µop scratch for n µops. The first call
+// also builds the core's scheduling state: every use of the port window,
+// ROB and load/store queues is a µop's, so it follows the scratch's growth
+// check and the hot path gains no test of its own. The queues and scratch
+// are pre-sized so the steady-state loop never grows them.
+func (c *OOO) growScratch(n int) {
+	if c.rob == nil {
+		c.portBusy = make([][isa.NumPorts]bool, schedWindowCycles)
+		c.rob = make([]uint64, c.cfg.ROBSize)
+		c.loadQ = make([]uint64, 0, c.cfg.LoadQueueSize)
+		c.storeQ = make([]storeEntry, 0, c.cfg.StoreQueueSize)
+	}
+	c.doneBuf = make([]uint64, 0, max(n, 64))
 }
 
 // Cycle returns the retire-stage clock (the architected completion point).
@@ -182,9 +192,10 @@ func (c *OOO) ContextSwitch() { c.lastFetchLine = ^uint64(0) }
 
 // Reset restores the just-constructed state for warm reuse: every stage
 // clock, the scoreboard, the port window, the ROB and the load/store queues
-// go back to zero, keeping their arena-backed capacity. The per-block
-// done-cycle scratch is kept as-is: every entry is written before it is read
-// within a block, so stale values can never leak into timing.
+// go back to zero, keeping their capacity; a core that never ran has none
+// of them and clears nothing. The per-block done-cycle scratch is kept
+// as-is: every entry is written before it is read within a block, so stale
+// values can never leak into timing.
 func (c *OOO) Reset() {
 	c.memUnit.reset()
 	c.cnt = Counters{}
@@ -257,12 +268,10 @@ func (c *OOO) SimulateBlock(b *trace.DynBlock) {
 	// done-cycle scratch; the architectural scoreboard is consulted only for
 	// cross-block sources and written back only from the live-out list.
 	blockIssue := c.decodeClock // µops cannot issue before the block is decoded
-	done := c.doneBuf
-	if cap(done) < len(d.Uops) {
-		done = make([]uint64, len(d.Uops))
-		c.doneBuf = done
+	if cap(c.doneBuf) < len(d.Uops) {
+		c.growScratch(len(d.Uops))
 	}
-	done = done[:len(d.Uops)]
+	done := c.doneBuf[:len(d.Uops)]
 	for i := range d.Uops {
 		u := &d.Uops[i]
 		tm := &d.Tmpl[i]
@@ -466,7 +475,7 @@ func (c *OOO) pushStore(lineAddr, dataCycle, drainCycle uint64) {
 			c.cnt.IssueStall += oldest.commitDone - c.issueClock
 			c.issueClock = oldest.commitDone
 		}
-		// Compact in place so the queue keeps its (arena-backed) capacity.
+		// Compact in place so the queue keeps its capacity.
 		copy(c.storeQ, c.storeQ[1:])
 		c.storeQ = c.storeQ[:len(c.storeQ)-1]
 	}
@@ -496,7 +505,7 @@ func (c *OOO) pushLoad(doneCycle uint64) {
 			c.cnt.IssueStall += oldest - c.issueClock
 			c.issueClock = oldest
 		}
-		// Compact in place so the queue keeps its (arena-backed) capacity.
+		// Compact in place so the queue keeps its capacity.
 		copy(c.loadQ, c.loadQ[1:])
 		c.loadQ = c.loadQ[:len(c.loadQ)-1]
 	}

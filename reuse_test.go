@@ -13,7 +13,6 @@ import (
 	"maps"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"zsim/internal/config"
@@ -439,6 +438,7 @@ type mixProc struct {
 // returns the result and the program keys the run added.
 func runMix(t *testing.T, sim *Simulator, mix []mixProc) (*Result, []programKey) {
 	t.Helper()
+	var keys []programKey
 	for i, m := range mix {
 		p := DefaultWorkloadParams()
 		p.Seed = m.seed
@@ -449,7 +449,9 @@ func runMix(t *testing.T, sim *Simulator, mix []mixProc) (*Result, []programKey)
 		p.BlocksPerThread = 200
 		p.LockEvery = 16
 		p.NumLocks = 2
-		sim.AddPinnedWorkload(fmt.Sprintf("proc-%d", i), p, m.threads, []int{i % 4})
+		name := fmt.Sprintf("proc-%d", i)
+		sim.AddPinnedWorkload(name, p, m.threads, []int{i % 4})
+		keys = append(keys, programKey{name, p, m.threads})
 	}
 	sim.SetHostThreads(1)
 	sim.SetSeed(7)
@@ -457,7 +459,7 @@ func runMix(t *testing.T, sim *Simulator, mix []mixProc) (*Result, []programKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, slices.Clone(sim.added)
+	return res, keys
 }
 
 // TestReuseProgramMix changes the workload mix across Reset: the second mix

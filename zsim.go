@@ -34,11 +34,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"maps"
-	"slices"
 	"time"
 
-	"zsim/internal/arena"
 	"zsim/internal/boundweave"
 	"zsim/internal/config"
 	"zsim/internal/noc"
@@ -189,9 +186,9 @@ type Simulator struct {
 	sys   *boundweave.System
 	sched *virt.Scheduler
 
-	// programs holds the translated workloads of the last run and of the run
-	// being set up. A run drops the ones it did not add, so a warm simulator
-	// translates a repeated program once and Reset keeps at most one run's.
+	// programs holds the translated workloads the current run added, taken
+	// from the process-wide translation cache. Reset drops them; the cache
+	// keeps them for whichever simulator adds them next.
 	programs map[programKey]program
 
 	// Warm-reuse state: when reusable is set, bw is the persistent
@@ -216,7 +213,6 @@ type runSetup struct {
 
 	workloads int
 	usedAddr  map[uint64]bool
-	added     []programKey
 	ran       bool
 
 	// traceSink is the optional Chrome-trace sink.
@@ -229,20 +225,6 @@ type runSetup struct {
 // newRunSetup is the per-run state of a simulator no workload or option has
 // been given yet.
 func newRunSetup() runSetup { return runSetup{seed: 1} }
-
-// programKey is trace.NewIn's complete input. NewIn is a pure function of
-// it, so a program held under an equal key is the one NewIn would build.
-type programKey struct {
-	name    string
-	params  WorkloadParams
-	threads int
-}
-
-// program is one translated workload and the arena its code lives in.
-type program struct {
-	w     *trace.Workload
-	arena *arena.Arena
-}
 
 // assignAddrSpace places a new process in its own simulated address-space
 // slice so multiprocess runs do not alias each other's code, lock words or
@@ -298,8 +280,7 @@ func (s *Simulator) SetTrace(sink *TraceSink) { s.traceSink = sink }
 func (s *Simulator) ArenaStats() (chunks int, bytes uint64) {
 	chunks, bytes = s.sys.Root.Arena().Stats()
 	for _, p := range s.programs {
-		c, b := p.arena.Stats()
-		chunks, bytes = chunks+c, bytes+b
+		chunks, bytes = chunks+p.chunks, bytes+p.bytes
 	}
 	return chunks, bytes
 }
@@ -328,12 +309,12 @@ func (s *Simulator) Close() {
 
 // Reset rewinds a reusable simulator to its just-built state so it can serve
 // another run: all statistics, core/cache/predictor/contention state and the
-// scheduler rewind; the construction arena, worker pool, weave engine and
-// the last run's translated workloads stay warm. cfg supplies the next run's
-// configuration; it must have the same ShapeKey as the simulator's (only
-// run-variable fields — name, seeds, limits — may differ), and nil keeps the
-// current one. Workloads and options are cleared: re-add workloads and
-// re-apply Set* options before the next run.
+// scheduler rewind; the construction arena, worker pool and weave engine stay
+// warm, and the process-wide translation cache keeps the translated
+// workloads. cfg supplies the next run's configuration; it must have the same
+// ShapeKey as the simulator's (only run-variable fields — name, seeds, limits
+// — may differ), and nil keeps the current one. Workloads and options are
+// cleared: re-add workloads and re-apply Set* options before the next run.
 //
 // Reset fails (leaving the simulator unusable for further runs) when the
 // previous run panicked: an aborted engine cannot be safely rewound, so the
@@ -358,6 +339,7 @@ func (s *Simulator) Reset(cfg *Config) error {
 	s.cfg = cfg
 	s.sys.Cfg = cfg
 	s.sched.Reset()
+	clear(s.programs)
 	s.runSetup = newRunSetup()
 	s.probe.Reset() // the next run's BeginRun rewinds it too; clear eagerly
 	return nil
@@ -398,13 +380,8 @@ func (s *Simulator) AddNamedWorkload(name string, threads int) (int, error) {
 func (s *Simulator) AddPinnedWorkload(name string, params WorkloadParams, threads int, cores []int) int {
 	s.assignAddrSpace(&params)
 	key := programKey{name, params, threads}
-	prog, ok := s.programs[key]
-	if !ok {
-		prog.arena = arena.New()
-		prog.w = trace.NewIn(prog.arena, name, params, threads)
-		s.programs[key] = prog
-	}
-	s.added = append(s.added, key)
+	prog := translations.get(key)
+	s.programs[key] = prog
 	w := prog.w
 	p := &virt.Process{ID: s.workloads, Name: name, Affinity: cores}
 	for i := 0; i < w.Threads; i++ {
@@ -449,9 +426,9 @@ type Result struct {
 	Stalled bool
 	// ArenaChunks and ArenaBytes report the simulator's arena footprint
 	// (construction arena plus the arenas of the run's workloads). A warm
-	// simulator drops the workloads a run did not re-add, so they can fall;
-	// across runs of the same workloads they stay flat, which demonstrates
-	// allocation-free reuse.
+	// simulator counts only the workloads of its current run, so they can
+	// fall; across runs of the same workloads they stay flat, which
+	// demonstrates allocation-free reuse.
 	ArenaChunks int
 	ArenaBytes  uint64
 }
@@ -527,8 +504,6 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("zsim: no workloads added")
 	}
 	s.ran = true
-	// Release the held programs this run did not add.
-	maps.DeleteFunc(s.programs, func(k programKey, _ program) bool { return !slices.Contains(s.added, k) })
 	ctl := new(runctl.Token)
 	sim, err := s.acquireSim(ctl)
 	if err != nil {
