@@ -19,6 +19,10 @@
 //	GET  /metrics           Prometheus text exposition (plain text, not JSON)
 //	GET  /debug/pprof/      net/http/pprof profiles (only with -pprof)
 //
+// A failed job's result carries the typed reason ("deadlocked", "cancelled",
+// ...) and its partial metrics. The /healthz pool block's hits and misses give
+// the hit rate; a pool size of 0 means pooling is off.
+//
 // Jobs are admitted by priority class ("high"/"normal"/"low"): campaign
 // children default to low so sweeps cannot starve interactive jobs, and shed
 // responses derive Retry-After from queue depth and observed job latency.

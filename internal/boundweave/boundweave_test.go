@@ -7,6 +7,7 @@ import (
 	"zsim/internal/cache"
 	"zsim/internal/config"
 	"zsim/internal/core"
+	"zsim/internal/runctl"
 	"zsim/internal/trace"
 	"zsim/internal/virt"
 )
@@ -531,7 +532,7 @@ func TestIdleIntervalFastForward(t *testing.T) {
 
 func TestStalledWorkloadTerminates(t *testing.T) {
 	// A genuinely deadlocked workload (a barrier waiter holding the lock a
-	// second thread needs) must stop the run with Stalled=true instead of
+	// second thread needs) must stop the run as deadlocked instead of
 	// advancing simulated time forever.
 	cfg := config.SmallTest()
 	cfg.NumCores = 2
@@ -544,8 +545,8 @@ func TestStalledWorkloadTerminates(t *testing.T) {
 	preseedDeadlock(t, sched)
 	sim := NewSimulator(sys, sched, Options{Seed: 1})
 	sim.Run()
-	if !sim.Stalled {
-		t.Fatalf("deadlocked workload should be reported as stalled")
+	if sim.Reason != runctl.ReasonDeadlocked {
+		t.Fatalf("reason = %v, want deadlocked", sim.Reason)
 	}
 }
 

@@ -134,8 +134,8 @@ func TestRunDeadlockedReason(t *testing.T) {
 	preseedDeadlock(t, sched)
 	sim := NewSimulator(sys, sched, Options{Seed: 1})
 	sim.Run()
-	if !sim.Stalled || sim.Reason != runctl.ReasonDeadlocked {
-		t.Fatalf("stalled=%v reason=%v, want deadlocked", sim.Stalled, sim.Reason)
+	if sim.Reason != runctl.ReasonDeadlocked {
+		t.Fatalf("reason = %v, want deadlocked", sim.Reason)
 	}
 	runAnother(t)
 }

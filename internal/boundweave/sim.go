@@ -152,13 +152,11 @@ type Simulator struct {
 type runStats struct {
 	telemetry.Sample
 	TotalFeedback uint64
-	// Stalled reports that the run ended because no thread was runnable and
-	// no blocked thread could ever be woken by the passage of simulated time
-	// (a deadlocked workload).
-	Stalled bool
 
 	// Failure report: Reason is ReasonNone after a clean run (completion or
-	// MaxInstrs reached) and the typed failure otherwise.
+	// MaxInstrs reached) and the typed failure otherwise; ReasonDeadlocked
+	// means no thread was runnable and no blocked thread could ever be woken
+	// by the passage of simulated time.
 	// On ReasonPanicked, PanicErr carries the recovered capture and
 	// FailPhase the phase that was executing. Partial statistics and the
 	// system's metrics remain valid after any failure.
@@ -449,7 +447,6 @@ func (s *Simulator) runInterval() bool {
 			// Nothing runnable and nothing time can wake: the workload is
 			// deadlocked (e.g. a barrier no one else will reach). Stop
 			// instead of spinning forever.
-			s.Stalled = true
 			s.Reason = runctl.ReasonDeadlocked
 			return false
 		}

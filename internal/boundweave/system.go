@@ -130,13 +130,12 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		sys.BankComp = append(sys.BankComp, comp)
 		sys.SharedComp[comp] = true
 	}
-	sys.L3 = cache.NewBanked(sys.Banks, cfg.NetInjection+cfg.NetHopCycles)
 	// Distance-dependent latency: from the requesting core's tile to the
 	// bank's tile, using the configured topology.
 	coresPerTile := cfg.CoresPerTile
 	net := sys.Net
 	banksPerTile := max(cfg.L3.Banks/tiles, 1)
-	sys.L3.SetDistanceFunc(func(coreID, bank int) uint32 {
+	sys.L3 = cache.NewBanked(sys.Banks, func(coreID, bank int) uint32 {
 		srcTile := coreID / coresPerTile
 		dstTile := bank / banksPerTile
 		return net.Latency(srcTile, dstTile)

@@ -289,7 +289,7 @@ func TestBankedRouting(t *testing.T) {
 		b.SetParent(mem)
 		banks = append(banks, b)
 	}
-	l3 := NewBanked(banks, 5)
+	l3 := NewBanked(banks, func(int, int) uint32 { return 5 })
 	if len(l3.banks) != 4 {
 		t.Fatalf("banked setup wrong")
 	}
@@ -329,8 +329,7 @@ func TestBankedDistanceFunc(t *testing.T) {
 	mem := &fakeMem{lat: 0}
 	b0 := New(Config{SizeKB: 64, Ways: 4, Latency: 10}, 1, nil)
 	b0.SetParent(mem)
-	l3 := NewBanked([]*Cache{b0}, 3)
-	l3.SetDistanceFunc(func(coreID, bank int) uint32 { return uint32(7 * (coreID + 1)) })
+	l3 := NewBanked([]*Cache{b0}, func(coreID, bank int) uint32 { return uint32(7 * (coreID + 1)) })
 	done := l3.Access(&Request{LineAddr: 1, Cycle: 0, CoreID: 1})
 	// distance = 14 each way, bank hit-miss to mem lat 0 => 14 + 10 + 0 + 14
 	if done != 38 {

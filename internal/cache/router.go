@@ -16,13 +16,10 @@ package cache
 // levels.
 type Banked struct {
 	banks []*Cache
-	// netLatency is the zero-load network latency (cycles) added to every
-	// access that crosses the interconnect to reach a bank.
-	netLatency uint32
-	// distanceFn, if non-nil, returns the extra per-hop latency between a
-	// requesting core and a destination bank (used with mesh networks where
-	// distance depends on placement).
-	distanceFn func(coreID, bank int) uint32
+	// latency returns the zero-load network latency (cycles) between a
+	// requesting core and a destination bank, added each way to every access
+	// (it depends on placement on a mesh).
+	latency func(coreID, bank int) uint32
 	// netNodeFn, if non-nil, resolves a core->bank traversal to its (src, dst)
 	// topology nodes; Access then records a HopNet hop on traced requests so
 	// the weave phase can retime the route's router traversals (NoC
@@ -30,14 +27,11 @@ type Banked struct {
 	netNodeFn func(coreID, bank int) (src, dst int)
 }
 
-// NewBanked creates a banked-cache router over the given banks.
-func NewBanked(banks []*Cache, netLatency uint32) *Banked {
-	return &Banked{banks: banks, netLatency: netLatency}
+// NewBanked creates a banked-cache router over the given banks, with latency
+// giving the zero-load core-to-bank network latency.
+func NewBanked(banks []*Cache, latency func(coreID, bank int) uint32) *Banked {
+	return &Banked{banks: banks, latency: latency}
 }
-
-// SetDistanceFunc installs a per-(core,bank) latency function, replacing the
-// flat network latency for distance-dependent topologies (mesh).
-func (b *Banked) SetDistanceFunc(f func(coreID, bank int) uint32) { b.distanceFn = f }
 
 // SetNetNodeFunc installs the core->bank topology-node resolver that enables
 // NoC hop recording on traced requests.
@@ -55,10 +49,7 @@ func (b *Banked) BankOf(lineAddr uint64) int {
 // does not allocate.
 func (b *Banked) Access(req *Request) uint64 {
 	bank := b.BankOf(req.LineAddr)
-	lat := b.netLatency
-	if b.distanceFn != nil {
-		lat = b.distanceFn(req.CoreID, bank)
-	}
+	lat := b.latency(req.CoreID, bank)
 	if b.netNodeFn != nil && req.RecordHops {
 		if src, dst := b.netNodeFn(req.CoreID, bank); src != dst {
 			req.addNetHop(HopNet, src, dst, req.Cycle, lat)

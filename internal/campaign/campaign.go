@@ -18,10 +18,10 @@ import (
 	"zsim/internal/config"
 )
 
-// Workload names one synthetic workload of a point (mirrors the serve layer's
-// workload spec without importing it).
+// Workload names one synthetic workload of a point or a job (the serve
+// layer's WorkloadSpec is this type).
 type Workload struct {
-	// Name is a registered workload name.
+	// Name is a registered workload name (zsim.NamedWorkloads).
 	Name string `json:"name"`
 	// Threads is the number of software threads (defaults to 1 at run time).
 	Threads int `json:"threads,omitempty"`

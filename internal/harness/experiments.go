@@ -336,7 +336,7 @@ func Figure8(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			times = append(times, float64(zres.HostTime))
+			times = append(times, float64(zres.Metrics.HostNanos))
 		}
 		t.AddRow(string(model), speedups(times)...)
 	}
@@ -392,7 +392,7 @@ func IntervalSensitivity(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cycles, host := float64(zres.Metrics.Cycles), float64(zres.HostTime)
+		cycles, host := float64(zres.Metrics.Cycles), float64(zres.Metrics.HostNanos)
 		if i == 0 {
 			baseCycles, baseTime = cycles, host
 		}

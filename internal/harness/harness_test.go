@@ -73,7 +73,7 @@ func TestSimulateAndNativeRate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
-	if res.Metrics.Instrs == 0 || res.Metrics.SimMIPS <= 0 || res.HostTime <= 0 {
+	if res.Metrics.Instrs == 0 || res.Metrics.SimMIPS <= 0 || res.Metrics.HostNanos <= 0 {
 		t.Fatalf("simulate should produce timing data: %+v", res.Metrics)
 	}
 	if rate := nativeRate(params, 2); rate <= 0 {

@@ -119,11 +119,7 @@ func (c *campaignState) childRequest(p *campaign.Point) *JobRequest {
 		req.Seed = p.Seed
 	}
 	if p.Workloads != nil {
-		specs := make([]WorkloadSpec, len(p.Workloads))
-		for i, w := range p.Workloads {
-			specs[i] = WorkloadSpec{Name: w.Name, Threads: w.Threads, Blocks: w.Blocks}
-		}
-		req.Workloads = specs
+		req.Workloads = p.Workloads
 	}
 	req.Priority = classNames[c.class]
 	return &req

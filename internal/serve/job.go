@@ -16,19 +16,14 @@ import (
 	"time"
 
 	"zsim"
+	"zsim/internal/campaign"
 	"zsim/internal/telemetry"
 )
 
 // WorkloadSpec names one workload of a job: a registered synthetic workload
-// and its software thread count.
-type WorkloadSpec struct {
-	// Name is a registered workload name (zsim.NamedWorkloads).
-	Name string `json:"name"`
-	// Threads is the number of software threads (defaults to 1).
-	Threads int `json:"threads,omitempty"`
-	// Blocks overrides the workload's per-thread basic-block budget when > 0.
-	Blocks int `json:"blocks,omitempty"`
-}
+// (zsim.NamedWorkloads), its software thread count and an optional
+// per-thread block budget. Campaign points carry the same type.
+type WorkloadSpec = campaign.Workload
 
 // JobRequest describes one simulation job. Either Preset or Config selects
 // the simulated system; Config wins when both are set.
@@ -137,11 +132,9 @@ type Failure struct {
 // JobResult is the outcome of a finished job. Failed and cancelled jobs still
 // carry the metrics accumulated up to the stop point (Partial = true).
 type JobResult struct {
-	Summary     string        `json:"summary,omitempty"`
 	Metrics     *zsim.Metrics `json:"metrics,omitempty"`
 	Intervals   uint64        `json:"intervals"`
 	WeaveEvents uint64        `json:"weaveEvents"`
-	Stalled     bool          `json:"stalled,omitempty"`
 	Partial     bool          `json:"partial,omitempty"`
 	Failure     *Failure      `json:"failure,omitempty"`
 	Error       string        `json:"error,omitempty"`

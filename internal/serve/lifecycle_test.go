@@ -98,8 +98,8 @@ func TestRetentionStoreWindows(t *testing.T) {
 					h.JobsRetained, h.JobsEvicted, tc.jobsRetained, tc.evicted)
 			}
 			m := scrapeMetrics(t, ts)
-			if got, want := m["zsimd_results_total"], sumByPrefix(m, "zsimd_jobs_total{"); got != 5 || want != 5 {
-				t.Errorf("zsimd_results_total = %v, Σ zsimd_jobs_total = %v, want 5", got, want)
+			if jobs, lat := sumByPrefix(m, "zsimd_jobs_total{"), sumByPrefix(m, "zsimd_job_latency_seconds_count"); jobs != 5 || lat != 5 {
+				t.Errorf("Σ zsimd_jobs_total = %v, Σ zsimd_job_latency_seconds_count = %v, want 5", jobs, lat)
 			}
 			if m["zsimd_jobs_evicted_total"] != float64(h.JobsEvicted) {
 				t.Errorf("zsimd_jobs_evicted_total = %v, healthz jobsEvicted = %d", m["zsimd_jobs_evicted_total"], h.JobsEvicted)

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"time"
 
+	"zsim"
 	"zsim/internal/telemetry"
 )
 
@@ -169,8 +170,6 @@ func (s *Server) writeMetrics(pw *telemetry.PromWriter) {
 	}
 	pw.Family("zsimd_campaign_points_done_total", "counter", "Campaign points finished across all campaigns.")
 	pw.UintSample("zsimd_campaign_points_done_total", nil, m.campaignPoints)
-	pw.Family("zsimd_results_total", "counter", "Result rows filed, one per finished job.")
-	pw.UintSample("zsimd_results_total", nil, s.doneTotal)
 
 	pw.Family("zsimd_job_latency_seconds", "histogram", "Job wall time from start to finish, by outcome and config shape.")
 	keys := slices.SortedFunc(maps.Keys(m.latency), func(a, b latencyKey) int {
@@ -199,10 +198,10 @@ func (s *Server) writeMetrics(pw *telemetry.PromWriter) {
 	pw.UintSample("zsimd_pool_prewarmed_total", nil, ps.Prewarmed)
 	pw.Family("zsimd_pool_expiries_total", "counter", "Pooled simulators released by idle expiry.")
 	pw.UintSample("zsimd_pool_expiries_total", nil, ps.Expiries)
-	pw.Family("zsimd_pool_hit_rate", "gauge", "Warm-pool hit rate over all checkouts.")
-	pw.Sample("zsimd_pool_hit_rate", nil, ps.HitRate)
-	pw.Family("zsimd_pool_arena_bytes", "gauge", "Arena bytes held by retained warm simulators.")
+	pw.Family("zsimd_pool_arena_bytes", "gauge", "Construction arena bytes held by retained warm simulators (translated programs excluded).")
 	pw.UintSample("zsimd_pool_arena_bytes", nil, s.pool.arenaBytes())
+	pw.Family("zsimd_translation_cache_bytes", "gauge", "Arena bytes of the translated programs the process-wide translation cache keeps.")
+	pw.UintSample("zsimd_translation_cache_bytes", nil, zsim.TranslationCacheBytes())
 
 	// Engine-phase metrics, aggregated over completed jobs plus live probes.
 	agg := m.completed

@@ -464,8 +464,8 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 
 // TestMetricsScrapeCoherent: every scrape is one snapshot of the server. Two
 // scrapers run while two workers finish short jobs back to back, and each
-// scrape must count every finished job in all three places or in none:
-// Σ zsimd_jobs_total == zsimd_results_total == Σ zsimd_job_latency_seconds_count.
+// scrape must count every finished job in both places or in neither:
+// Σ zsimd_jobs_total == Σ zsimd_job_latency_seconds_count.
 func TestMetricsScrapeCoherent(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{Workers: 2, QueueDepth: 8, PoolSize: 4})
 	body, err := json.Marshal(quickJob())
@@ -498,7 +498,7 @@ func TestMetricsScrapeCoherent(t *testing.T) {
 
 	var mu sync.Mutex
 	scrapes, incoherent := 0, 0
-	var example [3]float64
+	var example [2]float64
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
@@ -514,14 +514,13 @@ func TestMetricsScrapeCoherent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				got := [3]float64{
+				got := [2]float64{
 					sumByPrefix(samples, "zsimd_jobs_total{"),
-					samples["zsimd_results_total"],
 					sumByPrefix(samples, "zsimd_job_latency_seconds_count"),
 				}
 				mu.Lock()
 				scrapes++
-				if got[0] != got[1] || got[1] != got[2] {
+				if got[0] != got[1] {
 					incoherent++
 					example = got
 				}
@@ -533,12 +532,12 @@ func TestMetricsScrapeCoherent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	final := scrapeMetrics(t, ts)["zsimd_results_total"]
+	final := sumByPrefix(scrapeMetrics(t, ts), "zsimd_jobs_total{")
 	t.Logf("%d scrapes over %v finished jobs", scrapes, final)
 	if final < 10 {
 		t.Fatalf("only %v jobs finished; the scrapes raced nothing", final)
 	}
 	if incoherent > 0 {
-		t.Errorf("%d of %d scrapes disagree on [jobs results latency-count], e.g. %v", incoherent, scrapes, example)
+		t.Errorf("%d of %d scrapes disagree on [jobs latency-count], e.g. %v", incoherent, scrapes, example)
 	}
 }

@@ -50,18 +50,16 @@ type poolEntry struct {
 // poolStats is the wire form of the pool's occupancy and effectiveness
 // counters, reported by /healthz.
 type poolStats struct {
-	Enabled   bool    `json:"enabled"`
-	Size      int     `json:"size"`
-	PerShape  int     `json:"perShape"`
-	Occupancy int     `json:"occupancy"`
-	Shapes    int     `json:"shapes"`
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Returns   uint64  `json:"returns"`
-	Discards  uint64  `json:"discards"`
-	Prewarmed uint64  `json:"prewarmed"`
-	Expiries  uint64  `json:"expiries"`
-	HitRate   float64 `json:"hitRate"`
+	Size      int    `json:"size"`
+	PerShape  int    `json:"perShape"`
+	Occupancy int    `json:"occupancy"`
+	Shapes    int    `json:"shapes"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Returns   uint64 `json:"returns"`
+	Discards  uint64 `json:"discards"`
+	Prewarmed uint64 `json:"prewarmed"`
+	Expiries  uint64 `json:"expiries"`
 }
 
 // newSimPool creates a pool retaining up to size simulators, at most perShape
@@ -164,8 +162,7 @@ func (p *simPool) stats() poolStats {
 	if p == nil {
 		return poolStats{}
 	}
-	st := poolStats{
-		Enabled:   true,
+	return poolStats{
 		Size:      p.size,
 		PerShape:  p.perShape,
 		Occupancy: p.total,
@@ -177,15 +174,14 @@ func (p *simPool) stats() poolStats {
 		Prewarmed: p.prewarmed,
 		Expiries:  p.expiries,
 	}
-	if lookups := p.hits + p.misses; lookups > 0 {
-		st.HitRate = float64(p.hits) / float64(lookups)
-	}
-	return st
 }
 
-// arenaBytes sums the arena footprint of every retained simulator (retained
-// means idle: no worker touches a pooled simulator, so reading its arena
-// stats under Server.mu is safe). Zero on a nil (disabled) pool.
+// arenaBytes sums the construction arena of every retained simulator
+// (retained means idle: no worker touches a pooled simulator, so reading its
+// arena stats under Server.mu is safe). Translated programs are left out: the
+// process-wide translation cache shares them between simulators, and the
+// zsimd_translation_cache_bytes gauge counts them once. Zero on a nil
+// (disabled) pool.
 func (p *simPool) arenaBytes() uint64 {
 	if p == nil {
 		return 0
@@ -193,8 +189,7 @@ func (p *simPool) arenaBytes() uint64 {
 	var total uint64
 	for _, entries := range p.shapes {
 		for _, e := range entries {
-			_, b := e.sim.ArenaStats()
-			total += b
+			total += e.sim.ConstructionArenaBytes()
 		}
 	}
 	return total

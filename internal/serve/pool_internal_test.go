@@ -6,6 +6,10 @@ package serve
 // occupancy == returns + prewarmed − hits − expiries.
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -150,10 +154,64 @@ func TestPoolNilSafety(t *testing.T) {
 	if p.expireIdle(time.Now()) != nil || p.arenaBytes() != 0 {
 		t.Fatalf("nil pool reported occupancy")
 	}
-	if st := p.stats(); st.Enabled {
-		t.Fatalf("nil pool reports enabled")
+	if st := p.stats(); st.Size > 0 {
+		t.Fatalf("nil pool reports enabled: size %d", st.Size)
 	}
 	if p.close() != nil {
 		t.Fatalf("nil pool returned simulators on close")
+	}
+}
+
+// TestPoolArenaGaugeCountsProgramsOnce parks two simulators that ran the same
+// program. The pool gauge must hold their two construction arenas and nothing
+// more; the program, which the process-wide translation cache shares between
+// them, must show up once, in the cache gauge.
+func TestPoolArenaGaugeCountsProgramsOnce(t *testing.T) {
+	s := New(Options{Workers: 1, PoolSize: 2, PoolPerShape: 2})
+	defer s.Shutdown(time.Second)
+	key := config.SmallTest().ShapeKey()
+	params, _ := zsim.LookupWorkload("blackscholes")
+	params.BlocksPerThread = 23 // a program key no other test translates
+
+	var construction, program [2]uint64
+	var cacheAfter [2]uint64
+	for i := range 2 {
+		sim := poolSim(t)
+		_, construction[i] = sim.ArenaStats() // no workload yet: the construction arena alone
+		sim.AddWorkload("blackscholes", params, 2)
+		if _, err := sim.Run(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		_, ran := sim.ArenaStats()
+		program[i] = ran - construction[i]
+		cacheAfter[i] = zsim.TranslationCacheBytes()
+		s.mu.Lock()
+		pooled := s.pool.put(key, sim, false)
+		s.mu.Unlock()
+		if !pooled {
+			t.Fatalf("pool refused simulator %d", i)
+		}
+	}
+	if program[0] == 0 || program[0] != program[1] {
+		t.Fatalf("program bytes %d and %d: want the same nonzero program in both", program[0], program[1])
+	}
+	if cacheAfter[0] < program[0] || cacheAfter[1] != cacheAfter[0] {
+		t.Fatalf("translation cache %d then %d bytes: want the %d-byte program counted once", cacheAfter[0], cacheAfter[1], program[0])
+	}
+
+	rec := httptest.NewRecorder()
+	s.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	gauges := map[string]uint64{}
+	for line := range strings.Lines(rec.Body.String()) {
+		name, value, ok := strings.Cut(strings.TrimSpace(line), " ")
+		if ok && !strings.HasPrefix(name, "#") {
+			gauges[name], _ = strconv.ParseUint(value, 10, 64)
+		}
+	}
+	if got, want := gauges["zsimd_pool_arena_bytes"], construction[0]+construction[1]; got != want {
+		t.Errorf("zsimd_pool_arena_bytes = %d, want the two construction arenas %d (programs %d each)", got, want, program[0])
+	}
+	if got := gauges["zsimd_translation_cache_bytes"]; got != cacheAfter[1] {
+		t.Errorf("zsimd_translation_cache_bytes = %d, want %d", got, cacheAfter[1])
 	}
 }

@@ -33,14 +33,13 @@ func detJob() *serve.JobRequest {
 
 // healthPool decodes the /healthz pool block.
 type healthPool struct {
-	Enabled   bool    `json:"enabled"`
-	Occupancy int     `json:"occupancy"`
-	Shapes    int     `json:"shapes"`
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Returns   uint64  `json:"returns"`
-	Discards  uint64  `json:"discards"`
-	HitRate   float64 `json:"hitRate"`
+	Size      int    `json:"size"`
+	Occupancy int    `json:"occupancy"`
+	Shapes    int    `json:"shapes"`
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Returns   uint64 `json:"returns"`
+	Discards  uint64 `json:"discards"`
 }
 
 func getHealthPool(t *testing.T, ts *httptest.Server) healthPool {
@@ -120,7 +119,7 @@ func TestWarmPoolReuseIdentity(t *testing.T) {
 	}
 
 	pool := getHealthPool(t, ts)
-	if !pool.Enabled {
+	if pool.Size <= 0 {
 		t.Fatalf("pool disabled in healthz: %+v", pool)
 	}
 	if pool.Hits != 2 || pool.Misses != 1 || pool.Returns != 3 {
@@ -129,8 +128,8 @@ func TestWarmPoolReuseIdentity(t *testing.T) {
 	if pool.Occupancy != 1 || pool.Shapes != 1 {
 		t.Fatalf("pool occupancy: %+v, want 1 simulator of 1 shape", pool)
 	}
-	if pool.HitRate < 0.6 || pool.HitRate > 0.7 {
-		t.Fatalf("pool hit rate %v, want 2/3", pool.HitRate)
+	if rate := float64(pool.Hits) / float64(pool.Hits+pool.Misses); rate < 0.6 || rate > 0.7 {
+		t.Fatalf("pool hit rate %v, want 2/3", rate)
 	}
 
 	// Identity also holds against a server with pooling disabled entirely.
@@ -248,7 +247,7 @@ func TestWarmPoolConcurrentSameShape(t *testing.T) {
 	if reused != int(pool.Hits) {
 		t.Fatalf("reused results (%d) disagree with pool hits (%d)", reused, pool.Hits)
 	}
-	if msg := fmt.Sprintf("%+v", pool); !pool.Enabled || pool.Occupancy == 0 {
+	if msg := fmt.Sprintf("%+v", pool); pool.Size <= 0 || pool.Occupancy == 0 {
 		t.Fatalf("pool should retain warm simulators after the burst: %s", msg)
 	}
 }

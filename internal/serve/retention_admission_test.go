@@ -28,16 +28,14 @@ type healthSnap struct {
 	QueueDepth    int    `json:"queueDepth"`
 	QueueCapacity int    `json:"queueCapacity"`
 	Pool          struct {
-		Enabled   bool    `json:"enabled"`
-		Occupancy int     `json:"occupancy"`
-		Shapes    int     `json:"shapes"`
-		Hits      uint64  `json:"hits"`
-		Misses    uint64  `json:"misses"`
-		Returns   uint64  `json:"returns"`
-		Discards  uint64  `json:"discards"`
-		Prewarmed uint64  `json:"prewarmed"`
-		Expiries  uint64  `json:"expiries"`
-		HitRate   float64 `json:"hitRate"`
+		Occupancy int    `json:"occupancy"`
+		Shapes    int    `json:"shapes"`
+		Hits      uint64 `json:"hits"`
+		Misses    uint64 `json:"misses"`
+		Returns   uint64 `json:"returns"`
+		Discards  uint64 `json:"discards"`
+		Prewarmed uint64 `json:"prewarmed"`
+		Expiries  uint64 `json:"expiries"`
 	} `json:"pool"`
 	Campaigns    int    `json:"campaigns"`
 	JobsRetained int    `json:"jobsRetained"`

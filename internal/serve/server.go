@@ -659,11 +659,9 @@ func (s *Server) execute(ctx context.Context, j *job) (res *zsim.Result, reused 
 func classify(res *zsim.Result, err error) (*JobResult, string) {
 	out := &JobResult{}
 	if res != nil {
-		out.Summary = res.Summary()
 		out.Metrics = res.Metrics
 		out.Intervals = res.Intervals
 		out.WeaveEvents = res.WeaveEvents
-		out.Stalled = res.Stalled
 		out.ArenaChunks = res.ArenaChunks
 		out.ArenaBytes = res.ArenaBytes
 	}

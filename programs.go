@@ -19,6 +19,14 @@ const programBudget = 32 << 20
 // the key, so no caller can observe another's use of it.
 var translations = newProgramCache(programBudget)
 
+// TranslationCacheBytes reports the arena bytes of the translated programs the
+// process-wide translation cache keeps, at most its 32 MiB budget.
+func TranslationCacheBytes() uint64 {
+	translations.mu.Lock()
+	defer translations.mu.Unlock()
+	return translations.bytes
+}
+
 // programKey is trace.NewIn's complete input. NewIn is a pure function of
 // it, so a program held under an equal key is the one NewIn would build.
 type programKey struct {

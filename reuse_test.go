@@ -82,7 +82,6 @@ func normalizeResult(r *Result) {
 	if r == nil {
 		return
 	}
-	r.HostTime = 0
 	r.ArenaChunks = 0
 	r.ArenaBytes = 0
 	if r.Metrics != nil {

@@ -285,6 +285,15 @@ func (s *Simulator) ArenaStats() (chunks int, bytes uint64) {
 	return chunks, bytes
 }
 
+// ConstructionArenaBytes reports the bytes of the simulator's own
+// construction arena. Unlike ArenaStats it leaves out the translated
+// programs, which the process-wide translation cache shares between
+// simulators and TranslationCacheBytes counts once.
+func (s *Simulator) ConstructionArenaBytes() uint64 {
+	_, bytes := s.sys.Root.Arena().Stats()
+	return bytes
+}
+
 // SetReusable marks the simulator for warm reuse: RunContext keeps the
 // bound-weave engine, worker pool and all per-core weave state alive after
 // the run, and Reset rewinds the whole simulator for another run without
@@ -410,8 +419,6 @@ type Result struct {
 	// BoundRounds is the number of bound-phase rounds executed; rounds beyond
 	// one per interval are mid-interval rescheduling points.
 	BoundRounds uint64
-	// HostTime is the wall-clock time the simulation took.
-	HostTime time.Duration
 	// WeaveEvents is the number of weave-phase events simulated, one per
 	// contended hop: an L3 bank or memory controller access, or a NoC router
 	// traversal (0 when the configuration disables contention).
@@ -421,9 +428,6 @@ type Result struct {
 	// NOC reports the NoC contention subsystem's activity (zero when
 	// Config.NOCContention is off).
 	NOC NOCStats
-	// Stalled reports that the run stopped because the workload deadlocked
-	// (no thread runnable and none wakeable by simulated time).
-	Stalled bool
 	// ArenaChunks and ArenaBytes report the simulator's arena footprint
 	// (construction arena plus the arenas of the run's workloads). A warm
 	// simulator counts only the workloads of its current run, so they can
@@ -442,7 +446,7 @@ func (r *Result) Summary() string {
 			"host time %v, %.1f MIPS, %d intervals, %d weave events",
 		m.Instrs, m.Cores, m.Cycles, m.IPC,
 		m.L1DMPKI, m.L2MPKI, m.L3MPKI,
-		r.HostTime.Round(time.Millisecond), m.SimMIPS, r.Intervals, r.WeaveEvents)
+		time.Duration(m.HostNanos).Round(time.Millisecond), m.SimMIPS, r.Intervals, r.WeaveEvents)
 }
 
 // runOptions assembles the bound-weave options for one run.
@@ -575,7 +579,6 @@ func runGuarded(sim *boundweave.Simulator) (pe *runctl.PanicError) {
 // finished (or failed) simulator.
 func (s *Simulator) collectResult(sim *boundweave.Simulator, elapsed time.Duration) *Result {
 	m := s.sys.Metrics()
-	m.Model = string(s.cfg.CoreModel)
 	m.HostNanos = elapsed.Nanoseconds()
 	m.Finalize()
 	var nocStats NOCStats
@@ -587,13 +590,11 @@ func (s *Simulator) collectResult(sim *boundweave.Simulator, elapsed time.Durati
 		Metrics:     m,
 		Intervals:   sim.Intervals,
 		BoundRounds: sim.BoundRounds,
-		HostTime:    elapsed,
 		WeaveEvents: sim.WeaveEvents,
 		ArenaChunks: chunks,
 		ArenaBytes:  bytes,
 		Sched:       s.sched.Counts(),
 		NOC:         nocStats,
-		Stalled:     sim.Stalled,
 	}
 }
 
