@@ -2,6 +2,7 @@ package zsim
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"testing"
 )
 
@@ -13,11 +14,12 @@ func coldJobShape(k int) *Config {
 
 // TestConstructionBytesBounded bounds the heap bytes New takes for the
 // 64-core OOO tiled chip. New allocated 1,710,112 B (go1.24, linux/amd64)
-// when it built every core's predictor table and OOO window; those are now
-// built on a core's first block, and New allocates 1,005,912 B. The budget
-// is that figure plus 10%.
+// when it built every core's predictor table and OOO window, and 1,005,912 B
+// once those were built on a core's first block. With a 4-byte slot per
+// cache set in place of an 8-byte pointer, New allocates 783,784 B. The
+// budget is that figure plus 10%.
 func TestConstructionBytesBounded(t *testing.T) {
-	const budget = 1_005_912 * 11 / 10
+	const budget = 783_784 * 11 / 10
 	least := ^uint64(0)
 	for i := 0; i < 3; i++ {
 		var ms runtime.MemStats
@@ -33,6 +35,37 @@ func TestConstructionBytesBounded(t *testing.T) {
 	}
 	if least > budget {
 		t.Fatalf("New(TiledConfig(4, \"ooo\")) allocates %d B; budget is %d B", least, budget)
+	}
+}
+
+// TestChipScanBytesBounded bounds what the GC must scan of a built
+// 1,024-core chip: the growth of /gc/scan/heap:bytes across New. With one
+// 8-byte pointer per cache set it was 11,925,216 B (go1.24, linux/amd64);
+// with pointer-free slot tables and line chunks it is 1,702,552 B. The
+// budget is that figure plus 10%.
+func TestChipScanBytesBounded(t *testing.T) {
+	const budget = 1_702_552 * 11 / 10
+	scan := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		metrics.Read(scan)
+		before := scan[0].Value.Uint64()
+		sim, err := New(TiledConfig(64, "ipc1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		metrics.Read(scan)
+		runtime.KeepAlive(sim)
+		if after := scan[0].Value.Uint64(); after > before {
+			least = min(least, after-before)
+		} else {
+			least = 0
+		}
+	}
+	if least > budget {
+		t.Fatalf("New(TiledConfig(64, \"ipc1\")) adds %d B of GC-scanned heap; budget is %d B", least, budget)
 	}
 }
 

@@ -5,9 +5,10 @@
 // arena turns each type's stream of small allocations into a handful of
 // large chunk allocations. One Arena is created per simulated system (it
 // hangs off the root stats.Registry) and feeds registry nodes, core objects,
-// cache set tables and stripe state (each stripe carries its cache's
+// cache slot tables and stripe state (each stripe carries its cache's
 // statistics); the zsim facade gives each workload's decoded code an arena
-// of its own.
+// of its own. An arena also carries the few objects one system's components
+// share (Attached), such as the slab the caches take their lines from.
 //
 // Objects taken from an arena are never returned individually: an arena
 // lives exactly as long as the object graph built from it. Memory handed
@@ -38,13 +39,14 @@ const (
 
 // Arena is a type-segregated slab allocator that only grows.
 // It is safe for concurrent use, although construction is mostly
-// single-threaded. State built on first use — cache ways, a core's
-// predictor table and OOO window — does not take from the arena: it comes
-// from the heap on the parallel bound phase's hot path, where the arena's
-// mutex would serialize the workers.
+// single-threaded. State built on first use — a core's predictor table and
+// OOO window, the chunks of the caches' line slab — does not take from the
+// arena's pools: it comes from the heap on the parallel bound phase's hot
+// path, where the arena's mutex would serialize the workers.
 type Arena struct {
-	mu    sync.Mutex
-	pools map[reflect.Type]any
+	mu       sync.Mutex
+	pools    map[reflect.Type]any
+	attached map[reflect.Type]any
 
 	chunks int
 	bytes  uint64
@@ -130,6 +132,28 @@ func TakeCap[T any](a *Arena, n, c int) []T {
 	s := p.buf[p.used : p.used+c : p.used+c]
 	p.used += c
 	return s[:n]
+}
+
+// Attached returns the arena's one *T, made by mk the first time it is asked
+// for; later calls return the same value. A nil arena has nothing to hang it
+// on, so every call returns a new mk(). mk runs under the arena's lock and
+// must not take from the arena.
+func Attached[T any](a *Arena, mk func() *T) *T {
+	if a == nil {
+		return mk()
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	key := reflect.TypeOf((*T)(nil))
+	if v, ok := a.attached[key]; ok {
+		return v.(*T)
+	}
+	if a.attached == nil {
+		a.attached = make(map[reflect.Type]any)
+	}
+	v := mk()
+	a.attached[key] = v
+	return v
 }
 
 // One returns a pointer to a zeroed T carved from the arena (or heap-allocated

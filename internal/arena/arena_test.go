@@ -87,3 +87,20 @@ func TestChunkAmortization(t *testing.T) {
 		t.Fatalf("first chunk should be small, got %d bytes", bytes)
 	}
 }
+
+func TestAttachedIsOnePerArena(t *testing.T) {
+	type shared struct{ n int }
+	made := 0
+	mk := func() *shared { made++; return &shared{n: made} }
+	a := New()
+	first := Attached(a, mk)
+	if again := Attached(a, mk); again != first || made != 1 {
+		t.Fatalf("second Attached made a new value (made %d)", made)
+	}
+	if other := Attached(New(), mk); other == first {
+		t.Fatalf("two arenas share one attached value")
+	}
+	if x, y := Attached(nil, mk), Attached(nil, mk); x == y {
+		t.Fatalf("a nil arena returned one value twice")
+	}
+}

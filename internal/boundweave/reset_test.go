@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"zsim/internal/bpred"
 	"zsim/internal/config"
@@ -142,6 +143,70 @@ func TestResetWalkerNilSlice(t *testing.T) {
 	}
 }
 
+// The walker sees a rewound line slab's lines: a reset chip's chunks hold
+// zero lines, which equal the nil chunks of a fresh chip, and one non-zero
+// way left in them is exactly one difference, whichever side is the fresh
+// one. The run before takes every set's ways through the bound workers' own
+// cursors, never the shared one.
+func TestResetWalkerSlab(t *testing.T) {
+	build := func() *System {
+		sys, err := BuildSystem(config.SmallTest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	opts := Options{HostThreads: 2, Seed: 1, Reusable: true}
+	used := build()
+	sched := virt.NewScheduler(len(used.Cores))
+	p := trace.DefaultParams()
+	p.BlocksPerThread = 100
+	sched.AddWorkload(trace.New("slab", p, len(used.Cores)))
+	usedSim := NewSimulator(used, sched, opts)
+	defer usedSim.Close()
+	if usedSim.Run() == 0 || usedSim.Reason != runctl.ReasonNone {
+		t.Fatalf("run: reason %v", usedSim.Reason)
+	}
+	slab := reflect.ValueOf(used.L2[0]).Elem().FieldByName("slab").Elem()
+	if shared := slab.FieldByName("shared"); shared.FieldByName("end").Uint() != 0 {
+		t.Fatalf("the bound phase took lines through the shared cursor")
+	}
+	sched.Reset()
+	if err := usedSim.Reset(opts); err != nil {
+		t.Fatal(err)
+	}
+	fresh := build()
+	freshSim := NewSimulator(fresh, virt.NewScheduler(len(fresh.Cores)), opts)
+	defer freshSim.Close()
+
+	walk := func(fresh, reset *Simulator) []string {
+		w := resetWalker{seen: map[resetVisit]bool{}}
+		w.walk("Simulator", reflect.ValueOf(fresh), reflect.ValueOf(reset))
+		return w.diffs
+	}
+	if d := walk(freshSim, usedSim); len(d) != 0 {
+		t.Fatalf("a reset chip differs from a fresh one: %v", d)
+	}
+	// Plant a valid way in the first chunk the run took.
+	chunks := slab.FieldByName("chunks")
+	planted := false
+	for i := 0; i < chunks.Len() && !planted; i++ {
+		if chunk := chunks.Index(i); !chunk.IsNil() {
+			key := chunk.Index(0).FieldByName("key")
+			reflect.NewAt(key.Type(), unsafe.Pointer(key.UnsafeAddr())).Elem().SetUint(1<<3 | 1)
+			planted = true
+		}
+	}
+	if !planted {
+		t.Fatalf("the run took no chunk of the line slab")
+	}
+	for _, d := range [][]string{walk(freshSim, usedSim), walk(usedSim, freshSim)} {
+		if len(d) != 1 || !strings.Contains(d[0], "chunks[") {
+			t.Fatalf("one non-zero way in a rewound slab: got diffs %v, want exactly one in the chunks", d)
+		}
+	}
+}
+
 type resetVisit struct {
 	a, b uintptr
 	t    reflect.Type
@@ -149,10 +214,11 @@ type resetVisit struct {
 
 // resetWalker compares two object graphs structurally. Slices compare by
 // length and elements, not capacity; a nil pointer equals a pointer to a zero
-// value (an untouched cache set is nil, a reset one points at zeroed ways),
-// and likewise a nil slice equals a slice of zero elements of any length (a
-// core that never ran has no predictor table or OOO window, a reset one has
-// them zeroed): state built on first use is absent or zero, never stale.
+// value, and likewise a nil slice equals a slice of zero elements of any
+// length (a core that never ran has no predictor table or OOO window, a reset
+// one has them zeroed; a fresh chip's line slab has no chunks, a reset one
+// chunks of zero lines): state built on first use is absent or zero, never
+// stale.
 // Funcs, chans and unsafe pointers compare by nil-ness only.
 type resetWalker struct {
 	seen  map[resetVisit]bool

@@ -8,6 +8,7 @@ import (
 	"time"
 	"unsafe"
 
+	"zsim/internal/cache"
 	"zsim/internal/config"
 	"zsim/internal/engine"
 	"zsim/internal/event"
@@ -84,6 +85,9 @@ type Simulator struct {
 	// contention); runWeave builds the cores' chains from it in core order.
 	slab   *event.Slab
 	models *weaveModels
+	// lines[w] is bound worker w's cursor into the chip's line slab; the
+	// cores worker w runs carry it to the caches.
+	lines []*cache.LineCursor
 	// pool is the bound phase's persistent worker pool, sized hostThreads.
 	// poolRuns0/poolWakes0 are its lifetime counters at the start of the
 	// current run: a reused simulator keeps its pool, and telemetry reports
@@ -189,6 +193,7 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 		Sched:       sched,
 		intervalLen: cfg.IntervalCycles,
 		contention:  cfg.Contention,
+		lines:       cache.WorkerCursors(sys.Root.Arena(), host),
 		pool:        engine.NewPool(host),
 		homes:       make([]homeQueue, host),
 		homeAsg:     make([]virt.Assignment, n),
@@ -573,7 +578,7 @@ func (s *Simulator) boundWorker(w int) {
 			if i >= h.hi {
 				break
 			}
-			s.runCoreRound(s.homeAsg[i])
+			s.runCoreRound(w, s.homeAsg[i])
 		}
 	}
 }
@@ -582,8 +587,9 @@ func (s *Simulator) boundWorker(w int) {
 // thread blocks or finishes, or the thread pauses for lock arbitration.
 // Synchronization operations are recorded thread-locally and resolved by the
 // scheduler at the round boundary — the per-block hot path takes no locks.
-func (s *Simulator) runCoreRound(a virt.Assignment) {
+func (s *Simulator) runCoreRound(w int, a virt.Assignment) {
 	c := s.Sys.Cores[a.Core]
+	c.SetLineCursor(s.lines[w])
 	th := a.Thread
 	instrsBefore := c.Instrs()
 

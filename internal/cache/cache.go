@@ -30,14 +30,17 @@
 // so no global lock or atomic serializes the hot path. A private cache, one
 // that only one core's requests reach (Config.Private), takes one stripe,
 // which holds all its counts: only coherence actions from other cores
-// contend with its owner for it. A cache's set table holds one 8-byte pointer
-// per set, and a set's ways are allocated lazily, the first time the set is
-// touched, so building a thousand-core chip with hundreds of megabytes of
-// simulated cache costs memory only for the sets the workload actually uses.
-// Each way packs its tag, MESI state and child-modified bit into one word, so
-// a line takes 24 bytes. A dirty bitmap, one bit per set, marks the sets
-// installed into since the last Reset, so Reset costs O(sets/64 + sets
-// installed since the last Reset) rather than a visit to every set.
+// contend with its owner for it. A cache's set table holds one pointer-free
+// 4-byte slot per set, 0 until the set is first touched. On first touch the
+// set takes its ways from its chip's line slab, pointer-free chunks one
+// chip shares, through the bound worker's own cursor, so building a
+// thousand-core chip with hundreds of megabytes of simulated cache costs 4
+// bytes per set plus lines only for the sets the workload actually uses, and
+// the GC scans none of it. Each way packs its tag, MESI state and
+// child-modified bit into one word, so a line takes 24 bytes. A dirty bitmap,
+// one bit per set, marks the sets touched since the last Reset, so Reset
+// costs O(sets/64 + sets touched since the last Reset) rather than a visit
+// to every set.
 package cache
 
 import (
@@ -151,6 +154,10 @@ type Request struct {
 	Hops []Hop
 	// RecordHops enables appending to Hops.
 	RecordHops bool
+	// Lines is the line-slab cursor of the bound worker issuing the request:
+	// a set the request touches first takes its ways from it. Requests
+	// without one (issued outside the bound phase) share the slab's cursor.
+	Lines *LineCursor
 	// FillState is set by the serving level to tell the requester which MESI
 	// state to install the line in (Shared when other children also hold the
 	// line, Exclusive/Modified otherwise). Terminal levels (memory) leave it
@@ -298,13 +305,14 @@ type Cache struct {
 	latency uint32
 	mshrs   int
 
-	// setArr[s] points at set s's first way; nil until the set is first
-	// touched. Only setWays turns it back into a slice.
-	setArr     []*line
+	// slots[s] names set s's ways in slab; 0 until the set is first
+	// touched. Only setWays turns a slot into a slice.
+	slots      []uint32
+	slab       *lineSlab
 	stripes    []stripe
 	stripeMask int
-	// dirty has one bit per set, set when a line is installed into the set
-	// and cleared by Reset. Stripe s owns words [s*dirtyWords,
+	// dirty has one bit per set, set when the set is first touched (it takes
+	// a slot) and cleared by Reset. Stripe s owns words [s*dirtyWords,
 	// (s+1)*dirtyWords) and its sets in order (set>>stripeShift), so a word is
 	// only written under one stripe's lock.
 	dirty       []uint64
@@ -323,8 +331,10 @@ type Cache struct {
 // New creates a cache from the config, exporting its statistics under the
 // given registry (which may be nil). compID is the global component ID used
 // in weave traces. When the registry tree carries a construction arena, the
-// cache object, its set table and its lock stripes are carved from that
-// arena; the lazily allocated ways come from the heap (see setLines).
+// cache object, its slot table and its lock stripes are carved from that
+// arena, and its ways come from the line slab hung off it, which every cache
+// built on the arena shares; a cache built without one gets a slab of its
+// own.
 func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 	ways := cfg.Ways
 	if ways < 1 {
@@ -349,26 +359,28 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 		ways:        ways,
 		latency:     cfg.Latency,
 		mshrs:       cfg.MSHRs,
-		setArr:      arena.Take[*line](a, sets),
+		slots:       arena.Take[uint32](a, sets),
+		slab:        slabOf(a),
 		stripes:     arena.Take[stripe](a, nStripes),
 		stripeMask:  nStripes - 1,
 		dirty:       arena.Take[uint64](a, nStripes*dirtyWords),
 		dirtyWords:  dirtyWords,
 		stripeShift: shift,
 	}
+	c.slab.addCache(sets, ways)
 	c.Hits, c.Misses = Count{c, sHits}, Count{c, sMisses}
 	reg.Record(c)
 	return c
 }
 
 // Reset restores the cache to its just-constructed state for warm reuse:
-// every set installed into since the last Reset is cleared back to
-// all-Invalid zero lines (lazily allocated way arrays are kept — a zeroed
-// array behaves exactly like the nil array a fresh cache starts with), the
-// dirty bitmap is zeroed, and each stripe's replacement clock and statistics
-// are zeroed. Installing is the only way a zeroed set becomes non-zero, so
-// the sets Reset skips are already clear. Callers must be quiescent (no
-// concurrent accesses).
+// every set touched since the last Reset (each one holding a slot has its
+// dirty bit) has its ways cleared back to all-Invalid zero lines and its
+// slot zeroed, the dirty bitmap is zeroed, the line slab is rewound (its
+// chunks are kept, for the next run to take again), and each stripe's
+// replacement clock and statistics are zeroed. The slab is the chip's: every
+// cache built on the same arena must be Reset before any of them is used
+// again. Callers must be quiescent (no concurrent accesses).
 func (c *Cache) Reset() {
 	for w, word := range c.dirty {
 		if word == 0 {
@@ -376,10 +388,13 @@ func (c *Cache) Reset() {
 		}
 		s, base := w/c.dirtyWords, w%c.dirtyWords*64
 		for ; word != 0; word &= word - 1 {
-			clear(c.setWays((base+bits.TrailingZeros64(word))<<c.stripeShift | s))
+			set := (base+bits.TrailingZeros64(word))<<c.stripeShift | s
+			clear(c.setWays(set))
+			c.slots[set] = 0
 		}
 		c.dirty[w] = 0
 	}
+	c.slab.rewind()
 	for i := range c.stripes {
 		st := &c.stripes[i]
 		st.useCt, st.n = 0, [numStats]uint64{}
@@ -422,34 +437,21 @@ func (c *Cache) stripeOf(set int) *stripe { return &c.stripes[set&c.stripeMask] 
 // setWays returns set's ways, or nil if the set was never touched. Caller
 // must hold the set's stripe lock (or the cache must be quiescent).
 func (c *Cache) setWays(set int) []line {
-	p := c.setArr[set]
-	if p == nil {
+	slot := c.slots[set]
+	if slot == 0 {
 		return nil
 	}
-	return unsafe.Slice(p, c.ways)
+	s := c.slab
+	return unsafe.Slice(&s.chunks[slot>>s.shift][slot&(1<<s.shift-1)], c.ways)
 }
 
-// markDirty records in the dirty bitmap that set holds an installed line.
-// It writes only when the bit is clear: bound workers on neighbouring caches
-// share host lines of the bitmap, and a set is installed into many times.
-// Caller must hold the set's stripe lock.
-func (c *Cache) markDirty(set int) {
+// touch gives an untouched set its ways, taken from the line slab through
+// cur, marks the set dirty and returns the ways. Caller must hold the set's
+// stripe lock.
+func (c *Cache) touch(set int, cur *LineCursor) []line {
+	c.slots[set] = c.slab.take(cur, c.ways)
 	i := set >> c.stripeShift
-	w := &c.dirty[(set&c.stripeMask)*c.dirtyWords+i/64]
-	if bit := uint64(1) << (i % 64); *w&bit == 0 {
-		*w |= bit
-	}
-}
-
-// setLines returns set's ways, allocating them on first touch. The lazy
-// allocation deliberately uses the heap, not the construction arena: first
-// touches happen on the parallel bound phase's hot path, and funneling every
-// worker through the arena's shared mutex would serialize warm-up on
-// many-core hosts. Caller must hold the set's stripe lock.
-func (c *Cache) setLines(set int) []line {
-	if c.setArr[set] == nil {
-		c.setArr[set] = &make([]line, c.ways)[0]
-	}
+	c.dirty[(set&c.stripeMask)*c.dirtyWords+i/64] |= 1 << (i % 64)
 	return c.setWays(set)
 }
 
@@ -496,7 +498,10 @@ func (c *Cache) Access(req *Request) uint64 {
 	st.mu.Lock()
 	st.useCt++
 	now := st.useCt
-	lines := c.setLines(set)
+	lines := c.setWays(set)
+	if lines == nil {
+		lines = c.touch(set, req.Lines)
+	}
 	way := findWay(lines, req.LineAddr)
 	availCycle := req.Cycle + uint64(c.latency)
 
@@ -596,7 +601,7 @@ func (c *Cache) fetchAndInstall(req *Request, set int, localAvail uint64, wb boo
 	if wb {
 		st.n[sWritebacks]++
 	}
-	lines := c.setLines(set)
+	lines := c.setWays(set) // Access touched the set
 	way := findWay(lines, req.LineAddr)
 	if way < 0 {
 		way = victimWay(lines)
@@ -622,7 +627,6 @@ func (c *Cache) fetchAndInstall(req *Request, set int, localAvail uint64, wb boo
 	if req.Write {
 		grant = Modified
 	}
-	c.markDirty(set)
 	l := &lines[way]
 	l.key = req.LineAddr<<keyTagShift | uint64(grant)
 	l.lastUse = st.useCt

@@ -3,11 +3,15 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"zsim/internal/arena"
+	"zsim/internal/stats"
 )
 
 // fakeMem is a terminal level with a fixed latency, standing in for a memory
@@ -362,7 +366,7 @@ func TestMemRouter(t *testing.T) {
 // validLines returns the lines valid in c. c must be quiescent.
 func validLines(c *Cache) []uint64 {
 	var out []uint64
-	for set := range c.setArr {
+	for set := range c.slots {
 		for _, l := range c.setWays(set) {
 			if l.state() != Invalid {
 				out = append(out, l.tag())
@@ -487,8 +491,10 @@ func TestCoherenceSingleWriterInvariant(t *testing.T) {
 }
 
 // A line is 24 bytes (tag, state and child-modified bit share one word), a
-// lock stripe with its statistics fills one 64 B host line, and the set
-// table holds one 8-byte pointer per set.
+// lock stripe with its statistics fills one 64 B host line, as does a line
+// cursor, and the set table holds one 4-byte slot per set. Neither a slot
+// nor a line holds a pointer, so the GC scans neither the slot tables nor
+// the slab's chunks.
 func TestLineLayout(t *testing.T) {
 	if n := unsafe.Sizeof(line{}); n != 24 {
 		t.Fatalf("line is %d bytes, want 24", n)
@@ -496,9 +502,21 @@ func TestLineLayout(t *testing.T) {
 	if n := unsafe.Sizeof(stripe{}); n != 64 {
 		t.Fatalf("stripe is %d bytes, want 64", n)
 	}
+	if n := unsafe.Sizeof(LineCursor{}); n != 64 {
+		t.Fatalf("line cursor is %d bytes, want 64", n)
+	}
 	var c Cache
-	if n := unsafe.Sizeof(c.setArr[0]); n != 8 {
-		t.Fatalf("set-table entry is %d bytes, want 8", n)
+	if n := unsafe.Sizeof(c.slots[0]); n != 4 {
+		t.Fatalf("set-table entry is %d bytes, want 4", n)
+	}
+	if k := reflect.TypeOf(c.slots).Elem().Kind(); k != reflect.Uint32 {
+		t.Fatalf("set-table entry is a %v, want a uint32", k)
+	}
+	lt := reflect.TypeOf(line{})
+	for i := range lt.NumField() {
+		if f := lt.Field(i); f.Type.Kind() != reflect.Uint64 {
+			t.Fatalf("line field %s is a %v, want a uint64", f.Name, f.Type)
+		}
 	}
 }
 
@@ -613,10 +631,13 @@ func TestUntouchedSetsStayNil(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("lookups on untouched sets allocated %.0f times", allocs)
 	}
-	for set, p := range c.setArr {
-		if p != nil {
-			t.Fatalf("set %d was allocated by a lookup", set)
+	for set, slot := range c.slots {
+		if slot != 0 {
+			t.Fatalf("set %d was given ways by a lookup", set)
 		}
+	}
+	if c.slab.started() {
+		t.Fatalf("lookups took a chunk from the line slab")
 	}
 }
 
@@ -656,15 +677,30 @@ func dirtySets(c *Cache) int {
 	return n
 }
 
-// assertClear fails unless every way of every set is zero, every count is
-// zero and the dirty bitmap is empty: the cache equals a fresh one.
+// assertClear fails unless every slot is 0, every line of the cache's slab
+// is zero and its cursors are rewound, every count is zero and the dirty
+// bitmap is empty: the cache equals a fresh one.
 func assertClear(t *testing.T, c *Cache, when string) {
 	t.Helper()
-	for set := range c.setArr {
-		for w, l := range c.setWays(set) {
+	for set, slot := range c.slots {
+		if slot != 0 {
+			t.Fatalf("%s: set %d still holds slot %d", when, set, slot)
+		}
+	}
+	s := c.slab
+	for i, chunk := range s.chunks {
+		for j, l := range chunk {
 			if l != (line{}) {
-				t.Fatalf("%s: set %d way %d holds %+v", when, set, w, l)
+				t.Fatalf("%s: slab chunk %d line %d holds %+v", when, i, j, l)
 			}
+		}
+	}
+	if s.taken != 0 {
+		t.Fatalf("%s: slab not rewound: %d chunks taken", when, s.taken)
+	}
+	for i, cur := range append([]*LineCursor{&s.shared}, s.cursors...) {
+		if *cur != (LineCursor{slab: s}) {
+			t.Fatalf("%s: cursor %d not rewound: %+v", when, i, *cur)
 		}
 	}
 	for i := range numStats {
@@ -721,6 +757,26 @@ func TestResetClearsOnlyInstalledSets(t *testing.T) {
 	}
 }
 
+// A fully associative cache, one set of 32,768 ways, takes a chunk of its
+// own size class from its slab: it fills, hits, and resets clear.
+func TestFullyAssociativeSlab(t *testing.T) {
+	c := New(Config{SizeKB: 2048, Ways: 32768, Latency: 4}, 0, nil)
+	c.SetParent(&fakeMem{lat: 100})
+	if c.sets != 1 {
+		t.Fatalf("%d sets, want 1", c.sets)
+	}
+	for pass := range 2 {
+		for a := uint64(0); a < 200; a++ {
+			c.Access(&Request{LineAddr: a * 977})
+		}
+		if pass == 1 && c.Hits.Get() != 200 {
+			t.Fatalf("second pass hit %d of 200 lines", c.Hits.Get())
+		}
+	}
+	c.Reset()
+	assertClear(t, c, "after Reset")
+}
+
 // Goroutines install into every stripe of one shared cache at once, so the
 // race detector sees the dirty-bit marks, each made under its set's stripe
 // lock; a Reset afterwards must then leave the cache clear.
@@ -740,8 +796,8 @@ func TestConcurrentInstallsMarkEveryStripe(t *testing.T) {
 	}
 	wg.Wait()
 	installed := 0
-	for set := range c.setArr {
-		if c.setArr[set] != nil && slices.ContainsFunc(c.setWays(set), func(l line) bool { return l.state() != Invalid }) {
+	for set := range c.slots {
+		if c.slots[set] != 0 && slices.ContainsFunc(c.setWays(set), func(l line) bool { return l.state() != Invalid }) {
 			installed++
 		}
 	}
@@ -754,15 +810,146 @@ func TestConcurrentInstallsMarkEveryStripe(t *testing.T) {
 
 // BenchmarkResetSparse installs a few dozen lines into a 64 MB cache and
 // resets it: the cost a warm job pays for a big shared cache it barely used.
+// The accesses carry a bound worker's line cursor, as a job's do.
 func BenchmarkResetSparse(b *testing.B) {
-	c := New(Config{SizeKB: 64 << 10, Ways: 16, Latency: 12}, 0, nil)
+	a := arena.New()
+	c := New(Config{SizeKB: 64 << 10, Ways: 16, Latency: 12}, 0, stats.NewRegistryIn("l3", a))
 	c.SetParent(&fakeMem{lat: 100})
+	cur := WorkerCursors(a, 1)[0]
 	req := &Request{}
 	for b.Loop() {
 		for a := uint64(0); a < 48; a++ {
-			*req = Request{LineAddr: a * 4099}
+			*req = Request{LineAddr: a * 4099, Lines: cur}
 			c.Access(req)
 		}
 		c.Reset()
+	}
+}
+
+// slabChip builds a small chip's caches on one arena, so they share one line
+// slab: four L1s of 4 and 8 ways under a 16-way shared L2, with a cursor per
+// L1 for the goroutine that drives it.
+func slabChip() (l1s []*Cache, l2 *Cache, curs []*LineCursor) {
+	a := arena.New()
+	reg := stats.NewRegistryIn("chip", a)
+	l2 = New(Config{SizeKB: 2048, Ways: 16, Latency: 7}, 10, reg.Child("l2"))
+	l2.SetParent(&fakeMem{lat: 100})
+	for i := range 4 {
+		l1 := New(Config{SizeKB: 16, Ways: 4 << (i % 2), Latency: 4, Private: true}, i, reg.ChildIdx("l1", i))
+		l1.SetParent(l2)
+		l2.AddChild(l1)
+		l1s = append(l1s, l1)
+	}
+	return l1s, l2, WorkerCursors(a, len(l1s))
+}
+
+// slabBytes returns the bytes of the chunks the slab has allocated.
+func slabBytes(s *lineSlab) int {
+	n := 0
+	for _, chunk := range s.chunks {
+		n += len(chunk) * int(unsafe.Sizeof(line{}))
+	}
+	return n
+}
+
+// Goroutines hammer first touches of one slab at once, half of them through
+// their own cursors and half through the shared one, on private L1s and a
+// shared L2. The slab then holds no more than the touched sets' lines, plus
+// one chunk per cursor (the shared one too) and ways−1 lines per chunk, and
+// a Reset leaves every cache clear. A second round reuses the chunks: the
+// slab stays within the same bound.
+func TestSlabLineBytesBounded(t *testing.T) {
+	l1s, l2, curs := slabChip()
+	s := l2.slab
+	round := func(seed uint64) {
+		var wg sync.WaitGroup
+		for g, l1 := range l1s {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var cur *LineCursor
+				if g%2 == 0 {
+					cur = curs[g]
+				}
+				rng := seed + uint64(g)
+				for range 3000 {
+					rng ^= rng << 13
+					rng ^= rng >> 7
+					rng ^= rng << 17
+					l1.Access(&Request{LineAddr: rng % 1024, Write: rng&3 == 0, CoreID: g, Lines: cur})
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	caches := append([]*Cache{l2}, l1s...)
+	check := func(when string) {
+		touched, chunks := 0, 0
+		for _, c := range caches {
+			for _, slot := range c.slots {
+				if slot != 0 {
+					touched += c.ways
+				}
+			}
+		}
+		for _, chunk := range s.chunks {
+			if chunk != nil {
+				chunks++
+			}
+		}
+		lineB, chunkLines := int(unsafe.Sizeof(line{})), 1<<s.shift
+		bound := touched*lineB + (len(s.cursors)+1)*chunkLines*lineB + chunks*(s.ways-1)*lineB
+		if got := slabBytes(s); got > bound || touched == 0 {
+			t.Fatalf("%s: slab holds %d B for %d touched lines in %d chunks of %d lines; bound %d B",
+				when, got, touched, chunks, chunkLines, bound)
+		}
+	}
+	// The streams touch the same sets each round; how the goroutines
+	// interleave moves only which cursor carves which block.
+	for _, when := range []string{"round 1", "round 2 after Reset"} {
+		round(1)
+		check(when)
+		for _, c := range caches {
+			c.Reset()
+		}
+		for _, c := range caches {
+			assertClear(t, c, when+", then Reset")
+		}
+	}
+}
+
+// Reset clears only the sets with a dirty bit, and a slot it missed would
+// name lines the rewound slab hands out again: every set that holds a slot
+// has its dirty bit, under evictions, coherence invalidations and
+// write upgrades.
+func TestSlottedSetsAreDirty(t *testing.T) {
+	l1s, l2, curs := slabChip()
+	rng := uint64(99)
+	for i := range 20000 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		core := int(rng % 4)
+		if i%7 == 0 {
+			l2.Invalidate(rng >> 8 % 8192)
+			continue
+		}
+		l1s[core].Access(&Request{LineAddr: rng >> 8 % 8192, Write: rng&16 != 0, CoreID: core, Lines: curs[core]})
+	}
+	for _, c := range append([]*Cache{l2}, l1s...) {
+		slotted := 0
+		for set, slot := range c.slots {
+			if slot == 0 {
+				continue
+			}
+			slotted++
+			i := set >> c.stripeShift
+			if c.dirty[(set&c.stripeMask)*c.dirtyWords+i/64]&(1<<(i%64)) == 0 {
+				t.Fatalf("set %d holds slot %d but no dirty bit", set, slot)
+			}
+		}
+		if n := dirtySets(c); n != slotted || n == 0 {
+			t.Fatalf("%d dirty bits for %d slotted sets", n, slotted)
+		}
 	}
 }

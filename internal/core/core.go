@@ -51,6 +51,10 @@ type Core interface {
 	// SetObserver installs a line-granularity access observer (used by the
 	// path-altering-interference profiler); nil disables it.
 	SetObserver(obs cache.AccessObserver)
+	// SetLineCursor installs the line-slab cursor of the bound worker about
+	// to run the core; the core's requests carry it to the caches. nil (the
+	// default) takes the slab's shared cursor.
+	SetLineCursor(cur *cache.LineCursor)
 	// Reset restores the core to its just-constructed state (clocks, branch
 	// predictor, pipeline structures, transient fetch state, statistics) for
 	// warm-simulator reuse; installed recorders and observers are removed
@@ -83,8 +87,8 @@ type MemPorts struct {
 }
 
 // memUnit is the access machinery shared by the core models: the cache
-// ports, the installed recorder and observer, and the pooled request plus
-// recycled hop buffer that make the steady-state access path
+// ports, the installed recorder, observer and line cursor, and the pooled
+// request plus recycled hop buffer that make the steady-state access path
 // allocation-free. Core models embed it and issue every hierarchy access
 // through its access method.
 type memUnit struct {
@@ -92,6 +96,7 @@ type memUnit struct {
 	ports MemPorts
 	rec   AccessRecorder
 	obs   cache.AccessObserver
+	lines *cache.LineCursor
 
 	// req is the core's reusable request (one access is in flight at a time)
 	// and hopBuf the recycled hop buffer for the next traced access.
@@ -105,13 +110,18 @@ func (m *memUnit) SetRecorder(rec AccessRecorder) { m.rec = rec }
 // SetObserver installs the line-access observer.
 func (m *memUnit) SetObserver(obs cache.AccessObserver) { m.obs = obs }
 
+// SetLineCursor installs the running bound worker's line-slab cursor.
+func (m *memUnit) SetLineCursor(cur *cache.LineCursor) { m.lines = cur }
+
 // reset clears the unit's transient state (in-flight request, installed
-// recorder and observer) while keeping the identity, ports and the recycled
-// hop buffer's capacity. A fresh core's hop buffer is nil and a reused one is
-// a zero-length warm buffer; both are fully overwritten before any read.
+// recorder, observer and line cursor) while keeping the identity, ports and
+// the recycled hop buffer's capacity. A fresh core's hop buffer is nil and a
+// reused one is a zero-length warm buffer; both are fully overwritten before
+// any read.
 func (m *memUnit) reset() {
 	m.rec = nil
 	m.obs = nil
+	m.lines = nil
 	m.req = cache.Request{}
 	m.hopBuf = m.hopBuf[:0]
 }
@@ -135,6 +145,7 @@ func (m *memUnit) access(port cache.Level, lineAddr uint64, write bool, cycle ui
 		Cycle:      cycle,
 		Hops:       m.hopBuf[:0],
 		RecordHops: m.rec != nil,
+		Lines:      m.lines,
 	}
 	avail := port.Access(&m.req)
 	if m.rec != nil && len(m.req.Hops) > 0 {

@@ -71,6 +71,9 @@ type DecodedBBL struct {
 	MemOps  []MemOp    // loads and StData stores in µop program order
 	Tmpl    []UopTmpl  // one skeleton entry per µop
 	LiveOut []RegWrite // registers written by the block, with last writer
+	// MemSlots is the number of data addresses a dynamic execution of the
+	// block carries: one more than the highest Uop.MemSlot, 0 if none.
+	MemSlots int
 }
 
 // decodeOne expands a single instruction into µops, appending to out. It
@@ -348,10 +351,11 @@ func DecodeIn(a *arena.Arena, b *BasicBlock) *DecodedBBL {
 }
 
 // buildTemplate computes the block's timing template: the memory-op list, the
-// per-µop dependence skeleton and the live-out register set. It runs once per
-// static block, at translation time; the core models' per-dynamic-block loops
-// consume the result without re-deriving any of it. Template storage is
-// carved from the construction arena when one is supplied.
+// per-µop dependence skeleton, the live-out register set and the memory-slot
+// count. It runs once per static block, at translation time; the core
+// models' and trace threads' per-dynamic-block loops consume the result
+// without re-deriving any of it. Template storage is carved from the
+// construction arena when one is supplied.
 func (d *DecodedBBL) buildTemplate(a *arena.Arena) {
 	var lastWriter [NumRegs]int16
 	for i := range lastWriter {
@@ -363,6 +367,7 @@ func (d *DecodedBBL) buildTemplate(a *arena.Arena) {
 		u := &d.Uops[i]
 		t := &d.Tmpl[i]
 		t.Dep1, t.Dep2 = -1, -1
+		d.MemSlots = max(d.MemSlots, int(u.MemSlot)+1)
 		if u.Src1 != RegZero {
 			if w := lastWriter[u.Src1]; w >= 0 {
 				t.Dep1 = w

@@ -182,12 +182,7 @@ func (t *Thread) lockBlock(kind SyncKind, lockID int) *DynBlock {
 
 func (t *Thread) fillLockDyn(d *isa.DecodedBBL, lockID int, kind SyncKind, syncID int) *DynBlock {
 	addr := t.w.LockAddr(lockID)
-	n := 0
-	for _, u := range d.Uops {
-		if u.MemSlot >= 0 && int(u.MemSlot) >= n {
-			n = int(u.MemSlot) + 1
-		}
-	}
+	n := d.MemSlots
 	for i := 0; i < n; i++ {
 		t.addrs[i] = addr
 	}
@@ -220,15 +215,7 @@ func (t *Thread) computeBlock(kind SyncKind, syncID int) *DynBlock {
 	d := t.w.decoded[idx]
 
 	// Generate one address per memory slot.
-	nSlots := 0
-	for _, u := range d.Uops {
-		if u.MemSlot >= 0 && int(u.MemSlot) >= nSlots {
-			nSlots = int(u.MemSlot) + 1
-		}
-	}
-	if nSlots > len(t.addrs) {
-		nSlots = len(t.addrs)
-	}
+	nSlots := min(d.MemSlots, len(t.addrs))
 	for i := 0; i < nSlots; i++ {
 		t.addrs[i] = t.genAddr()
 	}

@@ -3,6 +3,8 @@ package trace
 import (
 	"testing"
 	"testing/quick"
+
+	"zsim/internal/isa"
 )
 
 func TestRandDeterminism(t *testing.T) {
@@ -449,5 +451,23 @@ func TestThreadBlockInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every decoded block of every registered workload, its spin block
+// included, carries the memory-slot count a scan of its µops finds: the
+// count dynamic blocks read instead of scanning.
+func TestMemSlotsMatchesScan(t *testing.T) {
+	for _, name := range AllNames() {
+		w := New(name, MustLookup(name), 1)
+		for _, d := range append([]*isa.DecodedBBL{w.spinDecoded}, w.decoded...) {
+			n := 0
+			for _, u := range d.Uops {
+				n = max(n, int(u.MemSlot)+1)
+			}
+			if d.MemSlots != n {
+				t.Fatalf("%s: block %d has MemSlots %d, its µops need %d", name, d.ID, d.MemSlots, n)
+			}
+		}
 	}
 }
