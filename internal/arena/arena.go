@@ -31,7 +31,8 @@ import (
 // the cap, so small systems (a 4-core test chip touches ~20 element types)
 // pay kilobytes of slack per type while 1,024-core chips still amortize into
 // a handful of large chunks. Takes bigger than the cap get a dedicated
-// exactly-sized chunk.
+// exactly-sized chunk, and Reserve makes a type's next chunk exactly the
+// size its caller is about to take.
 const (
 	minChunkBytes = 2 << 10
 	maxChunkBytes = 256 << 10
@@ -104,34 +105,64 @@ func TakeCap[T any](a *Arena, n, c int) []T {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	p := poolOf[T](a)
+	if len(p.buf)-p.used < c {
+		var zero T
+		elems := c
+		if p.nextBytes < minChunkBytes {
+			p.nextBytes = minChunkBytes
+		}
+		if size := int(unsafe.Sizeof(zero)); size > 0 {
+			elems = max(elems, p.nextBytes/size)
+		}
+		if p.nextBytes < maxChunkBytes {
+			p.nextBytes *= 2
+		}
+		newChunk(a, p, elems)
+	}
+	s := p.buf[p.used : p.used+c : p.used+c]
+	p.used += c
+	return s[:n]
+}
+
+// Reserve makes T's next n elements come from one chunk with no room to
+// spare: when T's current chunk has fewer than n elements left, Reserve
+// replaces it with a fresh chunk of exactly n (the old chunk's tail is
+// abandoned, as a take that does not fit abandons it). A caller that knows
+// the total it is about to take — every cache's slot table of a chip, the
+// flat arrays of a translated program — reserves it first, so that total
+// costs one chunk and no slack instead of a run of doubling chunks. A nil
+// arena or n < 1 does nothing.
+func Reserve[T any](a *Arena, n int) {
+	if a == nil || n < 1 {
+		return
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if p := poolOf[T](a); len(p.buf)-p.used < n {
+		newChunk(a, p, n)
+	}
+}
+
+// poolOf returns the arena's pool for T, making it on first use. The caller
+// holds a.mu.
+func poolOf[T any](a *Arena) *pool[T] {
 	key := reflect.TypeOf((*T)(nil))
 	p, ok := a.pools[key].(*pool[T])
 	if !ok {
 		p = &pool[T]{}
 		a.pools[key] = p
 	}
-	if len(p.buf)-p.used < c {
-		var zero T
-		size := int(unsafe.Sizeof(zero))
-		if p.nextBytes < minChunkBytes {
-			p.nextBytes = minChunkBytes
-		}
-		elems := c
-		if size > 0 {
-			if per := p.nextBytes / size; per > elems {
-				elems = per
-			}
-		}
-		if p.nextBytes < maxChunkBytes {
-			p.nextBytes *= 2
-		}
-		p.buf, p.used = make([]T, elems), 0
-		a.chunks++
-		a.bytes += uint64(elems * size)
-	}
-	s := p.buf[p.used : p.used+c : p.used+c]
-	p.used += c
-	return s[:n]
+	return p
+}
+
+// newChunk makes a fresh chunk of elems Ts the pool's current one. The
+// caller holds a.mu.
+func newChunk[T any](a *Arena, p *pool[T], elems int) {
+	var zero T
+	p.buf, p.used = make([]T, elems), 0
+	a.chunks++
+	a.bytes += uint64(elems) * uint64(unsafe.Sizeof(zero))
 }
 
 // Attached returns the arena's one *T, made by mk the first time it is asked

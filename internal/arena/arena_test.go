@@ -104,3 +104,27 @@ func TestAttachedIsOnePerArena(t *testing.T) {
 		t.Fatalf("a nil arena returned one value twice")
 	}
 }
+
+// Reserve makes the next chunk exactly the reserved size, so takes summing
+// to it cost that one chunk and leave no slack; a Reserve that already fits
+// the current chunk takes nothing.
+func TestReserveMakesExactChunk(t *testing.T) {
+	a := New()
+	Reserve[uint32](a, 1000)
+	for range 10 {
+		Take[uint32](a, 100)
+	}
+	if chunks, bytes := a.Stats(); chunks != 1 || bytes != 4000 {
+		t.Fatalf("1,000 reserved uint32s took %d chunks, %d B; want 1 chunk of 4,000 B", chunks, bytes)
+	}
+	Take[uint32](a, 1) // no room left: a new, geometric chunk
+	Reserve[uint32](a, 10)
+	if chunks, _ := a.Stats(); chunks != 2 {
+		t.Fatalf("a reserve that fits the current chunk took a chunk (%d chunks)", chunks)
+	}
+	Reserve[uint32](nil, 10)
+	Reserve[uint32](a, 0)
+	if chunks, _ := a.Stats(); chunks != 2 {
+		t.Fatalf("an empty reserve took a chunk (%d chunks)", chunks)
+	}
+}

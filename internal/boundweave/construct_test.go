@@ -18,9 +18,8 @@ import (
 // heap allocations per simulated core. Before arena-backed construction this
 // path performed ~72 allocations per core (counters, predictor tables, cache
 // set tables, registry nodes, name strings, event slabs); the arena brought
-// it under 10, and arena-backing the workload decode (trace.NewIn +
-// isa.DecodeIn: blocks, µops, timing templates) removed most
-// of what was left — the remainder is per-thread stream objects and
+// it under 10, and arena-backing the workload decode (trace.NewIn, now five
+// exactly sized program arrays per workload) removed most of what was left — the remainder is per-thread stream objects and
 // scheduler state.
 func TestConstructionAllocsBounded(t *testing.T) {
 	cfg := config.TiledChip(64, config.CoreIPC1) // 1,024 cores, contention on
@@ -40,28 +39,29 @@ func TestConstructionAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestWorkloadDecodeAllocsBounded isolates the decoder-cache arena hook:
-// generating and decoding a workload's whole static code footprint into an
-// arena must cost a bounded number of heap allocations (chunks, the decoder
-// map's buckets and per-thread bookkeeping), not the ~4k per-block
-// allocations the heap path performs.
+// TestWorkloadDecodeAllocsBounded isolates workload translation: generating
+// and translating a workload's whole static code footprint into an arena
+// costs a constant number of heap allocations whatever its block count —
+// the five program arrays, their pools, the generator's and the decoder's
+// scratch — not the ~8 per block the per-block heap path performed (block,
+// instruction growth, decoded BBL, µops, template, memory ops, live-outs)
+// nor the amortized chunks of per-block arena takes. It measures 18-19.
 func TestWorkloadDecodeAllocsBounded(t *testing.T) {
 	cfg := config.SmallTest()
 	sys, err := BuildSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := trace.DefaultParams()
-	p.StaticBlocks = 512
-	allocs := testing.AllocsPerRun(3, func() {
-		trace.NewIn(sys.Root.Arena(), "decode", p, 1)
-	})
-	// Heap path: ~8 allocations per static block (block, instrs growth,
-	// decoded BBL, µops, template, mem-ops, live-out, map insert). Arena
-	// path: map buckets plus amortized chunk allocations.
-	if allocs > float64(p.StaticBlocks) {
-		t.Fatalf("arena-backed workload decode allocates %.0f times for %d blocks; want < 1/block",
-			allocs, p.StaticBlocks)
+	for _, blocks := range []int{1, 512, 8192} {
+		p := trace.DefaultParams()
+		p.StaticBlocks = blocks
+		allocs := testing.AllocsPerRun(3, func() {
+			trace.NewIn(sys.Root.Arena(), "decode", p, 1)
+		})
+		if allocs > 24 {
+			t.Fatalf("translating a workload of %d blocks allocates %.0f times; budget is 24 per workload",
+				blocks, allocs)
+		}
 	}
 }
 

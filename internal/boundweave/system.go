@@ -111,20 +111,32 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	}
 	memRouter := cache.NewMemRouter(memLevels, cfg.NetHopCycles)
 
+	// Every cache's configuration, and so the chip's total set count: the
+	// slot tables of all its caches come from one exactly sized chunk.
+	coresPerTile := cfg.CoresPerTile
+	bankCfg := cache.Config{
+		SizeKB:  max(cfg.L3.SizeKB/cfg.L3.Banks, 1),
+		Ways:    cfg.L3.Ways,
+		Latency: cfg.L3.Latency,
+		MSHRs:   cfg.L3.MSHRs,
+	}
+	l2Cfg := cache.Config{
+		SizeKB:  cfg.L2.SizeKB,
+		Ways:    cfg.L2.Ways,
+		Latency: cfg.L2.Latency,
+		MSHRs:   cfg.L2.MSHRs,
+		Private: coresPerTile == 1,
+	}
+	l1iCfg := cache.Config{SizeKB: cfg.L1I.SizeKB, Ways: cfg.L1I.Ways, Latency: cfg.L1I.Latency, Private: true}
+	l1dCfg := cache.Config{SizeKB: cfg.L1D.SizeKB, Ways: cfg.L1D.Ways, Latency: cfg.L1D.Latency, Private: true}
+	arena.Reserve[uint32](root.Arena(), cfg.L3.Banks*bankCfg.Sets()+tiles*l2Cfg.Sets()+
+		cfg.NumCores*(l1iCfg.Sets()+l1dCfg.Sets()))
+
 	// L3 banks (fully shared, inclusive, one directory over all L2s).
 	l3Reg := root.Child("l3")
-	bankSizeKB := cfg.L3.SizeKB / cfg.L3.Banks
-	if bankSizeKB < 1 {
-		bankSizeKB = 1
-	}
 	for b := 0; b < cfg.L3.Banks; b++ {
 		comp := alloc()
-		bank := cache.New(cache.Config{
-			SizeKB:  bankSizeKB,
-			Ways:    cfg.L3.Ways,
-			Latency: cfg.L3.Latency,
-			MSHRs:   cfg.L3.MSHRs,
-		}, comp, l3Reg.ChildIdx("l3b", b))
+		bank := cache.New(bankCfg, comp, l3Reg.ChildIdx("l3b", b))
 		bank.SetParent(memRouter)
 		sys.Banks = append(sys.Banks, bank)
 		sys.BankComp = append(sys.BankComp, comp)
@@ -132,7 +144,6 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	}
 	// Distance-dependent latency: from the requesting core's tile to the
 	// bank's tile, using the configured topology.
-	coresPerTile := cfg.CoresPerTile
 	net := sys.Net
 	banksPerTile := max(cfg.L3.Banks/tiles, 1)
 	sys.L3 = cache.NewBanked(sys.Banks, func(coreID, bank int) uint32 {
@@ -144,16 +155,9 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	// L2 caches: one per tile (shared within the tile) or one per core. A
 	// per-core L2, like every L1, is private: it takes one lock stripe.
 	l2Reg := root.Child("l2")
-	numL2 := tiles
-	for i := 0; i < numL2; i++ {
+	for i := 0; i < tiles; i++ {
 		comp := alloc()
-		l2 := cache.New(cache.Config{
-			SizeKB:  cfg.L2.SizeKB,
-			Ways:    cfg.L2.Ways,
-			Latency: cfg.L2.Latency,
-			MSHRs:   cfg.L2.MSHRs,
-			Private: coresPerTile == 1,
-		}, comp, l2Reg.ChildIdx("l2", i))
+		l2 := cache.New(l2Cfg, comp, l2Reg.ChildIdx("l2", i))
 		l2.SetParent(sys.L3)
 		sys.L2 = append(sys.L2, l2)
 	}
@@ -171,12 +175,8 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		tile := cID / coresPerTile
 		l1iComp := alloc()
 		l1dComp := alloc()
-		l1i := cache.New(cache.Config{
-			SizeKB: cfg.L1I.SizeKB, Ways: cfg.L1I.Ways, Latency: cfg.L1I.Latency, Private: true,
-		}, l1iComp, coreReg.ChildIdx("l1i", cID))
-		l1d := cache.New(cache.Config{
-			SizeKB: cfg.L1D.SizeKB, Ways: cfg.L1D.Ways, Latency: cfg.L1D.Latency, Private: true,
-		}, l1dComp, coreReg.ChildIdx("l1d", cID))
+		l1i := cache.New(l1iCfg, l1iComp, coreReg.ChildIdx("l1i", cID))
+		l1d := cache.New(l1dCfg, l1dComp, coreReg.ChildIdx("l1d", cID))
 		l2 := sys.L2[tile]
 		l1i.SetParent(l2)
 		l1d.SetParent(l2)

@@ -297,6 +297,12 @@ type Config struct {
 	Private bool
 }
 
+// Sets returns the number of sets a cache built from the config has, and so
+// the length of its slot table.
+func (cfg Config) Sets() int {
+	return max(cfg.SizeKB*1024/LineSize/max(cfg.Ways, 1), 1)
+}
+
 // Cache is a single set-associative cache (or one bank of a banked cache).
 type Cache struct {
 	compID  int
@@ -336,15 +342,8 @@ type Cache struct {
 // built on the arena shares; a cache built without one gets a slab of its
 // own.
 func New(cfg Config, compID int, reg *stats.Registry) *Cache {
-	ways := cfg.Ways
-	if ways < 1 {
-		ways = 1
-	}
-	lines := cfg.SizeKB * 1024 / LineSize
-	sets := lines / ways
-	if sets < 1 {
-		sets = 1
-	}
+	ways := max(cfg.Ways, 1)
+	sets := cfg.Sets()
 	a := reg.Arena()
 	nStripes := 1
 	for !cfg.Private && nStripes*2 <= sets && nStripes < maxStripes {

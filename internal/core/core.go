@@ -4,7 +4,7 @@
 // by the dynamic instruction stream, rather than being stepped every cycle
 // (cycle-driven) or scheduled through a priority queue (event-driven). All
 // per-instruction decode work (µop fission, port masks, latencies, frontend
-// stall cycles) was already done once per static block by isa.Decode, so
+// stall cycles) was already done once per static block by isa.Translate, so
 // the per-µop work here is a handful of clock updates — this is what gives
 // the 10-100x core-model speedup over conventional simulators.
 package core
@@ -266,7 +266,7 @@ func (c *IPC1) SimulateBlock(b *trace.DynBlock) {
 	// One cycle per instruction, using the block's precomputed aggregates.
 	c.cycle += uint64(d.Instrs)
 	c.cnt.Instrs += uint64(d.Instrs)
-	c.cnt.Uops += uint64(len(d.Uops))
+	c.cnt.Uops += uint64(d.NumUops)
 	c.cnt.Loads += uint64(d.Loads)
 	c.cnt.Stores += uint64(d.Stores)
 
@@ -274,8 +274,9 @@ func (c *IPC1) SimulateBlock(b *trace.DynBlock) {
 	// are sent to the hierarchy but do not stall. The block's timing template
 	// lists exactly the memory µops, so the simple core's per-block work is
 	// O(memory accesses) rather than O(µops).
-	for i := range d.MemOps {
-		m := &d.MemOps[i]
+	memOps := b.Program.MemOps(d)
+	for i := range memOps {
+		m := &memOps[i]
 		addr := addrFor(b, m.Slot)
 		if m.Store {
 			c.access(c.ports.L1D, cache.LineAddr(addr), true, c.cycle)

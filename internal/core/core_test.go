@@ -32,8 +32,9 @@ func buildHierarchy() MemPorts {
 // mkBlock builds a dynamic block from instructions and addresses.
 func mkBlock(id uint64, addr uint64, instrs []isa.Instruction, addrs []uint64, taken bool) *trace.DynBlock {
 	bb := &isa.BasicBlock{ID: id, Addr: addr, Instrs: instrs}
-	d := isa.Decode(bb)
-	return &trace.DynBlock{Decoded: d, Addrs: addrs, Taken: taken, BranchPC: addr + d.Bytes}
+	p := isa.Decode(bb)
+	d := &p.Blocks[0]
+	return &trace.DynBlock{Decoded: d, Program: p, Addrs: addrs, Taken: taken, BranchPC: addr + d.Bytes}
 }
 
 // aluBlock builds a block of n ALU instructions terminated by a conditional

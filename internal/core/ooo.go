@@ -263,18 +263,19 @@ func (c *OOO) SimulateBlock(b *trace.DynBlock) {
 	c.decodeClock += uint64(d.DecodeCycles)
 
 	// --- Issue / execute / retire, one µop at a time --------------------
-	// The block's translation-time skeleton (d.Tmpl) already names each µop's
+	// The block's translation-time skeleton (its Tmpl) already names each µop's
 	// in-block producer, so operand readiness is resolved from the block-local
 	// done-cycle scratch; the architectural scoreboard is consulted only for
 	// cross-block sources and written back only from the live-out list.
 	blockIssue := c.decodeClock // µops cannot issue before the block is decoded
-	if cap(c.doneBuf) < len(d.Uops) {
-		c.growScratch(len(d.Uops))
+	uops, tmpl := b.Program.Uops(d), b.Program.Tmpl(d)
+	if cap(c.doneBuf) < len(uops) {
+		c.growScratch(len(uops))
 	}
-	done := c.doneBuf[:len(d.Uops)]
-	for i := range d.Uops {
-		u := &d.Uops[i]
-		tm := &d.Tmpl[i]
+	done := c.doneBuf[:len(uops)]
+	for i := range uops {
+		u := &uops[i]
+		tm := &tmpl[i]
 		// Minimum dispatch cycle: operand readiness from the in-block
 		// dependence edges or the cross-block scoreboard, then fence ordering.
 		dispatch := blockIssue
@@ -302,13 +303,14 @@ func (c *OOO) SimulateBlock(b *trace.DynBlock) {
 		done[i] = c.simulateUop(b, u, dispatch)
 	}
 	// Cross-block register liveness: publish the block's live-out values.
-	for i := range d.LiveOut {
-		lw := &d.LiveOut[i]
+	liveOut := b.Program.LiveOut(d)
+	for i := range liveOut {
+		lw := &liveOut[i]
 		c.scoreboard[lw.Reg] = done[lw.Uop]
 	}
 
 	c.cnt.Instrs += uint64(d.Instrs)
-	c.cnt.Uops += uint64(len(d.Uops))
+	c.cnt.Uops += uint64(len(uops))
 
 	// --- Branch resolution ----------------------------------------------
 	if d.CondBranch {

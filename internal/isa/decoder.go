@@ -1,6 +1,13 @@
 package isa
 
-import "zsim/internal/arena"
+import (
+	"fmt"
+	"iter"
+	"math"
+	"math/bits"
+
+	"zsim/internal/arena"
+)
 
 // MemOp is one memory access of a block's timing template, in µop program
 // order: the memory-operand slot it reads its dynamic address from and
@@ -34,31 +41,44 @@ type RegWrite struct {
 	Uop int16
 }
 
-// DecodedBBL is the translation-time artifact the core timing models consume:
-// the µop expansion of a static basic block, plus everything about the block
-// that can be pre-computed once (frontend decode stalls, counts of loads,
-// stores, and branches, total instruction bytes, and the timing template:
-// per-µop dependence skeleton, memory-op list, live-out register set). It
-// corresponds to the "Decoded BBL µops" table of Figure 1 in the paper.
+// DecodedBBL is the translation-time artifact the core timing models consume
+// for one static basic block: everything about the block that can be
+// computed once (frontend decode stalls, counts of loads, stores and
+// branches, total instruction bytes) and where its µops and timing template
+// — per-µop dependence skeleton, memory-op list, live-out register set — sit
+// in its Program's flat arrays. It corresponds to the "Decoded BBL µops"
+// table of Figure 1 in the paper.
 //
-// A DecodedBBL is immutable after creation and shared by every dynamic
-// execution of its static block, by every core, without locking.
+// A DecodedBBL holds no pointer and fills at most one 64 B host line
+// (TestDecodedLayout), so a program's blocks are one pointer-free array the
+// GC never scans. It is immutable after translation and shared by every
+// dynamic execution of its static block, by every core, without locking;
+// Program's Uops, Tmpl, MemOps and LiveOut methods return its slices.
 type DecodedBBL struct {
 	ID     uint64
 	Addr   uint64
 	Bytes  uint64
-	Instrs int   // number of x86 instructions (after macro-op fusion, FusedInstrs <= Instrs)
-	Uops   []Uop // µops in program order
+	Instrs int // number of x86 instructions (a macro-fused cmp+jcc pair counts as two)
 
 	// DecodeCycles is the number of frontend decode cycles the block needs on
 	// the modeled 4-1-1-1 decoder with a 16-byte/cycle length predecoder.
 	// It is pre-computed here so the OOO model's frontend only adds a constant.
 	DecodeCycles uint32
 
+	// Where the block's entries start in its Program's arrays: µops and
+	// their templates at uopOff (NumUops of each), memory ops at memOff
+	// (Loads+Stores of them), live-out writes at liveOff (nLive of them).
+	uopOff, memOff, liveOff uint32
+	nLive                   uint16
+
 	// Counts pre-computed for the timing models and statistics.
-	Loads    int
-	Stores   int
-	Branches int
+	NumUops  uint16
+	Loads    uint16
+	Stores   uint16
+	Branches uint16
+	// MemSlots is the number of data addresses a dynamic execution of the
+	// block carries: one more than the highest Uop.MemSlot, 0 if none.
+	MemSlots uint8
 	// CondBranch is true if the block ends in a conditional branch (the only
 	// kind that consults the branch predictor's direction prediction).
 	CondBranch bool
@@ -66,14 +86,43 @@ type DecodedBBL struct {
 	// approximate decoding (OpComplex); the paper reports ~0.01% of dynamic
 	// instructions take this path.
 	Approx bool
+}
 
-	// Timing template (computed once at translation time by buildTemplate).
-	MemOps  []MemOp    // loads and StData stores in µop program order
-	Tmpl    []UopTmpl  // one skeleton entry per µop
-	LiveOut []RegWrite // registers written by the block, with last writer
-	// MemSlots is the number of data addresses a dynamic execution of the
-	// block carries: one more than the highest Uop.MemSlot, 0 if none.
-	MemSlots int
+// Program is a translated program: one DecodedBBL per static block and four
+// program-wide arrays the blocks index by offset and count. Translate sizes
+// each array exactly before filling it, so a program is five allocations (or
+// five arena takes) whatever its block count, and none of them holds a
+// pointer.
+type Program struct {
+	// Blocks are the program's decoded blocks, in the order its code yielded
+	// them.
+	Blocks []DecodedBBL
+
+	uops    []Uop      // µops in program order
+	tmpl    []UopTmpl  // one skeleton entry per µop
+	memOps  []MemOp    // loads and StData stores in µop program order
+	liveOut []RegWrite // registers each block writes, with last writer
+}
+
+// Uops returns block d's µops in program order.
+func (p *Program) Uops(d *DecodedBBL) []Uop {
+	return p.uops[d.uopOff : d.uopOff+uint32(d.NumUops)]
+}
+
+// Tmpl returns block d's timing skeleton, one entry per µop.
+func (p *Program) Tmpl(d *DecodedBBL) []UopTmpl {
+	return p.tmpl[d.uopOff : d.uopOff+uint32(d.NumUops)]
+}
+
+// MemOps returns block d's loads and StData stores in µop program order.
+func (p *Program) MemOps(d *DecodedBBL) []MemOp {
+	return p.memOps[d.memOff : d.memOff+uint32(d.Loads)+uint32(d.Stores)]
+}
+
+// LiveOut returns the registers block d writes, each with its last in-block
+// writer, in register order.
+func (p *Program) LiveOut(d *DecodedBBL) []RegWrite {
+	return p.liveOut[d.liveOff : d.liveOff+uint32(d.nLive)]
 }
 
 // decodeOne expands a single instruction into µops, appending to out. It
@@ -197,11 +246,11 @@ func decodeOne(ins Instruction, memSlot *int8, out []Uop) []Uop {
 }
 
 // uopSlotTable holds, per opcode, the number of µops decodeOne emits for it.
-// It is consulted by the 4-1-1-1 decode model (instructions that decode to
-// one µop can go to any of the four decoders, multi-µop instructions only to
-// the first) and to pre-size arena-backed µop slices — both per static
-// block, so keeping it a table instead of a throwaway decodeOne call makes
-// translation allocation-free. TestUopSlotsMatchDecode pins it to decodeOne.
+// The 4-1-1-1 decode model consults it once per instruction (instructions
+// that decode to one µop can go to any of the four decoders, multi-µop
+// instructions only to the first), so keeping it a table instead of a
+// throwaway decodeOne call keeps that model allocation-free.
+// TestUopSlotsMatchDecode pins it to decodeOne.
 var uopSlotTable = [NumOpcodes]int8{
 	OpNop: 1, OpMagic: 1,
 	OpMovRR: 1, OpMovRI: 1, OpLea: 1,
@@ -274,100 +323,157 @@ func frontendCycles(instrs []Instruction, fused []bool) uint32 {
 	return decCycles
 }
 
-// Decode translates one static basic block into its DecodedBBL. Macro-op
-// fusion merges a flag-setting compare/test with an immediately following
-// conditional branch into a single µop, as Westmere does.
-func Decode(b *BasicBlock) *DecodedBBL {
-	return DecodeIn(nil, b)
+// Decode translates one static basic block into a one-block Program, the
+// reference every multi-block translation must agree with block by block.
+func Decode(b *BasicBlock) *Program {
+	var n footprint
+	n.count(b)
+	p := n.program(nil)
+	p.add(b)
+	return p
 }
 
-// DecodeIn is Decode with the DecodedBBL and every slice it owns — µops,
-// timing template, memory-op list, live-out set — carved from the given
-// construction arena (nil falls back to the heap). Workload construction
-// decodes thousands of blocks; with an arena this is the difference between
-// ~4k small allocations per workload and a handful of chunk allocations.
-func DecodeIn(a *arena.Arena, b *BasicBlock) *DecodedBBL {
-	d := arena.One[DecodedBBL](a)
-	d.ID = b.ID
-	d.Addr = b.Addr
-	d.Bytes = b.Bytes()
-	// Exact µop capacity: macro-op fusion only ever shrinks the count.
-	maxUops := 0
-	for i := range b.Instrs {
-		maxUops += uopSlots(b.Instrs[i])
+// Translate decodes every block code yields into one Program whose five
+// arrays are carved from the arena (nil falls back to the heap), each taken
+// once at its exact size. It ranges over code twice — a counting pass, then
+// the pass that fills the arrays — so code must yield the same blocks each
+// time; a block is read only while it is the one yielded, so code may build
+// every block in one reused BasicBlock. Macro-op fusion merges a
+// flag-setting compare/test with an immediately following conditional
+// branch into a single µop, as Westmere does.
+func Translate(a *arena.Arena, code iter.Seq[*BasicBlock]) *Program {
+	var n footprint
+	for b := range code {
+		n.count(b)
 	}
-	d.Uops = arena.TakeCap[Uop](a, 0, maxUops)
-	// fused is decode-time scratch; it must not come from the permanent
-	// arena (which never frees), and a stack buffer keeps the common case
-	// allocation-free.
+	p := n.program(a)
+	for b := range code {
+		p.add(b)
+	}
+	if (footprint{len(p.Blocks), len(p.uops), len(p.memOps), len(p.liveOut)}) != n {
+		panic("isa: Translate's code yielded different blocks on its second pass")
+	}
+	return p
+}
+
+// footprint is the length of each of a program's arrays (the template has
+// one entry per µop).
+type footprint struct {
+	blocks, uops, memOps, liveOut int
+}
+
+// count adds block b's entries: one block, its µops, its loads and StData
+// stores, and the distinct registers it writes.
+func (n *footprint) count(b *BasicBlock) {
+	var uopBuf [64]Uop
 	var fusedBuf [64]bool
-	var fused []bool
-	if len(b.Instrs) > len(fusedBuf) {
-		fused = make([]bool, len(b.Instrs))
-	} else {
-		fused = fusedBuf[:len(b.Instrs)]
+	uops := expand(b.Instrs, uopBuf[:0], fusedFlags(&fusedBuf, len(b.Instrs)))
+	var written uint64 // bit r set: register r is written (NumRegs <= 64)
+	for i := range uops {
+		u := &uops[i]
+		if u.Type == UopLoad || u.Type == UopStData {
+			n.memOps++
+		}
+		written |= 1<<u.Dst1 | 1<<u.Dst2
 	}
+	n.blocks++
+	n.uops += len(uops)
+	n.liveOut += bits.OnesCount64(written &^ (1 << RegZero))
+}
+
+// program returns an empty Program with room for exactly the counted
+// entries, each array carved from the arena in a chunk of its own when the
+// arena's current one lacks the room.
+func (n *footprint) program(a *arena.Arena) *Program {
+	return &Program{
+		Blocks:  exact[DecodedBBL](a, n.blocks),
+		uops:    exact[Uop](a, n.uops),
+		tmpl:    exact[UopTmpl](a, n.uops),
+		memOps:  exact[MemOp](a, n.memOps),
+		liveOut: exact[RegWrite](a, n.liveOut),
+	}
+}
+
+// exact returns an empty slice with room for exactly n Ts.
+func exact[T any](a *arena.Arena, n int) []T {
+	arena.Reserve[T](a, n)
+	return arena.TakeCap[T](a, 0, n)
+}
+
+// fusedFlags returns n all-false flags, in buf when they fit.
+func fusedFlags(buf *[64]bool, n int) []bool {
+	if n > len(buf) {
+		return make([]bool, n)
+	}
+	return buf[:n]
+}
+
+// expand appends the µops of instrs to uops, fusing each cmp/test that a jcc
+// follows into one branch µop, and sets fused[i] for each jcc fusion
+// absorbed. fused has one all-false entry per instruction.
+func expand(instrs []Instruction, uops []Uop, fused []bool) []Uop {
 	var memSlot int8
-	instrCount := 0
-	for i := 0; i < len(b.Instrs); i++ {
-		ins := b.Instrs[i]
-		instrCount++
-		// Macro-op fusion: cmp/test followed by jcc.
-		if (ins.Op == OpCmp || ins.Op == OpTest) && i+1 < len(b.Instrs) && b.Instrs[i+1].Op == OpJcc {
-			d.Uops = append(d.Uops, Uop{
+	for i := 0; i < len(instrs); i++ {
+		ins := instrs[i]
+		if (ins.Op == OpCmp || ins.Op == OpTest) && i+1 < len(instrs) && instrs[i+1].Op == OpJcc {
+			uops = append(uops, Uop{
 				Type: UopBranch, Src1: ins.Src1, Src2: ins.Src2, Dst1: RIP, Dst2: RFlags,
 				Lat: 1, Ports: PortsBranch, MemSlot: -1,
 			})
 			fused[i+1] = true
-			d.Branches++
-			d.CondBranch = true
-			instrCount++ // the fused jcc still counts as an instruction
 			i++
 			continue
 		}
-		start := len(d.Uops)
-		d.Uops = decodeOne(ins, &memSlot, d.Uops)
-		for _, u := range d.Uops[start:] {
-			switch u.Type {
-			case UopLoad:
-				d.Loads++
-			case UopStData:
-				d.Stores++
-			case UopBranch:
-				d.Branches++
-				if ins.Op.IsConditional() {
-					d.CondBranch = true
-				}
-			}
-		}
-		if ins.Op == OpComplex {
-			d.Approx = true
-		}
+		uops = decodeOne(ins, &memSlot, uops)
 	}
-	d.Instrs = instrCount
-	d.DecodeCycles = frontendCycles(b.Instrs, fused)
-	d.buildTemplate(a)
-	return d
+	return uops
 }
 
-// buildTemplate computes the block's timing template: the memory-op list, the
-// per-µop dependence skeleton, the live-out register set and the memory-slot
-// count. It runs once per static block, at translation time; the core
-// models' and trace threads' per-dynamic-block loops consume the result
-// without re-deriving any of it. Template storage is carved from the
-// construction arena when one is supplied.
-func (d *DecodedBBL) buildTemplate(a *arena.Arena) {
+// add decodes block b into the next entries of the program's arrays.
+func (p *Program) add(b *BasicBlock) {
+	var fusedBuf [64]bool
+	fused := fusedFlags(&fusedBuf, len(b.Instrs))
+	start := len(p.uops)
+	p.uops = expand(b.Instrs, p.uops, fused)
+	n := len(p.uops) - start
+	if n > math.MaxInt16 {
+		panic(fmt.Sprintf("isa: block %d decodes to %d µops; a block holds at most %d", b.ID, n, math.MaxInt16))
+	}
+	d := DecodedBBL{
+		ID:           b.ID,
+		Addr:         b.Addr,
+		Bytes:        b.Bytes(),
+		Instrs:       len(b.Instrs),
+		DecodeCycles: frontendCycles(b.Instrs, fused),
+		uopOff:       uint32(start),
+		memOff:       uint32(len(p.memOps)),
+		liveOff:      uint32(len(p.liveOut)),
+		NumUops:      uint16(n),
+	}
+	for _, ins := range b.Instrs {
+		d.CondBranch = d.CondBranch || ins.Op.IsConditional()
+		d.Approx = d.Approx || ins.Op == OpComplex
+	}
+	p.buildTemplate(&d)
+	p.Blocks = append(p.Blocks, d)
+}
+
+// buildTemplate appends block d's timing template — the per-µop dependence
+// skeleton, the memory-op list and the live-out register set — to the
+// program's arrays and sets d's µop counts and memory-slot count. It runs
+// once per static block, at translation time; the core models' and trace
+// threads' per-dynamic-block loops consume the result without re-deriving
+// any of it.
+func (p *Program) buildTemplate(d *DecodedBBL) {
 	var lastWriter [NumRegs]int16
 	for i := range lastWriter {
 		lastWriter[i] = -1
 	}
-	d.Tmpl = arena.Take[UopTmpl](a, len(d.Uops))
-	d.MemOps = arena.TakeCap[MemOp](a, 0, d.Loads+d.Stores)
-	for i := range d.Uops {
-		u := &d.Uops[i]
-		t := &d.Tmpl[i]
-		t.Dep1, t.Dep2 = -1, -1
-		d.MemSlots = max(d.MemSlots, int(u.MemSlot)+1)
+	uops := p.Uops(d)
+	for i := range uops {
+		u := &uops[i]
+		t := UopTmpl{Dep1: -1, Dep2: -1}
+		d.MemSlots = max(d.MemSlots, uint8(int(u.MemSlot)+1))
 		if u.Src1 != RegZero {
 			if w := lastWriter[u.Src1]; w >= 0 {
 				t.Dep1 = w
@@ -384,14 +490,19 @@ func (d *DecodedBBL) buildTemplate(a *arena.Arena) {
 		}
 		switch u.Type {
 		case UopLoad:
-			d.MemOps = append(d.MemOps, MemOp{Slot: u.MemSlot})
+			d.Loads++
+			p.memOps = append(p.memOps, MemOp{Slot: u.MemSlot})
 			t.OrderedMem = true
 		case UopStData:
-			d.MemOps = append(d.MemOps, MemOp{Slot: u.MemSlot, Store: true})
+			d.Stores++
+			p.memOps = append(p.memOps, MemOp{Slot: u.MemSlot, Store: true})
 			t.OrderedMem = true
 		case UopStAddr, UopFence:
 			t.OrderedMem = true
+		case UopBranch:
+			d.Branches++
 		}
+		p.tmpl = append(p.tmpl, t)
 		if u.Dst1 != RegZero {
 			lastWriter[u.Dst1] = int16(i)
 		}
@@ -399,16 +510,10 @@ func (d *DecodedBBL) buildTemplate(a *arena.Arena) {
 			lastWriter[u.Dst2] = int16(i)
 		}
 	}
-	liveOut := 0
-	for r := 1; r < int(NumRegs); r++ {
-		if lastWriter[r] >= 0 {
-			liveOut++
-		}
-	}
-	d.LiveOut = arena.TakeCap[RegWrite](a, 0, liveOut)
 	for r := 1; r < int(NumRegs); r++ {
 		if w := lastWriter[r]; w >= 0 {
-			d.LiveOut = append(d.LiveOut, RegWrite{Reg: Reg(r), Uop: w})
+			p.liveOut = append(p.liveOut, RegWrite{Reg: Reg(r), Uop: w})
+			d.nLive++
 		}
 	}
 }

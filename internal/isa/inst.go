@@ -104,8 +104,8 @@ func (i Instruction) String() string {
 
 // BasicBlock is a static basic block: a straight-line sequence of
 // instructions ending (optionally) in a branch. Workload programs are built
-// from basic blocks; Decode translates each one exactly once into a
-// DecodedBBL.
+// from basic blocks; Translate decodes each one exactly once into its
+// Program, after which the block is no longer needed.
 type BasicBlock struct {
 	// ID uniquely identifies the static block within a workload (the
 	// analogue of a Pin trace address).

@@ -1,10 +1,14 @@
 package isa
 
 import (
+	"fmt"
 	"math/bits"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"zsim/internal/arena"
 )
@@ -113,11 +117,11 @@ func TestDecodeSimpleALU(t *testing.T) {
 	b := &BasicBlock{ID: 1, Instrs: []Instruction{
 		{Op: OpAdd, Dst: RAX, Src1: RAX, Src2: RBX, Bytes: 3},
 	}}
-	d := Decode(b)
-	if len(d.Uops) != 1 {
-		t.Fatalf("add should decode to 1 uop, got %d", len(d.Uops))
+	d, uops := decode1(b)
+	if len(uops) != 1 {
+		t.Fatalf("add should decode to 1 uop, got %d", len(uops))
 	}
-	u := d.Uops[0]
+	u := uops[0]
 	if u.Type != UopExec || u.Dst1 != RAX || u.Dst2 != RFlags || u.Lat != 1 {
 		t.Fatalf("bad add decoding: %v", u)
 	}
@@ -130,14 +134,14 @@ func TestDecodeStoreFission(t *testing.T) {
 	b := &BasicBlock{ID: 2, Instrs: []Instruction{
 		{Op: OpStore, Dst: RDX, Src1: RBP, Bytes: 4},
 	}}
-	d := Decode(b)
-	if len(d.Uops) != 2 {
-		t.Fatalf("store should decode to StAddr+StData, got %d uops", len(d.Uops))
+	d, uops := decode1(b)
+	if len(uops) != 2 {
+		t.Fatalf("store should decode to StAddr+StData, got %d uops", len(uops))
 	}
-	if d.Uops[0].Type != UopStAddr || d.Uops[1].Type != UopStData {
-		t.Fatalf("bad store fission: %v %v", d.Uops[0], d.Uops[1])
+	if uops[0].Type != UopStAddr || uops[1].Type != UopStData {
+		t.Fatalf("bad store fission: %v %v", uops[0], uops[1])
 	}
-	if d.Uops[0].MemSlot != d.Uops[1].MemSlot {
+	if uops[0].MemSlot != uops[1].MemSlot {
 		t.Fatalf("StAddr and StData must share a memory slot")
 	}
 	if d.Stores != 1 {
@@ -149,11 +153,11 @@ func TestDecodeLoadOpFission(t *testing.T) {
 	b := &BasicBlock{ID: 3, Instrs: []Instruction{
 		{Op: OpAddMem, Dst: RAX, Src1: RAX, Src2: RBP, Bytes: 4},
 	}}
-	d := Decode(b)
-	if len(d.Uops) != 2 {
-		t.Fatalf("load-op should decode to 2 uops, got %d", len(d.Uops))
+	d, uops := decode1(b)
+	if len(uops) != 2 {
+		t.Fatalf("load-op should decode to 2 uops, got %d", len(uops))
 	}
-	if d.Uops[0].Type != UopLoad || d.Uops[1].Type != UopExec {
+	if uops[0].Type != UopLoad || uops[1].Type != UopExec {
 		t.Fatalf("bad load-op fission")
 	}
 	if d.Loads != 1 {
@@ -165,15 +169,15 @@ func TestDecodeRMW(t *testing.T) {
 	b := &BasicBlock{ID: 4, Instrs: []Instruction{
 		{Op: OpAddToMem, Dst: RegZero, Src1: RBP, Src2: RAX, Bytes: 4},
 	}}
-	d := Decode(b)
-	if len(d.Uops) != 4 {
-		t.Fatalf("RMW should decode to 4 uops, got %d", len(d.Uops))
+	d, uops := decode1(b)
+	if len(uops) != 4 {
+		t.Fatalf("RMW should decode to 4 uops, got %d", len(uops))
 	}
 	if d.Loads != 1 || d.Stores != 1 {
 		t.Fatalf("RMW should have 1 load and 1 store: %+v", d)
 	}
 	// Load and store must target the same memory slot (same address).
-	if d.Uops[0].MemSlot != d.Uops[2].MemSlot {
+	if uops[0].MemSlot != uops[2].MemSlot {
 		t.Fatalf("RMW load and store should share a memory slot")
 	}
 }
@@ -183,11 +187,11 @@ func TestDecodeMacroFusion(t *testing.T) {
 		{Op: OpCmp, Src1: RAX, Src2: RBX, Bytes: 3},
 		{Op: OpJcc, Bytes: 2},
 	}}
-	d := Decode(b)
-	if len(d.Uops) != 1 {
-		t.Fatalf("cmp+jcc should macro-fuse into 1 uop, got %d", len(d.Uops))
+	d, uops := decode1(b)
+	if len(uops) != 1 {
+		t.Fatalf("cmp+jcc should macro-fuse into 1 uop, got %d", len(uops))
 	}
-	if d.Uops[0].Type != UopBranch {
+	if uops[0].Type != UopBranch {
 		t.Fatalf("fused uop should be a branch")
 	}
 	if d.Instrs != 2 {
@@ -203,18 +207,18 @@ func TestDecodeNoFusionWithoutJcc(t *testing.T) {
 		{Op: OpCmp, Src1: RAX, Src2: RBX, Bytes: 3},
 		{Op: OpAdd, Dst: RAX, Src1: RAX, Src2: RBX, Bytes: 3},
 	}}
-	d := Decode(b)
-	if len(d.Uops) != 2 {
-		t.Fatalf("cmp+add should not fuse, got %d uops", len(d.Uops))
+	_, uops := decode1(b)
+	if len(uops) != 2 {
+		t.Fatalf("cmp+add should not fuse, got %d uops", len(uops))
 	}
 }
 
 func TestDecodeCallRet(t *testing.T) {
-	call := Decode(&BasicBlock{ID: 7, Instrs: []Instruction{{Op: OpCall, Bytes: 5}}})
+	call, _ := decode1(&BasicBlock{ID: 7, Instrs: []Instruction{{Op: OpCall, Bytes: 5}}})
 	if call.Stores != 1 || call.Branches != 1 {
 		t.Fatalf("call should store a return address and branch: %+v", call)
 	}
-	ret := Decode(&BasicBlock{ID: 8, Instrs: []Instruction{{Op: OpRet, Bytes: 1}}})
+	ret, _ := decode1(&BasicBlock{ID: 8, Instrs: []Instruction{{Op: OpRet, Bytes: 1}}})
 	if ret.Loads != 1 || ret.Branches != 1 {
 		t.Fatalf("ret should load the return address and branch: %+v", ret)
 	}
@@ -224,14 +228,14 @@ func TestDecodeCallRet(t *testing.T) {
 }
 
 func TestDecodeAtomics(t *testing.T) {
-	d := Decode(&BasicBlock{ID: 9, Instrs: []Instruction{
+	d, uops := decode1(&BasicBlock{ID: 9, Instrs: []Instruction{
 		{Op: OpCmpXchg, Dst: RAX, Src1: RBP, Src2: RBX, Bytes: 5},
 	}})
 	if d.Loads != 1 || d.Stores != 1 {
 		t.Fatalf("cmpxchg should load and store: %+v", d)
 	}
 	var hasFence bool
-	for _, u := range d.Uops {
+	for _, u := range uops {
 		if u.Type == UopFence {
 			hasFence = true
 		}
@@ -242,7 +246,7 @@ func TestDecodeAtomics(t *testing.T) {
 }
 
 func TestDecodeComplexApprox(t *testing.T) {
-	d := Decode(&BasicBlock{ID: 10, Instrs: []Instruction{
+	d, _ := decode1(&BasicBlock{ID: 10, Instrs: []Instruction{
 		{Op: OpComplex, Dst: RAX, Src1: RBX, Bytes: 6},
 	}})
 	if !d.Approx {
@@ -255,7 +259,7 @@ func TestDecodeCyclesPositive(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		instrs = append(instrs, Instruction{Op: OpAdd, Dst: RAX, Src1: RAX, Src2: RBX, Bytes: 3})
 	}
-	d := Decode(&BasicBlock{ID: 11, Instrs: instrs})
+	d, _ := decode1(&BasicBlock{ID: 11, Instrs: instrs})
 	// 12 single-uop instructions on a 4-wide decoder need at least 3 cycles.
 	if d.DecodeCycles < 3 {
 		t.Fatalf("decode cycles too low: %d", d.DecodeCycles)
@@ -269,7 +273,7 @@ func TestDecodeCyclesPredecodeBound(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		instrs = append(instrs, Instruction{Op: OpMovRR, Dst: RAX, Src1: RBX, Bytes: 8})
 	}
-	d := Decode(&BasicBlock{ID: 12, Instrs: instrs})
+	d, _ := decode1(&BasicBlock{ID: 12, Instrs: instrs})
 	if d.DecodeCycles != 2 {
 		t.Fatalf("predecoder should bound decode cycles at 2, got %d", d.DecodeCycles)
 	}
@@ -307,10 +311,10 @@ func TestDecodeInvariants(t *testing.T) {
 				Op: op, Dst: GPR(int(s)), Src1: GPR(int(s) + 1), Src2: GPR(int(s) + 2), Bytes: 3,
 			})
 		}
-		d := Decode(b)
+		d, uops := decode1(b)
 		loads, stores, branches := 0, 0, 0
 		maxSlot := int8(-1)
-		for _, u := range d.Uops {
+		for _, u := range uops {
 			switch u.Type {
 			case UopLoad:
 				loads++
@@ -333,7 +337,7 @@ func TestDecodeInvariants(t *testing.T) {
 				return false // every uop must have at least one feasible port
 			}
 		}
-		if loads != d.Loads || stores != d.Stores || branches != d.Branches {
+		if loads != int(d.Loads) || stores != int(d.Stores) || branches != int(d.Branches) {
 			return false
 		}
 		if d.Instrs < len(b.Instrs) {
@@ -362,13 +366,13 @@ func TestDecodeDeterministic(t *testing.T) {
 				Op: Opcode(s % uint8(NumOpcodes)), Dst: GPR(int(s)), Src1: GPR(int(s) + 3), Bytes: 1 + s%7,
 			})
 		}
-		d1 := Decode(b)
-		d2 := Decode(b)
-		if len(d1.Uops) != len(d2.Uops) || d1.DecodeCycles != d2.DecodeCycles {
+		d1, u1 := decode1(b)
+		d2, u2 := decode1(b)
+		if len(u1) != len(u2) || d1.DecodeCycles != d2.DecodeCycles {
 			return false
 		}
-		for i := range d1.Uops {
-			if d1.Uops[i] != d2.Uops[i] {
+		for i := range u1 {
+			if u1[i] != u2[i] {
 				return false
 			}
 		}
@@ -394,26 +398,137 @@ func TestUopSlotsMatchDecode(t *testing.T) {
 	}
 }
 
-// TestDecodeInMatchesDecode checks the arena path produces the same decoded
-// block as the heap path.
-func TestDecodeInMatchesDecode(t *testing.T) {
-	b := &BasicBlock{ID: 7, Addr: 0x400000}
-	for op := Opcode(0); op < NumOpcodes; op++ {
-		b.Instrs = append(b.Instrs, Instruction{Op: op, Dst: RAX, Src1: RBX, Src2: RCX, Bytes: 3})
+// decode1 decodes one block and returns its DecodedBBL and µops.
+func decode1(b *BasicBlock) (*DecodedBBL, []Uop) {
+	p := Decode(b)
+	d := &p.Blocks[0]
+	return d, p.Uops(d)
+}
+
+// pointerFree reports the path of the first pointer-holding part of t ("" if
+// none): the GC scans no array of a pointer-free type.
+func pointerFree(t reflect.Type, path string) string {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return ""
+	case reflect.Array:
+		return pointerFree(t.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if p := pointerFree(t.Field(i).Type, path+"."+t.Field(i).Name); p != "" {
+				return p
+			}
+		}
+		return ""
 	}
-	heap := Decode(b)
-	ar := DecodeIn(arena.New(), b)
-	if len(heap.Uops) != len(ar.Uops) || heap.Instrs != ar.Instrs ||
-		heap.DecodeCycles != ar.DecodeCycles || heap.Loads != ar.Loads ||
-		heap.Stores != ar.Stores || heap.Branches != ar.Branches {
-		t.Fatalf("arena decode differs from heap decode:\nheap %+v\narena %+v", heap, ar)
+	return path + " (" + t.Kind().String() + ")"
+}
+
+// A decoded block fills at most one 64 B host line and, like the entries of
+// the program's four other arrays, holds no pointer: a translated program is
+// five arrays the GC never scans.
+func TestDecodedLayout(t *testing.T) {
+	if n := unsafe.Sizeof(DecodedBBL{}); n > 64 {
+		t.Fatalf("DecodedBBL is %d bytes, want at most 64", n)
 	}
-	for i := range heap.Tmpl {
-		if heap.Tmpl[i] != ar.Tmpl[i] {
-			t.Fatalf("template differs at µop %d: %+v vs %+v", i, heap.Tmpl[i], ar.Tmpl[i])
+	for _, v := range []any{DecodedBBL{}, Uop{}, UopTmpl{}, MemOp{}, RegWrite{}} {
+		typ := reflect.TypeOf(v)
+		if p := pointerFree(typ, typ.Name()); p != "" {
+			t.Fatalf("%s holds a pointer at %s", typ.Name(), p)
 		}
 	}
-	if len(heap.MemOps) != len(ar.MemOps) || len(heap.LiveOut) != len(ar.LiveOut) {
-		t.Fatalf("memops/liveout lengths differ")
+}
+
+// sameBlock reports how block d of p differs from block e of q: any exported
+// field, or any of the four views the core models slice.
+func sameBlock(p *Program, d *DecodedBBL, q *Program, e *DecodedBBL) string {
+	dv, ev := reflect.ValueOf(*d), reflect.ValueOf(*e)
+	for i := range dv.NumField() {
+		if f := dv.Type().Field(i); f.IsExported() && dv.Field(i).Interface() != ev.Field(i).Interface() {
+			return fmt.Sprintf("%s %v != %v", f.Name, dv.Field(i), ev.Field(i))
+		}
 	}
+	switch {
+	case !slices.Equal(p.Uops(d), q.Uops(e)):
+		return fmt.Sprintf("µops %v != %v", p.Uops(d), q.Uops(e))
+	case !slices.Equal(p.Tmpl(d), q.Tmpl(e)):
+		return fmt.Sprintf("templates %v != %v", p.Tmpl(d), q.Tmpl(e))
+	case !slices.Equal(p.MemOps(d), q.MemOps(e)):
+		return fmt.Sprintf("memory ops %v != %v", p.MemOps(d), q.MemOps(e))
+	case !slices.Equal(p.LiveOut(d), q.LiveOut(e)):
+		return fmt.Sprintf("live-outs %v != %v", p.LiveOut(d), q.LiveOut(e))
+	}
+	return ""
+}
+
+// Translating many blocks into one program, on an arena or the heap, gives
+// each block exactly what Decode gives it alone, and takes each of the five
+// arrays once, at its exact size.
+func TestTranslateMatchesDecode(t *testing.T) {
+	var blocks []*BasicBlock
+	addr := uint64(0x400000)
+	for op := Opcode(0); op < NumOpcodes; op++ {
+		b := &BasicBlock{ID: uint64(op) + 1, Addr: addr}
+		for i := range 1 + int(op)%5 {
+			b.Instrs = append(b.Instrs, Instruction{Op: (op + Opcode(i)) % NumOpcodes, Dst: GPR(i), Src1: GPR(i + 1), Src2: GPR(i + 2), Bytes: 3})
+		}
+		b.Instrs = append(b.Instrs, Instruction{Op: OpCmp, Src1: RAX, Src2: RBX, Bytes: 3}, Instruction{Op: OpJcc, Bytes: 2})
+		blocks = append(blocks, b)
+		addr += b.Bytes()
+	}
+	code := func(yield func(*BasicBlock) bool) {
+		for _, b := range blocks {
+			if !yield(b) {
+				return
+			}
+		}
+	}
+	a := arena.New()
+	for _, p := range []*Program{Translate(nil, code), Translate(a, code)} {
+		if len(p.Blocks) != len(blocks) {
+			t.Fatalf("%d blocks, want %d", len(p.Blocks), len(blocks))
+		}
+		for i, b := range blocks {
+			ref := Decode(b)
+			if diff := sameBlock(p, &p.Blocks[i], ref, &ref.Blocks[0]); diff != "" {
+				t.Fatalf("block %d: %s", b.ID, diff)
+			}
+		}
+		for name, exact := range map[string]bool{
+			"blocks":   len(p.Blocks) == cap(p.Blocks),
+			"µops":     len(p.uops) == cap(p.uops),
+			"template": len(p.tmpl) == cap(p.tmpl),
+			"mem ops":  len(p.memOps) == cap(p.memOps),
+			"liveout":  len(p.liveOut) == cap(p.liveOut),
+		} {
+			if !exact {
+				t.Errorf("the %s array has spare capacity", name)
+			}
+		}
+	}
+	if chunks, _ := a.Stats(); chunks != 5 {
+		t.Fatalf("translation into a fresh arena took %d chunks, want 5", chunks)
+	}
+}
+
+// Code that yields different blocks on Translate's second pass would leave
+// the exactly sized arrays short or spill them, so Translate refuses it.
+func TestTranslateRejectsUnstableCode(t *testing.T) {
+	calls := 0
+	code := func(yield func(*BasicBlock) bool) {
+		calls++
+		for range calls {
+			if !yield(&BasicBlock{Instrs: []Instruction{{Op: OpAdd, Dst: RAX, Src1: RAX, Bytes: 3}}}) {
+				return
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Translate accepted code whose passes differ")
+		}
+	}()
+	Translate(nil, code)
 }

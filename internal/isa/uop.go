@@ -8,15 +8,20 @@
 // instrumentation engine (the runtime and garbage collector clash with code
 // injection), so this package substitutes a synthetic x86-like ISA: workload
 // generators (package trace) emit static basic blocks of Instructions, and
-// Decode translates each static block exactly once into a DecodedBBL —
-// the same artifact zsim's instrumentation phase produces: µop types,
-// feasible execution ports, register dependencies, latencies, frontend
-// (predecoder/decoder) stall cycles, and memory-operand slots.
+// Translate decodes a program's blocks exactly once into a Program — the
+// same artifact zsim's instrumentation phase produces: µop types, feasible
+// execution ports, register dependencies, latencies, frontend
+// (predecoder/decoder) stall cycles, and memory-operand slots. A Program is
+// five flat, exactly sized, pointer-free arrays: one 64 B DecodedBBL per
+// block, indexing by offset and count into the program-wide µops, timing
+// templates, memory ops and live-out writes. Decode is the one-block
+// reference translation.
 //
 // The key property the paper relies on — decoding work is paid once per
 // static block instead of once per dynamic instruction — is preserved: each
-// trace.Workload decodes every static block once, when it is built, and
-// every dynamic execution shares the result.
+// trace.Workload translates its static code once, when it is built, and
+// every dynamic execution shares the result. The source BasicBlocks do not
+// outlive translation.
 package isa
 
 import "fmt"

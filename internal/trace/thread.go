@@ -172,22 +172,23 @@ func (t *Thread) doneBlock() *DynBlock {
 func (t *Thread) syncOnly(kind SyncKind, id int) *DynBlock {
 	// Reuse the spin block's code as the sync entry sequence: a load of the
 	// sync variable plus a compare and branch.
-	return t.fillLockDyn(t.w.spinDecoded, id%t.w.Params.NumLocks, kind, id)
+	return t.fillLockDyn(t.w.spinBlock(), id%t.w.Params.NumLocks, kind, id)
 }
 
 // lockBlock returns the acquire block for lock id.
 func (t *Thread) lockBlock(kind SyncKind, lockID int) *DynBlock {
-	return t.fillLockDyn(t.w.spinDecoded, lockID, kind, lockID)
+	return t.fillLockDyn(t.w.spinBlock(), lockID, kind, lockID)
 }
 
 func (t *Thread) fillLockDyn(d *isa.DecodedBBL, lockID int, kind SyncKind, syncID int) *DynBlock {
 	addr := t.w.LockAddr(lockID)
-	n := d.MemSlots
+	n := int(d.MemSlots)
 	for i := 0; i < n; i++ {
 		t.addrs[i] = addr
 	}
 	t.out = DynBlock{
 		Decoded:  d,
+		Program:  t.w.prog,
 		Addrs:    t.addrs[:n],
 		Taken:    true,
 		BranchPC: d.Addr + d.Bytes - 2,
@@ -205,17 +206,17 @@ func (t *Thread) computeBlock(kind SyncKind, syncID int) *DynBlock {
 	// come from the first eighth of the code footprint, concentrating the
 	// instruction working set as real programs do.
 	var idx int
-	nb := len(t.w.blocks)
+	nb := t.w.NumStaticBlocks()
 	hot := max(nb/8, 1)
 	if t.rng.float() < 0.8 {
 		idx = t.rng.intn(hot)
 	} else {
 		idx = t.rng.intn(nb)
 	}
-	d := t.w.decoded[idx]
+	d := &t.w.prog.Blocks[idx]
 
 	// Generate one address per memory slot.
-	nSlots := min(d.MemSlots, len(t.addrs))
+	nSlots := min(int(d.MemSlots), len(t.addrs))
 	for i := 0; i < nSlots; i++ {
 		t.addrs[i] = t.genAddr()
 	}
@@ -234,6 +235,7 @@ func (t *Thread) computeBlock(kind SyncKind, syncID int) *DynBlock {
 
 	t.out = DynBlock{
 		Decoded:  d,
+		Program:  t.w.prog,
 		Addrs:    t.addrs[:nSlots],
 		Taken:    taken,
 		BranchPC: d.Addr + d.Bytes - 2,

@@ -18,6 +18,7 @@ package trace
 
 import (
 	"fmt"
+	"iter"
 
 	"zsim/internal/arena"
 	"zsim/internal/isa"
@@ -71,12 +72,14 @@ func (k SyncKind) String() string {
 }
 
 // DynBlock is one dynamic execution of a static basic block: the decoded
-// block, the memory address for each memory-operand slot, the outcome of the
-// terminating conditional branch (if any), and an optional synchronization
-// action. DynBlocks are produced by Thread.NextBlock and consumed by the core
-// timing models.
+// block and the program it belongs to, the memory address for each
+// memory-operand slot, the outcome of the terminating conditional branch (if
+// any), and an optional synchronization action. DynBlocks are produced by
+// Thread.NextBlock and consumed by the core timing models, which slice the
+// block's µops and timing template from Program.
 type DynBlock struct {
 	Decoded *isa.DecodedBBL
+	Program *isa.Program
 	// Addrs holds the effective (byte) address for each memory-operand slot
 	// of the decoded block, indexed by Uop.MemSlot.
 	Addrs []uint64
@@ -212,15 +215,11 @@ type Workload struct {
 	Params  Params
 	Threads int
 
-	arena   *arena.Arena
-	blocks  []*isa.BasicBlock
-	decoded []*isa.DecodedBBL
-
-	// spinBlock is the small cmpxchg loop body threads execute while waiting
-	// for a contended lock; it generates coherence traffic on the lock's
-	// cache line exactly as a spinlock would.
-	spinBlock   *isa.BasicBlock
-	spinDecoded *isa.DecodedBBL
+	// prog is the translated static code: the StaticBlocks generated blocks,
+	// then the spin block, the small cmpxchg loop body threads execute while
+	// waiting for a contended lock; it generates coherence traffic on the
+	// lock's cache line exactly as a spinlock would.
+	prog *isa.Program
 
 	// sharedBase is the base simulated address of the shared data region;
 	// lock words live right below it.
@@ -229,23 +228,22 @@ type Workload struct {
 
 // New constructs a workload with the given name, parameters and thread count.
 // The static code footprint is generated deterministically from the seed and
-// decoded once (decoded plays the role of Pin's translation cache).
+// translated once (the program plays the role of Pin's translation cache).
 func New(name string, p Params, threads int) *Workload {
 	return NewIn(nil, name, p, threads)
 }
 
-// NewIn is New with the workload's static code — basic blocks and their
-// decoded translations — carved from the given arena (nil falls back to the
-// heap), turning workload decode (~4k allocations per workload) into a few
-// chunk allocations. The zsim facade gives each workload an arena of its
-// own, so a warm simulator can keep one run's workloads for the next.
+// NewIn is New with the translated program's five arrays carved from the
+// given arena (nil falls back to the heap), each at its exact size. The zsim
+// facade gives each workload an arena of its own, so a warm simulator can
+// keep one run's workloads for the next.
 func NewIn(a *arena.Arena, name string, p Params, threads int) *Workload {
 	if threads < 1 {
 		threads = 1
 	}
-	if p.AvgBlockLen < 2 {
-		p.AvgBlockLen = 2
-	}
+	// A decoded block indexes its µops with int16s: at an average of 4,096
+	// a generated block has at most 6,145 instructions of at most two µops.
+	p.AvgBlockLen = min(max(p.AvgBlockLen, 2), 4096)
 	if p.StaticBlocks < 1 {
 		p.StaticBlocks = 1
 	}
@@ -255,121 +253,125 @@ func NewIn(a *arena.Arena, name string, p Params, threads int) *Workload {
 	if p.NumLocks < 1 {
 		p.NumLocks = 1
 	}
-	w := arena.One[Workload](a)
-	w.Name = name
-	w.Params = p
-	w.Threads = threads
-	w.arena = a
-	w.sharedBase = 0x7f00_0000_0000 + p.AddrSpace<<44
-	w.generateCode()
-	return w
+	return &Workload{
+		Name:       name,
+		Params:     p,
+		Threads:    threads,
+		prog:       isa.Translate(a, staticCode(p)),
+		sharedBase: 0x7f00_0000_0000 + p.AddrSpace<<44,
+	}
 }
 
 // NumStaticBlocks returns the number of distinct static blocks generated.
-func (w *Workload) NumStaticBlocks() int { return len(w.blocks) }
+func (w *Workload) NumStaticBlocks() int { return len(w.prog.Blocks) - 1 }
 
-// generateCode builds the static basic blocks from the workload parameters.
-// Block structures and instruction slices come from the workload's arena
-// when it has one.
-func (w *Workload) generateCode() {
-	rng := newRand(w.Params.Seed ^ 0x9e3779b97f4a7c15)
-	p := w.Params
-	codeAddr := 0x400000 + p.AddrSpace<<44
-	w.blocks = arena.TakeCap[*isa.BasicBlock](w.arena, 0, p.StaticBlocks)
-	w.decoded = arena.TakeCap[*isa.DecodedBBL](w.arena, 0, p.StaticBlocks)
-	for i := 0; i < p.StaticBlocks; i++ {
-		n := p.AvgBlockLen/2 + int(rng.next()%uint64(p.AvgBlockLen))
-		if n < 2 {
-			n = 2
-		}
-		b := arena.One[isa.BasicBlock](w.arena)
-		b.ID = uint64(i + 1)
-		b.Addr = codeAddr
+// spinBlock returns the decoded spin block, the program's last block.
+func (w *Workload) spinBlock() *isa.DecodedBBL { return &w.prog.Blocks[len(w.prog.Blocks)-1] }
+
+// staticCode returns the static code of a workload with parameters p, in
+// program order: p.StaticBlocks blocks generated from p.Seed, then the spin
+// block. Each block is built in one reused BasicBlock, valid until the next
+// is yielded, and every range over the sequence yields the same blocks, as
+// isa.Translate requires.
+func staticCode(p Params) iter.Seq[*isa.BasicBlock] {
+	return func(yield func(*isa.BasicBlock) bool) {
+		rng := newRand(p.Seed ^ 0x9e3779b97f4a7c15)
 		// A block emits at most n+2 instructions (body ops plus a
-		// two-instruction cmp+jcc terminator).
-		b.Instrs = arena.TakeCap[isa.Instruction](w.arena, 0, n+2)
-		memOps := int(float64(n)*p.MemFraction + 0.5)
-		aluOps := n - memOps - 1 // one slot reserved for the ending branch
-		if aluOps < 0 {
-			aluOps = 0
+		// two-instruction cmp+jcc terminator), n < 3*AvgBlockLen/2.
+		b := &isa.BasicBlock{
+			Addr:   0x400000 + p.AddrSpace<<44,
+			Instrs: make([]isa.Instruction, 0, p.AvgBlockLen*3/2+2),
 		}
-		// Interleave memory and ALU ops; build ILP chains by rotating the
-		// destination register across chains.
-		chain := 0
-		loadReg := isa.GPR(10) // register carrying the last loaded value (for pointer chasing)
-		for j := 0; j < memOps+aluOps; j++ {
-			dst := isa.GPR(chain)
-			src := isa.GPR((chain + 1) % p.ILP)
-			chain = (chain + 1) % p.ILP
-			isMem := false
-			if memOps > 0 && (j%((memOps+aluOps)/max(memOps, 1)+1) == 0 || aluOps == 0) {
-				isMem = true
-				memOps--
-			} else if aluOps > 0 {
-				aluOps--
-			} else {
-				isMem = true
-				memOps--
+		for i := 0; i < p.StaticBlocks; i++ {
+			n := p.AvgBlockLen/2 + int(rng.next()%uint64(p.AvgBlockLen))
+			if n < 2 {
+				n = 2
 			}
-			if isMem {
-				if rng.float() < p.StoreFraction {
-					b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpStore, Dst: dst, Src1: isa.RBP, Bytes: 4})
+			b.ID = uint64(i + 1)
+			b.Instrs = b.Instrs[:0]
+			memOps := int(float64(n)*p.MemFraction + 0.5)
+			aluOps := n - memOps - 1 // one slot reserved for the ending branch
+			if aluOps < 0 {
+				aluOps = 0
+			}
+			// Interleave memory and ALU ops; build ILP chains by rotating the
+			// destination register across chains.
+			chain := 0
+			loadReg := isa.GPR(10) // register carrying the last loaded value (for pointer chasing)
+			for j := 0; j < memOps+aluOps; j++ {
+				dst := isa.GPR(chain)
+				src := isa.GPR((chain + 1) % p.ILP)
+				chain = (chain + 1) % p.ILP
+				isMem := false
+				if memOps > 0 && (j%((memOps+aluOps)/max(memOps, 1)+1) == 0 || aluOps == 0) {
+					isMem = true
+					memOps--
+				} else if aluOps > 0 {
+					aluOps--
 				} else {
-					base := isa.RBP
-					ldst := dst
-					if p.DependentLoads {
-						base = loadReg
-						ldst = loadReg
-					}
-					b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpLoad, Dst: ldst, Src1: base, Bytes: 4})
+					isMem = true
+					memOps--
 				}
-			} else {
-				r := rng.float()
-				switch {
-				case r < p.FPFraction*p.LongOpFraction*4:
-					b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpFDiv, Dst: isa.XMM(chain), Src1: isa.XMM(chain), Src2: isa.XMM((chain + 1) % 16), Bytes: 4})
-				case r < p.FPFraction:
-					op := isa.OpFAdd
-					if rng.float() < 0.4 {
-						op = isa.OpFMul
+				if isMem {
+					if rng.float() < p.StoreFraction {
+						b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpStore, Dst: dst, Src1: isa.RBP, Bytes: 4})
+					} else {
+						base := isa.RBP
+						ldst := dst
+						if p.DependentLoads {
+							base = loadReg
+							ldst = loadReg
+						}
+						b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpLoad, Dst: ldst, Src1: base, Bytes: 4})
 					}
-					b.Instrs = append(b.Instrs, isa.Instruction{Op: op, Dst: isa.XMM(chain), Src1: isa.XMM(chain), Src2: isa.XMM((chain + 1) % 16), Bytes: 4})
-				case r < p.FPFraction+p.LongOpFraction:
-					op := isa.OpMul
-					if rng.float() < 0.2 {
-						op = isa.OpDiv
+				} else {
+					r := rng.float()
+					switch {
+					case r < p.FPFraction*p.LongOpFraction*4:
+						b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpFDiv, Dst: isa.XMM(chain), Src1: isa.XMM(chain), Src2: isa.XMM((chain + 1) % 16), Bytes: 4})
+					case r < p.FPFraction:
+						op := isa.OpFAdd
+						if rng.float() < 0.4 {
+							op = isa.OpFMul
+						}
+						b.Instrs = append(b.Instrs, isa.Instruction{Op: op, Dst: isa.XMM(chain), Src1: isa.XMM(chain), Src2: isa.XMM((chain + 1) % 16), Bytes: 4})
+					case r < p.FPFraction+p.LongOpFraction:
+						op := isa.OpMul
+						if rng.float() < 0.2 {
+							op = isa.OpDiv
+						}
+						b.Instrs = append(b.Instrs, isa.Instruction{Op: op, Dst: dst, Src1: dst, Src2: src, Bytes: 3})
+					default:
+						b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpAdd, Dst: dst, Src1: dst, Src2: src, Bytes: 3})
 					}
-					b.Instrs = append(b.Instrs, isa.Instruction{Op: op, Dst: dst, Src1: dst, Src2: src, Bytes: 3})
-				default:
-					b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpAdd, Dst: dst, Src1: dst, Src2: src, Bytes: 3})
 				}
 			}
+			// Terminate with a compare + conditional branch (most blocks) or an
+			// unconditional jump (some blocks), giving realistic branch density.
+			if rng.float() < 0.85 {
+				b.Instrs = append(b.Instrs,
+					isa.Instruction{Op: isa.OpCmp, Src1: isa.GPR(0), Src2: isa.GPR(1), Bytes: 3},
+					isa.Instruction{Op: isa.OpJcc, Bytes: 2})
+			} else {
+				b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpJmp, Bytes: 2})
+			}
+			next := b.Addr + b.Bytes()
+			if !yield(b) {
+				return
+			}
+			b.Addr = next
 		}
-		// Terminate with a compare + conditional branch (most blocks) or an
-		// unconditional jump (some blocks), giving realistic branch density.
-		if rng.float() < 0.85 {
-			b.Instrs = append(b.Instrs,
-				isa.Instruction{Op: isa.OpCmp, Src1: isa.GPR(0), Src2: isa.GPR(1), Bytes: 3},
-				isa.Instruction{Op: isa.OpJcc, Bytes: 2})
-		} else {
-			b.Instrs = append(b.Instrs, isa.Instruction{Op: isa.OpJmp, Bytes: 2})
-		}
-		w.blocks = append(w.blocks, b)
-		w.decoded = append(w.decoded, isa.DecodeIn(w.arena, b))
-		codeAddr += b.Bytes()
-	}
 
-	// The spin block: load the lock word, compare, attempt cmpxchg, branch.
-	w.spinBlock = arena.One[isa.BasicBlock](w.arena)
-	w.spinBlock.ID = uint64(p.StaticBlocks + 1)
-	w.spinBlock.Addr = codeAddr
-	w.spinBlock.Instrs = append(arena.TakeCap[isa.Instruction](w.arena, 0, 4),
-		isa.Instruction{Op: isa.OpLoad, Dst: isa.RAX, Src1: isa.RBX, Bytes: 4},
-		isa.Instruction{Op: isa.OpCmp, Src1: isa.RAX, Src2: isa.RCX, Bytes: 3},
-		isa.Instruction{Op: isa.OpCmpXchg, Dst: isa.RAX, Src1: isa.RBX, Src2: isa.RDX, Bytes: 5},
-		isa.Instruction{Op: isa.OpJcc, Bytes: 2},
-	)
-	w.spinDecoded = isa.DecodeIn(w.arena, w.spinBlock)
+		// The spin block: load the lock word, compare, attempt cmpxchg, branch.
+		b.ID = uint64(p.StaticBlocks + 1)
+		b.Instrs = append(b.Instrs[:0],
+			isa.Instruction{Op: isa.OpLoad, Dst: isa.RAX, Src1: isa.RBX, Bytes: 4},
+			isa.Instruction{Op: isa.OpCmp, Src1: isa.RAX, Src2: isa.RCX, Bytes: 3},
+			isa.Instruction{Op: isa.OpCmpXchg, Dst: isa.RAX, Src1: isa.RBX, Src2: isa.RDX, Bytes: 5},
+			isa.Instruction{Op: isa.OpJcc, Bytes: 2},
+		)
+		yield(b)
+	}
 }
 
 // LockAddr returns the simulated address of lock word id. Lock words are

@@ -3,8 +3,6 @@ package trace
 import (
 	"testing"
 	"testing/quick"
-
-	"zsim/internal/isa"
 )
 
 func TestRandDeterminism(t *testing.T) {
@@ -47,8 +45,8 @@ func TestWorkloadConstruction(t *testing.T) {
 	if w.NumStaticBlocks() != 64 {
 		t.Fatalf("expected 64 static blocks, got %d", w.NumStaticBlocks())
 	}
-	if len(w.decoded) != 64 || w.spinDecoded == nil {
-		t.Fatalf("expected 64 decoded blocks plus the spin block, got %d", len(w.decoded))
+	if len(w.prog.Blocks) != 65 {
+		t.Fatalf("expected 64 decoded blocks plus the spin block, got %d", len(w.prog.Blocks))
 	}
 	// Defensive clamps.
 	w2 := New("clamped", Params{Seed: 1, BlocksPerThread: 10}, 0)
@@ -255,7 +253,7 @@ func TestBarrierAndSyscallGeneration(t *testing.T) {
 func TestSpinBlockTargetsLockWord(t *testing.T) {
 	w := New("test", DefaultParams(), 2)
 	th := w.NewThread(0)
-	b := th.fillLockDyn(th.w.spinDecoded, 3, SyncNone, 0)
+	b := th.fillLockDyn(th.w.spinBlock(), 3, SyncNone, 0)
 	if len(b.Addrs) == 0 {
 		t.Fatalf("spin block must access the lock word")
 	}
@@ -434,7 +432,7 @@ func TestThreadBlockInvariants(t *testing.T) {
 				return false
 			}
 			slots := 0
-			for _, u := range b.Decoded.Uops {
+			for _, u := range b.Program.Uops(b.Decoded) {
 				if u.MemSlot >= 0 && int(u.MemSlot)+1 > slots {
 					slots = int(u.MemSlot) + 1
 				}
@@ -460,12 +458,13 @@ func TestThreadBlockInvariants(t *testing.T) {
 func TestMemSlotsMatchesScan(t *testing.T) {
 	for _, name := range AllNames() {
 		w := New(name, MustLookup(name), 1)
-		for _, d := range append([]*isa.DecodedBBL{w.spinDecoded}, w.decoded...) {
+		for i := range w.prog.Blocks {
+			d := &w.prog.Blocks[i]
 			n := 0
-			for _, u := range d.Uops {
+			for _, u := range w.prog.Uops(d) {
 				n = max(n, int(u.MemSlot)+1)
 			}
-			if d.MemSlots != n {
+			if int(d.MemSlots) != n {
 				t.Fatalf("%s: block %d has MemSlots %d, its µops need %d", name, d.ID, d.MemSlots, n)
 			}
 		}
