@@ -23,6 +23,12 @@
 // ...) and its partial metrics. The /healthz pool block's hits and misses give
 // the hit rate; a pool size of 0 means pooling is off.
 //
+// The warm pool parks simulators between jobs and Resets one for each job of
+// its shape. A job's hostThreads is part of that shape (a -prewarm config
+// sets it as "hostThreads"). A parked simulator holds no goroutine: its
+// bound-phase workers stop when its run returns, and one the pool discards
+// or expires is simply dropped.
+//
 // Jobs are admitted by priority class ("high"/"normal"/"low"): campaign
 // children default to low so sweeps cannot starve interactive jobs, and shed
 // responses derive Retry-After from queue depth and observed job latency.

@@ -122,8 +122,8 @@ func runSequential(sys *boundweave.System, sched *virt.Scheduler, maxInstrs uint
 		if blk.Sync != trace.SyncDone {
 			c.SimulateBlock(blk)
 		}
-		if op, arg := syncOp(blk); op != virt.OpNone {
-			th.Record(op, blk.SyncID, c.Cycle(), arg)
+		if blk.Sync != trace.SyncNone {
+			th.Record(blk.Sync, blk.SyncID, c.Cycle(), blk.SyncArg)
 			ran[0] = virt.Assignment{Core: coreID, Thread: th}
 			scratch = sched.ResolveRound(ran[:], c.Cycle(), c.Cycle()+1, nil, scratch)
 		}
@@ -143,22 +143,4 @@ func runSequential(sys *boundweave.System, sched *virt.Scheduler, maxInstrs uint
 		}
 		heap.Push(&pq, seqItem{threadID: it.threadID, cycle: max(requeueCycle, it.cycle+1)})
 	}
-}
-
-// syncOp maps a block's synchronization marker to the scheduler operation it
-// records and that operation's argument.
-func syncOp(blk *trace.DynBlock) (virt.OpKind, uint64) {
-	switch blk.Sync {
-	case trace.SyncDone:
-		return virt.OpDone, 0
-	case trace.SyncBarrier:
-		return virt.OpBarrier, 0
-	case trace.SyncBlocked:
-		return virt.OpSyscall, blk.SyncArg
-	case trace.SyncLockAcquire:
-		return virt.OpLockAcquire, 0
-	case trace.SyncLockRelease:
-		return virt.OpLockRelease, 0
-	}
-	return virt.OpNone, 0
 }

@@ -62,7 +62,6 @@ func fillRecorders(sim *Simulator, bufs [][]cache.Hop) {
 
 func TestRunWeaveSteadyStateAllocs(t *testing.T) {
 	sim := newContentionSim(t)
-	defer sim.Close()
 	bufs := make([][]cache.Hop, len(sim.recorders))
 	iteration := func() {
 		fillRecorders(sim, bufs)
@@ -185,7 +184,6 @@ func TestRunWeaveSteadyStateAllocsNOC(t *testing.T) {
 	p.BlocksPerThread = 10
 	sched.AddWorkload(trace.New("alloc-noc", p, cfg.NumCores))
 	sim := NewSimulator(sys, sched, telemetryOpts(Options{HostThreads: 1, Seed: 1}))
-	defer sim.Close()
 
 	bankComp := sim.Sys.BankComp[0]
 	memComp := sim.Sys.MemComp[0]
@@ -281,6 +279,7 @@ func TestBoundPhaseSteadyStateAllocs(t *testing.T) {
 	p.BlockedSyscallCycles = 1500
 	sched.AddWorkload(trace.New("alloc-bound", p, 6)) // oversubscribed: 6 threads, 4 cores
 	sim := NewSimulator(sys, sched, telemetryOpts(Options{HostThreads: 2, Seed: 3}))
+	defer sim.pool.Close() // the intervals run outside Run, which would stop it
 	iteration := func() { sim.runInterval() }
 	// Long warmup: beyond queues and slabs, the lazily allocated cache set
 	// arrays must all have been touched before measuring.

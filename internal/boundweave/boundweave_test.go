@@ -558,9 +558,9 @@ func preseedDeadlock(t *testing.T, sched *virt.Scheduler) {
 	t.Helper()
 	t0, t1 := sched.Thread(0), sched.Thread(1)
 	asg := sched.ScheduleIntervalInto(0, nil)
-	t0.Record(virt.OpLockAcquire, 1, 0, 0)
-	t0.Record(virt.OpBarrier, 1, 0, 0)
-	t1.Record(virt.OpLockAcquire, 1, 0, 0)
+	t0.Record(trace.SyncLockAcquire, 1, 0, 0)
+	t0.Record(trace.SyncBarrier, 1, 0, 0)
+	t1.Record(trace.SyncLockAcquire, 1, 0, 0)
 	if next := sched.ResolveRound(asg, 0, 1, nil, nil); len(next) != 0 {
 		t.Fatalf("no thread should be left to run, got %+v", next)
 	}

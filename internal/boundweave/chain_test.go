@@ -114,7 +114,6 @@ func TestChainShape(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sim := newChainSim(t)
-			defer sim.Close()
 			sys := sim.Sys
 			// BuildSystem numbers the first L2 right after the last bank, and
 			// core 0's L1D right before core 0.

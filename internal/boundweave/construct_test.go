@@ -31,7 +31,7 @@ func TestConstructionAllocsBounded(t *testing.T) {
 		sched := virt.NewScheduler(cfg.NumCores)
 		p := trace.DefaultParams()
 		sched.AddWorkload(trace.NewIn(sys.Root.Arena(), "construct", p, cfg.NumCores))
-		NewSimulator(sys, sched, Options{HostThreads: 2, Seed: 1}).Close()
+		NewSimulator(sys, sched, Options{HostThreads: 2, Seed: 1})
 	})
 	perCore := allocs / float64(cfg.NumCores)
 	if perCore > 12 {
@@ -79,7 +79,7 @@ func TestNewSimulatorAllocsBounded(t *testing.T) {
 	p.BlocksPerThread = 1
 	sched.AddWorkload(trace.New("construct", p, cfg.NumCores))
 	allocs := testing.AllocsPerRun(5, func() {
-		NewSimulator(sys, sched, Options{HostThreads: 2, Seed: 1}).Close()
+		NewSimulator(sys, sched, Options{HostThreads: 2, Seed: 1})
 	})
 	// Budget: simulator + pool + engine + contention models + a few
 	// amortized arena chunks — independent of the core count.

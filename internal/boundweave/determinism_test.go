@@ -378,7 +378,6 @@ func TestHomeQueuesPartitionAndSteal(t *testing.T) {
 	p.AddrSpace = 1
 	sched.AddWorkload(trace.New("steal", p, cfg.NumCores))
 	sim := NewSimulator(sys, sched, Options{HostThreads: 4, Seed: 3})
-	defer sim.Close()
 
 	cur := sched.ScheduleIntervalInto(0, nil)
 	if len(cur) != cfg.NumCores {

@@ -7,6 +7,8 @@ package boundweave
 // reusable for the next simulation.
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -225,4 +227,68 @@ func TestRunWeavePanicRecovered(t *testing.T) {
 		t.Fatalf("fault phase = %q, want weave", sim.FailPhase)
 	}
 	runAnother(t)
+}
+
+// poolWorkers counts the goroutines running an engine pool worker.
+func poolWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "engine.(*Pool).worker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestLifecycleNoWorkerOutlivesRun runs the bound phase on two workers and
+// stops the run every way it can stop: to completion, by cancellation, by
+// the wall-time watchdog and by a worker panic. However it stopped, no pool
+// worker is left once Run has returned.
+func TestLifecycleNoWorkerOutlivesRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct {
+		name   string
+		reason runctl.Reason
+		opts   Options
+		setup  func(*Simulator)
+	}{
+		{"clean", runctl.ReasonNone, Options{MaxInstrs: 50_000}, nil},
+		{"cancelled", runctl.ReasonCancelled, Options{}, func(sim *Simulator) {
+			go func() {
+				for sim.instrsTotal.Load() < 20_000 {
+					time.Sleep(100 * time.Microsecond)
+				}
+				sim.ctl.Cancel(runctl.ReasonCancelled)
+			}()
+		}},
+		{"deadline", runctl.ReasonDeadline, Options{MaxWallTime: 20 * time.Millisecond}, nil},
+		{"panicked", runctl.ReasonPanicked, Options{}, func(sim *Simulator) {
+			sim.Sys.Cores[1].SetObserver(&panicObserver{countdown: 2000})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := poolWorkers()
+			opts := c.opts
+			opts.HostThreads = 2
+			sim := endlessSim(t, opts)
+			if c.setup != nil {
+				c.setup(sim)
+			}
+			sim.Run()
+			if sim.Reason != c.reason {
+				t.Fatalf("reason = %v, want %v", sim.Reason, c.reason)
+			}
+			if sim.workers != 2 {
+				t.Fatalf("the run used %d bound workers, want 2", sim.workers)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for n := poolWorkers(); n > base; n = poolWorkers() {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d pool workers outlived Run", n-base)
+				}
+				runtime.Gosched()
+			}
+		})
+	}
 }

@@ -19,7 +19,7 @@ import (
 // else a simulator can reach must equal a fresh build after Reset.
 var resetSkip = map[string]string{
 	"arena.Arena":       "construction arena: owns the components' storage and keeps its chunks warm",
-	"engine.Pool":       "worker pool: persistent goroutines and lifetime counters, no simulated state",
+	"engine.Pool":       "worker pool: round generation and worker slots, no simulated state",
 	"event.Slab.chunks": "event chunks: capacity; Slab.Reset rewinds the fill cursor that reads them",
 }
 
@@ -70,7 +70,7 @@ func TestResetMatchesFresh(t *testing.T) {
 				return sys
 			}
 			prof := NewInterferenceProfiler()
-			opts := Options{HostThreads: 2, Seed: 7, MaxCycles: 1 << 40, Profiler: prof, Reusable: true}
+			opts := Options{HostThreads: 2, Seed: 7, MaxCycles: 1 << 40, Profiler: prof}
 
 			used := build()
 			usedSched := virt.NewScheduler(len(used.Cores))
@@ -84,8 +84,7 @@ func TestResetMatchesFresh(t *testing.T) {
 				threads = len(used.Cores) + 2
 			}
 			usedSched.AddWorkload(trace.New("reset", p, threads))
-			usedSim := NewSimulator(used, usedSched, Options{HostThreads: opts.HostThreads, Seed: 3, Reusable: true})
-			defer usedSim.Close()
+			usedSim := NewSimulator(used, usedSched, Options{HostThreads: opts.HostThreads, Seed: 3})
 			if usedSim.Run() == 0 || usedSim.Reason != runctl.ReasonNone {
 				t.Fatalf("run: reason %v", usedSim.Reason)
 			}
@@ -105,7 +104,6 @@ func TestResetMatchesFresh(t *testing.T) {
 
 			fresh := build()
 			freshSim := NewSimulator(fresh, virt.NewScheduler(len(fresh.Cores)), opts)
-			defer freshSim.Close()
 
 			w := resetWalker{seen: map[resetVisit]bool{}}
 			w.walk("Simulator", reflect.ValueOf(freshSim), reflect.ValueOf(usedSim))
@@ -156,14 +154,13 @@ func TestResetWalkerSlab(t *testing.T) {
 		}
 		return sys
 	}
-	opts := Options{HostThreads: 2, Seed: 1, Reusable: true}
+	opts := Options{HostThreads: 2, Seed: 1}
 	used := build()
 	sched := virt.NewScheduler(len(used.Cores))
 	p := trace.DefaultParams()
 	p.BlocksPerThread = 100
 	sched.AddWorkload(trace.New("slab", p, len(used.Cores)))
 	usedSim := NewSimulator(used, sched, opts)
-	defer usedSim.Close()
 	if usedSim.Run() == 0 || usedSim.Reason != runctl.ReasonNone {
 		t.Fatalf("run: reason %v", usedSim.Reason)
 	}
@@ -177,7 +174,6 @@ func TestResetWalkerSlab(t *testing.T) {
 	}
 	fresh := build()
 	freshSim := NewSimulator(fresh, virt.NewScheduler(len(fresh.Cores)), opts)
-	defer freshSim.Close()
 
 	walk := func(fresh, reset *Simulator) []string {
 		w := resetWalker{seen: map[resetVisit]bool{}}

@@ -49,13 +49,6 @@ type Options struct {
 	// reaches it (0 = no limit) — the guard against runaway workloads whose
 	// simulated time advances but whose threads never finish.
 	MaxCycles uint64
-	// Reusable keeps the simulator's persistent resources (worker pool,
-	// weave engine, event slab, recorders) alive after Run returns so the
-	// instance can be rewound with Reset and run again. The owner must call
-	// Close when done with the simulator. When false (the default), Run
-	// closes the simulator itself on return.
-	Reusable bool
-
 	// Probe, when non-nil, receives a telemetry sample (atomic stores only)
 	// at every interval boundary, plus phase-transition gauges. Observation
 	// only: results are bit-identical with or without a probe.
@@ -66,11 +59,13 @@ type Options struct {
 }
 
 // Simulator drives the bound-weave loop over a built System and a scheduler
-// full of workload threads. The bound phase runs on a persistent worker pool
-// whose first worker is the driver goroutine itself: each round's cores are
-// split into per-worker home queues, and a worker that drains its own queue
-// steals from the others. The weave phase runs on the driver goroutine.
-// Steady-state intervals spawn no goroutines at all.
+// full of workload threads. The bound phase runs on a worker pool whose first
+// worker is the driver goroutine itself: each round's cores are split into
+// per-worker home queues, and a worker that drains its own queue steals from
+// the others. The weave phase runs on the driver goroutine. The pool's other
+// workers are spawned on a run's first parallel round and stopped when Run
+// returns, so steady-state intervals spawn no goroutines and none outlives
+// Run.
 type Simulator struct {
 	Sys   *System
 	Sched *virt.Scheduler
@@ -88,12 +83,9 @@ type Simulator struct {
 	// lines[w] is bound worker w's cursor into the chip's line slab; the
 	// cores worker w runs carry it to the caches.
 	lines []*cache.LineCursor
-	// pool is the bound phase's persistent worker pool, sized hostThreads.
-	// poolRuns0/poolWakes0 are its lifetime counters at the start of the
-	// current run: a reused simulator keeps its pool, and telemetry reports
-	// one run's share.
-	pool                  *engine.Pool
-	poolRuns0, poolWakes0 uint64
+	// pool is the bound phase's worker pool, sized hostThreads. Run stops
+	// its workers, and so restarts its counters, when it returns.
+	pool *engine.Pool
 	// engine is the persistent weave engine (nil without contention),
 	// reused every interval.
 	engine *event.Engine
@@ -339,34 +331,27 @@ func (s *Simulator) totalInstrs() uint64 {
 	return n
 }
 
-// Close releases the simulator's worker pool. It is idempotent; Run closes
-// the simulator itself when it returns, so Close only needs to be called for
-// simulators that are built but never run (e.g. construction benchmarks).
-func (s *Simulator) Close() { s.pool.Close() }
-
-// Reset rewinds a reusable simulator — and the System underneath it — to the
-// state a freshly built pair would have, so the same instance can serve
-// another run without reconstruction. Everything expensive stays warm: the
-// construction arena's chunks, the worker pool, the weave engine's heap, the
-// per-core recorders, the event slab and contention models. Only their mutable
-// state rewinds: System.Reset rewinds the chip, and initRun, the per-run
-// initialiser NewSimulator also ends with, does the rest. A Reset simulator
-// therefore produces bit-identical results to a fresh build for the same
-// options and workloads.
+// Reset rewinds a simulator — and the System underneath it — to the state a
+// freshly built pair would have, so the same instance can serve another run
+// without reconstruction. Everything expensive stays warm: the construction
+// arena's chunks, the weave engine's heap, the per-core recorders, the event
+// slab and contention models. Only their mutable state rewinds: System.Reset
+// rewinds the chip, and initRun, the per-run initialiser NewSimulator also
+// ends with, does the rest. A Reset simulator therefore produces bit-identical
+// results to a fresh build for the same options and workloads.
 //
 // opts may vary the run-variable knobs (seed, limits, cancellation token,
 // profiler); shape-defining state (interval length, contention models, pool
 // size) comes from the System and is retained. The scheduler is not touched —
 // the caller clears and repopulates it with workloads before the next Run.
 //
-// Reset requires a quiescent simulator whose last Run did not panic: a fault
-// can stop a model mid-update, so a panicked simulator must be Closed instead
-// (Reset returns an error and leaves the simulator untouched).
+// Reset requires a simulator whose last Run did not panic: a fault can stop a
+// model mid-update, so a panicked simulator must be dropped instead (Reset
+// returns an error and leaves the simulator untouched).
 func (s *Simulator) Reset(opts Options) error {
 	if s.Reason == runctl.ReasonPanicked {
-		return errors.New("boundweave: cannot Reset a simulator after a panicked run; Close it and build a fresh one")
+		return errors.New("boundweave: cannot Reset a simulator after a panicked run; build a fresh one")
 	}
-	opts.Reusable = true
 	s.Sys.Reset()
 	s.initRun(opts)
 	return nil
@@ -378,13 +363,12 @@ func (s *Simulator) Reset(opts Options) error {
 // deadlocks, or a worker panics. It returns the total number of simulated
 // instructions; after an abnormal stop, Reason (and for panics PanicErr /
 // FailPhase) describes the failure and all statistics reflect the partial
-// run. Run never lets a panic escape. Unless Options.Reusable is set it
-// releases the simulator's persistent resources on return; a reusable
-// simulator keeps them warm for Reset and relies on its owner to Close.
+// run. Run never lets a panic escape, and whatever way it stops, it stops the
+// bound phase's worker goroutines before it returns.
 func (s *Simulator) Run() uint64 {
-	if !s.opts.Reusable {
-		defer s.Close()
-	}
+	// Last on the defer stack: after the final publication has read the
+	// pool's counters, and after the containment recover below.
+	defer s.pool.Close()
 	defer func() {
 		if r := recover(); r != nil {
 			// Fault containment: a panic in a bound-phase pool worker arrives
@@ -402,7 +386,6 @@ func (s *Simulator) Run() uint64 {
 	if w := runctl.Watch(s.ctl, s.opts.MaxWallTime); w != nil {
 		defer w.Stop()
 	}
-	s.poolRuns0, s.poolWakes0 = s.pool.Stats()
 	s.probe.BeginRun(s.opts.MaxCycles)
 	defer func() {
 		// Final publication (runs first on the defer stack, so it also fires
@@ -533,8 +516,7 @@ func (s *Simulator) publishTelemetry() {
 	sc := s.Sched.Counts()
 	smp.Cycles, smp.Instrs = s.globalCycle, s.instrsTotal.Load()
 	smp.LiveThreads, smp.RunnableThreads = sc.Live, sc.Runnable
-	runs, wakes := s.pool.Stats()
-	smp.PoolRuns, smp.PoolWakes = runs-s.poolRuns0, wakes-s.poolWakes0
+	smp.PoolRuns, smp.PoolWakes = s.pool.Stats()
 	smp.PoolWorkers = s.roundWorkers
 	s.probe.Publish(smp)
 }
@@ -566,7 +548,7 @@ func (s *Simulator) fillHomes(cur []virt.Assignment, w int) {
 	s.roundWorkers = w
 }
 
-// boundWorker is the persistent bound-phase worker body: worker w drains its
+// boundWorker is the bound-phase worker body: worker w drains its
 // home queue, then steals from the others in (w+k) % workers order, until
 // the round is drained. Results do not depend on which worker ran a core.
 func (s *Simulator) boundWorker(w int) {
@@ -608,37 +590,24 @@ func (s *Simulator) runCoreRound(w int, a virt.Assignment) {
 	c.SetCycle(start)
 
 	intervalEnd := s.intervalEnd
-loop:
 	for c.Cycle() < intervalEnd {
 		blk := th.Stream.NextBlock()
-		switch blk.Sync {
-		case trace.SyncDone:
-			th.Record(virt.OpDone, 0, c.Cycle(), 0)
-			break loop
-		case trace.SyncBarrier:
-			c.SimulateBlock(blk)
-			th.Cycle = c.Cycle()
-			th.Record(virt.OpBarrier, blk.SyncID, c.Cycle(), 0)
-			break loop
-		case trace.SyncBlocked:
-			c.SimulateBlock(blk)
-			th.Cycle = c.Cycle()
-			th.Record(virt.OpSyscall, 0, c.Cycle(), blk.SyncArg)
-			break loop
-		case trace.SyncLockAcquire:
-			c.SimulateBlock(blk)
-			th.Cycle = c.Cycle()
-			// Pause for deterministic arbitration: granted acquires resume
-			// on this core next round at this same cycle, contended ones
-			// free the core for another thread.
-			th.Record(virt.OpLockAcquire, blk.SyncID, c.Cycle(), 0)
-			break loop
-		case trace.SyncLockRelease:
-			c.SimulateBlock(blk)
-			th.Cycle = c.Cycle()
-			th.Record(virt.OpLockRelease, blk.SyncID, c.Cycle(), 0)
-		default:
-			c.SimulateBlock(blk)
+		if blk.Sync == trace.SyncDone {
+			th.Record(blk.Sync, blk.SyncID, c.Cycle(), blk.SyncArg)
+			break
+		}
+		c.SimulateBlock(blk)
+		if blk.Sync == trace.SyncNone {
+			continue
+		}
+		th.Cycle = c.Cycle()
+		th.Record(blk.Sync, blk.SyncID, th.Cycle, blk.SyncArg)
+		// A release lets the thread run on. Every other operation ends its
+		// round: a lock acquire pauses for deterministic arbitration
+		// (granted acquires resume on this core next round at this same
+		// cycle, contended ones free the core for another thread).
+		if blk.Sync != trace.SyncLockRelease {
+			break
 		}
 	}
 	if c.Cycle() > th.Cycle {

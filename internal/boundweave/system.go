@@ -194,7 +194,7 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		case config.CoreIPC1:
 			c = core.NewIPC1(cID, ports, reg)
 		default:
-			c = core.NewOOO(cID, core.OOOConfig(cfg.OOO), ports, reg)
+			c = core.NewOOO(cID, cfg.OOO, ports, reg)
 		}
 		sys.Cores = append(sys.Cores, c)
 	}

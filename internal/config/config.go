@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"zsim/internal/cache"
+	"zsim/internal/core"
 )
 
 // CoreModel selects a core timing model.
@@ -76,29 +77,9 @@ type CacheConfig struct {
 	Banks int `json:"banks,omitempty"`
 }
 
-// OOOParams exposes the OOO core's microarchitectural knobs in configs.
-type OOOParams struct {
-	IssueWidth       int    `json:"issueWidth"`
-	RetireWidth      int    `json:"retireWidth"`
-	ROBSize          int    `json:"robSize"`
-	LoadQueueSize    int    `json:"loadQueueSize"`
-	StoreQueueSize   int    `json:"storeQueueSize"`
-	FetchBytesPerCyc int    `json:"fetchBytesPerCycle"`
-	MispredictCycles uint64 `json:"mispredictCycles"`
-}
-
-// DefaultOOOParams returns the validated Westmere-class parameters.
-func DefaultOOOParams() OOOParams {
-	return OOOParams{
-		IssueWidth:       4,
-		RetireWidth:      4,
-		ROBSize:          128,
-		LoadQueueSize:    48,
-		StoreQueueSize:   32,
-		FetchBytesPerCyc: 16,
-		MispredictCycles: 17,
-	}
-}
+// OOOParams are the OOO core's microarchitectural knobs, the "ooo" block of a
+// configuration; core.OOOWestmere holds their defaults.
+type OOOParams = core.OOOConfig
 
 // System is the full simulated-system description.
 type System struct {
@@ -281,25 +262,14 @@ func (s *System) Validate() error {
 		return fmt.Errorf("config: unknown weave mode %q (want %q or %q)",
 			s.WeaveModeKind, WeaveParallelDet, WeaveSerial)
 	}
-	def := DefaultOOOParams()
-	orDefault(&s.OOO.IssueWidth, def.IssueWidth)
-	orDefault(&s.OOO.RetireWidth, def.RetireWidth)
-	orDefault(&s.OOO.ROBSize, def.ROBSize)
-	orDefault(&s.OOO.LoadQueueSize, def.LoadQueueSize)
-	orDefault(&s.OOO.StoreQueueSize, def.StoreQueueSize)
-	orDefault(&s.OOO.FetchBytesPerCyc, def.FetchBytesPerCyc)
-	orDefault(&s.OOO.MispredictCycles, def.MispredictCycles)
+	s.OOO = s.OOO.WithDefaults()
+	if o := s.OOO; min(o.IssueWidth, o.RetireWidth, o.ROBSize, o.LoadQueueSize, o.StoreQueueSize, o.FetchBytesPerCyc) < 0 {
+		return fmt.Errorf("config: ooo parameters must not be negative, got %+v", o)
+	}
 	if s.MaxWallTime < 0 {
 		s.MaxWallTime = 0 // negative = unlimited, same as unset
 	}
 	return nil
-}
-
-// orDefault sets an unset (zero or negative) field to its default.
-func orDefault[T int | uint64](v *T, def T) {
-	if *v <= 0 {
-		*v = def
-	}
 }
 
 // ShapeKey hashes every construction-shape field of the configuration: the
@@ -418,7 +388,7 @@ func WestmereValidation() *System {
 		Name:         "westmere-6c",
 		NumCores:     6,
 		CoreModel:    CoreOOO,
-		OOO:          DefaultOOOParams(),
+		OOO:          core.OOOWestmere(),
 		CoresPerTile: 1,
 		FreqGHz:      2.27,
 		L1I:          CacheConfig{SizeKB: 32, Ways: 4, Latency: 3},
@@ -453,7 +423,7 @@ func TiledChip(tiles int, model CoreModel) *System {
 		Name:         fmt.Sprintf("tiled-%dc", tiles*16),
 		NumCores:     tiles * 16,
 		CoreModel:    model,
-		OOO:          DefaultOOOParams(),
+		OOO:          core.OOOWestmere(),
 		CoresPerTile: 16,
 		FreqGHz:      2.0,
 		L1I:          CacheConfig{SizeKB: 32, Ways: 4, Latency: 3},

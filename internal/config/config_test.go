@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"zsim/internal/core"
 )
 
 var osWriteFile = os.WriteFile
@@ -166,10 +168,29 @@ func TestLoadFillsPartialOOOBlock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	want := DefaultOOOParams()
+	want := core.OOOWestmere()
 	want.ROBSize = 64
 	if loaded.OOO != want {
 		t.Fatalf("ooo = %+v, want %+v", loaded.OOO, want)
+	}
+}
+
+// An ooo value is either simulated as given or rejected: a 4-entry ROB
+// stays 4 entries, and a negative size fails to load.
+func TestLoadHonoursOrRejectsOOOValues(t *testing.T) {
+	load := func(ooo string) (*System, error) {
+		return Load(strings.NewReader(`{"numCores": 1, "l1i": {"sizeKB": 32}, "l1d": {"sizeKB": 32},
+			"l2": {"sizeKB": 256}, "l3": {"sizeKB": 1024}, "ooo": ` + ooo + `}`))
+	}
+	cfg, err := load(`{"robSize": 4, "issueWidth": 1}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.OOO.ROBSize != 4 || cfg.OOO.IssueWidth != 1 || cfg.OOO.LoadQueueSize != core.OOOWestmere().LoadQueueSize {
+		t.Fatalf("ooo = %+v, want robSize 4, issueWidth 1 and the other defaults", cfg.OOO)
+	}
+	if _, err := load(`{"robSize": -4}`); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("a negative robSize loaded: %v", err)
 	}
 }
 

@@ -337,6 +337,15 @@ func TestOOOConfigDefaults(t *testing.T) {
 	}
 }
 
+// Only unset fields take defaults: a 4-entry ROB is simulated as 4 entries.
+func TestOOOConfigHonoursSmallROB(t *testing.T) {
+	c := NewOOO(0, OOOConfig{ROBSize: 4}, buildHierarchy(), nil)
+	c.SimulateBlock(aluBlock(1, 4))
+	if c.cfg.ROBSize != 4 || len(c.rob) != 4 || c.cfg.IssueWidth != 4 {
+		t.Fatalf("ROB of %d entries (config %+v), want 4 and the other defaults", len(c.rob), c.cfg)
+	}
+}
+
 type recordingSink struct {
 	accesses int
 	hops     int

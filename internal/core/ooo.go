@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+
 	"zsim/internal/arena"
 	"zsim/internal/bpred"
 	"zsim/internal/cache"
@@ -14,15 +16,16 @@ import (
 // 4-wide issue and retire, a 36-entry reservation-station-like issue window
 // approximated through the port scheduler, a 128-entry ROB, 48-entry load
 // queue and 32-entry store queue, 16-bytes-per-cycle fetch and a 17-cycle
-// misprediction recovery.
+// misprediction recovery. It is also the "ooo" block of a JSON system
+// configuration (config.OOOParams).
 type OOOConfig struct {
-	IssueWidth       int
-	RetireWidth      int
-	ROBSize          int
-	LoadQueueSize    int
-	StoreQueueSize   int
-	FetchBytesPerCyc int
-	MispredictCycles uint64
+	IssueWidth       int    `json:"issueWidth"`
+	RetireWidth      int    `json:"retireWidth"`
+	ROBSize          int    `json:"robSize"`
+	LoadQueueSize    int    `json:"loadQueueSize"`
+	StoreQueueSize   int    `json:"storeQueueSize"`
+	FetchBytesPerCyc int    `json:"fetchBytesPerCycle"`
+	MispredictCycles uint64 `json:"mispredictCycles"`
 }
 
 // schedWindowCycles bounds how far ahead of the issue clock a µop may be
@@ -39,6 +42,22 @@ func OOOWestmere() OOOConfig {
 		StoreQueueSize:   32,
 		FetchBytesPerCyc: 16,
 		MispredictCycles: 17,
+	}
+}
+
+// WithDefaults returns c with every unset (zero) field taken from
+// OOOWestmere. It is the one defaulting rule of the OOO parameters: any other
+// value is simulated as given (config.Validate rejects negative ones).
+func (c OOOConfig) WithDefaults() OOOConfig {
+	d := OOOWestmere()
+	return OOOConfig{
+		IssueWidth:       cmp.Or(c.IssueWidth, d.IssueWidth),
+		RetireWidth:      cmp.Or(c.RetireWidth, d.RetireWidth),
+		ROBSize:          cmp.Or(c.ROBSize, d.ROBSize),
+		LoadQueueSize:    cmp.Or(c.LoadQueueSize, d.LoadQueueSize),
+		StoreQueueSize:   cmp.Or(c.StoreQueueSize, d.StoreQueueSize),
+		FetchBytesPerCyc: cmp.Or(c.FetchBytesPerCyc, d.FetchBytesPerCyc),
+		MispredictCycles: cmp.Or(c.MispredictCycles, d.MispredictCycles),
 	}
 }
 
@@ -107,36 +126,15 @@ type OOO struct {
 	doneBuf []uint64
 }
 
-// NewOOO creates an out-of-order core with the given configuration. The core
-// object is carved from the registry tree's construction arena; its
-// scheduling state (port window, ROB, load/store queues, µop scratch) and
-// predictor table come from the heap on first use, so a core a run never
-// uses costs only its struct.
+// NewOOO creates an out-of-order core with the given configuration, its
+// unset fields defaulted by WithDefaults. The core object is carved from the
+// registry tree's construction arena; its scheduling state (port window, ROB,
+// load/store queues, µop scratch) and predictor table come from the heap on
+// first use, so a core a run never uses costs only its struct.
 func NewOOO(id int, cfg OOOConfig, ports MemPorts, reg *stats.Registry) *OOO {
-	if cfg.IssueWidth < 1 {
-		cfg.IssueWidth = 4
-	}
-	if cfg.RetireWidth < 1 {
-		cfg.RetireWidth = 4
-	}
-	if cfg.ROBSize < 8 {
-		cfg.ROBSize = 128
-	}
-	if cfg.FetchBytesPerCyc < 1 {
-		cfg.FetchBytesPerCyc = 16
-	}
-	if cfg.MispredictCycles == 0 {
-		cfg.MispredictCycles = 17
-	}
-	if cfg.LoadQueueSize < 1 {
-		cfg.LoadQueueSize = 48
-	}
-	if cfg.StoreQueueSize < 1 {
-		cfg.StoreQueueSize = 32
-	}
 	c := arena.One[OOO](reg.Arena())
 	c.memUnit = memUnit{id: id, ports: ports}
-	c.cfg = cfg
+	c.cfg = cfg.WithDefaults()
 	reg.Record(&c.cnt)
 	return c
 }

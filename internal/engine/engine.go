@@ -1,19 +1,24 @@
-// Package engine provides the persistent worker pool that runs the bound
-// phase of the bound-weave loop (Section 3.2 of the paper). A pool of n runs
-// invocation 0 of every Run on the calling goroutine and the others on n-1
-// persistent worker goroutines, spawned at most once per pool.
+// Package engine provides the worker pool that runs the bound phase of the
+// bound-weave loop (Section 3.2 of the paper). A pool of n runs invocation 0
+// of every Run on the calling goroutine and the others on n-1 worker
+// goroutines. The workers are spawned on the first parallel Run and persist
+// across Runs until Close stops them; the next parallel Run spawns fresh
+// ones. A bound-weave simulator closes its pool when its run returns, so its
+// workers live for one simulation run.
 //
 // A Run publishes the round as one atomic word holding (generation, n) and
 // waits for the other invocations on a pending count, yielding with
 // runtime.Gosched. A worker that finishes an invocation spins on the round
 // word for up to spinWindow (only when GOMAXPROCS > 1) before it parks, so a
 // round that follows within the window starts on it with no wakeup at all;
-// only a parked worker is woken, with one token on its channel. Steady-state
-// Runs allocate nothing, and an idle pool burns no CPU once the window has
-// passed.
+// only a parked worker is woken, with one token on its channel. Close
+// publishes a stop round the same way and waits for every worker to exit.
+// Steady-state Runs, and restarts after the first spawn, allocate nothing,
+// and an idle pool burns no CPU once the window has passed.
 package engine
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,10 +31,14 @@ import (
 // round word before it parks.
 const spinWindow = 100 * time.Microsecond
 
-// Pool is a fixed-size set of persistent worker goroutines. A Pool is driven
-// by a single orchestrating goroutine: Run hands every participating index
-// the same task function and returns once all invocations have returned. Run
-// must not be called concurrently with itself, Parallelism or Close.
+// stopRound is the invocation count of the round Close publishes: it
+// includes every worker, and each one exits instead of running a task.
+const stopRound = math.MaxUint32
+
+// Pool is a fixed-size set of worker goroutines. A Pool is driven by a single
+// orchestrating goroutine: Run hands every participating index the same task
+// function and returns once all invocations have returned. Run must not be
+// called concurrently with itself, Parallelism or Close.
 type Pool struct {
 	// round is the published round, generation<<32 | n. Workers poll it; it
 	// sits on its own cache line, away from the counters workers write.
@@ -50,7 +59,8 @@ type Pool struct {
 	// when it is above 1, and at 1 every Run takes the serial path.
 	procs atomic.Int32
 	// slots[w] is worker w's park state; slot 0 belongs to the caller and
-	// is unused.
+	// is unused. The first spawn makes them, and later spawns reuse them:
+	// a stopped worker leaves its slot unmarked and its channel empty.
 	slots []workerSlot
 
 	// panicked holds the first panic recovered during the in-flight Run.
@@ -59,14 +69,15 @@ type Pool struct {
 	// orchestrating goroutine once every invocation has finished.
 	panicked atomic.Pointer[runctl.PanicError]
 
-	quit      chan struct{}
-	closeOnce sync.Once
-	spawned   bool
+	// spawned reports whether workers are running; exited counts those that
+	// have not returned yet.
+	spawned bool
+	exited  sync.WaitGroup
 
-	// Telemetry: total Run invocations, and total wakeups of parked workers
-	// (a worker that picks a round up while spinning costs none; serial Runs
-	// wake no one). Atomic so telemetry snapshots can read them while a Run
-	// is in flight.
+	// Telemetry: Run invocations and wakeups of parked workers since the
+	// pool was built or last Closed (a worker that picks a round up while
+	// spinning costs none; serial Runs wake no one). Atomic so telemetry
+	// snapshots can read them while a Run is in flight.
 	runs  atomic.Uint64
 	wakes atomic.Uint64
 }
@@ -85,15 +96,10 @@ type workerSlot struct {
 
 // NewPool creates a pool of n workers (n < 1 is clamped to 1). The worker
 // goroutines are spawned lazily on the first parallel Run, so a pool that
-// only ever runs serially (GOMAXPROCS=1, single-task phases) costs nothing.
+// only ever runs serially (GOMAXPROCS=1, single-task phases) costs nothing
+// beyond its struct.
 func NewPool(n int) *Pool {
-	if n < 1 {
-		n = 1
-	}
-	p := &Pool{size: n, quit: make(chan struct{}), slots: make([]workerSlot, n)}
-	for i := range p.slots {
-		p.slots[i].wake = make(chan struct{}, 1)
-	}
+	p := &Pool{size: max(n, 1)}
 	p.Parallelism()
 	return p
 }
@@ -109,8 +115,9 @@ func (p *Pool) Parallelism() int {
 	return min(p.size, procs)
 }
 
-// Stats returns the pool's lifetime telemetry counters: total Run calls and
-// total wakeups of parked workers. Safe to call concurrently with Run.
+// Stats returns the pool's telemetry counters since it was built or last
+// Closed: Run calls and wakeups of parked workers. Safe to call concurrently
+// with Run.
 func (p *Pool) Stats() (runs, wakes uint64) {
 	return p.runs.Load(), p.wakes.Load()
 }
@@ -118,9 +125,8 @@ func (p *Pool) Stats() (runs, wakes uint64) {
 // Run invokes fn(w) for every worker index w in [0, n) and returns once all
 // invocations have finished. n is clamped to the pool size. Invocation 0
 // runs on the caller. When effective host parallelism is one (n == 1 or
-// GOMAXPROCS == 1) or the pool is closed, every invocation runs serially on
-// the caller; tasks must therefore not depend on running concurrently with
-// each other.
+// GOMAXPROCS == 1), every invocation runs serially on the caller; tasks must
+// therefore not depend on running concurrently with each other.
 //
 // A panic inside fn does not kill the pool: the first recovered panic is
 // re-raised on the caller as a *runctl.PanicError carrying the panicking
@@ -133,7 +139,7 @@ func (p *Pool) Run(n int, fn func(worker int)) {
 		return
 	}
 	p.runs.Add(1)
-	if n == 1 || p.Closed() || p.procs.Load() == 1 {
+	if n == 1 || p.procs.Load() == 1 {
 		// Same containment contract as the parallel path: every invocation
 		// runs, and the first capture is re-raised once all have finished.
 		var first *runctl.PanicError
@@ -150,15 +156,7 @@ func (p *Pool) Run(n int, fn func(worker int)) {
 	p.ensureWorkers()
 	p.fn = fn
 	p.pending.Store(int32(n - 1))
-	p.gen++
-	p.round.Store(uint64(p.gen)<<32 | uint64(n))
-	for w := 1; w < n; w++ {
-		s := &p.slots[w]
-		if v := s.parked.Load(); v != 0 && uint32(v) != p.gen && s.parked.CompareAndSwap(v, 0) {
-			p.wakes.Add(1)
-			s.wake <- struct{}{}
-		}
-	}
+	p.publish(n)
 	if pe := p.invoke(0, fn); pe != nil {
 		p.panicked.CompareAndSwap(nil, pe)
 	}
@@ -175,6 +173,21 @@ func (p *Pool) Run(n int, fn func(worker int)) {
 	}
 }
 
+// publish starts a round of n invocations (at most the pool size, or
+// stopRound): it stores the round word under a new generation and un-parks
+// the parked workers the round includes.
+func (p *Pool) publish(n int) {
+	p.gen++
+	p.round.Store(uint64(p.gen)<<32 | uint64(n))
+	for w := 1; w < min(n, p.size); w++ {
+		s := &p.slots[w]
+		if v := s.parked.Load(); v != 0 && uint32(v) != p.gen && s.parked.CompareAndSwap(v, 0) {
+			p.wakes.Add(1)
+			s.wake <- struct{}{}
+		}
+	}
+}
+
 // invoke runs one task invocation with panic containment, returning the
 // capture (nil on clean return). The deferred recover is open-coded by the
 // compiler, so the steady-state cost on the hot phase path is nil.
@@ -188,40 +201,65 @@ func (p *Pool) invoke(worker int, fn func(worker int)) (pe *runctl.PanicError) {
 	return nil
 }
 
-// Closed reports whether Close has been called.
-func (p *Pool) Closed() bool {
-	select {
-	case <-p.quit:
-		return true
-	default:
-		return false
-	}
-}
-
-// Close shuts down the pool's worker goroutines, spinning or parked. Close is
-// idempotent and must not overlap a Run; a closed pool still accepts Run
-// calls and executes them serially on the caller.
+// Close stops the pool's worker goroutines, spinning or parked, waits for
+// them to exit and restarts the Stats counters. It must not overlap a Run.
+// The pool stays usable: the next parallel Run spawns fresh workers, which
+// start from the current round, so no stopped worker can run a later one.
+// Closing a pool whose workers are not running, and restarting them,
+// allocate nothing once the first spawn has made the slots.
 func (p *Pool) Close() {
-	p.closeOnce.Do(func() { close(p.quit) })
+	if p.spawned {
+		p.publish(stopRound)
+		p.exited.Wait()
+		p.spawned = false
+	}
+	p.runs.Store(0)
+	p.wakes.Store(0)
 }
 
-// ensureWorkers spawns the persistent workers 1..size-1 on first parallel
-// use.
+// spawns hands each new worker goroutine its pool, index and starting
+// generation: a go statement that passed them as arguments would allocate a
+// closure per worker at every restart, and one with none allocates nothing.
+// Any new worker may take any pool's request, and each takes exactly one.
+var spawns = make(chan spawn)
+
+type spawn struct {
+	p    *Pool
+	id   int
+	seen uint32
+}
+
+func runWorker() {
+	s := <-spawns
+	s.p.worker(s.id, s.seen)
+}
+
+// ensureWorkers spawns workers 1..size-1 if none are running. They start
+// from the current generation, so they run only rounds published after it.
 func (p *Pool) ensureWorkers() {
 	if p.spawned {
 		return
 	}
 	p.spawned = true
+	if p.slots == nil {
+		p.slots = make([]workerSlot, p.size)
+		for i := 1; i < p.size; i++ {
+			p.slots[i].wake = make(chan struct{}, 1)
+		}
+	}
+	p.exited.Add(p.size - 1)
 	for i := 1; i < p.size; i++ {
-		go p.worker(i)
+		go runWorker()
+		spawns <- spawn{p, i, p.gen}
 	}
 }
 
-// worker is the persistent goroutine body: wait for a round that includes
-// this worker, run its invocation (containing any panic), repeat.
-func (p *Pool) worker(id int) {
-	var seen uint32
-	for p.await(id, &seen) {
+// worker is the goroutine body: wait for a round after generation seen that
+// includes this worker, run its invocation (containing any panic), repeat
+// until Close's stop round.
+func (p *Pool) worker(id int, seen uint32) {
+	defer p.exited.Done()
+	for p.await(id, &seen) != stopRound {
 		if pe := p.invoke(id, p.fn); pe != nil {
 			p.panicked.CompareAndSwap(nil, pe)
 		}
@@ -229,25 +267,22 @@ func (p *Pool) worker(id int) {
 	}
 }
 
-// await returns true once a round that includes worker id has been
-// published, and false once the pool is closed. seen is the generation of
-// the last round the worker observed; rounds that do not include it are
-// skipped. The worker first spins for up to spinWindow, then parks.
-func (p *Pool) await(id int, seen *uint32) bool {
+// await waits for the next round that includes worker id and returns its
+// invocation count. seen is the generation of the last round the worker
+// observed; rounds that do not include it are skipped. The worker first
+// spins for up to spinWindow, then parks.
+func (p *Pool) await(id int, seen *uint32) uint32 {
 	if p.procs.Load() > 1 {
 		start := time.Now()
 		for i := 1; ; i++ {
 			r := p.round.Load()
 			if g := uint32(r >> 32); g != *seen {
 				*seen = g
-				if id < int(uint32(r)) {
-					return true
+				if n := uint32(r); id < int(n) {
+					return n
 				}
 			}
 			if i%128 == 0 {
-				if p.Closed() {
-					return false
-				}
 				if time.Since(start) >= spinWindow {
 					break
 				}
@@ -267,20 +302,17 @@ func (p *Pool) await(id int, seen *uint32) bool {
 		r := p.round.Load()
 		if g := uint32(r >> 32); g != *seen && s.parked.CompareAndSwap(mark, 0) {
 			*seen = g
-			if id < int(uint32(r)) {
-				return true
+			if n := uint32(r); id < int(n) {
+				return n
 			}
 			continue
 		}
-		// Parked, or un-parked by the caller with a token on the way.
-		select {
-		case <-s.wake:
-			// A caller un-parks only a worker its round includes, and
-			// publishes no later round before this one finishes.
-			*seen = uint32(p.round.Load() >> 32)
-			return true
-		case <-p.quit:
-			return false
-		}
+		// Parked, or un-parked by the caller with a token on the way. A
+		// caller un-parks only a worker its round includes, and publishes
+		// no later round before this one finishes.
+		<-s.wake
+		r = p.round.Load()
+		*seen = uint32(r >> 32)
+		return uint32(r)
 	}
 }

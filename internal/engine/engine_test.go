@@ -22,6 +22,20 @@ func parallelProcs(t *testing.T) {
 	}
 }
 
+// settleGoroutines waits until no more than base goroutines remain. A worker
+// that Close has waited for is past its last statement, but the runtime
+// counts it until its exit finishes, so the count may lag briefly.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, want %d", runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
 func TestPoolRunsAllTasks(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -69,23 +83,49 @@ func TestPoolClampsToSize(t *testing.T) {
 	p.Run(0, func(w int) { t.Error("n=0 must not run") })
 }
 
-func TestPoolClosedRunsSerially(t *testing.T) {
+// TestPoolCloseRestarts checks the pool's lifecycle: Close stops the workers
+// and restarts the counters, Close on a pool that never went parallel
+// allocates nothing, a Run after Close spawns fresh workers that run every
+// index exactly once, and once the first spawn has made the worker slots a
+// stop-and-restart cycle allocates nothing.
+func TestPoolCloseRestarts(t *testing.T) {
+	parallelProcs(t)
+	base := runtime.NumGoroutine()
 	p := NewPool(4)
-	p.Close()
-	if !p.Closed() {
-		t.Fatalf("pool should report closed")
+	if allocs := testing.AllocsPerRun(10, p.Close); allocs != 0 {
+		t.Fatalf("closing an idle pool allocated %v times", allocs)
 	}
-	order := make([]int, 0, 4)
-	p.Run(4, func(w int) { order = append(order, w) })
-	if len(order) != 4 {
-		t.Fatalf("closed pool should still run tasks, got %v", order)
-	}
-	for i, w := range order {
-		if w != i {
-			t.Fatalf("closed pool should run in order, got %v", order)
+	for round := 0; round < 3; round++ {
+		var counts [4]atomic.Int32
+		p.Run(4, func(w int) { counts[w].Add(1) })
+		for w := range counts {
+			if got := counts[w].Load(); got != 1 {
+				t.Fatalf("round %d: index %d ran %d times, want 1", round, w, got)
+			}
 		}
+		if runs, _ := p.Stats(); runs != 1 {
+			t.Fatalf("round %d: Stats counted %d runs since the last Close, want 1", round, runs)
+		}
+		p.Close()
+		if runs, wakes := p.Stats(); runs != 0 || wakes != 0 {
+			t.Fatalf("Close left counters at %d runs, %d wakes", runs, wakes)
+		}
+		settleGoroutines(t, base)
 	}
 	p.Close() // idempotent
+
+	// AllocsPerRun would measure at GOMAXPROCS=1, where Run never spawns.
+	const cycles = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range cycles {
+		p.Run(4, func(int) {})
+		p.Close()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / cycles; per > 0.5 {
+		t.Fatalf("a stop-and-restart cycle allocated %.2f times", per)
+	}
 }
 
 func TestPoolSerialWhenSingleTask(t *testing.T) {
@@ -230,14 +270,47 @@ func TestPoolCloseStopsWorkers(t *testing.T) {
 			p.Run(4, func(int) {})
 			time.Sleep(c.gap)
 			p.Close()
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d goroutines after Close, want %d", runtime.NumGoroutine(), base)
-				}
-				runtime.Gosched()
-			}
+			settleGoroutines(t, base)
 		})
+	}
+}
+
+// TestPoolRestartStress alternates bursts of parallel Runs with Close, many
+// times: workers of every generation must run each index below n exactly
+// once per round, and none of a stopped generation may run a later round
+// (which shows as a miscount, a race or a hang).
+func TestPoolRestartStress(t *testing.T) {
+	parallelProcs(t)
+	const size = 4
+	cycles := 500
+	if testing.Short() {
+		cycles = 100
+	}
+	base := runtime.NumGoroutine()
+	p := NewPool(size)
+	var counts [size]atomic.Int32
+	task := func(w int) { counts[w].Add(1) }
+	rng := rand.New(rand.NewPCG(3, 4))
+	for c := 0; c < cycles; c++ {
+		for r := rng.IntN(8); r >= 0; r-- {
+			n := 1 + rng.IntN(size)
+			p.Run(n, task)
+			for w := range counts {
+				want := int32(0)
+				if w < n {
+					want = 1
+				}
+				if got := counts[w].Swap(0); got != want {
+					t.Fatalf("cycle %d (n=%d): index %d ran %d times, want %d", c, n, w, got, want)
+				}
+			}
+		}
+		if c%3 == 2 {
+			// Let the workers park before some of the Closes.
+			time.Sleep(2 * spinWindow)
+		}
+		p.Close()
+		settleGoroutines(t, base)
 	}
 }
 

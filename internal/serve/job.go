@@ -58,21 +58,23 @@ type JobRequest struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// buildConfig resolves the request's system description.
+// buildConfig resolves the request's system description. A positive
+// HostThreads goes into the config, so the shape key, which decides which
+// warm simulator may serve the job, covers the worker pool it was built with.
 func (r *JobRequest) buildConfig() (*zsim.Config, error) {
-	if r.Config != nil {
-		cfg := *r.Config // copy: Validate mutates defaults in place
-		if err := cfg.Validate(); err != nil {
+	var cfg *zsim.Config
+	switch {
+	case r.Config != nil:
+		c := *r.Config // copy: Validate mutates defaults in place
+		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("invalid config: %w", err)
 		}
-		return &cfg, nil
-	}
-	switch r.Preset {
-	case "", "small":
-		return zsim.SmallConfig(), nil
-	case "westmere":
-		return zsim.WestmereConfig(), nil
-	case "tiled":
+		cfg = &c
+	case r.Preset == "" || r.Preset == "small":
+		cfg = zsim.SmallConfig()
+	case r.Preset == "westmere":
+		cfg = zsim.WestmereConfig()
+	case r.Preset == "tiled":
 		tiles := r.Tiles
 		if tiles == 0 {
 			tiles = 4
@@ -81,10 +83,14 @@ func (r *JobRequest) buildConfig() (*zsim.Config, error) {
 		if model == "" {
 			model = "ooo"
 		}
-		return zsim.TiledConfig(tiles, model), nil
+		cfg = zsim.TiledConfig(tiles, model)
 	default:
 		return nil, fmt.Errorf("unknown preset %q", r.Preset)
 	}
+	if r.HostThreads > 0 {
+		cfg.HostThreads = r.HostThreads
+	}
+	return cfg, nil
 }
 
 // validate rejects requests that can never run.

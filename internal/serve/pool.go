@@ -17,8 +17,10 @@ import (
 // The pool bounds both the total number of retained simulators (size) and
 // the number per shape (perShape), so a burst of one-off shapes cannot pin
 // unbounded memory. Server.mu guards it; the simulators themselves are only
-// ever used by the single worker that checked them out, and are built,
-// rewound and closed outside the lock.
+// ever used by the single worker that checked them out, and are built and
+// rewound outside the lock. A simulator holds no goroutine between runs, so
+// one the pool does not keep (over capacity, expired, left at shutdown) is
+// simply dropped.
 //
 // Entries remember when they were parked; the server's janitor calls
 // expireIdle so shapes that stopped arriving release their arena memory
@@ -83,7 +85,7 @@ func newSimPool(size, perShape int) *simPool {
 }
 
 // get checks out a warm simulator for the given shape key, or nil on a miss.
-// The caller owns the returned simulator until it puts it back or Closes it.
+// The caller owns the returned simulator until it puts it back.
 func (p *simPool) get(key uint64) *zsim.Simulator {
 	if p == nil {
 		return nil
@@ -107,8 +109,7 @@ func (p *simPool) get(key uint64) *zsim.Simulator {
 
 // put parks a simulator under its shape key, a job's return or (warmup) a
 // prewarmed one. It reports whether the pool retained it; on false (pool
-// full, per-shape cap reached, or pool closed) the caller must Close the
-// simulator.
+// full, per-shape cap reached, or pool closed) the simulator is dropped.
 func (p *simPool) put(key uint64, sim *zsim.Simulator, warmup bool) bool {
 	if p == nil || sim == nil {
 		return false
@@ -127,18 +128,17 @@ func (p *simPool) put(key uint64, sim *zsim.Simulator, warmup bool) bool {
 	return true
 }
 
-// expireIdle removes every entry parked before the cutoff and returns the
-// removed simulators for the caller to Close outside the lock.
-func (p *simPool) expireIdle(cutoff time.Time) []*zsim.Simulator {
+// expireIdle drops every entry parked before the cutoff.
+func (p *simPool) expireIdle(cutoff time.Time) {
 	if p == nil {
-		return nil
+		return
 	}
-	var victims []*zsim.Simulator
+	expired := 0
 	for key, entries := range p.shapes {
 		kept := entries[:0]
 		for _, e := range entries {
 			if e.last.Before(cutoff) {
-				victims = append(victims, e.sim)
+				expired++
 			} else {
 				kept = append(kept, e)
 			}
@@ -152,9 +152,8 @@ func (p *simPool) expireIdle(cutoff time.Time) []*zsim.Simulator {
 			p.shapes[key] = kept
 		}
 	}
-	p.total -= len(victims)
-	p.expiries += uint64(len(victims))
-	return victims
+	p.total -= expired
+	p.expiries += uint64(expired)
 }
 
 // stats reports the pool counters. Safe on a nil (disabled) pool.
@@ -195,20 +194,10 @@ func (p *simPool) arenaBytes() uint64 {
 	return total
 }
 
-// close marks the pool closed and empties it, returning every retained
-// simulator for the caller to Close outside the lock; later puts are refused,
-// so in-flight jobs finishing after shutdown close their simulators
-// themselves.
-func (p *simPool) close() []*zsim.Simulator {
-	if p == nil {
-		return nil
+// close marks the pool closed and drops every retained simulator; later puts
+// are refused, so in-flight jobs finishing after shutdown drop theirs.
+func (p *simPool) close() {
+	if p != nil {
+		p.shapes, p.total, p.closed = nil, 0, true
 	}
-	var sims []*zsim.Simulator
-	for _, entries := range p.shapes {
-		for _, e := range entries {
-			sims = append(sims, e.sim)
-		}
-	}
-	p.shapes, p.total, p.closed = nil, 0, true
-	return sims
 }

@@ -24,7 +24,6 @@ func poolSim(t *testing.T) *zsim.Simulator {
 	if err != nil {
 		t.Fatalf("zsim.New: %v", err)
 	}
-	sim.SetReusable(true)
 	return sim
 }
 
@@ -39,7 +38,7 @@ func checkPoolInvariant(t *testing.T, p *simPool) {
 
 func TestPoolPrewarmCounters(t *testing.T) {
 	p := newSimPool(2, 2)
-	defer func() { closeAll(p.close()) }()
+	defer p.close()
 	key := config.SmallTest().ShapeKey()
 
 	a, b := poolSim(t), poolSim(t)
@@ -52,12 +51,10 @@ func TestPoolPrewarmCounters(t *testing.T) {
 	}
 	checkPoolInvariant(t, p)
 
-	// A third prewarm into a full pool is discarded, caller closes.
-	c := poolSim(t)
-	if p.put(key, c, true) {
+	// A third prewarm into a full pool is discarded.
+	if p.put(key, poolSim(t), true) {
 		t.Fatalf("prewarm accepted past capacity")
 	}
-	c.Close()
 	if st := p.stats(); st.Discards != 1 {
 		t.Fatalf("discards = %d, want 1", st.Discards)
 	}
@@ -79,7 +76,7 @@ func TestPoolPrewarmCounters(t *testing.T) {
 
 func TestPoolExpireIdle(t *testing.T) {
 	p := newSimPool(4, 4)
-	defer func() { closeAll(p.close()) }()
+	defer p.close()
 	key := config.SmallTest().ShapeKey()
 
 	p.put(key, poolSim(t), true)
@@ -89,17 +86,14 @@ func TestPoolExpireIdle(t *testing.T) {
 	}
 
 	// A cutoff in the past expires nothing.
-	if n := len(p.expireIdle(time.Now().Add(-time.Hour))); n != 0 {
+	p.expireIdle(time.Now().Add(-time.Hour))
+	if n := p.stats().Expiries; n != 0 {
 		t.Fatalf("past cutoff expired %d entries", n)
 	}
 	checkPoolInvariant(t, p)
 
 	// A future cutoff expires everything and releases the arena accounting.
-	victims := p.expireIdle(time.Now().Add(time.Hour))
-	closeAll(victims)
-	if n := len(victims); n != 2 {
-		t.Fatalf("expired %d entries, want 2", n)
-	}
+	p.expireIdle(time.Now().Add(time.Hour))
 	st := p.stats()
 	if st.Occupancy != 0 || st.Shapes != 0 || st.Expiries != 2 {
 		t.Fatalf("after expiry: %+v", st)
@@ -110,15 +104,14 @@ func TestPoolExpireIdle(t *testing.T) {
 	checkPoolInvariant(t, p)
 
 	// The shape misses afterwards — expiry really removed the entries.
-	if sim := p.get(key); sim != nil {
-		sim.Close()
+	if p.get(key) != nil {
 		t.Fatalf("get hit an expired shape")
 	}
 }
 
 func TestPoolExpirySparesRecent(t *testing.T) {
 	p := newSimPool(4, 4)
-	defer func() { closeAll(p.close()) }()
+	defer p.close()
 	key := config.SmallTest().ShapeKey()
 
 	p.put(key, poolSim(t), true)
@@ -126,20 +119,14 @@ func TestPoolExpirySparesRecent(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	p.put(key, poolSim(t), true)
 
-	victims := p.expireIdle(cutoff)
-	closeAll(victims)
-	if n := len(victims); n != 1 {
-		t.Fatalf("expired %d entries, want 1", n)
-	}
+	p.expireIdle(cutoff)
 	st := p.stats()
-	if st.Occupancy != 1 || st.Shapes != 1 {
+	if st.Occupancy != 1 || st.Shapes != 1 || st.Expiries != 1 {
 		t.Fatalf("after partial expiry: %+v", st)
 	}
 	checkPoolInvariant(t, p)
-	if sim := p.get(key); sim == nil {
+	if p.get(key) == nil {
 		t.Fatalf("surviving entry not servable")
-	} else {
-		sim.Close()
 	}
 }
 
@@ -151,14 +138,13 @@ func TestPoolNilSafety(t *testing.T) {
 	if p.put(1, nil, false) || p.put(1, nil, true) {
 		t.Fatalf("nil pool retained a simulator")
 	}
-	if p.expireIdle(time.Now()) != nil || p.arenaBytes() != 0 {
+	p.expireIdle(time.Now())
+	p.close()
+	if p.arenaBytes() != 0 {
 		t.Fatalf("nil pool reported occupancy")
 	}
 	if st := p.stats(); st.Size > 0 {
 		t.Fatalf("nil pool reports enabled: size %d", st.Size)
-	}
-	if p.close() != nil {
-		t.Fatalf("nil pool returned simulators on close")
 	}
 }
 

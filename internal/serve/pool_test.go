@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -249,5 +250,66 @@ func TestWarmPoolConcurrentSameShape(t *testing.T) {
 	}
 	if msg := fmt.Sprintf("%+v", pool); pool.Size <= 0 || pool.Occupancy == 0 {
 		t.Fatalf("pool should retain warm simulators after the burst: %s", msg)
+	}
+}
+
+// poolWorkers counts the goroutines running a bound-phase pool worker.
+func poolWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "engine.(*Pool).worker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestWarmPoolLifecycle runs a job whose first bound round has four cores on
+// two host threads, so the pool's second worker is spawned, and parks its
+// simulator in the warm pool: no pool worker may survive the job, and the
+// parked simulator still serves the next job warm.
+func TestWarmPoolLifecycle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, ts := newTestServer(t, serve.Options{Workers: 1, PoolSize: 2})
+	job := func() *serve.JobRequest {
+		return &serve.JobRequest{
+			Preset:      "small",
+			Workloads:   []serve.WorkloadSpec{{Name: "blackscholes", Threads: 4, Blocks: 200}},
+			HostThreads: 2,
+		}
+	}
+	for i := range 2 {
+		if res := runToSuccess(t, ts, job()); res.Reused != (i == 1) {
+			t.Fatalf("job %d: reused = %v", i+1, res.Reused)
+		}
+		if pool := getHealthPool(t, ts); pool.Occupancy != 1 {
+			t.Fatalf("job %d: pool occupancy %d, want its simulator parked", i+1, pool.Occupancy)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for n := poolWorkers(); n > 0; n = poolWorkers() {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d: %d pool workers outlived the run of a parked simulator", i+1, n)
+			}
+			runtime.Gosched()
+		}
+	}
+}
+
+// TestWarmPoolHostThreadsInShape: a simulator's worker pool is sized by its
+// first run, so a job asking for more host threads than a pooled simulator
+// was built with must not be served by it.
+func TestWarmPoolHostThreadsInShape(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{Workers: 1, PoolSize: 4})
+	one, two := detJob(), detJob()
+	one.HostThreads = 1
+	if res := runToSuccess(t, ts, one); res.Reused {
+		t.Fatalf("first job cannot be served warm")
+	}
+	if res := runToSuccess(t, ts, two); res.Reused {
+		t.Fatalf("a 2-host-thread job was served by a simulator built for 1")
+	}
+	if res := runToSuccess(t, ts, detJob()); !res.Reused {
+		t.Fatalf("a repeat of the 2-host-thread job was not served warm")
 	}
 }

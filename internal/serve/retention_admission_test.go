@@ -266,11 +266,14 @@ func TestPriorityAdmission(t *testing.T) {
 }
 
 // TestServerPrewarm: Prewarm parks warm simulators before any job arrives, so
-// the first job of a prewarmed shape is already a pool hit.
+// the first job of a prewarmed shape is already a pool hit. The job's host
+// threads are part of its shape.
 func TestServerPrewarm(t *testing.T) {
 	s, ts := newTestServer(t, serve.Options{Workers: 1, PoolSize: 2})
 
-	n, err := s.Prewarm([]*zsim.Config{zsim.SmallConfig()})
+	cfg := zsim.SmallConfig()
+	cfg.HostThreads = detJob().HostThreads
+	n, err := s.Prewarm([]*zsim.Config{cfg})
 	if err != nil || n != 1 {
 		t.Fatalf("Prewarm = %d, %v", n, err)
 	}

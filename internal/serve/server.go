@@ -437,16 +437,9 @@ func (s *Server) poolJanitor(ttl time.Duration) {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			victims := s.pool.expireIdle(time.Now().Add(-ttl))
+			s.pool.expireIdle(time.Now().Add(-ttl))
 			s.mu.Unlock()
-			closeAll(victims)
 		}
-	}
-}
-
-func closeAll(sims []*zsim.Simulator) {
-	for _, sim := range sims {
-		sim.Close()
 	}
 }
 
@@ -468,15 +461,11 @@ func (s *Server) Prewarm(cfgs []*zsim.Config) (int, error) {
 		if err != nil {
 			return pooled, fmt.Errorf("prewarm config %d: %w", i, err)
 		}
-		sim.SetReusable(true)
 		s.mu.Lock()
-		parked := s.pool.put(cfg.ShapeKey(), sim, true)
-		s.mu.Unlock()
-		if parked {
+		if s.pool.put(cfg.ShapeKey(), sim, true) {
 			pooled++
-		} else {
-			sim.Close()
 		}
+		s.mu.Unlock()
 	}
 	s.audit.record("prewarm", "", "", fmt.Sprintf("configs=%d pooled=%d", len(cfgs), pooled))
 	return pooled, nil
@@ -584,11 +573,10 @@ func (s *Server) execute(ctx context.Context, j *job) (res *zsim.Result, reused 
 		keep := sim != nil && (err == nil || errors.As(err, &re) && re.Reason != zsim.Panicked)
 		s.mu.Lock()
 		s.detach(j)
-		keep = keep && s.pool.put(shape, sim, false)
-		s.mu.Unlock()
-		if sim != nil && !keep {
-			sim.Close()
+		if keep {
+			s.pool.put(shape, sim, false)
 		}
+		s.mu.Unlock()
 	}()
 
 	cfg, err := req.buildConfig()
@@ -612,20 +600,13 @@ func (s *Server) execute(ctx context.Context, j *job) (res *zsim.Result, reused 
 	s.mu.Lock()
 	pooled := s.pool.get(shape)
 	s.mu.Unlock()
-	if pooled != nil {
-		if rerr := pooled.Reset(cfg); rerr != nil {
-			pooled.Close()
-		} else {
-			sim, reused = pooled, true
-		}
+	if pooled != nil && pooled.Reset(cfg) == nil {
+		sim, reused = pooled, true
 	}
 	if sim == nil {
 		sim, err = zsim.New(cfg)
 		if err != nil {
 			return nil, false, shape, err
-		}
-		if s.pool != nil {
-			sim.SetReusable(true)
 		}
 	}
 	s.mu.Lock()
@@ -647,7 +628,6 @@ func (s *Server) execute(ctx context.Context, j *job) (res *zsim.Result, reused 
 		sim.AddWorkload(w.Name, params, threads)
 	}
 	sim.SetMaxInstructions(req.MaxInstructions)
-	sim.SetHostThreads(req.HostThreads)
 	if req.Seed != 0 {
 		sim.SetSeed(req.Seed)
 	}
@@ -729,11 +709,10 @@ func (s *Server) Shutdown(grace time.Duration) {
 	}
 	s.baseCancel()
 	s.mu.Lock()
-	pooled := s.pool.close()
+	s.pool.close()
 	s.drainCampaigns()
 	retained, _ := s.retention()
 	s.mu.Unlock()
-	closeAll(pooled)
 	s.audit.record("drained", "", "", strconv.Itoa(retained))
 	s.audit.close()
 }

@@ -74,32 +74,15 @@ func (s ThreadState) String() string {
 	}
 }
 
-// OpKind identifies a synchronization operation recorded by a bound worker.
-type OpKind uint8
-
-// Synchronization operation kinds, in the order the trace emits them.
-const (
-	OpNone OpKind = iota
-	// OpDone marks the thread's stream as finished.
-	OpDone
-	// OpBarrier is an arrival at workload barrier ID.
-	OpBarrier
-	// OpSyscall enters a blocking system call for Arg cycles.
-	OpSyscall
-	// OpLockAcquire attempts to acquire lock ID; the thread pauses until the
-	// round's arbitration grants or blocks it.
-	OpLockAcquire
-	// OpLockRelease releases lock ID; the thread keeps executing.
-	OpLockRelease
-)
-
 // PendingOp is one synchronization operation recorded during a bound round,
-// to be resolved deterministically at the next round boundary.
+// to be resolved deterministically at the next round boundary. Kind is the
+// trace's sync marker: a lock acquire pauses the thread until the round's
+// arbitration grants or blocks it, a release lets it keep executing.
 type PendingOp struct {
-	Kind  OpKind
-	ID    int    // lock or barrier identifier
+	Kind  trace.SyncKind
+	ID    int    // lock identifier (read for lock operations only)
 	Cycle uint64 // simulated cycle the operation occurred at
-	Arg   uint64 // extra operand (blocking-syscall duration)
+	Arg   uint64 // blocking-syscall duration (read for syscalls only)
 }
 
 // Thread is one simulated software thread: an instruction stream plus
@@ -136,7 +119,7 @@ type Thread struct {
 // this thread. It touches only thread-local state, so bound workers may call
 // it concurrently for different threads; the scheduler applies it in the
 // next ResolveRound that lists the thread.
-func (t *Thread) Record(kind OpKind, id int, cycle, arg uint64) {
+func (t *Thread) Record(kind trace.SyncKind, id int, cycle, arg uint64) {
 	t.pending = append(t.pending, PendingOp{Kind: kind, ID: id, Cycle: cycle, Arg: arg})
 }
 
@@ -589,17 +572,17 @@ func (s *Scheduler) ResolveRound(ran []Assignment, now, intervalEnd uint64, core
 	for _, r := range s.ops {
 		t, op := r.t, r.op
 		switch op.Kind {
-		case OpDone:
+		case trace.SyncDone:
 			s.onDone(t, op.Cycle)
-		case OpBarrier:
+		case trace.SyncBarrier:
 			s.onBarrier(t, op.Cycle)
-		case OpSyscall:
+		case trace.SyncBlocked:
 			s.onBlockedSyscall(t, op.Cycle, op.Arg)
-		case OpLockAcquire:
+		case trace.SyncLockAcquire:
 			// Granted acquires leave the thread Running on its core, so it
 			// resumes below; contended ones block it and free the core.
 			s.onLockAcquire(t, op.ID, op.Cycle)
-		case OpLockRelease:
+		case trace.SyncLockRelease:
 			s.onLockRelease(t, op.ID, op.Cycle)
 		}
 	}

@@ -302,7 +302,7 @@ func TestResolveRoundGrantsFreeLockAndResumes(t *testing.T) {
 	}
 	t0 := asg[0].Thread
 	t0.Cycle = 150
-	t0.Record(OpLockAcquire, 5, 150, 0)
+	t0.Record(trace.SyncLockAcquire, 5, 150, 0)
 	next := s.ResolveRound(asg, 0, 1000, nil, nil)
 	if !holdsLock(s, t0, 5) {
 		t.Fatalf("uncontended acquire should be granted at the round boundary")
@@ -333,9 +333,9 @@ func TestResolveRoundArbitratesBySimulatedCycle(t *testing.T) {
 	asg := s.ScheduleIntervalInto(0, nil)
 	tA, tB := s.Thread(0), s.Thread(1)
 	tA.Cycle = 200
-	tA.Record(OpLockAcquire, 9, 200, 0)
+	tA.Record(trace.SyncLockAcquire, 9, 200, 0)
 	tB.Cycle = 100
-	tB.Record(OpLockAcquire, 9, 100, 0)
+	tB.Record(trace.SyncLockAcquire, 9, 100, 0)
 	s.ResolveRound(asg, 0, 1000, nil, nil)
 	if !holdsLock(s, tB, 9) {
 		t.Fatalf("the earlier acquire (cycle 100) should win the lock")
@@ -354,9 +354,9 @@ func TestResolveRoundMidIntervalLockHandoff(t *testing.T) {
 	t0, t1 := s.Thread(0), s.Thread(1)
 
 	t0.Cycle = 10
-	t0.Record(OpLockAcquire, 1, 10, 0)
+	t0.Record(trace.SyncLockAcquire, 1, 10, 0)
 	t1.Cycle = 20
-	t1.Record(OpLockAcquire, 1, 20, 0)
+	t1.Record(trace.SyncLockAcquire, 1, 20, 0)
 	round1 := s.ResolveRound(asg, 0, 1000, nil, nil)
 	if !holdsLock(s, t0, 1) || t1.State != StateBlockedLock {
 		t.Fatalf("t0 should hold the lock, t1 should block")
@@ -366,7 +366,7 @@ func TestResolveRoundMidIntervalLockHandoff(t *testing.T) {
 	}
 
 	// t0 releases at cycle 500 and runs to the interval end.
-	t0.Record(OpLockRelease, 1, 500, 0)
+	t0.Record(trace.SyncLockRelease, 1, 500, 0)
 	t0.Cycle = 1000
 	round2 := s.ResolveRound(round1, 0, 1000, nil, nil)
 	if !holdsLock(s, t1, 1) {
@@ -396,7 +396,7 @@ func TestResolveRoundSyscallLeaveAndJoin(t *testing.T) {
 	t0, t1 := s.Thread(0), s.Thread(1)
 
 	t0.Cycle = 100
-	t0.Record(OpSyscall, 0, 100, 300)
+	t0.Record(trace.SyncBlocked, 0, 100, 300)
 	round1 := s.ResolveRound(asg, 0, 1000, nil, nil)
 	// The wake (cycle 400) falls inside the interval, so t0 is already
 	// runnable again — but queued behind t1, which takes the core first.
@@ -409,7 +409,7 @@ func TestResolveRoundSyscallLeaveAndJoin(t *testing.T) {
 
 	// t1 blocks too; t0's syscall has completed by then, so it rejoins.
 	t1.Cycle = 450
-	t1.Record(OpSyscall, 0, 450, 5000)
+	t1.Record(trace.SyncBlocked, 0, 450, 5000)
 	round2 := s.ResolveRound(round1, 0, 1000, nil, nil)
 	if len(round2) != 1 || round2[0].Thread.ID != t0.ID {
 		t.Fatalf("t0 should rejoin after its syscall completes, got %+v", round2)
@@ -438,7 +438,7 @@ func TestResolveRoundHonoursAffinityOnFreedCores(t *testing.T) {
 	// Core 1's thread blocks; the pinned thread may not take core 1.
 	t1 := s.Thread(1)
 	t1.Cycle = 50
-	t1.Record(OpSyscall, 0, 50, 100000)
+	t1.Record(trace.SyncBlocked, 0, 50, 100000)
 	next := s.ResolveRound(asg, 0, 1000, nil, nil)
 	for _, a := range next {
 		if a.Thread.ID == 2 {
@@ -456,7 +456,7 @@ func TestResolveRoundRespectsIntervalEnd(t *testing.T) {
 	asg := s.ScheduleIntervalInto(0, nil)
 	t0 := s.Thread(0)
 	t0.Cycle = 990
-	t0.Record(OpSyscall, 0, 990, 100000)
+	t0.Record(trace.SyncBlocked, 0, 990, 100000)
 	// The core's clock has passed the interval end: no join is possible.
 	next := s.ResolveRound(asg, 0, 1000, []uint64{1100}, nil)
 	if len(next) != 0 {

@@ -1,7 +1,7 @@
 package zsim
 
-// Warm-simulator reuse tests: a reusable Simulator that is Reset between
-// runs must be indistinguishable — bit-identical simulated results — from a
+// Warm-simulator reuse tests: a Simulator that is Reset between runs must be
+// indistinguishable — bit-identical simulated results — from a
 // freshly constructed one, with NoC contention on and off, across host
 // parallelism levels, and after aborted (cancelled / cycle-limited) runs.
 // Panicked runs are the exception: Reset must refuse them.
@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"zsim/internal/config"
 )
@@ -150,13 +151,11 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 					t.Errorf("NoC contention run reports no router activity: %+v", want.NOC)
 				}
 
-				// Reusable simulator, run 1: must match fresh.
+				// Simulator to reuse, run 1: must match fresh.
 				sim, err := New(modeCfg())
 				if err != nil {
 					t.Fatal(err)
 				}
-				sim.SetReusable(true)
-				defer sim.Close()
 				got, err := reuseRun(t, sim, nil, 300, m.host)
 				if err != nil {
 					t.Fatalf("reusable run 1: %v", err)
@@ -233,25 +232,7 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 // probe sample reports a full round.
 func TestReuseClampsHostThreadsToPool(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	run := func(sim *Simulator, host int) *Result {
-		t.Helper()
-		for i := 0; i < 4; i++ {
-			p := DefaultWorkloadParams()
-			p.Seed = uint64(1 + i)
-			p.AddrSpace = uint64(i + 1)
-			p.WorkingSet = 8 << 10
-			p.BlocksPerThread = 1 << 20
-			sim.AddPinnedWorkload(fmt.Sprintf("proc-%d", i), p, 1, []int{i})
-		}
-		sim.SetHostThreads(host)
-		sim.SetSeed(99)
-		sim.SetMaxInstructions(200000)
-		res, err := sim.Run()
-		if err != nil {
-			t.Fatalf("run at %d host threads: %v", host, err)
-		}
-		return res
-	}
+	run := func(sim *Simulator, host int) *Result { return runFullRounds(t, sim, host) }
 	fresh, err := New(reuseCfg(false))
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +243,6 @@ func TestReuseClampsHostThreadsToPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetReusable(true)
-	defer sim.Close()
 	run(sim, 1)
 	if err := sim.Reset(nil); err != nil {
 		t.Fatal(err)
@@ -273,6 +252,28 @@ func TestReuseClampsHostThreadsToPool(t *testing.T) {
 		t.Errorf("PoolWorkers = %d on a pool built with 1 worker", w)
 	}
 	requireIdentical(t, "Reset to 4 host threads on a 1-worker pool", want, got)
+}
+
+// runFullRounds runs four pinned single-thread processes without
+// synchronization on sim's four cores, so every bound round has four cores.
+func runFullRounds(t *testing.T, sim *Simulator, host int) *Result {
+	t.Helper()
+	for i := 0; i < 4; i++ {
+		p := DefaultWorkloadParams()
+		p.Seed = uint64(1 + i)
+		p.AddrSpace = uint64(i + 1)
+		p.WorkingSet = 8 << 10
+		p.BlocksPerThread = 1 << 20
+		sim.AddPinnedWorkload(fmt.Sprintf("proc-%d", i), p, 1, []int{i})
+	}
+	sim.SetHostThreads(host)
+	sim.SetSeed(99)
+	sim.SetMaxInstructions(200000)
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatalf("run at %d host threads: %v", host, err)
+	}
+	return res
 }
 
 // panicObserver is an access observer that faults after a fixed number of
@@ -286,7 +287,7 @@ func (p *panicObserver) ObserveAccess(lineAddr uint64, write bool, coreID int, c
 	}
 }
 
-// TestReuseRefusedAfterPanic injects a panic into a reusable simulator's run
+// TestReuseRefusedAfterPanic injects a panic into a simulator's run
 // and requires (a) the run to be contained and typed, (b) Reset to refuse the
 // panicked simulator, and (c) a replacement fresh simulator to still produce
 // the baseline results — the discard-and-rebuild path the serve pool uses.
@@ -304,8 +305,6 @@ func TestReuseRefusedAfterPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetReusable(true)
-	defer sim.Close()
 	sim.sys.Cores[0].SetObserver(&panicObserver{fuse: 100})
 	_, err = reuseRun(t, sim, nil, 300, 4)
 	var re *RunError
@@ -327,24 +326,22 @@ func TestReuseRefusedAfterPanic(t *testing.T) {
 	requireIdentical(t, "replacement after panic-discard", want, got)
 }
 
-// TestReuseShapeKeyGuards pins the Reset preconditions: non-reusable
-// simulators refuse Reset, and a shape-changing configuration is rejected
-// while a run-variable-only change is accepted.
+// TestReuseShapeKeyGuards pins the Reset preconditions: a simulator that
+// has not run yet may be Reset too, and a shape-changing configuration is
+// rejected while a run-variable-only change is accepted.
 func TestReuseShapeKeyGuards(t *testing.T) {
 	plain, err := New(reuseCfg(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plain.Reset(nil); err == nil {
-		t.Fatalf("Reset on a non-reusable simulator must fail")
+	if err := plain.Reset(nil); err != nil {
+		t.Fatalf("Reset before the first run: %v", err)
 	}
 
 	sim, err := New(reuseCfg(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetReusable(true)
-	defer sim.Close()
 	if _, err := reuseRun(t, sim, nil, 300, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +379,7 @@ func TestReuseShapeKeyGuards(t *testing.T) {
 	}
 }
 
-// TestReuseArenaFootprintFlat pins the warm-memory claim: once a reusable
+// TestReuseArenaFootprintFlat pins the warm-memory claim: once a
 // simulator has served one run, further Reset+run cycles of the same
 // workloads allocate no new arena chunks — the construction arena and the
 // retained workloads' arenas serve every subsequent run. The footprint
@@ -395,8 +392,6 @@ func TestReuseArenaFootprintFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim.SetReusable(true)
-		defer sim.Close()
 		first, err := reuseRunCode(t, sim, nil, 300, 4, static)
 		if err != nil {
 			t.Fatal(err)
@@ -493,8 +488,6 @@ func TestReuseProgramMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.SetReusable(true)
-	defer sim.Close()
 	got, keysA := runMix(t, sim, mixA)
 	requireIdentical(t, "mix A", fresh(mixA), got)
 	holdsExactly("mix A", sim, keysA)
@@ -533,4 +526,42 @@ func TestConfigShapeKeyStability(t *testing.T) {
 	if a.ShapeKey() == b.ShapeKey() {
 		t.Fatalf("core model is construction shape")
 	}
+}
+
+// settleGoroutines waits until at most base goroutines remain: a pool worker
+// that its run has stopped and waited for still counts until its exit
+// finishes.
+func settleGoroutines(t *testing.T, stage string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want the %d from before the run", stage, runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestLifecycleNoWorkerOutlivesRun runs a simulator that was never marked
+// reusable with a parallel bound phase, Resets it and runs it again: the
+// second run matches the first, and after each the goroutine count is back
+// where it was before the simulator was built, with no Close.
+func TestLifecycleNoWorkerOutlivesRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := runtime.NumGoroutine()
+	sim, err := New(reuseCfg(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runFullRounds(t, sim, 2)
+	if w := sim.Probe().Snapshot().PoolWorkers; w != 2 {
+		t.Fatalf("first run's last round used %d bound workers, want 2", w)
+	}
+	settleGoroutines(t, "after the first run", base)
+	if err := sim.Reset(nil); err != nil {
+		t.Fatalf("Reset of a simulator never marked reusable: %v", err)
+	}
+	got := runFullRounds(t, sim, 2)
+	settleGoroutines(t, "after the run after Reset", base)
+	requireIdentical(t, "run after Reset", want, got)
 }

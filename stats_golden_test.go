@@ -29,8 +29,6 @@ func TestStatsOutputGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim.SetReusable(true)
-		defer sim.Close()
 		for _, run := range []string{"fresh", "reset"} {
 			if run == "reset" {
 				if err := sim.Reset(nil); err != nil {

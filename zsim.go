@@ -28,6 +28,14 @@
 // Workloads are deterministic synthetic program models (package
 // internal/trace) parameterized to match the behavioural envelope of the
 // paper's benchmarks; see DESIGN.md for the substitution rationale.
+//
+// # Reuse
+//
+// A Simulator runs once per Reset: Reset it, add the workloads again and
+// Run, and the results are bit-identical to a freshly built simulator's
+// while construction is skipped. The bound phase's worker goroutines live
+// for one run, so a simulator holds no goroutine between runs and needs no
+// Close; a simulator no longer needed is simply dropped.
 package zsim
 
 import (
@@ -191,10 +199,9 @@ type Simulator struct {
 	// keeps them for whichever simulator adds them next.
 	programs map[programKey]program
 
-	// Warm-reuse state: when reusable is set, bw is the persistent
-	// bound-weave simulator kept alive across runs.
-	reusable bool
-	bw       *boundweave.Simulator
+	// bw is the bound-weave simulator, built by the first run and Reset by
+	// every run after it.
+	bw *boundweave.Simulator
 
 	// probe is the simulator's always-on telemetry publication point (cheap:
 	// atomic stores at interval boundaries).
@@ -294,46 +301,36 @@ func (s *Simulator) ConstructionArenaBytes() uint64 {
 	return bytes
 }
 
-// SetReusable marks the simulator for warm reuse: RunContext keeps the
-// bound-weave engine, worker pool and all per-core weave state alive after
-// the run, and Reset rewinds the whole simulator for another run without
-// reconstruction. A reusable simulator must be Closed by its owner when no
-// longer needed. Call before the first run.
-func (s *Simulator) SetReusable(v bool) { s.reusable = v }
+// SetReusable does nothing: every simulator can be Reset, and none keeps a
+// goroutine after its run returns. It remains because the benchmark's
+// zsim.reset_ms kernel (bench/kernels.go) calls it.
+func (s *Simulator) SetReusable(bool) {}
 
 // ShapeKey returns the configuration's construction-shape hash: two
 // simulators with equal shape keys are structurally interchangeable, and a
 // Reset may swap in any same-shape configuration. See Config.ShapeKey.
 func (s *Simulator) ShapeKey() uint64 { return s.shape }
 
-// Close releases the persistent resources of a reusable simulator (worker
-// pool, weave engine). It is idempotent and a no-op for simulators that were
-// never marked reusable (their resources are released when Run returns).
-func (s *Simulator) Close() {
-	if s.bw != nil {
-		s.bw.Close()
-		s.bw = nil
-	}
-}
+// Close does nothing: a simulator holds no goroutine or other resource once
+// its run returns, and the garbage collector reclaims a dropped one. It
+// remains because the benchmark's zsim.reset_ms kernel (bench/kernels.go)
+// passes it as its cleanup.
+func (s *Simulator) Close() {}
 
-// Reset rewinds a reusable simulator to its just-built state so it can serve
-// another run: all statistics, core/cache/predictor/contention state and the
-// scheduler rewind; the construction arena, worker pool and weave engine stay
-// warm, and the process-wide translation cache keeps the translated
-// workloads. cfg supplies the next run's configuration; it must have the same
+// Reset rewinds a simulator to its just-built state so it can serve another
+// run: all statistics, core/cache/predictor/contention state and the
+// scheduler rewind; the construction arena and weave engine stay warm, and
+// the process-wide translation cache keeps the translated workloads. cfg supplies the next run's configuration; it must have the same
 // ShapeKey as the simulator's (only run-variable fields — name, seeds, limits
 // — may differ), and nil keeps the current one. Workloads and options are
 // cleared: re-add workloads and re-apply Set* options before the next run.
 //
 // Reset fails (leaving the simulator unusable for further runs) when the
 // previous run panicked: an aborted engine cannot be safely rewound, so the
-// caller must Close this simulator and build a fresh one.
+// caller must drop this simulator and build a fresh one.
 func (s *Simulator) Reset(cfg *Config) error {
-	if !s.reusable {
-		return fmt.Errorf("zsim: Reset requires a reusable simulator (SetReusable)")
-	}
 	if s.lastReason == Panicked {
-		return fmt.Errorf("zsim: cannot Reset after a panicked run; Close and build a fresh simulator")
+		return fmt.Errorf("zsim: cannot Reset after a panicked run; build a fresh simulator")
 	}
 	if cfg == nil {
 		cfg = s.cfg
@@ -458,35 +455,15 @@ func (s *Simulator) runOptions(ctl *runctl.Token) boundweave.Options {
 		Ctl:         ctl,
 		MaxWallTime: s.cfg.MaxWallTime,
 		MaxCycles:   s.cfg.MaxCycles,
-		Reusable:    s.reusable,
 		Probe:       s.probe,
 		Trace:       s.traceSink,
 	}
 }
 
-// acquireSim returns the bound-weave simulator for this run: a fresh build on
-// the first run (or always, when not reusable), a warm Reset of the retained
-// one on every run after that.
-func (s *Simulator) acquireSim(ctl *runctl.Token) (*boundweave.Simulator, error) {
-	opts := s.runOptions(ctl)
-	if !s.reusable {
-		return boundweave.NewSimulator(s.sys, s.sched, opts), nil
-	}
-	if s.bw == nil {
-		s.bw = boundweave.NewSimulator(s.sys, s.sched, opts)
-		return s.bw, nil
-	}
-	if err := s.bw.Reset(opts); err != nil {
-		return nil, err
-	}
-	return s.bw, nil
-}
-
 // Run executes the simulation and returns its results. A simulator runs
-// once; build a new one for another run, or mark it reusable (SetReusable)
-// and Reset it between runs. It is RunContext with a
-// background context: only Config.MaxWallTime / Config.MaxCycles (and a
-// workload deadlock) can stop it early.
+// once per Reset: Reset it, or build a new one, for another run. It is
+// RunContext with a background context: only Config.MaxWallTime /
+// Config.MaxCycles (and a workload deadlock) can stop it early.
 func (s *Simulator) Run() (*Result, error) {
 	return s.RunContext(context.Background())
 }
@@ -509,17 +486,13 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 	}
 	s.ran = true
 	ctl := new(runctl.Token)
-	sim, err := s.acquireSim(ctl)
-	if err != nil {
+	opts := s.runOptions(ctl)
+	if s.bw == nil {
+		s.bw = boundweave.NewSimulator(s.sys, s.sched, opts)
+	} else if err := s.bw.Reset(opts); err != nil {
 		return nil, err
 	}
-	if !s.reusable {
-		// The simulator owns a persistent worker pool; Close is idempotent, and deferring it here guarantees release on every
-		// exit path — including cancellation and panic recovery — not just
-		// the happy path inside sim.Run. A reusable simulator instead keeps
-		// these warm for the next Reset, and its owner Closes it.
-		defer sim.Close()
-	}
+	sim := s.bw
 	if ctx != nil && ctx.Done() != nil {
 		stop := context.AfterFunc(ctx, func() { ctl.Cancel(runctl.ReasonCancelled) })
 		defer stop()
@@ -537,11 +510,6 @@ func (s *Simulator) RunContext(ctx context.Context) (*Result, error) {
 		reason, panicErr, phase = Panicked, facadePanic, "run"
 	}
 	s.lastReason = reason
-	if reason == Panicked {
-		// A panicked simulator cannot be rewound; release the warm state now
-		// so a reusable simulator fails closed instead of leaking its pool.
-		s.Close()
-	}
 	if reason == runctl.ReasonNone {
 		return res, nil
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"zsim/internal/trace"
 	"zsim/internal/virt"
 )
 
@@ -134,9 +135,9 @@ func TestRunDeadlockReturnsTypedError(t *testing.T) {
 	// a barrier, holding the lock thread 1 then blocks on.
 	t0, t1 := sim.sched.Thread(0), sim.sched.Thread(1)
 	asg := sim.sched.ScheduleIntervalInto(0, nil)
-	t0.Record(virt.OpLockAcquire, 1, 0, 0)
-	t0.Record(virt.OpBarrier, 1, 0, 0)
-	t1.Record(virt.OpLockAcquire, 1, 0, 0)
+	t0.Record(trace.SyncLockAcquire, 1, 0, 0)
+	t0.Record(trace.SyncBarrier, 1, 0, 0)
+	t1.Record(trace.SyncLockAcquire, 1, 0, 0)
 	sim.sched.ResolveRound(asg, 0, 1, nil, nil)
 	if t0.State != virt.StateBlockedBarrier || t1.State != virt.StateBlockedLock {
 		t.Fatalf("states %v/%v, want blocked-barrier/blocked-lock", t0.State, t1.State)
