@@ -141,10 +141,10 @@ func TestResetWalkerNilSlice(t *testing.T) {
 	}
 }
 
-// The walker sees a rewound line slab's lines: a reset chip's chunks hold
-// zero lines, which equal the nil chunks of a fresh chip, and one non-zero
-// way left in them is exactly one difference, whichever side is the fresh
-// one. The run before takes every set's ways through the bound workers' own
+// The walker sees a rewound line slab's blocks: a reset chip's chunks hold
+// zero words, which equal the nil chunks of a fresh chip, and one non-zero
+// word left anywhere in them is exactly one difference, whichever side is
+// the fresh one. The run before takes every set's ways through the bound workers' own
 // cursors, never the shared one.
 func TestResetWalkerSlab(t *testing.T) {
 	build := func() *System {
@@ -183,13 +183,14 @@ func TestResetWalkerSlab(t *testing.T) {
 	if d := walk(freshSim, usedSim); len(d) != 0 {
 		t.Fatalf("a reset chip differs from a fresh one: %v", d)
 	}
-	// Plant a valid way in the first chunk the run took.
+	// Plant a valid way's key in the last word of the first chunk the run
+	// took.
 	chunks := slab.FieldByName("chunks")
+	chunkWords := 1 << slab.FieldByName("shift").Uint()
 	planted := false
 	for i := 0; i < chunks.Len() && !planted; i++ {
 		if chunk := chunks.Index(i); !chunk.IsNil() {
-			key := chunk.Index(0).FieldByName("key")
-			reflect.NewAt(key.Type(), unsafe.Pointer(key.UnsafeAddr())).Elem().SetUint(1<<3 | 1)
+			unsafe.Slice((*uint64)(chunk.UnsafePointer()), chunkWords)[chunkWords-1] = 1<<3 | 1
 			planted = true
 		}
 	}
@@ -262,6 +263,10 @@ func (w *resetWalker) walk(path string, a, b reflect.Value) {
 			if _, ok := resetSkip[key+"."+f.Name]; ok || f.Name == "_" {
 				continue
 			}
+			if key+"."+f.Name == "cache.lineSlab.chunks" {
+				w.walkChunks(path+".chunks", a, b)
+				continue
+			}
 			w.walk(path+"."+f.Name, a.Field(i), b.Field(i))
 		}
 	case reflect.Slice, reflect.Array:
@@ -323,6 +328,34 @@ func (w *resetWalker) walk(path string, a, b reflect.Value) {
 		}
 	default:
 		w.differ(path, "unhandled kind", a.Kind())
+	}
+}
+
+// walkChunks compares the chunks of two line slabs word by word. A slab's
+// chunk table points at each chunk's first word, and a chunk is 1<<shift
+// words; a nil chunk reads as zero words.
+func (w *resetWalker) walkChunks(path string, a, b reflect.Value) {
+	words := func(slab reflect.Value, i int) []uint64 {
+		chunks := slab.FieldByName("chunks")
+		if i >= chunks.Len() || chunks.Index(i).IsNil() {
+			return nil
+		}
+		return unsafe.Slice((*uint64)(chunks.Index(i).UnsafePointer()), 1<<slab.FieldByName("shift").Uint())
+	}
+	for i := range max(a.FieldByName("chunks").Len(), b.FieldByName("chunks").Len()) {
+		ca, cb := words(a, i), words(b, i)
+		for j := range max(len(ca), len(cb)) {
+			var va, vb uint64
+			if j < len(ca) {
+				va = ca[j]
+			}
+			if j < len(cb) {
+				vb = cb[j]
+			}
+			if va != vb {
+				w.differ(fmt.Sprintf("%s[%d][%d]", path, i, j), va, vb)
+			}
+		}
 	}
 }
 

@@ -341,9 +341,11 @@ func (s *Simulator) totalInstrs() uint64 {
 // results to a fresh build for the same options and workloads.
 //
 // opts may vary the run-variable knobs (seed, limits, cancellation token,
-// profiler); shape-defining state (interval length, contention models, pool
-// size) comes from the System and is retained. The scheduler is not touched —
-// the caller clears and repopulates it with workloads before the next Run.
+// profiler, host threads: a new host thread count gets a new worker pool and
+// new worker line cursors); shape-defining state (interval length,
+// contention models) comes from the System and is retained. The scheduler
+// is not touched — the caller clears and repopulates it with workloads
+// before the next Run.
 //
 // Reset requires a simulator whose last Run did not panic: a fault can stop a
 // model mid-update, so a panicked simulator must be dropped instead (Reset
@@ -353,6 +355,13 @@ func (s *Simulator) Reset(opts Options) error {
 		return errors.New("boundweave: cannot Reset a simulator after a panicked run; build a fresh one")
 	}
 	s.Sys.Reset()
+	if host := resolveHostThreads(opts, s.Sys.Cfg); host != len(s.lines) {
+		// No worker outlives Run, so another host thread count costs only
+		// the new pool's slots and the new workers' cursors.
+		s.lines = cache.WorkerCursors(s.Sys.Root.Arena(), host)
+		s.pool = engine.NewPool(host)
+		s.homes = make([]homeQueue, host)
+	}
 	s.initRun(opts)
 	return nil
 }

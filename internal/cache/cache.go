@@ -32,20 +32,28 @@
 // which holds all its counts: only coherence actions from other cores
 // contend with its owner for it. A cache's set table holds one pointer-free
 // 4-byte slot per set, 0 until the set is first touched. On first touch the
-// set takes its ways from its chip's line slab, pointer-free chunks one
-// chip shares, through the bound worker's own cursor, so building a
-// thousand-core chip with hundreds of megabytes of simulated cache costs 4
-// bytes per set plus lines only for the sets the workload actually uses, and
-// the GC scans none of it. Each way packs its tag, MESI state and
-// child-modified bit into one word, so a line takes 24 bytes. A dirty bitmap,
+// set takes its block from its chip's line slab, pointer-free chunks of
+// 8-byte words one chip shares, through the bound worker's own cursor, so
+// building a thousand-core chip with hundreds of megabytes of simulated
+// cache costs 4 bytes per set plus blocks only for the sets the workload
+// actually uses, and the GC scans none of it. A block holds the set's ways
+// as arrays: first one 8-byte key per way (its tag, MESI state and
+// child-modified bit), then, only in a cache with children, one sharer mask
+// per way (4 bytes for up to 32 children, 8 beyond), then one 4-byte LRU
+// stamp per way. A way thus takes 12 bytes in an L1, and 16 or 20 in a
+// cache with children. A stripe's 32-bit clock that would wrap first
+// rewrites its sets' stamps to their rank within each set. A dirty bitmap,
 // one bit per set, marks the sets touched since the last Reset, so Reset
 // costs O(sets/64 + sets touched since the last Reset) rather than a visit
 // to every set.
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -200,31 +208,25 @@ type Level interface {
 	Access(req *Request) uint64
 }
 
-// line is one cache line's tag, coherence state, directory info and
-// replacement metadata in 24 bytes. key packs the tag (the line address),
-// the child-modified bit (some child may hold the line modified) and the
-// MESI state as tag<<3 | childMod<<2 | state, so a zeroed line is Invalid.
-// Line addresses are byte addresses shifted right by 6, at most 58 bits, so
-// the shift loses no tag bit.
-type line struct {
-	key     uint64
-	lastUse uint64 // replacement timestamp
-	sharers uint64 // bitmask of children holding the line (directory)
-}
-
+// A way's key packs its tag (the line address), the child-modified bit (some
+// child may hold the line modified) and its MESI state as
+// tag<<3 | childMod<<2 | state, so a zeroed key is Invalid. Line addresses
+// are byte addresses shifted right by 6, at most 58 bits, so the shift loses
+// no tag bit.
 const (
 	keyState    = 3 // key bits holding the MESI state
 	keyChildMod = 4 // key bit set when some child may hold the line modified
 	keyTagShift = 3
 )
 
-func (l *line) state() State   { return State(l.key & keyState) }
-func (l *line) tag() uint64    { return l.key >> keyTagShift }
-func (l *line) childMod() bool { return l.key&keyChildMod != 0 }
+func stateOf(key uint64) State { return State(key & keyState) }
+func tagOf(key uint64) uint64  { return key >> keyTagShift }
 
-func (l *line) setState(s State) { l.key = l.key&^keyState | uint64(s) }
+func setState(key *uint64, s State) { *key = *key&^keyState | uint64(s) }
 
-func (l *line) clearChildMod() { l.key &^= keyChildMod }
+// maxStamp is the last value of a stripe's 32-bit replacement clock; the
+// tick that would pass it restamps the stripe's sets first (Cache.restamp).
+const maxStamp = math.MaxUint32
 
 // stripe is one lock stripe of a cache: a mutex protecting the sets
 // congruent to its index mod nStripes (set&stripeMask), plus the per-stripe
@@ -233,7 +235,7 @@ func (l *line) clearChildMod() { l.key &^= keyChildMod }
 // false-share.
 type stripe struct {
 	mu    sync.Mutex
-	useCt uint64           // replacement clock (compared within one set only)
+	useCt uint32           // replacement clock (compared within one set only)
 	n     [numStats]uint64 // statistics, indexed by sHits...
 }
 
@@ -278,7 +280,7 @@ func (c *Cache) VisitStats(f func(name, desc string, v uint64)) {
 }
 
 // MaxChildren is the number of children a cache's directory can track: its
-// sharer set is a 64-bit mask.
+// widest sharer mask has 64 bits.
 const MaxChildren = 64
 
 // maxStripes bounds the number of lock stripes per cache.
@@ -309,10 +311,23 @@ type Cache struct {
 	sets    int
 	ways    int
 	latency uint32
-	mshrs   int
 
-	// slots[s] names set s's ways in slab; 0 until the set is first
-	// touched. Only setWays turns a slot into a slice.
+	// A touched set's block in the slab holds its ways' keys (8 bytes
+	// each), then, only when the cache has children, their sharer masks
+	// (maskBytes each: 4 for up to 32 children, 8 beyond), then their LRU
+	// stamps (4 bytes each), blockWords 8-byte words in all; stampOff is
+	// the stamps' byte offset. AddChild sets the layout, and the chip's
+	// first access fixes it.
+	blockWords uint32
+	stampOff   uint32
+	maskBytes  uint8
+	// stripeShift is log2 of the stripe count (see dirty).
+	stripeShift uint8
+
+	mshrs int
+
+	// slots[s] names set s's block in slab; 0 until the set is first
+	// touched. Only blockOf turns a slot into a pointer.
 	slots      []uint32
 	slab       *lineSlab
 	stripes    []stripe
@@ -321,9 +336,8 @@ type Cache struct {
 	// a slot) and cleared by Reset. Stripe s owns words [s*dirtyWords,
 	// (s+1)*dirtyWords) and its sets in order (set>>stripeShift), so a word is
 	// only written under one stripe's lock.
-	dirty       []uint64
-	dirtyWords  int
-	stripeShift int
+	dirty      []uint64
+	dirtyWords int
 
 	parent   Level
 	children []*Cache // for directory-driven invalidations
@@ -338,9 +352,9 @@ type Cache struct {
 // given registry (which may be nil). compID is the global component ID used
 // in weave traces. When the registry tree carries a construction arena, the
 // cache object, its slot table and its lock stripes are carved from that
-// arena, and its ways come from the line slab hung off it, which every cache
-// built on the arena shares; a cache built without one gets a slab of its
-// own.
+// arena, and its set blocks come from the line slab hung off it, which
+// every cache built on the arena shares; a cache built without one gets a
+// slab of its own.
 func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 	ways := max(cfg.Ways, 1)
 	sets := cfg.Sets()
@@ -364,17 +378,33 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 		stripeMask:  nStripes - 1,
 		dirty:       arena.Take[uint64](a, nStripes*dirtyWords),
 		dirtyWords:  dirtyWords,
-		stripeShift: shift,
+		stripeShift: uint8(shift),
 	}
-	c.slab.addCache(sets, ways)
+	c.layout()
+	c.slab.addBlocks(sets*ways, sets, int(c.blockWords), int(c.blockWords))
 	c.Hits, c.Misses = Count{c, sHits}, Count{c, sMisses}
 	reg.Record(c)
 	return c
 }
 
+// layout sets the block layout for the cache's current children.
+func (c *Cache) layout() {
+	switch n := len(c.children); {
+	case n == 0:
+		c.maskBytes = 0
+	case n <= 32:
+		c.maskBytes = 4
+	default:
+		c.maskBytes = 8
+	}
+	ways := uint32(c.ways)
+	c.stampOff = ways * (8 + uint32(c.maskBytes))
+	c.blockWords = (c.stampOff + 4*ways + 7) / 8
+}
+
 // Reset restores the cache to its just-constructed state for warm reuse:
 // every set touched since the last Reset (each one holding a slot has its
-// dirty bit) has its ways cleared back to all-Invalid zero lines and its
+// dirty bit) has its block cleared back to all-Invalid zero ways and its
 // slot zeroed, the dirty bitmap is zeroed, the line slab is rewound (its
 // chunks are kept, for the next run to take again), and each stripe's
 // replacement clock and statistics are zeroed. The slab is the chip's: every
@@ -388,7 +418,7 @@ func (c *Cache) Reset() {
 		s, base := w/c.dirtyWords, w%c.dirtyWords*64
 		for ; word != 0; word &= word - 1 {
 			set := (base+bits.TrailingZeros64(word))<<c.stripeShift | s
-			clear(c.setWays(set))
+			clear(unsafe.Slice((*uint64)(c.blockOf(set)), c.blockWords))
 			c.slots[set] = 0
 		}
 		c.dirty[w] = 0
@@ -410,8 +440,9 @@ func (c *Cache) MSHRs() int { return c.mshrs }
 func (c *Cache) SetParent(p Level) { c.parent = p }
 
 // AddChild registers a child cache for directory tracking and returns the
-// child's index. Panics if more than MaxChildren children are added;
-// config.Validate refuses chips that would need more.
+// child's index. Panics if more than MaxChildren children are added
+// (config.Validate refuses chips that would need more), and once the chip
+// has served its first access: the children fix the cache's block layout.
 func (c *Cache) AddChild(child *Cache) int {
 	if len(c.children) >= MaxChildren {
 		panic("cache: more than 64 children per cache are not supported")
@@ -419,6 +450,14 @@ func (c *Cache) AddChild(child *Cache) int {
 	idx := len(c.children)
 	c.children = append(c.children, child)
 	child.childIdx = idx
+	old := c.blockWords
+	c.layout()
+	// Construction is single-threaded, so started reads the slab unlocked;
+	// the slab is told only of a block that grew (at the first child and
+	// the 33rd), and panics once the chip has served an access.
+	if c.blockWords != old || c.slab.started() {
+		c.slab.addBlocks(0, c.sets, int(c.blockWords-old), int(c.blockWords))
+	}
 	return idx
 }
 
@@ -433,34 +472,107 @@ func (c *Cache) setOf(lineAddr uint64) int {
 // stripeOf returns the lock stripe covering the set.
 func (c *Cache) stripeOf(set int) *stripe { return &c.stripes[set&c.stripeMask] }
 
-// setWays returns set's ways, or nil if the set was never touched. Caller
+// blockOf returns set's block, or nil if the set was never touched. Caller
 // must hold the set's stripe lock (or the cache must be quiescent).
-func (c *Cache) setWays(set int) []line {
+func (c *Cache) blockOf(set int) unsafe.Pointer {
 	slot := c.slots[set]
 	if slot == 0 {
 		return nil
 	}
 	s := c.slab
-	return unsafe.Slice(&s.chunks[slot>>s.shift][slot&(1<<s.shift-1)], c.ways)
+	return unsafe.Add(unsafe.Pointer(s.chunks[slot>>s.shift]), uintptr(slot&(1<<s.shift-1))*8)
 }
 
-// touch gives an untouched set its ways, taken from the line slab through
-// cur, marks the set dirty and returns the ways. Caller must hold the set's
-// stripe lock.
-func (c *Cache) touch(set int, cur *LineCursor) []line {
-	c.slots[set] = c.slab.take(cur, c.ways)
+// keys returns the ways' keys of block b, nil for an untouched set.
+func (c *Cache) keys(b unsafe.Pointer) []uint64 {
+	if b == nil {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(b), c.ways)
+}
+
+// stamps returns the ways' LRU stamps of block b, which must not be nil.
+func (c *Cache) stamps(b unsafe.Pointer) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Add(b, c.stampOff)), c.ways)
+}
+
+// sharers returns way w's sharer mask in block b: the children that may
+// hold the line, always 0 in a cache without children.
+func (c *Cache) sharers(b unsafe.Pointer, w int) uint64 {
+	p := unsafe.Add(b, uintptr(c.ways)*8+uintptr(w)*uintptr(c.maskBytes))
+	switch c.maskBytes {
+	case 4:
+		return uint64(*(*uint32)(p))
+	case 8:
+		return *(*uint64)(p)
+	}
+	return 0
+}
+
+// setSharers sets way w's sharer mask in block b. In a cache without
+// children the mask must be 0, and nothing is stored.
+func (c *Cache) setSharers(b unsafe.Pointer, w int, m uint64) {
+	p := unsafe.Add(b, uintptr(c.ways)*8+uintptr(w)*uintptr(c.maskBytes))
+	switch c.maskBytes {
+	case 4:
+		*(*uint32)(p) = uint32(m)
+	case 8:
+		*(*uint64)(p) = m
+	}
+}
+
+// touch gives an untouched set its block, taken from the line slab through
+// cur, marks the set dirty and returns the block. Caller must hold the
+// set's stripe lock.
+func (c *Cache) touch(set int, cur *LineCursor) unsafe.Pointer {
+	c.slots[set] = c.slab.take(cur, int(c.blockWords))
 	i := set >> c.stripeShift
 	c.dirty[(set&c.stripeMask)*c.dirtyWords+i/64] |= 1 << (i % 64)
-	return c.setWays(set)
+	return c.blockOf(set)
 }
 
-// findWay returns the way index of tag in the set's lines, or -1. A nil
+// tick advances the set's stripe clock and returns it. Caller holds the
+// stripe lock.
+func (c *Cache) tick(st *stripe, set int) uint32 {
+	if st.useCt == maxStamp {
+		c.restamp(set)
+	}
+	st.useCt++
+	return st.useCt
+}
+
+// restamp makes room in the 32-bit clock of set's stripe: every touched set
+// of the stripe (found from the stripe's dirty-bitmap words) has its stamps
+// rewritten to their rank order within the set, and the clock restarts at
+// the largest rank. Stamps only compare within one set, and a set's valid
+// ways hold distinct stamps, so every victim choice stays the same. Caller
+// holds the stripe lock.
+func (c *Cache) restamp(set int) {
+	s := set & c.stripeMask
+	order := make([]int, c.ways)
+	for w := s * c.dirtyWords; w < (s+1)*c.dirtyWords; w++ {
+		base := w % c.dirtyWords * 64
+		for word := c.dirty[w]; word != 0; word &= word - 1 {
+			stamps := c.stamps(c.blockOf((base+bits.TrailingZeros64(word))<<c.stripeShift | s))
+			for i := range order {
+				order[i] = i
+			}
+			slices.SortFunc(order, func(a, b int) int { return cmp.Compare(stamps[a], stamps[b]) })
+			for rank, way := range order {
+				stamps[way] = uint32(rank + 1)
+			}
+		}
+	}
+	c.stripes[s].useCt = uint32(c.ways)
+}
+
+// findWay returns the way index of tag in a set's keys, or -1. A nil
 // (never-touched) set reports -1. A way matches when its key holds tag and a
 // valid state: key^tag<<3 is then below 8 with a nonzero state.
-func findWay(lines []line, tag uint64) int {
+func findWay(keys []uint64, tag uint64) int {
 	want := tag << keyTagShift
-	for w := range lines {
-		if d := lines[w].key ^ want; d < 1<<keyTagShift && d&keyState != 0 {
+	for w, k := range keys {
+		if d := k ^ want; d < 1<<keyTagShift && d&keyState != 0 {
 			return w
 		}
 	}
@@ -469,16 +581,16 @@ func findWay(lines []line, tag uint64) int {
 
 // victimWay picks a victim way in the set: an invalid way if there is one,
 // else the least recently used. Caller must hold the stripe lock.
-func victimWay(lines []line) int {
-	for w := range lines {
-		if lines[w].state() == Invalid {
+func victimWay(keys []uint64, stamps []uint32) int {
+	for w, k := range keys {
+		if stateOf(k) == Invalid {
 			return w
 		}
 	}
-	best, bestUse := 0, lines[0].lastUse
-	for w := 1; w < len(lines); w++ {
-		if lines[w].lastUse < bestUse {
-			best, bestUse = w, lines[w].lastUse
+	best, bestUse := 0, stamps[0]
+	for w := 1; w < len(stamps); w++ {
+		if stamps[w] < bestUse {
+			best, bestUse = w, stamps[w]
 		}
 	}
 	return best
@@ -495,50 +607,51 @@ func (c *Cache) Access(req *Request) uint64 {
 	set := c.setOf(req.LineAddr)
 	st := c.stripeOf(set)
 	st.mu.Lock()
-	st.useCt++
-	now := st.useCt
-	lines := c.setWays(set)
-	if lines == nil {
-		lines = c.touch(set, req.Lines)
+	now := c.tick(st, set)
+	b := c.blockOf(set)
+	if b == nil {
+		b = c.touch(set, req.Lines)
 	}
-	way := findWay(lines, req.LineAddr)
+	keys := c.keys(b)
+	way := findWay(keys, req.LineAddr)
 	availCycle := req.Cycle + uint64(c.latency)
 
 	if way >= 0 {
-		l := &lines[way]
-		l.lastUse = now
-		if state := l.state(); !req.Write || state == Exclusive || state == Modified {
+		key := &keys[way]
+		c.stamps(b)[way] = now
+		if state := stateOf(*key); !req.Write || state == Exclusive || state == Modified {
 			// Plain hit.
+			sharers := c.sharers(b, way)
 			if req.Write {
 				// Write hit with sufficient permission: invalidate any other
 				// children holding the line, then grant Modified.
-				if l.sharers != 0 {
-					c.invalidateChildrenLocked(req, req.LineAddr, l)
+				if sharers != 0 {
+					c.invalidateChildrenLocked(req, req.LineAddr, b, way)
 				}
-				l.setState(Modified)
+				setState(key, Modified)
 				req.FillState = Modified
 			} else {
 				// Read hit. If another child may hold the line Exclusive or
 				// Modified, downgrade it to Shared so the data is coherent,
 				// and grant Shared when the line ends up shared by several
 				// children.
-				otherSharers := l.sharers
+				otherSharers := sharers
 				if req.childIdx >= 0 && len(c.children) > 0 {
 					otherSharers &^= 1 << uint(req.childIdx)
 				}
-				if l.childMod() && otherSharers != 0 {
+				if *key&keyChildMod != 0 && otherSharers != 0 {
 					if c.downgradeChildrenLocked(req, req.LineAddr, otherSharers) {
-						l.setState(Modified)
+						setState(key, Modified)
 					}
-					l.clearChildMod()
+					*key &^= keyChildMod
 				}
-				if otherSharers != 0 || l.state() == Shared {
+				if otherSharers != 0 || stateOf(*key) == Shared {
 					req.FillState = Shared
 				} else {
 					req.FillState = Exclusive
 				}
 			}
-			c.markChild(l, req)
+			c.markChild(b, way, req)
 			st.n[sHits]++
 			st.mu.Unlock()
 			req.addHop(c.compID, HopHit, req.Cycle, c.latency)
@@ -546,7 +659,7 @@ func (c *Cache) Access(req *Request) uint64 {
 		}
 		// Write hit on Shared: upgrade through the parent (invalidates other
 		// copies system-wide). Treated as a miss for timing purposes.
-		l.setState(Invalid) // re-installed below after the parent access
+		setState(key, Invalid) // re-installed below after the parent access
 		st.n[sUpgradeMisses]++
 		st.n[sMisses]++
 		st.mu.Unlock()
@@ -554,17 +667,17 @@ func (c *Cache) Access(req *Request) uint64 {
 	}
 
 	// Miss: pick a victim and evict it, then fetch from the parent.
-	vw := victimWay(lines)
-	victim := lines[vw]
-	lines[vw].setState(Invalid)
+	vw := victimWay(keys, c.stamps(b))
+	victim, victimSharers := keys[vw], c.sharers(b, vw)
+	setState(&keys[vw], Invalid)
 	st.n[sMisses]++
-	evict := victim.state() != Invalid
+	evict := stateOf(victim) != Invalid
 	if evict {
 		st.n[sEvictions]++
 	}
 	st.mu.Unlock()
 
-	wb := evict && c.evictLine(req, victim)
+	wb := evict && c.evictLine(req, victim, victimSharers)
 	return c.fetchAndInstall(req, set, availCycle, wb)
 }
 
@@ -596,84 +709,85 @@ func (c *Cache) fetchAndInstall(req *Request, set int, localAvail uint64, wb boo
 	// Install the line.
 	st := c.stripeOf(set)
 	st.mu.Lock()
-	st.useCt++
+	now := c.tick(st, set)
 	if wb {
 		st.n[sWritebacks]++
 	}
-	lines := c.setWays(set) // Access touched the set
-	way := findWay(lines, req.LineAddr)
+	b := c.blockOf(set) // Access touched the set
+	keys := c.keys(b)
+	way := findWay(keys, req.LineAddr)
 	if way < 0 {
-		way = victimWay(lines)
-		victim := lines[way]
-		if victim.state() != Invalid {
-			lines[way].setState(Invalid)
+		way = victimWay(keys, c.stamps(b))
+		if victim := keys[way]; stateOf(victim) != Invalid {
+			victimSharers := c.sharers(b, way)
+			setState(&keys[way], Invalid)
 			st.n[sEvictions]++
 			st.mu.Unlock()
-			wb := c.evictLine(req, victim)
+			wb := c.evictLine(req, victim, victimSharers)
 			st.mu.Lock()
-			st.useCt++
+			now = c.tick(st, set)
 			if wb {
 				st.n[sWritebacks]++
 			}
 			// Re-lookup: the set may have changed while unlocked.
-			way = findWay(lines, req.LineAddr)
+			way = findWay(keys, req.LineAddr)
 			if way < 0 {
-				way = victimWay(lines)
-				lines[way].setState(Invalid)
+				way = victimWay(keys, c.stamps(b))
+				setState(&keys[way], Invalid)
 			}
 		}
 	}
 	if req.Write {
 		grant = Modified
 	}
-	l := &lines[way]
-	l.key = req.LineAddr<<keyTagShift | uint64(grant)
-	l.lastUse = st.useCt
-	l.sharers = 0
+	keys[way] = req.LineAddr<<keyTagShift | uint64(grant)
+	c.stamps(b)[way] = now
+	c.setSharers(b, way, 0)
 	req.FillState = grant
-	c.markChild(l, req)
+	c.markChild(b, way, req)
 	st.mu.Unlock()
 	return fillCycle
 }
 
 // markChild records, in the directory, that the requesting child now holds
-// the line. For L1 caches (no children), the requester is the core and no
-// directory state is needed. Caller must hold the set's stripe lock.
-func (c *Cache) markChild(l *line, req *Request) {
+// way w of block b. For L1 caches (no children), the requester is the core
+// and no directory state is needed. Caller must hold the set's stripe lock.
+func (c *Cache) markChild(b unsafe.Pointer, w int, req *Request) {
 	if len(c.children) == 0 {
 		return
 	}
-	if req.childIdx >= 0 && req.childIdx < 64 {
-		l.sharers |= 1 << uint(req.childIdx)
+	if req.childIdx >= 0 && req.childIdx < MaxChildren {
+		c.setSharers(b, w, c.sharers(b, w)|1<<uint(req.childIdx))
 		// A child holding the line Exclusive can silently upgrade it to
 		// Modified, so both write grants and Exclusive grants mark the line
 		// as possibly dirty in a child.
 		if req.Write || req.FillState == Exclusive || req.FillState == Modified {
-			l.key |= keyChildMod
+			c.keys(b)[w] |= keyChildMod
 		}
 	}
 }
 
-// evictLine handles the eviction of a victim line: invalidate it in children
-// (inclusive hierarchy) and write it back to the parent if dirty, reporting
-// whether it wrote back. The writeback reuses the in-flight request (mutate,
-// forward, restore) instead of allocating a new one. No locks are held on c.
-func (c *Cache) evictLine(req *Request, victim line) bool {
+// evictLine handles the eviction of a victim line, given its key and sharer
+// mask: invalidate it in children (inclusive hierarchy) and write it back
+// to the parent if dirty, reporting whether it wrote back. The writeback
+// reuses the in-flight request (mutate, forward, restore) instead of
+// allocating a new one. No locks are held on c.
+func (c *Cache) evictLine(req *Request, victim, sharers uint64) bool {
 	// Invalidate children copies.
-	if victim.sharers != 0 {
-		dirtyInChild := c.invalidateChildren(victim.tag(), victim.sharers)
+	if sharers != 0 {
+		dirtyInChild := c.invalidateChildren(tagOf(victim), sharers)
 		if dirtyInChild {
-			victim.setState(Modified)
+			setState(&victim, Modified)
 		}
 	}
-	if victim.state() != Modified {
+	if stateOf(victim) != Modified {
 		return false
 	}
 	req.addHop(c.compID, HopWB, req.Cycle, 0)
 	if c.parent != nil {
 		savedLine, savedWrite := req.LineAddr, req.Write
 		savedFill, savedChild := req.FillState, req.childIdx
-		req.LineAddr = victim.tag()
+		req.LineAddr = tagOf(victim)
 		req.Write = true
 		req.childIdx = c.childIdx
 		c.parent.Access(req)
@@ -698,12 +812,13 @@ func (c *Cache) invalidateChildren(lineAddr uint64, sharers uint64) bool {
 	return dirty
 }
 
-// invalidateChildrenLocked is used on a write hit to invalidate other
-// sharers. Caller holds the set's stripe lock; child locks are acquired
-// inside Invalidate (parent-before-child ordering, no deadlock). The
-// requester's own copy is preserved by clearing its bit afterwards.
-func (c *Cache) invalidateChildrenLocked(req *Request, lineAddr uint64, l *line) {
-	sharers := l.sharers
+// invalidateChildrenLocked is used on a write hit to invalidate the other
+// sharers of way w of block b. Caller holds the set's stripe lock; child
+// locks are acquired inside Invalidate (parent-before-child ordering, no
+// deadlock). The requester's own copy is preserved by clearing its bit
+// afterwards.
+func (c *Cache) invalidateChildrenLocked(req *Request, lineAddr uint64, b unsafe.Pointer, w int) {
+	sharers := c.sharers(b, w)
 	if req.childIdx >= 0 && len(c.children) > 0 {
 		sharers &^= 1 << uint(req.childIdx)
 	}
@@ -717,8 +832,8 @@ func (c *Cache) invalidateChildrenLocked(req *Request, lineAddr uint64, l *line)
 		ch.Invalidate(lineAddr)
 		req.addHop(ch.compID, HopInval, req.Cycle, 0)
 	}
-	l.sharers &^= sharers
-	l.clearChildMod()
+	c.setSharers(b, w, c.sharers(b, w)&^sharers)
+	c.keys(b)[w] &^= keyChildMod
 }
 
 // downgradeChildrenLocked downgrades the given children sharers to Shared and
@@ -745,20 +860,21 @@ func (c *Cache) Downgrade(lineAddr uint64) bool {
 	set := c.setOf(lineAddr)
 	st := c.stripeOf(set)
 	st.mu.Lock()
-	lines := c.setWays(set)
-	way := findWay(lines, lineAddr)
+	b := c.blockOf(set)
+	keys := c.keys(b)
+	way := findWay(keys, lineAddr)
 	if way < 0 {
 		st.mu.Unlock()
 		return false
 	}
-	l := &lines[way]
-	dirty := l.state() == Modified
-	if dirty || l.state() == Exclusive {
-		l.setState(Shared)
+	key := &keys[way]
+	dirty := stateOf(*key) == Modified
+	if dirty || stateOf(*key) == Exclusive {
+		setState(key, Shared)
 	}
-	sharers := l.sharers
-	childMod := l.childMod()
-	l.clearChildMod()
+	sharers := c.sharers(b, way)
+	childMod := *key&keyChildMod != 0
+	*key &^= keyChildMod
 	st.mu.Unlock()
 
 	if childMod && sharers != 0 {
@@ -781,20 +897,21 @@ func (c *Cache) Invalidate(lineAddr uint64) bool {
 	set := c.setOf(lineAddr)
 	st := c.stripeOf(set)
 	st.mu.Lock()
-	lines := c.setWays(set)
-	way := findWay(lines, lineAddr)
+	b := c.blockOf(set)
+	keys := c.keys(b)
+	way := findWay(keys, lineAddr)
 	if way < 0 {
 		st.mu.Unlock()
 		return false
 	}
-	l := lines[way]
-	lines[way].setState(Invalid)
+	key, sharers := keys[way], c.sharers(b, way)
+	setState(&keys[way], Invalid)
 	st.n[sInvals]++
 	st.mu.Unlock()
 
-	dirty := l.state() == Modified
-	if l.sharers != 0 {
-		if c.invalidateChildren(lineAddr, l.sharers) {
+	dirty := stateOf(key) == Modified
+	if sharers != 0 {
+		if c.invalidateChildren(lineAddr, sharers) {
 			dirty = true
 		}
 	}
@@ -807,10 +924,10 @@ func (c *Cache) StateOf(lineAddr uint64) State {
 	st := c.stripeOf(set)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	lines := c.setWays(set)
-	way := findWay(lines, lineAddr)
+	keys := c.keys(c.blockOf(set))
+	way := findWay(keys, lineAddr)
 	if way < 0 {
 		return Invalid
 	}
-	return lines[way].state()
+	return stateOf(keys[way])
 }

@@ -367,9 +367,9 @@ func TestMemRouter(t *testing.T) {
 func validLines(c *Cache) []uint64 {
 	var out []uint64
 	for set := range c.slots {
-		for _, l := range c.setWays(set) {
-			if l.state() != Invalid {
-				out = append(out, l.tag())
+		for _, k := range c.keys(c.blockOf(set)) {
+			if stateOf(k) != Invalid {
+				out = append(out, tagOf(k))
 			}
 		}
 	}
@@ -490,14 +490,27 @@ func TestCoherenceSingleWriterInvariant(t *testing.T) {
 	}
 }
 
-// A line is 24 bytes (tag, state and child-modified bit share one word), a
+// A set's block takes 12 bytes per way in a cache without children (an
+// 8-byte key and a 4-byte LRU stamp), 16 with up to 32 children (a 4-byte
+// sharer mask beside them) and 20 with more (an 8-byte mask), and no block
+// holds a pointer: the slab's chunks are plain words, so the GC scans
+// neither them nor the slot tables, which hold one 4-byte slot per set. A
 // lock stripe with its statistics fills one 64 B host line, as does a line
-// cursor, and the set table holds one 4-byte slot per set. Neither a slot
-// nor a line holds a pointer, so the GC scans neither the slot tables nor
-// the slab's chunks.
-func TestLineLayout(t *testing.T) {
-	if n := unsafe.Sizeof(line{}); n != 24 {
-		t.Fatalf("line is %d bytes, want 24", n)
+// cursor, and the chunk table holds one pointer per chunk.
+func TestBlockLayout(t *testing.T) {
+	for _, tc := range []struct{ children, perWay int }{{0, 12}, {1, 16}, {32, 16}, {33, 20}, {64, 20}} {
+		for _, ways := range []int{2, 8, 16} {
+			c := New(Config{SizeKB: 64, Ways: ways, Latency: 4}, 0, nil)
+			for range tc.children {
+				c.AddChild(New(Config{SizeKB: 1, Ways: 1}, 1, nil))
+			}
+			if got := int(c.blockWords) * 8; got != tc.perWay*ways {
+				t.Errorf("%d ways, %d children: block of %d B, want %d", ways, tc.children, got, tc.perWay*ways)
+			}
+			if got := c.slab.words; got != c.sets*int(c.blockWords) {
+				t.Errorf("%d ways, %d children: slab accounts %d words, want %d", ways, tc.children, got, c.sets*int(c.blockWords))
+			}
+		}
 	}
 	if n := unsafe.Sizeof(stripe{}); n != 64 {
 		t.Fatalf("stripe is %d bytes, want 64", n)
@@ -512,12 +525,30 @@ func TestLineLayout(t *testing.T) {
 	if k := reflect.TypeOf(c.slots).Elem().Kind(); k != reflect.Uint32 {
 		t.Fatalf("set-table entry is a %v, want a uint32", k)
 	}
-	lt := reflect.TypeOf(line{})
-	for i := range lt.NumField() {
-		if f := lt.Field(i); f.Type.Kind() != reflect.Uint64 {
-			t.Fatalf("line field %s is a %v, want a uint64", f.Name, f.Type)
-		}
+	var s lineSlab
+	if k := reflect.TypeOf(s.chunks).Elem().Elem().Kind(); k != reflect.Uint64 {
+		t.Fatalf("a chunk holds %v words, want uint64", k)
 	}
+	if n := unsafe.Sizeof(s.chunks[0]); n != 8 {
+		t.Fatalf("chunk-table entry is %d bytes, want 8", n)
+	}
+}
+
+// A child added once the chip has served an access would change the
+// parent's block layout under blocks already carved: AddChild panics.
+func TestAddChildAfterFirstAccessPanics(t *testing.T) {
+	a := arena.New()
+	reg := stats.NewRegistryIn("chip", a)
+	l2 := New(Config{SizeKB: 64, Ways: 8, Latency: 7}, 1, reg.Child("l2"))
+	l2.SetParent(&fakeMem{lat: 100})
+	l1 := New(Config{SizeKB: 4, Ways: 2, Latency: 4}, 0, reg.Child("l1"))
+	l1.Access(&Request{LineAddr: 1})
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("AddChild after the chip's first access did not panic")
+		}
+	}()
+	l2.AddChild(l1)
 }
 
 // accessResult is what one access of a replayed stream reports.
@@ -594,6 +625,58 @@ func TestPrivateReplaysLikeStriped(t *testing.T) {
 	for i := range striped {
 		if striped[i] != private[i] {
 			t.Fatalf("step %d with private L1s: %+v, striped %+v", i, private[i], striped[i])
+		}
+	}
+}
+
+// Two identical hierarchies replay one stream, one of them with every
+// stripe clock started a few ticks below 2^32, so each stripe restamps its
+// sets (to their ranks) part-way through. Every step's outcome, every
+// count and every set's keys and sharer masks must match: restamping keeps
+// each set's stamp order, so no victim choice moves.
+func TestStampWrapReplaysLikeFresh(t *testing.T) {
+	for _, private := range []bool{false, true} {
+		l1sA, l2A := replayHierarchy(private)
+		l1sB, l2B := replayHierarchy(private)
+		cachesA, cachesB := append([]*Cache{l2A}, l1sA...), append([]*Cache{l2B}, l1sB...)
+		for _, c := range cachesB {
+			for i := range c.stripes {
+				c.stripes[i].useCt = maxStamp - uint32(i%13*3)
+			}
+		}
+		want, got := replayStream(l1sA, l2A), replayStream(l1sB, l2B)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("private=%v step %d with wrapping clocks: %+v, want %+v", private, i, got[i], want[i])
+			}
+		}
+		for ci, a := range cachesA {
+			b := cachesB[ci]
+			wrapped := 0
+			for i := range b.stripes {
+				if b.stripes[i].useCt < maxStamp/2 {
+					wrapped++
+				}
+			}
+			if wrapped == 0 {
+				t.Fatalf("private=%v cache %d: no stripe clock wrapped", private, ci)
+			}
+			for i := range numStats {
+				if a.count(i) != b.count(i) {
+					t.Fatalf("private=%v cache %d statistic %d: %d, want %d", private, ci, i, b.count(i), a.count(i))
+				}
+			}
+			for set := range a.slots {
+				ba, bb := a.blockOf(set), b.blockOf(set)
+				if !slices.Equal(a.keys(ba), b.keys(bb)) {
+					t.Fatalf("private=%v cache %d set %d: keys %x, want %x", private, ci, set, b.keys(bb), a.keys(ba))
+				}
+				for w := range a.keys(ba) {
+					if a.sharers(ba, w) != b.sharers(bb, w) {
+						t.Fatalf("private=%v cache %d set %d way %d: sharers %b, want %b", private, ci, set, w, b.sharers(bb, w), a.sharers(ba, w))
+					}
+				}
+			}
 		}
 	}
 }
@@ -677,7 +760,7 @@ func dirtySets(c *Cache) int {
 	return n
 }
 
-// assertClear fails unless every slot is 0, every line of the cache's slab
+// assertClear fails unless every slot is 0, every word of the cache's slab
 // is zero and its cursors are rewound, every count is zero and the dirty
 // bitmap is empty: the cache equals a fresh one.
 func assertClear(t *testing.T, c *Cache, when string) {
@@ -688,10 +771,13 @@ func assertClear(t *testing.T, c *Cache, when string) {
 		}
 	}
 	s := c.slab
-	for i, chunk := range s.chunks {
-		for j, l := range chunk {
-			if l != (line{}) {
-				t.Fatalf("%s: slab chunk %d line %d holds %+v", when, i, j, l)
+	for i, p := range s.chunks {
+		if p == nil {
+			continue
+		}
+		for j, w := range unsafe.Slice(p, 1<<s.shift) {
+			if w != 0 {
+				t.Fatalf("%s: slab chunk %d word %d holds %#x", when, i, j, w)
 			}
 		}
 	}
@@ -779,10 +865,16 @@ func TestFullyAssociativeSlab(t *testing.T) {
 
 // Goroutines install into every stripe of one shared cache at once, so the
 // race detector sees the dirty-bit marks, each made under its set's stripe
-// lock; a Reset afterwards must then leave the cache clear.
+// lock, and the restamps that read them; a Reset afterwards must then leave
+// the cache clear.
 func TestConcurrentInstallsMarkEveryStripe(t *testing.T) {
 	c := New(Config{SizeKB: 1024, Ways: 4, Latency: 4}, 0, nil)
 	c.SetParent(&fakeMem{lat: 100})
+	// Clocks near the wrap make the stripes restamp their sets while other
+	// stripes' sets are being installed.
+	for i := range c.stripes {
+		c.stripes[i].useCt = maxStamp - uint32(i)
+	}
 	const workers = 4
 	var wg sync.WaitGroup
 	for g := range workers {
@@ -797,7 +889,7 @@ func TestConcurrentInstallsMarkEveryStripe(t *testing.T) {
 	wg.Wait()
 	installed := 0
 	for set := range c.slots {
-		if c.slots[set] != 0 && slices.ContainsFunc(c.setWays(set), func(l line) bool { return l.state() != Invalid }) {
+		if c.slots[set] != 0 && slices.ContainsFunc(c.keys(c.blockOf(set)), func(k uint64) bool { return stateOf(k) != Invalid }) {
 			installed++
 		}
 	}
@@ -846,16 +938,19 @@ func slabChip() (l1s []*Cache, l2 *Cache, curs []*LineCursor) {
 // slabBytes returns the bytes of the chunks the slab has allocated.
 func slabBytes(s *lineSlab) int {
 	n := 0
-	for _, chunk := range s.chunks {
-		n += len(chunk) * int(unsafe.Sizeof(line{}))
+	for _, p := range s.chunks {
+		if p != nil {
+			n += 8 << s.shift
+		}
 	}
 	return n
 }
 
 // Goroutines hammer first touches of one slab at once, half of them through
 // their own cursors and half through the shared one, on private L1s and a
-// shared L2. The slab then holds no more than the touched sets' lines, plus
-// one chunk per cursor (the shared one too) and ways−1 lines per chunk, and
+// shared L2. The slab then holds no more than the touched sets' blocks, plus
+// one chunk per cursor (the shared one too) and the largest block less one
+// word per chunk, and
 // a Reset leaves every cache clear. A second round reuses the chunks: the
 // slab stays within the same bound.
 func TestSlabLineBytesBounded(t *testing.T) {
@@ -888,7 +983,7 @@ func TestSlabLineBytesBounded(t *testing.T) {
 		for _, c := range caches {
 			for _, slot := range c.slots {
 				if slot != 0 {
-					touched += c.ways
+					touched += int(c.blockWords)
 				}
 			}
 		}
@@ -897,11 +992,11 @@ func TestSlabLineBytesBounded(t *testing.T) {
 				chunks++
 			}
 		}
-		lineB, chunkLines := int(unsafe.Sizeof(line{})), 1<<s.shift
-		bound := touched*lineB + (len(s.cursors)+1)*chunkLines*lineB + chunks*(s.ways-1)*lineB
+		chunkWords := 1 << s.shift
+		bound := 8 * (touched + (len(s.cursors)+1)*chunkWords + chunks*(s.block-1))
 		if got := slabBytes(s); got > bound || touched == 0 {
-			t.Fatalf("%s: slab holds %d B for %d touched lines in %d chunks of %d lines; bound %d B",
-				when, got, touched, chunks, chunkLines, bound)
+			t.Fatalf("%s: slab holds %d B for %d touched block words in %d chunks of %d words; bound %d B",
+				when, got, touched, chunks, chunkWords, bound)
 		}
 	}
 	// The streams touch the same sets each round; how the goroutines

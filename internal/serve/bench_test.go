@@ -52,12 +52,19 @@ func benchSubmit(b *testing.B, ts *httptest.Server, req *serve.JobRequest) strin
 	return st.ID
 }
 
-func benchWait(b *testing.B, ts *httptest.Server, id string) {
+// benchWait polls the job's status until it succeeds and returns how many
+// polls that took. Any reply but 200 fails the benchmark: a job the server
+// has retired answers 410 and would never succeed.
+func benchWait(b *testing.B, ts *httptest.Server, id string) int {
 	b.Helper()
-	for {
+	for polls := 1; ; polls++ {
 		resp, err := http.Get(ts.URL + "/jobs/" + id)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			b.Fatalf("status of job %s: HTTP %d", id, resp.StatusCode)
 		}
 		var st serve.JobStatus
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -67,7 +74,7 @@ func benchWait(b *testing.B, ts *httptest.Server, id string) {
 		resp.Body.Close()
 		switch st.State {
 		case serve.StateSucceeded:
-			return
+			return polls
 		case serve.StateFailed, serve.StateCancelled:
 			b.Fatalf("job %s ended %q (%s)", id, st.State, st.Error)
 		}
@@ -75,9 +82,13 @@ func benchWait(b *testing.B, ts *httptest.Server, id string) {
 	}
 }
 
+// BenchmarkServeJobThroughput submits b.N jobs, then waits for each. The
+// server retains every one of them, so none is retired before it is read.
+// Each status poll allocates on the client side, and how many a job takes
+// depends on timing: polls/op tells a move in allocs/op apart from polling.
 func BenchmarkServeJobThroughput(b *testing.B) {
 	run := func(b *testing.B, poolSize int) {
-		srv := serve.New(serve.Options{Workers: 1, QueueDepth: b.N + 1, PoolSize: poolSize})
+		srv := serve.New(serve.Options{Workers: 1, QueueDepth: b.N + 1, PoolSize: poolSize, RetainJobs: b.N + 1})
 		ts := httptest.NewServer(srv)
 		defer func() {
 			srv.Shutdown(time.Minute)
@@ -91,10 +102,12 @@ func BenchmarkServeJobThroughput(b *testing.B) {
 		for i := range ids {
 			ids[i] = benchSubmit(b, ts, benchJob())
 		}
+		polls := 0
 		for _, id := range ids {
-			benchWait(b, ts, id)
+			polls += benchWait(b, ts, id)
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
+		b.ReportMetric(float64(polls)/float64(b.N), "polls/op")
 	}
 	b.Run("fresh", func(b *testing.B) { run(b, 0) })
 	b.Run("warm", func(b *testing.B) { run(b, 2) })

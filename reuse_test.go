@@ -224,20 +224,21 @@ func TestReuseBitIdentityMatrix(t *testing.T) {
 	}
 }
 
-// TestReuseClampsHostThreadsToPool: a reused simulator keeps the worker pool
-// it was built with. A Reset that asks for more host threads than that pool
-// has must neither run nor report more bound workers than it has, and must
-// give the results of a fresh run at the built size. Four pinned processes
-// without synchronization keep every round at four cores, so the final
-// probe sample reports a full round.
-func TestReuseClampsHostThreadsToPool(t *testing.T) {
+// TestResetChangesHostThreads: a Reset simulator runs at the host thread
+// count it is given, not the one it was built with. A simulator built and
+// run at 1 host thread, Reset and run at 4, must report four pool workers
+// and give the results of a fresh 4-thread run. Four pinned processes in
+// disjoint address spaces without synchronization keep every round at four
+// cores, so the final probe sample reports a full round, and they stay
+// inside the determinism envelope at any worker count.
+func TestResetChangesHostThreads(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	run := func(sim *Simulator, host int) *Result { return runFullRounds(t, sim, host) }
 	fresh, err := New(reuseCfg(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := run(fresh, 1)
+	want := run(fresh, 4)
 
 	sim, err := New(reuseCfg(false))
 	if err != nil {
@@ -248,10 +249,10 @@ func TestReuseClampsHostThreadsToPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := run(sim, 4)
-	if w := sim.Probe().Snapshot().PoolWorkers; w > 1 {
-		t.Errorf("PoolWorkers = %d on a pool built with 1 worker", w)
+	if w := sim.Probe().Snapshot().PoolWorkers; w != 4 {
+		t.Errorf("PoolWorkers = %d after a Reset to 4 host threads, want 4", w)
 	}
-	requireIdentical(t, "Reset to 4 host threads on a 1-worker pool", want, got)
+	requireIdentical(t, "Reset from 1 to 4 host threads", want, got)
 }
 
 // runFullRounds runs four pinned single-thread processes without
