@@ -46,11 +46,15 @@ func newContentionSim(t *testing.T) *Simulator {
 	return NewSimulator(sys, sched, telemetryOpts(Options{HostThreads: 1, Seed: 1}))
 }
 
-// fillRecorders injects one synthetic shared-touching trace per core, using
-// the given recycled buffers, and returns the replacement buffers.
+// bankComp is the component ID BuildSystem gives L3 bank b: the memory
+// controllers are numbered first, from 0.
+func bankComp(sys *System, b int) int { return len(sys.Mems) + b }
+
+// fillRecorders injects one synthetic trace per core, a bank miss that goes
+// to memory, using the given recycled buffers, and returns the replacement
+// buffers.
 func fillRecorders(sim *Simulator, bufs [][]cache.Hop) {
-	bankComp := sim.Sys.BankComp[0]
-	memComp := sim.Sys.MemComp[0]
+	bankComp, memComp := bankComp(sim.Sys, 0), 0
 	for coreID, rec := range sim.recorders {
 		buf := append(bufs[coreID][:0],
 			cache.Hop{Comp: bankComp, Kind: cache.HopMiss, Line: uint64(64 + coreID), Cycle: 100, Latency: 10},
@@ -78,14 +82,13 @@ func TestRunWeaveSteadyStateAllocs(t *testing.T) {
 }
 
 func TestRecorderSteadyStateAllocs(t *testing.T) {
-	shared := map[int]bool{7: true}
-	rec := NewRecorder(0, shared)
+	rec := NewRecorder(0, nil)
 	var buf []cache.Hop
 	iteration := func() {
 		for i := 0; i < 8; i++ {
 			b := append(buf[:0],
-				cache.Hop{Comp: 1, Kind: cache.HopMiss, Cycle: 10, Latency: 4},
-				cache.Hop{Comp: 7, Kind: cache.HopHit, Cycle: 20, Latency: 14},
+				cache.Hop{Comp: 1, Kind: cache.HopMiss, Cycle: 20, Latency: 14},
+				cache.Hop{Comp: 0, Kind: cache.HopMem, Cycle: 34, Latency: 100},
 			)
 			buf = rec.RecordAccess(0, 10, false, b)
 		}
@@ -100,54 +103,50 @@ func TestRecorderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestRecorderHopLog checks the recorder's ownership contract: every trace,
-// kept or dropped, hands the caller's own buffer back truncated, and the hop
-// log holds a copy of each kept record's compacted model hops, in order.
-// Records locate their hops by offset, so they hold no pointers.
+// TestRecorderHopLog checks the recorder's ownership contract: every trace
+// hands the caller's own buffer back truncated, and the hop log holds a copy
+// of each trace's hops, in order. A record's zero-load completion is its
+// last hop's cycle plus latency. Records locate their hops by offset, so
+// they hold no pointers. The traces are hop lists as a chip with one memory
+// controller (component 0) and two L3 banks (1 and 2) records them: bank
+// and controller hops, and network hops, which name no component.
 func TestRecorderHopLog(t *testing.T) {
-	rec := NewRecorder(0, map[int]bool{3: true, 4: true})
-	traces := []struct {
-		comps []int
-		kept  []int // model hops; nil when the trace is dropped
-	}{
-		{[]int{1, 3}, []int{3}},
-		{[]int{1, 2}, nil},
-		{[]int{1, 2, 3, 4}, []int{3, 4}},
-		{[]int{4}, []int{4}},
+	rec := NewRecorder(0, nil)
+	net := func(kind cache.HopKind, cycle uint64) cache.Hop {
+		return cache.Hop{Comp: -1, Kind: kind, Src: 0, Dst: 3, Cycle: cycle, Latency: 5}
 	}
+	traces := []struct {
+		hops []cache.Hop
+		done uint64
+	}{
+		{[]cache.Hop{{Comp: 1, Kind: cache.HopHit, Cycle: 11, Latency: 14}}, 25},
+		{[]cache.Hop{net(cache.HopNet, 20), {Comp: 2, Kind: cache.HopMiss, Cycle: 25, Latency: 14},
+			net(cache.HopNetMem, 39), {Comp: 0, Kind: cache.HopMem, Cycle: 44, Latency: 100}}, 144},
+		{[]cache.Hop{{Comp: 2, Kind: cache.HopWB, Cycle: 30}, {Comp: 0, Kind: cache.HopMem, Cycle: 30, Latency: 100},
+			{Comp: 2, Kind: cache.HopMiss, Cycle: 30, Latency: 14}, {Comp: 0, Kind: cache.HopMem, Cycle: 44, Latency: 100}}, 144},
+		{[]cache.Hop{{Comp: 1, Kind: cache.HopHit, Cycle: 41, Latency: 14}}, 55},
+	}
+	logged := 0
 	for i, tr := range traces {
-		buf := make([]cache.Hop, 0, 8)
-		for _, c := range tr.comps {
-			buf = append(buf, cache.Hop{Comp: c, Cycle: uint64(10*i + c)})
-		}
+		buf := append(make([]cache.Hop, 0, 8), tr.hops...)
 		back := rec.RecordAccess(0, uint64(i), false, buf)
 		if len(back) != 0 || cap(back) != cap(buf) || &back[:1][0] != &buf[0] {
 			t.Fatalf("trace %d: got a len=%d cap=%d buffer back, want the caller's own truncated", i, len(back), cap(back))
 		}
 		clear(buf[:cap(buf)]) // the log must not alias the caller's buffer
+		logged += len(tr.hops)
 	}
-	var recorded int
 	for i, tr := range traces {
-		if tr.kept == nil {
-			continue
+		r := &rec.recs[i]
+		if r.issueCycle != uint64(i) || r.doneCycle != tr.done {
+			t.Fatalf("record %d: issue cycle %d, done %d, want %d and %d", i, r.issueCycle, r.doneCycle, i, tr.done)
 		}
-		r := &rec.recs[recorded]
-		recorded++
-		if r.issueCycle != uint64(i) {
-			t.Fatalf("record %d: issue cycle %d, want %d", recorded-1, r.issueCycle, i)
-		}
-		hops := rec.hops(r)
-		if len(hops) != len(tr.kept) {
-			t.Fatalf("trace %d: %d logged hops, want %v", i, len(hops), tr.kept)
-		}
-		for j, c := range tr.kept {
-			if hops[j].Comp != c || hops[j].Cycle != uint64(10*i+c) {
-				t.Fatalf("trace %d hop %d: %+v, want comp %d", i, j, hops[j], c)
-			}
+		if hops := rec.hops(r); !reflect.DeepEqual(hops, tr.hops) {
+			t.Fatalf("trace %d: logged hops %+v, want %+v", i, hops, tr.hops)
 		}
 	}
-	if len(rec.recs) != recorded || len(rec.log) != 4 {
-		t.Fatalf("%d records over %d logged hops, want %d over 4", len(rec.recs), len(rec.log), recorded)
+	if len(rec.recs) != len(traces) || len(rec.log) != logged {
+		t.Fatalf("%d records over %d logged hops, want %d over %d", len(rec.recs), len(rec.log), len(traces), logged)
 	}
 	typ := reflect.TypeOf(accessRecord{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -169,12 +168,7 @@ func TestRecorderHopLog(t *testing.T) {
 // the whole pipeline — route walk, router events, port scheduling — must
 // still be allocation-free once slabs and queues have warmed up.
 func TestRunWeaveSteadyStateAllocsNOC(t *testing.T) {
-	cfg := config.SmallTest()
-	cfg.NumCores = 4
-	cfg.Contention = true
-	cfg.Network = config.NetMesh // 2x2 mesh
-	cfg.NOCContention = true
-	cfg.NOCLinkBytes = 4
+	cfg := meshNOC()
 	sys, err := BuildSystem(cfg)
 	if err != nil {
 		t.Fatalf("BuildSystem: %v", err)
@@ -185,8 +179,7 @@ func TestRunWeaveSteadyStateAllocsNOC(t *testing.T) {
 	sched.AddWorkload(trace.New("alloc-noc", p, cfg.NumCores))
 	sim := NewSimulator(sys, sched, telemetryOpts(Options{HostThreads: 1, Seed: 1}))
 
-	bankComp := sim.Sys.BankComp[0]
-	memComp := sim.Sys.MemComp[0]
+	bankComp, memComp := bankComp(sys, 0), 0
 	bufs := make([][]cache.Hop, len(sim.recorders))
 	iteration := func() {
 		for coreID, rec := range sim.recorders {

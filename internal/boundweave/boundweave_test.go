@@ -36,9 +36,9 @@ func TestBuildSystemWestmere(t *testing.T) {
 	if len(sys.Mems) != 1 {
 		t.Fatalf("expected 1 memory controller")
 	}
-	// Shared components are exactly the banks + controllers.
-	if len(sys.SharedComp) != 7 {
-		t.Fatalf("expected 7 shared components, got %d", len(sys.SharedComp))
+	// The weave components are exactly the banks + controllers.
+	if len(sys.comps) != 7 {
+		t.Fatalf("expected 7 weave components, got %d", len(sys.comps))
 	}
 	if _, ok := sys.Cores[0].(*core.OOO); !ok {
 		t.Fatalf("Westmere preset uses OOO cores")
@@ -191,19 +191,32 @@ func TestContentionSlowsMemoryBoundWorkload(t *testing.T) {
 	}
 }
 
+// TestRecorderFiltersPrivateAccesses checks that private accesses never reach
+// the recorder: an access the private levels serve records no hop, and a
+// core hands over only a non-empty trace. An access that reaches the L3 is
+// recorded, and Reset clears the records.
 func TestRecorderFiltersPrivateAccesses(t *testing.T) {
-	shared := map[int]bool{100: true}
-	r := NewRecorder(0, shared)
-	r.RecordAccess(0, 10, false, []cache.Hop{{Comp: 1, Kind: cache.HopMiss, Cycle: 10, Latency: 4}}) // private only
-	if len(r.recs) != 0 {
-		t.Fatalf("private-only access should be dropped")
+	sys, err := BuildSystem(config.SmallTest())
+	if err != nil {
+		t.Fatalf("BuildSystem: %v", err)
 	}
-	r.RecordAccess(0, 20, false, []cache.Hop{
-		{Comp: 1, Kind: cache.HopMiss, Cycle: 20, Latency: 4},
-		{Comp: 100, Kind: cache.HopHit, Cycle: 30, Latency: 14},
-	})
+	r := NewRecorder(0, nil)
+	// access issues a traced load from core 0, handing its trace to the
+	// recorder the way a core does.
+	access := func(cycle uint64) {
+		req := cache.Request{LineAddr: 64, Cycle: cycle, RecordHops: true}
+		sys.L1D[0].Access(&req)
+		if len(req.Hops) > 0 {
+			r.RecordAccess(0, cycle, false, req.Hops)
+		}
+	}
+	access(10) // a cold miss: the L3 bank and memory
 	if len(r.recs) != 1 {
 		t.Fatalf("shared access should be recorded")
+	}
+	access(200) // an L1 hit
+	if len(r.recs) != 1 {
+		t.Fatalf("private-only access should be dropped")
 	}
 	r.Reset()
 	if len(r.recs) != 0 {

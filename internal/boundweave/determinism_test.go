@@ -233,8 +233,8 @@ func bankMemRun(t *testing.T) string {
 	sys, sim := runSharedTraffic(t, cfg)
 	m := sys.Metrics()
 	var conflicts, mshrStalls uint64
-	for _, b := range sim.models.banks {
-		if b != nil {
+	for _, m := range sys.comps {
+		if b, ok := m.(*BankModel); ok {
 			conflicts += b.PortConflicts
 			mshrStalls += b.MSHRStalls
 		}

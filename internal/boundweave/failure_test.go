@@ -214,7 +214,7 @@ func TestRunWeavePanicRecovered(t *testing.T) {
 	sim := NewSimulator(sys, sched, Options{HostThreads: 2, Seed: 3, MaxWallTime: time.Minute})
 	// Poison the memory controller's contention model: after a few hundred
 	// weave requests it panics mid-interval.
-	sim.models.mems[sys.MemComp[0]] = &panicMemModel{countdown: 300}
+	sys.comps[0] = memModel{&panicMemModel{countdown: 300}}
 
 	sim.Run() // must return, not crash the process
 	if sim.Reason != runctl.ReasonPanicked {

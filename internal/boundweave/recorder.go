@@ -3,16 +3,13 @@ package boundweave
 import (
 	"zsim/internal/cache"
 	"zsim/internal/event"
-	"zsim/internal/memctrl"
-	"zsim/internal/noc"
 )
 
-// accessRecord is one bound-phase memory access that reached a shared
-// component: its zero-load issue and completion cycles, whether it was a
-// store, and where its model hops — the hops that become weave events, in
-// program order — sit in its recorder's hop log (n hops from off).
-// Private-level hops are dropped when the access is recorded; only the
-// completion cycle keeps their zero-load time. A record holds no pointers.
+// accessRecord is one bound-phase memory access that left the private
+// levels: its zero-load issue and completion cycles, whether it was a store,
+// and where its hops — the hops that become weave events, in program order —
+// sit in its recorder's hop log (n hops from off). A record holds no
+// pointers.
 type accessRecord struct {
 	issueCycle uint64
 	doneCycle  uint64
@@ -20,82 +17,38 @@ type accessRecord struct {
 	write      bool
 }
 
-// Recorder is the per-core bound-phase trace: it receives every recorded
-// access from its core (via the core.AccessRecorder interface) and keeps the
-// ones that touch shared components (L3 banks, memory controllers), which are
-// the accesses the weave phase retimes. Each core has its own recorder and is
-// driven by one host thread, so no locking is needed, and the filtering runs
-// on the parallel bound workers rather than in the serial weave.
+// Recorder is the per-core bound-phase trace: it receives, via the
+// core.AccessRecorder interface, every access of its core that recorded a
+// hop. Only weave components (L3 banks, memory controllers) and network
+// links record hops, so every access it receives is one the weave phase
+// retimes, and it keeps them all. Each core has its own recorder and is
+// driven by one host thread, so no locking is needed.
 //
-// The kept hops of an interval's accesses go to one hop log, back to back,
-// and the caller keeps its own hop buffer. Reset (called after each weave
-// phase) truncates the records and the log, so after the first few
-// intervals the record path performs no heap allocation.
+// The hops of an interval's accesses go to one hop log, back to back, and
+// the caller keeps its own hop buffer. Reset (called after each weave phase)
+// truncates the records and the log, so after the first few intervals the
+// record path performs no heap allocation.
 type Recorder struct {
-	shared []bool // dense component-ID -> weave-retimed table
-	// net keeps network hops, which become router events when the system has
-	// a NoC contention fabric.
-	net  bool
 	recs []accessRecord
 	log  []cache.Hop
 }
 
-// NewRecorder creates a recorder for core coreID. shared is the set of
-// component IDs whose events are weave-simulated.
-func NewRecorder(coreID int, shared map[int]bool) *Recorder {
-	return &Recorder{shared: denseShared(shared)}
-}
+// NewRecorder creates a recorder. Its arguments are unused; they remain only
+// for the benchmark's recorder kernel, which calls it.
+func NewRecorder(coreID int, shared map[int]bool) *Recorder { return new(Recorder) }
 
-// denseShared densifies a shared-component set into a component-ID-indexed
-// table. It is the single densification rule for recorders; the simulator
-// builds one table and shares it (read-only) across every core's recorder, so
-// a 1,024-core chip keeps one copy.
-func denseShared(shared map[int]bool) []bool {
-	maxComp := -1
-	for comp := range shared {
-		if comp > maxComp {
-			maxComp = comp
-		}
-	}
-	arr := make([]bool, maxComp+1)
-	for comp, v := range shared {
-		if comp >= 0 {
-			arr[comp] = v
-		}
-	}
-	return arr
-}
-
-// RecordAccess implements core.AccessRecorder. It appends the model hops of
-// a trace that touches a shared component to the hop log, compacting them in
-// place first, and always hands the caller's buffer back truncated.
+// RecordAccess implements core.AccessRecorder. It appends the access's hops
+// to the hop log and hands the caller's buffer back truncated. The access
+// completes, at zero load, when its last hop does.
 func (r *Recorder) RecordAccess(coreID int, issueCycle uint64, write bool, hops []cache.Hop) []cache.Hop {
-	done := issueCycle
-	if n := len(hops); n > 0 {
-		done = hops[n-1].Cycle + uint64(hops[n-1].Latency)
-	}
-	kept, touchesShared := 0, false
-	for i := range hops {
-		h := &hops[i]
-		switch c := h.Comp; {
-		case c >= 0 && c < len(r.shared) && r.shared[c]:
-			touchesShared = true
-		case r.net && (h.Kind == cache.HopNet || h.Kind == cache.HopNetMem):
-		default:
-			continue
-		}
-		hops[kept] = *h
-		kept++
-	}
-	if touchesShared {
-		r.recs = append(r.recs, accessRecord{issueCycle: issueCycle, doneCycle: done,
-			off: int32(len(r.log)), n: int32(kept), write: write})
-		r.log = append(r.log, hops[:kept]...)
-	}
+	last := &hops[len(hops)-1]
+	r.recs = append(r.recs, accessRecord{issueCycle: issueCycle, doneCycle: last.Cycle + uint64(last.Latency),
+		off: int32(len(r.log)), n: int32(len(hops)), write: write})
+	r.log = append(r.log, hops...)
 	return hops[:0]
 }
 
-// hops returns rec's model hops from the log.
+// hops returns rec's hops from the log.
 func (r *Recorder) hops(rec *accessRecord) []cache.Hop { return r.log[rec.off : rec.off+rec.n] }
 
 // Reset clears the interval's records and hop log (called after the weave
@@ -179,67 +132,27 @@ func (b *BankModel) Reset() {
 	*b = BankModel{Latency: b.Latency, MSHRs: b.MSHRs, MissHoldCycles: b.MissHoldCycles, mshrFree: b.mshrFree[:0]}
 }
 
-// weaveModels bundles the per-component contention models used by the weave
-// phase of one Simulator, as dense component-ID-indexed tables: banks and
-// mems span the low IDs that hold them, routers every ID. routers, fabric
-// and routerComp (node-indexed) are non-nil only when NoC contention is
-// enabled. exec is the one executor every weave event carries: run, bound to
-// these tables once per simulator.
-type weaveModels struct {
-	banks      []*BankModel
-	mems       []memctrl.ContentionModel
-	routers    []*noc.Router
-	fabric     *noc.Fabric
-	routerComp []int
-	exec       event.Executor
+// run executes a bank event, whose Flag marks a miss.
+func (b *BankModel) run(ev *event.Event, dispatch uint64) uint64 {
+	return b.Schedule(dispatch, ev.Flag)
 }
 
-// reset restores every bank and memory model to its just-built state. The
-// routers belong to the System's fabric and rewind with the System.
-func (m *weaveModels) reset() {
-	for _, b := range m.banks {
-		if b != nil {
-			b.Reset()
-		}
-	}
-	for _, mem := range m.mems {
-		if mem != nil {
-			mem.Reset()
-		}
-	}
+// runEvent executes one weave event on the model of its component. Every
+// event carries it, bound once per system (System.exec).
+func (s *System) runEvent(ev *event.Event, dispatch uint64) uint64 {
+	return s.comps[ev.Comp].run(ev, dispatch)
 }
 
-func (m *weaveModels) bank(comp int) *BankModel {
-	if comp >= 0 && comp < len(m.banks) {
-		return m.banks[comp]
-	}
-	return nil
-}
-
-// run executes one weave event on the model of its component. A bank event's
-// Flag marks a miss; a memory event's Arg is the line and its Flag marks a
-// writeback; a router event's Arg is the output port.
-func (m *weaveModels) run(ev *event.Event, dispatch uint64) uint64 {
-	switch c := ev.Comp; {
-	case c < len(m.banks) && m.banks[c] != nil:
-		return m.banks[c].Schedule(dispatch, ev.Flag)
-	case c < len(m.mems) && m.mems[c] != nil:
-		return dispatch + m.mems[c].RequestLatency(ev.Arg, dispatch, ev.Flag)
-	default:
-		return m.routers[c].Schedule(int(ev.Arg), dispatch)
-	}
-}
-
-// buildChain allocates a recorded access's events from slab, one per
-// contended hop in program order, each a child of the one before, and
-// returns the first and the last. Each event's lower bound is its hop's
-// zero-load arrival, so an uncontended chain finishes exactly at the
-// bound-phase cycle. A recorded access touches a shared component and every
-// shared component has a model, so the chain is never empty.
-func (m *weaveModels) buildChain(slab *event.Slab, hops []cache.Hop) (first, last *event.Event) {
+// buildChain allocates a recorded access's events from slab, one per hop in
+// program order (one per router along a NoC route), each a child of the one
+// before, and returns the first and the last. Each event's lower bound is
+// its hop's zero-load arrival, so an uncontended chain finishes exactly at
+// the bound-phase cycle. A recorded access has at least one hop, and every
+// component has a model, so the chain is never empty.
+func (s *System) buildChain(slab *event.Slab, hops []cache.Hop) (first, last *event.Event) {
 	add := func(comp int, minCycle, arg uint64, flag bool) {
 		ev := slab.Alloc()
-		ev.Comp, ev.MinCycle, ev.Exec, ev.Arg, ev.Flag = comp, minCycle, m.exec, arg, flag
+		ev.Comp, ev.MinCycle, ev.Exec, ev.Arg, ev.Flag = comp, minCycle, s.exec, arg, flag
 		if last == nil {
 			first = ev
 		} else {
@@ -256,28 +169,26 @@ func (m *weaveModels) buildChain(slab *event.Slab, hops []cache.Hop) (first, las
 			// The first router dispatches after the zero-load injection
 			// latency.
 			cur, dst := int(h.Src), int(h.Dst)
-			minCycle := h.Cycle + m.fabric.Injection()
-			perHop := m.fabric.PerHop()
+			minCycle := h.Cycle + s.Fabric.Injection()
+			perHop := s.Fabric.PerHop()
 			for cur != dst {
-				next, port := m.fabric.NextHop(cur, dst)
-				add(m.routerComp[cur], minCycle, uint64(port), false)
+				next, port := s.Fabric.NextHop(cur, dst)
+				add(s.routerComp(cur), minCycle, uint64(port), false)
 				minCycle += perHop
 				cur = next
 			}
 		case cache.HopNetMem:
 			// The LLC-to-controller link: a single traversal of the owning
 			// bank's memory-egress port (the one hop the bound phase charges).
-			add(m.routerComp[h.Src], h.Cycle, uint64(m.fabric.MemPort()), false)
+			add(s.routerComp(int(h.Src)), h.Cycle, uint64(s.Fabric.MemPort()), false)
 		default:
-			if m.bank(h.Comp) != nil {
-				add(h.Comp, h.Cycle, h.Line, h.Kind == cache.HopMiss)
-			} else {
-				add(h.Comp, h.Cycle, h.Line, h.Kind == cache.HopWB)
-			}
+			// A bank or controller access, at the line. Only a bank records
+			// HopMiss, and its Flag marks it.
+			add(h.Comp, h.Cycle, h.Line, h.Kind == cache.HopMiss)
 		}
 	}
 	if first == nil {
-		panic("boundweave: a recorded access has no contended hop")
+		panic("boundweave: a recorded access has no hop")
 	}
 	return first, last
 }
@@ -304,8 +215,8 @@ type coreChain struct {
 // bound, the issue cycle, the latest load's completion), and its parent the
 // latest load's last event; with no earlier load it is enqueued on eng. add
 // returns the first event.
-func (c *coreChain) add(slab *event.Slab, eng *event.Engine, m *weaveModels, rec *accessRecord, hops []cache.Hop) *event.Event {
-	first, last := m.buildChain(slab, hops)
+func (c *coreChain) add(slab *event.Slab, eng *event.Engine, sys *System, rec *accessRecord, hops []cache.Hop) *event.Event {
+	first, last := sys.buildChain(slab, hops)
 	first.MinCycle = max(first.MinCycle, rec.issueCycle, c.loadDone)
 	if c.load != nil {
 		c.load.AddChild(first)

@@ -3,7 +3,6 @@ package boundweave
 import (
 	"errors"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"time"
 	"unsafe"
@@ -12,8 +11,6 @@ import (
 	"zsim/internal/config"
 	"zsim/internal/engine"
 	"zsim/internal/event"
-	"zsim/internal/memctrl"
-	"zsim/internal/noc"
 	"zsim/internal/runctl"
 	"zsim/internal/telemetry"
 	"zsim/internal/trace"
@@ -78,8 +75,7 @@ type Simulator struct {
 	recorders []*Recorder
 	// slab holds every weave event of the current interval (nil without
 	// contention); runWeave builds the cores' chains from it in core order.
-	slab   *event.Slab
-	models *weaveModels
+	slab *event.Slab
 	// lines[w] is bound worker w's cursor into the chip's line slab; the
 	// cores worker w runs carry it to the caches.
 	lines []*cache.LineCursor
@@ -195,44 +191,13 @@ func NewSimulator(sys *System, sched *virt.Scheduler, opts Options) *Simulator {
 	s.boundTask = s.boundWorker
 
 	if s.contention {
-		maxComp := max(slices.Max(sys.BankComp), slices.Max(sys.MemComp))
-		s.models = &weaveModels{
-			banks: make([]*BankModel, maxComp+1),
-			mems:  make([]memctrl.ContentionModel, maxComp+1),
-		}
-		if sys.Fabric != nil {
-			// NoC contention: the fabric's routers live in the System (built
-			// once, with their statistics).
-			s.models.fabric = sys.Fabric
-			s.models.routerComp = sys.RouterComp
-			s.models.routers = make([]*noc.Router, slices.Max(sys.RouterComp)+1)
-			for node, comp := range sys.RouterComp {
-				s.models.routers[comp] = sys.Fabric.Router(node)
-			}
-		}
-		s.models.exec = s.models.run
-		for i, comp := range sys.BankComp {
-			s.models.banks[comp] = NewBankModel(sys.Banks[i].Latency(), sys.Banks[i].MSHRs(), uint64(cfg.MemLatency))
-		}
-		for _, comp := range sys.MemComp {
-			var m memctrl.ContentionModel
-			if cfg.WeaveMem == config.WeaveMemCycleDriven {
-				m = memctrl.NewCycleDriven(memctrl.DefaultDDR3Timing())
-			} else {
-				m = memctrl.NewDDR3("weave-mem", memctrl.DefaultDDR3Timing())
-			}
-			s.models.mems[comp] = m
-		}
-		// One dense shared-component table serves every recorder, and all
-		// recorders share one allocation. The event slab allocates its chunks
-		// lazily, on first use, 64 KB at a time: its footprint tracks the
-		// busiest interval to within one small step, so a run whose peak
+		// All recorders share one allocation. The event slab allocates its
+		// chunks lazily, on first use, 64 KB at a time: its footprint tracks
+		// the busiest interval to within one small step, so a run whose peak
 		// moves a little from one rep to the next allocates nearly the same.
-		shared := denseShared(sys.SharedComp)
 		recs := make([]Recorder, n)
 		s.recorders = make([]*Recorder, n)
 		for coreID := range recs {
-			recs[coreID] = Recorder{shared: shared, net: sys.Fabric != nil}
 			s.recorders[coreID] = &recs[coreID]
 		}
 		s.slab = event.NewSlab(64 << 10 / int(unsafe.Sizeof(event.Event{})))
@@ -302,7 +267,6 @@ func (s *Simulator) initRun(opts Options) {
 	if s.contention {
 		s.slab.Reset()
 		s.engine.Reset()
-		s.models.reset()
 		clear(s.chains)
 	}
 }
@@ -639,7 +603,7 @@ func (s *Simulator) runWeave() {
 		c := &s.chains[coreID]
 		*c = coreChain{}
 		for i := range rec.recs {
-			c.add(s.slab, s.engine, s.models, &rec.recs[i], rec.hops(&rec.recs[i]))
+			c.add(s.slab, s.engine, s.Sys, &rec.recs[i], rec.hops(&rec.recs[i]))
 		}
 	}
 	s.ChainNanos += time.Since(chainStart).Nanoseconds()

@@ -20,6 +20,7 @@ import (
 	"zsim/internal/cache"
 	"zsim/internal/config"
 	"zsim/internal/core"
+	"zsim/internal/event"
 	"zsim/internal/memctrl"
 	"zsim/internal/network"
 	"zsim/internal/noc"
@@ -27,7 +28,7 @@ import (
 )
 
 // System is the fully built simulated chip: cores, hierarchy, network and
-// memory, plus the component-ID maps the weave phase needs.
+// memory, plus the weave's component table.
 type System struct {
 	Cfg  *config.System
 	Root *stats.Registry
@@ -45,19 +46,40 @@ type System struct {
 	// configuration enables both Contention and NOCContention): one router
 	// per topology node, each a weave component of its own.
 	Fabric *noc.Fabric
-	// RouterComp maps topology node -> the node's router component ID (only
-	// when Fabric is non-nil).
-	RouterComp []int
 
-	// Component IDs.
-	CoreComp []int
-	BankComp []int
-	MemComp  []int
-	// SharedComp marks component IDs whose accesses are retimed in the weave
-	// phase (L3 banks and memory controllers). Router components are not in
-	// it: a traversal only matters when the bank or controller behind it is
-	// already weave-retimed.
-	SharedComp map[int]bool
+	// comps is the weave's component table, indexed by component ID: the
+	// memory controllers, then the L3 banks, then (when Fabric is non-nil)
+	// one router per topology node. Only these components have IDs, so only
+	// they record hops. Each entry is the component's contention model; the
+	// table is empty unless the configuration enables Contention.
+	comps []component
+	// exec is runEvent, bound once: the executor every weave event carries.
+	exec event.Executor
+}
+
+// A component is one weave component's contention model. run executes a
+// weave event on it; Reset restores its just-built state, counters
+// included. Only the single-threaded weave drives a model.
+type component interface {
+	run(ev *event.Event, dispatch uint64) uint64
+	Reset()
+}
+
+// memModel runs a memory event, whose Arg is the line, on a controller's DRAM
+// model, passing the event's Flag as the request's write bit.
+type memModel struct{ dram memctrl.ContentionModel }
+
+func (m memModel) run(ev *event.Event, dispatch uint64) uint64 {
+	return dispatch + m.dram.RequestLatency(ev.Arg, dispatch, ev.Flag)
+}
+
+func (m memModel) Reset() { m.dram.Reset() }
+
+// routerModel runs a router event, whose Arg is the output port.
+type routerModel struct{ *noc.Router }
+
+func (r routerModel) run(ev *event.Event, dispatch uint64) uint64 {
+	return r.Schedule(int(ev.Arg), dispatch)
 }
 
 // BuildSystem constructs the simulated chip described by the configuration.
@@ -71,14 +93,18 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		return nil, err
 	}
 	root := stats.NewRegistryIn(cfg.Name, arena.New())
-	sys := &System{
-		Cfg:        cfg,
-		Root:       root,
-		SharedComp: make(map[int]bool),
+	sys := &System{Cfg: cfg, Root: root}
+	sys.exec = sys.runEvent
+	// add gives a component the next ID and, when the weave has contention
+	// models at all, its model.
+	ids := 0
+	add := func(newModel func() component) int {
+		if cfg.Contention {
+			sys.comps = append(sys.comps, newModel())
+		}
+		ids++
+		return ids - 1
 	}
-
-	nextComp := 0
-	alloc := func() int { v := nextComp; nextComp++; return v }
 
 	// Network model (zero-load).
 	tiles := cfg.NumTiles()
@@ -95,7 +121,12 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	memReg := root.Child("mem")
 	var memLevels []cache.Level
 	for m := 0; m < cfg.MemControllers; m++ {
-		comp := alloc()
+		comp := add(func() component {
+			if cfg.WeaveMem == config.WeaveMemCycleDriven {
+				return memModel{memctrl.NewCycleDriven(memctrl.DefaultDDR3Timing())}
+			}
+			return memModel{memctrl.NewDDR3("weave-mem", memctrl.DefaultDDR3Timing())}
+		})
 		name := fmt.Sprintf("mem-%d", m)
 		var ctrl memctrl.Controller
 		switch cfg.MemModel {
@@ -105,8 +136,6 @@ func BuildSystem(cfg *config.System) (*System, error) {
 			ctrl = memctrl.NewSimple(comp, cfg.MemLatency, memReg.Child(name))
 		}
 		sys.Mems = append(sys.Mems, ctrl)
-		sys.MemComp = append(sys.MemComp, comp)
-		sys.SharedComp[comp] = true
 		memLevels = append(memLevels, ctrl)
 	}
 	memRouter := cache.NewMemRouter(memLevels, cfg.NetHopCycles)
@@ -118,13 +147,11 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		SizeKB:  max(cfg.L3.SizeKB/cfg.L3.Banks, 1),
 		Ways:    cfg.L3.Ways,
 		Latency: cfg.L3.Latency,
-		MSHRs:   cfg.L3.MSHRs,
 	}
 	l2Cfg := cache.Config{
 		SizeKB:  cfg.L2.SizeKB,
 		Ways:    cfg.L2.Ways,
 		Latency: cfg.L2.Latency,
-		MSHRs:   cfg.L2.MSHRs,
 		Private: coresPerTile == 1,
 	}
 	l1iCfg := cache.Config{SizeKB: cfg.L1I.SizeKB, Ways: cfg.L1I.Ways, Latency: cfg.L1I.Latency, Private: true}
@@ -135,12 +162,12 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	// L3 banks (fully shared, inclusive, one directory over all L2s).
 	l3Reg := root.Child("l3")
 	for b := 0; b < cfg.L3.Banks; b++ {
-		comp := alloc()
+		comp := add(func() component {
+			return NewBankModel(cfg.L3.Latency, cfg.L3.MSHRs, uint64(cfg.MemLatency))
+		})
 		bank := cache.New(bankCfg, comp, l3Reg.ChildIdx("l3b", b))
 		bank.SetParent(memRouter)
 		sys.Banks = append(sys.Banks, bank)
-		sys.BankComp = append(sys.BankComp, comp)
-		sys.SharedComp[comp] = true
 	}
 	// Distance-dependent latency: from the requesting core's tile to the
 	// bank's tile, using the configured topology.
@@ -156,8 +183,7 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	// per-core L2, like every L1, is private: it takes one lock stripe.
 	l2Reg := root.Child("l2")
 	for i := 0; i < tiles; i++ {
-		comp := alloc()
-		l2 := cache.New(l2Cfg, comp, l2Reg.ChildIdx("l2", i))
+		l2 := cache.New(l2Cfg, -1, l2Reg.ChildIdx("l2", i))
 		l2.SetParent(sys.L3)
 		sys.L2 = append(sys.L2, l2)
 	}
@@ -173,10 +199,8 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	coreReg := root.Child("cores")
 	for cID := 0; cID < cfg.NumCores; cID++ {
 		tile := cID / coresPerTile
-		l1iComp := alloc()
-		l1dComp := alloc()
-		l1i := cache.New(l1iCfg, l1iComp, coreReg.ChildIdx("l1i", cID))
-		l1d := cache.New(l1dCfg, l1dComp, coreReg.ChildIdx("l1d", cID))
+		l1i := cache.New(l1iCfg, -1, coreReg.ChildIdx("l1i", cID))
+		l1d := cache.New(l1dCfg, -1, coreReg.ChildIdx("l1d", cID))
 		l2 := sys.L2[tile]
 		l1i.SetParent(l2)
 		l1d.SetParent(l2)
@@ -185,8 +209,6 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		sys.L1I = append(sys.L1I, l1i)
 		sys.L1D = append(sys.L1D, l1d)
 
-		coreComp := alloc()
-		sys.CoreComp = append(sys.CoreComp, coreComp)
 		ports := core.MemPorts{L1I: l1i, L1D: l1d}
 		reg := coreReg.ChildIdx("core", cID)
 		var c core.Core
@@ -200,9 +222,8 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	}
 
 	// Weave-phase NoC contention: one router component per topology node,
-	// allocated after every pre-existing component so that enabling the
-	// subsystem never renumbers cores, banks or controllers (and disabling it
-	// leaves the component table bit-identical to a build without it).
+	// numbered after the controllers and banks, so node n's router is
+	// component routerComp(n).
 	if cfg.Contention && cfg.NOCContention {
 		topo, ok := sys.Net.(network.Topology)
 		if !ok {
@@ -221,9 +242,8 @@ func BuildSystem(cfg *config.System) (*System, error) {
 			QueueDepth:    queueDepth,
 			MemHopLatency: cfg.NetHopCycles,
 		}, root.Child("noc"))
-		sys.RouterComp = arena.Take[int](root.Arena(), nodes)
-		for n := range sys.RouterComp {
-			sys.RouterComp[n] = alloc()
+		for n := range nodes {
+			add(func() component { return routerModel{sys.Fabric.Router(n)} })
 		}
 		// Traversal -> topology-node resolvers. They use the same tile
 		// placement as the zero-load distance function, normalized into the
@@ -248,9 +268,10 @@ func BuildSystem(cfg *config.System) (*System, error) {
 }
 
 // Reset rewinds the built system to its just-constructed state for warm
-// reuse: every stateful component (cores, caches, memory controllers, NoC
-// routers) restores its architectural and timing state and zeroes its own
-// statistics; the registry tree holds no counts. The construction arena is
+// reuse: every stateful component (cores, caches, memory controllers, and
+// the weave components' bank, DRAM and router models) restores its
+// architectural and timing state and zeroes its own statistics; the
+// registry tree holds no counts. The construction arena is
 // deliberately NOT reset — it owns the components' live backing storage.
 // Core recorders and observers are detached by the core resets; the caller
 // (Simulator.Reset) re-installs them.
@@ -275,10 +296,13 @@ func (s *System) Reset() {
 			r.Reset()
 		}
 	}
-	if s.Fabric != nil {
-		s.Fabric.Reset()
+	for _, m := range s.comps {
+		m.Reset()
 	}
 }
+
+// routerComp returns the component ID of topology node n's router.
+func (s *System) routerComp(n int) int { return len(s.Mems) + len(s.Banks) + n }
 
 // Metrics aggregates the system's counters into the harness's Metrics form.
 func (s *System) Metrics() *stats.Metrics {

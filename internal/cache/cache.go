@@ -5,9 +5,13 @@
 // bound phase access the shared hierarchy from many host threads at once.
 //
 // During the bound phase every access is served with zero-load (uncontended)
-// latencies, and each level a request touches appends a Hop to the request's
-// trace. Package boundweave turns those hop lists into weave-phase events
-// that model contention (bank ports, MSHRs, DRAM timing).
+// latencies. A traced request records a Hop only where it leaves the private
+// levels: at a weave component (a cache built with a component ID, such as
+// an L3 bank, or a memory controller) and on the network links the routers
+// cross. L1s and L2s, built without one, record nothing, so an access they
+// serve leaves an empty trace. Package boundweave turns those hop
+// lists into weave-phase events that model contention (bank ports, MSHRs,
+// DRAM timing, NoC routers).
 //
 // Locking follows the paper's discipline for accesses that travel both up
 // (fetches, writebacks) and down (invalidations, downgrades) the hierarchy: a
@@ -104,7 +108,6 @@ const (
 	HopMiss                  // request missed at this level and continued up
 	HopMem                   // request was served by a memory controller
 	HopWB                    // a dirty eviction generated a writeback at this level
-	HopInval                 // this access caused an invalidation in another cache
 	HopNet                   // the request crossed the NoC from node Src to node Dst
 	HopNetMem                // the request crossed node Src's memory-egress link
 )
@@ -120,8 +123,6 @@ func (k HopKind) String() string {
 		return "mem"
 	case HopWB:
 		return "wback"
-	case HopInval:
-		return "inval"
 	case HopNet:
 		return "net"
 	case HopNetMem:
@@ -134,7 +135,7 @@ func (k HopKind) String() string {
 // Hop records one level's handling of a request; the weave phase turns hops
 // into events with the component's contention model.
 type Hop struct {
-	Comp int // global component ID (assigned by the system builder); -1 for network hops
+	Comp int // weave component ID of the bank or controller (assigned by the system builder); -1 for network hops
 	Kind HopKind
 	// Src and Dst are the topology nodes of a network hop (HopNet: the full
 	// route from Src to Dst; HopNetMem: Src's memory-egress link). They are
@@ -146,7 +147,8 @@ type Hop struct {
 }
 
 // Request is a memory access travelling up the hierarchy. Levels mutate Cycle
-// as the request progresses and append to Hops when tracing is enabled. A
+// as the request progresses, and weave components and network links append
+// to Hops when tracing is enabled. A
 // single Request value travels the whole hierarchy: levels that forward it
 // upward (for fetches and writebacks) mutate it in place and restore their
 // caller's fields afterwards, so a full miss path performs no allocation.
@@ -157,8 +159,9 @@ type Request struct {
 	Write    bool
 	CoreID   int    // issuing core, used for profiling and network routing
 	Cycle    uint64 // cycle the request arrives at the level being accessed
-	// Hops accumulates the levels this request touched, when RecordHops is
-	// set (by the bound phase, only for accesses it wants weave events for).
+	// Hops accumulates the weave components and network links this request
+	// touched, when RecordHops is set (by the bound phase, which builds weave
+	// events from them).
 	Hops []Hop
 	// RecordHops enables appending to Hops.
 	RecordHops bool
@@ -177,16 +180,18 @@ type Request struct {
 	childIdx int
 }
 
+// addHop records a hop at the component comp. A cache that is not a weave
+// component (comp < 0) records nothing.
 func (r *Request) addHop(comp int, kind HopKind, cycle uint64, lat uint32) {
-	if r.RecordHops {
+	if r.RecordHops && comp >= 0 {
 		r.Hops = append(r.Hops, Hop{Comp: comp, Kind: kind, Line: r.LineAddr, Cycle: cycle, Latency: lat})
 	}
 }
 
 // addNetHop records a network traversal from topology node src to dst (the
 // weave phase expands it along the route into per-router events). Network
-// hops carry no component ID; they never mark a trace as weave-retimed by
-// themselves (the bank or controller hop that follows does).
+// hops carry no component ID: the weave phase finds the routers from their
+// topology nodes.
 func (r *Request) addNetHop(kind HopKind, src, dst int, cycle uint64, lat uint32) {
 	if r.RecordHops {
 		r.Hops = append(r.Hops, Hop{Comp: -1, Kind: kind, Src: int16(src), Dst: int16(dst),
@@ -291,9 +296,6 @@ type Config struct {
 	SizeKB  int
 	Ways    int
 	Latency uint32 // zero-load access latency in cycles
-	// MSHRs bounds outstanding misses in the weave-phase contention model
-	// (the bound phase ignores it).
-	MSHRs int
 	// Private marks a cache that only one core's requests reach; it takes
 	// one lock stripe instead of one per set (up to maxStripes).
 	Private bool
@@ -324,8 +326,6 @@ type Cache struct {
 	// stripeShift is log2 of the stripe count (see dirty).
 	stripeShift uint8
 
-	mshrs int
-
 	// slots[s] names set s's block in slab; 0 until the set is first
 	// touched. Only blockOf turns a slot into a pointer.
 	slots      []uint32
@@ -349,8 +349,9 @@ type Cache struct {
 }
 
 // New creates a cache from the config, exporting its statistics under the
-// given registry (which may be nil). compID is the global component ID used
-// in weave traces. When the registry tree carries a construction arena, the
+// given registry (which may be nil). compID is the cache's weave component
+// ID, which its hops carry, or -1 for a cache that is not a weave component
+// (an L1 or L2), which records no hops. When the registry tree carries a construction arena, the
 // cache object, its slot table and its lock stripes are carved from that
 // arena, and its set blocks come from the line slab hung off it, which
 // every cache built on the arena shares; a cache built without one gets a
@@ -371,7 +372,6 @@ func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 		sets:        sets,
 		ways:        ways,
 		latency:     cfg.Latency,
-		mshrs:       cfg.MSHRs,
 		slots:       arena.Take[uint32](a, sets),
 		slab:        slabOf(a),
 		stripes:     arena.Take[stripe](a, nStripes),
@@ -432,9 +432,6 @@ func (c *Cache) Reset() {
 
 // Latency returns the cache's zero-load access latency.
 func (c *Cache) Latency() uint32 { return c.latency }
-
-// MSHRs returns the configured number of MSHRs (for the weave model).
-func (c *Cache) MSHRs() int { return c.mshrs }
 
 // SetParent links the cache to its parent level.
 func (c *Cache) SetParent(p Level) { c.parent = p }
@@ -626,7 +623,7 @@ func (c *Cache) Access(req *Request) uint64 {
 				// Write hit with sufficient permission: invalidate any other
 				// children holding the line, then grant Modified.
 				if sharers != 0 {
-					c.invalidateChildrenLocked(req, req.LineAddr, b, way)
+					c.invalidateChildrenLocked(req, b, way)
 				}
 				setState(key, Modified)
 				req.FillState = Modified
@@ -640,7 +637,7 @@ func (c *Cache) Access(req *Request) uint64 {
 					otherSharers &^= 1 << uint(req.childIdx)
 				}
 				if *key&keyChildMod != 0 && otherSharers != 0 {
-					if c.downgradeChildrenLocked(req, req.LineAddr, otherSharers) {
+					if c.downgradeChildren(req.LineAddr, otherSharers) {
 						setState(key, Modified)
 					}
 					*key &^= keyChildMod
@@ -812,12 +809,12 @@ func (c *Cache) invalidateChildren(lineAddr uint64, sharers uint64) bool {
 	return dirty
 }
 
-// invalidateChildrenLocked is used on a write hit to invalidate the other
-// sharers of way w of block b. Caller holds the set's stripe lock; child
+// invalidateChildrenLocked is used on a write hit to invalidate the request
+// line's other sharers, way w of block b. Caller holds the set's stripe lock; child
 // locks are acquired inside Invalidate (parent-before-child ordering, no
 // deadlock). The requester's own copy is preserved by clearing its bit
 // afterwards.
-func (c *Cache) invalidateChildrenLocked(req *Request, lineAddr uint64, b unsafe.Pointer, w int) {
+func (c *Cache) invalidateChildrenLocked(req *Request, b unsafe.Pointer, w int) {
 	sharers := c.sharers(b, w)
 	if req.childIdx >= 0 && len(c.children) > 0 {
 		sharers &^= 1 << uint(req.childIdx)
@@ -825,21 +822,14 @@ func (c *Cache) invalidateChildrenLocked(req *Request, lineAddr uint64, b unsafe
 	if sharers == 0 {
 		return
 	}
-	for i, ch := range c.children {
-		if sharers&(1<<uint(i)) == 0 {
-			continue
-		}
-		ch.Invalidate(lineAddr)
-		req.addHop(ch.compID, HopInval, req.Cycle, 0)
-	}
+	c.invalidateChildren(req.LineAddr, sharers)
 	c.setSharers(b, w, c.sharers(b, w)&^sharers)
 	c.keys(b)[w] &^= keyChildMod
 }
 
-// downgradeChildrenLocked downgrades the given children sharers to Shared and
-// reports whether any of them held the line modified. Caller holds the set's
-// stripe lock.
-func (c *Cache) downgradeChildrenLocked(req *Request, lineAddr uint64, sharers uint64) bool {
+// downgradeChildren downgrades the line to Shared in every child in the
+// sharer mask and reports whether any of them held it modified.
+func (c *Cache) downgradeChildren(lineAddr uint64, sharers uint64) bool {
 	dirty := false
 	for i, ch := range c.children {
 		if sharers&(1<<uint(i)) == 0 {
@@ -848,7 +838,6 @@ func (c *Cache) downgradeChildrenLocked(req *Request, lineAddr uint64, sharers u
 		if ch.Downgrade(lineAddr) {
 			dirty = true
 		}
-		req.addHop(ch.compID, HopInval, req.Cycle, 0)
 	}
 	return dirty
 }
@@ -877,15 +866,8 @@ func (c *Cache) Downgrade(lineAddr uint64) bool {
 	*key &^= keyChildMod
 	st.mu.Unlock()
 
-	if childMod && sharers != 0 {
-		for i, ch := range c.children {
-			if sharers&(1<<uint(i)) == 0 {
-				continue
-			}
-			if ch.Downgrade(lineAddr) {
-				dirty = true
-			}
-		}
+	if childMod && sharers != 0 && c.downgradeChildren(lineAddr, sharers) {
+		dirty = true
 	}
 	return dirty
 }

@@ -39,7 +39,7 @@ func (m *fakeMem) Access(req *Request) uint64 {
 // newL1 builds a small standalone L1 backed by fakeMem.
 func newL1(sizeKB, ways int) (*Cache, *fakeMem) {
 	mem := &fakeMem{lat: 100}
-	l1 := New(Config{SizeKB: sizeKB, Ways: ways, Latency: 4, MSHRs: 8}, 1, nil)
+	l1 := New(Config{SizeKB: sizeKB, Ways: ways, Latency: 4}, 1, nil)
 	l1.SetParent(mem)
 	return l1, mem
 }
@@ -59,7 +59,7 @@ func TestStateAndHopStrings(t *testing.T) {
 	if State(9).String() != "?9" {
 		t.Fatalf("unknown state fallback")
 	}
-	for _, k := range []HopKind{HopHit, HopMiss, HopMem, HopWB, HopInval} {
+	for _, k := range []HopKind{HopHit, HopMiss, HopMem, HopWB, HopNet, HopNetMem} {
 		if k.String() == "" {
 			t.Fatalf("hop kind %d has no name", k)
 		}

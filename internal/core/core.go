@@ -65,14 +65,15 @@ type Core interface {
 	BranchStats() (uint64, uint64)
 }
 
-// AccessRecorder receives, for every memory access that leaves the core while
-// recording is enabled, the zero-load issue cycle and the hierarchy hops the
-// access performed. The bound-weave driver uses it to build weave events for
-// accesses that miss beyond the private levels.
+// AccessRecorder receives, for every memory access that records a hop while
+// recording is enabled, the zero-load issue cycle and the hops the access
+// recorded. Only accesses that leave the private cache levels record hops
+// (at the L3 banks, the memory controllers and the network), and the
+// bound-weave driver builds weave events from them.
 //
 // RecordAccess takes ownership of the hops slice and returns the hop buffer
 // (length 0, possibly nil) for the core's next access. The bound-weave
-// recorder copies the hops it keeps and hands the core's own buffer back, so
+// recorder copies the hops and hands the core's own buffer back, so
 // the steady-state record path is allocation-free. write distinguishes
 // stores (which do not stall the core) from loads, so the weave phase can
 // serialize a core's access stream behind its loads only.

@@ -223,14 +223,6 @@ func (f *Fabric) PerHop() uint64 { return uint64(f.topo.PerHopLatency()) }
 // NextHop delegates to the topology's deterministic routing.
 func (f *Fabric) NextHop(cur, dst int) (next, port int) { return f.topo.NextHop(cur, dst) }
 
-// Reset restores every router to its just-built state (System.Reset calls
-// it).
-func (f *Fabric) Reset() {
-	for _, r := range f.routers {
-		r.Reset()
-	}
-}
-
 // Stats aggregates the fabric's counters over a run.
 type Stats struct {
 	// Traversals counts packets scheduled through router output ports, and
