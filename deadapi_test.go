@@ -56,19 +56,26 @@ func TestNoDeadExportedAPI(t *testing.T) {
 
 // TestDeadAPIGateFixture runs the gate on a small module whose only dead
 // declaration is A.Size: B.Size shares its name but is called, Impl.Len is
-// called only through an interface, and Impl.Reset only through an anonymous
-// interface{ Reset() }.
+// called only through an interface, Impl.Reset only through an anonymous
+// interface{ Reset() }, and DRAM.Reset only through a chain of interfaces
+// across packages (a struct embeds one interface, and its promoted method
+// satisfies a second one). Whether the chain is followed must not depend on
+// the order the gate visits packages and interfaces in, so every run gives
+// the same verdict.
 func TestDeadAPIGateFixture(t *testing.T) {
-	dead, err := deadExportedAPI(filepath.Join("testdata", "deadapi"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys []string
-	for key := range dead {
-		keys = append(keys, key)
-	}
-	if want := []string{"p.A.Size"}; !reflect.DeepEqual(keys, want) {
-		t.Fatalf("dead = %v, want %v", keys, want)
+	for run := range 20 {
+		dead, err := deadExportedAPI(filepath.Join("testdata", "deadapi"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for key := range dead {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		if want := []string{"p.A.Size"}; !reflect.DeepEqual(keys, want) {
+			t.Fatalf("run %d: dead = %v, want %v", run, keys, want)
+		}
 	}
 }
 
@@ -79,7 +86,8 @@ func TestDeadAPIGateFixture(t *testing.T) {
 // in non-test files, except under bench/, where test files count too. A
 // declaration's own body does not use it. A call through an interface method
 // uses the method of every module type that implements the interface
-// (promoted methods included; for an interface literal a type assertion
+// (promoted methods included, and followed to a fixed point through
+// interfaces embedded in structs; for an interface literal a type assertion
 // produced, only the types that also implement the asserted operand's type),
 // and every method of an interface declared outside the module (String,
 // Error, ServeHTTP, heap.Interface, ...) counts as called. Fields of structs
@@ -180,36 +188,44 @@ func deadExportedAPI(root string) (map[string]token.Position, error) {
 			}
 		}
 	}
-	for _, p := range l.pkgs {
-		for _, name := range p.Scope().Names() {
-			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || named.TypeParams().Len() > 0 || types.IsInterface(named) {
-				continue
-			}
-			ptr := types.NewPointer(named)
-			implements := func(it *types.Interface) bool {
-				return types.Implements(named, it) || types.Implements(ptr, it)
-			}
-			for it := range calledIfaces {
-				if !implements(it) {
+	// A method an interface call reaches can be an interface method itself
+	// (promoted from an interface a struct embeds), which marks its
+	// implementations in turn: repeat the pass until nothing more is used,
+	// so the verdict does not depend on the order packages and interfaces
+	// are visited in.
+	for n := -1; n != len(used); {
+		n = len(used)
+		for _, p := range l.pkgs {
+			for _, name := range p.Scope().Names() {
+				tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+				if !ok || tn.IsAlias() {
 					continue
 				}
-				if from, ok := assertedFrom[it]; ok && !slices.ContainsFunc(from, func(t types.Type) bool {
-					return implements(t.Underlying().(*types.Interface))
-				}) {
+				named, ok := tn.Type().(*types.Named)
+				if !ok || named.TypeParams().Len() > 0 || types.IsInterface(named) {
 					continue
 				}
-				for i := 0; i < it.NumMethods(); i++ {
-					m := it.Method(i)
-					if !used[m] {
+				ptr := types.NewPointer(named)
+				implements := func(it *types.Interface) bool {
+					return types.Implements(named, it) || types.Implements(ptr, it)
+				}
+				for it := range calledIfaces {
+					if !implements(it) {
 						continue
 					}
-					if obj, _, _ := types.LookupFieldOrMethod(named, true, m.Pkg(), m.Name()); obj != nil {
-						used[obj] = true
+					if from, ok := assertedFrom[it]; ok && !slices.ContainsFunc(from, func(t types.Type) bool {
+						return implements(t.Underlying().(*types.Interface))
+					}) {
+						continue
+					}
+					for i := 0; i < it.NumMethods(); i++ {
+						m := it.Method(i)
+						if !used[m] {
+							continue
+						}
+						if obj, _, _ := types.LookupFieldOrMethod(named, true, m.Pkg(), m.Name()); obj != nil {
+							used[obj] = true
+						}
 					}
 				}
 			}

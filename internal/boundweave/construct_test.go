@@ -6,8 +6,10 @@ package boundweave
 // regressions in go test.
 
 import (
+	"reflect"
 	"testing"
 
+	"zsim/internal/cache"
 	"zsim/internal/config"
 	"zsim/internal/trace"
 	"zsim/internal/virt"
@@ -85,5 +87,56 @@ func TestNewSimulatorAllocsBounded(t *testing.T) {
 	// amortized arena chunks — independent of the core count.
 	if allocs > 128 {
 		t.Fatalf("NewSimulator allocates %.0f times; budget is 128 (O(1), not O(cores))", allocs)
+	}
+}
+
+// chipObjectBytes sums the bytes of the objects BuildSystem takes from the
+// chip's arena: the registry nodes, the cores, and each cache with its slot
+// table, lock stripes and dirty bitmap. It covers a chip without NoC
+// contention, whose fabric would take from the arena too.
+func chipObjectBytes(sys *System) uint64 {
+	var n uint64
+	var walk func(r reflect.Value)
+	walk = func(r reflect.Value) {
+		n += uint64(r.Elem().Type().Size())
+		kids := r.Elem().FieldByName("children")
+		for i := range kids.Len() {
+			walk(kids.Index(i))
+		}
+	}
+	walk(reflect.ValueOf(sys.Root))
+	for _, c := range sys.Cores {
+		n += uint64(reflect.TypeOf(c).Elem().Size())
+	}
+	for _, level := range [][]*cache.Cache{sys.L1I, sys.L1D, sys.L2, sys.Banks} {
+		for _, c := range level {
+			v := reflect.ValueOf(c).Elem()
+			n += uint64(v.Type().Size())
+			for _, f := range []string{"slots", "stripes", "dirty"} {
+				s := v.FieldByName(f)
+				n += uint64(s.Len()) * uint64(s.Type().Elem().Size())
+			}
+		}
+	}
+	return n
+}
+
+// Building the 1,024-core chip reserves each type's arena storage at its
+// count from the config (registry nodes, cores, caches, slot tables,
+// stripes, dirty-bitmap words), so the arena holds little beyond the bytes
+// its objects take: no type ends in a half-carved doubling chunk.
+func TestChipArenaTight(t *testing.T) {
+	for _, model := range []config.CoreModel{config.CoreIPC1, config.CoreOOO} {
+		cfg := config.TiledChip(64, model)
+		sys, err := BuildSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, bytes := sys.Root.Arena().Stats()
+		objects := chipObjectBytes(sys)
+		t.Logf("%s cores: arena %d B, objects %d B", model, bytes, objects)
+		if bytes < objects || float64(bytes) > 1.02*float64(objects) {
+			t.Fatalf("%s cores: arena holds %d B for %d B of objects; want within 2%%", model, bytes, objects)
+		}
 	}
 }

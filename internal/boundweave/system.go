@@ -92,19 +92,8 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	root := stats.NewRegistryIn(cfg.Name, arena.New())
-	sys := &System{Cfg: cfg, Root: root}
+	sys := &System{Cfg: cfg}
 	sys.exec = sys.runEvent
-	// add gives a component the next ID and, when the weave has contention
-	// models at all, its model.
-	ids := 0
-	add := func(newModel func() component) int {
-		if cfg.Contention {
-			sys.comps = append(sys.comps, newModel())
-		}
-		ids++
-		return ids - 1
-	}
 
 	// Network model (zero-load).
 	tiles := cfg.NumTiles()
@@ -115,6 +104,64 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		sys.Net = network.NewMeshForTiles(tiles, cfg.NetHopCycles, cfg.NetRouterStage, cfg.NetInjection)
 	default:
 		sys.Net = &network.Flat{Cycles: cfg.NetInjection + cfg.NetHopCycles}
+	}
+	// Weave-phase NoC contention puts a router on every topology node.
+	var topo network.Topology
+	nodes := 0
+	if cfg.Contention && cfg.NOCContention {
+		var ok bool
+		if topo, ok = sys.Net.(network.Topology); !ok {
+			return nil, fmt.Errorf("boundweave: nocContention requires a routed topology, %s is not one", sys.Net.Name())
+		}
+		nodes = topo.Nodes()
+	}
+
+	// Every cache's configuration. The config fixes how many objects of
+	// each type the chip takes from its arena, so each type's total is
+	// reserved first and comes from one exactly sized chunk: the registry
+	// nodes (the root, "mem", "l3", "l2" and "cores" with their children,
+	// and "noc" with one per router), the cores, and the caches with their
+	// slot tables, stripes and dirty bitmaps.
+	coresPerTile := cfg.CoresPerTile
+	bankCfg := cache.Config{
+		SizeKB:  max(cfg.L3.SizeKB/cfg.L3.Banks, 1),
+		Ways:    cfg.L3.Ways,
+		Latency: cfg.L3.Latency,
+	}
+	l2Cfg := cache.Config{
+		SizeKB:  cfg.L2.SizeKB,
+		Ways:    cfg.L2.Ways,
+		Latency: cfg.L2.Latency,
+		Private: coresPerTile == 1,
+	}
+	l1iCfg := cache.Config{SizeKB: cfg.L1I.SizeKB, Ways: cfg.L1I.Ways, Latency: cfg.L1I.Latency, Private: true}
+	l1dCfg := cache.Config{SizeKB: cfg.L1D.SizeKB, Ways: cfg.L1D.Ways, Latency: cfg.L1D.Latency, Private: true}
+	a := arena.New()
+	regs := 5 + cfg.MemControllers + cfg.L3.Banks + tiles + 3*cfg.NumCores
+	if topo != nil {
+		regs += 1 + nodes
+	}
+	arena.Reserve[stats.Registry](a, regs)
+	switch cfg.CoreModel {
+	case config.CoreIPC1:
+		arena.Reserve[core.IPC1](a, cfg.NumCores)
+	default:
+		arena.Reserve[core.OOO](a, cfg.NumCores)
+	}
+	cache.Reserve(a, []cache.Config{bankCfg, l2Cfg, l1iCfg, l1dCfg},
+		[]int{cfg.L3.Banks, tiles, cfg.NumCores, cfg.NumCores})
+	root := stats.NewRegistryIn(cfg.Name, a)
+	sys.Root = root
+
+	// add gives a component the next ID and, when the weave has contention
+	// models at all, its model.
+	ids := 0
+	add := func(newModel func() component) int {
+		if cfg.Contention {
+			sys.comps = append(sys.comps, newModel())
+		}
+		ids++
+		return ids - 1
 	}
 
 	// Memory controllers.
@@ -139,25 +186,6 @@ func BuildSystem(cfg *config.System) (*System, error) {
 		memLevels = append(memLevels, ctrl)
 	}
 	memRouter := cache.NewMemRouter(memLevels, cfg.NetHopCycles)
-
-	// Every cache's configuration, and so the chip's total set count: the
-	// slot tables of all its caches come from one exactly sized chunk.
-	coresPerTile := cfg.CoresPerTile
-	bankCfg := cache.Config{
-		SizeKB:  max(cfg.L3.SizeKB/cfg.L3.Banks, 1),
-		Ways:    cfg.L3.Ways,
-		Latency: cfg.L3.Latency,
-	}
-	l2Cfg := cache.Config{
-		SizeKB:  cfg.L2.SizeKB,
-		Ways:    cfg.L2.Ways,
-		Latency: cfg.L2.Latency,
-		Private: coresPerTile == 1,
-	}
-	l1iCfg := cache.Config{SizeKB: cfg.L1I.SizeKB, Ways: cfg.L1I.Ways, Latency: cfg.L1I.Latency, Private: true}
-	l1dCfg := cache.Config{SizeKB: cfg.L1D.SizeKB, Ways: cfg.L1D.Ways, Latency: cfg.L1D.Latency, Private: true}
-	arena.Reserve[uint32](root.Arena(), cfg.L3.Banks*bankCfg.Sets()+tiles*l2Cfg.Sets()+
-		cfg.NumCores*(l1iCfg.Sets()+l1dCfg.Sets()))
 
 	// L3 banks (fully shared, inclusive, one directory over all L2s).
 	l3Reg := root.Child("l3")
@@ -224,12 +252,7 @@ func BuildSystem(cfg *config.System) (*System, error) {
 	// Weave-phase NoC contention: one router component per topology node,
 	// numbered after the controllers and banks, so node n's router is
 	// component routerComp(n).
-	if cfg.Contention && cfg.NOCContention {
-		topo, ok := sys.Net.(network.Topology)
-		if !ok {
-			return nil, fmt.Errorf("boundweave: nocContention requires a routed topology, %s is not one", sys.Net.Name())
-		}
-		nodes := topo.Nodes()
+	if topo != nil {
 		// A 64 B line plus an 8 B header, split into link-width flits.
 		packetFlits := (cache.LineSize + 8 + cfg.NOCLinkBytes - 1) / cfg.NOCLinkBytes
 		queueDepth := cfg.NOCQueueDepth

@@ -43,13 +43,14 @@
 // actually uses, and the GC scans none of it. A block holds the set's ways
 // as arrays: first one 8-byte key per way (its tag, MESI state and
 // child-modified bit), then, only in a cache with children, one sharer mask
-// per way (4 bytes for up to 32 children, 8 beyond), then one 4-byte LRU
-// stamp per way. A way thus takes 12 bytes in an L1, and 16 or 20 in a
-// cache with children. A stripe's 32-bit clock that would wrap first
-// rewrites its sets' stamps to their rank within each set. A dirty bitmap,
-// one bit per set, marks the sets touched since the last Reset, so Reset
-// costs O(sets/64 + sets touched since the last Reset) rather than a visit
-// to every set.
+// per way (1, 2, 4 or 8 bytes for up to 8, 16, 32 or 64 children), then,
+// from the next 4-byte boundary, one 4-byte LRU stamp per way. A way thus
+// takes 12 bytes in an L1 and 13 to 20 in a cache with children: 13 in the
+// Westmere L2 and L3, with 2 and 6 children. A stripe's 32-bit clock that
+// would wrap first rewrites its sets' stamps to their rank within each
+// set. A dirty bitmap, one bit per set, marks the sets touched since the
+// last Reset, so Reset costs O(sets/64 + sets touched since the last
+// Reset) rather than a visit to every set.
 package cache
 
 import (
@@ -301,10 +302,34 @@ type Config struct {
 	Private bool
 }
 
-// Sets returns the number of sets a cache built from the config has, and so
-// the length of its slot table.
-func (cfg Config) Sets() int {
-	return max(cfg.SizeKB*1024/LineSize/max(cfg.Ways, 1), 1)
+// geometry returns the number of sets a cache built from the config has
+// (the length of its slot table), its number of lock stripes, and the words
+// of dirty bitmap each stripe owns.
+func (cfg Config) geometry() (sets, stripes, dirtyWords int) {
+	sets = max(cfg.SizeKB*1024/LineSize/max(cfg.Ways, 1), 1)
+	stripes = 1
+	for !cfg.Private && stripes*2 <= sets && stripes < maxStripes {
+		stripes *= 2
+	}
+	return sets, stripes, ((sets+stripes-1)/stripes + 63) / 64
+}
+
+// Reserve readies the arena a for the caches a chip is about to build on it,
+// counts[i] of them from cfgs[i]: the cache objects, their slot tables,
+// lock stripes and dirty bitmaps each come from one exactly sized chunk.
+func Reserve(a *arena.Arena, cfgs []Config, counts []int) {
+	var caches, slots, stripes, dirty int
+	for i, cfg := range cfgs {
+		sets, nStripes, dirtyWords := cfg.geometry()
+		caches += counts[i]
+		slots += counts[i] * sets
+		stripes += counts[i] * nStripes
+		dirty += counts[i] * nStripes * dirtyWords
+	}
+	arena.Reserve[Cache](a, caches)
+	arena.Reserve[uint32](a, slots)
+	arena.Reserve[stripe](a, stripes)
+	arena.Reserve[uint64](a, dirty)
 }
 
 // Cache is a single set-associative cache (or one bank of a banked cache).
@@ -316,10 +341,11 @@ type Cache struct {
 
 	// A touched set's block in the slab holds its ways' keys (8 bytes
 	// each), then, only when the cache has children, their sharer masks
-	// (maskBytes each: 4 for up to 32 children, 8 beyond), then their LRU
-	// stamps (4 bytes each), blockWords 8-byte words in all; stampOff is
-	// the stamps' byte offset. AddChild sets the layout, and the chip's
-	// first access fixes it.
+	// (maskBytes each: the smallest of 1, 2, 4 or 8 that holds a bit per
+	// child), then their LRU stamps (4 bytes each, from the next 4-byte
+	// boundary), blockWords 8-byte words in all; stampOff is the stamps'
+	// byte offset. AddChild sets the layout, and the chip's first access
+	// fixes it.
 	blockWords uint32
 	stampOff   uint32
 	maskBytes  uint8
@@ -358,14 +384,9 @@ type Cache struct {
 // slab of its own.
 func New(cfg Config, compID int, reg *stats.Registry) *Cache {
 	ways := max(cfg.Ways, 1)
-	sets := cfg.Sets()
+	sets, nStripes, dirtyWords := cfg.geometry()
 	a := reg.Arena()
-	nStripes := 1
-	for !cfg.Private && nStripes*2 <= sets && nStripes < maxStripes {
-		nStripes *= 2
-	}
 	shift := bits.TrailingZeros(uint(nStripes))
-	dirtyWords := ((sets+nStripes-1)>>shift + 63) / 64
 	c := arena.One[Cache](a)
 	*c = Cache{
 		compID:      compID,
@@ -392,13 +413,19 @@ func (c *Cache) layout() {
 	switch n := len(c.children); {
 	case n == 0:
 		c.maskBytes = 0
+	case n <= 8:
+		c.maskBytes = 1
+	case n <= 16:
+		c.maskBytes = 2
 	case n <= 32:
 		c.maskBytes = 4
 	default:
 		c.maskBytes = 8
 	}
 	ways := uint32(c.ways)
-	c.stampOff = ways * (8 + uint32(c.maskBytes))
+	// 1- and 2-byte masks of an odd number of ways end off a 4-byte
+	// boundary: round up, so the stamps stay aligned for their uint32 view.
+	c.stampOff = (ways*(8+uint32(c.maskBytes)) + 3) &^ 3
 	c.blockWords = (c.stampOff + 4*ways + 7) / 8
 }
 
@@ -450,8 +477,8 @@ func (c *Cache) AddChild(child *Cache) int {
 	old := c.blockWords
 	c.layout()
 	// Construction is single-threaded, so started reads the slab unlocked;
-	// the slab is told only of a block that grew (at the first child and
-	// the 33rd), and panics once the chip has served an access.
+	// the slab is told only of a block that grew (at the 1st, 9th, 17th and
+	// 33rd child), and panics once the chip has served an access.
 	if c.blockWords != old || c.slab.started() {
 		c.slab.addBlocks(0, c.sets, int(c.blockWords-old), int(c.blockWords))
 	}
@@ -498,6 +525,10 @@ func (c *Cache) stamps(b unsafe.Pointer) []uint32 {
 func (c *Cache) sharers(b unsafe.Pointer, w int) uint64 {
 	p := unsafe.Add(b, uintptr(c.ways)*8+uintptr(w)*uintptr(c.maskBytes))
 	switch c.maskBytes {
+	case 1:
+		return uint64(*(*uint8)(p))
+	case 2:
+		return uint64(*(*uint16)(p))
 	case 4:
 		return uint64(*(*uint32)(p))
 	case 8:
@@ -511,6 +542,10 @@ func (c *Cache) sharers(b unsafe.Pointer, w int) uint64 {
 func (c *Cache) setSharers(b unsafe.Pointer, w int, m uint64) {
 	p := unsafe.Add(b, uintptr(c.ways)*8+uintptr(w)*uintptr(c.maskBytes))
 	switch c.maskBytes {
+	case 1:
+		*(*uint8)(p) = uint8(m)
+	case 2:
+		*(*uint16)(p) = uint16(m)
 	case 4:
 		*(*uint32)(p) = uint32(m)
 	case 8:

@@ -491,21 +491,29 @@ func TestCoherenceSingleWriterInvariant(t *testing.T) {
 }
 
 // A set's block takes 12 bytes per way in a cache without children (an
-// 8-byte key and a 4-byte LRU stamp), 16 with up to 32 children (a 4-byte
-// sharer mask beside them) and 20 with more (an 8-byte mask), and no block
-// holds a pointer: the slab's chunks are plain words, so the GC scans
-// neither them nor the slot tables, which hold one 4-byte slot per set. A
-// lock stripe with its statistics fills one 64 B host line, as does a line
-// cursor, and the chunk table holds one pointer per chunk.
+// 8-byte key and a 4-byte LRU stamp) and, in a cache with children, one
+// sharer mask per way beside them, as narrow as holds a bit per child: 13
+// bytes with up to 8 children, 14 with 16, 16 with 32 and 20 with 64. The
+// block is rounded up to whole words, and the stamps start on a 4-byte
+// boundary even where 1- and 2-byte masks of an odd way count end off one.
+// No block holds a pointer: the slab's chunks are plain words, so the GC
+// scans neither them nor the slot tables, which hold one 4-byte slot per
+// set. A lock stripe with its statistics fills one 64 B host line, as does a
+// line cursor, and the chunk table holds one pointer per chunk.
 func TestBlockLayout(t *testing.T) {
-	for _, tc := range []struct{ children, perWay int }{{0, 12}, {1, 16}, {32, 16}, {33, 20}, {64, 20}} {
-		for _, ways := range []int{2, 8, 16} {
+	for _, tc := range []struct{ children, perWay int }{
+		{0, 12}, {1, 13}, {8, 13}, {9, 14}, {16, 14}, {17, 16}, {32, 16}, {33, 20}, {64, 20},
+	} {
+		for _, ways := range []int{1, 2, 3, 8, 16} {
 			c := New(Config{SizeKB: 64, Ways: ways, Latency: 4}, 0, nil)
 			for range tc.children {
 				c.AddChild(New(Config{SizeKB: 1, Ways: 1}, 1, nil))
 			}
-			if got := int(c.blockWords) * 8; got != tc.perWay*ways {
-				t.Errorf("%d ways, %d children: block of %d B, want %d", ways, tc.children, got, tc.perWay*ways)
+			if got, want := int(c.blockWords)*8, (tc.perWay*ways+7)&^7; got != want {
+				t.Errorf("%d ways, %d children: block of %d B, want %d", ways, tc.children, got, want)
+			}
+			if c.stampOff%4 != 0 || int(c.stampOff) < ways*(tc.perWay-4) {
+				t.Errorf("%d ways, %d children: stamps at byte %d", ways, tc.children, c.stampOff)
 			}
 			if got := c.slab.words; got != c.sets*int(c.blockWords) {
 				t.Errorf("%d ways, %d children: slab accounts %d words, want %d", ways, tc.children, got, c.sets*int(c.blockWords))
@@ -531,6 +539,55 @@ func TestBlockLayout(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(s.chunks[0]); n != 8 {
 		t.Fatalf("chunk-table entry is %d bytes, want 8", n)
+	}
+}
+
+// Every sharer-mask width holds a bit for each child, up to the last one:
+// parents with children on either side of each width's limit, and 1, 3 or 8
+// ways, see every child read one line, then the highest-indexed child write
+// it. Before the write the parent's mask holds every child; after it, only
+// the writer's bit, and every other child's copy is Invalid. The stamps of
+// every block stay 4-byte aligned, also where an odd way count of 1- or
+// 2-byte masks ends off a 4-byte boundary.
+func TestSharerMaskWidths(t *testing.T) {
+	const line = 0x2a
+	for _, n := range []int{8, 9, 16, 17, 32, 33, 64} {
+		for _, ways := range []int{1, 3, 8} {
+			parent := New(Config{SizeKB: 64, Ways: ways, Latency: 7}, 10, nil)
+			parent.SetParent(&fakeMem{lat: 100})
+			children := make([]*Cache, n)
+			for i := range children {
+				children[i] = New(Config{SizeKB: 1, Ways: 1, Latency: 4}, -1, nil)
+				children[i].SetParent(parent)
+				parent.AddChild(children[i])
+			}
+			mask := func() uint64 {
+				set := parent.setOf(line)
+				b := parent.blockOf(set)
+				if uintptr(unsafe.Pointer(&parent.stamps(b)[0]))%4 != 0 {
+					t.Fatalf("%d children, %d ways: stamps at %p are not 4-byte aligned", n, ways, &parent.stamps(b)[0])
+				}
+				return parent.sharers(b, findWay(parent.keys(b), line))
+			}
+			for i, ch := range children {
+				ch.Access(&Request{LineAddr: line, CoreID: i})
+			}
+			if got, want := mask(), ^uint64(0)>>(64-n); got != want {
+				t.Fatalf("%d children, %d ways: mask %#x after every child read, want %#x", n, ways, got, want)
+			}
+			children[n-1].Access(&Request{LineAddr: line, Write: true, CoreID: n - 1})
+			for i, ch := range children[:n-1] {
+				if s := ch.StateOf(line); s != Invalid {
+					t.Fatalf("%d children, %d ways: child %d holds %v after child %d wrote", n, ways, i, s, n-1)
+				}
+			}
+			if s := children[n-1].StateOf(line); s != Modified {
+				t.Fatalf("%d children, %d ways: the writer holds %v, want M", n, ways, s)
+			}
+			if got, want := mask(), uint64(1)<<(n-1); got != want {
+				t.Fatalf("%d children, %d ways: mask %#x after the write, want %#x", n, ways, got, want)
+			}
+		}
 	}
 }
 

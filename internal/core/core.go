@@ -88,31 +88,39 @@ type MemPorts struct {
 }
 
 // memUnit is the access machinery shared by the core models: the cache
-// ports, the installed recorder, observer and line cursor, and the pooled
-// request plus recycled hop buffer that make the steady-state access path
-// allocation-free. Core models embed it and issue every hierarchy access
+// ports, the installed recorder and observer, and the pooled request, whose
+// recycled hop buffer makes the steady-state access path allocation-free. Core models embed it and issue every hierarchy access
 // through its access method.
 type memUnit struct {
 	id    int
 	ports MemPorts
 	rec   AccessRecorder
 	obs   cache.AccessObserver
-	lines *cache.LineCursor
 
-	// req is the core's reusable request (one access is in flight at a time)
-	// and hopBuf the recycled hop buffer for the next traced access.
-	req    cache.Request
-	hopBuf []cache.Hop
+	// req is the core's reusable request (one access is in flight at a
+	// time). Its CoreID, RecordHops and Lines (the installed line cursor)
+	// are set where they change: at construction, SetRecorder and
+	// SetLineCursor. Its Hops is the recycled hop buffer, emptied by each
+	// access.
+	req cache.Request
+}
+
+// newMemUnit returns the access machinery of core id.
+func newMemUnit(id int, ports MemPorts) memUnit {
+	return memUnit{id: id, ports: ports, req: cache.Request{CoreID: id}}
 }
 
 // SetRecorder installs the access recorder.
-func (m *memUnit) SetRecorder(rec AccessRecorder) { m.rec = rec }
+func (m *memUnit) SetRecorder(rec AccessRecorder) {
+	m.rec = rec
+	m.req.RecordHops = rec != nil
+}
 
 // SetObserver installs the line-access observer.
 func (m *memUnit) SetObserver(obs cache.AccessObserver) { m.obs = obs }
 
 // SetLineCursor installs the running bound worker's line-slab cursor.
-func (m *memUnit) SetLineCursor(cur *cache.LineCursor) { m.lines = cur }
+func (m *memUnit) SetLineCursor(cur *cache.LineCursor) { m.req.Lines = cur }
 
 // reset clears the unit's transient state (in-flight request, installed
 // recorder, observer and line cursor) while keeping the identity, ports and
@@ -122,16 +130,17 @@ func (m *memUnit) SetLineCursor(cur *cache.LineCursor) { m.lines = cur }
 func (m *memUnit) reset() {
 	m.rec = nil
 	m.obs = nil
-	m.lines = nil
-	m.req = cache.Request{}
-	m.hopBuf = m.hopBuf[:0]
+	m.req = cache.Request{CoreID: m.id, Hops: m.req.Hops[:0]}
 }
 
 // access issues one request to a cache port, reporting it to the observer
 // first (once per core access, whatever levels it then reaches) and recording
 // hops when a recorder is installed. The request struct and the hop buffer
-// are reused across accesses, so the steady-state access path allocates
-// nothing.
+// are reused across accesses, and an access writes only the request fields
+// that differ between accesses: the caches read FillState and the
+// directory index only after setting them, and restore the index of a
+// request they forward. So the steady-state access path allocates and
+// copies nothing.
 func (m *memUnit) access(port cache.Level, lineAddr uint64, write bool, cycle uint64) uint64 {
 	if port == nil {
 		return cycle
@@ -139,22 +148,12 @@ func (m *memUnit) access(port cache.Level, lineAddr uint64, write bool, cycle ui
 	if m.obs != nil {
 		m.obs.ObserveAccess(lineAddr, write, m.id, cycle)
 	}
-	m.req = cache.Request{
-		LineAddr:   lineAddr,
-		Write:      write,
-		CoreID:     m.id,
-		Cycle:      cycle,
-		Hops:       m.hopBuf[:0],
-		RecordHops: m.rec != nil,
-		Lines:      m.lines,
+	req := &m.req
+	req.LineAddr, req.Write, req.Cycle, req.Hops = lineAddr, write, cycle, req.Hops[:0]
+	avail := port.Access(req)
+	if m.rec != nil && len(req.Hops) > 0 {
+		req.Hops = m.rec.RecordAccess(m.id, cycle, write, req.Hops)
 	}
-	avail := port.Access(&m.req)
-	if m.rec != nil && len(m.req.Hops) > 0 {
-		m.hopBuf = m.rec.RecordAccess(m.id, cycle, write, m.req.Hops)
-	} else {
-		m.hopBuf = m.req.Hops
-	}
-	m.req.Hops = nil
 	return avail
 }
 
@@ -196,7 +195,7 @@ type IPC1 struct {
 // table comes from the heap on the core's first branch.
 func NewIPC1(id int, ports MemPorts, reg *stats.Registry) *IPC1 {
 	c := arena.One[IPC1](reg.Arena())
-	c.memUnit = memUnit{id: id, ports: ports}
+	c.memUnit = newMemUnit(id, ports)
 	reg.Record(&c.cnt)
 	return c
 }

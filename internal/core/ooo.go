@@ -133,7 +133,7 @@ type OOO struct {
 // first use, so a core a run never uses costs only its struct.
 func NewOOO(id int, cfg OOOConfig, ports MemPorts, reg *stats.Registry) *OOO {
 	c := arena.One[OOO](reg.Arena())
-	c.memUnit = memUnit{id: id, ports: ports}
+	c.memUnit = newMemUnit(id, ports)
 	c.cfg = cfg.WithDefaults()
 	reg.Record(&c.cnt)
 	return c

@@ -189,6 +189,8 @@ func NewFabric(topo network.Topology, cfg Config, reg *stats.Registry) *Fabric {
 	f.topo = topo
 	f.memPort = topo.NumPorts()
 	f.routers = arena.Take[*Router](a, topo.Nodes())
+	arena.Reserve[Router](a, topo.Nodes())
+	arena.Reserve[portState](a, topo.Nodes()*(topo.NumPorts()+1))
 	for n := range f.routers {
 		r := arena.One[Router](a)
 		r.perHop = uint64(topo.PerHopLatency())

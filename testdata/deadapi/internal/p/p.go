@@ -1,5 +1,6 @@
 // Package p declares one dead method, A.Size, beside live methods that a
-// name-matching check or a direct-call-only check would get wrong.
+// name-matching check, a direct-call-only check or a single pass over the
+// called interfaces would get wrong.
 package p
 
 // A.Size is dead: nothing calls it, though B.Size shares its name.
@@ -33,3 +34,13 @@ func Use(b *B, l Lener) int {
 	}
 	return b.Size() + l.Len()
 }
+
+// DRAM is the Model main wraps in a q.Wrapper.
+type DRAM struct{ n int }
+
+// Latency is called through q.Model.
+func (d *DRAM) Latency() int { return d.n }
+
+// Reset is called only through q.Component, on a q.Wrapper, whose Reset is
+// q.Model's, which DRAM implements.
+func (d *DRAM) Reset() { d.n = 0 }
